@@ -16,7 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "src/debug/checkpoint.h"
-#include "src/shard/shard_executor.h"
+#include "src/engine/engine.h"
 
 namespace {
 
@@ -69,7 +69,7 @@ void BM_ShardedRtsTick(benchmark::State& state) {
     allocs += engine->last_stats().allocs_per_tick;
     if (engine->sharded()) {
       cross += static_cast<int64_t>(
-          engine->shard_executor().last_cross_shard_records());
+          engine->executor().last_cross_shard_records());
     }
   }
   const double n = static_cast<double>(state.iterations());

@@ -8,8 +8,9 @@
 //   double hp = engine->Get(id, "health")->AsNumber();
 //
 // Create() parses + compiles the program (schema generation, §2.1), builds
-// the World with the chosen storage layout, and wires the executor with the
-// built-in update components (transaction engine + expression updater).
+// the World with the chosen storage layout (partitioned into shards when
+// exec.num_shards > 1), and wires the one TickExecutor with the built-in
+// update components (transaction engine + expression updater).
 // Physics / pathfinding components attach via AddPhysics / AddPathfinder
 // (§2.2). Debugging (§3.3) is exposed through inspector/tracer/checkpoint
 // accessors.
@@ -27,7 +28,7 @@
 #include "src/debug/tracer.h"
 #include "src/exec/tick_executor.h"
 #include "src/lang/compiler.h"
-#include "src/shard/shard_executor.h"
+#include "src/shard/sharded_world.h"
 #include "src/update/pathfind.h"
 #include "src/update/physics.h"
 
@@ -36,9 +37,9 @@ namespace sgl {
 /// Engine construction options.
 struct EngineOptions {
   /// exec.num_shards > 1 partitions the world into row-range shards with
-  /// cross-shard effect routing and drives the sharded pipeline
-  /// (src/shard/) instead of TickExecutor; the remaining exec fields keep
-  /// their meaning.
+  /// cross-shard effect routing (src/shard/); the executor runs the same
+  /// pipeline over either layout. Create() rejects morsel_size == 0 and
+  /// num_shards >= 255 with InvalidArgument.
   ExecOptions exec;
   /// Storage layout for numeric state columns (§2.1). kAffinity uses the
   /// attribute co-occurrence mined by the compiler.
@@ -54,20 +55,16 @@ class Engine {
   World& world() { return *world_; }
   const Catalog& catalog() const { return *program_->catalog; }
   const CompiledProgram& program() const { return *program_; }
-  /// The single-world executor. Only valid when exec.num_shards <= 1.
-  TickExecutor& executor() {
-    SGL_CHECK(executor_ != nullptr && "engine is sharded; use sharded_*");
-    return *executor_;
-  }
-  /// Sharded mode only (exec.num_shards > 1).
-  bool sharded() const { return shard_exec_ != nullptr; }
+  /// The tick executor, whichever the partition layout.
+  TickExecutor& executor() { return *executor_; }
+  /// Alias of executor(); the tick-anatomy benchmark (perfbench/) calls it.
+  TickExecutor& shard_executor() { return executor(); }
+  /// True when exec.num_shards > 1 partitioned the world.
+  bool sharded() const { return sharded_world_ != nullptr; }
+  /// The partition layout; sharded engines only.
   ShardedWorld& sharded_world() {
     SGL_CHECK(sharded_world_ != nullptr && "engine is not sharded");
     return *sharded_world_;
-  }
-  ShardExecutor& shard_executor() {
-    SGL_CHECK(shard_exec_ != nullptr && "engine is not sharded");
-    return *shard_exec_;
   }
 
   /// Attaches a physics component (§2.2). Call before the first tick.
@@ -94,7 +91,7 @@ class Engine {
   //
   // Asynchronous results do NOT change this picture: JobService
   // completions install at the tick barrier *before any* component runs
-  // (TickExecutor / ShardExecutor call InstallDue first), in an order
+  // (the executor calls InstallDue first), in an order
   // fixed at submission time. A component observes a job's result at
   // exactly tick `submit + latency`, regardless of worker count, shard
   // count, thread count, or registration order — async completion is a
@@ -113,14 +110,9 @@ class Engine {
   /// Runs one tick / n ticks.
   Status Tick();
   Status RunTicks(int n);
-  sgl::Tick tick() const {
-    return shard_exec_ != nullptr ? shard_exec_->tick() : executor_->tick();
-  }
+  sgl::Tick tick() const { return executor_->tick(); }
 
-  const TickStats& last_stats() const {
-    return shard_exec_ != nullptr ? shard_exec_->last_stats()
-                                  : executor_->last_stats();
-  }
+  const TickStats& last_stats() const { return executor_->last_stats(); }
 
   // --- Debugging (§3.3) ---------------------------------------------------
 
@@ -128,13 +120,7 @@ class Engine {
   std::string ExplainPlans() const { return program_->Explain(); }
   Inspector inspector() const { return Inspector(world_.get()); }
   /// Attaches a tracer (null detaches).
-  void SetTracer(EffectTracer* tracer) {
-    if (shard_exec_ != nullptr) {
-      shard_exec_->set_trace(tracer);
-    } else {
-      executor_->set_trace(tracer);
-    }
-  }
+  void SetTracer(EffectTracer* tracer) { executor_->set_trace(tracer); }
   /// Snapshot / resume. Sharded engines also capture the shard partition,
   /// so Restore resumes the exact post-migration ranges. Checkpoints are
   /// tick-boundary snapshots that also capture async jobs still in flight
@@ -154,9 +140,8 @@ class Engine {
 
   std::unique_ptr<CompiledProgram> program_;
   std::unique_ptr<World> world_;
-  std::unique_ptr<TickExecutor> executor_;      ///< exec.num_shards <= 1
-  std::unique_ptr<ShardedWorld> sharded_world_; ///< exec.num_shards > 1
-  std::unique_ptr<ShardExecutor> shard_exec_;
+  std::unique_ptr<ShardedWorld> sharded_world_;  ///< exec.num_shards > 1
+  std::unique_ptr<TickExecutor> executor_;
 };
 
 }  // namespace sgl

@@ -86,7 +86,7 @@ struct SiteCache {
 };
 
 /// Per-worker execution scratch: the eval pools plus operator-level reusable
-/// buffers. Owned by the executor, one per shard; everything keeps its
+/// buffers. Owned by the executor, one per worker; everything keeps its
 /// high-water capacity so steady-state ticks allocate nothing.
 struct ExecScratch : EvalScratch {
   /// Reused holders for per-assign evaluated columns (accum folds and
@@ -124,7 +124,7 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
 /// shards (src/shard/): writes whose target row lies in the emitting
 /// shard's own partition land in its dense local buffer, remote writes are
 /// appended to the (src, dst) mailbox lane and replayed at the tick
-/// barrier. The single-world executor leaves ExecEnv::router null and pays
+/// barrier. One-partition layouts leave ExecEnv::router null and pay
 /// nothing; the virtual dispatch only sits on the sharded path.
 class EffectRouter {
  public:
@@ -149,7 +149,7 @@ struct ExecEnv {
   /// Effect sinks, one per class (worker shard or the world's own buffers).
   /// Ignored when `router` is set.
   std::vector<EffectBuffer*> effect_sinks;
-  /// Shard-mode effect routing; null on the single-world path.
+  /// Shard-mode effect routing; null with one partition.
   EffectRouter* router = nullptr;
   /// Transaction-intent sink (worker shard's flat intent log).
   TxnIntentLog* txn_sink = nullptr;
@@ -174,7 +174,7 @@ struct ExecEnv {
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch
   /// per instrumented point). Borrowed, set by the owning executor.
   Telemetry* telemetry = nullptr;
-  /// Chrome-trace pid for this worker's spans: 0 = world (unsharded /
+  /// Chrome-trace pid for this worker's spans: 0 = world (one partition /
   /// barrier thread), s + 1 = world shard s.
   uint8_t tel_track = 0;
 };

@@ -1,10 +1,12 @@
 #include "src/exec/tick_executor.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/alloc_hook.h"
 #include "src/common/stopwatch.h"
 #include "src/fault/fault_injector.h"
+#include "src/shard/shard_router.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/update/expr_updater.h"
@@ -40,9 +42,53 @@ void TickStats::Reset(Tick now) {
   txn = TxnStats();
 }
 
-TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
+struct TickExecutor::Worker {
+  ExecEnv env;
+  ExecScratch scratch;
+  std::vector<RowIdx> slice;  ///< morsel chunk buffer
+  std::vector<SiteFeedback> feedback;
+  /// The effect sink: a router with more than one partition, per-class
+  /// buffers with one partition and several threads, and neither (the
+  /// world's own buffers) with one partition and one thread.
+  std::unique_ptr<ShardRouter> router;
+  std::vector<std::unique_ptr<EffectBuffer>> effects;  ///< by class
+};
+
+struct TickExecutor::Partition {
+  /// Also the index of the partition's first worker, which evaluates its
+  /// selections; workers [id, id + workers per partition) run its morsels.
+  int id = 0;
+  /// Per script, per phase: selected rows of this partition's ranges.
+  std::vector<std::vector<std::vector<RowIdx>>> script_selections;
+  /// Per handler: cached range iota and this tick's selection.
+  std::vector<std::vector<RowIdx>> handler_rows;
+  std::vector<std::vector<RowIdx>> handler_selections;
+  std::vector<uint8_t> handler_keep;
+  /// Wall time of this partition's query phase last tick; the barrier
+  /// derives the stall (max−min) and imbalance gauges from these.
+  int64_t query_micros = 0;
+};
+
+namespace {
+
+/// Makes `rows` the iota [begin, end). A pure function of the range, so it
+/// is rebuilt only when spawns, despawns or migrations moved the range.
+void FillRange(RowIdx begin, RowIdx end, std::vector<RowIdx>* rows) {
+  if (rows->size() == static_cast<size_t>(end - begin) &&
+      (rows->empty() || (*rows)[0] == begin)) {
+    return;
+  }
+  rows->resize(end - begin);
+  std::iota(rows->begin(), rows->end(), begin);
+}
+
+}  // namespace
+
+TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
+                           const CompiledProgram* program,
                            ExecOptions options)
     : world_(world),
+      sharded_(sharded),
       program_(program),
       options_(options),
       controller_(options.planner, program->num_sites),
@@ -62,8 +108,52 @@ TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
   site_cache_.resize(static_cast<size_t>(program_->num_sites));
   prepared_.resize(static_cast<size_t>(program_->num_sites));
   script_locals_.resize(program_->scripts.size());
-  script_selections_.resize(program_->scripts.size());
   handler_locals_.resize(program_->handlers.size());
+
+  // The layout: one worker per partition, or one per thread when the whole
+  // world is one partition.
+  const int num_partitions = sharded_ != nullptr ? sharded_->num_shards() : 1;
+  SGL_CHECK(num_partitions == std::max(1, options_.num_shards));
+  const int num_workers = num_partitions > 1
+                              ? num_partitions
+                              : std::max(1, options_.num_threads);
+  const Catalog& catalog = world_->catalog();
+  for (int w = 0; w < num_workers; ++w) {
+    auto worker = std::make_unique<Worker>();
+    ExecEnv& env = worker->env;
+    env.world = world_;
+    if (sharded_ != nullptr) {
+      worker->router = std::make_unique<ShardRouter>(sharded_, w);
+      env.router = worker->router.get();
+      // Chrome pid w+1: pid 0 stays the barrier thread's "world" track.
+      env.tel_track = static_cast<uint8_t>(w + 1);
+    } else {
+      for (ClassId c = 0; c < catalog.num_classes(); ++c) {
+        if (num_workers > 1) {
+          worker->effects.push_back(
+              std::make_unique<EffectBuffer>(&catalog.Get(c)));
+          env.effect_sinks.push_back(worker->effects.back().get());
+        } else {
+          env.effect_sinks.push_back(&world_->effects(c));
+        }
+      }
+    }
+    env.scratch = &worker->scratch;
+    env.vm = vm_cache_.get();
+    env.telemetry = options_.telemetry;
+    workers_.push_back(std::move(worker));
+  }
+  for (int p = 0; p < num_partitions; ++p) {
+    auto part = std::make_unique<Partition>();
+    part->id = p;
+    for (const CompiledScript& script : program_->scripts) {
+      part->script_selections.emplace_back(
+          static_cast<size_t>(script.num_phases()));
+    }
+    part->handler_rows.resize(program_->handlers.size());
+    part->handler_selections.resize(program_->handlers.size());
+    partitions_.push_back(std::move(part));
+  }
 }
 
 TickExecutor::~TickExecutor() = default;
@@ -85,37 +175,77 @@ Status TickExecutor::RegisterComponent(
   return components_.Register(program_->catalog.get(), std::move(component));
 }
 
-void TickExecutor::EnsureWorkers(int shards) {
-  const int num_classes = world_->catalog().num_classes();
-  if (shards > 1 && shard_effects_.size() != static_cast<size_t>(shards)) {
-    shard_effects_.clear();
-    shard_effects_.resize(static_cast<size_t>(shards));
-    for (auto& per_class : shard_effects_) {
-      for (ClassId c = 0; c < num_classes; ++c) {
-        per_class.push_back(
-            std::make_unique<EffectBuffer>(&world_->catalog().Get(c)));
+void TickExecutor::ComputeSelections(Partition& part) {
+  Worker& worker = *workers_[static_cast<size_t>(part.id)];
+  auto range_begin = [&](ClassId cls) -> RowIdx {
+    return sharded_ != nullptr ? sharded_->shard_begin(cls, part.id) : 0;
+  };
+  auto range_end = [&](ClassId cls) -> RowIdx {
+    return sharded_ != nullptr
+               ? sharded_->shard_end(cls, part.id)
+               : static_cast<RowIdx>(world_->table(cls).size());
+  };
+
+  // Scripts: the partition's slice of every class extent, dispatched on
+  // the PC column for multi-phase scripts (§3.2).
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    auto& selections = part.script_selections[si];
+    const RowIdx begin = range_begin(script.cls);
+    const RowIdx end = range_end(script.cls);
+    if (script.num_phases() == 1) {
+      FillRange(begin, end, &selections[0]);
+    } else {
+      for (auto& sel : selections) sel.clear();
+      ConstNumberColumn pc = world_->table(script.cls).Num(script.pc_state);
+      for (RowIdx r = begin; r < end; ++r) {
+        int phase = static_cast<int>(pc[r]);
+        if (phase < 0 || phase >= script.num_phases()) phase = 0;
+        selections[static_cast<size_t>(phase)].push_back(r);
       }
     }
-    workers_.clear();  // sink tables must be rebuilt
   }
-  if (workers_.size() == static_cast<size_t>(shards)) return;
-  workers_.clear();
-  for (int s = 0; s < shards; ++s) {
-    auto w = std::make_unique<WorkerState>();
-    ExecEnv& env = w->env;
-    env.world = world_;
-    env.effect_sinks.resize(static_cast<size_t>(num_classes));
-    for (ClassId c = 0; c < num_classes; ++c) {
-      env.effect_sinks[static_cast<size_t>(c)] =
-          shards == 1 ? &world_->effects(c)
-                      : shard_effects_[static_cast<size_t>(s)]
-                                      [static_cast<size_t>(c)].get();
+
+  // Handlers (§3.2): conditions over the partition's range. They only read
+  // prior state and zeroed locals, both unchanged throughout the query
+  // phase, so evaluating them before any script runs is equivalent to
+  // evaluating them after.
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    const CompiledHandler& handler = program_->handlers[hi];
+    auto& rows = part.handler_rows[hi];
+    FillRange(range_begin(handler.cls), range_end(handler.cls), &rows);
+    auto& selection = part.handler_selections[hi];
+    selection.clear();
+    if (rows.empty()) continue;
+    if (options_.interpreted) {
+      ScalarContext ctx;
+      ctx.world = world_;
+      ctx.outer_cls = handler.cls;
+      ctx.locals = &handler_locals_[hi];
+      for (RowIdx row : rows) {
+        ctx.outer_row = row;
+        if (EvalScalarBool(*handler.cond, ctx)) selection.push_back(row);
+      }
+    } else {
+      VecContext ctx;
+      ctx.world = world_;
+      ctx.outer = &world_->table(handler.cls);
+      ctx.outer_rows = &rows;
+      ctx.locals = &handler_locals_[hi];
+      ctx.scratch = &worker.scratch;
+      const VmProgram* cond_vm =
+          vm_cache_ != nullptr ? vm_cache_->Value(handler.cond.get())
+                               : nullptr;
+      if (cond_vm != nullptr) {
+        VmEvalBool(*cond_vm, ctx, &worker.scratch.vm, nullptr, 0,
+                   &part.handler_keep);
+      } else {
+        EvalBool(*handler.cond, ctx, &part.handler_keep);
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (part.handler_keep[i]) selection.push_back(rows[i]);
+      }
     }
-    env.scratch = &w->scratch;
-    env.vm = vm_cache_.get();
-    env.telemetry = options_.telemetry;
-    env.tel_track = 0;  // unsharded: every span renders under pid "world"
-    workers_.push_back(std::move(w));
   }
 }
 
@@ -134,7 +264,7 @@ void TickExecutor::PrepareSites(
     }
     // Backend axes (orthogonal to the join strategy): per-site bytecode
     // and batched-probe decisions, resolved here once per tick so every
-    // worker thread sees the same PreparedSite.
+    // worker sees the same PreparedSite.
     bool use_vm = false;
     bool probe_batched = false;
     if (!options_.interpreted) {
@@ -163,49 +293,101 @@ void TickExecutor::PrepareSites(
   }
 }
 
+void TickExecutor::PrepareAllSites() {
+  // Site ids are program-unique, so one pass over every unit prepares each
+  // site exactly once, fed the unit's outer-row count summed over
+  // partitions — the same count whatever the layout.
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    for (int k = 0; k < script.num_phases(); ++k) {
+      size_t total = 0;
+      for (const auto& part : partitions_) {
+        total += part->script_selections[si][static_cast<size_t>(k)].size();
+      }
+      if (total == 0) continue;
+      PrepareSites(script.phases[static_cast<size_t>(k)], total);
+    }
+  }
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    size_t total = 0;
+    for (const auto& part : partitions_) {
+      total += part->handler_selections[hi].size();
+    }
+    if (total == 0) continue;
+    PrepareSites(program_->handlers[hi].ops, total);
+  }
+}
+
 void TickExecutor::RunUnit(
-    const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
-    const std::vector<RowIdx>& selection, LocalColumns* locals) {
-  auto configure = [&](int shard) -> ExecEnv& {
-    ExecEnv& env = workers_[static_cast<size_t>(shard)]->env;
+    const Partition& part, const std::vector<std::unique_ptr<PlanOp>>& ops,
+    ClassId cls, const std::vector<RowIdx>& selection, LocalColumns* locals) {
+  auto configure = [&](int w) -> ExecEnv& {
+    Worker& worker = *workers_[static_cast<size_t>(w)];
+    ExecEnv& env = worker.env;
     env.tick = tick_;
     env.outer_cls = cls;
     env.outer = &world_->table(cls);
-    env.txn_sink = txn_.shard(shard);
+    env.txn_sink = txn_.shard(w);
     env.locals = locals;
     env.prepared = &prepared_;
-    env.feedback = &feedback_shards_[static_cast<size_t>(shard)];
+    env.feedback = &worker.feedback;
     env.trace = trace_;
     env.recorder_sink = recorder_sink_;
     return env;
   };
 
   if (options_.interpreted) {
-    RunOpsScalar(ops, selection, configure(0));
+    RunOpsScalar(ops, selection, configure(part.id));
     return;
   }
-  if (options_.num_threads <= 1) {
-    RunOpsVectorized(ops, selection, configure(0));
-    return;
-  }
-  // Static morsel -> shard assignment: morsel m runs on shard m % T,
-  // each shard's morsels in increasing order — deterministic for a fixed
-  // thread count regardless of scheduling.
+  // Static morsel -> worker assignment: morsel m runs on the partition's
+  // worker m % stride, each worker's morsels in increasing order —
+  // deterministic regardless of scheduling. A single worker runs every
+  // morsel in order, which bounds its per-unit pair scratch. Workers per
+  // partition: all of them on one partition, one per shard otherwise.
+  const int fan = static_cast<int>(workers_.size() / partitions_.size());
   const size_t morsel = options_.morsel_size;
-  const int T = options_.num_threads;
   const size_t num_morsels = (selection.size() + morsel - 1) / morsel;
-  pool_->ParallelFor(T, [&](int t) {
-    ExecEnv& env = configure(t);
-    std::vector<RowIdx>& slice = workers_[static_cast<size_t>(t)]->slice;
-    for (size_t m = static_cast<size_t>(t); m < num_morsels;
-         m += static_cast<size_t>(T)) {
-      size_t begin = m * morsel;
-      size_t end = std::min(selection.size(), begin + morsel);
+  auto run = [&](int t, size_t stride) {
+    const int w = part.id + t;
+    ExecEnv& env = configure(w);
+    if (num_morsels == 1) {
+      RunOpsVectorized(ops, selection, env);
+      return;
+    }
+    std::vector<RowIdx>& slice = workers_[static_cast<size_t>(w)]->slice;
+    for (size_t m = static_cast<size_t>(t); m < num_morsels; m += stride) {
+      const size_t begin = m * morsel;
+      const size_t end = std::min(selection.size(), begin + morsel);
       slice.assign(selection.begin() + static_cast<ptrdiff_t>(begin),
                    selection.begin() + static_cast<ptrdiff_t>(end));
       RunOpsVectorized(ops, slice, env);
     }
-  });
+  };
+  if (fan > 1 && num_morsels > 1) {
+    pool_->ParallelFor(fan, [&](int t) { run(t, static_cast<size_t>(fan)); });
+  } else {
+    run(0, 1);
+  }
+}
+
+void TickExecutor::RunPartition(Partition& part) {
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    for (int k = 0; k < script.num_phases(); ++k) {
+      const auto& selection =
+          part.script_selections[si][static_cast<size_t>(k)];
+      if (selection.empty()) continue;
+      RunUnit(part, script.phases[static_cast<size_t>(k)], script.cls,
+              selection, &script_locals_[si]);
+    }
+  }
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    const CompiledHandler& handler = program_->handlers[hi];
+    const auto& selection = part.handler_selections[hi];
+    if (selection.empty()) continue;
+    RunUnit(part, handler.ops, handler.cls, selection, &handler_locals_[hi]);
+  }
 }
 
 Status TickExecutor::RunTick() {
@@ -216,11 +398,12 @@ Status TickExecutor::RunTick() {
   SGL_TRACE_SPAN(tel, kSpanTickTotal, tick_, 0, 0);
   last_.Reset(tick_);
   const int num_classes = world_->catalog().num_classes();
-  const int shards = options_.num_threads > 1 ? options_.num_threads : 1;
+  const int num_partitions = static_cast<int>(partitions_.size());
   const int64_t index_micros_before = indexes_.build_micros();
   const int64_t simd_lanes_before = SimdLanesNow();
 
   // --- Setup -----------------------------------------------------------
+  if (sharded_ != nullptr) sharded_->EnsurePartition();
   world_->ResetEffects();
   if (!options_.interpreted) stats_mgr_.MaybeRefresh(*world_, tick_);
   recorder_sink_ = options_.recorder != nullptr
@@ -228,178 +411,132 @@ Status TickExecutor::RunTick() {
                        : nullptr;
   txn_.set_fault_tick(tick_);
   txn_.set_prov_sink(recorder_sink_);
-  txn_.BeginTick(shards);
-  EnsureWorkers(shards);
-  if (shards > 1) {
-    for (auto& per_class : shard_effects_) {
-      for (ClassId c = 0; c < num_classes; ++c) {
-        per_class[static_cast<size_t>(c)]->Reset(world_->table(c).size());
-      }
+  txn_.BeginTick(static_cast<int>(workers_.size()));
+  for (auto& worker : workers_) {
+    if (worker->router != nullptr) worker->router->BeginTick();
+    for (size_t c = 0; c < worker->effects.size(); ++c) {
+      worker->effects[c]->Reset(
+          world_->table(static_cast<ClassId>(c)).size());
     }
+    worker->feedback.assign(static_cast<size_t>(program_->num_sites),
+                            SiteFeedback());
   }
-  if (feedback_shards_.size() != static_cast<size_t>(shards)) {
-    feedback_shards_.resize(static_cast<size_t>(shards));
-  }
-  for (auto& shard : feedback_shards_) {
-    shard.assign(static_cast<size_t>(program_->num_sites), SiteFeedback());
-  }
-
-  // --- 1. Query + effect phase ------------------------------------------
-  Stopwatch query_timer;
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
-    const CompiledScript& script = program_->scripts[si];
-    EntityTable& table = world_->table(script.cls);
-    if (table.empty()) continue;
-    LocalColumns& locals = script_locals_[si];
-    AllocateLocalColumns(script.local_types, table.size(), &locals);
-
-    // Phase dispatch on the PC column (§3.2).
-    auto& selections = script_selections_[si];
-    if (selections.size() != static_cast<size_t>(script.num_phases())) {
-      selections.resize(static_cast<size_t>(script.num_phases()));
-    }
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0,
-                     static_cast<uint16_t>(si));
-      if (script.num_phases() == 1) {
-        // The whole-extent selection is a pure function of the table size
-        // (iota); rebuild it only when spawns/despawns resized the class.
-        auto& all = selections[0];
-        if (all.size() != table.size()) {
-          all.resize(table.size());
-          for (size_t i = 0; i < table.size(); ++i) {
-            all[i] = static_cast<RowIdx>(i);
-          }
-        }
-      } else {
-        for (auto& sel : selections) sel.clear();
-        ConstNumberColumn pc = table.Num(script.pc_state);
-        for (size_t i = 0; i < table.size(); ++i) {
-          int phase = static_cast<int>(pc[i]);
-          if (phase < 0 || phase >= script.num_phases()) phase = 0;
-          selections[static_cast<size_t>(phase)].push_back(
-              static_cast<RowIdx>(i));
-        }
-      }
-    }
-    for (int k = 0; k < script.num_phases(); ++k) {
-      const auto& selection = selections[static_cast<size_t>(k)];
-      if (selection.empty()) continue;
-      {
-        SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0,
-                       static_cast<uint16_t>(si));
-        PrepareSites(script.phases[static_cast<size_t>(k)], selection.size());
-      }
-      SGL_TRACE_SPAN(tel, kSpanTickQuery, tick_, 0,
-                     static_cast<uint16_t>(si));
-      RunUnit(script.phases[static_cast<size_t>(k)], script.cls, selection,
-              &locals);
-    }
+    AllocateLocalColumns(program_->scripts[si].local_types,
+                         world_->table(program_->scripts[si].cls).size(),
+                         &script_locals_[si]);
   }
-
-  // Reactive handlers (§3.2): conditions over current state, set-at-a-time.
   for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
-    const CompiledHandler& handler = program_->handlers[hi];
-    EntityTable& table = world_->table(handler.cls);
-    if (table.empty()) continue;
-    if (handler_all_.size() != table.size()) {  // iota; see script selections
-      handler_all_.resize(table.size());
-      for (size_t i = 0; i < table.size(); ++i) {
-        handler_all_[i] = static_cast<RowIdx>(i);
-      }
-    }
-    LocalColumns& locals = handler_locals_[hi];
-    AllocateLocalColumns(handler.local_types, table.size(), &locals);
-    handler_selection_.clear();
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0,
-                     static_cast<uint16_t>(hi));
-      if (options_.interpreted) {
-        ScalarContext ctx;
-        ctx.world = world_;
-        ctx.outer_cls = handler.cls;
-        ctx.locals = &locals;
-        for (RowIdx row : handler_all_) {
-          ctx.outer_row = row;
-          if (EvalScalarBool(*handler.cond, ctx)) {
-            handler_selection_.push_back(row);
-          }
-        }
-      } else {
-        VecContext ctx;
-        ctx.world = world_;
-        ctx.outer = &table;
-        ctx.outer_rows = &handler_all_;
-        ctx.locals = &locals;
-        ctx.scratch = &workers_[0]->scratch;
-        const VmProgram* cond_vm =
-            vm_cache_ != nullptr ? vm_cache_->Value(handler.cond.get())
-                                 : nullptr;
-        if (cond_vm != nullptr) {
-          VmEvalBool(*cond_vm, ctx, &workers_[0]->scratch.vm, nullptr, 0,
-                     &handler_keep_);
-        } else {
-          EvalBool(*handler.cond, ctx, &handler_keep_);
-        }
-        for (size_t i = 0; i < handler_all_.size(); ++i) {
-          if (handler_keep_[i]) handler_selection_.push_back(handler_all_[i]);
-        }
-      }
-    }
-    if (handler_selection_.empty()) continue;
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0,
-                     static_cast<uint16_t>(hi));
-      PrepareSites(handler.ops, handler_selection_.size());
-    }
-    SGL_TRACE_SPAN(tel, kSpanTickQuery, tick_, 0, static_cast<uint16_t>(hi));
-    RunUnit(handler.ops, handler.cls, handler_selection_, &locals);
-  }
-  last_.query_effect_micros = query_timer.ElapsedMicros();
-  if (options_.fault != nullptr) {
-    // Crash between query and merge: issued effects/intents die with the
-    // process, state columns are still pre-tick. Recovery restores the
-    // last checkpoint and replays.
-    SGL_RETURN_IF_ERROR(
-        options_.fault->MaybeCrash(kFaultExecCrashPostQuery, tick_));
+    AllocateLocalColumns(program_->handlers[hi].local_types,
+                         world_->table(program_->handlers[hi].cls).size(),
+                         &handler_locals_[hi]);
   }
 
-  // --- 2. Merge ---------------------------------------------------------
+  // --- 1. Select, 2. site-prep, 3. query (partitions in parallel) --------
+  Stopwatch query_timer;
+  auto for_each_partition = [&](auto&& fn) {
+    if (pool_ != nullptr && num_partitions > 1) {
+      pool_->ParallelFor(num_partitions, [&](int p) {
+        fn(*partitions_[static_cast<size_t>(p)]);
+      });
+    } else {
+      for (auto& part : partitions_) fn(*part);
+    }
+  };
+  auto track = [&](const Partition& part) {
+    return workers_[static_cast<size_t>(part.id)]->env.tel_track;
+  };
+  for_each_partition([&](Partition& part) {
+    SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, track(part), 0);
+    ComputeSelections(part);
+  });
+  {
+    SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0, 0);
+    PrepareAllSites();
+  }
+  for_each_partition([&](Partition& part) {
+    Stopwatch part_timer;
+    {
+      SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanShardRun : kSpanTickQuery,
+                     tick_, track(part), 0);
+      RunPartition(part);
+    }
+    part.query_micros = part_timer.ElapsedMicros();
+  });
+  last_.query_effect_micros = query_timer.ElapsedMicros();
+
+  // --- 4. Merge: fold the worker sinks, canonicalize ---------------------
   Stopwatch merge_timer;
   {
-    SGL_TRACE_SPAN(tel, kSpanTickMerge, tick_, 0, 0);
-    if (shards > 1) {
-      for (int s = 0; s < shards; ++s) {
-        for (ClassId c = 0; c < num_classes; ++c) {
-          world_->effects(c).MergeFrom(
-              *shard_effects_[static_cast<size_t>(s)][static_cast<size_t>(c)]);
+    SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanTickBarrier : kSpanTickMerge,
+                   tick_, 0, 0);
+    cross_records_ = 0;
+    if (sharded_ != nullptr) {
+      if (options_.fault != nullptr) {
+        // Latency fault at the barrier entrance: every shard's query work
+        // is done, nothing has merged. Must be state-neutral — the
+        // stall-parity test holds the checksum to the no-fault run's.
+        options_.fault->MaybeStall(kFaultShardBarrierStall, tick_);
+      }
+      {
+        SGL_TRACE_SPAN(tel, kSpanMailboxFlip, tick_, 0, 0);
+        for (auto& worker : workers_) {
+          for (int d = 0; d < num_partitions; ++d) {
+            worker->router->lane(d).Flip();
+          }
+        }
+      }
+      if (options_.fault != nullptr) {
+        // Crash after the mailbox flip but before any shard merges: routed
+        // records are stranded in flipped lanes and die with the process.
+        SGL_RETURN_IF_ERROR(
+            options_.fault->MaybeCrash(kFaultShardCrashPremerge, tick_));
+      }
+      SGL_TRACE_SPAN(tel, kSpanMailboxReplay, tick_, 0, 0);
+      for (auto& worker : workers_) {  // source-major: the serial ⊕ order
+        worker->router->MergeInto(world_);
+        cross_records_ += worker->router->OutboundRecords();
+      }
+    } else {
+      if (options_.fault != nullptr) {
+        // Crash between query and merge: issued effects/intents die with
+        // the process, state columns are still pre-tick. Recovery restores
+        // the last checkpoint and replays.
+        SGL_RETURN_IF_ERROR(
+            options_.fault->MaybeCrash(kFaultExecCrashPostQuery, tick_));
+      }
+      for (auto& worker : workers_) {  // worker order: the serial ⊕ order
+        for (size_t c = 0; c < worker->effects.size(); ++c) {
+          world_->effects(static_cast<ClassId>(c))
+              .MergeFrom(*worker->effects[c]);
         }
       }
     }
     // Canonicalize set-effect logs (sort + dedup + pooled materialization)
-    // now that the last shard has merged; update-phase reads require it.
+    // now that the last worker has merged; update-phase reads require it.
     {
       SGL_TRACE_SPAN(tel, kSpanTickFinalize, tick_, 0, 0);
       for (ClassId c = 0; c < num_classes; ++c) {
         world_->effects(c).FinalizeSets();
       }
     }
-    // Aggregate per-site feedback across shards and inform the controller.
+    // Aggregate per-site feedback across workers and inform the controller.
     last_.sites.assign(static_cast<size_t>(program_->num_sites),
                        SiteFeedback());
-    for (const auto& shard : feedback_shards_) {
-      for (size_t i = 0; i < shard.size(); ++i) {
-        if (shard[i].site < 0) continue;
+    for (const auto& worker : workers_) {
+      for (size_t i = 0; i < worker->feedback.size(); ++i) {
+        const SiteFeedback& fb = worker->feedback[i];
+        if (fb.site < 0) continue;
         SiteFeedback& agg = last_.sites[i];
-        agg.site = shard[i].site;
-        agg.strategy = shard[i].strategy;
-        agg.outer_rows += shard[i].outer_rows;
-        agg.candidates += shard[i].candidates;
-        agg.matches += shard[i].matches;
-        agg.micros += shard[i].micros;
-        agg.probe_micros += shard[i].probe_micros;
-        agg.effects += shard[i].effects;
-        last_.probe_micros += shard[i].probe_micros;
+        agg.site = fb.site;
+        agg.strategy = fb.strategy;
+        agg.outer_rows += fb.outer_rows;
+        agg.candidates += fb.candidates;
+        agg.matches += fb.matches;
+        agg.micros += fb.micros;
+        agg.probe_micros += fb.probe_micros;
+        agg.effects += fb.effects;
+        last_.probe_micros += fb.probe_micros;
       }
     }
     for (const SiteFeedback& fb : last_.sites) {
@@ -408,7 +545,7 @@ Status TickExecutor::RunTick() {
   }
   last_.merge_micros = merge_timer.ElapsedMicros();
 
-  // --- 3. Update phase ----------------------------------------------------
+  // --- 5. Install, 6. update --------------------------------------------
   Stopwatch update_timer;
   // Out-of-band completions ride the barrier: results whose declared
   // latency elapses this tick install now, in deterministic order, so the
@@ -431,13 +568,24 @@ Status TickExecutor::RunTick() {
                             std::to_string(tick_));
   }
   if (options_.fault != nullptr) {
-    // Crash after the update phase but before the tick commits (counter
-    // bump): the classic torn-tick window a checkpoint must mend.
-    SGL_RETURN_IF_ERROR(
-        options_.fault->MaybeCrash(kFaultExecCrashPostUpdate, tick_));
+    // Crash after the update phase but before the tick commits (migrations,
+    // epoch, counter bump): the classic torn-tick window a checkpoint must
+    // mend.
+    SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
+        sharded_ != nullptr ? kFaultShardCrashPostUpdate
+                            : kFaultExecCrashPostUpdate,
+        tick_));
+  }
+  // Barrier tail: queued migrations, then the epoch bump.
+  if (sharded_ != nullptr) {
+    if (sharded_->has_pending_migrations()) {
+      SGL_TRACE_SPAN(tel, kSpanTickMigrate, tick_, 0, 0);
+      SGL_RETURN_IF_ERROR(sharded_->ApplyPendingMigrations());
+    }
+    sharded_->BumpEpoch();
   }
 
-  // --- 4. Bookkeeping ----------------------------------------------------
+  // --- 7. Bookkeeping ----------------------------------------------------
   if (jobs_ != nullptr) {
     JobTickStats js;
     jobs_->SampleTick(&js);
@@ -456,6 +604,20 @@ Status TickExecutor::RunTick() {
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
   last_.total_micros = total.ElapsedMicros();
+  // Partition skew: slowest-minus-fastest query phase approximates the time
+  // the barrier sat waiting on the straggler (-1 = no barrier, one
+  // partition); imbalance is (max/mean − 1) in basis points. Computed
+  // outside the armed-telemetry branch because the flight recorder's
+  // anomaly triggers consume it too.
+  int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
+  for (const auto& part : partitions_) {
+    q_max = std::max(q_max, part->query_micros);
+    q_min = std::min(q_min, part->query_micros);
+    q_sum += part->query_micros;
+  }
+  const int64_t barrier_stall_us = sharded_ != nullptr ? q_max - q_min : -1;
+  const int64_t imbalance_bp =
+      q_sum > 0 ? (q_max * num_partitions - q_sum) * 10000 / q_sum : 0;
   if (options_.recorder != nullptr) {
     // Before the alloc-count capture below, so the recorder's own frame
     // assembly is held to the same allocs_per_tick == 0 contract.
@@ -463,6 +625,9 @@ Status TickExecutor::RunTick() {
     fin.tick = tick_;
     fin.stats = &last_;
     fin.world = world_;
+    fin.barrier_stall_us = barrier_stall_us;
+    fin.imbalance_bp = imbalance_bp;
+    fin.cross_shard_records = static_cast<int64_t>(cross_records_);
     options_.recorder->CaptureTick(fin);
   }
   const AllocCounts alloc_after = AllocCountersNow();
@@ -479,6 +644,12 @@ Status TickExecutor::RunTick() {
                              b.eval_us_per_outer[1], b.probe_us_per_outer[0],
                              b.probe_us_per_outer[1]);
     }
+    if (sharded_ != nullptr) {
+      for (const auto& part : partitions_) {
+        tel->metrics().Record(tel->series().shard_query_us,
+                              part->query_micros);
+      }
+    }
     Telemetry::TickSample s;
     s.total_us = last_.total_micros;
     s.query_us = last_.query_effect_micros;
@@ -486,7 +657,9 @@ Status TickExecutor::RunTick() {
     s.update_us = last_.update_micros;
     s.probe_us = last_.probe_micros;
     s.job_wait_us = jobs_ != nullptr ? last_.job_wait_micros : -1;
-    s.barrier_stall_us = -1;  // no shard barrier in the unsharded pipeline
+    s.barrier_stall_us = barrier_stall_us;
+    s.shard_imbalance_bp = imbalance_bp;
+    s.cross_shard_records = static_cast<int64_t>(cross_records_);
     s.jobs_submitted = last_.jobs_submitted;
     s.jobs_installed = last_.jobs_installed;
     s.jobs_in_flight = last_.jobs_in_flight;

@@ -1,18 +1,45 @@
-// TickExecutor: drives the state-effect pattern (§2) each tick.
+// TickExecutor: drives the state-effect pattern (§2) each tick, as one
+// pipeline over a partition layout.
 //
-//   1 QUERY+EFFECT  compiled plans run set-at-a-time over each script's
-//                   class extent (multi-phase scripts dispatch on their PC
-//                   column), then reactive handlers; parallel mode splits
-//                   selections into fixed morsels with static morsel->thread
-//                   assignment and per-thread effect/intent shards — the
-//                   phases only read state, so no synchronization (§4.2)
-//   2 MERGE         shard buffers fold into the world's effect buffers in
-//                   shard order (⊕ combinators are order-insensitive;
-//                   first/last carry explicit keys)
-//   3 UPDATE        update components run over their disjoint state
-//                   partitions: transaction admission, declared update
-//                   rules, then any registered engine components (§2.2)
-//   4 BOOKKEEPING   statistics refresh, adaptive feedback, tick++
+// The layout is either the whole world as one partition [0, table.size())
+// or a ShardedWorld of N contiguous row-range shards (num_shards > 1).
+// Every tick runs the same phases in the same order:
+//
+//   1 SELECT      each partition computes its script selections over its
+//                 row ranges (multi-phase scripts dispatch on their PC
+//                 column) and evaluates reactive-handler conditions; both
+//                 read only prior state and zeroed locals
+//   2 SITE-PREP   access paths (indexes, hashes, composed filters, backend
+//                 choices) are prepared once, globally, from the summed
+//                 outer-row counts: the read view is shared by construction
+//   3 QUERY       compiled plans run set-at-a-time over the selections,
+//                 scripts then handlers; effects and transaction intents
+//                 land in per-worker sinks — the phase only reads state, so
+//                 no synchronization (§4.2)
+//   4 MERGE       worker sinks fold into the world's effect buffers in
+//                 worker order (⊕ combinators are order-insensitive;
+//                 first/last carry explicit keys); set logs canonicalize
+//   5 INSTALL     due out-of-band job results install (src/async/)
+//   6 UPDATE      update components run over their disjoint state
+//                 partitions: transaction admission, declared update
+//                 rules, then any registered engine components (§2.2)
+//   7 BOOKKEEPING statistics refresh, adaptive feedback, tick++
+//
+// Only two things depend on the layout:
+//
+//   * the worker's effect sink — one partition, one thread: the world's own
+//     buffers; one partition, T threads: per-thread EffectBuffers with a
+//     static morsel->thread assignment (morsel m on thread m % T); more than
+//     one partition: a ShardRouter per partition (local dense buffer or
+//     cross-shard mailbox), with threads spread across partitions and each
+//     partition's morsels run in order on one thread;
+//   * the barrier — with more than one partition, merging flips and replays
+//     the mailboxes, and the tick ends by applying queued migrations and
+//     bumping the partition epoch (src/shard/README.md).
+//
+// Either way the result is bit-identical for any thread count and morsel
+// size, and across partition counts within the contract of
+// src/shard/README.md.
 //
 // Setting ExecOptions::interpreted runs the identical program object-at-a-
 // time (per-entity scalar evaluation, full scans in accum loops) — the
@@ -20,7 +47,7 @@
 // against.
 //
 // Steady-state ticks are allocation-free on both halves of the tick: every
-// selection vector, local column, prepared site, effect shard, and
+// selection vector, local column, prepared site, effect sink, and
 // evaluation temporary lives in executor-owned scratch with high-water
 // reuse (reads), and the write path — per-worker flat intent logs, the
 // dense epoch StateOverlay, CSR-pooled set effects — never boxes per row
@@ -42,16 +69,17 @@ namespace sgl {
 
 class FaultInjector;
 class FlightRecorder;
+class ShardedWorld;
 class Telemetry;
 
 /// Executor configuration.
 struct ExecOptions {
   int num_threads = 1;
-  /// > 1 partitions the world into that many row-range shards with
-  /// cross-shard effect routing; the engine then drives the sharded
-  /// pipeline (src/shard/shard_executor.h) instead of TickExecutor, reusing
-  /// the remaining fields (threads, morsels, planner, interpreted).
+  /// > 1 partitions the world into that many row-range shards
+  /// (src/shard/) with cross-shard effect routing; must stay below 255.
+  /// The remaining fields keep their meaning under either layout.
   int num_shards = 1;
+  /// Rows per morsel, the unit of work a thread runs at a time; > 0.
   size_t morsel_size = 2048;
   AdaptiveController::Options planner;
   bool interpreted = false;  ///< object-at-a-time baseline mode
@@ -140,16 +168,17 @@ struct TickStats {
   TxnStats txn;
 
   /// Zeroes every scalar field for a new tick, keeping `sites`' capacity.
-  /// Shared by TickExecutor and ShardExecutor so a new field can't be
-  /// reset in one pipeline and silently reported stale by the other.
   void Reset(Tick now);
 };
 
 class TickExecutor {
  public:
-  /// `world` and `program` must outlive the executor.
-  TickExecutor(World* world, const CompiledProgram* program,
-               ExecOptions options);
+  /// `world`, `program` and, if non-null, `sharded` must outlive the
+  /// executor. `sharded` is the partition layout of a world split into
+  /// options.num_shards > 1 shards; null runs the whole world as one
+  /// partition. Options must be valid (Engine::Create checks them).
+  TickExecutor(World* world, ShardedWorld* sharded,
+               const CompiledProgram* program, ExecOptions options);
   ~TickExecutor();
 
   /// Registers the built-in components (transaction engine + expression
@@ -180,8 +209,8 @@ class TickExecutor {
   ComponentRegistry& components() { return components_; }
 
   /// The out-of-band JobService (created on first use from
-  /// options().jobs). Completions install at the tick barrier, before the
-  /// update components run.
+  /// options().jobs). Completions install at the tick barrier, after the
+  /// merge and before the update components run.
   JobService& jobs() {
     if (jobs_ == nullptr) {
       JobServiceOptions jo = options_.jobs;
@@ -197,24 +226,26 @@ class TickExecutor {
   /// Attaches / detaches the effect tracer (§3.3). Null = off.
   void set_trace(EffectTraceSink* sink) { trace_ = sink; }
 
- private:
-  /// Everything one worker shard reuses across morsels and ticks: its
-  /// ExecEnv (with the per-class effect-sink table), its scratch pools,
-  /// and its morsel slice buffer.
-  struct WorkerState {
-    ExecEnv env;
-    ExecScratch scratch;
-    std::vector<RowIdx> slice;
-  };
+  /// Effect records routed across shards last tick (0 on one partition).
+  size_t last_cross_shard_records() const { return cross_records_; }
 
-  void EnsureWorkers(int shards);
-  void RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops,
-               ClassId cls, const std::vector<RowIdx>& selection,
-               LocalColumns* locals);
+ private:
+  /// One worker's reusable state and effect sink (see the header comment).
+  struct Worker;
+  /// One partition's selections, cached iotas, and last query time.
+  struct Partition;
+
+  void ComputeSelections(Partition& part);
+  void PrepareAllSites();
   void PrepareSites(const std::vector<std::unique_ptr<PlanOp>>& ops,
                     size_t outer_rows);
+  void RunPartition(Partition& part);
+  void RunUnit(const Partition& part,
+               const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
+               const std::vector<RowIdx>& selection, LocalColumns* locals);
 
   World* world_;
+  ShardedWorld* sharded_;  ///< null = one partition
   const CompiledProgram* program_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -235,21 +266,16 @@ class TickExecutor {
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;
-  /// Per-worker effect shards, [shard][class]; allocated when threads > 1.
-  std::vector<std::vector<std::unique_ptr<EffectBuffer>>> shard_effects_;
+  size_t cross_records_ = 0;
 
   // --- Steady-state scratch (high-water reuse, see header comment) ------
-  std::vector<std::unique_ptr<WorkerState>> workers_;  ///< one per shard
+  /// Partition p's first worker is workers_[p]; one partition owns them all.
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Partition>> partitions_;
   std::vector<SiteCache> site_cache_;    ///< by site id
-  std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per unit
+  std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per tick
   std::vector<LocalColumns> script_locals_;   ///< by script index
   std::vector<LocalColumns> handler_locals_;  ///< by handler index
-  /// Per script: per-phase selections, reused across ticks.
-  std::vector<std::vector<std::vector<RowIdx>>> script_selections_;
-  std::vector<RowIdx> handler_all_;
-  std::vector<RowIdx> handler_selection_;
-  std::vector<uint8_t> handler_keep_;
-  std::vector<std::vector<SiteFeedback>> feedback_shards_;
 };
 
 }  // namespace sgl

@@ -77,12 +77,13 @@ inline constexpr FaultSite kFaultAsyncWorkerStall =
     MakeFaultSite("async.worker.stall");
 inline constexpr FaultSite kFaultAsyncWorkerDeath =
     MakeFaultSite("async.worker.death");
-// exec: crashes inside the single-world tick (src/exec/tick_executor.cc).
+// exec: crashes inside the tick of a one-partition world
+// (src/exec/tick_executor.cc).
 inline constexpr FaultSite kFaultExecCrashPostQuery =
     MakeFaultSite("exec.crash.postquery");
 inline constexpr FaultSite kFaultExecCrashPostUpdate =
     MakeFaultSite("exec.crash.postupdate");
-// shard: barrier faults in the sharded pipeline (src/shard/).
+// shard: barrier faults in the tick of a sharded world (same executor).
 inline constexpr FaultSite kFaultShardBarrierStall =
     MakeFaultSite("shard.barrier.stall");
 inline constexpr FaultSite kFaultShardCrashPremerge =

@@ -128,8 +128,7 @@ struct LocalColumns {
 };
 
 /// Zero-fills `locals` for `rows` rows of every slot in `types` (capacity
-/// kept). Shared by the single-world and sharded executors so their local
-/// column semantics cannot drift.
+/// kept).
 void AllocateLocalColumns(const std::vector<SglType>& types, size_t rows,
                           LocalColumns* locals);
 

@@ -4,10 +4,11 @@
 // own rows and emits effects through its router (the EffectRouter hook in
 // ExecEnv). Writes whose target row lies inside the shard's own partition
 // fold into a dense *range-sized* EffectBuffer (rows indexed relative to
-// the shard's base — memory is O(rows/shard), not O(rows) per shard as the
-// thread-parallel executor pays). Writes targeting another shard's rows
-// append one 32-byte EffectRecord to the (src, dst) mailbox lane: a flat
-// double-buffered log, the in-process stand-in for a network channel.
+// the shard's base — memory is O(rows/shard), not O(rows) per worker as
+// the one-partition, T-thread layout pays). Writes targeting another
+// shard's rows append one 32-byte EffectRecord to the (src, dst) mailbox
+// lane: a flat double-buffered log, the in-process stand-in for a network
+// channel.
 //
 // At the tick barrier the executor flips every lane and merges in source-
 // shard-major order: for s = 0..S-1, shard s's dense local buffer folds in
@@ -67,7 +68,8 @@ class MailboxLane {
   int cur_ = 0;
 };
 
-/// Per-shard effect routing state (one per WorldShard).
+/// Per-shard effect routing state (one per executor worker of a sharded
+/// world).
 class ShardRouter : public EffectRouter {
  public:
   ShardRouter(ShardedWorld* sharded, int self);
@@ -83,7 +85,7 @@ class ShardRouter : public EffectRouter {
 
   /// Folds this shard's local buffers and flipped lanes into the world's
   /// effect buffers. Caller iterates shards in ascending order and flips
-  /// all lanes first (ShardExecutor's barrier).
+  /// all lanes first (the executor's barrier).
   void MergeInto(World* world);
 
   // --- EffectRouter ----------------------------------------------------

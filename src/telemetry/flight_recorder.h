@@ -4,7 +4,7 @@
 //
 // Each ring frame holds one tick's
 //   * scalar stats (phase micros, job counters, txn stats — a TickStats
-//     subset, plus the sharded pipeline's stall/imbalance gauges),
+//     subset, plus a sharded world's stall/imbalance gauges),
 //   * per-site attribution rows (the SiteFeedback vector, pooled copy),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
 //     order key, txn id, source rows, source shard) and each record's
@@ -77,7 +77,7 @@ struct FlightRecorderOptions {
   double anomaly_p95_factor = 0.0;
   /// Frames required in the ring before the p95 trigger can fire.
   int min_frames_for_anomaly = 8;
-  /// Fire when the sharded pipeline's imbalance gauge reaches this (bp).
+  /// Fire when a sharded world's imbalance gauge reaches this (bp).
   int64_t imbalance_bp_threshold = 0;
   /// Fire when the barrier stall gauge reaches this (µs).
   int64_t barrier_stall_us_threshold = 0;
@@ -125,7 +125,7 @@ struct TickFrame {
   int64_t txn_issued = 0;
   int64_t txn_committed = 0;
   int64_t txn_aborted = 0;
-  /// Sharded-pipeline gauges (-1 / 0 under TickExecutor).
+  /// Sharded-world gauges (-1 / 0 / 0 with one partition).
   int64_t barrier_stall_us = -1;
   int64_t imbalance_bp = 0;
   int64_t cross_shard_records = 0;
@@ -174,7 +174,7 @@ class FlightRecorder {
     Tick tick = 0;
     const TickStats* stats = nullptr;
     const World* world = nullptr;
-    /// Sharded pipeline only; TickExecutor leaves the defaults.
+    /// Sharded worlds only; one partition leaves the defaults.
     int64_t barrier_stall_us = -1;
     int64_t imbalance_bp = 0;
     int64_t cross_shard_records = 0;

@@ -77,8 +77,10 @@ constexpr SpanSite MakeSpanSite(const char* name) {
 }
 
 // --- The span sites wired into the engine -------------------------------
-// tick: phases shared by TickExecutor and ShardExecutor (track 0 = the
+// tick: the pipeline's phases (src/exec/tick_executor.cc; track 0 = the
 // barrier thread's view; per-shard work carries track = shard + 1).
+// tick.query and tick.merge name the query and merge phases of a
+// one-partition world; sharded worlds name them shard.run and tick.barrier.
 inline constexpr SpanSite kSpanTickTotal = MakeSpanSite("tick.total");
 inline constexpr SpanSite kSpanTickSelect = MakeSpanSite("tick.select");
 inline constexpr SpanSite kSpanTickSitePrep = MakeSpanSite("tick.siteprep");
@@ -89,8 +91,7 @@ inline constexpr SpanSite kSpanTickFinalize =
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
 inline constexpr SpanSite kSpanTickMigrate = MakeSpanSite("tick.migrate");
-// shard: the sharded pipeline's B phase and barrier internals
-// (src/shard/shard_executor.cc).
+// shard: a sharded world's per-shard query phase and barrier internals.
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");
 inline constexpr SpanSite kSpanMailboxFlip =

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/engine.h"
+#include "src/sim/rts.h"
 
 namespace sgl {
 namespace {
@@ -149,6 +150,33 @@ TEST(Engine, OptionsArePluumbedThrough) {
   ClassId cls = (*engine)->catalog().Find("A");
   EXPECT_EQ(1u, (*engine)->world().table(cls).grouping().groups.size());
   ASSERT_TRUE((*engine)->RunTicks(2).ok());
+}
+
+// Exec options the executor cannot run are rejected up front: a zero
+// morsel size used to divide by zero (threads) or loop forever (shards),
+// and 255+ shards overflowed the 8-bit shard ids.
+StatusCode RtsCreateCode(int threads, int shards, size_t morsel) {
+  RtsConfig config;
+  config.num_units = 300;
+  EngineOptions options;
+  options.exec.num_threads = threads;
+  options.exec.num_shards = shards;
+  options.exec.morsel_size = morsel;
+  return RtsWorkload::Build(config, options).status().code();
+}
+
+TEST(Engine, CreateRejectsZeroMorselWithThreads) {
+  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(2, 1, 0));
+}
+
+TEST(Engine, CreateRejectsZeroMorselWithShards) {
+  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 2, 0));
+}
+
+TEST(Engine, CreateRejectsTooManyShards) {
+  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 300, 2048));
+  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 255, 2048));
+  EXPECT_EQ(StatusCode::kOk, RtsCreateCode(1, 254, 2048));
 }
 
 TEST(Engine, PhysicsOnUnknownClassFails) {

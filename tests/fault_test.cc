@@ -523,9 +523,7 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
     EXPECT_TRUE((*engine)->Tick().ok());
   }
   if (fallback_runs != nullptr) {
-    JobService* jobs = shards > 1
-                           ? (*engine)->shard_executor().jobs_or_null()
-                           : (*engine)->executor().jobs_or_null();
+    JobService* jobs = (*engine)->executor().jobs_or_null();
     *fallback_runs = jobs != nullptr ? jobs->total_fallback_runs() : 0;
   }
   return CanonicalWorldChecksum((*engine)->world());

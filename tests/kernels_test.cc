@@ -58,7 +58,9 @@ std::vector<RowIdx> RandomSel(Rng* rng, size_t n) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure() << "size mismatch";
   }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
+  // Empty vectors may hold null data(), which memcmp must not receive.
+  if (a.empty() ||
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
     return ::testing::AssertionSuccess();
   }
   for (size_t i = 0; i < a.size(); ++i) {

@@ -1,6 +1,7 @@
 // Tests for the sharded world partition (src/shard/): checksum parity of
-// the sharded pipeline against the single-world executor across shard
-// count × thread count × morsel size, cross-shard effect routing, the
+// sharded layouts against the one-partition layout across shard count ×
+// thread count × morsel size (RTS, and a multi-phase script plus reactive
+// handler), cross-shard effect routing, the
 // partition-independence of transaction admission under sharding, bulk
 // columnar spawn/despawn, and the migration property (random migration
 // batches move state without changing it, and migrated runs stay
@@ -8,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/common/rng.h"
 #include "src/debug/checkpoint.h"
-#include "src/shard/shard_executor.h"
+#include "src/engine/engine.h"
 #include "src/sim/market.h"
 #include "src/sim/rts.h"
 #include "src/sim/traffic.h"
@@ -49,19 +52,145 @@ uint64_t RunRts(const EngineOptions& options, int units = 300,
 
 // --- E1: checksum-parity sweep -------------------------------------------
 
-TEST(ShardParity, RtsShardCountThreadCountMorselSweep) {
-  const uint64_t baseline = RunRts(ShardOpts(PlanMode::kStaticGrid, 1));
+// Every shard × thread × morsel configuration of `run(shards, threads,
+// morsel)` must reproduce the serial one-partition checksum.
+template <typename Run>
+void ExpectSweepParity(Run run, std::initializer_list<int> thread_counts) {
+  const uint64_t baseline = run(1, 1, 2048);
   for (int shards : {1, 2, 4, 7}) {
-    for (int threads : {1, 2, 4}) {
+    for (int threads : thread_counts) {
       for (size_t morsel : {size_t{64}, size_t{2048}}) {
-        EngineOptions options =
-            ShardOpts(PlanMode::kStaticGrid, shards, threads, morsel);
-        EXPECT_EQ(RunRts(options), baseline)
+        EXPECT_EQ(run(shards, threads, morsel), baseline)
             << "shards=" << shards << " threads=" << threads
             << " morsel=" << morsel;
       }
     }
   }
+}
+
+TEST(ShardParity, RtsShardCountThreadCountMorselSweep) {
+  ExpectSweepParity(
+      [](int shards, int threads, size_t morsel) {
+        return RunRts(
+            ShardOpts(PlanMode::kStaticGrid, shards, threads, morsel));
+      },
+      {1, 2, 4});
+}
+
+// --- Multi-phase scripts + reactive handlers -----------------------------
+
+// The §3.2 reactive patrol (examples/reactive_patrol.cpp): a waitNextTick
+// script, so selections dispatch on the PC column, plus a `when` handler
+// that restarts it. Guards start in lockstep on phase 0; restarts at
+// different ticks spread them across the phases.
+constexpr const char* kPatrolProgram = R"sgl(
+class Guard {
+  state:
+    number x = 0;
+    number y = 0;
+    number vx = 0;
+    number vy = 0;
+    number alert_count = 0;
+  effects:
+    number fx : sum;
+    number fy : sum;
+    number alerted : sum;
+  update:
+    alert_count = alert_count + alerted;
+}
+
+class Intruder {
+  state:
+    number x = 0;
+    number y = 0;
+}
+
+script Patrol for Guard {
+  fx <- 2; fy <- 0;
+  waitNextTick;
+  fx <- 0; fy <- 2;
+  waitNextTick;
+  fx <- -2; fy <- 0;
+  waitNextTick;
+  fx <- 0; fy <- -2;
+}
+
+when Guard Spot (alert_count == 0) {
+  accum number near with sum over Intruder i from Intruder {
+    if (i.x >= x - 15 && i.x <= x + 15 && i.y >= y - 15 && i.y <= y + 15) {
+      near <- 1;
+    }
+  } in {
+    if (near > 0) {
+      alerted <- 1;
+      fx <- -vx;
+      fy <- -vy;
+      restart Patrol;
+    }
+  }
+}
+)sgl";
+
+struct PatrolRun {
+  uint64_t checksum = 0;
+  double alerts = 0;     ///< Σ alert_count: handler firings
+  size_t pc_values = 0;  ///< distinct PC values at the end
+};
+
+PatrolRun RunPatrol(int shards, int threads, size_t morsel) {
+  EngineOptions options;
+  options.exec.num_shards = shards;
+  options.exec.num_threads = threads;
+  options.exec.morsel_size = morsel;
+  auto created = Engine::Create(kPatrolProgram, options);
+  EXPECT_TRUE(created.ok()) << created.status();
+  if (!created.ok()) return {};
+  Engine& engine = **created;
+  PhysicsConfig physics;
+  physics.cls = "Guard";
+  physics.max_speed = 4;
+  physics.damping = 0.9;
+  physics.max_x = 1000;
+  physics.max_y = 1000;
+  physics.resolve_collisions = false;
+  EXPECT_TRUE(engine.AddPhysics(physics).ok());
+  Rng rng(2009);
+  auto spawn = [&](const char* cls) {
+    const double x = rng.Uniform(0, 1000);
+    const double y = rng.Uniform(0, 1000);
+    EXPECT_TRUE(
+        engine.Spawn(cls, {{"x", Value::Number(x)}, {"y", Value::Number(y)}})
+            .ok());
+  };
+  for (int i = 0; i < 3000; ++i) spawn("Guard");
+  for (int i = 0; i < 40; ++i) spawn("Intruder");
+  EXPECT_TRUE(engine.RunTicks(40).ok());
+
+  PatrolRun run;
+  run.checksum = WorldChecksum(engine.world());
+  const ClassId guard = engine.catalog().Find("Guard");
+  const ClassDef& def = engine.catalog().Get(guard);
+  const EntityTable& table = engine.world().table(guard);
+  ConstNumberColumn alerts = table.Num(def.FindState("alert_count"));
+  ConstNumberColumn pc = table.Num(def.FindState("__pc_Patrol"));
+  std::set<double> pcs;
+  for (RowIdx r = 0; r < table.size(); ++r) {
+    run.alerts += alerts[r];
+    pcs.insert(pc[r]);
+  }
+  run.pc_values = pcs.size();
+  return run;
+}
+
+TEST(ShardParity, PatrolShardCountThreadCountMorselSweep) {
+  const PatrolRun serial = RunPatrol(1, 1, 2048);
+  EXPECT_GT(serial.alerts, 0) << "the handler never fired";
+  EXPECT_GE(serial.pc_values, 2u) << "PC dispatch never split the guards";
+  ExpectSweepParity(
+      [](int shards, int threads, size_t morsel) {
+        return RunPatrol(shards, threads, morsel).checksum;
+      },
+      {1, 4});
 }
 
 TEST(ShardParity, RtsMatchesAcrossPlanModes) {
@@ -78,7 +207,7 @@ TEST(ShardParity, CrossShardEffectsActuallyFlow) {
   // block shards a large share of those writes must cross shards.
   auto engine = BuildRts(300, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
-  EXPECT_GT(engine->shard_executor().last_cross_shard_records(), 0u);
+  EXPECT_GT(engine->executor().last_cross_shard_records(), 0u);
   EXPECT_EQ(engine->sharded_world().epoch(), 5u);
 }
 
@@ -345,7 +474,7 @@ TEST(ShardParity, CheckpointRestoresMigratedPartitionExactly) {
   }
   ASSERT_TRUE(engine->RunTicks(10).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
-  const size_t final_cross = engine->shard_executor().last_cross_shard_records();
+  const size_t final_cross = engine->executor().last_cross_shard_records();
 
   auto resumed = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(resumed->Restore(cp).ok());
@@ -358,7 +487,7 @@ TEST(ShardParity, CheckpointRestoresMigratedPartitionExactly) {
   ASSERT_TRUE(resumed->RunTicks(10).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
   // Same partition => same cross-shard routing, tick for tick.
-  EXPECT_EQ(resumed->shard_executor().last_cross_shard_records(),
+  EXPECT_EQ(resumed->executor().last_cross_shard_records(),
             final_cross);
 }
 
