@@ -1,20 +1,21 @@
 // E13 — "compile the tick" (src/vm/): the register bytecode VM with fused
-// filter→project→effect pipelines vs the tree-walking expression
-// interpreter, on the *same* compiled set-at-a-time plans.
+// filter→project→effect pipelines, the vectorized path's only expression
+// evaluator, on the compiled set-at-a-time plans.
 //
-// Series: ms/tick for identical workloads under eval_mode = interpret vs
-// bytecode —
+// Series: ms/tick —
 //   dense      nested-loop join plans (E1 RTS battle, E8 traffic): every
 //              pair runs the composed filter, so expression evaluation
 //              dominates the tick and the fused compare-and-compact
-//              conjuncts shine (the tree walker evaluates every conjunct
-//              over the full span and materializes boolean columns; the
-//              VM compacts survivors after each one). Target: >= 2x.
-//   indexed    the production access paths (grid / cost-based), swept over
-//              probe_mode single vs batched: the index prunes most pairs,
-//              so the tick is probe- and fold-bound — exactly where PR 8's
-//              QueryBatch (one call per morsel, SIMD range filter, pooled
-//              CSR output) and the kernel layer buy their speedup.
+//              conjuncts carry it (survivors compact after each conjunct).
+//   indexed    the production access paths (grid / cost-based): the index
+//              prunes most pairs, so the tick is probe- and fold-bound —
+//              one QueryBatch per morsel, SIMD range filter, pooled CSR
+//              output.
+//
+// The series keep their historical names (bytecode:1, batched:1) so
+// compare_bench.py still pairs them with earlier BENCH_<tag>.json files;
+// the tree-walker and per-row probe arms they were once compared against
+// no longer exist.
 //
 // Every series reports allocs_per_tick (steady state must stay
 // allocation-free), vm_programs, simd_lanes (per tick, 0 under forced
@@ -30,13 +31,9 @@
 namespace {
 
 std::unique_ptr<sgl::Engine> BuildWorkload(bool traffic, int n,
-                                           sgl::PlanMode mode,
-                                           sgl::EvalMode eval,
-                                           sgl::ProbeMode probe) {
+                                           sgl::PlanMode mode) {
   sgl::EngineOptions options;
   options.exec.planner.mode = mode;
-  options.exec.eval_mode = eval;
-  options.exec.probe_mode = probe;
   if (traffic) {
     sgl::TrafficConfig config;
     config.num_vehicles = n;
@@ -76,28 +73,19 @@ void RunTicks(benchmark::State& state, sgl::Engine* engine) {
 
 // Dense ticks: forced nested-loop plans, expression-evaluation bound.
 void BM_BytecodeVsInterpret(benchmark::State& state) {
-  const sgl::EvalMode eval = state.range(0) != 0 ? sgl::EvalMode::kBytecode
-                                                 : sgl::EvalMode::kInterpret;
   auto engine = BuildWorkload(state.range(1) != 0,
                               static_cast<int>(state.range(2)),
-                              sgl::PlanMode::kStaticNL, eval,
-                              sgl::ProbeMode::kBatched);
+                              sgl::PlanMode::kStaticNL);
   RunTicks(state, engine.get());
 }
 
-// Indexed steady state under both probe paths: the production plans (grid
-// RTS, cost-based traffic), probe_mode = single (one virtual Query per
-// outer row, PR 7 behavior) vs batched (one QueryBatch per morsel).
+// Indexed steady state: the production plans (grid RTS, cost-based
+// traffic), batched probes.
 void BM_BytecodeVsInterpretIndexed(benchmark::State& state) {
-  const sgl::EvalMode eval = state.range(0) != 0 ? sgl::EvalMode::kBytecode
-                                                 : sgl::EvalMode::kInterpret;
   const bool traffic = state.range(1) != 0;
-  const sgl::ProbeMode probe = state.range(3) != 0 ? sgl::ProbeMode::kBatched
-                                                   : sgl::ProbeMode::kSingle;
   auto engine = BuildWorkload(
       traffic, static_cast<int>(state.range(2)),
-      traffic ? sgl::PlanMode::kCostBased : sgl::PlanMode::kStaticGrid, eval,
-      probe);
+      traffic ? sgl::PlanMode::kCostBased : sgl::PlanMode::kStaticGrid);
   RunTicks(state, engine.get());
 }
 
@@ -105,21 +93,13 @@ void BM_BytecodeVsInterpretIndexed(benchmark::State& state) {
 
 BENCHMARK(BM_BytecodeVsInterpret)
     ->ArgNames({"bytecode", "traffic", "n"})
-    ->Args({0, 0, 600})
     ->Args({1, 0, 600})
-    ->Args({0, 1, 2000})
     ->Args({1, 1, 2000})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_BytecodeVsInterpretIndexed)
     ->ArgNames({"bytecode", "traffic", "n", "batched"})
-    ->Args({0, 0, 1000, 0})
-    ->Args({0, 0, 1000, 1})
-    ->Args({1, 0, 1000, 0})
     ->Args({1, 0, 1000, 1})
-    ->Args({0, 1, 4000, 0})
-    ->Args({0, 1, 4000, 1})
-    ->Args({1, 1, 4000, 0})
     ->Args({1, 1, 4000, 1})
     ->Unit(benchmark::kMillisecond);
 

@@ -17,10 +17,9 @@
 #   E12 asynchronous out-of-band pathfinding (sync vs async tick latency
 #       on the large-map armies workload, jobs in flight, barrier wait,
 #       allocs_per_tick vs job-worker count)
-#   E13 register bytecode VM vs tree-walking expression interpreter
-#       (dense nested-loop ticks where fused filter pipelines dominate,
-#       plus the indexed steady state under single vs batched probes;
-#       allocs_per_tick + vm_programs + simd_lanes + probe_us + the
+#   E13 register bytecode VM (dense nested-loop ticks where fused filter
+#       pipelines dominate, plus the indexed steady state with batched
+#       probes; allocs_per_tick + vm_programs + simd_lanes + probe_us + the
 #       CPU/dispatch context the numbers were recorded under)
 #   E10 debugging + observability overhead (tracer / checksum / checkpoint
 #       cost, plus the telemetry and flight-recorder armed-vs-disarmed

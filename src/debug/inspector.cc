@@ -31,21 +31,9 @@ std::string DescribeTickStats(const TickStats& stats) {
     out += buf;
   }
   if (stats.vm_programs != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " vm %lld programs (%lld fallbacks, compiled in %lldus)",
+    std::snprintf(buf, sizeof(buf), " vm %lld programs (compiled in %lldus)",
                   static_cast<long long>(stats.vm_programs),
-                  static_cast<long long>(stats.vm_fallbacks),
                   static_cast<long long>(stats.vm_compile_micros));
-    out += buf;
-  }
-  if (stats.sites_bytecode != 0 || stats.sites_interpreted != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " backends %lld vm / %lld interp, probes %lld batched / "
-                  "%lld single",
-                  static_cast<long long>(stats.sites_bytecode),
-                  static_cast<long long>(stats.sites_interpreted),
-                  static_cast<long long>(stats.sites_probe_batched),
-                  static_cast<long long>(stats.sites_probe_single));
     out += buf;
   }
   if (stats.probe_micros != 0) {

@@ -84,65 +84,43 @@ VecContext MakeCtx(const ExecEnv& env, const EntityTable* inner_table,
   ctx.inner = inner_table;
   ctx.inner_rows = rows.inner;
   ctx.locals = env.locals;
-  ctx.scratch = env.scratch;
   return ctx;
 }
 
 // --- Bytecode dispatch --------------------------------------------------
-// Runs the compiled twin of an expression when `vm` carries a program cache
-// and the expression lowered; the tree-walking interpreter otherwise. `vm`
-// is passed explicitly (not read off env) so accum sites under
-// EvalMode::kAuto can flip the backend per site per tick by passing null.
-// Both produce bit-identical columns, so call sites stay oblivious.
+// Every expression of the vectorized path has a compiled program
+// (VmProgramCache::CompileProgram refuses a program with one that does not
+// lower), so a missing program is an executor bug, not a fallback.
 
-void EvalNumAuto(const Expr& e, const VecContext& ctx, const ExecEnv& env,
-                 const VmProgramCache* vm, std::vector<double>* out) {
-  const VmProgram* p = vm != nullptr ? vm->Value(&e) : nullptr;
-  if (p != nullptr) {
-    VmEvalNum(*p, ctx, &env.scratch->vm, nullptr, 0, out);
-  } else {
-    EvalNum(e, ctx, out);
-  }
+const VmProgram& ValueProgram(const ExecEnv& env, const Expr& e) {
+  const VmProgram* p = env.vm->Value(&e);
+  SGL_CHECK(p != nullptr && "expression missing from the program cache");
+  return *p;
 }
 
-void EvalBoolAuto(const Expr& e, const VecContext& ctx, const ExecEnv& env,
-                  const VmProgramCache* vm, std::vector<uint8_t>* out) {
-  const VmProgram* p = vm != nullptr ? vm->Value(&e) : nullptr;
-  if (p != nullptr) {
-    VmEvalBool(*p, ctx, &env.scratch->vm, nullptr, 0, out);
-  } else {
-    EvalBool(e, ctx, out);
-  }
+void VmNum(const Expr& e, const VecContext& ctx, const ExecEnv& env,
+           std::vector<double>* out) {
+  VmEvalNum(ValueProgram(env, e), ctx, &env.scratch->vm, nullptr, 0, out);
 }
 
-void EvalRefAuto(const Expr& e, const VecContext& ctx, const ExecEnv& env,
-                 const VmProgramCache* vm, std::vector<EntityId>* out) {
-  const VmProgram* p = vm != nullptr ? vm->Value(&e) : nullptr;
-  if (p != nullptr) {
-    VmEvalRef(*p, ctx, &env.scratch->vm, nullptr, 0, out);
-  } else {
-    EvalRef(e, ctx, out);
-  }
+void VmBool(const Expr& e, const VecContext& ctx, const ExecEnv& env,
+            std::vector<uint8_t>* out) {
+  VmEvalBool(ValueProgram(env, e), ctx, &env.scratch->vm, nullptr, 0, out);
+}
+
+void VmRef(const Expr& e, const VecContext& ctx, const ExecEnv& env,
+           std::vector<EntityId>* out) {
+  VmEvalRef(ValueProgram(env, e), ctx, &env.scratch->vm, nullptr, 0, out);
 }
 
 // Guard filter over a row span: fills `pos` with the surviving span
-// positions (ascending) and returns the count. Fused compare-compact
-// bytecode when the guard lowered; EvalBool + compact otherwise.
+// positions (ascending) and returns the count, via the guard's fused
+// compare-compact program.
 size_t RunGuardFilter(const Expr& guard, const VecContext& ctx,
-                      const ExecEnv& env, const VmProgramCache* vm,
-                      std::vector<uint8_t>* keep, std::vector<RowIdx>* pos) {
-  const VmProgram* p = vm != nullptr ? vm->Filter(&guard) : nullptr;
-  if (p != nullptr) {
-    return VmRunFilter(*p, ctx, &env.scratch->vm, false, pos);
-  }
-  EvalBool(guard, ctx, keep);
-  const size_t n = ctx.count();
-  ResizeAmortized(pos, n);
-  size_t out_n = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((*keep)[i]) (*pos)[out_n++] = static_cast<RowIdx>(i);
-  }
-  return out_n;
+                      const ExecEnv& env, std::vector<RowIdx>* pos) {
+  const VmProgram* p = env.vm->Filter(&guard);
+  SGL_CHECK(p != nullptr && "guard missing from the program cache");
+  return VmRunFilter(*p, ctx, &env.scratch->vm, false, pos);
 }
 
 // Applies one batch of effect writes over a (possibly pair) row vector.
@@ -156,13 +134,12 @@ inline int32_t ProvShard(const ExecEnv& env) {
 
 int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
                     const EntityTable* inner_table, const PairRows& rows,
-                    ExecEnv& env, const VmProgramCache* vm, int site) {
+                    ExecEnv& env, int site) {
   const size_t n = rows.outer->size();
   if (n == 0) return 0;
   int64_t applied = 0;
   EvalScratch* sc = env.scratch;
   ScopedVec<RowIdx> sub_outer(sc), sub_inner(sc), pos(sc);
-  ScopedVec<uint8_t> keep(sc);
   ScopedVec<double> nums(sc);
   ScopedVec<uint8_t> bools(sc);
   ScopedVec<EntityId> refs(sc), target_ids(sc);
@@ -173,8 +150,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
     const std::vector<RowIdx>* inner_rows = rows.inner;
     if (w.guard != nullptr) {
       VecContext ctx = MakeCtx(env, inner_table, rows);
-      const size_t m = RunGuardFilter(*w.guard, ctx, env, vm, keep.get(),
-                                      pos.get());
+      const size_t m = RunGuardFilter(*w.guard, ctx, env, pos.get());
       sub_outer->clear();
       sub_inner->clear();
       // Reserve the full span, not the survivor count: the span is a
@@ -213,7 +189,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       return kInvalidRow;
     };
     if (w.target_kind == TargetKind::kRef) {
-      EvalRefAuto(*w.target_ref, ctx, env, vm, target_ids.get());
+      VmRef(*w.target_ref, ctx, env, target_ids.get());
     }
 
     // 3. Evaluate values and scatter-accumulate.
@@ -247,7 +223,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       }
     };
     if (w.set_insert) {
-      EvalRefAuto(*w.value, ctx, env, vm, refs.get());
+      VmRef(*w.value, ctx, env, refs.get());
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
@@ -255,7 +231,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         trace(i, row, Value::Ref((*refs)[i]));
       }
     } else if (field.type.is_number()) {
-      EvalNumAuto(*w.value, ctx, env, vm, nums.get());
+      VmNum(*w.value, ctx, env, nums.get());
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
@@ -263,7 +239,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         trace(i, row, Value::Number((*nums)[i]));
       }
     } else if (field.type.is_bool()) {
-      EvalBoolAuto(*w.value, ctx, env, vm, bools.get());
+      VmBool(*w.value, ctx, env, bools.get());
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
@@ -271,7 +247,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         trace(i, row, Value::Bool((*bools)[i] != 0));
       }
     } else if (field.type.is_ref()) {
-      EvalRefAuto(*w.value, ctx, env, vm, refs.get());
+      VmRef(*w.value, ctx, env, refs.get());
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
@@ -430,11 +406,11 @@ class PooledNumCols {
   std::vector<double>* cols_[kMaxIndexDims];
 };
 
-// Enumerates the candidate inner rows for one outer row under the prepared
-// access path (without the residual filter). Candidates are ascending.
+// Enumerates the candidate inner rows for one outer row of a set-domain or
+// hash site (nested-loop sites stream the inner extent in chunks, range
+// sites consume the morsel's batched probe). Candidates are ascending.
 void Candidates(const AccumOp& op, const PreparedSite& site,
                 const ExecEnv& env, RowIdx outer_row,
-                const PooledNumCols& lo_cols, const PooledNumCols& hi_cols,
                 const std::vector<double>& hash_keys,
                 const std::vector<EntityId>& id_keys, size_t outer_pos,
                 std::vector<RowIdx>* out) {
@@ -453,39 +429,16 @@ void Candidates(const AccumOp& op, const PreparedSite& site,
     return;
   }
 
-  switch (site.strategy) {
-    case JoinStrategy::kNestedLoop:
-      // Caller streams all rows in chunks; nothing to enumerate here.
-      break;
-    case JoinStrategy::kRangeTree:
-    case JoinStrategy::kGrid: {
-      double lo[kMaxIndexDims];
-      double hi[kMaxIndexDims];
-      for (size_t k = 0; k < op.range_dims.size(); ++k) {
-        lo[k] = op.range_dims[k].lo != nullptr
-                    ? (*lo_cols[k])[outer_pos]
-                    : -std::numeric_limits<double>::infinity();
-        hi[k] = op.range_dims[k].hi != nullptr
-                    ? (*hi_cols[k])[outer_pos]
-                    : std::numeric_limits<double>::infinity();
-      }
-      site.index->Query(lo, hi, out);
-      std::sort(out->begin(), out->end());
-      break;
+  SGL_DCHECK(site.strategy == JoinStrategy::kHash);
+  if (site.hash_field == kInvalidField) {
+    // Entity-id key: a directory lookup.
+    const World::Locator* loc = env.world->Find(id_keys[outer_pos]);
+    if (loc != nullptr && loc->cls == op.inner_cls) {
+      out->push_back(loc->row);
     }
-    case JoinStrategy::kHash: {
-      if (site.hash_field == kInvalidField) {
-        // Entity-id key: a directory lookup.
-        const World::Locator* loc = env.world->Find(id_keys[outer_pos]);
-        if (loc != nullptr && loc->cls == op.inner_cls) {
-          out->push_back(loc->row);
-        }
-      } else {
-        // Flat hash emits rows ascending already.
-        site.hash->Lookup(hash_keys[outer_pos], out);
-      }
-      break;
-    }
+  } else {
+    // Flat hash emits rows ascending already.
+    site.hash->Lookup(hash_keys[outer_pos], out);
   }
 }
 
@@ -497,9 +450,6 @@ void RunAccumVectorized(const AccumOp& op,
   const PreparedSite& site = (*env.prepared)[static_cast<size_t>(op.site_id)];
   const EntityTable& inner = env.world->table(op.inner_cls);
   ExecScratch* sc = env.scratch;
-  // Per-site backend decision (EvalMode::kAuto): a null cache here routes
-  // every expression of this site through the interpreter.
-  const VmProgramCache* vm = site.use_vm ? env.vm : nullptr;
 
   // Outer guard. Guard-free units run straight off `selection` — no copy.
   ScopedVec<RowIdx> s_holder(sc);
@@ -507,10 +457,8 @@ void RunAccumVectorized(const AccumOp& op,
   if (op.outer_guard != nullptr) {
     PairRows rows{&selection, nullptr};
     VecContext ctx = MakeCtx(env, nullptr, rows);
-    ScopedVec<uint8_t> keep(sc);
     ScopedVec<RowIdx> pos(sc);
-    const size_t m =
-        RunGuardFilter(*op.outer_guard, ctx, env, vm, keep.get(), pos.get());
+    const size_t m = RunGuardFilter(*op.outer_guard, ctx, env, pos.get());
     s_holder->reserve(selection.size());  // stable high-water; see ApplyWrites
     for (size_t k = 0; k < m; ++k) {
       s_holder->push_back(selection[(*pos)[k]]);
@@ -525,29 +473,29 @@ void RunAccumVectorized(const AccumOp& op,
   // not be constrained by the kMaxIndexDims stack-array limit).
   PairRows s_rows{S, nullptr};
   VecContext s_ctx = MakeCtx(env, nullptr, s_rows);
+  // Range-indexed sites answer all of this morsel's boxes with one
+  // QueryBatch call (contract: probe_batch.h). Set-domain sites always run
+  // nested-loop, so a range strategy implies a plain inner extent.
   const bool range_indexed = site.strategy == JoinStrategy::kRangeTree ||
                              site.strategy == JoinStrategy::kGrid;
-  // Batched probing answers all of this morsel's boxes with one QueryBatch
-  // call instead of |S| virtual Query calls (contract: probe_batch.h).
-  const bool batched = range_indexed && site.probe_batched &&
-                       site.index != nullptr &&
-                       op.inner_set_field == kInvalidField;
+  SGL_DCHECK(!range_indexed || (site.index != nullptr &&
+                                op.inner_set_field == kInvalidField));
   PooledNumCols lo_cols(sc, range_indexed ? op.range_dims.size() : 0);
   PooledNumCols hi_cols(sc, range_indexed ? op.range_dims.size() : 0);
   if (range_indexed) {
+    // QueryBatch takes full bound columns; unconstrained dims become ±inf
+    // columns.
     for (size_t k = 0; k < op.range_dims.size(); ++k) {
       if (op.range_dims[k].lo != nullptr) {
-        EvalNumAuto(*op.range_dims[k].lo, s_ctx, env, vm, lo_cols[k]);
-      } else if (batched) {
-        // QueryBatch takes full bound columns; unconstrained dims become
-        // ±inf columns (same value the per-row path passes as a scalar).
+        VmNum(*op.range_dims[k].lo, s_ctx, env, lo_cols[k]);
+      } else {
         ResizeAmortized(lo_cols[k], S->size());
         std::fill(lo_cols[k]->begin(), lo_cols[k]->end(),
                   -std::numeric_limits<double>::infinity());
       }
       if (op.range_dims[k].hi != nullptr) {
-        EvalNumAuto(*op.range_dims[k].hi, s_ctx, env, vm, hi_cols[k]);
-      } else if (batched) {
+        VmNum(*op.range_dims[k].hi, s_ctx, env, hi_cols[k]);
+      } else {
         ResizeAmortized(hi_cols[k], S->size());
         std::fill(hi_cols[k]->begin(), hi_cols[k]->end(),
                   std::numeric_limits<double>::infinity());
@@ -558,15 +506,15 @@ void RunAccumVectorized(const AccumOp& op,
   ScopedVec<EntityId> id_keys(sc);
   if (site.strategy == JoinStrategy::kHash) {
     if (site.hash_field == kInvalidField) {
-      EvalRefAuto(*op.hash_dims[0].key, s_ctx, env, vm, id_keys.get());
+      VmRef(*op.hash_dims[0].key, s_ctx, env, id_keys.get());
     } else {
-      EvalNumAuto(*op.hash_dims[0].key, s_ctx, env, vm, hash_keys.get());
+      VmNum(*op.hash_dims[0].key, s_ctx, env, hash_keys.get());
     }
   }
 
   // One devirtualized batch probe for the whole morsel.
   int64_t probe_micros = 0;
-  if (batched) {
+  if (range_indexed) {
     const double* blo[kMaxIndexDims];
     const double* bhi[kMaxIndexDims];
     for (size_t k = 0; k < op.range_dims.size(); ++k) {
@@ -580,9 +528,6 @@ void RunAccumVectorized(const AccumOp& op,
     probe_micros = probe_timer.ElapsedMicros();
   }
 
-  const Expr* filter = site.strategy == JoinStrategy::kNestedLoop
-                           ? site.nl_filter
-                           : site.post_index_filter;
   const VmProgram* filter_vm = site.strategy == JoinStrategy::kNestedLoop
                                    ? site.nl_filter_vm
                                    : site.post_filter_vm;
@@ -592,47 +537,33 @@ void RunAccumVectorized(const AccumOp& op,
   // Build the (outer, inner) pair list, outer-major, inner ascending.
   ScopedVec<RowIdx> pair_outer(sc), pair_inner(sc);
   ScopedVec<RowIdx> cand(sc), chunk_outer(sc), chunk_inner(sc), fsel(sc);
-  ScopedVec<uint8_t> keep(sc);
   pair_outer->reserve(S->size());
   pair_inner->reserve(S->size());
   chunk_inner->reserve(kNlChunk);
   int64_t candidates = 0;
 
   auto filter_chunk = [&](RowIdx o) {
-    // chunk_inner holds candidates for outer row o; applies `filter` and
-    // appends survivors to the pair list.
+    // chunk_inner holds candidates for outer row o; applies the pair filter
+    // and appends survivors to the pair list.
     if (chunk_inner->empty()) return;
-    ResizeAmortized(chunk_outer.get(), chunk_inner->size());
-    if (filter_vm != nullptr) {
-      // Fused compare-compact bytecode. Every lane shares outer row o, so
-      // only lane 0 of the outer-row vector need be real (uniform_outer)
-      // and the O(chunk) outer-row fill is skipped entirely.
-      (*chunk_outer)[0] = o;
-      PairRows rows{chunk_outer.get(), chunk_inner.get()};
-      VecContext ctx = MakeCtx(env, &inner, rows);
-      const size_t m = VmRunFilter(*filter_vm, ctx, &sc->vm,
-                                   /*uniform_outer=*/true, fsel.get());
-      for (size_t k = 0; k < m; ++k) {
-        pair_outer->push_back(o);
-        pair_inner->push_back((*chunk_inner)[(*fsel)[k]]);
-      }
-      return;
-    }
-    std::fill(chunk_outer->begin(), chunk_outer->end(), o);
-    if (filter != nullptr) {
-      PairRows rows{chunk_outer.get(), chunk_inner.get()};
-      VecContext ctx = MakeCtx(env, &inner, rows);
-      EvalBool(*filter, ctx, keep.get());
-      for (size_t i = 0; i < chunk_inner->size(); ++i) {
-        if ((*keep)[i]) {
-          pair_outer->push_back(o);
-          pair_inner->push_back((*chunk_inner)[i]);
-        }
-      }
-    } else {
+    if (filter_vm == nullptr) {
       pair_outer->insert(pair_outer->end(), chunk_inner->size(), o);
       pair_inner->insert(pair_inner->end(), chunk_inner->begin(),
                          chunk_inner->end());
+      return;
+    }
+    // Fused compare-compact bytecode. Every lane shares outer row o, so
+    // only lane 0 of the outer-row vector need be real (uniform_outer) and
+    // the O(chunk) outer-row fill is skipped entirely.
+    ResizeAmortized(chunk_outer.get(), chunk_inner->size());
+    (*chunk_outer)[0] = o;
+    PairRows rows{chunk_outer.get(), chunk_inner.get()};
+    VecContext ctx = MakeCtx(env, &inner, rows);
+    const size_t m = VmRunFilter(*filter_vm, ctx, &sc->vm,
+                                 /*uniform_outer=*/true, fsel.get());
+    for (size_t k = 0; k < m; ++k) {
+      pair_outer->push_back(o);
+      pair_inner->push_back((*chunk_inner)[(*fsel)[k]]);
     }
   };
 
@@ -652,9 +583,9 @@ void RunAccumVectorized(const AccumOp& op,
         candidates += static_cast<int64_t>(chunk_inner->size());
         filter_chunk(o);
       }
-    } else if (batched) {
+    } else if (range_indexed) {
       // Consume this probe's CSR slice; slices are already ascending, so
-      // pair order matches the per-row Query + sort path bit for bit.
+      // pairs come out in canonical (outer, inner) order.
       const ProbeBatch& pb = sc->probe;
       chunk_inner->clear();
       const uint32_t slice_end = pb.offsets[pos + 1];
@@ -667,8 +598,7 @@ void RunAccumVectorized(const AccumOp& op,
       candidates += static_cast<int64_t>(chunk_inner->size());
       filter_chunk(o);
     } else {
-      Candidates(op, site, env, o, lo_cols, hi_cols, *hash_keys, *id_keys,
-                 pos, cand.get());
+      Candidates(op, site, env, o, *hash_keys, *id_keys, pos, cand.get());
       chunk_inner->clear();
       chunk_inner->reserve(cand->size());
       for (RowIdx j : *cand) {
@@ -700,17 +630,17 @@ void RunAccumVectorized(const AccumOp& op,
         // Value-mode (not fused-filter) bytecode: the fold consumes guards
         // as columns indexed by pair position, so no compaction here.
         evaled[a].guard = bool_lease.Acquire();
-        EvalBoolAuto(*assign.guard, pctx, env, vm, evaled[a].guard);
+        VmBool(*assign.guard, pctx, env, evaled[a].guard);
       }
       if (op.accum_type.is_number()) {
         evaled[a].nums = num_lease.Acquire();
-        EvalNumAuto(*assign.value, pctx, env, vm, evaled[a].nums);
+        VmNum(*assign.value, pctx, env, evaled[a].nums);
       } else if (op.accum_type.is_bool()) {
         evaled[a].bools = bool_lease.Acquire();
-        EvalBoolAuto(*assign.value, pctx, env, vm, evaled[a].bools);
+        VmBool(*assign.value, pctx, env, evaled[a].bools);
       } else {
         evaled[a].refs = ref_lease.Acquire();
-        EvalRefAuto(*assign.value, pctx, env, vm, evaled[a].refs);
+        VmRef(*assign.value, pctx, env, evaled[a].refs);
       }
     }
     Fold fold;
@@ -737,7 +667,7 @@ void RunAccumVectorized(const AccumOp& op,
     // Pair-level effect writes. The leases stay live through this call;
     // ApplyWrites' own acquisitions nest above them (LIFO holds).
     effects_applied =
-        ApplyWrites(op.pair_writes, &inner, pairs, env, vm, op.site_id);
+        ApplyWrites(op.pair_writes, &inner, pairs, env, op.site_id);
   }
 
   if (env.feedback != nullptr) {
@@ -762,10 +692,8 @@ void RunTxnEmitVectorized(const TxnEmitOp& op,
   if (op.guard != nullptr) {
     PairRows rows{&selection, nullptr};
     VecContext ctx = MakeCtx(env, nullptr, rows);
-    ScopedVec<uint8_t> keep(sc);
     ScopedVec<RowIdx> pos(sc);
-    const size_t m =
-        RunGuardFilter(*op.guard, ctx, env, env.vm, keep.get(), pos.get());
+    const size_t m = RunGuardFilter(*op.guard, ctx, env, pos.get());
     r_holder->reserve(selection.size());  // stable high-water; see ApplyWrites
     for (size_t k = 0; k < m; ++k) {
       r_holder->push_back(selection[(*pos)[k]]);
@@ -785,14 +713,14 @@ void RunTxnEmitVectorized(const TxnEmitOp& op,
     evaled[wi] = ExecScratch::AssignBufs();
     if (w.target_kind == TargetKind::kRef) {
       evaled[wi].targets = ref_lease.Acquire();
-      EvalRefAuto(*w.target_ref, ctx, env, env.vm, evaled[wi].targets);
+      VmRef(*w.target_ref, ctx, env, evaled[wi].targets);
     }
     if (w.op == TxnWriteOp::kAddDelta) {
       evaled[wi].nums = num_lease.Acquire();
-      EvalNumAuto(*w.value, ctx, env, env.vm, evaled[wi].nums);
+      VmNum(*w.value, ctx, env, evaled[wi].nums);
     } else {
       evaled[wi].refs = ref_lease.Acquire();
-      EvalRefAuto(*w.value, ctx, env, env.vm, evaled[wi].refs);
+      VmRef(*w.value, ctx, env, evaled[wi].refs);
     }
   }
   for (size_t i = 0; i < R->size(); ++i) {
@@ -867,17 +795,12 @@ void FlatNumHash::Lookup(double key, std::vector<RowIdx>* out) const {
 // --- Site preparation ---------------------------------------------------
 
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
-                 IndexManager* indexes, Tick tick, bool compile_vm,
-                 bool use_vm, bool probe_batched, SiteCache* cache,
+                 IndexManager* indexes, Tick tick, SiteCache* cache,
                  PreparedSite* out) {
   out->strategy = strategy;
   out->index = nullptr;
   out->hash = nullptr;
   out->hash_field = kInvalidField;
-  out->nl_filter_vm = nullptr;
-  out->post_filter_vm = nullptr;
-  out->use_vm = compile_vm && use_vm;
-  out->probe_batched = probe_batched;
 
   // Compose the pair filters from the op's predicate decomposition. The
   // compositions are pure functions of (op, strategy); they are cloned into
@@ -943,21 +866,25 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
     return op.residual != nullptr ? op.residual->Clone() : nullptr;
   };
 
+  // The composed filters lower: their conjuncts are range bounds and hash
+  // keys (compiled as values) and the residual, which
+  // VmProgramCache::CompileProgram checked.
+  auto lower = [](const ExprPtr& filter, VmProgram* vm) {
+    if (filter == nullptr) return;
+    const Status st = CompileFilter(*filter, vm);
+    SGL_CHECK(st.ok() && "composed pair filter failed to lower");
+  };
+
   if (!cache->nl_built) {
     cache->nl_filter =
         compose(compose(range_pred(true), hash_pred(static_cast<size_t>(-1))),
                 residual());
+    lower(cache->nl_filter, &cache->nl_filter_vm);
     cache->nl_built = true;
   }
   out->nl_filter = cache->nl_filter.get();
-  if (compile_vm && !cache->nl_vm_built) {
-    cache->nl_vm_ok = cache->nl_filter != nullptr &&
-                      CompileFilter(*cache->nl_filter, &cache->nl_filter_vm);
-    cache->nl_vm_built = true;
-  }
-  if (out->use_vm && cache->nl_vm_ok) {
-    out->nl_filter_vm = &cache->nl_filter_vm;
-  }
+  out->nl_filter_vm =
+      cache->nl_filter != nullptr ? &cache->nl_filter_vm : nullptr;
 
   if (!cache->post_built || cache->post_strategy != strategy) {
     switch (strategy) {
@@ -974,20 +901,13 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
             compose(compose(range_pred(true), hash_pred(0)), residual());
         break;
     }
+    lower(cache->post_index_filter, &cache->post_filter_vm);
     cache->post_strategy = strategy;
     cache->post_built = true;
-    cache->post_vm_built = false;  // Expr recomposed; bytecode is stale.
   }
   out->post_index_filter = cache->post_index_filter.get();
-  if (compile_vm && !cache->post_vm_built) {
-    cache->post_vm_ok =
-        cache->post_index_filter != nullptr &&
-        CompileFilter(*cache->post_index_filter, &cache->post_filter_vm);
-    cache->post_vm_built = true;
-  }
-  if (out->use_vm && cache->post_vm_ok) {
-    out->post_filter_vm = &cache->post_filter_vm;
-  }
+  out->post_filter_vm =
+      cache->post_index_filter != nullptr ? &cache->post_filter_vm : nullptr;
 
   switch (strategy) {
     case JoinStrategy::kNestedLoop:
@@ -1035,19 +955,19 @@ void RunOpsVectorized(const std::vector<std::unique_ptr<PlanOp>>& ops,
           const size_t slot = static_cast<size_t>(def.slot);
           if (def.type.is_number()) {
             ScopedVec<double> vals(env.scratch);
-            EvalNumAuto(*def.value, ctx, env, env.vm, vals.get());
+            VmNum(*def.value, ctx, env, vals.get());
             for (size_t i = 0; i < selection.size(); ++i) {
               env.locals->num[slot][selection[i]] = (*vals)[i];
             }
           } else if (def.type.is_bool()) {
             ScopedVec<uint8_t> vals(env.scratch);
-            EvalBoolAuto(*def.value, ctx, env, env.vm, vals.get());
+            VmBool(*def.value, ctx, env, vals.get());
             for (size_t i = 0; i < selection.size(); ++i) {
               env.locals->bools[slot][selection[i]] = (*vals)[i];
             }
           } else {
             ScopedVec<EntityId> vals(env.scratch);
-            EvalRefAuto(*def.value, ctx, env, env.vm, vals.get());
+            VmRef(*def.value, ctx, env, vals.get());
             for (size_t i = 0; i < selection.size(); ++i) {
               env.locals->refs[slot][selection[i]] = (*vals)[i];
             }
@@ -1058,7 +978,7 @@ void RunOpsVectorized(const std::vector<std::unique_ptr<PlanOp>>& ops,
       case PlanOp::Kind::kEffects: {
         auto* o = static_cast<const EffectsOp*>(op.get());
         PairRows rows{&selection, nullptr};
-        ApplyWrites(o->writes, nullptr, rows, env, env.vm, /*site=*/-1);
+        ApplyWrites(o->writes, nullptr, rows, env, /*site=*/-1);
         break;
       }
       case PlanOp::Kind::kAccum:

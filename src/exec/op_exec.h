@@ -2,7 +2,10 @@
 // the scalar object-at-a-time path (the baseline a traditional engine would
 // use, and the comparator of bench E1). Both consume the same CompiledScript
 // ops over the same storage, so they are semantically interchangeable —
-// property tests assert equal end states.
+// property tests assert equal end states. The vectorized path evaluates
+// every expression on the bytecode VM (src/vm/) and answers range-indexed
+// accum sites with one batched index probe per morsel; the scalar path uses
+// only the scalar evaluator of src/ra/eval.h.
 
 #ifndef SGL_EXEC_OP_EXEC_H_
 #define SGL_EXEC_OP_EXEC_H_
@@ -53,16 +56,9 @@ struct PreparedSite {
   /// `post_index_filter` omits what the access path already guarantees.
   const Expr* nl_filter = nullptr;
   const Expr* post_index_filter = nullptr;
-  /// Bytecode twins of the pair filters; null means interpret — bytecode
-  /// is off for this site this tick, or the filter didn't lower.
+  /// Bytecode twins of the pair filters (null iff the filter is).
   const VmProgram* nl_filter_vm = nullptr;
   const VmProgram* post_filter_vm = nullptr;
-  /// Per-site backend decisions for this tick, resolved by the executor
-  /// from EvalMode / ProbeMode (kAuto consults the cost controller):
-  /// run this site's expressions on the bytecode VM, and answer its index
-  /// probes with one QueryBatch per morsel instead of per-row Query calls.
-  bool use_vm = false;
-  bool probe_batched = false;
 };
 
 /// Executor-owned per-site cache backing PreparedSite across ticks: the
@@ -77,12 +73,10 @@ struct SiteCache {
   IndexSpec spec;  ///< tree/grid strategies; fields filled once
   bool spec_built = false;
   FlatNumHash hash;  ///< kHash strategy; rebuilt per tick in place
-  /// Compiled twins of the composed filters (bytecode mode). Built when
-  /// the corresponding Expr is composed; `*_vm_ok` false = fallback.
+  /// Compiled twins of the composed filters, lowered whenever the Expr is
+  /// (re)composed.
   VmProgram nl_filter_vm;
-  bool nl_vm_built = false, nl_vm_ok = false;
   VmProgram post_filter_vm;
-  bool post_vm_built = false, post_vm_ok = false;
 };
 
 /// Per-worker execution scratch: the eval pools plus operator-level reusable
@@ -99,25 +93,20 @@ struct ExecScratch : EvalScratch {
     std::vector<EntityId>* targets = nullptr;
   };
   std::vector<AssignBufs> assign_bufs;
-  /// Bytecode register files (EvalMode::kBytecode); high-water like the
-  /// pools, so steady-state VM execution allocates nothing.
+  /// Bytecode register files; high-water like the pools, so steady-state
+  /// VM execution allocates nothing.
   VmRegisters vm;
-  /// Pooled CSR output of batched index probes (ProbeMode::kBatched);
-  /// every buffer keeps its high-water capacity across ticks.
+  /// Pooled CSR output of batched index probes; every buffer keeps its
+  /// high-water capacity across ticks.
   ProbeBatch probe;
 };
 
 /// Refreshes the prepared access path for `op` under `strategy`: builds or
-/// fetches the index / hash table and composes the residual filters (cached
-/// in `cache`; recomposed only on a strategy switch). With `compile_vm`
-/// set, the composed filters are additionally lowered to bytecode (also
-/// cached; recompiled only when the Expr itself is recomposed) — but the
-/// compiled twins are only *exposed* on the PreparedSite when `use_vm` is
-/// also set, so EvalMode::kAuto can flip a site per tick without paying
-/// recompilation. `probe_batched` is recorded for the accum executor.
+/// fetches the index / hash table and composes the residual filters and
+/// their bytecode twins (cached in `cache`; recomposed and recompiled only
+/// on a strategy switch).
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
-                 IndexManager* indexes, Tick tick, bool compile_vm,
-                 bool use_vm, bool probe_batched, SiteCache* cache,
+                 IndexManager* indexes, Tick tick, SiteCache* cache,
                  PreparedSite* out);
 
 /// Routes effect writes by target row when the world is partitioned into
@@ -160,8 +149,8 @@ struct ExecEnv {
   const std::vector<PreparedSite>* prepared = nullptr;
   /// This worker's scratch pools. Required on the vectorized path.
   ExecScratch* scratch = nullptr;
-  /// Compiled bytecode programs (EvalMode::kBytecode); null = interpret.
-  /// Expressions the cache could not lower fall back per expression.
+  /// Compiled bytecode programs; every expression the vectorized path
+  /// evaluates has one. Null on the scalar path.
   const VmProgramCache* vm = nullptr;
   /// Per-site runtime feedback accumulator (size = program's num_sites).
   std::vector<SiteFeedback>* feedback = nullptr;

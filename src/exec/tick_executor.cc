@@ -31,10 +31,6 @@ void TickStats::Reset(Tick now) {
   vm_compile_micros = 0;
   probe_micros = 0;
   simd_lanes_used = 0;
-  sites_bytecode = 0;
-  sites_interpreted = 0;
-  sites_probe_batched = 0;
-  sites_probe_single = 0;
   jobs_submitted = 0;
   jobs_installed = 0;
   jobs_in_flight = 0;
@@ -97,10 +93,9 @@ TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
   if (options_.telemetry != nullptr) {
     options_.telemetry->EnsureSites(program_->num_sites);
   }
-  if (options_.eval_mode != EvalMode::kInterpret && !options_.interpreted) {
+  if (!options_.interpreted) {
     vm_cache_ = std::make_unique<VmProgramCache>();
     vm_cache_->set_telemetry(options_.telemetry);
-    vm_cache_->CompileProgram(*program_);
   }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
@@ -160,11 +155,14 @@ TickExecutor::~TickExecutor() = default;
 
 Status TickExecutor::Init() {
   SGL_CHECK(!initialized_);
+  if (vm_cache_ != nullptr) {
+    SGL_RETURN_IF_ERROR(vm_cache_->CompileProgram(*program_));
+  }
   Catalog* catalog = program_->catalog.get();
   SGL_RETURN_IF_ERROR(
       components_.Register(catalog, MakeTxnComponent(&txn_, program_)));
   SGL_RETURN_IF_ERROR(components_.Register(
-      catalog, std::make_unique<ExprUpdater>(program_)));
+      catalog, std::make_unique<ExprUpdater>(program_, vm_cache_.get())));
   initialized_ = true;
   return Status::OK();
 }
@@ -232,16 +230,8 @@ void TickExecutor::ComputeSelections(Partition& part) {
       ctx.outer = &world_->table(handler.cls);
       ctx.outer_rows = &rows;
       ctx.locals = &handler_locals_[hi];
-      ctx.scratch = &worker.scratch;
-      const VmProgram* cond_vm =
-          vm_cache_ != nullptr ? vm_cache_->Value(handler.cond.get())
-                               : nullptr;
-      if (cond_vm != nullptr) {
-        VmEvalBool(*cond_vm, ctx, &worker.scratch.vm, nullptr, 0,
-                   &part.handler_keep);
-      } else {
-        EvalBool(*handler.cond, ctx, &part.handler_keep);
-      }
+      VmEvalBool(*vm_cache_->Value(handler.cond.get()), ctx,
+                 &worker.scratch.vm, nullptr, 0, &part.handler_keep);
       for (size_t i = 0; i < rows.size(); ++i) {
         if (part.handler_keep[i]) selection.push_back(rows[i]);
       }
@@ -262,32 +252,11 @@ void TickExecutor::PrepareSites(
           stats_mgr_.has_stats() ? &stats_mgr_.Get(accum->inner_cls) : nullptr;
       strategy = controller_.Choose(*accum, tick_, inner_stats, outer_rows);
     }
-    // Backend axes (orthogonal to the join strategy): per-site bytecode
-    // and batched-probe decisions, resolved here once per tick so every
-    // worker sees the same PreparedSite.
-    bool use_vm = false;
-    bool probe_batched = false;
-    if (!options_.interpreted) {
-      use_vm = options_.eval_mode == EvalMode::kBytecode ||
-               (options_.eval_mode == EvalMode::kAuto &&
-                controller_.ChooseEvalBytecode(accum->site_id, tick_));
-      probe_batched = options_.probe_mode == ProbeMode::kBatched ||
-                      (options_.probe_mode == ProbeMode::kAuto &&
-                       controller_.ChooseProbeBatched(accum->site_id, tick_));
-    }
-    if (use_vm) ++last_.sites_bytecode; else ++last_.sites_interpreted;
-    if (probe_batched) {
-      ++last_.sites_probe_batched;
-    } else {
-      ++last_.sites_probe_single;
-    }
     if (options_.telemetry != nullptr && options_.telemetry->armed()) {
       options_.telemetry->RecordSiteDecision(accum->site_id, tick_,
-                                             JoinStrategyName(strategy),
-                                             use_vm, probe_batched);
+                                             JoinStrategyName(strategy));
     }
     PrepareSite(*accum, strategy, *world_, &indexes_, tick_,
-                /*compile_vm=*/vm_cache_ != nullptr, use_vm, probe_batched,
                 &site_cache_[static_cast<size_t>(accum->site_id)],
                 &prepared_[static_cast<size_t>(accum->site_id)]);
   }
@@ -597,7 +566,6 @@ Status TickExecutor::RunTick() {
   last_.txn = txn_.last_tick();
   if (vm_cache_ != nullptr) {
     last_.vm_programs = vm_cache_->programs_compiled();
-    last_.vm_fallbacks = vm_cache_->fallbacks();
     last_.vm_compile_micros = vm_cache_->compile_micros();
   }
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
@@ -638,11 +606,6 @@ Status TickExecutor::RunTick() {
       if (fb.site < 0) continue;
       tel->RecordSiteTick(fb.site, fb.micros, fb.probe_micros, fb.outer_rows,
                           fb.candidates, fb.matches, fb.effects);
-      const AdaptiveController::BackendBeliefs b =
-          controller_.Beliefs(fb.site);
-      tel->RecordSiteBeliefs(fb.site, b.eval_us_per_outer[0],
-                             b.eval_us_per_outer[1], b.probe_us_per_outer[0],
-                             b.probe_us_per_outer[1]);
     }
     if (sharded_ != nullptr) {
       for (const auto& part : partitions_) {

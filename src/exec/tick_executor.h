@@ -9,9 +9,10 @@
 //                 row ranges (multi-phase scripts dispatch on their PC
 //                 column) and evaluates reactive-handler conditions; both
 //                 read only prior state and zeroed locals
-//   2 SITE-PREP   access paths (indexes, hashes, composed filters, backend
-//                 choices) are prepared once, globally, from the summed
-//                 outer-row counts: the read view is shared by construction
+//   2 SITE-PREP   access paths (join strategy, indexes, hashes, composed
+//                 pair filters) are prepared once, globally, from the
+//                 summed outer-row counts: the read view is shared by
+//                 construction
 //   3 QUERY       compiled plans run set-at-a-time over the selections,
 //                 scripts then handlers; effects and transaction intents
 //                 land in per-worker sinks — the phase only reads state, so
@@ -41,10 +42,13 @@
 // size, and across partition counts within the contract of
 // src/shard/README.md.
 //
-// Setting ExecOptions::interpreted runs the identical program object-at-a-
-// time (per-entity scalar evaluation, full scans in accum loops) — the
+// Expressions run on the register bytecode VM (src/vm/): Init() lowers every
+// plan expression and update rule once, and a program that does not lower
+// fails Init(). Setting ExecOptions::interpreted instead runs the identical
+// program object-at-a-time (per-entity scalar evaluation, full scans in
+// accum loops, row-by-row update rules) — the reference oracle, the
 // baseline that traditional game engines implement and bench E1 compares
-// against.
+// against. It runs no VM code.
 //
 // Steady-state ticks are allocation-free on both halves of the tick: every
 // selection vector, local column, prepared site, effect sink, and
@@ -82,19 +86,7 @@ struct ExecOptions {
   /// Rows per morsel, the unit of work a thread runs at a time; > 0.
   size_t morsel_size = 2048;
   AdaptiveController::Options planner;
-  bool interpreted = false;  ///< object-at-a-time baseline mode
-  /// Expression backend of the vectorized path: tree-walking interpreter
-  /// or register bytecode with fused filter pipelines (src/vm/). Programs
-  /// are compiled once at executor construction and per prepared site;
-  /// both modes produce bit-identical world state. Ignored when
-  /// `interpreted` is set (the scalar baseline has no vectorized spans).
-  /// kAuto compiles everything up front and asks the cost controller per
-  /// site per tick which backend to run.
-  EvalMode eval_mode = EvalMode::kInterpret;
-  /// Index-probe style of range-indexed accum sites: one virtual Query per
-  /// outer row (kSingle), one QueryBatch per morsel (kBatched, default), or
-  /// a per-site measured choice (kAuto). All bit-identical.
-  ProbeMode probe_mode = ProbeMode::kBatched;
+  bool interpreted = false;  ///< object-at-a-time baseline mode (oracle)
   /// Out-of-band job execution (src/async/): worker count, ordering-key
   /// seed. The JobService is created lazily, when a component first asks
   /// for it (Engine::AddAsyncPathfinder / executor jobs()).
@@ -137,26 +129,20 @@ struct TickStats {
   /// hook is compiled out). Steady-state ticks should report ~0.
   int64_t allocs_per_tick = 0;
   int64_t bytes_per_tick = 0;
-  /// Bytecode backend (0 when eval_mode == kInterpret): programs resident
-  /// in the executor's cache, expressions that fell back to the tree
-  /// walker, and one-time lowering cost (paid at construction, not per
-  /// tick).
+  /// Bytecode programs resident in the executor's cache (0 under
+  /// `interpreted`) and their one-time lowering cost (paid in Init(), not
+  /// per tick).
   int64_t vm_programs = 0;
-  int64_t vm_fallbacks = 0;
   int64_t vm_compile_micros = 0;
-  /// Time inside batched QueryBatch calls, summed over sites and shards
-  /// (0 when no site probed batched this tick).
+  /// Always 0: lowering never falls back (a program that does not lower
+  /// fails Init()). Kept only because the tick-anatomy benchmark
+  /// (perfbench/) reports it as `vm.fallbacks`.
+  int64_t vm_fallbacks = 0;
+  /// Time inside batched QueryBatch calls, summed over sites and shards.
   int64_t probe_micros = 0;
   /// Double lanes processed by AVX2 kernel bodies this tick (0 under
   /// scalar dispatch — see common/cpu_features.h).
   int64_t simd_lanes_used = 0;
-  /// Per-tick backend decisions across prepared accum sites: how many ran
-  /// their expressions on the VM vs the tree walker, and how many probed
-  /// their index batched vs per row (kAuto makes these vary tick to tick).
-  int64_t sites_bytecode = 0;
-  int64_t sites_interpreted = 0;
-  int64_t sites_probe_batched = 0;
-  int64_t sites_probe_single = 0;
   /// Out-of-band job activity (src/async/; all 0 with no JobService).
   int64_t jobs_submitted = 0;
   int64_t jobs_installed = 0;
@@ -181,9 +167,11 @@ class TickExecutor {
                const CompiledProgram* program, ExecOptions options);
   ~TickExecutor();
 
-  /// Registers the built-in components (transaction engine + expression
-  /// updater). Must run before the first tick; additional components
-  /// (physics, pathfinding) may be registered after.
+  /// Lowers the program to bytecode (unless `interpreted`) and registers
+  /// the built-in components (transaction engine + expression updater).
+  /// Must run before the first tick; additional components (physics,
+  /// pathfinding) may be registered after. Returns the lowering error of
+  /// an expression the VM cannot execute.
   Status Init();
 
   /// Registers an engine update component (ownership checked, §2.2).
@@ -254,9 +242,9 @@ class TickExecutor {
   AdaptiveController controller_;
   TxnEngine txn_;
   ComponentRegistry components_;
-  /// Compiled bytecode programs (eval_mode == kBytecode); null otherwise.
-  /// Built once in the constructor; prepared-site filters compile into
-  /// SiteCache separately (they are composed, not program-owned, Exprs).
+  /// Compiled bytecode programs; null under `interpreted`. Built once in
+  /// Init(); prepared-site filters compile into SiteCache separately (they
+  /// are composed, not program-owned, Exprs).
   std::unique_ptr<VmProgramCache> vm_cache_;
   std::unique_ptr<JobService> jobs_;  ///< lazily created, see jobs()
   EffectTraceSink* trace_ = nullptr;

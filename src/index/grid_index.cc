@@ -238,7 +238,7 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
   out->tmp_start[num_probes] = static_cast<uint32_t>(tmp_n);
 
   // Scatter visit-order slices back into probe-order CSR, sorting each
-  // slice ascending to match the single-probe contract.
+  // slice ascending to match the per-box Query contract.
   for (size_t p = 0; p <= num_probes; ++p) out->offsets[p] = 0;
   for (size_t v = 0; v < num_probes; ++v) {
     const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);

@@ -1,10 +1,10 @@
 // Pooled CSR output of one batched index probe (SpatialIndex::QueryBatch).
 //
-// Contract — identical results to the single-probe path:
+// Contract — identical results to per-box SpatialIndex::Query calls:
 //   * probe p's candidates are items[offsets[p] .. offsets[p+1]);
-//   * every slice is sorted ascending by row index, exactly like the
-//     executor's `Query(...)` + `std::sort` per outer row, so downstream
-//     pair order (and therefore world checksums) is bit-identical;
+//   * every slice is sorted ascending by row index, exactly like
+//     `Query(...)` + `std::sort` for box p, so downstream pair order (and
+//     therefore world checksums) is the canonical one;
 //   * an inverted box (lo > hi on any dim) yields an empty slice, and NaN
 //     coordinates are kept, both matching the per-index Query semantics.
 //

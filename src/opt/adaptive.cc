@@ -14,81 +14,8 @@ const char* PlanModeName(PlanMode mode) {
   return "?";
 }
 
-const char* EvalModeName(EvalMode mode) {
-  switch (mode) {
-    case EvalMode::kInterpret: return "interpret";
-    case EvalMode::kBytecode: return "bytecode";
-    case EvalMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-const char* ProbeModeName(ProbeMode mode) {
-  switch (mode) {
-    case ProbeMode::kSingle: return "single";
-    case ProbeMode::kBatched: return "batched";
-    case ProbeMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
 AdaptiveController::AdaptiveController(const Options& options, int num_sites)
-    : options_(options),
-      sites_(static_cast<size_t>(num_sites)),
-      backends_(static_cast<size_t>(num_sites)) {}
-
-int AdaptiveController::TwoArm::Choose(Tick tick, int probe_interval) {
-  int pick;
-  if (warmup_left > 0) {
-    pick = (warmup_left / stride) % 2;
-    --warmup_left;
-  } else if (!arm[0].initialized()) {
-    pick = 0;
-  } else if (!arm[1].initialized()) {
-    pick = 1;
-  } else {
-    const int best = arm[1].value() < arm[0].value() ? 1 : 0;
-    if (last_probe < 0 || tick - last_probe >= probe_interval) {
-      // Re-probe the losing arm so a workload shift can flip the choice.
-      last_probe = tick;
-      pick = 1 - best;
-    } else {
-      pick = best;
-    }
-  }
-  last = static_cast<int8_t>(pick);
-  return pick;
-}
-
-void AdaptiveController::TwoArm::Observe(double per_outer) {
-  if (last >= 0) arm[last].Add(per_outer);
-}
-
-bool AdaptiveController::ChooseEvalBytecode(int site, Tick tick) {
-  if (site < 0 || static_cast<size_t>(site) >= backends_.size()) return true;
-  return backends_[static_cast<size_t>(site)].eval.Choose(
-             tick, options_.probe_interval) == 1;
-}
-
-bool AdaptiveController::ChooseProbeBatched(int site, Tick tick) {
-  if (site < 0 || static_cast<size_t>(site) >= backends_.size()) return true;
-  return backends_[static_cast<size_t>(site)].probe.Choose(
-             tick, options_.probe_interval) == 1;
-}
-
-AdaptiveController::BackendBeliefs AdaptiveController::Beliefs(
-    int site) const {
-  BackendBeliefs out;
-  if (site < 0 || static_cast<size_t>(site) >= backends_.size()) return out;
-  const BackendState& b = backends_[static_cast<size_t>(site)];
-  for (int i = 0; i < 2; ++i) {
-    out.eval_us_per_outer[i] =
-        b.eval.arm[i].initialized() ? b.eval.arm[i].value() : 0.0;
-    out.probe_us_per_outer[i] =
-        b.probe.arm[i].initialized() ? b.probe.arm[i].value() : 0.0;
-  }
-  return out;
-}
+    : options_(options), sites_(static_cast<size_t>(num_sites)) {}
 
 namespace {
 
@@ -221,15 +148,6 @@ JoinStrategy AdaptiveController::Choose(const AccumOp& op, Tick tick,
 
 void AdaptiveController::Feedback(const SiteFeedback& fb) {
   if (fb.site < 0 || static_cast<size_t>(fb.site) >= sites_.size()) return;
-  if (fb.outer_rows > 0) {
-    // Backend arms learn under every PlanMode (the eval/probe axes are
-    // orthogonal to strategy selection below, which stays kAdaptive-only).
-    const double per_outer = static_cast<double>(fb.micros) /
-                             static_cast<double>(fb.outer_rows);
-    BackendState& b = backends_[static_cast<size_t>(fb.site)];
-    b.eval.Observe(per_outer);
-    b.probe.Observe(per_outer);
-  }
   if (options_.mode != PlanMode::kAdaptive) return;
   SiteState& site = sites_[static_cast<size_t>(fb.site)];
   if (!site.initialized || fb.outer_rows == 0) return;

@@ -14,7 +14,9 @@
 //                 "exploring" -> "fighting")
 //
 // All decisions are made between ticks, so switching costs nothing during
-// the tick itself.
+// the tick itself. The join strategy is the only physical choice: every
+// strategy evaluates its expressions on the bytecode VM and range sites
+// always probe their index batched, so there is no backend to price.
 
 #ifndef SGL_OPT_ADAPTIVE_H_
 #define SGL_OPT_ADAPTIVE_H_
@@ -38,30 +40,6 @@ enum class PlanMode : uint8_t {
 };
 
 const char* PlanModeName(PlanMode mode);
-
-/// How plan expressions are evaluated — the second optimizer axis,
-/// orthogonal to PlanMode ("compile the tick", ROADMAP): tree-walking
-/// interpretation, register bytecode with fused filter pipelines
-/// (src/vm/), or a per-site choice between the two priced from measured
-/// micros (kAuto). All produce bit-identical world state.
-enum class EvalMode : uint8_t {
-  kInterpret,
-  kBytecode,
-  kAuto,
-};
-
-const char* EvalModeName(EvalMode mode);
-
-/// How indexed accum sites probe their index — the third orthogonal axis:
-/// one virtual Query per outer row, one QueryBatch per morsel chunk, or a
-/// per-site measured choice. All produce bit-identical world state.
-enum class ProbeMode : uint8_t {
-  kSingle,
-  kBatched,
-  kAuto,
-};
-
-const char* ProbeModeName(ProbeMode mode);
 
 /// What the executor reports after running one AccumOp.
 struct SiteFeedback {
@@ -97,22 +75,6 @@ class AdaptiveController {
   /// Reports measured behaviour of a site's execution.
   void Feedback(const SiteFeedback& fb);
 
-  /// Per-site backend pricing (EvalMode::kAuto): true = run the site's
-  /// expressions on the bytecode VM this tick, false = tree-walk. Learned
-  /// from measured per-outer-row micros under every PlanMode, since the
-  /// backend axis is orthogonal to join-strategy selection.
-  bool ChooseEvalBytecode(int site, Tick tick);
-  /// Per-site probe pricing (ProbeMode::kAuto): true = batched QueryBatch.
-  bool ChooseProbeBatched(int site, Tick tick);
-
-  /// Latest bandit beliefs for one site (telemetry attribution): µs per
-  /// outer row per arm; 0 until the arm has observed a measurement.
-  struct BackendBeliefs {
-    double eval_us_per_outer[2] = {0.0, 0.0};   ///< interpret / bytecode
-    double probe_us_per_outer[2] = {0.0, 0.0};  ///< per-row / batched
-  };
-  BackendBeliefs Beliefs(int site) const;
-
   /// Times this controller switched a site's strategy (for E5 reporting).
   int64_t switches() const { return switches_; }
   /// Times drift detection reset a site's beliefs.
@@ -140,31 +102,8 @@ class AdaptiveController {
   JoinStrategy CostBasedPick(const AccumOp& op, const TableStats* inner_stats,
                              size_t outer_rows) const;
 
-  /// Two-armed per-site bandit over one orthogonal backend axis. The first
-  /// `warmup_left` decisions alternate arms (stride-staggered so the eval
-  /// and probe axes decorrelate and all four combinations run), seeding
-  /// both EWMAs with real measurements and pushing both code paths'
-  /// pooled buffers to their high-water marks during engine warmup; after
-  /// that the cheaper arm wins, with a periodic re-probe of the loser.
-  struct TwoArm {
-    Ewma arm[2] = {Ewma(), Ewma()};  ///< micros/outer for arm 0 / arm 1
-    int8_t last = -1;    ///< arm of the most recent decision
-    int8_t warmup_left = 8;
-    int8_t stride = 1;   ///< warmup alternation stride (decorrelation)
-    Tick last_probe = -1;
-
-    int Choose(Tick tick, int probe_interval);
-    void Observe(double per_outer);
-  };
-  struct BackendState {
-    TwoArm eval;
-    TwoArm probe;
-    BackendState() { probe.stride = 2; }
-  };
-
   Options options_;
   std::vector<SiteState> sites_;
-  std::vector<BackendState> backends_;  ///< parallel to sites_
   int64_t switches_ = 0;
   int64_t drift_resets_ = 0;
 };

@@ -22,45 +22,6 @@ void AllocateLocalColumns(const std::vector<SglType>& types, size_t rows,
 
 namespace {
 
-// Resolves the (table, row) a side refers to, per output element.
-inline const EntityTable* SideTable(const VecContext& ctx, uint8_t side) {
-  return side == 0 ? ctx.outer : ctx.inner;
-}
-inline RowIdx SideRow(const VecContext& ctx, uint8_t side, size_t i) {
-  return side == 0 ? (*ctx.outer_rows)[i] : (*ctx.inner_rows)[i];
-}
-
-// Fetches the set a kSetContains/kSetSize operand denotes, for one output
-// element. Supports state set fields (either side) and ref-gathered sets.
-const EntitySet* ResolveSetVec(const Expr& e, const VecContext& ctx,
-                               size_t i) {
-  static const EntitySet kEmpty;
-  if (e.kind == ExprKind::kStateRead) {
-    const EntityTable* t = SideTable(ctx, e.side);
-    return &t->SetCol(e.field)[SideRow(ctx, e.side, i)];
-  }
-  if (e.kind == ExprKind::kRefState) {
-    // Per-element gather: evaluate the ref for just this element by
-    // delegating to scalar path (sets through refs are rare).
-    ScalarContext sc;
-    sc.world = ctx.world;
-    sc.outer_cls = ctx.outer->cls().id();
-    sc.outer_row = (*ctx.outer_rows)[i];
-    if (ctx.inner != nullptr) {
-      sc.inner_cls = ctx.inner->cls().id();
-      sc.inner_row = (*ctx.inner_rows)[i];
-    }
-    sc.locals = ctx.locals;
-    sc.effects = ctx.effects;
-    EntityId target = EvalScalarRef(*e.kids[0], sc);
-    const World::Locator* loc = ctx.world->Find(target);
-    if (loc == nullptr) return &kEmpty;
-    return &ctx.world->table(loc->cls).SetCol(e.field)[loc->row];
-  }
-  SGL_CHECK(false && "unsupported set operand");
-  return &kEmpty;
-}
-
 const EntitySet* ResolveSetScalar(const Expr& e, const ScalarContext& ctx) {
   static const EntitySet kEmpty;
   if (e.kind == ExprKind::kEffectRead) {
@@ -98,308 +59,9 @@ const EntitySet* ResolveSetScalar(const Expr& e, const ScalarContext& ctx) {
 // ApplyArith / ApplyCall1 / ApplyCmp / ApplyClamp live in src/ra/numeric.h —
 // the guarded semantics (div/mod by zero -> 0, sqrt of negatives -> 0,
 // clamp's pinned lo-then-hi order) are shared with the bytecode VM so the
-// three backends cannot drift.
+// oracle and the fast path cannot drift.
 
 }  // namespace
-
-// --------------------------- Vectorized -------------------------------
-
-void EvalNum(const Expr& expr, const VecContext& ctx,
-             std::vector<double>* out) {
-  const size_t n = ctx.count();
-  ResizeAmortized(out, n);
-  switch (expr.kind) {
-    case ExprKind::kNumLit:
-      std::fill(out->begin(), out->end(), expr.num);
-      return;
-    case ExprKind::kStateRead: {
-      const EntityTable* t = SideTable(ctx, expr.side);
-      ConstNumberColumn col = t->Num(expr.field);
-      const std::vector<RowIdx>& rows =
-          expr.side == 0 ? *ctx.outer_rows : *ctx.inner_rows;
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[rows[i]];
-      return;
-    }
-    case ExprKind::kEffectRead: {
-      SGL_CHECK(ctx.effects != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        RowIdx r = (*ctx.outer_rows)[i];
-        (*out)[i] =
-            ctx.effects->Assigned(expr.field, r)
-                ? ctx.effects->FinalNumber(expr.field, r)
-                : 0.0;
-      }
-      return;
-    }
-    case ExprKind::kLocal: {
-      const std::vector<double>& col =
-          ctx.locals->num[static_cast<size_t>(expr.slot)];
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[(*ctx.outer_rows)[i]];
-      return;
-    }
-    case ExprKind::kRefState: {
-      ScopedVec<EntityId> ids(ctx.scratch);
-      EvalRef(*expr.kids[0], ctx, ids.get());
-      for (size_t i = 0; i < n; ++i) {
-        const World::Locator* loc = ctx.world->Find((*ids)[i]);
-        (*out)[i] =
-            loc == nullptr
-                ? 0.0
-                : ctx.world->table(loc->cls).Num(expr.field)[loc->row];
-      }
-      return;
-    }
-    case ExprKind::kUnaryMinus: {
-      EvalNum(*expr.kids[0], ctx, out);
-      for (double& v : *out) v = -v;
-      return;
-    }
-    case ExprKind::kArith: {
-      ScopedVec<double> rhs(ctx.scratch);
-      EvalNum(*expr.kids[0], ctx, out);
-      EvalNum(*expr.kids[1], ctx, rhs.get());
-      const ArithOp op = expr.arith;
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = ApplyArith(op, (*out)[i], (*rhs)[i]);
-      }
-      return;
-    }
-    case ExprKind::kCall1: {
-      EvalNum(*expr.kids[0], ctx, out);
-      const Call1Op op = expr.call1;
-      for (double& v : *out) v = ApplyCall1(op, v);
-      return;
-    }
-    case ExprKind::kIf: {
-      ScopedVec<uint8_t> cond(ctx.scratch);
-      ScopedVec<double> els(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, cond.get());
-      EvalNum(*expr.kids[1], ctx, out);
-      EvalNum(*expr.kids[2], ctx, els.get());
-      for (size_t i = 0; i < n; ++i) {
-        if (!(*cond)[i]) (*out)[i] = (*els)[i];
-      }
-      return;
-    }
-    case ExprKind::kClamp: {
-      ScopedVec<double> lo(ctx.scratch);
-      ScopedVec<double> hi(ctx.scratch);
-      EvalNum(*expr.kids[0], ctx, out);
-      EvalNum(*expr.kids[1], ctx, lo.get());
-      EvalNum(*expr.kids[2], ctx, hi.get());
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = ApplyClamp((*out)[i], (*lo)[i], (*hi)[i]);
-      }
-      return;
-    }
-    case ExprKind::kSetSize: {
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] =
-            static_cast<double>(ResolveSetVec(*expr.kids[0], ctx, i)->size());
-      }
-      return;
-    }
-    default:
-      SGL_CHECK(false && "expression is not numeric");
-  }
-}
-
-void EvalBool(const Expr& expr, const VecContext& ctx,
-              std::vector<uint8_t>* out) {
-  const size_t n = ctx.count();
-  ResizeAmortized(out, n);
-  switch (expr.kind) {
-    case ExprKind::kBoolLit:
-      std::fill(out->begin(), out->end(), expr.b ? 1 : 0);
-      return;
-    case ExprKind::kStateRead: {
-      const EntityTable* t = SideTable(ctx, expr.side);
-      const uint8_t* col = t->BoolCol(expr.field);
-      const std::vector<RowIdx>& rows =
-          expr.side == 0 ? *ctx.outer_rows : *ctx.inner_rows;
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[rows[i]];
-      return;
-    }
-    case ExprKind::kEffectRead: {
-      SGL_CHECK(ctx.effects != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        RowIdx r = (*ctx.outer_rows)[i];
-        (*out)[i] = ctx.effects->Assigned(expr.field, r)
-                        ? (ctx.effects->FinalBool(expr.field, r) ? 1 : 0)
-                        : 0;
-      }
-      return;
-    }
-    case ExprKind::kAssigned: {
-      SGL_CHECK(ctx.effects != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = ctx.effects->Assigned(expr.field, (*ctx.outer_rows)[i]);
-      }
-      return;
-    }
-    case ExprKind::kLocal: {
-      const std::vector<uint8_t>& col =
-          ctx.locals->bools[static_cast<size_t>(expr.slot)];
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[(*ctx.outer_rows)[i]];
-      return;
-    }
-    case ExprKind::kRefState: {
-      ScopedVec<EntityId> ids(ctx.scratch);
-      EvalRef(*expr.kids[0], ctx, ids.get());
-      for (size_t i = 0; i < n; ++i) {
-        const World::Locator* loc = ctx.world->Find((*ids)[i]);
-        (*out)[i] =
-            loc == nullptr
-                ? 0
-                : ctx.world->table(loc->cls).BoolCol(expr.field)[loc->row];
-      }
-      return;
-    }
-    case ExprKind::kNot: {
-      EvalBool(*expr.kids[0], ctx, out);
-      for (uint8_t& v : *out) v = v ? 0 : 1;
-      return;
-    }
-    case ExprKind::kCmpNum: {
-      ScopedVec<double> a(ctx.scratch);
-      ScopedVec<double> b(ctx.scratch);
-      EvalNum(*expr.kids[0], ctx, a.get());
-      EvalNum(*expr.kids[1], ctx, b.get());
-      const CmpOp op = expr.cmp;
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = ApplyCmp(op, (*a)[i], (*b)[i]) ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kCmpRef: {
-      ScopedVec<EntityId> a(ctx.scratch);
-      ScopedVec<EntityId> b(ctx.scratch);
-      EvalRef(*expr.kids[0], ctx, a.get());
-      EvalRef(*expr.kids[1], ctx, b.get());
-      for (size_t i = 0; i < n; ++i) {
-        bool eq = (*a)[i] == (*b)[i];
-        (*out)[i] = (expr.cmp == CmpOp::kEq ? eq : !eq) ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kCmpBool: {
-      ScopedVec<uint8_t> a(ctx.scratch);
-      ScopedVec<uint8_t> b(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, a.get());
-      EvalBool(*expr.kids[1], ctx, b.get());
-      for (size_t i = 0; i < n; ++i) {
-        bool eq = ((*a)[i] != 0) == ((*b)[i] != 0);
-        (*out)[i] = (expr.cmp == CmpOp::kEq ? eq : !eq) ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kAndB: {
-      ScopedVec<uint8_t> rhs(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, out);
-      EvalBool(*expr.kids[1], ctx, rhs.get());
-      for (size_t i = 0; i < n; ++i) (*out)[i] &= (*rhs)[i];
-      return;
-    }
-    case ExprKind::kOrB: {
-      ScopedVec<uint8_t> rhs(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, out);
-      EvalBool(*expr.kids[1], ctx, rhs.get());
-      for (size_t i = 0; i < n; ++i) (*out)[i] |= (*rhs)[i];
-      return;
-    }
-    case ExprKind::kIf: {
-      ScopedVec<uint8_t> cond(ctx.scratch);
-      ScopedVec<uint8_t> els(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, cond.get());
-      EvalBool(*expr.kids[1], ctx, out);
-      EvalBool(*expr.kids[2], ctx, els.get());
-      for (size_t i = 0; i < n; ++i) {
-        if (!(*cond)[i]) (*out)[i] = (*els)[i];
-      }
-      return;
-    }
-    case ExprKind::kSetContains: {
-      ScopedVec<EntityId> ids(ctx.scratch);
-      EvalRef(*expr.kids[1], ctx, ids.get());
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = ResolveSetVec(*expr.kids[0], ctx, i)
-                            ->Contains((*ids)[i])
-                        ? 1
-                        : 0;
-      }
-      return;
-    }
-    default:
-      SGL_CHECK(false && "expression is not boolean");
-  }
-}
-
-void EvalRef(const Expr& expr, const VecContext& ctx,
-             std::vector<EntityId>* out) {
-  const size_t n = ctx.count();
-  ResizeAmortized(out, n);
-  switch (expr.kind) {
-    case ExprKind::kNullRef:
-      std::fill(out->begin(), out->end(), kNullEntity);
-      return;
-    case ExprKind::kStateRead: {
-      const EntityTable* t = SideTable(ctx, expr.side);
-      const EntityId* col = t->RefCol(expr.field);
-      const std::vector<RowIdx>& rows =
-          expr.side == 0 ? *ctx.outer_rows : *ctx.inner_rows;
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[rows[i]];
-      return;
-    }
-    case ExprKind::kEffectRead: {
-      SGL_CHECK(ctx.effects != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        RowIdx r = (*ctx.outer_rows)[i];
-        (*out)[i] = ctx.effects->Assigned(expr.field, r)
-                        ? ctx.effects->FinalRef(expr.field, r)
-                        : kNullEntity;
-      }
-      return;
-    }
-    case ExprKind::kLocal: {
-      const std::vector<EntityId>& col =
-          ctx.locals->refs[static_cast<size_t>(expr.slot)];
-      for (size_t i = 0; i < n; ++i) (*out)[i] = col[(*ctx.outer_rows)[i]];
-      return;
-    }
-    case ExprKind::kRowId: {
-      const EntityTable* t = SideTable(ctx, expr.side);
-      const std::vector<RowIdx>& rows =
-          expr.side == 0 ? *ctx.outer_rows : *ctx.inner_rows;
-      for (size_t i = 0; i < n; ++i) (*out)[i] = t->id_at(rows[i]);
-      return;
-    }
-    case ExprKind::kRefState: {
-      ScopedVec<EntityId> ids(ctx.scratch);
-      EvalRef(*expr.kids[0], ctx, ids.get());
-      for (size_t i = 0; i < n; ++i) {
-        const World::Locator* loc = ctx.world->Find((*ids)[i]);
-        (*out)[i] =
-            loc == nullptr
-                ? kNullEntity
-                : ctx.world->table(loc->cls).RefCol(expr.field)[loc->row];
-      }
-      return;
-    }
-    case ExprKind::kIf: {
-      ScopedVec<uint8_t> cond(ctx.scratch);
-      ScopedVec<EntityId> els(ctx.scratch);
-      EvalBool(*expr.kids[0], ctx, cond.get());
-      EvalRef(*expr.kids[1], ctx, out);
-      EvalRef(*expr.kids[2], ctx, els.get());
-      for (size_t i = 0; i < n; ++i) {
-        if (!(*cond)[i]) (*out)[i] = (*els)[i];
-      }
-      return;
-    }
-    default:
-      SGL_CHECK(false && "expression is not a reference");
-  }
-}
 
 // ----------------------------- Scalar ---------------------------------
 

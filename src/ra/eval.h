@@ -1,11 +1,12 @@
-// Expression evaluation: vectorized (set-at-a-time) and scalar
-// (object-at-a-time / transaction admission).
+// Expression evaluation support: the scalar (object-at-a-time) evaluator,
+// plus the contexts and pooled scratch the vectorized path runs on.
 //
-// Vectorized evaluation produces one output element per selected row (or per
-// join pair); this is the engine the paper's declarative-processing claim
-// rests on. Scalar evaluation of the *same* IR powers the baseline
-// interpreter (E1's comparator) and the transaction engine's tentative-state
-// constraint checks, guaranteeing both paths share one semantics.
+// The scalar evaluator is the reference oracle. It powers the baseline
+// interpreter (ExecOptions::interpreted, E1's comparator), the transaction
+// engine's tentative-state constraint checks, and set-valued update rules.
+// The vectorized path evaluates the *same* IR on the register bytecode VM
+// (src/vm/), which reads its columns through VecContext; both share the
+// guarded numeric semantics of src/ra/numeric.h.
 
 #ifndef SGL_RA_EVAL_H_
 #define SGL_RA_EVAL_H_
@@ -260,9 +261,9 @@ class StateOverlay {
   uint32_t epoch_ = 1;
 };
 
-/// Context for vectorized evaluation. Output element i corresponds to
-/// outer row (*outer_rows)[i] (and inner row (*inner_rows)[i] in join
-/// contexts).
+/// Span context for vectorized (bytecode) evaluation. Output element i
+/// corresponds to outer row (*outer_rows)[i] (and inner row
+/// (*inner_rows)[i] in join contexts).
 struct VecContext {
   const World* world = nullptr;
   const EntityTable* outer = nullptr;
@@ -271,8 +272,6 @@ struct VecContext {
   const std::vector<RowIdx>* inner_rows = nullptr;
   const LocalColumns* locals = nullptr;
   const EffectBuffer* effects = nullptr;  // update-phase reads
-  /// Pools for evaluation temporaries; null falls back to per-call vectors.
-  EvalScratch* scratch = nullptr;
 
   size_t count() const { return outer_rows->size(); }
 };
@@ -288,14 +287,6 @@ struct ScalarContext {
   const EffectBuffer* effects = nullptr;  // outer class's buffer
   const StateOverlay* overlay = nullptr;  // txn tentative state
 };
-
-// Vectorized evaluation. `expr.type` must match the function's result type.
-void EvalNum(const Expr& expr, const VecContext& ctx,
-             std::vector<double>* out);
-void EvalBool(const Expr& expr, const VecContext& ctx,
-              std::vector<uint8_t>* out);
-void EvalRef(const Expr& expr, const VecContext& ctx,
-             std::vector<EntityId>* out);
 
 // Scalar evaluation.
 double EvalScalarNum(const Expr& expr, const ScalarContext& ctx);

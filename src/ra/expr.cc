@@ -92,6 +92,34 @@ const char* Call1Name(Call1Op op) {
 }
 }  // namespace
 
+const char* ExprKindName(ExprKind kind) {
+  switch (kind) {
+    case ExprKind::kNumLit: return "NumLit";
+    case ExprKind::kBoolLit: return "BoolLit";
+    case ExprKind::kNullRef: return "NullRef";
+    case ExprKind::kStateRead: return "StateRead";
+    case ExprKind::kEffectRead: return "EffectRead";
+    case ExprKind::kAssigned: return "Assigned";
+    case ExprKind::kLocal: return "Local";
+    case ExprKind::kRowId: return "RowId";
+    case ExprKind::kRefState: return "RefState";
+    case ExprKind::kUnaryMinus: return "UnaryMinus";
+    case ExprKind::kNot: return "Not";
+    case ExprKind::kArith: return "Arith";
+    case ExprKind::kCall1: return "Call1";
+    case ExprKind::kCmpNum: return "CmpNum";
+    case ExprKind::kCmpRef: return "CmpRef";
+    case ExprKind::kCmpBool: return "CmpBool";
+    case ExprKind::kAndB: return "AndB";
+    case ExprKind::kOrB: return "OrB";
+    case ExprKind::kIf: return "If";
+    case ExprKind::kClamp: return "Clamp";
+    case ExprKind::kSetContains: return "SetContains";
+    case ExprKind::kSetSize: return "SetSize";
+  }
+  return "?";
+}
+
 std::string Expr::ToString() const {
   char buf[64];
   switch (kind) {

@@ -50,6 +50,10 @@ enum class ExprKind : uint8_t {
   kSetSize,     ///< size(set-expr) -> number
 };
 
+/// The enumerator's name without the `k` ("StateRead", "SetSize", ...), for
+/// diagnostics such as lowering errors.
+const char* ExprKindName(ExprKind kind);
+
 enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv, kMod, kMin, kMax, kPow };
 enum class Call1Op : uint8_t { kAbs, kSqrt, kFloor, kCeil };
 enum class CmpOp : uint8_t { kLt, kLe, kGt, kGe, kEq, kNe };

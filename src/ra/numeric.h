@@ -1,11 +1,10 @@
-// Guarded numeric kernels shared by every expression-evaluation backend.
+// Guarded numeric kernels shared by both expression evaluators.
 //
-// The engine evaluates the same Expr IR three ways — scalar
-// (object-at-a-time / txn admission), vectorized tree-walking, and compiled
-// register bytecode (src/vm/) — and the differential oracle demands
-// bit-identical results across all of them. Centralizing the arithmetic
-// semantics here makes three-way parity hold by construction instead of by
-// vigilance.
+// The engine evaluates the same Expr IR two ways — scalar (object-at-a-time
+// oracle / txn admission) and compiled register bytecode (src/vm/) — and
+// the differential tests demand bit-identical results between them.
+// Centralizing the arithmetic semantics here makes that parity hold by
+// construction instead of by vigilance.
 //
 // Pinned semantics (deliberate deviations from raw IEEE, so that scripted
 // game math can never inject inf/NaN into world state or checksums):
@@ -13,7 +12,7 @@
 //   * fmod(x, 0) == 0  (same guard for modulus)
 //   * sqrt(x < 0) == 0 (negative operands clamp to 0, not NaN)
 //   * clamp(v, lo, hi) applies lo first, then hi — so lo > hi pins the
-//     result to hi (min(max(v, lo), hi)), on every backend.
+//     result to hi (min(max(v, lo), hi)), in both evaluators.
 // All guards are written as branchless selects so the autovectorizer can
 // if-convert them; IEEE division/fmod never traps, so speculatively
 // computing the unguarded value is safe.
@@ -43,7 +42,7 @@ inline double GuardedSqrt(double a) {
 }
 
 /// clamp with pinned ordering: lo applies first, then hi, so a degenerate
-/// lo > hi interval resolves to hi on every backend.
+/// lo > hi interval resolves to hi in both evaluators.
 inline double ApplyClamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }

@@ -185,26 +185,18 @@ void Telemetry::EnsureSites(int num_sites) {
   }
 }
 
-void Telemetry::RecordSiteDecision(int site, Tick tick, const char* strategy,
-                                   bool eval_vm, bool probe_batched) {
+void Telemetry::RecordSiteDecision(int site, Tick tick,
+                                   const char* strategy) {
   if (site < 0 || site >= static_cast<int>(sites_.size())) return;
   SiteSeries& s = sites_[static_cast<size_t>(site)];
   s.site = site;
-  const bool changed = s.decisions == 0 || s.strategy != strategy ||
-                       s.last_eval_vm != eval_vm ||
-                       s.last_probe_batched != probe_batched;
+  const bool changed = s.decisions == 0 || s.strategy != strategy;
   s.strategy = strategy;
-  s.last_eval_vm = eval_vm;
-  s.last_probe_batched = probe_batched;
-  if (eval_vm) ++s.eval_vm_ticks;
-  if (probe_batched) ++s.probe_batched_ticks;
   if (!changed) return;
   SiteDecision& d =
       s.history[static_cast<size_t>(s.decisions) % s.history.size()];
   d.tick = tick;
   d.strategy = strategy;
-  d.eval_vm = eval_vm;
-  d.probe_batched = probe_batched;
   ++s.decisions;
 }
 
@@ -223,17 +215,6 @@ void Telemetry::RecordSiteTick(int site, int64_t micros, int64_t probe_micros,
   s.effects += effects;
 }
 
-void Telemetry::RecordSiteBeliefs(int site, double eval_interp,
-                                  double eval_vm, double probe_single,
-                                  double probe_batched) {
-  if (site < 0 || site >= static_cast<int>(sites_.size())) return;
-  SiteSeries& s = sites_[static_cast<size_t>(site)];
-  s.eval_us_per_outer[0] = eval_interp;
-  s.eval_us_per_outer[1] = eval_vm;
-  s.probe_us_per_outer[0] = probe_single;
-  s.probe_us_per_outer[1] = probe_batched;
-}
-
 std::string Telemetry::DescribeSites() const {
   std::string out;
   char line[320];
@@ -242,18 +223,15 @@ std::string Telemetry::DescribeSites() const {
     std::snprintf(
         line, sizeof(line),
         "site %-3d %-12s ticks=%lld us=%lld probe_us=%lld outer=%lld "
-        "cand=%lld match=%lld effects=%lld eval=%s probe=%s "
-        "beliefs(eval %.3f/%.3f probe %.3f/%.3f) switches=%lld\n",
+        "cand=%lld match=%lld effects=%lld switches=%lld\n",
         s.site, s.strategy != nullptr ? s.strategy : "?",
         static_cast<long long>(s.ticks), static_cast<long long>(s.micros),
         static_cast<long long>(s.probe_micros),
         static_cast<long long>(s.outer_rows),
         static_cast<long long>(s.candidates),
         static_cast<long long>(s.matches),
-        static_cast<long long>(s.effects), s.last_eval_vm ? "vm" : "interp",
-        s.last_probe_batched ? "batched" : "single", s.eval_us_per_outer[0],
-        s.eval_us_per_outer[1], s.probe_us_per_outer[0],
-        s.probe_us_per_outer[1], static_cast<long long>(s.decisions));
+        static_cast<long long>(s.effects),
+        static_cast<long long>(s.decisions));
     out += line;
   }
   return out;
@@ -269,19 +247,15 @@ std::string Telemetry::DescribeSitesJson() const {
         line, sizeof(line),
         "{\"site\":%d,\"strategy\":\"%s\",\"ticks\":%lld,\"us\":%lld,"
         "\"probe_us\":%lld,\"outer\":%lld,\"cand\":%lld,\"match\":%lld,"
-        "\"effects\":%lld,\"eval\":\"%s\",\"probe\":\"%s\","
-        "\"beliefs\":{\"eval\":[%.3f,%.3f],\"probe\":[%.3f,%.3f]},"
-        "\"switches\":%lld}",
+        "\"effects\":%lld,\"switches\":%lld}",
         s.site, s.strategy != nullptr ? s.strategy : "?",
         static_cast<long long>(s.ticks), static_cast<long long>(s.micros),
         static_cast<long long>(s.probe_micros),
         static_cast<long long>(s.outer_rows),
         static_cast<long long>(s.candidates),
         static_cast<long long>(s.matches),
-        static_cast<long long>(s.effects), s.last_eval_vm ? "vm" : "interp",
-        s.last_probe_batched ? "batched" : "single", s.eval_us_per_outer[0],
-        s.eval_us_per_outer[1], s.probe_us_per_outer[0],
-        s.probe_us_per_outer[1], static_cast<long long>(s.decisions));
+        static_cast<long long>(s.effects),
+        static_cast<long long>(s.decisions));
     if (!first) out += ',';
     first = false;
     out += line;

@@ -33,9 +33,8 @@
 //
 // Per-site attribution surfaces what src/opt/ already measures instead
 // of discarding it: cumulative µs / outer rows / candidates / matches /
-// effects emitted per prepared accum site, the backend each tick chose
-// (eval VM? probe batched?), the bandit's µs-per-outer beliefs, and a
-// ring of strategy-decision changes. Recorded from the barrier thread
+// effects emitted per prepared accum site and a ring of join-strategy
+// decision changes. Recorded from the barrier thread
 // only (site preparation + the merge phase), so the cells are plain
 // fields.
 
@@ -183,13 +182,11 @@ struct TelemetryOptions {
   int counter_samples = 256;
 };
 
-/// One strategy/backend decision (recorded when it differs from the
-/// previous one, so the ring holds the switch history, not every tick).
+/// One join-strategy decision (recorded when it differs from the previous
+/// one, so the ring holds the switch history, not every tick).
 struct SiteDecision {
   Tick tick = 0;
   const char* strategy = nullptr;  ///< static string (JoinStrategyName)
-  bool eval_vm = false;
-  bool probe_batched = false;
 };
 
 /// Cumulative attribution for one prepared accum site.
@@ -203,15 +200,6 @@ struct SiteSeries {
   int64_t candidates = 0;
   int64_t matches = 0;
   int64_t effects = 0;  ///< effect writes applied on behalf of this site
-  int64_t eval_vm_ticks = 0;
-  int64_t probe_batched_ticks = 0;
-  /// Backend chosen by the most recent decision.
-  bool last_eval_vm = false;
-  bool last_probe_batched = false;
-  /// Bandit beliefs (µs per outer row): eval arm 0 = interpret, arm 1 =
-  /// bytecode; probe arm 0 = per-row, arm 1 = batched. 0 = no data yet.
-  double eval_us_per_outer[2] = {0.0, 0.0};
-  double probe_us_per_outer[2] = {0.0, 0.0};
   /// Ring of decision *changes*; `decisions` counts all recorded entries
   /// (ring keeps the newest `history.size()`).
   std::vector<SiteDecision> history;
@@ -304,15 +292,11 @@ class Telemetry {
   /// Pre-sizes the site table (executor constructors; allocates).
   void EnsureSites(int num_sites);
   /// Appends to the site's decision ring iff different from its last.
-  void RecordSiteDecision(int site, Tick tick, const char* strategy,
-                          bool eval_vm, bool probe_batched);
+  void RecordSiteDecision(int site, Tick tick, const char* strategy);
   /// Accumulates one tick's aggregated feedback for the site.
   void RecordSiteTick(int site, int64_t micros, int64_t probe_micros,
                       int64_t outer_rows, int64_t candidates,
                       int64_t matches, int64_t effects);
-  /// Latest bandit beliefs (µs/outer; pass 0 for arms with no data).
-  void RecordSiteBeliefs(int site, double eval_interp, double eval_vm,
-                         double probe_single, double probe_batched);
   const std::vector<SiteSeries>& sites() const { return sites_; }
   /// Human-readable per-site table (off hot path).
   std::string DescribeSites() const;

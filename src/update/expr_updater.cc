@@ -4,8 +4,9 @@
 
 namespace sgl {
 
-ExprUpdater::ExprUpdater(const CompiledProgram* program)
-    : program_(program) {}
+ExprUpdater::ExprUpdater(const CompiledProgram* program,
+                         const VmProgramCache* vm)
+    : program_(program), vm_(vm) {}
 
 std::vector<std::pair<ClassId, FieldIdx>> ExprUpdater::OwnedFields() const {
   std::vector<std::pair<ClassId, FieldIdx>> out;
@@ -30,7 +31,10 @@ void ExprUpdater::Update(World* world, Tick tick) {
     ctx.outer = &table;
     ctx.outer_rows = &all_rows_;
     ctx.effects = &world->effects(c);
-    ctx.scratch = &scratch_;
+    ScalarContext sc;
+    sc.world = world;
+    sc.outer_cls = c;
+    sc.effects = ctx.effects;
 
     class_rules_.clear();
     for (const UpdateRule& r : program_->update_rules) {
@@ -47,20 +51,43 @@ void ExprUpdater::Update(World* world, Tick tick) {
       RuleBufs& p = bufs_[ri];
       const SglType& type =
           world->catalog().Get(c).state_field(r.state_field).type;
+      const VmProgram* vm = nullptr;
+      if (vm_ != nullptr && !type.is_set()) {
+        vm = vm_->Value(r.value.get());
+        SGL_CHECK(vm != nullptr && "update rule missing from the cache");
+      }
+      // The scalar oracle's form: one EvalScalar* call per row.
+      auto per_row = [&](auto* out, auto eval_row) {
+        out->resize(all_rows_.size());
+        for (size_t i = 0; i < all_rows_.size(); ++i) {
+          sc.outer_row = all_rows_[i];
+          (*out)[i] = eval_row();
+        }
+      };
       if (type.is_number()) {
-        EvalNum(*r.value, ctx, &p.nums);
+        if (vm != nullptr) {
+          VmEvalNum(*vm, ctx, &regs_, nullptr, 0, &p.nums);
+        } else {
+          per_row(&p.nums, [&] { return EvalScalarNum(*r.value, sc); });
+        }
       } else if (type.is_bool()) {
-        EvalBool(*r.value, ctx, &p.bools);
+        if (vm != nullptr) {
+          VmEvalBool(*vm, ctx, &regs_, nullptr, 0, &p.bools);
+        } else {
+          per_row(&p.bools, [&]() -> uint8_t {
+            return EvalScalarBool(*r.value, sc) ? 1 : 0;
+          });
+        }
       } else if (type.is_ref()) {
-        EvalRef(*r.value, ctx, &p.refs);
+        if (vm != nullptr) {
+          VmEvalRef(*vm, ctx, &regs_, nullptr, 0, &p.refs);
+        } else {
+          per_row(&p.refs, [&] { return EvalScalarRef(*r.value, sc); });
+        }
       } else {
         // Set rules evaluate row-at-a-time into one flat CSR snapshot (the
         // evaluated sets alias table or effect storage, so they must be
         // staged before any write-back).
-        ScalarContext sc;
-        sc.world = world;
-        sc.outer_cls = c;
-        sc.effects = ctx.effects;
         p.set_elems.clear();
         p.set_offsets.clear();
         p.set_offsets.reserve(all_rows_.size() + 1);

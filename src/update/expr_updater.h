@@ -1,7 +1,11 @@
 // The default update component: evaluates the class-declared update rules
-// (`health = health - damage;`, §2.2) set-at-a-time. All rules of a class
-// read the same pre-update state snapshot: new values are computed into
-// buffers first and written back after, so rule order never matters.
+// (`health = health - damage;`, §2.2). All rules of a class read the same
+// pre-update state snapshot: new values are computed into buffers first and
+// written back after, so rule order never matters.
+//
+// Number, bool and ref rules run set-at-a-time on their compiled bytecode
+// programs (src/vm/); set-valued rules, and every rule under the scalar
+// oracle (no program cache), run row by row on the scalar evaluator.
 
 #ifndef SGL_UPDATE_EXPR_UPDATER_H_
 #define SGL_UPDATE_EXPR_UPDATER_H_
@@ -12,14 +16,18 @@
 #include "src/lang/compiler.h"
 #include "src/ra/eval.h"
 #include "src/update/update_component.h"
+#include "src/vm/compile.h"
+#include "src/vm/vm.h"
 
 namespace sgl {
 
 /// Applies UpdateRules; owns exactly the fields the rules target.
 class ExprUpdater : public UpdateComponent {
  public:
-  /// Borrows the rules from `program` (must outlive this component).
-  explicit ExprUpdater(const CompiledProgram* program);
+  /// Borrows the rules from `program` and their compiled programs from
+  /// `vm` (both must outlive this component). A null `vm` evaluates every
+  /// rule row by row with the scalar evaluator (the interpreted oracle).
+  ExprUpdater(const CompiledProgram* program, const VmProgramCache* vm);
 
   const std::string& name() const override { return name_; }
   std::vector<std::pair<ClassId, FieldIdx>> OwnedFields() const override;
@@ -41,11 +49,12 @@ class ExprUpdater : public UpdateComponent {
 
   std::string name_ = "expr-updater";
   const CompiledProgram* program_;
+  const VmProgramCache* vm_;
   // Steady-state scratch (high-water reuse).
   std::vector<RowIdx> all_rows_;
   std::vector<const UpdateRule*> class_rules_;
   std::vector<RuleBufs> bufs_;
-  EvalScratch scratch_;
+  VmRegisters regs_;
 };
 
 }  // namespace sgl

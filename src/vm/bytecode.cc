@@ -19,6 +19,10 @@ const char* VmOpName(VmOp op) {
     case VmOp::kGatherNum: return "gather.num";
     case VmOp::kGatherBool: return "gather.bool";
     case VmOp::kGatherRef: return "gather.ref";
+    case VmOp::kLoadEffectNum: return "load.effect.num";
+    case VmOp::kLoadEffectBool: return "load.effect.bool";
+    case VmOp::kLoadEffectRef: return "load.effect.ref";
+    case VmOp::kLoadAssigned: return "load.assigned";
     case VmOp::kAdd: return "add";
     case VmOp::kSub: return "sub";
     case VmOp::kMul: return "mul";
@@ -53,6 +57,8 @@ const char* VmOpName(VmOp op) {
     case VmOp::kSetSizeRef: return "set.size.ref";
     case VmOp::kSetContainsState: return "set.contains.state";
     case VmOp::kSetContainsRef: return "set.contains.ref";
+    case VmOp::kSetSizeEffect: return "set.size.effect";
+    case VmOp::kSetContainsEffect: return "set.contains.effect";
     case VmOp::kFilterBool: return "filter.bool";
     case VmOp::kFilterLt: return "filter.lt";
     case VmOp::kFilterLe: return "filter.le";

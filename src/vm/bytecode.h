@@ -16,8 +16,7 @@
 //     the active-lane selection in place (Vectorwise-style selection
 //     vectors). A filter program is an AND-chain of conjuncts; after each
 //     conjunct only surviving lanes are evaluated by later instructions,
-//     which is where the fused filter beats the tree walker (it evaluates
-//     every conjunct over the full span).
+//     instead of every conjunct over the full span.
 //
 // Column operands are resolved at compile time: state reads carry their
 // FieldIdx and side, locals their slot, constants their pool index. At run
@@ -52,6 +51,12 @@ enum class VmOp : uint8_t {
   kGatherNum,      ///< dst = world[find(ref[a])].num(field); 0 if null
   kGatherBool,     ///< dst = world[find(ref[a])].bool(field); false if null
   kGatherRef,      ///< dst = world[find(ref[a])].ref(field); null if null
+  // Merged-effect reads (update phase; outer rows of ctx.effects' class).
+  // An unassigned row reads 0 / false / null.
+  kLoadEffectNum,   ///< dst = effects.final_num(field)[outer_row]
+  kLoadEffectBool,  ///< dst = effects.final_bool(field)[outer_row]
+  kLoadEffectRef,   ///< dst = effects.final_ref(field)[outer_row]
+  kLoadAssigned,    ///< bool dst = effects.assigned(field)[outer_row]
 
   // --- Numeric kernels (guarded semantics from src/ra/numeric.h) -------
   kAdd, kSub, kMul, kDiv, kMod, kMin, kMax, kPow,  ///< dst = a (op) b
@@ -74,6 +79,9 @@ enum class VmOp : uint8_t {
   kSetContainsState,  ///< bool dst = side.set_col(field)[row].contains(ref[a])
   kSetContainsRef,    ///< bool dst = set(field) of find(ref[b]) ∋ ref[a];
                       ///< a null owner reads as the empty set
+  kSetSizeEffect,      ///< num dst = |effects.final_set(field)[outer_row]|
+  kSetContainsEffect,  ///< bool dst = effects.final_set(field)[outer_row]
+                       ///<            ∋ ref[a]; unassigned = empty set
 
   // --- Filter mode: compact the active-lane selection -------------------
   kFilterBool,                                            ///< keep bool[a]

@@ -1,6 +1,7 @@
 #include "src/vm/compile.h"
 
 #include <cmath>
+#include <string>
 
 #include "src/common/stopwatch.h"
 #include "src/telemetry/telemetry.h"
@@ -8,19 +9,16 @@
 namespace sgl {
 namespace {
 
-// Well above any real expression; a tree deep enough to hit this is a
-// compiler bug, and failing (-> tree-walker fallback) beats overflowing
-// the uint16 operand fields.
-constexpr uint16_t kMaxRegs = 4096;
-
 /// Single-expression lowering with free-list register allocation. Operand
 /// registers are freed before the destination is allocated, so elementwise
-/// ops run in place and a left-associated chain uses O(1) registers.
+/// ops run in place and a left-associated chain uses O(1) registers. The
+/// first construct that does not lower records an error status; later
+/// emission is skipped.
 class ExprCompiler {
  public:
   explicit ExprCompiler(VmProgram* out) : p_(out) {}
 
-  bool ok() const { return ok_; }
+  const Status& status() const { return status_; }
 
   uint16_t EmitNum(const Expr& e);
   uint16_t EmitBool(const Expr& e);
@@ -37,21 +35,31 @@ class ExprCompiler {
   }
 
  private:
-  uint16_t Alloc(std::vector<uint16_t>* free_list, uint16_t* next) {
+  /// |set| into a fresh num register. `set` is a set-valued operand.
+  uint16_t EmitSetSize(const Expr& set);
+  /// set ∋ ref[probe] into a fresh bool register; `probe` stays live.
+  uint16_t EmitSetContains(const Expr& set, uint16_t probe);
+
+  bool ok() const { return status_.ok(); }
+
+  uint16_t Alloc(const Expr& e, std::vector<uint16_t>* free_list,
+                 uint16_t* next) {
     if (!free_list->empty()) {
       uint16_t r = free_list->back();
       free_list->pop_back();
       return r;
     }
     if (*next >= kMaxRegs) {
-      Fail();
+      Fail(e, "needs more than kMaxRegs (256) registers of one type");
       return 0;
     }
     return (*next)++;
   }
-  uint16_t AllocNum() { return Alloc(&free_num_, &next_num_); }
-  uint16_t AllocBool() { return Alloc(&free_bool_, &next_bool_); }
-  uint16_t AllocRef() { return Alloc(&free_ref_, &next_ref_); }
+  uint16_t AllocNum(const Expr& e) { return Alloc(e, &free_num_, &next_num_); }
+  uint16_t AllocBool(const Expr& e) {
+    return Alloc(e, &free_bool_, &next_bool_);
+  }
+  uint16_t AllocRef(const Expr& e) { return Alloc(e, &free_ref_, &next_ref_); }
   void FreeNum(uint16_t r) { free_num_.push_back(r); }
   void FreeBool(uint16_t r) { free_bool_.push_back(r); }
   void FreeRef(uint16_t r) { free_ref_.push_back(r); }
@@ -80,10 +88,15 @@ class ExprCompiler {
     p_->code.push_back(in);
   }
 
-  void Fail() { ok_ = false; }
+  void Fail(const Expr& e, const char* why) {
+    if (!ok()) return;  // keep the first error
+    status_ = Status::Unsupported(std::string("cannot lower ") +
+                                  ExprKindName(e.kind) +
+                                  " expression to bytecode: " + why);
+  }
 
   VmProgram* p_;
-  bool ok_ = true;
+  Status status_;
   uint16_t next_num_ = 0, next_bool_ = 0, next_ref_ = 0;
   std::vector<uint16_t> free_num_, free_bool_, free_ref_;
 };
@@ -137,21 +150,27 @@ VmOp FilterOpc(CmpOp op) {
 }
 
 uint16_t ExprCompiler::EmitNum(const Expr& e) {
-  if (!ok_) return 0;
+  if (!ok()) return 0;
   switch (e.kind) {
     case ExprKind::kNumLit: {
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kConstNum, r, 0, 0, 0, 0, ConstIdx(e.num));
       return r;
     }
     case ExprKind::kStateRead: {
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kLoadStateNum, r, 0, 0, 0, e.side,
            static_cast<uint32_t>(e.field));
       return r;
     }
+    case ExprKind::kEffectRead: {
+      uint16_t r = AllocNum(e);
+      Push(VmOp::kLoadEffectNum, r, 0, 0, 0, 0,
+           static_cast<uint32_t>(e.field));
+      return r;
+    }
     case ExprKind::kLocal: {
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kLoadLocalNum, r, 0, 0, 0, 0,
            static_cast<uint32_t>(e.slot));
       return r;
@@ -159,14 +178,14 @@ uint16_t ExprCompiler::EmitNum(const Expr& e) {
     case ExprKind::kRefState: {
       uint16_t a = EmitRef(*e.kids[0]);
       FreeRef(a);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kGatherNum, r, a, 0, 0, 0, static_cast<uint32_t>(e.field));
       return r;
     }
     case ExprKind::kUnaryMinus: {
       uint16_t a = EmitNum(*e.kids[0]);
       FreeNum(a);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kNeg, r, a);
       return r;
     }
@@ -175,14 +194,14 @@ uint16_t ExprCompiler::EmitNum(const Expr& e) {
       uint16_t b = EmitNum(*e.kids[1]);
       FreeNum(a);
       FreeNum(b);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(ArithOpc(e.arith), r, a, b);
       return r;
     }
     case ExprKind::kCall1: {
       uint16_t a = EmitNum(*e.kids[0]);
       FreeNum(a);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(Call1Opc(e.call1), r, a);
       return r;
     }
@@ -193,7 +212,7 @@ uint16_t ExprCompiler::EmitNum(const Expr& e) {
       FreeBool(c);
       FreeNum(t);
       FreeNum(f);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kSelectNum, r, c, t, f);
       return r;
     }
@@ -204,52 +223,46 @@ uint16_t ExprCompiler::EmitNum(const Expr& e) {
       FreeNum(v);
       FreeNum(lo);
       FreeNum(hi);
-      uint16_t r = AllocNum();
+      uint16_t r = AllocNum(e);
       Push(VmOp::kClampOp, r, v, lo, hi);
       return r;
     }
-    case ExprKind::kSetSize: {
-      const Expr& set = *e.kids[0];
-      if (set.kind == ExprKind::kStateRead) {
-        uint16_t r = AllocNum();
-        Push(VmOp::kSetSizeState, r, 0, 0, 0, set.side,
-             static_cast<uint32_t>(set.field));
-        return r;
-      }
-      if (set.kind == ExprKind::kRefState) {
-        uint16_t a = EmitRef(*set.kids[0]);
-        FreeRef(a);
-        uint16_t r = AllocNum();
-        Push(VmOp::kSetSizeRef, r, a, 0, 0, 0,
-             static_cast<uint32_t>(set.field));
-        return r;
-      }
-      Fail();
-      return 0;
-    }
+    case ExprKind::kSetSize:
+      return EmitSetSize(*e.kids[0]);
     default:
-      // kEffectRead and anything else: tree-walker territory.
-      Fail();
+      Fail(e, "not a number-valued expression");
       return 0;
   }
 }
 
 uint16_t ExprCompiler::EmitBool(const Expr& e) {
-  if (!ok_) return 0;
+  if (!ok()) return 0;
   switch (e.kind) {
     case ExprKind::kBoolLit: {
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kConstBool, r, 0, 0, 0, 0, e.b ? 1u : 0u);
       return r;
     }
     case ExprKind::kStateRead: {
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kLoadStateBool, r, 0, 0, 0, e.side,
            static_cast<uint32_t>(e.field));
       return r;
     }
+    case ExprKind::kEffectRead: {
+      uint16_t r = AllocBool(e);
+      Push(VmOp::kLoadEffectBool, r, 0, 0, 0, 0,
+           static_cast<uint32_t>(e.field));
+      return r;
+    }
+    case ExprKind::kAssigned: {
+      uint16_t r = AllocBool(e);
+      Push(VmOp::kLoadAssigned, r, 0, 0, 0, 0,
+           static_cast<uint32_t>(e.field));
+      return r;
+    }
     case ExprKind::kLocal: {
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kLoadLocalBool, r, 0, 0, 0, 0,
            static_cast<uint32_t>(e.slot));
       return r;
@@ -257,7 +270,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
     case ExprKind::kRefState: {
       uint16_t a = EmitRef(*e.kids[0]);
       FreeRef(a);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kGatherBool, r, a, 0, 0, 0,
            static_cast<uint32_t>(e.field));
       return r;
@@ -265,7 +278,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
     case ExprKind::kNot: {
       uint16_t a = EmitBool(*e.kids[0]);
       FreeBool(a);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kNot, r, a);
       return r;
     }
@@ -274,7 +287,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
       uint16_t b = EmitNum(*e.kids[1]);
       FreeNum(a);
       FreeNum(b);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(CmpOpc(e.cmp), r, a, b);
       return r;
     }
@@ -283,7 +296,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
       uint16_t b = EmitRef(*e.kids[1]);
       FreeRef(a);
       FreeRef(b);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(e.cmp == CmpOp::kEq ? VmOp::kCmpRefEq : VmOp::kCmpRefNe, r, a, b);
       return r;
     }
@@ -292,7 +305,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
       uint16_t b = EmitBool(*e.kids[1]);
       FreeBool(a);
       FreeBool(b);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(e.cmp == CmpOp::kEq ? VmOp::kCmpBoolEq : VmOp::kCmpBoolNe, r, a,
            b);
       return r;
@@ -303,7 +316,7 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
       uint16_t b = EmitBool(*e.kids[1]);
       FreeBool(a);
       FreeBool(b);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(e.kind == ExprKind::kAndB ? VmOp::kAnd : VmOp::kOr, r, a, b);
       return r;
     }
@@ -314,69 +327,57 @@ uint16_t ExprCompiler::EmitBool(const Expr& e) {
       FreeBool(c);
       FreeBool(t);
       FreeBool(f);
-      uint16_t r = AllocBool();
+      uint16_t r = AllocBool(e);
       Push(VmOp::kSelectBool, r, c, t, f);
       return r;
     }
     case ExprKind::kSetContains: {
-      const Expr& set = *e.kids[0];
-      if (set.kind == ExprKind::kStateRead) {
-        uint16_t probe = EmitRef(*e.kids[1]);
-        FreeRef(probe);
-        uint16_t r = AllocBool();
-        Push(VmOp::kSetContainsState, r, probe, 0, 0, set.side,
-             static_cast<uint32_t>(set.field));
-        return r;
-      }
-      if (set.kind == ExprKind::kRefState) {
-        uint16_t owner = EmitRef(*set.kids[0]);
-        uint16_t probe = EmitRef(*e.kids[1]);
-        FreeRef(owner);
-        FreeRef(probe);
-        uint16_t r = AllocBool();
-        Push(VmOp::kSetContainsRef, r, probe, owner, 0, 0,
-             static_cast<uint32_t>(set.field));
-        return r;
-      }
-      Fail();  // set-valued kIf operand: scalar fallback
-      return 0;
+      uint16_t probe = EmitRef(*e.kids[1]);
+      uint16_t r = EmitSetContains(*e.kids[0], probe);
+      FreeRef(probe);
+      return r;
     }
     default:
-      // kEffectRead / kAssigned are update-phase constructs.
-      Fail();
+      Fail(e, "not a bool-valued expression");
       return 0;
   }
 }
 
 uint16_t ExprCompiler::EmitRef(const Expr& e) {
-  if (!ok_) return 0;
+  if (!ok()) return 0;
   switch (e.kind) {
     case ExprKind::kNullRef: {
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kConstRef, r);
       return r;
     }
     case ExprKind::kStateRead: {
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kLoadStateRef, r, 0, 0, 0, e.side,
            static_cast<uint32_t>(e.field));
       return r;
     }
+    case ExprKind::kEffectRead: {
+      uint16_t r = AllocRef(e);
+      Push(VmOp::kLoadEffectRef, r, 0, 0, 0, 0,
+           static_cast<uint32_t>(e.field));
+      return r;
+    }
     case ExprKind::kLocal: {
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kLoadLocalRef, r, 0, 0, 0, 0,
            static_cast<uint32_t>(e.slot));
       return r;
     }
     case ExprKind::kRowId: {
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kLoadRowId, r, 0, 0, 0, e.side);
       return r;
     }
     case ExprKind::kRefState: {
       uint16_t a = EmitRef(*e.kids[0]);
       FreeRef(a);
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kGatherRef, r, a, 0, 0, 0, static_cast<uint32_t>(e.field));
       return r;
     }
@@ -387,20 +388,103 @@ uint16_t ExprCompiler::EmitRef(const Expr& e) {
       FreeBool(c);
       FreeRef(t);
       FreeRef(f);
-      uint16_t r = AllocRef();
+      uint16_t r = AllocRef(e);
       Push(VmOp::kSelectRef, r, c, t, f);
       return r;
     }
     default:
-      Fail();
+      Fail(e, "not a ref-valued expression");
+      return 0;
+  }
+}
+
+// Set operands never materialize as columns: each read is fused with the
+// size/contains that consumes it, and a set-valued `if` becomes a select
+// over the two arms' sizes / memberships.
+uint16_t ExprCompiler::EmitSetSize(const Expr& set) {
+  if (!ok()) return 0;
+  switch (set.kind) {
+    case ExprKind::kStateRead: {
+      uint16_t r = AllocNum(set);
+      Push(VmOp::kSetSizeState, r, 0, 0, 0, set.side,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kEffectRead: {
+      uint16_t r = AllocNum(set);
+      Push(VmOp::kSetSizeEffect, r, 0, 0, 0, 0,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kRefState: {
+      uint16_t a = EmitRef(*set.kids[0]);
+      FreeRef(a);
+      uint16_t r = AllocNum(set);
+      Push(VmOp::kSetSizeRef, r, a, 0, 0, 0,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kIf: {
+      uint16_t c = EmitBool(*set.kids[0]);
+      uint16_t t = EmitSetSize(*set.kids[1]);
+      uint16_t f = EmitSetSize(*set.kids[2]);
+      FreeBool(c);
+      FreeNum(t);
+      FreeNum(f);
+      uint16_t r = AllocNum(set);
+      Push(VmOp::kSelectNum, r, c, t, f);
+      return r;
+    }
+    default:
+      Fail(set, "not a set operand");
+      return 0;
+  }
+}
+
+uint16_t ExprCompiler::EmitSetContains(const Expr& set, uint16_t probe) {
+  if (!ok()) return 0;
+  switch (set.kind) {
+    case ExprKind::kStateRead: {
+      uint16_t r = AllocBool(set);
+      Push(VmOp::kSetContainsState, r, probe, 0, 0, set.side,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kEffectRead: {
+      uint16_t r = AllocBool(set);
+      Push(VmOp::kSetContainsEffect, r, probe, 0, 0, 0,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kRefState: {
+      uint16_t owner = EmitRef(*set.kids[0]);
+      FreeRef(owner);
+      uint16_t r = AllocBool(set);
+      Push(VmOp::kSetContainsRef, r, probe, owner, 0, 0,
+           static_cast<uint32_t>(set.field));
+      return r;
+    }
+    case ExprKind::kIf: {
+      uint16_t c = EmitBool(*set.kids[0]);
+      uint16_t t = EmitSetContains(*set.kids[1], probe);
+      uint16_t f = EmitSetContains(*set.kids[2], probe);
+      FreeBool(c);
+      FreeBool(t);
+      FreeBool(f);
+      uint16_t r = AllocBool(set);
+      Push(VmOp::kSelectBool, r, c, t, f);
+      return r;
+    }
+    default:
+      Fail(set, "not a set operand");
       return 0;
   }
 }
 
 void ExprCompiler::EmitFilterChain(const Expr& e) {
-  if (!ok_) return;
+  if (!ok()) return;
   if (e.kind == ExprKind::kAndB) {
-    // Left-to-right, matching the tree walker's conjunct order; each
+    // Left-to-right, matching the scalar evaluator's conjunct order; each
     // conjunct's operands evaluate over the survivors of the previous one.
     EmitFilterChain(*e.kids[0]);
     EmitFilterChain(*e.kids[1]);
@@ -424,7 +508,7 @@ void ExprCompiler::EmitFilterChain(const Expr& e) {
 
 }  // namespace
 
-bool CompileValue(const Expr& e, TypeKind kind, VmProgram* out) {
+Status CompileValue(const Expr& e, TypeKind kind, VmProgram* out) {
   *out = VmProgram();
   ExprCompiler c(out);
   uint16_t result = 0;
@@ -432,42 +516,42 @@ bool CompileValue(const Expr& e, TypeKind kind, VmProgram* out) {
     case TypeKind::kNumber: result = c.EmitNum(e); break;
     case TypeKind::kBool: result = c.EmitBool(e); break;
     case TypeKind::kRef: result = c.EmitRef(e); break;
-    case TypeKind::kSet: return false;  // sets never materialize as columns
+    case TypeKind::kSet:
+      return Status::Unsupported(
+          std::string("cannot lower ") + ExprKindName(e.kind) +
+          " expression to bytecode: set values never materialize as "
+          "columns");
   }
-  if (!c.ok()) return false;
+  SGL_RETURN_IF_ERROR(c.status());
   c.Finish(kind, result, /*filter_mode=*/false);
-  return true;
+  return Status::OK();
 }
 
-bool CompileFilter(const Expr& e, VmProgram* out) {
+Status CompileFilter(const Expr& e, VmProgram* out) {
   *out = VmProgram();
   ExprCompiler c(out);
   c.EmitFilterChain(e);
-  if (!c.ok()) return false;
+  SGL_RETURN_IF_ERROR(c.status());
   c.Finish(TypeKind::kBool, 0, /*filter_mode=*/true);
-  return true;
+  return Status::OK();
 }
 
 void VmProgramCache::AddValue(const Expr* e, TypeKind kind) {
-  if (e == nullptr || values_.count(e) != 0) return;
+  if (e == nullptr || !status_.ok() || values_.count(e) != 0) return;
   VmProgram p;
-  if (CompileValue(*e, kind, &p)) {
-    values_.emplace(e, std::move(p));
-    ++programs_compiled_;
-  } else {
-    ++fallbacks_;
-  }
+  status_ = CompileValue(*e, kind, &p);
+  if (!status_.ok()) return;
+  values_.emplace(e, std::move(p));
+  ++programs_compiled_;
 }
 
 void VmProgramCache::AddFilter(const Expr* e) {
-  if (e == nullptr || filters_.count(e) != 0) return;
+  if (e == nullptr || !status_.ok() || filters_.count(e) != 0) return;
   VmProgram p;
-  if (CompileFilter(*e, &p)) {
-    filters_.emplace(e, std::move(p));
-    ++programs_compiled_;
-  } else {
-    ++fallbacks_;
-  }
+  status_ = CompileFilter(*e, &p);
+  if (!status_.ok()) return;
+  filters_.emplace(e, std::move(p));
+  ++programs_compiled_;
 }
 
 void VmProgramCache::AddWrites(const std::vector<EffectWrite>& writes,
@@ -512,6 +596,13 @@ void VmProgramCache::AddOps(const std::vector<std::unique_ptr<PlanOp>>& ops,
                                     ? TypeKind::kRef
                                     : TypeKind::kNumber);
         }
+        if (o->residual != nullptr && status_.ok()) {
+          // Not cached: PrepareSite composes the residual into its pair
+          // filters and compiles those. Checking it here keeps every
+          // lowering error at engine creation.
+          VmProgram check;
+          status_ = CompileFilter(*o->residual, &check);
+        }
         for (const AccumAssign& a : o->accum_assigns) {
           // Assign guards are consumed as columns by the fold loop, not as
           // selection compaction — value mode.
@@ -540,9 +631,9 @@ void VmProgramCache::AddOps(const std::vector<std::unique_ptr<PlanOp>>& ops,
   }
 }
 
-void VmProgramCache::CompileProgram(const CompiledProgram& prog) {
+Status VmProgramCache::CompileProgram(const CompiledProgram& prog) {
   Stopwatch timer;
-  // Tick 0: compilation happens once, at executor construction.
+  // Tick 0: compilation happens once, before the first tick.
   SGL_TRACE_SPAN(telemetry_, kSpanVmCompile, 0, 0, 0);
   const Catalog& cat = *prog.catalog;
   for (const CompiledScript& script : prog.scripts) {
@@ -552,8 +643,14 @@ void VmProgramCache::CompileProgram(const CompiledProgram& prog) {
     AddValue(h.cond.get(), TypeKind::kBool);
     AddOps(h.ops, cat);
   }
-  // Update rules read merged effects (kEffectRead) — tree-walker only.
+  // Update rules read merged effects; set-valued rules stay on the scalar
+  // evaluator (sets never materialize as register columns).
+  for (const UpdateRule& r : prog.update_rules) {
+    const TypeKind kind = cat.Get(r.cls).state_field(r.state_field).type.kind;
+    if (kind != TypeKind::kSet) AddValue(r.value.get(), kind);
+  }
   compile_micros_ += timer.ElapsedMicros();
+  return status_;
 }
 
 }  // namespace sgl

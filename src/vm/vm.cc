@@ -5,7 +5,7 @@
 // or AVX2 picked at runtime — bit-identical per lane either way); the
 // remaining loops (ref/bool logic, gathers, set reads) stay plain
 // pragma-hinted index loops. Guarded arithmetic comes from
-// src/ra/numeric.h, shared with the tree walker.
+// src/ra/numeric.h, shared with the scalar oracle.
 
 #include "src/vm/vm.h"
 
@@ -242,7 +242,8 @@ EntityId* MatRef(ExecState& s, uint16_t reg) {
     }                                                                 \
   } while (0)
 
-// Bitwise and/or over 0/1 bytes, matching the tree walker's &= / |=.
+// Bitwise and/or over 0/1 bytes (operands are always 0 or 1, so this is
+// the oracle's && / ||).
 #define SGL_VM_BOOL_BIN(OP)                                          \
   do {                                                               \
     if (s.r->bool_uni[in.a] && s.r->bool_uni[in.b]) {                \
@@ -519,6 +520,49 @@ void RunProgram(ExecState& s) {
         }
         break;
       }
+      // Merged-effect reads exist only in update rules, which run over
+      // plain outer spans: never under uniform_outer.
+      case VmOp::kLoadEffectNum: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        double* d = s.r->num_ptr[in.dst];
+        s.r->num_uni[in.dst] = 0;
+        SGL_VM_LANES(d[i] = fx.Assigned(f, rows[i])
+                                ? fx.FinalNumber(f, rows[i])
+                                : 0.0);
+        break;
+      }
+      case VmOp::kLoadEffectBool: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        uint8_t* d = s.r->bool_ptr[in.dst];
+        s.r->bool_uni[in.dst] = 0;
+        SGL_VM_LANES(
+            d[i] = fx.Assigned(f, rows[i]) && fx.FinalBool(f, rows[i]) ? 1
+                                                                       : 0);
+        break;
+      }
+      case VmOp::kLoadEffectRef: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        EntityId* d = s.r->ref_ptr[in.dst];
+        s.r->ref_uni[in.dst] = 0;
+        SGL_VM_LANES(d[i] = fx.Assigned(f, rows[i]) ? fx.FinalRef(f, rows[i])
+                                                    : kNullEntity);
+        break;
+      }
+      case VmOp::kLoadAssigned: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        uint8_t* d = s.r->bool_ptr[in.dst];
+        s.r->bool_uni[in.dst] = 0;
+        SGL_VM_LANES(d[i] = fx.Assigned(f, rows[i]) ? 1 : 0);
+        break;
+      }
 
       // ----- Numeric kernels (semantics: src/ra/numeric.h) -------------
       case VmOp::kAdd: SGL_VM_NUM_BIN(kKerAdd, av + bv); break;
@@ -683,6 +727,27 @@ void RunProgram(ExecState& s) {
                          ? 1
                          : 0);
         }
+        break;
+      }
+      case VmOp::kSetSizeEffect: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        double* d = s.r->num_ptr[in.dst];
+        s.r->num_uni[in.dst] = 0;
+        SGL_VM_LANES(
+            d[i] = static_cast<double>(fx.FinalSet(f, rows[i]).size()));
+        break;
+      }
+      case VmOp::kSetContainsEffect: {
+        const EffectBuffer& fx = *ctx.effects;
+        const FieldIdx f = static_cast<FieldIdx>(in.field);
+        const RowIdx* rows = ctx.outer_rows->data();
+        const EntityId* probe = MatRef(s, in.a);
+        uint8_t* d = s.r->bool_ptr[in.dst];
+        s.r->bool_uni[in.dst] = 0;
+        SGL_VM_LANES(
+            d[i] = fx.FinalSet(f, rows[i]).Contains(probe[i]) ? 1 : 0);
         break;
       }
 

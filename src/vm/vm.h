@@ -1,8 +1,8 @@
 // Bytecode execution over column spans.
 //
-// Programs run against the same VecContext the tree-walking evaluator uses,
-// so both backends read identical columns and produce bit-identical lanes.
-// Differences are purely mechanical:
+// Programs run over a VecContext span (the same tables, locals and merged
+// effects the scalar oracle reads one row at a time) and produce lanes
+// bit-identical to it. The mechanics:
 //
 //   * Registers are per-worker column buffers with high-water reuse
 //     (VmRegisters lives in ExecScratch) — steady-state execution performs
@@ -18,8 +18,8 @@
 //     compare-compact pass. Lanes are materialized lazily only when a
 //     kernel mixes uniform and per-lane operands.
 //
-// FP parity with the tree walker holds because every kernel is elementwise
-// over the same lanes with the same guarded semantics (src/ra/numeric.h),
+// FP parity with the oracle holds because every kernel is elementwise over
+// the same lanes with the same guarded semantics (src/ra/numeric.h),
 // selection restriction only removes lanes whose values are never consumed,
 // and uniform evaluation computes the identical expression once instead of
 // n times.

@@ -105,15 +105,14 @@ TEST(AllocSteadyState, Parallel4ThreadRangeTreeIsAllocationFree) {
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
 }
 
-// --- PR 8: SIMD kernels + batched probes + bytecode, still zero-alloc ----
-// The full fast path — bytecode expression backend, AVX2 (or forced
-// scalar) kernels, and QueryBatch probing with its pooled CSR buffers —
-// must hold the same steady-state guarantee in every execution shape.
+// --- SIMD kernels + batched probes + bytecode, still zero-alloc ----------
+// The default fast path — bytecode expressions, AVX2 (or forced scalar)
+// kernels, and QueryBatch probing with its pooled CSR buffers on a grid
+// site — must hold the same steady-state guarantee in every execution
+// shape.
 
 EngineOptions FastPathOpts(int threads = 1, int shards = 1) {
   EngineOptions options = Opts(PlanMode::kStaticGrid, threads);
-  options.exec.eval_mode = EvalMode::kBytecode;
-  options.exec.probe_mode = ProbeMode::kBatched;
   options.exec.num_shards = shards;
   return options;
 }
@@ -122,8 +121,14 @@ TEST(AllocSteadyState, SerialBytecodeBatchedIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
   auto engine = BuildRts(800, FastPathOpts());
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-  EXPECT_GT(engine->last_stats().sites_probe_batched, 0)
-      << "fast path must actually take batched probes";
+  const TickStats& stats = engine->last_stats();
+  EXPECT_GT(stats.vm_programs, 0) << "fast path must run bytecode";
+  bool probed = false;
+  for (const SiteFeedback& fb : stats.sites) {
+    probed |= fb.site >= 0 && fb.strategy == JoinStrategy::kGrid &&
+              fb.candidates > 0;
+  }
+  EXPECT_TRUE(probed) << "fast path must actually take batched probes";
 }
 
 TEST(AllocSteadyState, Parallel4ThreadBytecodeBatchedIsAllocationFree) {

@@ -179,8 +179,8 @@ TEST(Equivalence, MarketConsistentUnderThreads) {
 // --- Null refs gather the empty set ----------------------------------------
 
 // A null ref in the middle of a span must gather the *empty set* — size()
-// reads 0, contains() reads false — identically in the scalar interpreter
-// and the vectorized engine (both expression backends). This pins the
+// reads 0, contains() reads false — identically in the scalar oracle and
+// the vectorized engine (serial, threaded, sharded). This pins the
 // regression where the set-gather kernel read through a stale row for null
 // lanes instead of substituting the empty set.
 TEST(Equivalence, NullRefSetGatherIsEmptySet) {
@@ -206,10 +206,11 @@ script S for G {
   ec <- if(contains(pal.friends, self), 1, 0);
 }
 )sgl";
-  auto run = [&](bool interpreted, EvalMode eval) {
+  auto run = [&](bool interpreted, int threads, int shards) {
     EngineOptions options;
     options.exec.interpreted = interpreted;
-    options.exec.eval_mode = eval;
+    options.exec.num_threads = threads;
+    options.exec.num_shards = shards;
     auto engine = Engine::Create(src, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     // Row 1 of three keeps pal = null, mid-span.
@@ -227,9 +228,10 @@ script S for G {
     EXPECT_EQ(1.0, (*engine)->Get(*g0, "pal_friends")->AsNumber());
     return WorldChecksum((*engine)->world());
   };
-  const uint64_t interpreted = run(true, EvalMode::kInterpret);
-  EXPECT_EQ(interpreted, run(false, EvalMode::kInterpret));
-  EXPECT_EQ(interpreted, run(false, EvalMode::kBytecode));
+  const uint64_t interpreted = run(true, 1, 1);
+  EXPECT_EQ(interpreted, run(false, 1, 1));
+  EXPECT_EQ(interpreted, run(false, 4, 1)) << "4 threads";
+  EXPECT_EQ(interpreted, run(false, 1, 2)) << "2 shards";
 }
 
 TEST(Equivalence, MarketCompiledMatchesInterpreted) {

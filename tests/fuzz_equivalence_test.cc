@@ -1,15 +1,19 @@
 // Randomized differential testing: generate random (but well-typed) SGL
 // programs — random class shapes, guarded effect assignments, expression
-// trees, accum loops with box predicates, update rules — and assert that
-// the compiled set-at-a-time engine and the object-at-a-time interpreter
-// produce identical worlds, across every index strategy: every random
-// program runs under forced nested-loop, range-tree, and grid access paths
-// plus the cost-based picker, and all must agree bit-for-bit. This is the
+// trees, accum loops with box predicates, update rules over number, bool,
+// ref and set effects — and assert that the compiled set-at-a-time engine
+// (the bytecode VM) and the object-at-a-time oracle produce identical
+// worlds, across every index strategy, thread count and shard count: every
+// random program runs under forced nested-loop, range-tree, and grid access
+// paths plus the cost-based picker, with 1 or 4 threads and 1 or 4 shards,
+// and all must agree bit-for-bit. This is the
 // wide-net version of the hand-written equivalence tests: any divergence in
 // predicate extraction, guard rebuilding, ⊕ order keys, fold order, or an
 // index returning a wrong candidate set shows up here.
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "src/common/cpu_features.h"
 #include "src/common/rng.h"
@@ -96,6 +100,11 @@ std::string RandomProgram(Rng* rng) {
     src += buf;
   }
   src += "    ref<Thing> pal = null;\n";
+  // Non-numeric state, fed by the bool / ref / set effects below.
+  src += "    bool flagged = false;\n";
+  src += "    ref<Thing> target = null;\n";
+  src += "    set<Thing> crew;\n";
+  src += "    number tally = 0;\n";
   src += "  effects:\n";
   const char* combs[] = {"sum", "avg", "min", "max", "last"};
   std::vector<std::string> effects;
@@ -105,6 +114,11 @@ std::string RandomProgram(Rng* rng) {
     src += "    number " + name + " : " +
            combs[rng->NextBelow(5)] + ";\n";
   }
+  src += std::string("    bool flag : ") +
+         (rng->Bernoulli(0.5) ? "or" : "and") + ";\n";
+  src += std::string("    ref<Thing> pick : ") +
+         (rng->Bernoulli(0.5) ? "first" : "last") + ";\n";
+  src += "    set<Thing> seen : union;\n";
   src += "  update:\n";
   for (int f = 0; f < nfields; ++f) {
     // Keep state bounded so long runs do not diverge to inf.
@@ -112,6 +126,16 @@ std::string RandomProgram(Rng* rng) {
            fields[static_cast<size_t>(f)] + " + " +
            effects[static_cast<size_t>(f)] + ", -50, 50);\n";
   }
+  // Effect reads behind assigned() (the rts.cc `engaged` shape), and set
+  // effects read through size / contains inside an `if`.
+  const std::string& probed = effects[rng->NextBelow(effects.size())];
+  src += "    flagged = if(assigned(flag), flag, flagged);\n";
+  src += "    target = if(assigned(pick), pick, target);\n";
+  src += "    crew = if(assigned(flag), seen, crew);\n";
+  src += "    tally = clamp(if(assigned(" + probed + "), min(" + probed +
+         ", 1), 0) + size(if(flagged, seen, crew)) + " +
+         "if(contains(if(" + (rng->Bernoulli(0.5) ? "flag" : "!flagged") +
+         ", seen, crew), target), 1, 0), -50, 50);\n";
   src += "}\n\nscript Fuzz for Thing {\n";
 
   // A few guarded straight-line assignments (self, pal, conditionals).
@@ -135,6 +159,17 @@ std::string RandomProgram(Rng* rng) {
         break;
     }
   }
+
+  // Bool, ref and set effects: guarded, sometimes cross-entity.
+  src += "  if (" + RandomBoolExpr(rng, fields, 1) + ") { flag <- " +
+         RandomBoolExpr(rng, fields, 1) + "; }\n";
+  src += std::string("  pick <- ") +
+         (rng->Bernoulli(0.5) ? "pal" : "if(" +
+                                            RandomBoolExpr(rng, fields, 1) +
+                                            ", self, target)") +
+         ";\n";
+  src += "  if (" + RandomBoolExpr(rng, fields, 1) + ") { seen <- self; }\n";
+  src += "  if (pal != null) { pal.seen <- self; }\n";
 
   // Half the programs get an accum loop with an indexable box predicate
   // plus a residual conjunct.
@@ -175,11 +210,12 @@ std::string RandomProgram(Rng* rng) {
 
 uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
                     bool interpreted, PlanMode mode, int ticks,
-                    EvalMode eval = EvalMode::kInterpret) {
+                    int threads = 1, int shards = 1) {
   EngineOptions options;
   options.exec.interpreted = interpreted;
   options.exec.planner.mode = mode;
-  options.exec.eval_mode = eval;
+  options.exec.num_threads = threads;
+  options.exec.num_shards = shards;
   auto engine = Engine::Create(src, options);
   EXPECT_TRUE(engine.ok()) << engine.status() << "\nprogram:\n" << src;
   if (!engine.ok()) return 0;
@@ -213,11 +249,12 @@ constexpr PlanMode kSweptModes[] = {PlanMode::kStaticNL,
                                     PlanMode::kStaticGrid,
                                     PlanMode::kCostBased};
 
-/// Both expression backends of the vectorized engine (src/vm/).
-constexpr EvalMode kSweptEvals[] = {EvalMode::kInterpret, EvalMode::kBytecode};
+/// Thread and shard counts the fast path is swept under.
+constexpr int kSweptThreads[] = {1, 4};
+constexpr int kSweptShards[] = {1, 4};
 
 /// Kernel tables to sweep: scalar always, AVX2 when the CPU has it. Both
-/// tables promise bit-identical per-lane results, so every (mode, eval)
+/// tables promise bit-identical per-lane results, so every swept
 /// combination must reproduce the reference checksum under either one.
 std::vector<KernelDispatch> SweptDispatches() {
   std::vector<KernelDispatch> out = {KernelDispatch::kScalar};
@@ -238,17 +275,26 @@ TEST_P(FuzzEquivalence, CompiledMatchesInterpretedOnRandomProgram) {
   Rng rng(GetParam());
   std::string program = RandomProgram(&rng);
   SCOPED_TRACE(program);
-  uint64_t interpreted =
-      RunProgram(program, GetParam(), true, PlanMode::kStaticNL, 6);
+  // One oracle run per shard count: across shard counts, sum/avg effects
+  // over inexact summands are only associativity-equivalent (contract 2 of
+  // src/shard/README.md), while a fixed shard count is bit-exact.
+  uint64_t oracle[std::size(kSweptShards)];
+  for (size_t k = 0; k < std::size(kSweptShards); ++k) {
+    oracle[k] = RunProgram(program, GetParam(), true, PlanMode::kStaticNL, 6,
+                           1, kSweptShards[k]);
+  }
   for (KernelDispatch dispatch : SweptDispatches()) {
     ScopedDispatch pin(dispatch);
     for (PlanMode mode : kSweptModes) {
-      for (EvalMode eval : kSweptEvals) {
-        EXPECT_EQ(interpreted,
-                  RunProgram(program, GetParam(), false, mode, 6, eval))
-            << "strategy " << PlanModeName(mode) << ", eval "
-            << EvalModeName(eval) << ", kernels "
-            << KernelDispatchName(dispatch);
+      for (int threads : kSweptThreads) {
+        for (size_t k = 0; k < std::size(kSweptShards); ++k) {
+          const int shards = kSweptShards[k];
+          EXPECT_EQ(oracle[k], RunProgram(program, GetParam(), false, mode,
+                                          6, threads, shards))
+              << "strategy " << PlanModeName(mode) << ", threads " << threads
+              << ", shards " << shards << ", kernels "
+              << KernelDispatchName(dispatch);
+        }
       }
     }
   }
@@ -263,16 +309,12 @@ TEST_P(FuzzEquivalence, StrategiesAgreeOnRandomProgram) {
   for (KernelDispatch dispatch : SweptDispatches()) {
     ScopedDispatch pin(dispatch);
     for (PlanMode mode : kSweptModes) {
-      for (EvalMode eval : kSweptEvals) {
-        if (mode == PlanMode::kStaticNL && eval == EvalMode::kInterpret &&
-            dispatch == KernelDispatch::kScalar) {
-          continue;
-        }
-        EXPECT_EQ(nl, RunProgram(program, GetParam(), false, mode, 6, eval))
-            << "strategy " << PlanModeName(mode) << ", eval "
-            << EvalModeName(eval) << ", kernels "
-            << KernelDispatchName(dispatch);
+      if (mode == PlanMode::kStaticNL && dispatch == KernelDispatch::kScalar) {
+        continue;
       }
+      EXPECT_EQ(nl, RunProgram(program, GetParam(), false, mode, 6))
+          << "strategy " << PlanModeName(mode) << ", kernels "
+          << KernelDispatchName(dispatch);
     }
   }
 }

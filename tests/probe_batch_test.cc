@@ -1,11 +1,13 @@
 // Batched index probes (SpatialIndex::QueryBatch, src/index/probe_batch.h)
-// must be a pure restructuring of the single-probe path: for every backend
+// must be a pure restructuring of per-box Query calls: for every backend
 // and every probe mix — ordinary boxes, degenerate (lo == hi), inverted
 // (lo > hi, contract: empty slice), whole-world boxes, duplicate-heavy
 // point sets — slice p of the CSR output must equal Query(box p) + sort,
 // element for element. On top of the structural contract, the engine-level
-// sweep asserts the observable guarantee: ProbeMode cannot change a world
-// checksum, in serial, 4-thread, and 4-shard execution.
+// sweep asserts the observable guarantee: the fast path's batched probes
+// reach the scalar oracle's world checksum (the oracle probes nothing — it
+// scans), under the range-indexed strategies, in serial, 4-thread, and
+// 4-shard execution.
 
 #include <gtest/gtest.h>
 
@@ -178,17 +180,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Sweep{200, 2, false, 5}, Sweep{200, 3, false, 6},
                       Sweep{200, 2, true, 7}, Sweep{500, 2, true, 8}));
 
-// --- Engine-level: ProbeMode is checksum-invariant ------------------------
+// --- Engine-level: batched probes reach the oracle's checksum -------------
 
-uint64_t RunRts(ProbeMode probe, PlanMode plan, int threads, int shards,
-                EvalMode eval = EvalMode::kInterpret) {
+uint64_t RunRts(bool interpreted, PlanMode plan, int threads, int shards) {
   RtsConfig config;
   config.num_units = 300;
   config.clustered = true;
   EngineOptions options;
+  options.exec.interpreted = interpreted;
   options.exec.planner.mode = plan;
-  options.exec.probe_mode = probe;
-  options.exec.eval_mode = eval;
   options.exec.num_threads = threads;
   options.exec.num_shards = shards;
   auto engine = RtsWorkload::Build(config, options);
@@ -197,32 +197,21 @@ uint64_t RunRts(ProbeMode probe, PlanMode plan, int threads, int shards,
   return WorldChecksum((*engine)->world());
 }
 
-TEST(ProbeModeParity, ChecksumInvariantAcrossProbeModes) {
-  const uint64_t single =
-      RunRts(ProbeMode::kSingle, PlanMode::kStaticGrid, 1, 1);
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 1, 1));
-  EXPECT_EQ(single, RunRts(ProbeMode::kAuto, PlanMode::kStaticGrid, 1, 1));
-  EXPECT_EQ(single,
-            RunRts(ProbeMode::kBatched, PlanMode::kStaticRangeTree, 1, 1));
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kCostBased, 1, 1));
+TEST(BatchedProbeParity, MatchesOracleUnderIndexedStrategies) {
+  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticRangeTree, 1, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kCostBased, 1, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kAdaptive, 1, 1));
 }
 
-TEST(ProbeModeParity, ChecksumInvariantUnderThreadsAndShards) {
-  const uint64_t single =
-      RunRts(ProbeMode::kSingle, PlanMode::kStaticGrid, 1, 1);
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 4, 1));
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 1, 4));
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 4, 4));
-  EXPECT_EQ(single, RunRts(ProbeMode::kAuto, PlanMode::kStaticGrid, 4, 4));
-}
-
-TEST(ProbeModeParity, ChecksumInvariantWithBytecodeAndAutoEval) {
-  const uint64_t single = RunRts(ProbeMode::kSingle, PlanMode::kStaticGrid,
-                                 1, 1, EvalMode::kInterpret);
-  EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 1, 1,
-                           EvalMode::kBytecode));
-  EXPECT_EQ(single, RunRts(ProbeMode::kAuto, PlanMode::kStaticGrid, 1, 1,
-                           EvalMode::kAuto));
+TEST(BatchedProbeParity, MatchesOracleUnderThreadsAndShards) {
+  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
+  for (PlanMode plan : {PlanMode::kStaticGrid, PlanMode::kStaticRangeTree}) {
+    EXPECT_EQ(oracle, RunRts(false, plan, 4, 1)) << PlanModeName(plan);
+    EXPECT_EQ(oracle, RunRts(false, plan, 1, 4)) << PlanModeName(plan);
+    EXPECT_EQ(oracle, RunRts(false, plan, 4, 4)) << PlanModeName(plan);
+  }
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ EngineOptions RecorderOpts(FlightRecorder* rec, Telemetry* tel = nullptr,
                            int threads = 1, int shards = 1) {
   EngineOptions options;
   options.exec.planner.mode = PlanMode::kStaticGrid;
-  options.exec.eval_mode = EvalMode::kBytecode;
   options.exec.num_threads = threads;
   options.exec.num_shards = shards;
   options.exec.telemetry = tel;
@@ -578,30 +577,23 @@ std::string AllChains(FlightRecorder* rec) {
   return out;
 }
 
-TEST(Provenance, ChainsBitIdenticalAcrossTopologiesAndModes) {
-  auto run = [](int threads, int shards, EvalMode eval, ProbeMode probe) {
+TEST(Provenance, ChainsBitIdenticalAcrossTopologiesAndOracle) {
+  auto run = [](int threads, int shards, bool interpreted) {
     FlightRecorderOptions fo;
     fo.ring_ticks = 8;
     FlightRecorder rec(fo);
     rec.set_armed(true);
     EngineOptions options = RecorderOpts(&rec, nullptr, threads, shards);
-    options.exec.eval_mode = eval;
-    options.exec.probe_mode = probe;
+    options.exec.interpreted = interpreted;
     auto engine = BuildRts(256, options);
     EXPECT_TRUE(engine->RunTicks(10).ok());
     return AllChains(&rec);
   };
-  const std::string base =
-      run(1, 1, EvalMode::kInterpret, ProbeMode::kBatched);
+  const std::string base = run(1, 1, false);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(run(4, 1, EvalMode::kInterpret, ProbeMode::kBatched), base)
-      << "4-thread chains diverged";
-  EXPECT_EQ(run(4, 4, EvalMode::kInterpret, ProbeMode::kBatched), base)
-      << "4-shard x 4-thread chains diverged";
-  EXPECT_EQ(run(1, 1, EvalMode::kBytecode, ProbeMode::kBatched), base)
-      << "bytecode chains diverged";
-  EXPECT_EQ(run(1, 1, EvalMode::kInterpret, ProbeMode::kSingle), base)
-      << "single-probe chains diverged";
+  EXPECT_EQ(run(4, 1, false), base) << "4-thread chains diverged";
+  EXPECT_EQ(run(4, 4, false), base) << "4-shard x 4-thread chains diverged";
+  EXPECT_EQ(run(1, 1, true), base) << "oracle chains diverged";
 }
 
 // --- eviction and truncation honesty ---------------------------------------
@@ -944,7 +936,7 @@ TEST(SitesJson, DescribesActiveSitesAsValidJson) {
   ExpectValidJson(json, &parser);
   EXPECT_NE(json.find("\"site\":"), std::string::npos);
   EXPECT_NE(json.find("\"strategy\":"), std::string::npos);
-  EXPECT_NE(json.find("\"beliefs\":"), std::string::npos);
+  EXPECT_NE(json.find("\"switches\":"), std::string::npos);
   // Machine- and human-readable views agree on having content.
   EXPECT_FALSE(tel.DescribeSites().empty());
 }

@@ -116,7 +116,6 @@ TEST(Metrics, CountersAndGauges) {
 EngineOptions RtsOpts(Telemetry* tel, int threads = 1, int shards = 1) {
   EngineOptions options;
   options.exec.planner.mode = PlanMode::kStaticGrid;
-  options.exec.eval_mode = EvalMode::kBytecode;
   options.exec.num_threads = threads;
   options.exec.num_shards = shards;
   options.exec.telemetry = tel;
@@ -404,7 +403,7 @@ TEST(Snapshot, ReportsTickProbeJobWaitAndBarrierPercentiles) {
 
 // --- Per-site attribution -------------------------------------------------
 
-TEST(SiteAttribution, SeriesPopulatedWithBackendsAndDecisions) {
+TEST(SiteAttribution, SeriesPopulatedWithDecisions) {
   Telemetry tel;
   tel.set_armed(true);
   auto engine = BuildRts(512, RtsOpts(&tel));
@@ -422,9 +421,8 @@ TEST(SiteAttribution, SeriesPopulatedWithBackendsAndDecisions) {
     EXPECT_GE(s.decisions, 1);
     ASSERT_FALSE(s.history.empty());
     EXPECT_NE(s.history[0].strategy, nullptr);
-    // EvalMode::kBytecode: every decision chose the VM.
-    EXPECT_TRUE(s.last_eval_vm);
-    EXPECT_EQ(s.eval_vm_ticks, s.ticks);
+    // kStaticGrid never switches: one recorded decision per site.
+    EXPECT_EQ(s.decisions, 1);
   }
   EXPECT_TRUE(saw_active);
   // The battle-mode combat site applies damage effects every tick.
@@ -437,8 +435,11 @@ TEST(SiteAttribution, SeriesPopulatedWithBackendsAndDecisions) {
 
 // --- Checksum parity ------------------------------------------------------
 
-uint64_t RunRtsChecksum(Telemetry* tel, int threads, int shards) {
-  auto engine = BuildRts(384, RtsOpts(tel, threads, shards));
+uint64_t RunRtsChecksum(Telemetry* tel, int threads, int shards,
+                        bool interpreted = false) {
+  EngineOptions options = RtsOpts(tel, threads, shards);
+  options.exec.interpreted = interpreted;
+  auto engine = BuildRts(384, options);
   for (int t = 0; t < 12; ++t) EXPECT_TRUE(engine->Tick().ok());
   return WorldChecksum(engine->world());
 }
@@ -457,6 +458,12 @@ TEST(Parity, ChecksumBitIdenticalArmedVsDisarmed) {
   // Attached-but-unarmed is also bit-identical.
   Telemetry off;
   EXPECT_EQ(RunRtsChecksum(&off, 1, 1), disarmed) << "attached unarmed";
+  // The armed scalar oracle reaches the fast path's state.
+  Telemetry tel_oracle;
+  tel_oracle.set_armed(true);
+  EXPECT_EQ(RunRtsChecksum(&tel_oracle, 1, 1, /*interpreted=*/true),
+            disarmed)
+      << "armed oracle";
 }
 
 // --- Armed steady-state allocation contract -------------------------------

@@ -1,13 +1,17 @@
 // The bytecode backend (src/vm/): lowering round-trips bit-for-bit against
-// the tree-walking evaluator, register allocation reuses registers on
-// left-leaning chains, the compile cache makes steady-state ticks
-// allocation-free, and the guarded numeric semantics (div-by-zero, sqrt of
-// negatives, degenerate clamp bounds) are pinned identically across the
-// scalar interpreter, the vectorized tree walker, and the bytecode VM.
+// the scalar oracle (EvalScalar*, row by row), including merged-effect
+// reads, `assigned()` and set reads through effect sets, `if` and null
+// owners; register allocation reuses registers on left-leaning chains and
+// a tree that needs more than kMaxRegs registers is a lowering error that
+// TickExecutor::Init (and so Engine::Create) returns; steady-state ticks
+// are allocation-free; and the guarded numeric semantics (div-by-zero,
+// sqrt of negatives, degenerate clamp bounds) are pinned identically in
+// the scalar oracle and the VM.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,9 +31,10 @@ namespace {
 
 // --- Lowering round-trip ----------------------------------------------------
 //
-// Build Expr trees directly, compile them, and run both evaluators over the
-// same world span. Equality is on the *bits* of every lane: the VM claims
-// lane-identical kernels, not merely close results.
+// Build Expr trees directly, compile them, and run the VM over a world span
+// against the scalar evaluator row by row. Equality is on the *bits* of
+// every lane: the VM claims lane-identical kernels, not merely close
+// results.
 
 void ExpectBitEqualNum(const std::vector<double>& want,
                        const std::vector<double>& got) {
@@ -43,31 +48,65 @@ void ExpectBitEqualNum(const std::vector<double>& want,
 }
 
 // Nodes without construction helpers in expr.h.
-ExprPtr Gather(ExprPtr ref, ClassId cls, FieldIdx field, SglType type) {
+ExprPtr Node(ExprKind kind, SglType type, std::vector<ExprPtr> kids) {
   auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kRefState;
+  e->kind = kind;
   e->type = std::move(type);
+  for (ExprPtr& k : kids) e->kids.push_back(std::move(k));
+  return e;
+}
+
+ExprPtr Gather(ExprPtr ref, ClassId cls, FieldIdx field, SglType type) {
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(ref));
+  ExprPtr e = Node(ExprKind::kRefState, std::move(type), std::move(kids));
   e->cls = cls;
   e->field = field;
-  e->kids.push_back(std::move(ref));
   return e;
 }
 
 ExprPtr Clamp(ExprPtr v, ExprPtr lo, ExprPtr hi) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kClamp;
-  e->type = SglType::Number();
-  e->kids.push_back(std::move(v));
-  e->kids.push_back(std::move(lo));
-  e->kids.push_back(std::move(hi));
-  return e;
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(v));
+  kids.push_back(std::move(lo));
+  kids.push_back(std::move(hi));
+  return Node(ExprKind::kClamp, SglType::Number(), std::move(kids));
 }
 
 ExprPtr Neg(ExprPtr a) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kUnaryMinus;
-  e->type = SglType::Number();
-  e->kids.push_back(std::move(a));
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(a));
+  return Node(ExprKind::kUnaryMinus, SglType::Number(), std::move(kids));
+}
+
+ExprPtr SetSize(ExprPtr set) {
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(set));
+  return Node(ExprKind::kSetSize, SglType::Number(), std::move(kids));
+}
+
+ExprPtr Contains(ExprPtr set, ExprPtr ref) {
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(set));
+  kids.push_back(std::move(ref));
+  return Node(ExprKind::kSetContains, SglType::Bool(), std::move(kids));
+}
+
+ExprPtr CmpRefEq(ExprPtr a, ExprPtr b) {
+  std::vector<ExprPtr> kids;
+  kids.push_back(std::move(a));
+  kids.push_back(std::move(b));
+  ExprPtr e = Node(ExprKind::kCmpRef, SglType::Bool(), std::move(kids));
+  e->cmp = CmpOp::kEq;
+  return e;
+}
+
+// A right-leaning chain a + (a + (... + a)) of `depth` additions: each
+// level holds its left operand live while the right one evaluates, so it
+// needs depth + 1 number registers.
+ExprPtr RightChain(const std::function<ExprPtr()>& leaf, int depth) {
+  ExprPtr e = leaf();
+  for (int i = 0; i < depth; ++i) e = Arith(ArithOp::kAdd, leaf(), std::move(e));
   return e;
 }
 
@@ -80,8 +119,12 @@ class Thing {
     number a = 0;
     number b = 0;
     ref<Thing> pal = null;
+    set<Thing> crew;
   effects:
     number e : last;
+    bool f : or;
+    ref<Thing> g : last;
+    set<Thing> h : union;
   update:
     a = a + 0 * e;
 }
@@ -99,8 +142,16 @@ script Noop for Thing { e <- a; }
       ASSERT_TRUE(id.ok());
       ids.push_back(*id);
     }
+    // Every third row has a pal (the rest are null owners); every other
+    // row's crew holds itself and its predecessor.
     for (size_t i = 3; i < ids.size(); i += 3) {
       ASSERT_TRUE(engine_->Set(ids[i], "pal", Value::Ref(ids[i - 1])).ok());
+    }
+    for (size_t i = 2; i < ids.size(); i += 2) {
+      EntitySet crew;
+      crew.Insert(ids[i]);
+      crew.Insert(ids[i - 1]);
+      ASSERT_TRUE(engine_->Set(ids[i], "crew", Value::Set(crew)).ok());
     }
     cls_ = engine_->catalog().Find("Thing");
     ASSERT_NE(cls_, kInvalidClass);
@@ -108,34 +159,125 @@ script Noop for Thing { e <- a; }
     fa_ = def.FindState("a");
     fb_ = def.FindState("b");
     fpal_ = def.FindState("pal");
+    fcrew_ = def.FindState("crew");
+    fe_ = def.FindEffect("e");
+    ff_ = def.FindEffect("f");
+    fg_ = def.FindEffect("g");
+    fh_ = def.FindEffect("h");
     const EntityTable& table = engine_->world().table(cls_);
     for (size_t i = 0; i < table.size(); ++i) {
       rows_.push_back(static_cast<RowIdx>(i));
     }
+    // Merged effects: rows with i % 4 != 0 are assigned (several times for
+    // the set), the rest read as unassigned.
+    fx_ = std::make_unique<EffectBuffer>(&def);
+    fx_->Reset(table.size());
+    for (RowIdx r : rows_) {
+      if (r % 4 == 0) continue;
+      fx_->AddNumber(fe_, r, 1.5 * r - 7.0, r);
+      fx_->AddBool(ff_, r, r % 3 == 0, r);
+      fx_->AddRef(fg_, r, ids[(r * 7) % ids.size()], r);
+      fx_->AddSetInsert(fh_, r, ids[r]);
+      fx_->AddSetInsert(fh_, r, ids[(r + 5) % ids.size()]);
+    }
+    fx_->FinalizeSets();
     ctx_.world = &engine_->world();
     ctx_.outer = &table;
     ctx_.outer_rows = &rows_;
+    ctx_.effects = fx_.get();
   }
 
   ExprPtr A() { return StateRead(0, cls_, fa_, SglType::Number()); }
   ExprPtr B() { return StateRead(0, cls_, fb_, SglType::Number()); }
   ExprPtr Pal() { return StateRead(0, cls_, fpal_, SglType::Ref("Thing")); }
+  ExprPtr Crew() { return StateRead(0, cls_, fcrew_, SglType::Set("Thing")); }
+  ExprPtr PalCrew() {
+    return Gather(Pal(), cls_, fcrew_, SglType::Set("Thing"));
+  }
+  ExprPtr Self() { return RowIdRead(0, cls_); }
+  ExprPtr E() { return EffectRead(cls_, fe_, SglType::Number()); }
+  ExprPtr F() { return EffectRead(cls_, ff_, SglType::Bool()); }
+  ExprPtr G() { return EffectRead(cls_, fg_, SglType::Ref("Thing")); }
+  ExprPtr H() { return EffectRead(cls_, fh_, SglType::Set("Thing")); }
 
-  // Compiles `e` as a value program and checks every lane against EvalNum.
+  // The oracle's view of lane i.
+  ScalarContext Scalar(size_t i) const {
+    ScalarContext sc;
+    sc.world = ctx_.world;
+    sc.outer_cls = cls_;
+    sc.outer_row = rows_[i];
+    sc.effects = fx_.get();
+    return sc;
+  }
+
+  // Compiles `e` as a value program and checks every lane against the
+  // scalar oracle.
   std::vector<double> RoundTripNum(const Expr& e) {
-    std::vector<double> want, got;
-    EvalNum(e, ctx_, &want);
+    std::vector<double> want(rows_.size()), got;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      want[i] = EvalScalarNum(e, Scalar(i));
+    }
     VmProgram p;
-    EXPECT_TRUE(CompileValue(e, TypeKind::kNumber, &p)) << e.ToString();
+    Status st = CompileValue(e, TypeKind::kNumber, &p);
+    EXPECT_TRUE(st.ok()) << e.ToString() << ": " << st;
     VmEvalNum(p, ctx_, &regs_, nullptr, 0, &got);
     ExpectBitEqualNum(want, got);
     return got;
   }
+  std::vector<uint8_t> RoundTripBool(const Expr& e) {
+    std::vector<uint8_t> want(rows_.size()), got;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      want[i] = EvalScalarBool(e, Scalar(i)) ? 1 : 0;
+    }
+    VmProgram p;
+    Status st = CompileValue(e, TypeKind::kBool, &p);
+    EXPECT_TRUE(st.ok()) << e.ToString() << ": " << st;
+    VmEvalBool(p, ctx_, &regs_, nullptr, 0, &got);
+    EXPECT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size() && i < got.size(); ++i) {
+      EXPECT_EQ(want[i] != 0, got[i] != 0) << "lane " << i;
+      got[i] = got[i] != 0 ? 1 : 0;
+    }
+    return got;
+  }
+  std::vector<EntityId> RoundTripRef(const Expr& e) {
+    std::vector<EntityId> want(rows_.size()), got;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      want[i] = EvalScalarRef(e, Scalar(i));
+    }
+    VmProgram p;
+    Status st = CompileValue(e, TypeKind::kRef, &p);
+    EXPECT_TRUE(st.ok()) << e.ToString() << ": " << st;
+    VmEvalRef(p, ctx_, &regs_, nullptr, 0, &got);
+    EXPECT_EQ(want, got);
+    return got;
+  }
+  // A filter program compacts exactly the lanes the oracle keeps, in
+  // ascending order.
+  void RoundTripFilter(const Expr& e) {
+    std::vector<RowIdx> want;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      if (EvalScalarBool(e, Scalar(i))) want.push_back(static_cast<RowIdx>(i));
+    }
+    VmProgram p;
+    Status st = CompileFilter(e, &p);
+    ASSERT_TRUE(st.ok()) << e.ToString() << ": " << st;
+    EXPECT_TRUE(p.filter_mode);
+    std::vector<RowIdx> got;
+    const size_t n =
+        VmRunFilter(p, ctx_, &regs_, /*uniform_outer=*/false, &got);
+    got.resize(n);
+    EXPECT_EQ(want, got);
+  }
 
   std::unique_ptr<Engine> engine_;
   ClassId cls_ = kInvalidClass;
-  FieldIdx fa_ = kInvalidField, fb_ = kInvalidField, fpal_ = kInvalidField;
+  FieldIdx fa_ = kInvalidField, fb_ = kInvalidField, fpal_ = kInvalidField,
+           fcrew_ = kInvalidField;
+  FieldIdx fe_ = kInvalidField, ff_ = kInvalidField, fg_ = kInvalidField,
+           fh_ = kInvalidField;
   std::vector<RowIdx> rows_;
+  std::unique_ptr<EffectBuffer> fx_;
   VecContext ctx_;
   VmRegisters regs_;
 };
@@ -156,9 +298,9 @@ TEST_F(VmLowering, Call1KernelsRoundTrip) {
   RoundTripNum(*Call1(Call1Op::kCeil, B()));
 }
 
-// Div-by-zero lanes produce exactly 0 — and the same 0 the tree walker
+// Div-by-zero lanes produce exactly 0 — and the same 0 the oracle
 // produces — not inf/NaN.
-TEST_F(VmLowering, DivByZeroLanesAreZeroInBothBackends) {
+TEST_F(VmLowering, DivByZeroLanesAreZeroInBothEvaluators) {
   std::vector<double> got = RoundTripNum(*Arith(ArithOp::kDiv, A(), B()));
   ConstNumberColumn b = ctx_.outer->Num(fb_);
   bool saw_zero_divisor = false;
@@ -171,8 +313,8 @@ TEST_F(VmLowering, DivByZeroLanesAreZeroInBothBackends) {
   EXPECT_TRUE(saw_zero_divisor) << "fixture must cover zero divisors";
 }
 
-// sqrt of a negative is pinned to 0 (not NaN) in both backends.
-TEST_F(VmLowering, SqrtOfNegativeLanesAreZeroInBothBackends) {
+// sqrt of a negative is pinned to 0 (not NaN) in both evaluators.
+TEST_F(VmLowering, SqrtOfNegativeLanesAreZeroInBothEvaluators) {
   std::vector<double> got = RoundTripNum(*Call1(Call1Op::kSqrt, A()));
   ConstNumberColumn a = ctx_.outer->Num(fa_);
   bool saw_negative = false;
@@ -186,7 +328,7 @@ TEST_F(VmLowering, SqrtOfNegativeLanesAreZeroInBothBackends) {
 }
 
 // clamp with lo > hi is pinned as min(max(v, lo), hi) — which collapses to
-// hi — identically in both backends.
+// hi — identically in both evaluators.
 TEST_F(VmLowering, DegenerateClampBoundsRoundTrip) {
   std::vector<double> got =
       RoundTripNum(*Clamp(A(), NumLit(3.0), NumLit(-3.0)));
@@ -199,53 +341,97 @@ TEST_F(VmLowering, DegenerateClampBoundsRoundTrip) {
 TEST_F(VmLowering, SelectAndGatherRoundTrip) {
   RoundTripNum(*IfExpr(CmpNum(CmpOp::kLt, A(), B()), A(),
                        Arith(ArithOp::kMul, B(), NumLit(-1.0))));
-  // Gather through pal: null lanes read as 0 in both backends.
+  // Gather through pal: null lanes read as 0 in both evaluators.
   RoundTripNum(*Gather(Pal(), cls_, fa_, SglType::Number()));
 }
 
 TEST_F(VmLowering, BoolProgramRoundTrip) {
-  ExprPtr e = AndB(CmpNum(CmpOp::kLt, A(), B()),
-                   NotB(CmpNum(CmpOp::kEq, B(), NumLit(0.0))));
-  std::vector<uint8_t> want, got;
-  EvalBool(*e, ctx_, &want);
-  VmProgram p;
-  ASSERT_TRUE(CompileValue(*e, TypeKind::kBool, &p));
-  VmEvalBool(p, ctx_, &regs_, nullptr, 0, &got);
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i] != 0, got[i] != 0) << "lane " << i;
-  }
+  RoundTripBool(*AndB(CmpNum(CmpOp::kLt, A(), B()),
+                      NotB(CmpNum(CmpOp::kEq, B(), NumLit(0.0)))));
+  RoundTripBool(*OrB(CmpRefEq(Pal(), NullRef()),
+                     CmpNum(CmpOp::kGe, A(), NumLit(0.0))));
 }
 
 TEST_F(VmLowering, RefProgramRoundTrip) {
   ExprPtr e = IfExpr(CmpNum(CmpOp::kLt, A(), NumLit(0.0)), Pal(), NullRef());
   e->type = SglType::Ref("Thing");
-  std::vector<EntityId> want, got;
-  EvalRef(*e, ctx_, &want);
-  VmProgram p;
-  ASSERT_TRUE(CompileValue(*e, TypeKind::kRef, &p));
-  VmEvalRef(p, ctx_, &regs_, nullptr, 0, &got);
-  EXPECT_EQ(want, got);
+  RoundTripRef(*e);
 }
 
-// A filter program compacts the same survivor set, in the same (ascending)
-// order, as evaluating the predicate and compacting by hand.
-TEST_F(VmLowering, FilterProgramMatchesTreeWalker) {
-  ExprPtr e = AndB(CmpNum(CmpOp::kGe, A(), NumLit(-5.0)),
-                   CmpNum(CmpOp::kNe, B(), NumLit(0.0)));
-  std::vector<uint8_t> keep;
-  EvalBool(*e, ctx_, &keep);
-  std::vector<RowIdx> want;
-  for (size_t i = 0; i < keep.size(); ++i) {
-    if (keep[i]) want.push_back(static_cast<RowIdx>(i));
+TEST_F(VmLowering, FilterProgramMatchesScalarOracle) {
+  RoundTripFilter(*AndB(CmpNum(CmpOp::kGe, A(), NumLit(-5.0)),
+                        CmpNum(CmpOp::kNe, B(), NumLit(0.0))));
+}
+
+// Merged-effect reads: assigned rows read the post-⊕ value, unassigned
+// rows read 0 / false / null — the rule the oracle pins.
+TEST_F(VmLowering, EffectReadsMatchOracleOnAssignedAndUnassignedRows) {
+  std::vector<double> nums = RoundTripNum(*Arith(ArithOp::kAdd, A(), E()));
+  std::vector<uint8_t> bools = RoundTripBool(*F());
+  std::vector<EntityId> refs = RoundTripRef(*G());
+  bool saw_assigned = false, saw_unassigned = false;
+  ConstNumberColumn a = ctx_.outer->Num(fa_);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (fx_->Assigned(fe_, rows_[i])) {
+      saw_assigned = true;
+      continue;
+    }
+    saw_unassigned = true;
+    EXPECT_EQ(a[rows_[i]], nums[i]) << "unassigned number reads 0, lane " << i;
+    EXPECT_EQ(0, bools[i]) << "unassigned bool reads false, lane " << i;
+    EXPECT_EQ(kNullEntity, refs[i]) << "unassigned ref reads null, lane " << i;
   }
-  VmProgram p;
-  ASSERT_TRUE(CompileFilter(*e, &p));
-  EXPECT_TRUE(p.filter_mode);
-  std::vector<RowIdx> got;
-  const size_t n = VmRunFilter(p, ctx_, &regs_, /*uniform_outer=*/false, &got);
-  got.resize(n);
-  EXPECT_EQ(want, got);
+  EXPECT_TRUE(saw_assigned && saw_unassigned) << "fixture must cover both";
+}
+
+TEST_F(VmLowering, AssignedMatchesOracle) {
+  std::vector<uint8_t> got = RoundTripBool(*AssignedRead(cls_, fe_));
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    EXPECT_EQ(rows_[i] % 4 != 0 ? 1 : 0, got[i]) << "lane " << i;
+  }
+  // The rts.cc shape: if(assigned(e), min(e, 1), 0).
+  RoundTripNum(*IfExpr(AssignedRead(cls_, fe_),
+                       Arith(ArithOp::kMin, E(), NumLit(1.0)), NumLit(0.0)));
+  RoundTripFilter(*AndB(AssignedRead(cls_, fe_), F()));
+}
+
+TEST_F(VmLowering, EffectSetSizeAndContainsMatchOracle) {
+  RoundTripNum(*SetSize(H()));
+  RoundTripBool(*Contains(H(), Self()));
+  RoundTripBool(*Contains(H(), G()));  // probe is itself an effect read
+  RoundTripBool(*Contains(H(), Pal()));
+}
+
+// A set-valued `if` lowers as a select over the two arms' size /
+// membership; arms mix effect, state and gathered sets.
+TEST_F(VmLowering, SetReadsThroughIfMatchOracle) {
+  RoundTripNum(*SetSize(IfExpr(CmpNum(CmpOp::kLt, A(), NumLit(0.0)), H(),
+                               Crew())));
+  RoundTripBool(*Contains(IfExpr(AssignedRead(cls_, fe_), H(), PalCrew()),
+                          Self()));
+  RoundTripNum(*SetSize(
+      IfExpr(F(), PalCrew(),
+             IfExpr(CmpNum(CmpOp::kGt, B(), NumLit(0.0)), Crew(), H()))));
+  RoundTripFilter(*AndB(CmpNum(CmpOp::kGt, SetSize(IfExpr(F(), H(), Crew())),
+                               NumLit(0.0)),
+                        Contains(IfExpr(F(), Crew(), H()), Self())));
+}
+
+// A null owner gathers the empty set: size 0, contains false.
+TEST_F(VmLowering, NullOwnerSetReadsAreEmpty) {
+  std::vector<double> sizes = RoundTripNum(*SetSize(PalCrew()));
+  std::vector<uint8_t> has = RoundTripBool(*Contains(PalCrew(), Self()));
+  const EntityId* pal = ctx_.outer->RefCol(fpal_);
+  bool saw_null = false;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (pal[rows_[i]] != kNullEntity) continue;
+    saw_null = true;
+    EXPECT_EQ(0.0, sizes[i]) << "lane " << i;
+    EXPECT_EQ(0, has[i]) << "lane " << i;
+  }
+  EXPECT_TRUE(saw_null) << "fixture must cover null owners";
+  RoundTripBool(*Contains(IfExpr(CmpRefEq(Pal(), NullRef()), PalCrew(), H()),
+                          G()));
 }
 
 // Left-leaning chains re-use a bounded register set: the lowering frees a
@@ -257,7 +443,7 @@ TEST_F(VmLowering, RegisterAllocationStaysBoundedOnChains) {
     e = Arith(ArithOp::kAdd, std::move(e), NumLit(1.0));
   }
   VmProgram p;
-  ASSERT_TRUE(CompileValue(*e, TypeKind::kNumber, &p));
+  ASSERT_TRUE(CompileValue(*e, TypeKind::kNumber, &p).ok());
   EXPECT_LE(p.num_regs, 4) << "chain depth leaked into the register file";
   EXPECT_GE(p.code.size(), 301u);
   RoundTripNum(*e);
@@ -265,37 +451,93 @@ TEST_F(VmLowering, RegisterAllocationStaysBoundedOnChains) {
 
 TEST_F(VmLowering, DisassembleListsKernels) {
   VmProgram p;
-  ASSERT_TRUE(CompileValue(*Arith(ArithOp::kAdd, A(), B()),
-                           TypeKind::kNumber, &p));
+  ASSERT_TRUE(CompileValue(*Arith(ArithOp::kAdd, A(), E()),
+                           TypeKind::kNumber, &p)
+                  .ok());
   std::string listing = p.Disassemble();
   EXPECT_NE(listing.find("add"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("load.effect.num"), std::string::npos) << listing;
 }
 
-// Update-phase constructs (merged-effect reads) are not VM-executable; the
-// compiler must refuse them so call sites fall back to the tree walker.
-TEST_F(VmLowering, EffectReadsFallBackToTreeWalker) {
-  ExprPtr e = Arith(ArithOp::kAdd, A(),
-                    EffectRead(cls_, 0, SglType::Number()));
+// Lowering failures are errors naming the ExprKind, not fallbacks.
+TEST_F(VmLowering, ExcessRegisterDemandIsALoweringError) {
   VmProgram p;
-  EXPECT_FALSE(CompileValue(*e, TypeKind::kNumber, &p));
-  ExprPtr f = AndB(CmpNum(CmpOp::kGt, A(), NumLit(0.0)),
-                   AssignedRead(cls_, 0));
-  EXPECT_FALSE(CompileFilter(*f, &p));
+  ExprPtr fits = RightChain([&] { return A(); }, kMaxRegs - 1);
+  EXPECT_TRUE(CompileValue(*fits, TypeKind::kNumber, &p).ok());
+  EXPECT_EQ(kMaxRegs, p.num_regs);
+  ExprPtr deep = RightChain([&] { return A(); }, kMaxRegs);
+  Status st = CompileValue(*deep, TypeKind::kNumber, &p);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("StateRead"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("registers"), std::string::npos) << st;
+  st = CompileFilter(*CmpNum(CmpOp::kLt, std::move(deep), NumLit(0)), &p);
+  EXPECT_FALSE(st.ok());
 }
 
-// --- Guarded numeric semantics, all three execution paths -------------------
+TEST_F(VmLowering, UnhandledKindIsALoweringError) {
+  // size() of a literal: no set the VM can read.
+  VmProgram p;
+  Status st = CompileValue(*SetSize(NumLit(1.0)), TypeKind::kNumber, &p);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("NumLit"), std::string::npos) << st;
+  st = CompileValue(*H(), TypeKind::kSet, &p);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("EffectRead"), std::string::npos) << st;
+}
+
+// The executor passes a lowering error on from Init() (which is how
+// Engine::Create reports it) instead of aborting or running a partial
+// program; the scalar oracle compiles nothing and still runs.
+TEST(VmCompileErrors, InitReturnsTheLoweringError) {
+  const char* src = R"sgl(
+class T {
+  state:
+    number a = 1;
+  effects:
+    number e : sum;
+  update:
+    a = a + e;
+}
+script S for T { e <- 1; }
+)sgl";
+  for (bool interpreted : {false, true}) {
+    auto prog = CompileSource(src);
+    ASSERT_TRUE(prog.ok()) << prog.status();
+    CompiledProgram& program = **prog;
+    ASSERT_EQ(1u, program.update_rules.size());
+    const UpdateRule& rule = program.update_rules[0];
+    const SglType num = SglType::Number();
+    const ClassId cls = rule.cls;
+    const FieldIdx a = rule.state_field;
+    program.update_rules[0].value =
+        RightChain([&] { return StateRead(0, cls, a, num); }, kMaxRegs);
+
+    World world(program.catalog.get());
+    ExecOptions options;
+    options.interpreted = interpreted;
+    TickExecutor exec(&world, nullptr, &program, options);
+    Status st = exec.Init();
+    if (interpreted) {
+      EXPECT_TRUE(st.ok()) << st;
+      EXPECT_TRUE(exec.RunTick().ok());
+    } else {
+      ASSERT_FALSE(st.ok());
+      EXPECT_NE(st.message().find("StateRead"), std::string::npos) << st;
+    }
+  }
+}
+
+// --- Guarded numeric semantics, oracle and fast path ----------------------
 //
 // The same source program must produce the same pinned result under the
-// scalar object-at-a-time interpreter, the vectorized tree walker, and the
-// bytecode VM. Each of these is a regression test for a semantics bug the
-// differential oracle caught: the three paths used to disagree on the
-// guarded cases below.
+// scalar object-at-a-time oracle and the bytecode VM. Each of these is a
+// regression test for a semantics bug the differential oracle caught: the
+// execution paths used to disagree on the guarded cases below.
 
 double RunScalarProgram(const std::string& src, double a, double b,
-                        bool interpreted, EvalMode eval) {
+                        bool interpreted) {
   EngineOptions options;
   options.exec.interpreted = interpreted;
-  options.exec.eval_mode = eval;
   auto engine = Engine::Create(src, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   auto id = (*engine)->Spawn(
@@ -307,12 +549,9 @@ double RunScalarProgram(const std::string& src, double a, double b,
 
 void ExpectAllPathsAgree(const std::string& src, double a, double b,
                          double want) {
-  EXPECT_EQ(want, RunScalarProgram(src, a, b, /*interpreted=*/true,
-                                   EvalMode::kInterpret))
-      << "scalar interpreter";
-  EXPECT_EQ(want, RunScalarProgram(src, a, b, false, EvalMode::kInterpret))
-      << "vectorized tree walker";
-  EXPECT_EQ(want, RunScalarProgram(src, a, b, false, EvalMode::kBytecode))
+  EXPECT_EQ(want, RunScalarProgram(src, a, b, /*interpreted=*/true))
+      << "scalar oracle";
+  EXPECT_EQ(want, RunScalarProgram(src, a, b, /*interpreted=*/false))
       << "bytecode VM";
 }
 
@@ -357,7 +596,7 @@ TEST(VmSemantics, DegenerateClampIsMinMaxEverywhere) {
 }
 
 // A null ref mid-span gathers the *empty set*: size() is 0 and contains()
-// is false, in every execution path.
+// is false, on both paths.
 TEST(VmSemantics, NullRefSetGatherIsEmptySetEverywhere) {
   const char* src = R"sgl(
 class G {
@@ -381,11 +620,9 @@ script S for G {
   ec <- if(contains(pal.friends, self), 1, 0);
 }
 )sgl";
-  for (int path = 0; path < 3; ++path) {
+  for (bool interpreted : {true, false}) {
     EngineOptions options;
-    options.exec.interpreted = path == 0;
-    options.exec.eval_mode =
-        path == 2 ? EvalMode::kBytecode : EvalMode::kInterpret;
+    options.exec.interpreted = interpreted;
     auto engine = Engine::Create(src, options);
     ASSERT_TRUE(engine.ok()) << engine.status();
     // Mid-span null: row 1 of three has no pal.
@@ -397,19 +634,74 @@ script S for G {
     ASSERT_TRUE((*engine)->Set(*g2, "pal", Value::Ref(*g1)).ok());
     // Tick 1 populates friends = {self}; tick 2 gathers through pal.
     ASSERT_TRUE((*engine)->RunTicks(2).ok());
-    EXPECT_EQ(1.0, (*engine)->Get(*g0, "n")->AsNumber()) << "path " << path;
-    EXPECT_EQ(0.0, (*engine)->Get(*g0, "c")->AsNumber()) << "path " << path;
-    EXPECT_EQ(0.0, (*engine)->Get(*g1, "n")->AsNumber()) << "path " << path;
-    EXPECT_EQ(0.0, (*engine)->Get(*g1, "c")->AsNumber()) << "path " << path;
-    EXPECT_EQ(1.0, (*engine)->Get(*g2, "n")->AsNumber()) << "path " << path;
+    const char* path = interpreted ? "oracle" : "vm";
+    EXPECT_EQ(1.0, (*engine)->Get(*g0, "n")->AsNumber()) << path;
+    EXPECT_EQ(0.0, (*engine)->Get(*g0, "c")->AsNumber()) << path;
+    EXPECT_EQ(0.0, (*engine)->Get(*g1, "n")->AsNumber()) << path;
+    EXPECT_EQ(0.0, (*engine)->Get(*g1, "c")->AsNumber()) << path;
+    EXPECT_EQ(1.0, (*engine)->Get(*g2, "n")->AsNumber()) << path;
   }
+}
+
+// Update rules over bool, ref and set effects — assigned(), effect reads,
+// set size / contains through `if` — run on the VM and match the oracle.
+TEST(VmSemantics, UpdateRulesOverEffectsMatchOracle) {
+  const char* src = R"sgl(
+class U {
+  state:
+    number hp = 10;
+    number seen = 0;
+    bool alert = false;
+    ref<U> target = null;
+    set<U> crew;
+  effects:
+    number dmg : sum;
+    bool warn : or;
+    ref<U> pick : last;
+    set<U> joins : union;
+  update:
+    hp = if(assigned(dmg), hp - dmg, hp + 1);
+    alert = if(assigned(warn), warn, alert);
+    target = if(assigned(pick), pick, target);
+    seen = size(if(assigned(warn), joins, crew)) +
+           if(contains(if(hp > 5, joins, crew), target), 10, 0);
+    crew = if(hp > 8, joins, crew);
+}
+script S for U {
+  if (hp > 6) { dmg <- 1; }
+  if (hp < 9) { warn <- hp < 7; }
+  if (seen < 3) { pick <- self; joins <- self; }
+  if (target != null) { target.joins <- self; }
+}
+)sgl";
+  auto run = [&](bool interpreted) {
+    EngineOptions options;
+    options.exec.interpreted = interpreted;
+    auto engine = Engine::Create(src, options);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    std::vector<EntityId> ids;
+    for (int i = 0; i < 24; ++i) {
+      auto id = (*engine)->Spawn("U", {{"hp", Value::Number(4 + i % 9)}});
+      EXPECT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      EXPECT_TRUE(
+          (*engine)
+              ->Set(ids[i], "target", Value::Ref(ids[(i + 5) % ids.size()]))
+              .ok());
+    }
+    EXPECT_TRUE((*engine)->RunTicks(12).ok());
+    return WorldChecksum((*engine)->world());
+  };
+  EXPECT_EQ(run(/*interpreted=*/true), run(/*interpreted=*/false));
 }
 
 // --- Checksum parity on the benchmark workloads -----------------------------
 //
-// The bytecode VM is a pure backend swap: E1 (RTS), E3 (market), and E8
-// (traffic) must reach bit-identical world checksums under kInterpret and
-// kBytecode, serially, with 4 worker threads, and with 4 world shards.
+// The fast path (bytecode VM, batched probes) must reach the oracle's
+// bit-identical world checksum on E1 (RTS), E3 (market), and E8 (traffic):
+// serially, with 4 worker threads, and with 4 world shards.
 
 uint64_t RunRts(const EngineOptions& options, int ticks, int units,
                 bool clustered) {
@@ -431,69 +723,68 @@ uint64_t RunTraffic(const EngineOptions& options, int ticks, int vehicles) {
   return WorldChecksum((*engine)->world());
 }
 
-EngineOptions Exec(EvalMode eval, PlanMode mode = PlanMode::kCostBased,
+EngineOptions Exec(bool interpreted, PlanMode mode = PlanMode::kCostBased,
                    int threads = 1, int shards = 1) {
   EngineOptions options;
-  options.exec.eval_mode = eval;
+  options.exec.interpreted = interpreted;
   options.exec.planner.mode = mode;
   options.exec.num_threads = threads;
   options.exec.num_shards = shards;
   return options;
 }
 
-TEST(VmParity, RtsChecksumMatchesInterpreterSerial) {
+constexpr bool kOracle = true;
+constexpr bool kFast = false;
+
+TEST(VmParity, RtsChecksumMatchesOracleSerial) {
   for (bool clustered : {true, false}) {
-    EXPECT_EQ(RunRts(Exec(EvalMode::kInterpret), 12, 300, clustered),
-              RunRts(Exec(EvalMode::kBytecode), 12, 300, clustered))
+    EXPECT_EQ(RunRts(Exec(kOracle), 12, 300, clustered),
+              RunRts(Exec(kFast), 12, 300, clustered))
         << "clustered=" << clustered;
   }
 }
 
-TEST(VmParity, RtsChecksumIndependentOfStrategyUnderBytecode) {
-  const uint64_t baseline =
-      RunRts(Exec(EvalMode::kInterpret, PlanMode::kStaticNL), 10, 256, true);
+TEST(VmParity, RtsChecksumIndependentOfStrategy) {
+  const uint64_t baseline = RunRts(Exec(kOracle), 10, 256, true);
   for (PlanMode mode :
        {PlanMode::kStaticNL, PlanMode::kStaticRangeTree, PlanMode::kStaticGrid,
         PlanMode::kCostBased, PlanMode::kAdaptive}) {
-    EXPECT_EQ(baseline, RunRts(Exec(EvalMode::kBytecode, mode), 10, 256, true))
+    EXPECT_EQ(baseline, RunRts(Exec(kFast, mode), 10, 256, true))
         << "strategy " << PlanModeName(mode);
   }
 }
 
 TEST(VmParity, RtsChecksumMatchesAcrossThreadsAndShards) {
-  const uint64_t baseline = RunRts(Exec(EvalMode::kInterpret), 10, 300, true);
-  EXPECT_EQ(baseline,
-            RunRts(Exec(EvalMode::kBytecode, PlanMode::kCostBased,
-                        /*threads=*/4),
-                   10, 300, true))
+  const uint64_t baseline = RunRts(Exec(kOracle), 10, 300, true);
+  EXPECT_EQ(baseline, RunRts(Exec(kFast, PlanMode::kCostBased, /*threads=*/4),
+                             10, 300, true))
       << "4 threads";
   EXPECT_EQ(baseline,
-            RunRts(Exec(EvalMode::kBytecode, PlanMode::kCostBased,
-                        /*threads=*/1, /*shards=*/4),
+            RunRts(Exec(kFast, PlanMode::kCostBased, /*threads=*/1,
+                        /*shards=*/4),
                    10, 300, true))
       << "4 shards";
 }
 
-TEST(VmParity, TrafficChecksumMatchesInterpreter) {
-  const uint64_t baseline = RunTraffic(Exec(EvalMode::kInterpret), 15, 400);
-  EXPECT_EQ(baseline, RunTraffic(Exec(EvalMode::kBytecode), 15, 400));
-  EXPECT_EQ(baseline, RunTraffic(Exec(EvalMode::kBytecode,
-                                      PlanMode::kCostBased, /*threads=*/4),
-                                 15, 400))
+TEST(VmParity, TrafficChecksumMatchesOracle) {
+  const uint64_t baseline = RunTraffic(Exec(kOracle), 15, 400);
+  EXPECT_EQ(baseline, RunTraffic(Exec(kFast), 15, 400));
+  EXPECT_EQ(baseline,
+            RunTraffic(Exec(kFast, PlanMode::kCostBased, /*threads=*/4), 15,
+                       400))
       << "4 threads";
-  EXPECT_EQ(baseline, RunTraffic(Exec(EvalMode::kBytecode,
-                                      PlanMode::kCostBased, /*threads=*/1,
-                                      /*shards=*/4),
+  EXPECT_EQ(baseline, RunTraffic(Exec(kFast, PlanMode::kCostBased,
+                                      /*threads=*/1, /*shards=*/4),
                                  15, 400))
       << "4 shards";
 }
 
-TEST(VmParity, MarketChecksumMatchesInterpreter) {
+TEST(VmParity, MarketChecksumMatchesOracle) {
   MarketConfig config;
   config.num_traders = 30;
   config.num_items = 60;
-  auto run = [&](EvalMode eval, int threads) {
-    EngineOptions options = Exec(eval, PlanMode::kCostBased, threads);
+  auto run = [&](bool interpreted, int threads) {
+    EngineOptions options = Exec(interpreted, PlanMode::kCostBased, threads);
     auto engine = MarketWorkload::Build(config, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     Rng rng(5);
@@ -505,17 +796,17 @@ TEST(VmParity, MarketChecksumMatchesInterpreter) {
     }
     return WorldChecksum((*engine)->world());
   };
-  const uint64_t baseline = run(EvalMode::kInterpret, 1);
-  EXPECT_EQ(baseline, run(EvalMode::kBytecode, 1));
-  EXPECT_EQ(baseline, run(EvalMode::kBytecode, 4)) << "4 threads";
+  const uint64_t baseline = run(kOracle, 1);
+  EXPECT_EQ(baseline, run(kFast, 1));
+  EXPECT_EQ(baseline, run(kFast, 4)) << "4 threads";
 }
 
 // --- Compile cache + steady-state allocation --------------------------------
 
-// Programs compile once (constructor + first PrepareSite); after warmup a
-// bytecode tick allocates nothing — the register files live in per-worker
-// scratch with high-water reuse.
-TEST(VmAlloc, BytecodeSteadyStateIsAllocFree) {
+// Programs compile once (Init + first PrepareSite); after warmup a tick
+// allocates nothing — the register files live in per-worker scratch with
+// high-water reuse.
+TEST(VmAlloc, SteadyStateIsAllocFree) {
   if (!AllocCountingEnabled()) {
     GTEST_SKIP() << "allocation counting disabled in this build";
   }
@@ -525,8 +816,7 @@ TEST(VmAlloc, BytecodeSteadyStateIsAllocFree) {
   // peaks during warmup instead of creeping up tick over tick.
   config.num_units = 800;
   config.clustered = true;
-  EngineOptions options = Exec(EvalMode::kBytecode, PlanMode::kStaticGrid);
-  auto engine = RtsWorkload::Build(config, options);
+  auto engine = RtsWorkload::Build(config, Exec(kFast, PlanMode::kStaticGrid));
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_TRUE((*engine)->RunTicks(24).ok());  // warmup: compile + high water
   for (int t = 0; t < 10; ++t) {
@@ -534,23 +824,24 @@ TEST(VmAlloc, BytecodeSteadyStateIsAllocFree) {
     const TickStats& stats = (*engine)->last_stats();
     EXPECT_EQ(0, stats.allocs_per_tick)
         << "tick " << stats.tick << ": " << stats.bytes_per_tick << " bytes";
-    EXPECT_GT(stats.vm_programs, 0) << "bytecode mode must report programs";
+    EXPECT_GT(stats.vm_programs, 0) << "the fast path must report programs";
+    EXPECT_EQ(0, stats.vm_fallbacks);
   }
 }
 
 TEST(VmAlloc, StatsReportCompiledPrograms) {
   RtsConfig config;
   config.num_units = 64;
-  auto engine = RtsWorkload::Build(config, Exec(EvalMode::kBytecode));
+  auto engine = RtsWorkload::Build(config, Exec(kFast));
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_TRUE((*engine)->Tick().ok());
-  const TickStats& with_vm = (*engine)->last_stats();
-  EXPECT_GT(with_vm.vm_programs, 0);
+  EXPECT_GT((*engine)->last_stats().vm_programs, 0);
 
-  auto interp = RtsWorkload::Build(config, Exec(EvalMode::kInterpret));
-  ASSERT_TRUE(interp.ok());
-  ASSERT_TRUE((*interp)->Tick().ok());
-  EXPECT_EQ(0, (*interp)->last_stats().vm_programs);
+  auto oracle = RtsWorkload::Build(config, Exec(kOracle));
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE((*oracle)->Tick().ok());
+  EXPECT_EQ(0, (*oracle)->last_stats().vm_programs)
+      << "the oracle compiles no bytecode";
 }
 
 }  // namespace
