@@ -67,10 +67,7 @@ void BM_ShardedRtsTick(benchmark::State& state) {
     merge_us += engine->last_stats().merge_micros;
     update_us += engine->last_stats().update_micros;
     allocs += engine->last_stats().allocs_per_tick;
-    if (engine->sharded()) {
-      cross += static_cast<int64_t>(
-          engine->executor().last_cross_shard_records());
-    }
+    cross += engine->last_stats().cross_shard_records;
   }
   const double n = static_cast<double>(state.iterations());
   state.counters["units"] = units;

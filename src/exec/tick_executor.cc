@@ -16,26 +16,11 @@
 namespace sgl {
 
 void TickStats::Reset(Tick now) {
-  // Field-wise so `sites` keeps its capacity across ticks.
+  std::vector<SiteFeedback> keep = std::move(sites);
+  keep.clear();
+  *this = TickStats();
   tick = now;
-  query_effect_micros = 0;
-  merge_micros = 0;
-  update_micros = 0;
-  index_build_micros = 0;
-  index_memory_bytes = 0;
-  total_micros = 0;
-  allocs_per_tick = 0;
-  bytes_per_tick = 0;
-  vm_programs = 0;
-  vm_fallbacks = 0;
-  vm_compile_micros = 0;
-  probe_micros = 0;
-  simd_lanes_used = 0;
-  jobs_submitted = 0;
-  jobs_installed = 0;
-  jobs_in_flight = 0;
-  job_wait_micros = 0;
-  txn = TxnStats();
+  sites = std::move(keep);
 }
 
 struct TickExecutor::Worker {
@@ -439,7 +424,6 @@ Status TickExecutor::RunTick() {
   {
     SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanTickBarrier : kSpanTickMerge,
                    tick_, 0, 0);
-    cross_records_ = 0;
     if (sharded_ != nullptr) {
       if (options_.fault != nullptr) {
         // Latency fault at the barrier entrance: every shard's query work
@@ -464,7 +448,8 @@ Status TickExecutor::RunTick() {
       SGL_TRACE_SPAN(tel, kSpanMailboxReplay, tick_, 0, 0);
       for (auto& worker : workers_) {  // source-major: the serial ⊕ order
         worker->router->MergeInto(world_);
-        cross_records_ += worker->router->OutboundRecords();
+        last_.cross_shard_records +=
+            static_cast<int64_t>(worker->router->OutboundRecords());
       }
     } else {
       if (options_.fault != nullptr) {
@@ -571,72 +556,43 @@ Status TickExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  last_.total_micros = total.ElapsedMicros();
-  // Partition skew: slowest-minus-fastest query phase approximates the time
-  // the barrier sat waiting on the straggler (-1 = no barrier, one
-  // partition); imbalance is (max/mean − 1) in basis points. Computed
-  // outside the armed-telemetry branch because the flight recorder's
-  // anomaly triggers consume it too.
-  int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
-  for (const auto& part : partitions_) {
-    q_max = std::max(q_max, part->query_micros);
-    q_min = std::min(q_min, part->query_micros);
-    q_sum += part->query_micros;
+  if (sharded_ != nullptr) {
+    // Partition skew: slowest-minus-fastest query phase approximates the
+    // time the barrier sat waiting on the straggler.
+    int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
+    for (const auto& part : partitions_) {
+      q_max = std::max(q_max, part->query_micros);
+      q_min = std::min(q_min, part->query_micros);
+      q_sum += part->query_micros;
+    }
+    last_.barrier_stall_us = q_max - q_min;
+    last_.imbalance_bp =
+        q_sum > 0 ? (q_max * num_partitions - q_sum) * 10000 / q_sum : 0;
   }
-  const int64_t barrier_stall_us = sharded_ != nullptr ? q_max - q_min : -1;
-  const int64_t imbalance_bp =
-      q_sum > 0 ? (q_max * num_partitions - q_sum) * 10000 / q_sum : 0;
+  last_.total_micros = total.ElapsedMicros();
   if (options_.recorder != nullptr) {
     // Before the alloc-count capture below, so the recorder's own frame
     // assembly is held to the same allocs_per_tick == 0 contract.
-    FlightRecorder::FrameInput fin;
-    fin.tick = tick_;
-    fin.stats = &last_;
-    fin.world = world_;
-    fin.barrier_stall_us = barrier_stall_us;
-    fin.imbalance_bp = imbalance_bp;
-    fin.cross_shard_records = static_cast<int64_t>(cross_records_);
-    options_.recorder->CaptureTick(fin);
+    options_.recorder->CaptureTick(last_, *world_);
   }
   const AllocCounts alloc_after = AllocCountersNow();
   last_.allocs_per_tick = alloc_after.count - alloc_before.count;
   last_.bytes_per_tick = alloc_after.bytes - alloc_before.bytes;
   if (tel != nullptr && tel->armed()) {
-    for (const SiteFeedback& fb : last_.sites) {
-      if (fb.site < 0) continue;
-      tel->RecordSiteTick(fb.site, fb.micros, fb.probe_micros, fb.outer_rows,
-                          fb.candidates, fb.matches, fb.effects);
-    }
     if (sharded_ != nullptr) {
       for (const auto& part : partitions_) {
         tel->metrics().Record(tel->series().shard_query_us,
                               part->query_micros);
       }
     }
-    Telemetry::TickSample s;
-    s.total_us = last_.total_micros;
-    s.query_us = last_.query_effect_micros;
-    s.merge_us = last_.merge_micros;
-    s.update_us = last_.update_micros;
-    s.probe_us = last_.probe_micros;
-    s.job_wait_us = jobs_ != nullptr ? last_.job_wait_micros : -1;
-    s.barrier_stall_us = barrier_stall_us;
-    s.shard_imbalance_bp = imbalance_bp;
-    s.cross_shard_records = static_cast<int64_t>(cross_records_);
-    s.jobs_submitted = last_.jobs_submitted;
-    s.jobs_installed = last_.jobs_installed;
-    s.jobs_in_flight = last_.jobs_in_flight;
-    s.vm_programs = last_.vm_programs;
-    tel->RecordTick(s);
+    tel->RecordTick(last_, /*has_jobs=*/jobs_ != nullptr);
   }
   ++tick_;
   return Status::OK();
 }
 
 void TickExecutor::ResetStatsAfterRestore() {
-  last_.jobs_submitted = 0;
-  last_.jobs_installed = 0;
-  last_.job_wait_micros = 0;
+  last_.Reset(tick_);
   last_.jobs_in_flight =
       jobs_ != nullptr ? static_cast<int64_t>(jobs_->in_flight()) : 0;
   if (jobs_ != nullptr) jobs_->ResetStatsWindow();

@@ -113,7 +113,9 @@ struct ExecOptions {
   FlightRecorder* recorder = nullptr;
 };
 
-/// Timings and counters for the last tick.
+/// Timings and counters for the last tick: the one per-tick record. The
+/// executor fills it; telemetry (Telemetry::RecordTick), the flight
+/// recorder's frames (TickFrame::stats) and ExplainTick read it as is.
 struct TickStats {
   Tick tick = 0;
   int64_t query_effect_micros = 0;
@@ -126,7 +128,10 @@ struct TickStats {
   int64_t index_memory_bytes = 0;
   int64_t total_micros = 0;
   /// Heap traffic during the tick, across all threads (0 when the counting
-  /// hook is compiled out). Steady-state ticks should report ~0.
+  /// hook is compiled out). Steady-state ticks should report ~0. Read
+  /// after the flight recorder captured the tick, so that its frame
+  /// assembly counts too — which is also why a frame's (and ExplainTick's)
+  /// copy of the record has both fields 0.
   int64_t allocs_per_tick = 0;
   int64_t bytes_per_tick = 0;
   /// Bytecode programs resident in the executor's cache (0 under
@@ -150,10 +155,18 @@ struct TickStats {
   /// Barrier time spent blocked on jobs whose declared latency elapsed
   /// before their worker finished (the async pipeline's only stall).
   int64_t job_wait_micros = 0;
+  /// Partition-layout gauges. Sharded: the slowest-minus-fastest partition
+  /// query time (approximates how long the barrier waited on the
+  /// straggler), that skew as (max/mean - 1) in basis points, and the
+  /// effect records routed across shards. One partition: -1 / 0 / 0.
+  int64_t barrier_stall_us = -1;
+  int64_t imbalance_bp = 0;
+  int64_t cross_shard_records = 0;
   std::vector<SiteFeedback> sites;  ///< per accum site, aggregated
   TxnStats txn;
 
-  /// Zeroes every scalar field for a new tick, keeping `sites`' capacity.
+  /// Every field back to its default for tick `now`, keeping `sites`'
+  /// capacity (emptied).
   void Reset(Tick now);
 };
 
@@ -183,9 +196,9 @@ class TickExecutor {
   Tick tick() const { return tick_; }
   /// Repositions the tick counter (checkpoint restore, §3.3).
   void set_tick(Tick tick) { tick_ = tick; }
-  /// Zeroes the job counters of last_stats() after a checkpoint restore
-  /// (jobs_in_flight re-reads the service) so the pre-restore tick's
-  /// numbers never leak into the restored timeline.
+  /// Resets last_stats() to the restored tick after a checkpoint restore
+  /// (jobs_in_flight re-reads the service) so the abandoned timeline's
+  /// numbers never leak into the restored one.
   void ResetStatsAfterRestore();
   const TickStats& last_stats() const { return last_; }
   const ExecOptions& options() const { return options_; }
@@ -213,9 +226,6 @@ class TickExecutor {
 
   /// Attaches / detaches the effect tracer (§3.3). Null = off.
   void set_trace(EffectTraceSink* sink) { trace_ = sink; }
-
-  /// Effect records routed across shards last tick (0 on one partition).
-  size_t last_cross_shard_records() const { return cross_records_; }
 
  private:
   /// One worker's reusable state and effect sink (see the header comment).
@@ -254,7 +264,6 @@ class TickExecutor {
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;
-  size_t cross_records_ = 0;
 
   // --- Steady-state scratch (high-water reuse, see header comment) ------
   /// Partition p's first worker is workers_[p]; one partition owns them all.

@@ -101,11 +101,11 @@ std::string Telemetry::DumpChromeTrace() const {
         counter_ring_[static_cast<size_t>(i % ccap)];
     const double ts_us = static_cast<double>(s.ts_ns) / 1000.0;
     emit_counter(ts_us, "tick.total_us",
-                 static_cast<long long>(s.sample.total_us));
+                 static_cast<long long>(s.total_us));
     emit_counter(ts_us, "shard.imbalance_bp",
-                 static_cast<long long>(s.sample.shard_imbalance_bp));
+                 static_cast<long long>(s.imbalance_bp));
     emit_counter(ts_us, "jobs.in_flight",
-                 static_cast<long long>(s.sample.jobs_in_flight));
+                 static_cast<long long>(s.jobs_in_flight));
     if (s.ts_ns > last_ts_ns) last_ts_ns = s.ts_ns;
   }
   // Final snapshot: every gauge, and every histogram's p50, once at the

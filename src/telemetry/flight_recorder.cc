@@ -22,7 +22,7 @@ constexpr uint64_t kProvMagic = 0x31564f52504c4753ULL;
 void ClearFrame(TickFrame* f) {
   f->tick = -1;
   f->seq = 0;
-  f->num_sites = 0;
+  f->stats.Reset(-1);
   f->num_records = 0;
   f->dropped_records = 0;
 }
@@ -44,35 +44,14 @@ void FlightRecorder::set_fault(FaultInjector* fault) {
   last_fault_fires_ = fault != nullptr ? fault->total_fires() : 0;
 }
 
-void FlightRecorder::CaptureTick(const FrameInput& in) {
-  if (!armed_ || in.stats == nullptr || in.world == nullptr) return;
+void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
+  if (!armed_) return;
   TickFrame& f = ring_[static_cast<size_t>(frames_captured_) % ring_.size()];
-  f.tick = in.tick;
+  f.tick = stats.tick;
   f.seq = static_cast<uint64_t>(frames_captured_);
   f.end_ns = Telemetry::NowNs();
-  f.begin_ns = f.end_ns - in.stats->total_micros * 1000;
-
-  const TickStats& st = *in.stats;
-  f.total_micros = st.total_micros;
-  f.query_effect_micros = st.query_effect_micros;
-  f.merge_micros = st.merge_micros;
-  f.update_micros = st.update_micros;
-  f.probe_micros = st.probe_micros;
-  f.jobs_submitted = st.jobs_submitted;
-  f.jobs_installed = st.jobs_installed;
-  f.jobs_in_flight = st.jobs_in_flight;
-  f.txn_issued = st.txn.issued;
-  f.txn_committed = st.txn.committed;
-  f.txn_aborted = st.txn.aborted;
-  f.barrier_stall_us = in.barrier_stall_us;
-  f.imbalance_bp = in.imbalance_bp;
-  f.cross_shard_records = in.cross_shard_records;
-
-  // Per-site rows: pooled copy (slot assignment past the high-water mark).
-  const size_t ns = st.sites.size();
-  if (f.sites.size() < ns) f.sites.resize(ns);
-  for (size_t i = 0; i < ns; ++i) f.sites[i] = st.sites[i];
-  f.num_sites = ns;
+  f.begin_ns = f.end_ns - stats.total_micros * 1000;
+  f.stats = stats;
 
   // Drain the capture tracer into the frame's pooled record vector.
   size_t n = 0;
@@ -101,11 +80,11 @@ void FlightRecorder::CaptureTick(const FrameInput& in) {
             [](const FrameRecord& a, const FrameRecord& b) {
               return TraceRecordCanonicalLess(a.rec, b.rec);
             });
-  ResolveAfterValues(&f, *in.world);
+  ResolveAfterValues(&f, world);
 
   ++frames_captured_;
   const char* reason = EvaluateTriggers(f);
-  if (reason[0] != '\0') TriggerDump(reason, in.tick, in.world);
+  if (reason[0] != '\0') TriggerDump(reason, f.tick, &world);
 }
 
 void FlightRecorder::ResolveAfterValues(TickFrame* frame,
@@ -188,7 +167,7 @@ const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
     p95_scratch_.clear();
     for (const TickFrame& g : ring_) {
       if (g.tick < 0 || g.seq == frame.seq) continue;
-      p95_scratch_.push_back(g.total_micros);
+      p95_scratch_.push_back(g.stats.total_micros);
     }
     if (static_cast<int>(p95_scratch_.size()) >=
         options_.min_frames_for_anomaly) {
@@ -198,7 +177,7 @@ const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
                        p95_scratch_.begin() + static_cast<ptrdiff_t>(k),
                        p95_scratch_.end());
       const int64_t p95 = p95_scratch_[k];
-      if (p95 > 0 && static_cast<double>(frame.total_micros) >
+      if (p95 > 0 && static_cast<double>(frame.stats.total_micros) >
                          options_.anomaly_p95_factor *
                              static_cast<double>(p95)) {
         reason = "anomaly.tick_time";
@@ -206,11 +185,11 @@ const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
     }
   }
   if (reason[0] == '\0' && options_.imbalance_bp_threshold > 0 &&
-      frame.imbalance_bp >= options_.imbalance_bp_threshold) {
+      frame.stats.imbalance_bp >= options_.imbalance_bp_threshold) {
     reason = "anomaly.shard_imbalance";
   }
   if (reason[0] == '\0' && options_.barrier_stall_us_threshold > 0 &&
-      frame.barrier_stall_us >= options_.barrier_stall_us_threshold) {
+      frame.stats.barrier_stall_us >= options_.barrier_stall_us_threshold) {
     reason = "anomaly.barrier_stall";
   }
   return reason;
@@ -232,7 +211,10 @@ void FlightRecorder::TriggerDump(const char* reason, Tick tick,
 }
 
 void FlightRecorder::NotifyRestore(Tick tick, const World* world) {
-  restored_at_ = tick;
+  // A dump tick from the abandoned timeline may lie ahead of the restored
+  // one; left in place it would hold every trigger in cooldown until the
+  // replay caught up with it.
+  last_dump_tick_ = -1;
   if (options_.dump_on_restore && store_ != nullptr) {
     // The ring still holds the pre-crash window — that *is* the black box.
     (void)DumpNow("crash.restore", tick, world);

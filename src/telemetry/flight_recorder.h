@@ -3,9 +3,9 @@
 // decisions and effects after the fact).
 //
 // Each ring frame holds one tick's
-//   * scalar stats (phase micros, job counters, txn stats — a TickStats
-//     subset, plus a sharded world's stall/imbalance gauges),
-//   * per-site attribution rows (the SiteFeedback vector, pooled copy),
+//   * TickStats — the executor's own record of the tick (phase micros, job
+//     and txn counters, partition gauges, per-site rows), copied whole
+//     rather than re-declared, so a frame reads exactly like last_stats(),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
 //     order key, txn id, source rows, source shard) and each record's
 //     *resolved after-value* — the post-merge effect value or the
@@ -16,8 +16,9 @@
 // recorder's internal watch-all EffectTracer (pooled per-worker lanes);
 // at tick bookkeeping — before the executor reads the allocation counters,
 // so frame assembly is held to the allocs_per_tick == 0 contract — the
-// records drain into the current frame's pooled vector, sort with
-// TraceRecordCanonicalLess, and after-values resolve from the world.
+// stats copy into the current frame, the records drain into its pooled
+// vector and sort with TraceRecordCanonicalLess, and after-values resolve
+// from the world.
 // Frames wrap-overwrite (newest wins) with eviction accounting; record
 // overflow within a frame truncates with drop accounting. Disarmed: one
 // branch per tick in the executor plus one null check per effect write.
@@ -112,27 +113,11 @@ struct TickFrame {
   uint64_t seq = 0;    ///< capture sequence (wrap generation)
   int64_t begin_ns = 0, end_ns = 0;  ///< wall-clock window (Telemetry epoch)
 
-  // Scalar stats copied from TickStats (alloc counters excluded: they are
-  // read *after* capture, by design).
-  int64_t total_micros = 0;
-  int64_t query_effect_micros = 0;
-  int64_t merge_micros = 0;
-  int64_t update_micros = 0;
-  int64_t probe_micros = 0;
-  int64_t jobs_submitted = 0;
-  int64_t jobs_installed = 0;
-  int64_t jobs_in_flight = 0;
-  int64_t txn_issued = 0;
-  int64_t txn_committed = 0;
-  int64_t txn_aborted = 0;
-  /// Sharded-world gauges (-1 / 0 / 0 with one partition).
-  int64_t barrier_stall_us = -1;
-  int64_t imbalance_bp = 0;
-  int64_t cross_shard_records = 0;
-
-  /// Per-site attribution rows (pooled copy of TickStats::sites).
-  std::vector<SiteFeedback> sites;
-  size_t num_sites = 0;  ///< used prefix of `sites`
+  /// The executor's record of the tick, site rows included (a pooled copy:
+  /// copy-assignment reuses the slot's `sites` capacity). Its
+  /// allocs_per_tick / bytes_per_tick are 0 — capture runs before the
+  /// executor closes the allocation window.
+  TickStats stats;
 
   /// Canonically sorted records; `num_records` is the used prefix (the
   /// vector is pooled and never shrinks).
@@ -169,24 +154,16 @@ class FlightRecorder {
     return armed_ ? static_cast<EffectTraceSink*>(&tracer_) : nullptr;
   }
 
-  /// One tick's capture input, filled by the executor at bookkeeping time.
-  struct FrameInput {
-    Tick tick = 0;
-    const TickStats* stats = nullptr;
-    const World* world = nullptr;
-    /// Sharded worlds only; one partition leaves the defaults.
-    int64_t barrier_stall_us = -1;
-    int64_t imbalance_bp = 0;
-    int64_t cross_shard_records = 0;
-  };
+  /// Seals the tick `stats` describes into a ring frame (stats copy,
+  /// drain + canonical sort + after-value resolution against `world`),
+  /// then evaluates the dump triggers. Allocation-free at the high-water
+  /// mark. No-op when disarmed.
+  void CaptureTick(const TickStats& stats, const World& world);
 
-  /// Seals the current tick into a ring frame (drain + canonical sort +
-  /// after-value resolution), then evaluates the dump triggers.
-  /// Allocation-free at the high-water mark. No-op when disarmed.
-  void CaptureTick(const FrameInput& in);
-
-  /// Crash-recovery notification (Engine::Restore). Records the restore
-  /// tick and, with dump_on_restore set, writes a "crash.restore" dump.
+  /// Crash-recovery notification (Engine::Restore). Forgets the abandoned
+  /// timeline's dump tick (the cooldown counts from the recovered run
+  /// only), writes a "crash.restore" dump when dump_on_restore is set, then
+  /// clears the ring.
   void NotifyRestore(Tick tick, const World* world);
 
   /// Writes a dump now, regardless of triggers and cooldown (tests,
@@ -242,7 +219,6 @@ class FlightRecorder {
   int64_t last_fault_fires_ = 0;
   std::string last_trigger_;
   std::vector<int64_t> p95_scratch_;  ///< pre-reserved rolling-p95 buffer
-  Tick restored_at_ = -1;  ///< last NotifyRestore tick (-1 = never)
 };
 
 }  // namespace sgl

@@ -185,17 +185,7 @@ ExplainResult ProvenanceIndex::ExplainTick(Tick tick) const {
   }
   out.status = f->dropped_records > 0 ? ProvStatus::kTruncated
                                       : ProvStatus::kOk;
-  out.total_micros = f->total_micros;
-  out.query_effect_micros = f->query_effect_micros;
-  out.merge_micros = f->merge_micros;
-  out.update_micros = f->update_micros;
-  out.probe_micros = f->probe_micros;
-  out.barrier_stall_us = f->barrier_stall_us;
-  out.imbalance_bp = f->imbalance_bp;
-  out.cross_shard_records = f->cross_shard_records;
-  out.txn_issued = f->txn_issued;
-  out.txn_committed = f->txn_committed;
-  out.txn_aborted = f->txn_aborted;
+  out.stats = f->stats;
   out.num_records = static_cast<int64_t>(f->num_records);
   out.dropped_records = f->dropped_records;
 
@@ -207,14 +197,7 @@ ExplainResult ProvenanceIndex::ExplainTick(Tick tick) const {
     out.sites.back().site = site;
     return out.sites.back();
   };
-  for (size_t i = 0; i < f->num_sites; ++i) {
-    const SiteFeedback& fb = f->sites[i];
-    ExplainSiteRow& r = row_for(fb.site);
-    r.micros += fb.micros;
-    r.outer_rows += fb.outer_rows;
-    r.matches += fb.matches;
-    r.effects += fb.effects;
-  }
+  for (const SiteFeedback& fb : f->stats.sites) row_for(fb.site);
   for (size_t i = 0; i < f->num_records; ++i) {
     ++row_for(f->records[i].rec.prov.site).records;
   }

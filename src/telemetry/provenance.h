@@ -7,7 +7,7 @@
 // ⊕/intent order key, transaction id, writing source rows — in canonical
 // order, plus the field's value before (the latest earlier in-ring
 // after-value) and after the tick. ExplainTick(t) returns the tick's
-// per-phase / per-site breakdown with per-site record counts.
+// TickStats as captured plus per-site record counts.
 //
 // Both answer from flat per-frame indexes: a sorted permutation of the
 // frame's records keyed by (target, field) — CSR-style, one contiguous run
@@ -85,31 +85,18 @@ struct WhyResult {
   std::vector<ProvStep> steps;  ///< canonical order
 };
 
-/// Per-site row of an ExplainTick breakdown.
+/// Per-site row of an ExplainTick breakdown: one per site that ran or
+/// wrote. The site's timings and counters are its row in `stats.sites`.
 struct ExplainSiteRow {
   int site = -1;  ///< -1 aggregates plan-level / txn records
-  int64_t records = 0;        ///< effect records attributed to the site
-  int64_t micros = 0;         ///< from the site's feedback row (if any)
-  int64_t outer_rows = 0;
-  int64_t matches = 0;
-  int64_t effects = 0;
+  int64_t records = 0;  ///< effect records attributed to the site
 };
 
-/// ExplainTick result: the frame's phase timings and per-site breakdown.
+/// ExplainTick result: the frame's TickStats and per-site breakdown.
 struct ExplainResult {
   ProvStatus status = ProvStatus::kNotRecorded;
   Tick tick = -1;
-  int64_t total_micros = 0;
-  int64_t query_effect_micros = 0;
-  int64_t merge_micros = 0;
-  int64_t update_micros = 0;
-  int64_t probe_micros = 0;
-  int64_t barrier_stall_us = -1;
-  int64_t imbalance_bp = 0;
-  int64_t cross_shard_records = 0;
-  int64_t txn_issued = 0;
-  int64_t txn_committed = 0;
-  int64_t txn_aborted = 0;
+  TickStats stats;  ///< the frame's copy (TickFrame::stats)
   int64_t num_records = 0;
   int64_t dropped_records = 0;
   std::vector<ExplainSiteRow> sites;  ///< ascending by site id, -1 first
@@ -127,7 +114,7 @@ class ProvenanceIndex {
   /// transaction write-backs); steps carry `is_txn` to discriminate.
   WhyResult WhyDidChange(EntityId entity, FieldIdx field, Tick tick) const;
 
-  /// Per-phase and per-site breakdown of `tick`.
+  /// The captured TickStats of `tick` and its per-site record counts.
   ExplainResult ExplainTick(Tick tick) const;
 
  private:

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/exec/tick_executor.h"
+
 namespace sgl {
 
 namespace {
@@ -140,29 +142,30 @@ std::vector<SpanView> Telemetry::CollectSpans() const {
   return out;
 }
 
-void Telemetry::RecordTick(const TickSample& s) {
-  metrics_.Record(std_.tick_total_us, s.total_us);
-  metrics_.Record(std_.tick_query_us, s.query_us);
-  metrics_.Record(std_.tick_merge_us, s.merge_us);
-  metrics_.Record(std_.tick_update_us, s.update_us);
-  if (s.probe_us > 0) metrics_.Record(std_.probe_us, s.probe_us);
-  if (s.job_wait_us >= 0) metrics_.Record(std_.job_wait_us, s.job_wait_us);
-  if (s.barrier_stall_us >= 0) {
-    metrics_.Record(std_.barrier_stall_us, s.barrier_stall_us);
-    metrics_.Set(std_.shard_imbalance_bp, s.shard_imbalance_bp);
+void Telemetry::RecordTick(const TickStats& st, bool has_jobs) {
+  for (const SiteFeedback& fb : st.sites) RecordSiteTick(fb);
+  metrics_.Record(std_.tick_total_us, st.total_micros);
+  metrics_.Record(std_.tick_query_us, st.query_effect_micros);
+  metrics_.Record(std_.tick_merge_us, st.merge_micros);
+  metrics_.Record(std_.tick_update_us, st.update_micros);
+  if (st.probe_micros > 0) metrics_.Record(std_.probe_us, st.probe_micros);
+  if (has_jobs) metrics_.Record(std_.job_wait_us, st.job_wait_micros);
+  if (st.barrier_stall_us >= 0) {
+    metrics_.Record(std_.barrier_stall_us, st.barrier_stall_us);
+    metrics_.Set(std_.shard_imbalance_bp, st.imbalance_bp);
   }
-  if (s.cross_shard_records > 0) {
-    metrics_.Count(std_.cross_shard_records_total, s.cross_shard_records);
+  if (st.cross_shard_records > 0) {
+    metrics_.Count(std_.cross_shard_records_total, st.cross_shard_records);
   }
-  metrics_.Set(std_.cross_shard_records, s.cross_shard_records);
-  if (s.jobs_submitted > 0) {
-    metrics_.Count(std_.jobs_submitted, s.jobs_submitted);
+  metrics_.Set(std_.cross_shard_records, st.cross_shard_records);
+  if (st.jobs_submitted > 0) {
+    metrics_.Count(std_.jobs_submitted, st.jobs_submitted);
   }
-  if (s.jobs_installed > 0) {
-    metrics_.Count(std_.jobs_installed, s.jobs_installed);
+  if (st.jobs_installed > 0) {
+    metrics_.Count(std_.jobs_installed, st.jobs_installed);
   }
-  metrics_.Set(std_.jobs_in_flight, s.jobs_in_flight);
-  metrics_.Set(std_.vm_programs, s.vm_programs);
+  metrics_.Set(std_.jobs_in_flight, st.jobs_in_flight);
+  metrics_.Set(std_.vm_programs, st.vm_programs);
   // Counter-sample ring (single writer: the barrier thread). Slot write,
   // then a release publish of the count — the exporter's read protocol
   // mirrors the span lanes.
@@ -170,7 +173,9 @@ void Telemetry::RecordTick(const TickSample& s) {
   CounterSample& slot = counter_ring_[static_cast<size_t>(
       i % counter_ring_.size())];
   slot.ts_ns = NowNs();
-  slot.sample = s;
+  slot.total_us = st.total_micros;
+  slot.imbalance_bp = st.imbalance_bp;
+  slot.jobs_in_flight = st.jobs_in_flight;
   counter_count_.store(i + 1, std::memory_order_release);
 }
 
@@ -200,19 +205,17 @@ void Telemetry::RecordSiteDecision(int site, Tick tick,
   ++s.decisions;
 }
 
-void Telemetry::RecordSiteTick(int site, int64_t micros, int64_t probe_micros,
-                               int64_t outer_rows, int64_t candidates,
-                               int64_t matches, int64_t effects) {
-  if (site < 0 || site >= static_cast<int>(sites_.size())) return;
-  SiteSeries& s = sites_[static_cast<size_t>(site)];
-  s.site = site;
+void Telemetry::RecordSiteTick(const SiteFeedback& fb) {
+  if (fb.site < 0 || fb.site >= static_cast<int>(sites_.size())) return;
+  SiteSeries& s = sites_[static_cast<size_t>(fb.site)];
+  s.site = fb.site;
   ++s.ticks;
-  s.micros += micros;
-  s.probe_micros += probe_micros;
-  s.outer_rows += outer_rows;
-  s.candidates += candidates;
-  s.matches += matches;
-  s.effects += effects;
+  s.micros += fb.micros;
+  s.probe_micros += fb.probe_micros;
+  s.outer_rows += fb.outer_rows;
+  s.candidates += fb.candidates;
+  s.matches += fb.matches;
+  s.effects += fb.effects;
 }
 
 std::string Telemetry::DescribeSites() const {

@@ -53,6 +53,9 @@
 
 namespace sgl {
 
+struct SiteFeedback;
+struct TickStats;
+
 /// Compile-time FNV-1a 64 over a span-site name (the src/fault/ scheme).
 constexpr uint64_t SpanSiteHash(const char* s,
                                 uint64_t h = 0xcbf29ce484222325ULL) {
@@ -265,38 +268,18 @@ class Telemetry {
   Status WriteChromeTrace(const std::string& path) const;
 
   // --- Standard per-tick recording (executors, barrier thread) ----------
-  struct TickSample {
-    int64_t total_us = 0;
-    int64_t query_us = 0;
-    int64_t merge_us = 0;
-    int64_t update_us = 0;
-    int64_t probe_us = 0;
-    int64_t job_wait_us = -1;       ///< -1 = no JobService this tick
-    int64_t barrier_stall_us = -1;  ///< -1 = unsharded (no stall series)
-    int64_t shard_imbalance_bp = 0;
-    int64_t cross_shard_records = 0;
-    int64_t jobs_submitted = 0;
-    int64_t jobs_installed = 0;
-    int64_t jobs_in_flight = 0;
-    int64_t vm_programs = 0;
-  };
-  void RecordTick(const TickSample& s);
-
-  /// One timestamped TickSample of the counter ring (exporter reads).
-  struct CounterSample {
-    int64_t ts_ns = 0;
-    TickSample sample;
-  };
+  /// Records one finished tick into the standard series, its site rows
+  /// into the per-site table, and a counter-ring sample. `job.wait_us` is
+  /// sampled only when `has_jobs` (a JobService exists), the barrier-stall
+  /// histogram and imbalance gauge only for a sharded world (stall >= 0),
+  /// and `probe.us` only on ticks that probed.
+  void RecordTick(const TickStats& st, bool has_jobs);
 
   // --- Per-site attribution (barrier thread only) -----------------------
   /// Pre-sizes the site table (executor constructors; allocates).
   void EnsureSites(int num_sites);
   /// Appends to the site's decision ring iff different from its last.
   void RecordSiteDecision(int site, Tick tick, const char* strategy);
-  /// Accumulates one tick's aggregated feedback for the site.
-  void RecordSiteTick(int site, int64_t micros, int64_t probe_micros,
-                      int64_t outer_rows, int64_t candidates,
-                      int64_t matches, int64_t effects);
   const std::vector<SiteSeries>& sites() const { return sites_; }
   /// Human-readable per-site table (off hot path).
   std::string DescribeSites() const;
@@ -305,7 +288,17 @@ class Telemetry {
   std::string DescribeSitesJson() const;
 
  private:
+  /// One counter-ring slot: the values DumpChromeTrace's "C" lanes plot.
+  struct CounterSample {
+    int64_t ts_ns = 0;
+    int64_t total_us = 0;
+    int64_t imbalance_bp = 0;
+    int64_t jobs_in_flight = 0;
+  };
+
   SpanLane* BindLane();
+  /// Accumulates one tick's aggregated feedback for its site.
+  void RecordSiteTick(const SiteFeedback& fb);
 
   TelemetryOptions options_;
   uint64_t instance_id_ = 0;  ///< process-unique; keys the TLS lane cache

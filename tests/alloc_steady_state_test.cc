@@ -316,7 +316,7 @@ TEST(AllocSteadyState, Sharded4SerialRtsIsAllocationFree) {
   auto engine = BuildStationaryShardedRts(
       800, ShardedOpts(PlanMode::kStaticGrid, /*shards=*/4, /*threads=*/1));
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-  EXPECT_GT(engine->executor().last_cross_shard_records(), 0u);
+  EXPECT_GT(engine->last_stats().cross_shard_records, 0);
 }
 
 TEST(AllocSteadyState, Sharded4Parallel4RtsIsAllocationFree) {
@@ -324,7 +324,7 @@ TEST(AllocSteadyState, Sharded4Parallel4RtsIsAllocationFree) {
   auto engine = BuildStationaryShardedRts(
       800, ShardedOpts(PlanMode::kStaticGrid, /*shards=*/4, /*threads=*/4));
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-  EXPECT_GT(engine->executor().last_cross_shard_records(), 0u);
+  EXPECT_GT(engine->last_stats().cross_shard_records, 0);
 }
 
 TEST(AllocSteadyState, Sharded4BytecodeBatchedIsAllocationFree) {
@@ -332,7 +332,7 @@ TEST(AllocSteadyState, Sharded4BytecodeBatchedIsAllocationFree) {
   auto engine = BuildStationaryShardedRts(800, FastPathOpts(/*threads=*/1,
                                                             /*shards=*/4));
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-  EXPECT_GT(engine->executor().last_cross_shard_records(), 0u);
+  EXPECT_GT(engine->last_stats().cross_shard_records, 0);
 }
 
 TEST(AllocSteadyState, Sharded4MarketTransactionsAreAllocationFree) {

@@ -620,6 +620,17 @@ TEST(RestoreStatsTest, JobCountersResetConsistentlyAfterRestore) {
   EXPECT_GT(stats.jobs_in_flight, 0) << "fidelity restore keeps jobs";
   EXPECT_EQ(stats.jobs_in_flight,
             static_cast<int64_t>((*engine)->executor().jobs().in_flight()));
+  // The rest of the record restarts at the restored tick too: no timings,
+  // counters, gauges or site rows of the abandoned tick survive.
+  EXPECT_EQ(stats.tick, (*engine)->tick());
+  EXPECT_EQ(stats.total_micros, 0);
+  EXPECT_EQ(stats.query_effect_micros, 0);
+  EXPECT_EQ(stats.txn.issued, 0);
+  EXPECT_EQ(stats.txn.committed, 0);
+  EXPECT_EQ(stats.txn.aborted, 0);
+  EXPECT_EQ(stats.cross_shard_records, 0);
+  EXPECT_EQ(stats.barrier_stall_us, -1) << "one partition has no barrier";
+  EXPECT_TRUE(stats.sites.empty());
 
   // Legacy restore (no jobs section): everything cancels, so the in-flight
   // gauge must read zero, not the stale pre-restore value.

@@ -207,7 +207,7 @@ TEST(ShardParity, CrossShardEffectsActuallyFlow) {
   // block shards a large share of those writes must cross shards.
   auto engine = BuildRts(300, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
-  EXPECT_GT(engine->executor().last_cross_shard_records(), 0u);
+  EXPECT_GT(engine->last_stats().cross_shard_records, 0);
   EXPECT_EQ(engine->sharded_world().epoch(), 5u);
 }
 
@@ -474,7 +474,7 @@ TEST(ShardParity, CheckpointRestoresMigratedPartitionExactly) {
   }
   ASSERT_TRUE(engine->RunTicks(10).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
-  const size_t final_cross = engine->executor().last_cross_shard_records();
+  const int64_t final_cross = engine->last_stats().cross_shard_records;
 
   auto resumed = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(resumed->Restore(cp).ok());
@@ -487,8 +487,7 @@ TEST(ShardParity, CheckpointRestoresMigratedPartitionExactly) {
   ASSERT_TRUE(resumed->RunTicks(10).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
   // Same partition => same cross-shard routing, tick for tick.
-  EXPECT_EQ(resumed->executor().last_cross_shard_records(),
-            final_cross);
+  EXPECT_EQ(resumed->last_stats().cross_shard_records, final_cross);
 }
 
 // A checkpoint taken under one shard count restored under another cannot

@@ -335,12 +335,56 @@ std::string ChainToString(const WhyResult& why, bool zero_shard) {
 
 // --- frame capture basics --------------------------------------------------
 
+// Field-for-field TickStats equality, site rows included. The alloc
+// counters are skipped: a frame copies the record before the executor
+// closes the allocation window.
+void ExpectSameTickStats(const TickStats& want, const TickStats& got) {
+#define SGL_EXPECT_SAME(f) EXPECT_EQ(got.f, want.f) << #f
+  SGL_EXPECT_SAME(tick);
+  SGL_EXPECT_SAME(query_effect_micros);
+  SGL_EXPECT_SAME(merge_micros);
+  SGL_EXPECT_SAME(update_micros);
+  SGL_EXPECT_SAME(index_build_micros);
+  SGL_EXPECT_SAME(index_memory_bytes);
+  SGL_EXPECT_SAME(total_micros);
+  SGL_EXPECT_SAME(vm_programs);
+  SGL_EXPECT_SAME(vm_compile_micros);
+  SGL_EXPECT_SAME(vm_fallbacks);
+  SGL_EXPECT_SAME(probe_micros);
+  SGL_EXPECT_SAME(simd_lanes_used);
+  SGL_EXPECT_SAME(jobs_submitted);
+  SGL_EXPECT_SAME(jobs_installed);
+  SGL_EXPECT_SAME(jobs_in_flight);
+  SGL_EXPECT_SAME(job_wait_micros);
+  SGL_EXPECT_SAME(barrier_stall_us);
+  SGL_EXPECT_SAME(imbalance_bp);
+  SGL_EXPECT_SAME(cross_shard_records);
+  SGL_EXPECT_SAME(txn.issued);
+  SGL_EXPECT_SAME(txn.committed);
+  SGL_EXPECT_SAME(txn.aborted);
+  ASSERT_EQ(got.sites.size(), want.sites.size());
+  for (size_t i = 0; i < want.sites.size(); ++i) {
+    SGL_EXPECT_SAME(sites[i].site);
+    SGL_EXPECT_SAME(sites[i].strategy);
+    SGL_EXPECT_SAME(sites[i].outer_rows);
+    SGL_EXPECT_SAME(sites[i].candidates);
+    SGL_EXPECT_SAME(sites[i].matches);
+    SGL_EXPECT_SAME(sites[i].micros);
+    SGL_EXPECT_SAME(sites[i].probe_micros);
+    SGL_EXPECT_SAME(sites[i].effects);
+  }
+#undef SGL_EXPECT_SAME
+}
+
 TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   FlightRecorderOptions fo;
   fo.ring_ticks = 16;
   FlightRecorder rec(fo);
   rec.set_armed(true);
-  auto engine = BuildRts(256, RecorderOpts(&rec));
+  Telemetry tel;
+  tel.set_armed(true);
+  auto engine = BuildRts(256, RecorderOpts(&rec, &tel, /*threads=*/1,
+                                           /*shards=*/2));
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(engine->Tick().ok());
 
   EXPECT_EQ(rec.frames_captured(), 6);
@@ -351,8 +395,8 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   const TickFrame* f = rec.frame(newest);
   ASSERT_NE(f, nullptr);
   EXPECT_GT(f->num_records, 0u) << "battle damage must be recorded";
-  EXPECT_GT(f->num_sites, 0u);
-  EXPECT_GE(f->total_micros, 0);
+  EXPECT_FALSE(f->stats.sites.empty());
+  EXPECT_GE(f->stats.total_micros, 0);
   // Canonical order within the frame.
   for (size_t i = 1; i < f->num_records; ++i) {
     EXPECT_FALSE(TraceRecordCanonicalLess(f->records[i].rec,
@@ -364,11 +408,44 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   const ExplainResult ex = prov.ExplainTick(newest);
   ASSERT_EQ(ex.status, ProvStatus::kOk);
   EXPECT_EQ(ex.num_records, static_cast<int64_t>(f->num_records));
-  EXPECT_EQ(ex.total_micros, f->total_micros);
   int64_t site_records = 0;
   for (const ExplainSiteRow& r : ex.sites) site_records += r.records;
   EXPECT_EQ(site_records, ex.num_records)
       << "per-site attribution must partition the record count";
+
+  // One tick reads the same everywhere: the executor's record, the frame's
+  // copy, ExplainTick's copy, and the registry's gauges.
+  const TickStats& live = engine->last_stats();
+  ASSERT_EQ(live.tick, newest);
+  ExpectSameTickStats(live, f->stats);
+  ExpectSameTickStats(live, ex.stats);
+  EXPECT_EQ(f->stats.allocs_per_tick, 0);
+  EXPECT_EQ(f->stats.bytes_per_tick, 0);
+  EXPECT_GE(live.barrier_stall_us, 0) << "two partitions have a barrier";
+  EXPECT_GT(live.cross_shard_records, 0);
+  const MetricsSnapshot snap = tel.metrics().Snapshot();
+  EXPECT_EQ(snap.Gauge("shard.imbalance_bp"), live.imbalance_bp);
+  EXPECT_EQ(snap.Gauge("shard.cross_records"), live.cross_shard_records);
+  const HistogramSnapshot* stall = snap.Find("barrier.stall_us");
+  ASSERT_NE(stall, nullptr);
+  EXPECT_EQ(stall->count, 6) << "one stall sample per sharded tick";
+
+  // One partition: no barrier, so no stall gauge and no stall samples.
+  FlightRecorder solo_rec(fo);
+  solo_rec.set_armed(true);
+  Telemetry solo_tel;
+  solo_tel.set_armed(true);
+  auto solo = BuildRts(256, RecorderOpts(&solo_rec, &solo_tel));
+  ASSERT_TRUE(solo->RunTicks(6).ok());
+  const TickStats& one = solo->last_stats();
+  EXPECT_EQ(one.barrier_stall_us, -1);
+  EXPECT_EQ(one.imbalance_bp, 0);
+  EXPECT_EQ(one.cross_shard_records, 0);
+  ExpectSameTickStats(one, solo_rec.frame(one.tick)->stats);
+  const MetricsSnapshot solo_snap = solo_tel.metrics().Snapshot();
+  const HistogramSnapshot* solo_stall = solo_snap.Find("barrier.stall_us");
+  ASSERT_NE(solo_stall, nullptr);
+  EXPECT_EQ(solo_stall->count, 0);
 }
 
 // --- differential: index path vs independent stream ------------------------
@@ -738,6 +815,46 @@ TEST(BlackBox, CorruptDumpIsRejectedAndStoreFallsBack) {
   auto good = store.LoadLatestGood();
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_EQ(good->reason, "first");
+}
+
+// A restore abandons the timeline the last dump was written on: its dump
+// tick may lie ahead of the restored tick and must not hold the recovered
+// run's triggers in cooldown.
+TEST(BlackBox, RestoreForgetsTheAbandonedTimelinesCooldown) {
+  const std::string dir = FreshDir("restore_cooldown");
+  BlackBoxStore store(dir, /*keep=*/4);
+  FaultPlan plan;
+  plan.seed = 5;
+  FaultRule rule;
+  rule.site = kFaultAsyncWorkerStall.name;
+  rule.rate = 1.0;
+  plan.rules.push_back(rule);
+  FaultInjector fault(plan);
+
+  FlightRecorderOptions fo;
+  fo.ring_ticks = 8;
+  fo.dump_on_fault = true;
+  fo.dump_cooldown_ticks = 16;
+  FlightRecorder rec(fo);
+  rec.set_armed(true);
+  rec.set_fault(&fault);
+  rec.AttachStore(&store);
+
+  auto engine = BuildRts(256, RecorderOpts(&rec));
+  ASSERT_TRUE(engine->RunTicks(10).ok());
+  const Checkpoint cp = engine->TakeCheckpoint();
+  ASSERT_TRUE(engine->RunTicks(30).ok());
+  ASSERT_TRUE(fault.Fires(kFaultAsyncWorkerStall, engine->tick(), 0));
+  ASSERT_TRUE(engine->Tick().ok());  // tick 40: fault.fired dump
+  ASSERT_EQ(rec.dumps_written(), 1);
+
+  ASSERT_TRUE(engine->Restore(cp).ok());
+  ASSERT_TRUE(engine->RunTicks(5).ok());
+  ASSERT_TRUE(fault.Fires(kFaultAsyncWorkerStall, engine->tick(), 0));
+  ASSERT_TRUE(engine->Tick().ok());  // tick 15 of the recovered run
+  EXPECT_EQ(rec.dumps_written(), 2)
+      << "the recovered run's first fault must dump";
+  EXPECT_EQ(rec.dumps_suppressed(), 0);
 }
 
 TEST(BlackBox, RotationKeepsTheNewestFiles) {
