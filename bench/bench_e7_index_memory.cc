@@ -7,19 +7,18 @@
 //
 // Output 1 (table): measured bytes vs. the formula for n × d, plus
 // bytes/entry — the series that motivates index partitioning.
-// Output 2 (table): k-way partitioned tree — max-per-shard memory drops
-// ~1/k (each machine of the simulated shared-nothing cluster holds 1/k).
-// Output 3 (benchmarks): cold build, steady-state rebuild (the per-tick
+// Output 2 (benchmarks): cold build, steady-state rebuild (the per-tick
 // cost, with allocs_per_build asserting the flat layouts' zero-allocation
-// rebuild), and query time for tree vs. grid.
+// rebuild), single-box query time, and batched probes (QueryBatch) for
+// tree vs. grid.
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 
 #include "bench/bench_util.h"
 #include "src/common/alloc_hook.h"
 #include "src/index/grid_index.h"
-#include "src/index/partitioned_index.h"
 #include "src/index/range_tree.h"
 
 namespace {
@@ -52,15 +51,6 @@ void PrintMemoryTables() {
       std::printf("%10zu %4d %16zu %16zu %12.1f\n", n, d, measured, formula,
                   static_cast<double>(measured) / static_cast<double>(n));
     }
-  }
-  std::printf(
-      "\n== E7b: k-way partitioned tree (shared-nothing simulation) ==\n");
-  std::printf("%8s %16s %16s\n", "shards", "max_shard_bytes", "total_bytes");
-  for (int shards : {1, 2, 4, 8, 16}) {
-    sgl::PartitionedIndex index(2, shards);
-    index.Build(RandomPoints(65536, 2, 99));
-    std::printf("%8d %16zu %16zu\n", shards, index.MaxShardMemoryBytes(),
-                index.TotalMemoryBytes());
   }
   std::printf("\n");
 }
@@ -170,6 +160,53 @@ void BM_GridQuery(benchmark::State& state) {
   }
 }
 
+// Batched probe over a morsel of boxes, the join loop's index call.
+// Args: {points, probes, target candidates per probe}; 2-D points are
+// uniform over [0, 1000]^2 in random row order, and each box is a square
+// sized for the target. {2048, 2048, 100} is battle's shape: every slice
+// spans at most 32 bitmap words, so EmitAscending takes the bitmap scan.
+// {65536, 2048, 2} is sparse-wide: a couple of rows scattered over ~1000
+// words, so each slice takes the std::sort fallback.
+template <typename Index>
+void QueryBatchLoop(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t probes = static_cast<size_t>(state.range(1));
+  const double per_probe = static_cast<double>(state.range(2));
+  Index index(2);
+  index.Build(RandomPoints(n, 2, 5));
+  const double half =
+      0.5 * std::sqrt(per_probe * 1e6 / static_cast<double>(n));
+  std::vector<std::vector<double>> lo(2, std::vector<double>(probes));
+  std::vector<std::vector<double>> hi(2, std::vector<double>(probes));
+  sgl::Rng rng(6);
+  for (size_t p = 0; p < probes; ++p) {
+    for (size_t k = 0; k < 2; ++k) {
+      const double c = rng.Uniform(0, 1000);
+      lo[k][p] = c - half;
+      hi[k][p] = c + half;
+    }
+  }
+  const double* lo_cols[2] = {lo[0].data(), lo[1].data()};
+  const double* hi_cols[2] = {hi[0].data(), hi[1].data()};
+  sgl::ProbeBatch batch;
+  index.QueryBatch(lo_cols, hi_cols, probes, &batch);
+  for (auto _ : state) {
+    index.QueryBatch(lo_cols, hi_cols, probes, &batch);
+    benchmark::DoNotOptimize(batch.items.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["candidates_per_probe"] =
+      static_cast<double>(batch.items.size()) / static_cast<double>(probes);
+}
+
+void BM_TreeQueryBatch(benchmark::State& state) {
+  QueryBatchLoop<sgl::RangeTree>(state);
+}
+
+void BM_GridQueryBatch(benchmark::State& state) {
+  QueryBatchLoop<sgl::GridIndex>(state);
+}
+
 BENCHMARK(BM_TreeBuild)
     ->Args({16384, 2})
     ->Args({65536, 2})
@@ -202,6 +239,16 @@ BENCHMARK(BM_TreeQuery)
 BENCHMARK(BM_GridQuery)
     ->Args({65536, 2})
     ->Args({16384, 3})
+    ->Unit(benchmark::kMicrosecond)
+    ->MinTime(0.05);
+BENCHMARK(BM_TreeQueryBatch)
+    ->Args({2048, 2048, 100})
+    ->Args({65536, 2048, 2})
+    ->Unit(benchmark::kMicrosecond)
+    ->MinTime(0.05);
+BENCHMARK(BM_GridQueryBatch)
+    ->Args({2048, 2048, 100})
+    ->Args({65536, 2048, 2})
     ->Unit(benchmark::kMicrosecond)
     ->MinTime(0.05);
 

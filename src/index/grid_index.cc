@@ -237,8 +237,9 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
   }
   out->tmp_start[num_probes] = static_cast<uint32_t>(tmp_n);
 
-  // Scatter visit-order slices back into probe-order CSR, sorting each
-  // slice ascending to match the per-box Query contract.
+  // Scatter visit-order slices back into probe-order CSR, each emitted in
+  // ascending row order to match the per-box Query contract. A probe's
+  // cells are disjoint, so its slice is duplicate-free.
   for (size_t p = 0; p <= num_probes; ++p) out->offsets[p] = 0;
   for (size_t v = 0; v < num_probes; ++v) {
     const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
@@ -250,16 +251,9 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
     const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
     const uint32_t a = out->tmp_start[v];
     const uint32_t b = out->tmp_start[v + 1];
-    RowIdx* dst = out->items.data() + out->offsets[p];
-    std::copy(out->tmp_items.begin() + a, out->tmp_items.begin() + b, dst);
-    std::sort(dst, dst + (b - a));
+    EmitAscending(out->tmp_items.data() + a, b - a,
+                  out->items.data() + out->offsets[p], &out->bits);
   }
-}
-
-size_t GridIndex::Count(const double* lo, const double* hi) const {
-  std::vector<RowIdx> tmp;
-  Query(lo, hi, &tmp);
-  return tmp.size();
 }
 
 size_t GridIndex::MemoryBytes() const {

@@ -46,12 +46,12 @@ class GridIndex {
   /// primary cell (sorted 64-bit cell<<32|probe keys), each box's
   /// innermost-dim cell run is one contiguous CSR span (CellIndex is
   /// row-major with the last dim fastest) walked with the SIMD range
-  /// filter, the next probe's span is prefetched, and candidates land in
-  /// pooled CSR output. Zero allocations at buffer high-water.
+  /// filter, the next probe's span is prefetched, and each probe's
+  /// candidates are scattered into pooled CSR output in ascending row
+  /// order by EmitAscending (no comparison sort on dense slices). Zero
+  /// allocations at buffer high-water.
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const;
-
-  size_t Count(const double* lo, const double* hi) const;
 
   size_t MemoryBytes() const;
 

@@ -1,9 +1,6 @@
 #include "src/index/index_manager.h"
 
-#include <algorithm>
-
 #include "src/common/stopwatch.h"
-#include "src/common/vec_util.h"
 
 namespace sgl {
 
@@ -65,26 +62,6 @@ void ExtractCoords(const World& world, const IndexSpec& spec,
 }
 
 }  // namespace
-
-void SpatialIndex::QueryBatch(const double* const* lo, const double* const* hi,
-                              size_t num_probes, ProbeBatch* out) const {
-  const int d = dims();
-  SGL_CHECK(d <= kMaxIndexDims);
-  GrowWithHeadroom(&out->offsets, num_probes + 1);
-  out->items.clear();
-  out->offsets[0] = 0;
-  double plo[kMaxIndexDims], phi[kMaxIndexDims];
-  for (size_t p = 0; p < num_probes; ++p) {
-    for (int k = 0; k < d; ++k) {
-      plo[k] = lo[k][p];
-      phi[k] = hi[k][p];
-    }
-    const size_t before = out->items.size();
-    Query(plo, phi, &out->items);
-    std::sort(out->items.begin() + before, out->items.end());
-    out->offsets[p + 1] = static_cast<uint32_t>(out->items.size());
-  }
-}
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {

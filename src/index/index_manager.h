@@ -47,11 +47,10 @@ class SpatialIndex {
   /// Batched probe: one virtual call answers num_probes boxes given as
   /// per-dim bound columns (lo[k][p], hi[k][p], k < dims()), emitting
   /// pooled CSR output whose slices are sorted ascending — bit-identical
-  /// to Query + sort per box (contract: src/index/probe_batch.h). The
-  /// default implementation is exactly that loop; concrete indexes
-  /// override with their native batch walk.
+  /// to Query + sort per box (contract: src/index/probe_batch.h). Each
+  /// backend forwards to its native batch walk.
   virtual void QueryBatch(const double* const* lo, const double* const* hi,
-                          size_t num_probes, ProbeBatch* out) const;
+                          size_t num_probes, ProbeBatch* out) const = 0;
   virtual size_t MemoryBytes() const = 0;
 };
 

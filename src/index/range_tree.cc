@@ -202,7 +202,9 @@ void RangeTree::QueryBatch(const double* const* lo, const double* const* hi,
     }
     const size_t before = out->items.size();
     Query(plo, phi, &out->items);
-    std::sort(out->items.begin() + before, out->items.end());
+    // Canonical-node outputs are disjoint: the slice is duplicate-free.
+    RowIdx* slice = out->items.data() + before;
+    EmitAscending(slice, out->items.size() - before, slice, &out->bits);
     out->offsets[p + 1] = static_cast<uint32_t>(out->items.size());
   }
 }

@@ -64,7 +64,8 @@ class RangeTree {
   /// traversal cannot be fused across probes the way the grid's CSR walk
   /// can, so this runs one traversal per box — the win over the executor's
   /// old loop is the devirtualized probe call, the pooled CSR emission,
-  /// and the slice sort done in place. Requires dims() <= kMaxIndexDims.
+  /// and the in-place EmitAscending ordering of each slice. Requires
+  /// dims() <= kMaxIndexDims.
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const;
 

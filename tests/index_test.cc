@@ -1,6 +1,6 @@
 // Index structures (§4.2): range-tree correctness against brute force over
-// random boxes and dimensions, grid equivalence, partitioned sharding, and
-// the Θ(n log^(d-1) n) memory accounting the paper calls out.
+// random boxes and dimensions, grid equivalence, and the Θ(n log^(d-1) n)
+// memory accounting the paper calls out.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "src/common/rng.h"
 #include "src/index/grid_index.h"
-#include "src/index/partitioned_index.h"
 #include "src/index/range_tree.h"
 
 namespace sgl {
@@ -186,62 +185,6 @@ TEST(Grid, UsesLinearMemory) {
   tree.Build(coords2);
   EXPECT_LT(grid.MemoryBytes(), tree.MemoryBytes());
 }
-
-// --- Partitioned index (shared-nothing simulation, §4.2) --------------------
-
-class PartitionedProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(PartitionedProperty, MatchesBruteForce) {
-  Rng rng(4);
-  auto coords = RandomPoints(2000, 2, &rng);
-  PartitionedIndex index(2, GetParam());
-  index.Build(coords);
-  for (int q = 0; q < 30; ++q) {
-    std::vector<double> lo(2), hi(2);
-    for (int k = 0; k < 2; ++k) {
-      double a = rng.Uniform(0, 100), b = rng.Uniform(0, 100);
-      lo[static_cast<size_t>(k)] = std::min(a, b);
-      hi[static_cast<size_t>(k)] = std::max(a, b);
-    }
-    std::vector<RowIdx> got;
-    int touched = 0;
-    index.Query(lo.data(), hi.data(), &got, &touched);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(BruteForce(coords, lo, hi), got);
-    EXPECT_GE(touched, 0);
-    EXPECT_LE(touched, GetParam());
-  }
-}
-
-TEST_P(PartitionedProperty, ShardMemoryShrinksWithShards) {
-  Rng rng(5);
-  auto coords = RandomPoints(4096, 2, &rng);
-  PartitionedIndex single(2, 1);
-  auto c1 = coords;
-  single.Build(c1);
-  PartitionedIndex sharded(2, GetParam());
-  sharded.Build(coords);
-  if (GetParam() > 1) {
-    EXPECT_LT(sharded.MaxShardMemoryBytes(), single.MaxShardMemoryBytes());
-  }
-}
-
-TEST_P(PartitionedProperty, NarrowDim0QueriesTouchFewShards) {
-  Rng rng(6);
-  auto coords = RandomPoints(4096, 2, &rng);
-  PartitionedIndex index(2, GetParam());
-  index.Build(coords);
-  double lo[2] = {50.0, 0.0};
-  double hi[2] = {51.0, 100.0};  // 1% slice of dim 0
-  std::vector<RowIdx> got;
-  int touched = 0;
-  index.Query(lo, hi, &got, &touched);
-  // A 1% dim-0 slice overlaps at most a couple of equal-population shards.
-  EXPECT_LE(touched, std::min(GetParam(), 3));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, PartitionedProperty,
-                         ::testing::Values(1, 2, 4, 8));
 
 }  // namespace
 }  // namespace sgl

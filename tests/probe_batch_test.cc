@@ -7,16 +7,19 @@
 // sweep asserts the observable guarantee: the fast path's batched probes
 // reach the scalar oracle's world checksum (the oracle probes nothing — it
 // scans), under the range-indexed strategies, in serial, 4-thread, and
-// 4-shard execution.
+// 4-shard execution. The EmitAscending cases pin the row-order emit that
+// produces every slice: bitmap word boundaries, the sparse-wide sort
+// fallback, a clean bitmap across table sizes, and zero allocations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "src/common/alloc_hook.h"
 #include "src/common/rng.h"
 #include "src/debug/checkpoint.h"
 #include "src/index/grid_index.h"
-#include "src/index/partitioned_index.h"
 #include "src/index/probe_batch.h"
 #include "src/index/range_tree.h"
 #include "src/sim/rts.h"
@@ -84,11 +87,11 @@ BoxColumns RandomBoxes(int d, size_t count, Rng* rng,
 }
 
 /// Asserts QueryBatch(boxes) == per-box Query + sort on `index`, which can
-/// be any of the three native backends (they share the method shape).
+/// be either native backend (they share the method shape).
 template <typename Index>
-void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
-                              int d) {
-  ProbeBatch batch;
+void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b, int d,
+                              ProbeBatch* reused) {
+  ProbeBatch& batch = *reused;
   index.QueryBatch(b.lo_ptr, b.hi_ptr, b.count, &batch);
   ASSERT_EQ(batch.num_probes(), b.count);
   std::vector<RowIdx> single;
@@ -111,6 +114,13 @@ void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
     EXPECT_TRUE(std::is_sorted(batch.begin_of(p), batch.end_of(p)))
         << "probe " << p;
   }
+}
+
+template <typename Index>
+void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
+                              int d) {
+  ProbeBatch batch;
+  ExpectBatchMatchesSingle(index, b, d, &batch);
 }
 
 struct Sweep {
@@ -146,18 +156,6 @@ TEST_P(ProbeBatchDifferential, RangeTreeBatchMatchesSingle) {
   }
 }
 
-TEST_P(ProbeBatchDifferential, PartitionedBatchMatchesSingle) {
-  const Sweep& p = GetParam();
-  Rng rng(p.seed ^ 0xcafeULL);
-  auto points = RandomPoints(p.n, p.d, &rng, p.duplicate_heavy);
-  PartitionedIndex part(p.d, /*shards=*/4);
-  part.Build(points);
-  for (int round = 0; round < 3; ++round) {
-    auto boxes = RandomBoxes(p.d, 40, &rng, points);
-    ExpectBatchMatchesSingle(part, boxes, p.d);
-  }
-}
-
 TEST(ProbeBatchEdge, EmptyIndexAndZeroProbes) {
   GridIndex grid(2);
   grid.Build(std::vector<std::vector<double>>(2));
@@ -171,6 +169,159 @@ TEST(ProbeBatchEdge, EmptyIndexAndZeroProbes) {
   }
   grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, 0, &batch);
   EXPECT_EQ(batch.num_probes(), 0u);
+}
+
+// --- EmitAscending: the row-order emit behind every slice -----------------
+
+/// 1-D points where row i sits at coordinate i, so a box [a, b] selects
+/// exactly rows ceil(a)..floor(b) and a test can aim at word boundaries.
+std::vector<std::vector<double>> RowLine(size_t n) {
+  std::vector<std::vector<double>> coords(1, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) coords[0][i] = static_cast<double>(i);
+  return coords;
+}
+
+BoxColumns Boxes1D(const std::vector<std::pair<double, double>>& boxes) {
+  BoxColumns b;
+  b.count = boxes.size();
+  b.lo.assign(1, std::vector<double>(b.count));
+  b.hi.assign(1, std::vector<double>(b.count));
+  for (size_t p = 0; p < b.count; ++p) {
+    b.lo[0][p] = boxes[p].first;
+    b.hi[0][p] = boxes[p].second;
+  }
+  b.lo_ptr[0] = b.lo[0].data();
+  b.hi_ptr[0] = b.hi[0].data();
+  return b;
+}
+
+bool AllZero(const std::vector<uint64_t>& bits) {
+  return std::all_of(bits.begin(), bits.end(),
+                     [](uint64_t w) { return w == 0; });
+}
+
+TEST(EmitAscending, MatchesSortAcrossWordBoundaries) {
+  const std::vector<std::vector<RowIdx>> slices = {
+      {65, 63, 64},          {64},           {63, 0},
+      {129, 0, 64, 63, 127}, {130, 128, 129}, {191, 2, 150, 64, 65, 1}};
+  std::vector<uint64_t> bits;
+  for (const auto& slice : slices) {
+    std::vector<RowIdx> want = slice;
+    std::sort(want.begin(), want.end());
+    std::vector<RowIdx> got(slice.size());
+    EmitAscending(slice.data(), slice.size(), got.data(), &bits);
+    EXPECT_EQ(want, got);
+    EXPECT_TRUE(AllZero(bits));
+    std::vector<RowIdx> in_place = slice;
+    EmitAscending(in_place.data(), in_place.size(), in_place.data(), &bits);
+    EXPECT_EQ(want, in_place);
+    EXPECT_TRUE(AllZero(bits));
+  }
+}
+
+TEST(EmitAscending, WordBoundaryProbesMatchSingle) {
+  // n % 64 != 0, so the last bitmap word is partial.
+  const size_t n = 130;
+  const auto points = RowLine(n);
+  GridIndex grid(1);
+  grid.Build(points);
+  RangeTree tree(1);
+  tree.Build(points);
+  const BoxColumns boxes =
+      Boxes1D({{63, 65}, {62.5, 64.5}, {64, 64}, {63, 63}, {0, 129},
+               {-5, 200}, {127, 129}, {65, 65}, {0, 63}, {64, 127}});
+  ExpectBatchMatchesSingle(grid, boxes, 1);
+  ExpectBatchMatchesSingle(tree, boxes, 1);
+}
+
+TEST(EmitAscending, SparseWideSliceTakesSortFallback) {
+  // Two rows at opposite ends of a 100k-row index: their slice spans
+  // ~1563 bitmap words for 2 rows, so it must be ordered by std::sort
+  // and must never touch the bitmap.
+  const size_t n = 100000;
+  auto points = RowLine(n);
+  for (size_t i = 0; i < n; ++i) points[0][i] = 10.0 + static_cast<double>(i);
+  points[0][0] = 0.0;
+  points[0][n - 1] = 0.0;
+  GridIndex grid(1);
+  grid.Build(points);
+  RangeTree tree(1);
+  tree.Build(points);
+  const BoxColumns boxes = Boxes1D({{-1, 1}});
+  ProbeBatch grid_batch, tree_batch;
+  ExpectBatchMatchesSingle(grid, boxes, 1, &grid_batch);
+  ExpectBatchMatchesSingle(tree, boxes, 1, &tree_batch);
+  for (const ProbeBatch* b : {&grid_batch, &tree_batch}) {
+    ASSERT_EQ(2u, b->items.size());
+    EXPECT_EQ(0u, b->items[0]);
+    EXPECT_EQ(n - 1, b->items[1]);
+    EXPECT_TRUE(b->bits.empty()) << "sparse slice went through the bitmap";
+  }
+}
+
+TEST(EmitAscending, BitmapStaysZeroAcrossTableSizes) {
+  // One per-worker ProbeBatch serves every site, so the bitmap must be
+  // clean after each call whatever the inner table's size.
+  const auto small_points = RowLine(100);
+  const auto large_points = RowLine(100000);
+  GridIndex small_grid(1), large_grid(1);
+  small_grid.Build(small_points);
+  large_grid.Build(large_points);
+  RangeTree small_tree(1), large_tree(1);
+  small_tree.Build(small_points);
+  large_tree.Build(large_points);
+  const BoxColumns small_boxes =
+      Boxes1D({{0, 99}, {10, 70}, {63, 64}, {98, 99}});
+  const BoxColumns large_boxes = Boxes1D(
+      {{0, 500}, {99000, 99999}, {50000, 50200}, {63, 64}, {-1, 1e9}});
+  ProbeBatch batch;
+  for (int round = 0; round < 3; ++round) {
+    ExpectBatchMatchesSingle(small_grid, small_boxes, 1, &batch);
+    EXPECT_TRUE(AllZero(batch.bits));
+    ExpectBatchMatchesSingle(large_grid, large_boxes, 1, &batch);
+    EXPECT_TRUE(AllZero(batch.bits));
+    ExpectBatchMatchesSingle(small_tree, small_boxes, 1, &batch);
+    EXPECT_TRUE(AllZero(batch.bits));
+    ExpectBatchMatchesSingle(large_tree, large_boxes, 1, &batch);
+    EXPECT_TRUE(AllZero(batch.bits));
+  }
+  EXPECT_GE(batch.bits.size() * 64, large_points[0].size() - 1);
+}
+
+TEST(EmitAscending, ZeroAllocationsAtHighWater) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
+  Rng rng(31);
+  const auto points = RandomPoints(2048, 2, &rng, false);
+  GridIndex grid(2);
+  grid.Build(points);
+  RangeTree tree(2);
+  tree.Build(points);
+  const BoxColumns boxes = RandomBoxes(2, 256, &rng, points);
+  ProbeBatch batch;
+  for (int warm = 0; warm < 2; ++warm) {
+    grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
+    tree.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
+  }
+  const AllocCounts before = AllocCountersNow();
+  for (int q = 0; q < 5; ++q) {
+    grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
+    tree.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
+  }
+  const AllocCounts after = AllocCountersNow();
+  EXPECT_EQ(0, after.count - before.count);
+}
+
+TEST(EmitAscendingDeathTest, DuplicateRowFailsLoudly) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SGL_DCHECK is compiled out in NDEBUG builds";
+#else
+  std::vector<uint64_t> bits;
+  const RowIdx dense[] = {3, 5, 3};
+  RowIdx out[3];
+  EXPECT_DEATH(EmitAscending(dense, 3, out, &bits), "");
+  const RowIdx sparse[] = {0, 100000, 0};
+  EXPECT_DEATH(EmitAscending(sparse, 3, out, &bits), "");
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(
