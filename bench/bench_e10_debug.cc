@@ -11,6 +11,8 @@
 // cost. Armed phases Reset() the metrics registry at the warmup boundary
 // so reported percentiles cover the measured window only.
 
+#include <chrono>
+
 #include "bench/bench_util.h"
 #include "src/debug/checkpoint.h"
 #include "src/debug/tracer.h"
@@ -143,10 +145,13 @@ void BM_TelemetryArmed(benchmark::State& state) {
   }
 }
 
-// Flight-recorder overhead (PR 10): the armed capture path — watch-all
-// effect fan-out, per-tick pooled drain + canonical sort + after-value
-// resolution — against the same workload with the recorder disarmed.
-// Counters report the per-frame record volume the armed ring sustained.
+// Flight-recorder overhead. BM_FlightRecorderDisarmed: attached
+// but never armed. BM_FlightRecorderArmed: armed and disarmed ticks
+// interleave on one engine (set_armed flips between ticks), so both sides
+// share the world and the machine state; an armed tick adds the capture
+// path — one FrameRecord per effect write into a worker lane, the lane
+// buffer swapped into the ring frame, one after-value/order pass.
+// `armed_over_disarmed` is the ratio of the two sides' mean tick times.
 void BM_FlightRecorderDisarmed(benchmark::State& state) {
   sgl::FlightRecorder rec;  // attached, never armed: one branch per tick
   sgl::RtsConfig config;
@@ -163,33 +168,48 @@ void BM_FlightRecorderDisarmed(benchmark::State& state) {
 }
 
 void BM_FlightRecorderArmed(benchmark::State& state) {
-  sgl::Telemetry tel;
-  tel.set_armed(true);
-  sgl::FlightRecorder rec;
-  rec.set_armed(true);
-  rec.set_telemetry(&tel);
+  sgl::FlightRecorderOptions fo;
+  fo.max_records_per_frame = size_t{1} << 20;  // 16k units: drop nothing
+  sgl::FlightRecorder rec(fo);
   sgl::RtsConfig config;
   config.num_units = kTelemetryUnits;
   sgl::EngineOptions options;
   options.exec.planner.mode = sgl::PlanMode::kStaticRangeTree;
-  options.exec.telemetry = &tel;
   options.exec.recorder = &rec;
   auto engine = sgl::RtsWorkload::Build(config, options);
   if (!engine.ok()) std::abort();
-  sgl_bench::Warmup(engine->get());
-  tel.metrics().Reset();  // phase boundary: measured window only
+  // Armed warmup past the ring depth: every frame slot and lane buffer has
+  // grown once, so the timed ticks reuse pooled capacity.
+  rec.set_armed(true);
+  sgl_bench::WarmupSteadyState(engine->get());
+  double ns[2] = {0, 0};  // [disarmed, armed]
+  int64_t ticks[2] = {0, 0};
+  int64_t records = 0;
+  int64_t i = 0;
   for (auto _ : state) {
+    // ABBA order, so a period-2 rhythm in the simulation cancels out.
+    const bool armed = ((i + i / 2) & 1) != 0;
+    ++i;
+    rec.set_armed(armed);
+    const auto t0 = std::chrono::steady_clock::now();
     if (!(*engine)->Tick().ok()) state.SkipWithError("tick failed");
+    ns[armed] += std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    ++ticks[armed];
+    if (armed) records += rec.frame(rec.newest_tick())->num_records;
   }
-  const sgl::TickFrame* newest = rec.frame(rec.newest_tick());
+  if (ticks[0] == 0 || ticks[1] == 0) return;
+  const double armed_mean = ns[1] / static_cast<double>(ticks[1]);
+  const double disarmed_mean = ns[0] / static_cast<double>(ticks[0]);
+  state.counters["armed_over_disarmed"] = armed_mean / disarmed_mean;
+  state.counters["armed_tick_us"] = armed_mean * 1e-3;
+  state.counters["disarmed_tick_us"] = disarmed_mean * 1e-3;
   state.counters["records_per_frame"] =
-      newest != nullptr ? static_cast<double>(newest->num_records) : 0;
-  state.counters["frames_captured"] =
-      static_cast<double>(rec.frames_captured());
-  const sgl::MetricsSnapshot snap = tel.metrics().Snapshot();
-  if (const sgl::HistogramSnapshot* h = snap.Find("tick.total_us")) {
-    state.counters["tick_p50_us"] = h->Percentile(50);
-  }
+      static_cast<double>(records) / static_cast<double>(ticks[1]);
+  state.counters["bytes_per_record"] = sizeof(sgl::FrameRecord);
+  state.counters["dropped_records"] =
+      static_cast<double>(rec.dropped_records());
 }
 
 // Isolated span-record cost: an armed ScopedSpan begin/end pair with
@@ -223,9 +243,9 @@ BENCHMARK(BM_TelemetryArmed)->Unit(benchmark::kMillisecond)->MinTime(0.1);
 BENCHMARK(BM_FlightRecorderDisarmed)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.1);
-BENCHMARK(BM_FlightRecorderArmed)
+BENCHMARK(BM_FlightRecorderArmed)  // enough alternations for a ratio
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
+    ->MinTime(1.0);
 BENCHMARK(BM_SpanRecordArmed)->MinTime(0.1);
 
 }  // namespace

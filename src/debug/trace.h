@@ -31,6 +31,29 @@ struct EffectProv {
   int64_t txn = -1;
 };
 
+/// The canonical within-tick order of effect records: phase (query-phase
+/// effect writes before transaction write-backs — ⊕ keys and intent keys
+/// live in different namespaces and must not interleave), then order key,
+/// with (target, field, assign_id) breaking the astronomically rare key
+/// collision so the order never depends on which worker recorded what.
+/// `EffectTracer::Records()` and the flight recorder's frames both sort by
+/// it, so the two orders cannot drift apart.
+struct EffectOrder {
+  bool txn = false;
+  uint64_t order_key = 0;
+  EntityId target = kNullEntity;
+  FieldIdx field = kInvalidField;
+  int assign_id = 0;
+};
+
+inline bool operator<(const EffectOrder& a, const EffectOrder& b) {
+  if (a.txn != b.txn) return b.txn;
+  if (a.order_key != b.order_key) return a.order_key < b.order_key;
+  if (a.target != b.target) return a.target < b.target;
+  if (a.field != b.field) return a.field < b.field;
+  return a.assign_id < b.assign_id;
+}
+
 /// Receives effect-assignment events during the query/effect phase.
 class EffectTraceSink {
  public:

@@ -43,12 +43,6 @@ std::vector<TraceRecord> EffectTracer::Records() const {
   std::vector<TraceRecord> out;
   out.reserve(lanes_.size());
   lanes_.ForEach([&](const TraceRecord& rec) { out.push_back(rec); });
-  // Canonical total order: (tick, phase, order_key) with (target, field,
-  // assign_id) breaking the astronomically-rare key collision so the
-  // result never depends on which lane recorded what. Transaction-phase
-  // records (prov.txn >= 0) sort after the tick's query-phase effect
-  // writes — their order keys live in a different namespace
-  // ((site << 32) | issuing_row) and must not interleave.
   std::sort(out.begin(), out.end(), TraceRecordCanonicalLess);
   return out;
 }

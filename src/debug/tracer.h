@@ -41,21 +41,16 @@ struct TraceRecord {
   EffectProv prov;
 };
 
-/// Canonical record order: (tick, phase [query < txn], order_key, target,
-/// field, assign_id). Query-phase ⊕ keys and transaction intent keys live
-/// in different namespaces, so the phase discriminator keeps them from
-/// interleaving. Shared by `EffectTracer::Records()` and the flight
-/// recorder's per-frame sort.
+/// Canonical record order: tick, then the within-tick `EffectOrder`.
+inline EffectOrder CanonicalOrderOf(const TraceRecord& r) {
+  return EffectOrder{r.prov.txn >= 0, r.order_key, r.target, r.field,
+                     r.assign_id};
+}
+
 inline bool TraceRecordCanonicalLess(const TraceRecord& a,
                                      const TraceRecord& b) {
   if (a.tick != b.tick) return a.tick < b.tick;
-  const int ap = a.prov.txn >= 0 ? 1 : 0;
-  const int bp = b.prov.txn >= 0 ? 1 : 0;
-  if (ap != bp) return ap < bp;
-  if (a.order_key != b.order_key) return a.order_key < b.order_key;
-  if (a.target != b.target) return a.target < b.target;
-  if (a.field != b.field) return a.field < b.field;
-  return a.assign_id < b.assign_id;
+  return CanonicalOrderOf(a) < CanonicalOrderOf(b);
 }
 
 class EffectTracer : public EffectTraceSink {
@@ -69,8 +64,8 @@ class EffectTracer : public EffectTraceSink {
   void Unwatch(EntityId id);
   bool IsWatched(EntityId id) const;
 
-  /// Watch-all mode records every assignment regardless of the watch list
-  /// (the flight recorder's capture sink). Configure between ticks.
+  /// Watch-all mode records every assignment regardless of the watch list.
+  /// Configure between ticks.
   void set_watch_all(bool on) { watch_all_ = on; }
   bool watch_all() const { return watch_all_; }
 
@@ -86,15 +81,6 @@ class EffectTracer : public EffectTraceSink {
   /// Drops every record, keeping lane capacity (between ticks).
   void Clear();
   size_t size() const;
-
-  /// Unsorted lane-order visit of every record — allocation-free (the
-  /// flight recorder's pooled per-tick drain). Callers needing the
-  /// canonical order sort the copies themselves; `Records()` stays the
-  /// allocating convenience path.
-  template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    lanes_.ForEach(fn);
-  }
 
  private:
   std::vector<EntityId> watched_;  ///< sorted; binary-searched on record

@@ -156,8 +156,8 @@ struct ExecEnv {
   std::vector<SiteFeedback>* feedback = nullptr;
   /// Optional tracing sink (§3.3). Null = off.
   EffectTraceSink* trace = nullptr;
-  /// Second tracing sink: the flight recorder's armed watch-all capture
-  /// (src/telemetry/flight_recorder.h). Null = off; independent of
+  /// Second tracing sink: the armed flight recorder, which captures every
+  /// write (src/telemetry/flight_recorder.h). Null = off; independent of
   /// `trace` so a user tracer and the recorder can coexist.
   EffectTraceSink* recorder_sink = nullptr;
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch

@@ -30,18 +30,56 @@ void ClearFrame(TickFrame* f) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
-    : options_(options), tracer_(options.max_lanes) {
+    : options_(options), lanes_(options.max_lanes) {
   if (options_.ring_ticks < 1) options_.ring_ticks = 1;
   ring_.resize(static_cast<size_t>(options_.ring_ticks));
   for (TickFrame& f : ring_) ClearFrame(&f);
   p95_scratch_.reserve(ring_.size());
-  tracer_.set_watch_all(true);
 }
 
 void FlightRecorder::set_fault(FaultInjector* fault) {
   fault_ = fault;
   // Baseline the fire counter so pre-attachment fires never trigger.
   last_fault_fires_ = fault != nullptr ? fault->total_fires() : 0;
+}
+
+void FlightRecorder::OnEffectAssign(Tick /*tick*/, EntityId target,
+                                    ClassId target_cls, FieldIdx field,
+                                    const Value& value, int assign_id,
+                                    uint64_t order_key,
+                                    const EffectProv& prov) {
+  SGL_DCHECK(prov.site < (1 << 23) && assign_id < (1 << 23));
+  SGL_DCHECK(prov.txn < 0 || static_cast<uint64_t>(prov.txn) == order_key);
+  FrameRecord r;
+  r.target = target;
+  r.order_key = order_key;
+  r.src_outer = prov.src_outer;
+  r.src_inner = prov.src_inner;
+  switch (value.kind()) {
+    case ValueKind::kNumber:
+      r.contrib.num = value.AsNumber();
+      break;
+    case ValueKind::kBool:
+      r.contrib.i = value.AsBool() ? 1 : 0;
+      break;
+    case ValueKind::kRef:
+      r.contrib.i = value.AsRef();
+      break;
+    case ValueKind::kSet:
+      r.contrib.i = static_cast<int64_t>(value.AsSet().size());
+      break;
+  }
+  r.after.i = 0;
+  r.target_cls = target_cls;
+  r.field = field;
+  r.site = prov.site;
+  r.src_shard = static_cast<uint32_t>(prov.src_shard);
+  r.assign_id = assign_id;
+  r.is_txn = prov.txn >= 0;
+  r.contrib_kind = static_cast<uint32_t>(value.kind());
+  r.after_kind = 0;
+  r.after_known = false;
+  lanes_.Append(r);
 }
 
 void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
@@ -53,76 +91,61 @@ void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
   f.begin_ns = f.end_ns - stats.total_micros * 1000;
   f.stats = stats;
 
-  // Drain the capture tracer into the frame's pooled record vector.
-  size_t n = 0;
-  int64_t dropped = 0;
-  const size_t cap = options_.max_records_per_frame;
-  tracer_.ForEachRecord([&](const TraceRecord& r) {
-    if (n >= cap) {
-      ++dropped;
-      return;
-    }
-    if (n == f.records.size()) {
-      f.records.emplace_back();
-    }
-    FrameRecord& fr = f.records[n];
-    fr.rec = r;  // Value copy-assign reuses the slot's set capacity
-    fr.after_known = false;
-    fr.after_set_size = -1;
-    ++n;
-  });
-  tracer_.Clear();
-  f.num_records = n;
-  f.dropped_records = dropped;
-  dropped_records_total_ += dropped;
-  std::sort(f.records.begin(),
-            f.records.begin() + static_cast<ptrdiff_t>(n),
-            [](const FrameRecord& a, const FrameRecord& b) {
-              return TraceRecordCanonicalLess(a.rec, b.rec);
-            });
-  ResolveAfterValues(&f, world);
+  const size_t published = lanes_.size();
+  f.num_records = lanes_.DrainInto(&f.records, options_.max_records_per_frame);
+  f.dropped_records = static_cast<int64_t>(published - f.num_records);
+  dropped_records_total_ += f.dropped_records;
+  if (!ResolveAndCheckOrder(&f, world)) {
+    std::sort(f.records.begin(),
+              f.records.begin() + static_cast<ptrdiff_t>(f.num_records),
+              [](const FrameRecord& a, const FrameRecord& b) {
+                return TraceRecordCanonicalLess(a, b);
+              });
+  }
 
   ++frames_captured_;
   const char* reason = EvaluateTriggers(f);
   if (reason[0] != '\0') TriggerDump(reason, f.tick, &world);
 }
 
-void FlightRecorder::ResolveAfterValues(TickFrame* frame,
-                                        const World& world) {
+bool FlightRecorder::ResolveAndCheckOrder(TickFrame* frame,
+                                          const World& world) {
+  bool ordered = true;
   for (size_t i = 0; i < frame->num_records; ++i) {
-    FrameRecord& fr = frame->records[i];
-    const TraceRecord& r = fr.rec;
-    fr.after_known = false;
+    FrameRecord& r = frame->records[i];
+    if (i > 0 && TraceRecordCanonicalLess(r, frame->records[i - 1])) {
+      ordered = false;
+    }
     const World::Locator* loc = world.Find(r.target);
     if (loc == nullptr) continue;  // despawned before capture
     const EntityTable& table = world.table(loc->cls);
     if (loc->row >= static_cast<RowIdx>(table.size())) continue;
     const ClassDef& cls = table.cls();
-    if (r.prov.txn >= 0) {
+    if (r.is_txn) {
       // Transaction write: the field lives in state space and the admitted
       // value was written back during UPDATE — read the state column.
       if (r.field < 0 ||
           static_cast<size_t>(r.field) >= cls.state_fields().size()) {
         continue;
       }
-      const FieldDef& fd = cls.state_field(r.field);
-      fr.after_kind = fd.type.kind;
-      switch (fd.type.kind) {
+      const TypeKind kind = cls.state_field(r.field).type.kind;
+      switch (kind) {
         case TypeKind::kNumber:
-          fr.after_num = table.Num(r.field)[loc->row];
+          r.after.num = table.Num(r.field)[loc->row];
           break;
         case TypeKind::kBool:
-          fr.after_bool = table.BoolCol(r.field)[loc->row] != 0;
+          r.after.i = table.BoolCol(r.field)[loc->row] != 0 ? 1 : 0;
           break;
         case TypeKind::kRef:
-          fr.after_ref = table.RefCol(r.field)[loc->row];
+          r.after.i = table.RefCol(r.field)[loc->row];
           break;
         case TypeKind::kSet:
-          fr.after_set_size =
+          r.after.i =
               static_cast<int64_t>(table.SetCol(r.field)[loc->row].size());
           break;
       }
-      fr.after_known = true;
+      r.after_kind = static_cast<uint32_t>(kind);
+      r.after_known = true;
     } else {
       // Query-phase effect: the merged (post-⊕, finalized) value is still
       // in the effect buffer — ResetEffects runs at the *next* tick start.
@@ -132,26 +155,27 @@ void FlightRecorder::ResolveAfterValues(TickFrame* frame,
       }
       const EffectBuffer& eb = world.effects(loc->cls);
       if (!eb.Assigned(r.field, loc->row)) continue;
-      const FieldDef& fd = cls.effect_field(r.field);
-      fr.after_kind = fd.type.kind;
-      switch (fd.type.kind) {
+      const TypeKind kind = cls.effect_field(r.field).type.kind;
+      switch (kind) {
         case TypeKind::kNumber:
-          fr.after_num = eb.FinalNumber(r.field, loc->row);
+          r.after.num = eb.FinalNumber(r.field, loc->row);
           break;
         case TypeKind::kBool:
-          fr.after_bool = eb.FinalBool(r.field, loc->row);
+          r.after.i = eb.FinalBool(r.field, loc->row) ? 1 : 0;
           break;
         case TypeKind::kRef:
-          fr.after_ref = eb.FinalRef(r.field, loc->row);
+          r.after.i = eb.FinalRef(r.field, loc->row);
           break;
         case TypeKind::kSet:
-          fr.after_set_size =
+          r.after.i =
               static_cast<int64_t>(eb.FinalSet(r.field, loc->row).size());
           break;
       }
-      fr.after_known = true;
+      r.after_kind = static_cast<uint32_t>(kind);
+      r.after_known = true;
     }
   }
+  return ordered;
 }
 
 const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
@@ -222,7 +246,7 @@ void FlightRecorder::NotifyRestore(Tick tick, const World* world) {
   // The abandoned timeline's frames must not mix with the recovered run:
   // re-executed ticks would collide with stale pre-crash frames. Keep every
   // pooled capacity, drop the contents.
-  tracer_.Clear();
+  lanes_.Clear();
   for (TickFrame& f : ring_) ClearFrame(&f);
   frames_captured_ = 0;
 }
@@ -289,44 +313,51 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
     binio::Append<int64_t>(out, f.dropped_records);
     binio::Append<uint64_t>(out, static_cast<uint64_t>(f.num_records));
     for (size_t i = 0; i < f.num_records; ++i) {
-      const FrameRecord& fr = f.records[i];
-      const TraceRecord& r = fr.rec;
-      binio::Append<int64_t>(out, r.tick);
+      const FrameRecord& r = f.records[i];
+      binio::Append<int64_t>(out, f.tick);
       binio::Append<EntityId>(out, r.target);
       binio::Append<int32_t>(out, static_cast<int32_t>(r.target_cls));
       binio::Append<int32_t>(out, static_cast<int32_t>(r.field));
       binio::Append<int32_t>(out, static_cast<int32_t>(r.assign_id));
       binio::Append<uint64_t>(out, r.order_key);
-      binio::Append<int32_t>(out, r.prov.site);
-      binio::Append<int32_t>(out, r.prov.src_shard);
-      binio::Append<EntityId>(out, r.prov.src_outer);
-      binio::Append<EntityId>(out, r.prov.src_inner);
-      binio::Append<int64_t>(out, r.prov.txn);
-      // Contribution value: kind tag + canonical payload (set contributions
-      // serialize their cardinality; elements live in the effect stream as
-      // individual ref contributions already).
-      binio::Append<uint8_t>(out, static_cast<uint8_t>(r.value.kind()));
-      switch (r.value.kind()) {
+      binio::Append<int32_t>(out, static_cast<int32_t>(r.site));
+      binio::Append<int32_t>(out, static_cast<int32_t>(r.src_shard));
+      binio::Append<EntityId>(out, r.src_outer);
+      binio::Append<EntityId>(out, r.src_inner);
+      binio::Append<int64_t>(
+          out, r.is_txn ? static_cast<int64_t>(r.order_key) : int64_t{-1});
+      // Contribution: kind tag + that kind's payload only (set
+      // contributions serialize their cardinality).
+      const auto contrib_kind = static_cast<ValueKind>(r.contrib_kind);
+      binio::Append<uint8_t>(out, static_cast<uint8_t>(contrib_kind));
+      switch (contrib_kind) {
         case ValueKind::kNumber:
-          binio::Append<double>(out, r.value.AsNumber());
+          binio::Append<double>(out, r.contrib.num);
           break;
         case ValueKind::kBool:
-          binio::Append<uint8_t>(out, r.value.AsBool() ? 1 : 0);
+          binio::Append<uint8_t>(out, r.contrib.i != 0 ? 1 : 0);
           break;
         case ValueKind::kRef:
-          binio::Append<EntityId>(out, r.value.AsRef());
+          binio::Append<EntityId>(out, r.contrib.i);
           break;
         case ValueKind::kSet:
-          binio::Append<int64_t>(out,
-                                 static_cast<int64_t>(r.value.AsSet().size()));
+          binio::Append<int64_t>(out, r.contrib.i);
           break;
       }
-      binio::Append<uint8_t>(out, fr.after_known ? 1 : 0);
-      binio::Append<uint8_t>(out, static_cast<uint8_t>(fr.after_kind));
-      binio::Append<double>(out, fr.after_num);
-      binio::Append<uint8_t>(out, fr.after_bool ? 1 : 0);
-      binio::Append<EntityId>(out, fr.after_ref);
-      binio::Append<int64_t>(out, fr.after_set_size);
+      // After-value: every payload slot is written, with its canonical
+      // empty value unless the after-value is known and of that kind, so
+      // the bytes never depend on what a pooled slot held before.
+      const bool known = r.after_known;
+      const auto kind = static_cast<TypeKind>(known ? r.after_kind : 0);
+      auto is = [&](TypeKind k) { return known && kind == k; };
+      binio::Append<uint8_t>(out, known ? 1 : 0);
+      binio::Append<uint8_t>(out, static_cast<uint8_t>(kind));
+      binio::Append<double>(out, is(TypeKind::kNumber) ? r.after.num : 0.0);
+      binio::Append<uint8_t>(out,
+                             is(TypeKind::kBool) && r.after.i != 0 ? 1 : 0);
+      binio::Append<EntityId>(out,
+                              is(TypeKind::kRef) ? r.after.i : kNullEntity);
+      binio::Append<int64_t>(out, is(TypeKind::kSet) ? r.after.i : -1);
     }
   }
 }

@@ -7,21 +7,29 @@
 //     and txn counters, partition gauges, per-site rows), copied whole
 //     rather than re-declared, so a frame reads exactly like last_stats(),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
-//     order key, txn id, source rows, source shard) and each record's
+//     order key, txn phase, source rows, source shard) and each record's
 //     *resolved after-value* — the post-merge effect value or the
 //     post-write-back state value of the written field,
 //   * a wall-clock window (for span extraction into dumps).
 //
-// Capture path (armed): the executors fan every effect write into the
-// recorder's internal watch-all EffectTracer (pooled per-worker lanes);
-// at tick bookkeeping — before the executor reads the allocation counters,
-// so frame assembly is held to the allocs_per_tick == 0 contract — the
-// stats copy into the current frame, the records drain into its pooled
-// vector and sort with TraceRecordCanonicalLess, and after-values resolve
-// from the world.
+// Capture path (armed): the recorder is itself the executors' effect sink.
+// Each write becomes one 64-byte FrameRecord (a trivially copyable POD:
+// contribution and after-value are one 8-byte payload each with kind bits,
+// no boxed Value) appended to the writing worker's pooled lane
+// (WorkerLanes). At tick bookkeeping — before the executor reads the
+// allocation counters, so frame assembly is held to the allocs_per_tick
+// == 0 contract — the stats copy into the current frame, the first
+// non-empty lane's buffer swaps into the frame in O(1) (the lane records
+// on into the frame's old buffer, so pooled capacities rotate), any other
+// lanes append after it, and one pass resolves after-values from the world
+// while checking canonical order. One worker emits a site's writes in
+// (assign, outer, inner) key order, so a single-lane frame is already
+// canonical; std::sort runs only when that pass finds a descent (several
+// lanes, or several runs in one lane).
 // Frames wrap-overwrite (newest wins) with eviction accounting; record
-// overflow within a frame truncates with drop accounting. Disarmed: one
-// branch per tick in the executor plus one null check per effect write.
+// overflow within a frame keeps the first max_records_per_frame records in
+// lane order and counts the rest as dropped. Disarmed: one branch per tick
+// in the executor plus one null check per effect write.
 //
 // Black-box triggers: after each capture the trigger engine checks
 //   * tick time > anomaly_p95_factor × rolling p95 over the ring,
@@ -48,13 +56,15 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
-#include "src/debug/tracer.h"
+#include "src/debug/trace.h"
 #include "src/exec/tick_executor.h"
 #include "src/schema/type.h"
+#include "src/telemetry/worker_lanes.h"
 
 namespace sgl {
 
@@ -70,7 +80,7 @@ struct FlightRecorderOptions {
   int ring_ticks = 16;
   /// Per-frame record budget; beyond it records drop (dropped_records()).
   size_t max_records_per_frame = 1 << 16;
-  /// Worker lanes of the internal capture tracer (threads beyond this drop).
+  /// Capture worker lanes (threads beyond this drop their records).
   int max_lanes = 64;
 
   // --- Black-box triggers (0 / false = disabled) -------------------------
@@ -91,21 +101,55 @@ struct FlightRecorderOptions {
   Tick dump_cooldown_ticks = 16;
 };
 
-/// One captured effect record plus its resolved after-value. `rec.value`
-/// is the *contribution* (the assigned/⊕-combined operand); `after_*` is
-/// the field's final value at end of tick — the merged effect value for
-/// query-phase records, the post-write-back state value for txn records.
-/// Set-typed after-values record the set's size, never a boxed EntitySet
-/// (the one Value variant whose copy can allocate).
-struct FrameRecord {
-  TraceRecord rec;
-  bool after_known = false;  ///< false: target despawned / row unresolvable
-  TypeKind after_kind = TypeKind::kNumber;
-  double after_num = 0.0;
-  EntityId after_ref = kNullEntity;
-  bool after_bool = false;
-  int64_t after_set_size = -1;
+/// An 8-byte record payload; the record's kind bits say which member is
+/// live. Numbers use `num`; refs, bools (0/1) and set cardinalities use
+/// `i` — a set is never boxed.
+union FramePayload {
+  double num;
+  int64_t i;
 };
+
+/// One captured effect write plus its resolved after-value: a trivially
+/// copyable 64-byte POD, written once into a capture lane and never boxed.
+/// The frame carries the tick. `contrib` is the contribution (the
+/// assigned / ⊕-combined operand, kind `contrib_kind`); `after` is the
+/// field's value at end of tick (kind `after_kind`, valid when
+/// `after_known`) — the merged effect value for query-phase records, the
+/// post-write-back state value for transaction records.
+struct FrameRecord {
+  EntityId target;
+  uint64_t order_key;  ///< ⊕ key, or the intent key for a txn write
+  EntityId src_outer;
+  EntityId src_inner;  ///< kNullEntity = no inner row
+  FramePayload contrib;
+  FramePayload after;
+  ClassId target_cls;
+  FieldIdx field;  ///< state-field space when is_txn, else effect-field
+  /// Site ids and assign ids are bounded by the program's statement count;
+  /// 24 bits exceed the order key's own 20-bit assign field.
+  int32_t site : 24;        ///< emitting site; -1 = plan-level
+  uint32_t src_shard : 8;   ///< < 255, enforced by Engine::Create
+  int32_t assign_id : 24;   ///< source statement (txn: write index)
+  /// Transaction write-back; its txn id is `order_key` (EffectProv::txn).
+  bool is_txn : 1;
+  uint32_t contrib_kind : 2;  ///< ValueKind
+  uint32_t after_kind : 2;    ///< TypeKind; 0 when !after_known
+  bool after_known : 1;       ///< false: target despawned / unresolvable
+};
+static_assert(std::is_trivially_copyable_v<FrameRecord> &&
+                  sizeof(FrameRecord) <= 64,
+              "FrameRecord must stay a compact POD");
+
+/// The frame records' canonical order (the same key as
+/// TraceRecordCanonicalLess; a frame holds one tick).
+inline EffectOrder CanonicalOrderOf(const FrameRecord& r) {
+  return EffectOrder{r.is_txn, r.order_key, r.target, r.field, r.assign_id};
+}
+
+inline bool TraceRecordCanonicalLess(const FrameRecord& a,
+                                     const FrameRecord& b) {
+  return CanonicalOrderOf(a) < CanonicalOrderOf(b);
+}
 
 /// One ring slot: everything the recorder kept about one tick.
 struct TickFrame {
@@ -120,13 +164,14 @@ struct TickFrame {
   TickStats stats;
 
   /// Canonically sorted records; `num_records` is the used prefix (the
-  /// vector is pooled and never shrinks).
+  /// buffer is pooled: it rotates with the capture lanes and never
+  /// shrinks).
   std::vector<FrameRecord> records;
   size_t num_records = 0;
   int64_t dropped_records = 0;  ///< truncated past max_records_per_frame
 };
 
-class FlightRecorder {
+class FlightRecorder : public EffectTraceSink {
  public:
   explicit FlightRecorder(
       const FlightRecorderOptions& options = FlightRecorderOptions());
@@ -150,14 +195,17 @@ class FlightRecorder {
 
   /// The effect-write sink the executors fan into this tick (null when
   /// disarmed — the executors re-read this every tick).
-  EffectTraceSink* capture_sink() {
-    return armed_ ? static_cast<EffectTraceSink*>(&tracer_) : nullptr;
-  }
+  EffectTraceSink* capture_sink() { return armed_ ? this : nullptr; }
 
-  /// Seals the tick `stats` describes into a ring frame (stats copy,
-  /// drain + canonical sort + after-value resolution against `world`),
-  /// then evaluates the dump triggers. Allocation-free at the high-water
-  /// mark. No-op when disarmed.
+  /// Capture: appends one FrameRecord to the calling worker's lane.
+  void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
+                      FieldIdx field, const Value& value, int assign_id,
+                      uint64_t order_key, const EffectProv& prov) override;
+
+  /// Seals the tick `stats` describes into a ring frame (stats copy, lane
+  /// swap + append, one after-value/order pass against `world`, a sort only
+  /// if that pass found the records out of order), then evaluates the dump
+  /// triggers. Allocation-free at the high-water mark. No-op when disarmed.
   void CaptureTick(const TickStats& stats, const World& world);
 
   /// Crash-recovery notification (Engine::Restore). Forgets the abandoned
@@ -197,7 +245,9 @@ class FlightRecorder {
   const std::string& last_trigger() const { return last_trigger_; }
 
  private:
-  void ResolveAfterValues(TickFrame* frame, const World& world);
+  /// Resolves every record's after-value and returns whether the records
+  /// were already in canonical order (one pass does both).
+  bool ResolveAndCheckOrder(TickFrame* frame, const World& world);
   /// Evaluates triggers for the just-captured frame; returns the reason
   /// ("" = none).
   const char* EvaluateTriggers(const TickFrame& frame);
@@ -209,7 +259,7 @@ class FlightRecorder {
   FaultInjector* fault_ = nullptr;
   BlackBoxStore* store_ = nullptr;
 
-  EffectTracer tracer_;  ///< watch-all capture sink (pooled worker lanes)
+  WorkerLanes<FrameRecord> lanes_;  ///< this tick's captured records
   std::vector<TickFrame> ring_;
   int64_t frames_captured_ = 0;
   int64_t dropped_records_total_ = 0;

@@ -18,46 +18,54 @@ bool KeyLess(const RecKey& a, const RecKey& b) {
   return a.field < b.field;
 }
 
-RecKey KeyOf(const FrameRecord& fr) {
-  return RecKey{fr.rec.target, fr.rec.field};
-}
+RecKey KeyOf(const FrameRecord& r) { return RecKey{r.target, r.field}; }
 
-ProvValue AfterOf(const FrameRecord& fr) {
+ProvValue AfterOf(const FrameRecord& r) {
   ProvValue v;
-  v.known = fr.after_known;
-  v.kind = fr.after_kind;
-  v.num = fr.after_num;
-  v.b = fr.after_bool;
-  v.ref = fr.after_ref;
-  v.set_size = fr.after_set_size;
+  v.known = r.after_known;
+  if (!v.known) return v;
+  v.kind = static_cast<TypeKind>(r.after_kind);
+  switch (v.kind) {
+    case TypeKind::kNumber:
+      v.num = r.after.num;
+      break;
+    case TypeKind::kBool:
+      v.b = r.after.i != 0;
+      break;
+    case TypeKind::kRef:
+      v.ref = r.after.i;
+      break;
+    case TypeKind::kSet:
+      v.set_size = r.after.i;
+      break;
+  }
   return v;
 }
 
-ProvStep StepOf(const FrameRecord& fr) {
-  const TraceRecord& r = fr.rec;
+ProvStep StepOf(const FrameRecord& r, Tick tick) {
   ProvStep s;
-  s.tick = r.tick;
-  s.site = r.prov.site;
+  s.tick = tick;
+  s.site = r.site;
   s.assign_id = r.assign_id;
   s.order_key = r.order_key;
-  s.is_txn = r.prov.txn >= 0;
-  s.txn = r.prov.txn;
-  s.src_shard = r.prov.src_shard;
-  s.src_outer = r.prov.src_outer;
-  s.src_inner = r.prov.src_inner;
-  s.contrib_kind = r.value.kind();
+  s.is_txn = r.is_txn;
+  s.txn = r.is_txn ? static_cast<int64_t>(r.order_key) : -1;
+  s.src_shard = static_cast<int32_t>(r.src_shard);
+  s.src_outer = r.src_outer;
+  s.src_inner = r.src_inner;
+  s.contrib_kind = static_cast<ValueKind>(r.contrib_kind);
   switch (s.contrib_kind) {
     case ValueKind::kNumber:
-      s.contrib_num = r.value.AsNumber();
+      s.contrib_num = r.contrib.num;
       break;
     case ValueKind::kBool:
-      s.contrib_bool = r.value.AsBool();
+      s.contrib_bool = r.contrib.i != 0;
       break;
     case ValueKind::kRef:
-      s.contrib_ref = r.value.AsRef();
+      s.contrib_ref = r.contrib.i;
       break;
     case ValueKind::kSet:
-      s.contrib_set_size = static_cast<int64_t>(r.value.AsSet().size());
+      s.contrib_set_size = r.contrib.i;
       break;
   }
   return s;
@@ -155,7 +163,7 @@ WhyResult ProvenanceIndex::WhyDidChange(EntityId entity, FieldIdx field,
                                       : ProvStatus::kOk;
   out.steps.reserve(run.second - run.first);
   for (size_t i = run.first; i < run.second; ++i) {
-    out.steps.push_back(StepOf(f->records[idx->perm[i]]));
+    out.steps.push_back(StepOf(f->records[idx->perm[i]], f->tick));
   }
   out.after = AfterOf(f->records[idx->perm[run.second - 1]]);
   // Before-value: the latest earlier in-ring frame that wrote the same
@@ -199,7 +207,7 @@ ExplainResult ProvenanceIndex::ExplainTick(Tick tick) const {
   };
   for (const SiteFeedback& fb : f->stats.sites) row_for(fb.site);
   for (size_t i = 0; i < f->num_records; ++i) {
-    ++row_for(f->records[i].rec.prov.site).records;
+    ++row_for(f->records[i].site).records;
   }
   std::sort(out.sites.begin(), out.sites.end(),
             [](const ExplainSiteRow& a, const ExplainSiteRow& b) {

@@ -2,7 +2,8 @@
 // record path (src/telemetry/).
 //
 // The shape the span rings use, generalized for variable-volume records
-// (e.g. EffectTracer's TraceRecords): each recording thread binds one
+// (EffectTracer's TraceRecords, the flight recorder's FrameRecords): each
+// recording thread binds one
 // preallocated lane on first append (thread-local cache, no lock) and is
 // its only writer. A lane is a pooled vector plus a release-published
 // count: Append() overwrites slot `count` when capacity allows and
@@ -16,20 +17,21 @@
 //     (ForEach / size) may run concurrently and see only published
 //     records; they are expected to run at a quiescent point (the tick
 //     barrier) for a complete view.
-//   * Clear() must run quiesced (no concurrent appends).
+//   * Clear() and DrainInto() must run quiesced (no concurrent appends).
 //   * Up to kMaxLiveInstances live WorkerLanes per Record type per thread:
 //     the thread-local binding caches that many (instance, lane) pairs, so
-//     a user EffectTracer and the flight recorder's internal tracer can
-//     both be armed without burning lane indexes on every alternation. A
-//     thread alternating among *more* live instances evicts round-robin
-//     and burns a fresh lane index per re-bind. Engine usage never does
-//     this.
+//     several armed instances (e.g. user EffectTracers) do not burn lane
+//     indexes on every alternation. A thread alternating among *more* live
+//     instances evicts round-robin and burns a fresh lane index per
+//     re-bind. Engine usage never does this.
 //   * Threads beyond `max_lanes` drop their records (dropped() counts).
 
 #ifndef SGL_TELEMETRY_WORKER_LANES_H_
 #define SGL_TELEMETRY_WORKER_LANES_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -80,6 +82,41 @@ class WorkerLanes {
     }
   }
 
+  /// Moves every published record into `*out` in ForEach's lane-major
+  /// order, keeping the first `cap`; returns how many it kept. The first
+  /// non-empty lane trades buffers with `*out` in O(1) — the lane goes on
+  /// recording into `*out`'s old storage, grown to the capacity the lane
+  /// just used, so pooled capacities rotate instead of being copied — and
+  /// later lanes append after it. Every lane restarts empty. Must run
+  /// quiesced.
+  size_t DrainInto(std::vector<Record>* out, size_t cap) {
+    size_t n = 0;
+    bool swapped = false;
+    for (Lane& lane : lanes_) {
+      const size_t c = lane.count.load(std::memory_order_acquire);
+      lane.count.store(0, std::memory_order_relaxed);
+      if (c == 0) continue;
+      if (!swapped) {
+        out->swap(lane.records);
+        swapped = true;
+        // Hand the lane the capacity it just reached in one step, rather
+        // than regrowing the traded buffer by doubling while recording.
+        if (lane.records.capacity() < out->capacity()) {
+          lane.records.clear();
+          lane.records.reserve(out->capacity());
+        }
+        n = c < cap ? c : cap;
+        continue;
+      }
+      const size_t take = c < cap - n ? c : cap - n;
+      if (out->size() < n + take) out->resize(n + take);
+      std::copy_n(lane.records.begin(), take,
+                  out->begin() + static_cast<ptrdiff_t>(n));
+      n += take;
+    }
+    return n;
+  }
+
   /// Resets every lane's count, keeping capacity (pooled reuse). Must run
   /// quiesced.
   void Clear() {
@@ -98,8 +135,8 @@ class WorkerLanes {
     std::atomic<size_t> count{0};
   };
   /// Live instances one thread can record into without re-binding (see
-  /// header contract). 2 covers the engine's worst case (user tracer +
-  /// flight-recorder tracer); 4 leaves headroom for tests.
+  /// header contract). The engine binds at most one per Record type (the
+  /// user tracer, the flight recorder); 4 leaves headroom for tests.
   static constexpr int kMaxLiveInstances = 4;
   struct Binding {
     uint64_t owner = 0;

@@ -12,6 +12,8 @@
 //     modes, with the src_shard topology tag zeroed before comparing.
 //   * Eviction honesty: a wrapped-out tick reports kEvicted, a frame that
 //     dropped records reports kTruncated — never a wrong chain.
+//   * Capture order: multi-lane frames equal an independent tracer record
+//     for record; the provenance tail never depends on a slot's history.
 //   * Black-box dumps: fault-fire trigger, cooldown suppression, rotation,
 //     corruption rejection with fallback-to-previous-good, Chrome-trace
 //     JSON round-trip of the dump payload, and the never-crashed vs
@@ -399,8 +401,8 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   EXPECT_GE(f->stats.total_micros, 0);
   // Canonical order within the frame.
   for (size_t i = 1; i < f->num_records; ++i) {
-    EXPECT_FALSE(TraceRecordCanonicalLess(f->records[i].rec,
-                                          f->records[i - 1].rec))
+    EXPECT_FALSE(TraceRecordCanonicalLess(f->records[i],
+                                          f->records[i - 1]))
         << "frame records out of canonical order at " << i;
   }
 
@@ -446,6 +448,53 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   const HistogramSnapshot* solo_stall = solo_snap.Find("barrier.stall_us");
   ASSERT_NE(solo_stall, nullptr);
   EXPECT_EQ(solo_stall->count, 0);
+}
+
+// Several worker lanes per tick (4 threads, 64-row morsels, 2 shards): the
+// capture appends lanes after the swapped-in first one and must sort them
+// into the exact order an independent watch-all tracer reports.
+TEST(FlightRecorder, MultiLaneFramesMatchIndependentTracer) {
+  FlightRecorderOptions fo;
+  fo.ring_ticks = 16;
+  FlightRecorder rec(fo);
+  rec.set_armed(true);
+  EngineOptions options = RecorderOpts(&rec, nullptr, /*threads=*/4,
+                                       /*shards=*/2);
+  options.exec.morsel_size = 64;
+  auto engine = BuildRts(512, options);
+  EffectTracer reference;
+  reference.set_watch_all(true);
+  engine->SetTracer(&reference);
+  ASSERT_TRUE(engine->RunTicks(10).ok());
+
+  std::map<Tick, std::vector<TraceRecord>> by_tick;
+  for (const TraceRecord& r : reference.Records()) {
+    by_tick[r.tick].push_back(r);
+  }
+  ASSERT_EQ(by_tick.size(), 10u);
+  for (const auto& [tick, expect] : by_tick) {
+    const TickFrame* f = rec.frame(tick);
+    ASSERT_NE(f, nullptr) << "tick " << tick;
+    EXPECT_EQ(f->dropped_records, 0);
+    ASSERT_EQ(f->num_records, expect.size()) << "tick " << tick;
+    for (size_t i = 0; i < expect.size(); ++i) {
+      const TraceRecord& want = expect[i];
+      const FrameRecord& got = f->records[i];
+      SCOPED_TRACE(testing::Message() << "tick " << tick << " record " << i);
+      ASSERT_EQ(got.target, want.target);
+      EXPECT_EQ(got.target_cls, want.target_cls);
+      ASSERT_EQ(got.field, want.field);
+      ASSERT_EQ(got.assign_id, want.assign_id);
+      ASSERT_EQ(got.order_key, want.order_key);
+      EXPECT_EQ(got.is_txn, want.prov.txn >= 0);
+      EXPECT_EQ(got.site, want.prov.site);
+      EXPECT_EQ(static_cast<int32_t>(got.src_shard), want.prov.src_shard);
+      EXPECT_EQ(got.src_outer, want.prov.src_outer);
+      EXPECT_EQ(got.src_inner, want.prov.src_inner);
+      ASSERT_EQ(static_cast<ValueKind>(got.contrib_kind), ValueKind::kNumber);
+      EXPECT_EQ(got.contrib.num, want.value.AsNumber());
+    }
+  }
 }
 
 // --- differential: index path vs independent stream ------------------------
@@ -552,7 +601,7 @@ TEST(Provenance, IndexMatchesBruteForceLinearScan) {
   ASSERT_NE(f, nullptr);
   std::set<std::pair<EntityId, FieldIdx>> keys;
   for (size_t i = 0; i < f->num_records; ++i) {
-    keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+    keys.emplace(f->records[i].target, f->records[i].field);
   }
   ASSERT_FALSE(keys.empty());
   for (const auto& [target, field] : keys) {
@@ -562,19 +611,19 @@ TEST(Provenance, IndexMatchesBruteForceLinearScan) {
     std::vector<const FrameRecord*> expect;
     for (size_t i = 0; i < f->num_records; ++i) {
       const FrameRecord& fr = f->records[i];
-      if (fr.rec.target == target && fr.rec.field == field) {
+      if (fr.target == target && fr.field == field) {
         expect.push_back(&fr);
       }
     }
     ASSERT_EQ(why.steps.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(why.steps[i].order_key, expect[i]->rec.order_key);
-      EXPECT_EQ(why.steps[i].assign_id, expect[i]->rec.assign_id);
-      EXPECT_EQ(why.steps[i].site, expect[i]->rec.prov.site);
+      EXPECT_EQ(why.steps[i].order_key, expect[i]->order_key);
+      EXPECT_EQ(why.steps[i].assign_id, expect[i]->assign_id);
+      EXPECT_EQ(why.steps[i].site, expect[i]->site);
     }
     EXPECT_EQ(why.after.known, expect.back()->after_known);
     if (why.after.known) {
-      EXPECT_EQ(why.after.num, expect.back()->after_num);
+      EXPECT_EQ(why.after.num, expect.back()->after.num);
     }
   }
 }
@@ -608,8 +657,8 @@ TEST(Provenance, TxnWritebackChainsOnContestedMarket) {
     ASSERT_NE(f, nullptr);
     std::set<std::pair<EntityId, FieldIdx>> txn_keys;
     for (size_t i = 0; i < f->num_records; ++i) {
-      if (f->records[i].rec.prov.txn >= 0) {
-        txn_keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+      if (f->records[i].is_txn) {
+        txn_keys.emplace(f->records[i].target, f->records[i].field);
       }
     }
     for (const auto& [target, field] : txn_keys) {
@@ -643,7 +692,7 @@ std::string AllChains(FlightRecorder* rec) {
     if (f == nullptr) continue;
     std::set<std::pair<EntityId, FieldIdx>> keys;
     for (size_t i = 0; i < f->num_records; ++i) {
-      keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+      keys.emplace(f->records[i].target, f->records[i].field);
     }
     for (const auto& [target, field] : keys) {
       out += ChainToString(prov.WhyDidChange(target, field, t),
@@ -721,8 +770,8 @@ TEST(Provenance, RecordOverflowReportsTruncated) {
   EXPECT_EQ(ex.status, ProvStatus::kTruncated);
   EXPECT_GT(ex.dropped_records, 0);
   // Any chain out of a truncated frame is flagged, present or not.
-  const WhyResult hit = prov.WhyDidChange(f->records[0].rec.target,
-                                          f->records[0].rec.field, t);
+  const WhyResult hit = prov.WhyDidChange(f->records[0].target,
+                                          f->records[0].field, t);
   EXPECT_EQ(hit.status, ProvStatus::kTruncated);
   const WhyResult miss =
       prov.WhyDidChange(static_cast<EntityId>(1 << 20), 0, t);
@@ -924,6 +973,72 @@ TEST(BlackBox, RecoveredRunDumpMatchesNeverCrashedByteForByte) {
   const std::string b = ReadFileBytes(recovered);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "recovered-run dump diverged from the clean run";
+}
+
+// The provenance tail must not depend on what a pooled frame slot held
+// before. Two recorders see the same last two ticks through different slot
+// histories (one armed from tick 0, one from tick 3). The program's record
+// count grows tick by tick, so the same position holds number, bool, ref
+// and set-insert records in different ticks.
+TEST(BlackBox, ProvenanceTailIgnoresSlotHistory) {
+  const char* src = R"sgl(
+class U {
+  state:
+    number age = 0;
+    number hp = 10;
+    bool alert = false;
+    ref<U> pal = null;
+    set<U> crew;
+  effects:
+    number dmg : sum;
+    bool warn : or;
+    ref<U> pick : last;
+    set<U> joins : union;
+  update:
+    age = age + 1;
+    hp = if(assigned(dmg), hp - dmg, hp);
+    alert = if(assigned(warn), warn, alert);
+    pal = if(assigned(pick), pick, pal);
+    crew = if(assigned(joins), joins, crew);
+}
+script S for U {
+  if (age > 3) { dmg <- 1; }
+  warn <- hp > 5;
+  if (pal != null) { pick <- pal; joins <- pal; }
+}
+)sgl";
+  auto tail = [&](Tick arm_at) {
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 2;
+    FlightRecorder rec(fo);
+    EngineOptions options;
+    options.exec.recorder = &rec;
+    auto engine = Engine::Create(src, options);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    std::vector<EntityId> ids;
+    for (int i = 0; i < 16; ++i) {
+      auto id = (*engine)->Spawn("U", {{"age", Value::Number(i)}});
+      EXPECT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (size_t i = 0; i + 1 < ids.size(); ++i) {
+      EXPECT_TRUE((*engine)->Set(ids[i], "pal", Value::Ref(ids[i + 1])).ok());
+    }
+    for (Tick t = 0; t < 6; ++t) {
+      if (t == arm_at) rec.set_armed(true);
+      EXPECT_TRUE((*engine)->Tick().ok());
+    }
+    EXPECT_EQ(rec.oldest_tick(), 4);
+    EXPECT_EQ(rec.newest_tick(), 5);
+    std::string out;
+    rec.SerializeProvenanceTail(&out);
+    return out;
+  };
+  const std::string from_start = tail(0);
+  const std::string from_tick3 = tail(3);
+  ASSERT_FALSE(from_start.empty());
+  EXPECT_EQ(from_start, from_tick3)
+      << "the tail serialized bytes left over from earlier ticks";
 }
 
 // --- armed steady-state allocation contract ---------------------------------
