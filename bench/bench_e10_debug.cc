@@ -12,9 +12,11 @@
 // so reported percentiles cover the measured window only.
 
 #include <chrono>
+#include <filesystem>
 
 #include "bench/bench_util.h"
 #include "src/debug/checkpoint.h"
+#include "src/debug/checkpoint_file.h"
 #include "src/debug/tracer.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
@@ -75,6 +77,34 @@ void BM_CheckpointRestoreRoundTrip(benchmark::State& state) {
     if (!engine->Restore(cp).ok()) state.SkipWithError("restore failed");
     if (!engine->Tick().ok()) state.SkipWithError("tick failed");
   }
+}
+
+// Durable-checkpoint load: read + validate (header and payload FNV) +
+// section copy of a 16k-unit battle checkpoint file written once in setup.
+// The restore round trip above never touches a file; this is the container
+// reader's cost.
+void BM_CheckpointFileLoad(benchmark::State& state) {
+  auto engine = sgl_bench::BuildRts(16384, sgl::PlanMode::kStaticRangeTree);
+  sgl_bench::Warmup(engine.get());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sgl_bench_ckpt_load.sgl")
+          .string();
+  if (!sgl::SaveCheckpointFile(engine->TakeCheckpoint(), path).ok()) {
+    state.SkipWithError("save failed");
+    return;
+  }
+  const auto file_bytes = std::filesystem::file_size(path);
+  sgl::Checkpoint cp;
+  for (auto _ : state) {
+    if (!sgl::LoadCheckpointFile(path, &cp).ok()) {
+      state.SkipWithError("load failed");
+    }
+    benchmark::DoNotOptimize(cp);
+  }
+  std::filesystem::remove(path);
+  state.counters["file_bytes"] = static_cast<double>(file_bytes);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(file_bytes));
 }
 
 // --- Telemetry overhead (PR 9) -------------------------------------------
@@ -237,6 +267,9 @@ BENCHMARK(BM_CheckpointEveryTick)
 BENCHMARK(BM_CheckpointRestoreRoundTrip)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.1);
+BENCHMARK(BM_CheckpointFileLoad)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.2);
 BENCHMARK(BM_TelemetryDetached)->Unit(benchmark::kMillisecond)->MinTime(0.1);
 BENCHMARK(BM_TelemetryDisarmed)->Unit(benchmark::kMillisecond)->MinTime(0.1);
 BENCHMARK(BM_TelemetryArmed)->Unit(benchmark::kMillisecond)->MinTime(0.1);

@@ -3,10 +3,10 @@
 //
 // Checkpoints are taken at tick boundaries (effect buffers empty by
 // construction) and capture the complete World plus the tick counter.
-// Restoring and resuming is bit-equivalent to having never stopped — a
-// property test (checkpoint_test) asserts it. The replay log captures a
-// cheap per-tick state checksum so two runs can be compared tick-by-tick
-// without storing full snapshots.
+// Restoring and resuming is bit-equivalent to having never stopped —
+// Checkpoint.RestoreResumesBitExact (tests/debug_test.cc) asserts it. The
+// replay log captures a cheap per-tick state checksum so two runs can be
+// compared tick-by-tick without storing full snapshots.
 
 #ifndef SGL_DEBUG_CHECKPOINT_H_
 #define SGL_DEBUG_CHECKPOINT_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <new>
 
 #if !defined(_WIN32)
@@ -17,249 +18,340 @@ namespace sgl {
 
 namespace {
 
-// "SGLCKPT1" little-endian.
-constexpr uint64_t kCkptMagic = 0x3154504b434c4753ULL;
-constexpr uint32_t kCkptVersion = 1;
-// magic + version + reserved + tick + 4 section sizes + payload fnv.
-constexpr size_t kHeaderChecksummedBytes = 8 + 4 + 4 + 8 + 4 * 8 + 8;
-constexpr size_t kHeaderBytes = kHeaderChecksummedBytes + 8;
+/// One container format (CHECKPOINT_FORMAT.md). Header: u64 magic,
+/// u32 version, u32 reserved(0), u64 words[num_words],
+/// u64 section_sizes[num_sections], u64 payload_fnv, u64 header_fnv;
+/// then the sections back to back.
+struct ContainerFormat {
+  uint64_t magic;
+  uint32_t version;
+  size_t num_words;
+  size_t num_sections;
+  const char* what;    ///< error-message prefix
+  const char* prefix;  ///< store file names: <prefix><012 tick><suffix>
+  const char* suffix;
 
-const char kFilePrefix[] = "ckpt_";
-const char kFileSuffix[] = ".sgl";
+  /// The header bytes before header_fnv, which covers exactly these.
+  constexpr size_t checksummed_bytes() const {
+    return 8 + 4 + 4 + 8 * (num_words + num_sections) + 8;
+  }
+  constexpr size_t header_bytes() const { return checksummed_bytes() + 8; }
+};
 
-// "SGLBBOX1" little-endian.
-constexpr uint64_t kBBoxMagic = 0x31584f42424c4753ULL;
-constexpr uint32_t kBBoxVersion = 1;
-// magic + version + reserved + tick + world checksum + 5 section sizes +
-// payload fnv.
-constexpr size_t kBBoxChecksummedBytes = 8 + 4 + 4 + 8 + 8 + 5 * 8 + 8;
-constexpr size_t kBBoxHeaderBytes = kBBoxChecksummedBytes + 8;
+/// How an item maps onto its container: the format, the sections in file
+/// order, and the header words. Word 0 is the tick in every kind.
+template <typename T>
+struct Kind;
 
-const char kBBoxPrefix[] = "bbox_";
-const char kBBoxSuffix[] = ".sbb";
+template <>
+struct Kind<Checkpoint> {
+  static constexpr ContainerFormat kFormat = {
+      0x3154504b434c4753ULL,  // "SGLCKPT1" little-endian
+      1, 1, 4, "checkpoint", "ckpt_", ".sgl"};
+  static constexpr std::string Checkpoint::*kSections[] = {
+      &Checkpoint::state, &Checkpoint::shard_partition, &Checkpoint::jobs,
+      &Checkpoint::components};
+  static void PackWords(const Checkpoint& cp, uint64_t* w) {
+    w[0] = static_cast<uint64_t>(cp.tick);
+  }
+  static void UnpackWords(const uint64_t* w, Checkpoint* cp) {
+    cp->tick = static_cast<Tick>(w[0]);
+  }
+};
 
-/// Writes `image` to `<path>.tmp`, fflush + fsync, then renames onto
-/// `path` — the same atomic-replace protocol SaveCheckpointFile uses.
-Status WriteFileAtomic(const std::string& image, const std::string& path,
-                       const char* what) {
+template <>
+struct Kind<BlackBoxDump> {
+  static constexpr ContainerFormat kFormat = {
+      0x31584f42424c4753ULL,  // "SGLBBOX1" little-endian
+      1, 2, 5, "blackbox", "bbox_", ".sbb"};
+  static constexpr std::string BlackBoxDump::*kSections[] = {
+      &BlackBoxDump::reason, &BlackBoxDump::chrome_trace,
+      &BlackBoxDump::metrics, &BlackBoxDump::sites,
+      &BlackBoxDump::provenance};
+  static void PackWords(const BlackBoxDump& dump, uint64_t* w) {
+    w[0] = static_cast<uint64_t>(dump.tick);
+    w[1] = dump.world_checksum;
+  }
+  static void UnpackWords(const uint64_t* w, BlackBoxDump* dump) {
+    dump->tick = static_cast<Tick>(w[0]);
+    dump->world_checksum = w[1];
+  }
+};
+
+static_assert(Kind<Checkpoint>::kFormat.header_bytes() == 72,
+              "checkpoint header is 72 bytes on disk");
+static_assert(Kind<BlackBoxDump>::kFormat.header_bytes() == 88,
+              "black-box header is 88 bytes on disk");
+
+// --- The section-list codec -------------------------------------------------
+
+/// Builds the complete image. May throw bad_alloc — deliberately, that is
+/// the ckpt.serialize.allocfail surface.
+void BuildImage(const ContainerFormat& fmt, const uint64_t* words,
+                const std::string* const* sections, std::string* out) {
+  out->clear();
+  size_t payload_bytes = 0;
+  uint64_t payload_fnv = Fnv1a(out->data(), 0);  // the FNV offset basis
+  for (size_t i = 0; i < fmt.num_sections; ++i) {
+    payload_bytes += sections[i]->size();
+    payload_fnv =
+        Fnv1a(sections[i]->data(), sections[i]->size(), payload_fnv);
+  }
+  out->reserve(fmt.header_bytes() + payload_bytes);
+  binio::Append<uint64_t>(out, fmt.magic);
+  binio::Append<uint32_t>(out, fmt.version);
+  binio::Append<uint32_t>(out, 0u);
+  for (size_t i = 0; i < fmt.num_words; ++i) {
+    binio::Append<uint64_t>(out, words[i]);
+  }
+  for (size_t i = 0; i < fmt.num_sections; ++i) {
+    binio::Append<uint64_t>(out, static_cast<uint64_t>(sections[i]->size()));
+  }
+  binio::Append<uint64_t>(out, payload_fnv);
+  binio::Append<uint64_t>(out, Fnv1a(out->data(), out->size()));
+  for (size_t i = 0; i < fmt.num_sections; ++i) out->append(*sections[i]);
+}
+
+/// Validates `data` in the documented order. `words` is filled as the
+/// header is read; `sections` are written only when every check passes.
+Status ParseImage(const ContainerFormat& fmt, const std::string& data,
+                  const std::string& path, uint64_t* words,
+                  std::string* const* sections) {
+  const std::string what = fmt.what;
+  if (data.size() < fmt.header_bytes()) {
+    return Status::InvalidArgument(what + ": truncated header: " + path);
+  }
+  const char* cur = data.data();
+  const char* const end = cur + data.size();
+  uint64_t magic = 0, payload_fnv = 0, header_fnv = 0;
+  uint32_t version = 0, reserved = 0;
+  binio::Read(&cur, end, &magic);
+  binio::Read(&cur, end, &version);
+  binio::Read(&cur, end, &reserved);
+  for (size_t i = 0; i < fmt.num_words; ++i) {
+    binio::Read(&cur, end, &words[i]);
+  }
+  const char* const sizes_at = cur;
+  cur += 8 * fmt.num_sections;
+  binio::Read(&cur, end, &payload_fnv);
+  binio::Read(&cur, end, &header_fnv);
+  if (header_fnv != Fnv1a(data.data(), fmt.checksummed_bytes())) {
+    return Status::InvalidArgument(what + ": header checksum mismatch: " +
+                                   path);
+  }
+  if (magic != fmt.magic) {
+    return Status::InvalidArgument(what + ": bad magic: " + path);
+  }
+  if (version != fmt.version) {
+    return Status::InvalidArgument(what + ": unsupported version " +
+                                   std::to_string(version) + ": " + path);
+  }
+  auto section_size = [sizes_at, end](size_t i) {
+    const char* at = sizes_at + 8 * i;
+    uint64_t size = 0;
+    binio::Read(&at, end, &size);
+    return size;
+  };
+  const uint64_t remaining = static_cast<uint64_t>(end - cur);
+  uint64_t total = 0;
+  for (size_t i = 0; i < fmt.num_sections; ++i) {
+    const uint64_t size = section_size(i);
+    if (size > remaining) {
+      return Status::InvalidArgument(what + ": truncated payload: " + path);
+    }
+    total += size;
+  }
+  if (total != remaining) {
+    return Status::InvalidArgument(what + ": payload size mismatch: " +
+                                   path);
+  }
+  if (payload_fnv != Fnv1a(cur, static_cast<size_t>(remaining))) {
+    return Status::InvalidArgument(what + ": payload checksum mismatch: " +
+                                   path);
+  }
+  for (size_t i = 0; i < fmt.num_sections; ++i) {
+    const size_t size = static_cast<size_t>(section_size(i));
+    sections[i]->assign(cur, size);
+    cur += size;
+  }
+  return Status::OK();
+}
+
+// --- The atomic writer and the whole-file reader ----------------------------
+
+/// Writes `*image` to `<path>.tmp`, fflush + fsync, then renames onto
+/// `path`. With an armed `fault` the ckpt.write.* sites evaluate at `tick`.
+/// Corruption faults apply after the checksums are computed, so the bad
+/// bytes reach the disk exactly as silent media corruption would.
+Status WriteFileAtomic(std::string* image, const std::string& path,
+                       Tick tick, const std::string& what,
+                       FaultInjector* fault) {
+  uint64_t payload = 0;
+  if (SGL_FAULT_POINT(fault, kFaultCkptWriteBitflip, tick, 0, &payload)) {
+    (*image)[static_cast<size_t>(payload % image->size())] ^=
+        static_cast<char>(0x40);
+  }
+  size_t write_len = image->size();
+  if (SGL_FAULT_POINT(fault, kFaultCkptWriteShort, tick, 0, &payload)) {
+    write_len = static_cast<size_t>(payload % image->size());
+  }
+
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::Internal(std::string(what) + ": cannot open " + tmp);
+    return Status::Internal(what + ": cannot open " + tmp);
   }
-  if (!image.empty() &&
-      std::fwrite(image.data(), 1, image.size(), f) != image.size()) {
+  if (write_len > 0 &&
+      std::fwrite(image->data(), 1, write_len, f) != write_len) {
     std::fclose(f);
-    return Status::Internal(std::string(what) + ": write failed: " + tmp);
+    return Status::Internal(what + ": write failed: " + tmp);
   }
   std::fflush(f);
 #if !defined(_WIN32)
   fsync(fileno(f));
 #endif
   std::fclose(f);
+
+  if (SGL_FAULT_POINT(fault, kFaultCkptWriteTorn, tick, 0, &payload)) {
+    // Crash between the tmp write and the rename: the target keeps its old
+    // contents (or stays absent) and an orphan .tmp is left behind —
+    // exactly what the atomic protocol promises to survive.
+    return Status::Internal(std::string(kFaultCrashPrefix) +
+                            " at ckpt.write.torn tick " +
+                            std::to_string(tick));
+  }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
-    return Status::Internal(std::string(what) +
-                            ": rename failed: " + ec.message());
+    return Status::Internal(what + ": rename failed: " + ec.message());
   }
   return Status::OK();
 }
 
-/// Builds the complete on-disk image (header + payload). May throw
-/// bad_alloc — deliberately, that is the ckpt.serialize.allocfail surface.
-void BuildFileImage(const Checkpoint& cp, std::string* out) {
-  out->clear();
-  out->reserve(kHeaderBytes + cp.state.size() + cp.shard_partition.size() +
-               cp.jobs.size() + cp.components.size());
-  uint64_t payload_fnv = Fnv1a(cp.state.data(), cp.state.size());
-  payload_fnv = Fnv1a(cp.shard_partition.data(), cp.shard_partition.size(),
-                      payload_fnv);
-  payload_fnv = Fnv1a(cp.jobs.data(), cp.jobs.size(), payload_fnv);
-  payload_fnv =
-      Fnv1a(cp.components.data(), cp.components.size(), payload_fnv);
-  binio::Append<uint64_t>(out, kCkptMagic);
-  binio::Append<uint32_t>(out, kCkptVersion);
-  binio::Append<uint32_t>(out, 0u);
-  binio::Append<int64_t>(out, static_cast<int64_t>(cp.tick));
-  binio::Append<uint64_t>(out, static_cast<uint64_t>(cp.state.size()));
-  binio::Append<uint64_t>(out,
-                          static_cast<uint64_t>(cp.shard_partition.size()));
-  binio::Append<uint64_t>(out, static_cast<uint64_t>(cp.jobs.size()));
-  binio::Append<uint64_t>(out, static_cast<uint64_t>(cp.components.size()));
-  binio::Append<uint64_t>(out, payload_fnv);
-  binio::Append<uint64_t>(out, Fnv1a(out->data(), out->size()));
-  out->append(cp.state);
-  out->append(cp.shard_partition);
-  out->append(cp.jobs);
-  out->append(cp.components);
+/// Reads the whole regular file at `path` into `*data`. With an armed
+/// `fault` the ckpt.read.bitflip site evaluates at tick 0 with the file
+/// size as key.
+Status ReadWholeFile(const std::string& path, const std::string& what,
+                     FaultInjector* fault, std::string* data) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound(what + ": no file at " + path);
+  }
+  // file_size fails on anything but a regular file. A directory opens
+  // fine, and its ftell can be LLONG_MAX, which no buffer can hold.
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    std::fclose(f);
+    return Status::InvalidArgument(what + ": not a regular file: " + path);
+  }
+  data->resize(static_cast<size_t>(size));
+  const bool read_ok =
+      data->empty() ||
+      std::fread(&(*data)[0], 1, data->size(), f) == data->size();
+  std::fclose(f);
+  if (!read_ok) {
+    return Status::Internal(what + ": read failed: " + path);
+  }
+  uint64_t payload = 0;
+  if (!data->empty() &&
+      SGL_FAULT_POINT(fault, kFaultCkptReadBitflip, 0, data->size(),
+                      &payload)) {
+    (*data)[static_cast<size_t>(payload % data->size())] ^=
+        static_cast<char>(0x40);
+  }
+  return Status::OK();
+}
+
+// --- Binding an item to its container ----------------------------------------
+
+template <typename T>
+Status SaveContainer(const T& item, const std::string& path,
+                     FaultInjector* fault) {
+  using K = Kind<T>;
+  static_assert(std::size(K::kSections) == K::kFormat.num_sections,
+                "one header size per section");
+  uint64_t words[K::kFormat.num_words];
+  K::PackWords(item, words);
+  const std::string* sections[K::kFormat.num_sections];
+  for (size_t i = 0; i < K::kFormat.num_sections; ++i) {
+    sections[i] = &(item.*K::kSections[i]);
+  }
+  std::string image;
+  uint64_t payload = 0;
+  const bool arm_alloc_fail =
+      SGL_FAULT_POINT(fault, kFaultCkptSerializeAllocFail, item.tick, 0,
+                      &payload) &&
+      AllocFailureSupported();
+  if (arm_alloc_fail) ArmAllocFailure(static_cast<int64_t>(payload));
+  try {
+    BuildImage(K::kFormat, words, sections, &image);
+  } catch (const std::bad_alloc&) {
+    DisarmAllocFailure();
+    return Status::Internal(std::string(K::kFormat.what) +
+                            ": allocation failure during serialization");
+  }
+  if (arm_alloc_fail) DisarmAllocFailure();
+  return WriteFileAtomic(&image, path, item.tick, K::kFormat.what, fault);
+}
+
+template <typename T>
+Status LoadContainer(const std::string& path, T* out, FaultInjector* fault) {
+  using K = Kind<T>;
+  std::string data;
+  SGL_RETURN_IF_ERROR(ReadWholeFile(path, K::kFormat.what, fault, &data));
+  uint64_t words[K::kFormat.num_words];
+  std::string* sections[K::kFormat.num_sections];
+  for (size_t i = 0; i < K::kFormat.num_sections; ++i) {
+    sections[i] = &(out->*K::kSections[i]);
+  }
+  SGL_RETURN_IF_ERROR(ParseImage(K::kFormat, data, path, words, sections));
+  K::UnpackWords(words, out);
+  return Status::OK();
 }
 
 }  // namespace
 
 Status SaveCheckpointFile(const Checkpoint& cp, const std::string& path,
                           FaultInjector* fault) {
-  std::string image;
-  uint64_t payload = 0;
-  const bool arm_alloc_fail =
-      SGL_FAULT_POINT(fault, kFaultCkptSerializeAllocFail, cp.tick, 0,
-                      &payload) &&
-      AllocFailureSupported();
-  if (arm_alloc_fail) ArmAllocFailure(static_cast<int64_t>(payload));
-  try {
-    BuildFileImage(cp, &image);
-  } catch (const std::bad_alloc&) {
-    DisarmAllocFailure();
-    return Status::Internal(
-        "checkpoint: allocation failure during serialization");
-  }
-  if (arm_alloc_fail) DisarmAllocFailure();
-
-  // Corruption faults apply after the checksums are computed, so the bad
-  // bytes reach the disk exactly as silent media corruption would.
-  if (SGL_FAULT_POINT(fault, kFaultCkptWriteBitflip, cp.tick, 0, &payload)) {
-    image[static_cast<size_t>(payload % image.size())] ^=
-        static_cast<char>(0x40);
-  }
-  size_t write_len = image.size();
-  if (SGL_FAULT_POINT(fault, kFaultCkptWriteShort, cp.tick, 0, &payload)) {
-    write_len = static_cast<size_t>(payload % image.size());
-  }
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("checkpoint: cannot open " + tmp);
-  }
-  if (write_len > 0 &&
-      std::fwrite(image.data(), 1, write_len, f) != write_len) {
-    std::fclose(f);
-    return Status::Internal("checkpoint: write failed: " + tmp);
-  }
-  std::fflush(f);
-#if !defined(_WIN32)
-  fsync(fileno(f));
-#endif
-  std::fclose(f);
-
-  if (SGL_FAULT_POINT(fault, kFaultCkptWriteTorn, cp.tick, 0, &payload)) {
-    // Crash between the tmp write and the rename: the target keeps its old
-    // contents (or stays absent) and an orphan .tmp is left behind —
-    // exactly what the atomic protocol promises to survive.
-    return Status::Internal(std::string(kFaultCrashPrefix) +
-                            " at ckpt.write.torn tick " +
-                            std::to_string(cp.tick));
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("checkpoint: rename failed: " + ec.message());
-  }
-  return Status::OK();
+  return SaveContainer(cp, path, fault);
 }
 
 Status LoadCheckpointFile(const std::string& path, Checkpoint* out,
                           FaultInjector* fault) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("checkpoint: no file at " + path);
-  }
-  std::string data;
-  {
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
-      std::fclose(f);
-      return Status::Internal("checkpoint: cannot size " + path);
-    }
-    data.resize(static_cast<size_t>(size));
-    if (!data.empty() &&
-        std::fread(&data[0], 1, data.size(), f) != data.size()) {
-      std::fclose(f);
-      return Status::Internal("checkpoint: read failed: " + path);
-    }
-    std::fclose(f);
-  }
-  uint64_t payload = 0;
-  if (!data.empty() &&
-      SGL_FAULT_POINT(fault, kFaultCkptReadBitflip, 0, data.size(),
-                      &payload)) {
-    data[static_cast<size_t>(payload % data.size())] ^=
-        static_cast<char>(0x40);
-  }
-  if (data.size() < kHeaderBytes) {
-    return Status::InvalidArgument("checkpoint: truncated header: " + path);
-  }
-  const char* cur = data.data();
-  const char* end = cur + data.size();
-  uint64_t magic = 0, payload_fnv = 0, header_fnv = 0;
-  uint32_t version = 0, reserved = 0;
-  int64_t tick = 0;
-  uint64_t sizes[4] = {0, 0, 0, 0};
-  binio::Read(&cur, end, &magic);
-  binio::Read(&cur, end, &version);
-  binio::Read(&cur, end, &reserved);
-  binio::Read(&cur, end, &tick);
-  for (uint64_t& s : sizes) binio::Read(&cur, end, &s);
-  binio::Read(&cur, end, &payload_fnv);
-  binio::Read(&cur, end, &header_fnv);
-  if (header_fnv != Fnv1a(data.data(), kHeaderChecksummedBytes)) {
-    return Status::InvalidArgument("checkpoint: header checksum mismatch: " +
-                                   path);
-  }
-  if (magic != kCkptMagic) {
-    return Status::InvalidArgument("checkpoint: bad magic: " + path);
-  }
-  if (version != kCkptVersion) {
-    return Status::InvalidArgument("checkpoint: unsupported version " +
-                                   std::to_string(version) + ": " + path);
-  }
-  const uint64_t remaining = static_cast<uint64_t>(end - cur);
-  uint64_t total = 0;
-  for (uint64_t s : sizes) {
-    if (s > remaining) {
-      return Status::InvalidArgument("checkpoint: truncated payload: " +
-                                     path);
-    }
-    total += s;
-  }
-  if (total != remaining) {
-    return Status::InvalidArgument("checkpoint: payload size mismatch: " +
-                                   path);
-  }
-  if (payload_fnv != Fnv1a(cur, static_cast<size_t>(remaining))) {
-    return Status::InvalidArgument(
-        "checkpoint: payload checksum mismatch: " + path);
-  }
-  out->tick = static_cast<Tick>(tick);
-  out->state.assign(cur, static_cast<size_t>(sizes[0]));
-  cur += sizes[0];
-  out->shard_partition.assign(cur, static_cast<size_t>(sizes[1]));
-  cur += sizes[1];
-  out->jobs.assign(cur, static_cast<size_t>(sizes[2]));
-  cur += sizes[2];
-  out->components.assign(cur, static_cast<size_t>(sizes[3]));
-  return Status::OK();
+  return LoadContainer(path, out, fault);
 }
 
-CheckpointStore::CheckpointStore(std::string dir, int keep,
-                                 FaultInjector* fault)
+Status SaveBlackBoxFile(const BlackBoxDump& dump, const std::string& path) {
+  return SaveContainer(dump, path, nullptr);
+}
+
+Status LoadBlackBoxFile(const std::string& path, BlackBoxDump* out) {
+  return LoadContainer(path, out, nullptr);
+}
+
+// --- The rotating store -------------------------------------------------------
+
+template <typename T>
+ContainerStore<T>::ContainerStore(std::string dir, int keep,
+                                  FaultInjector* fault)
     : dir_(std::move(dir)), keep_(std::max(keep, 2)), fault_(fault) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
 }
 
-std::vector<std::string> CheckpointStore::ListFiles() const {
+template <typename T>
+std::vector<std::string> ContainerStore<T>::ListFiles() const {
+  const std::string prefix = Kind<T>::kFormat.prefix;
+  const std::string suffix = Kind<T>::kFormat.suffix;
   std::vector<std::string> files;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > sizeof(kFilePrefix) - 1 + sizeof(kFileSuffix) - 1 &&
-        name.compare(0, sizeof(kFilePrefix) - 1, kFilePrefix) == 0 &&
-        name.compare(name.size() - (sizeof(kFileSuffix) - 1),
-                     sizeof(kFileSuffix) - 1, kFileSuffix) == 0) {
+    if (name.size() > prefix.size() + suffix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
       files.push_back(name);
     }
   }
@@ -268,175 +360,12 @@ std::vector<std::string> CheckpointStore::ListFiles() const {
   return files;
 }
 
-Status CheckpointStore::Save(const Checkpoint& cp) {
+template <typename T>
+Status ContainerStore<T>::Save(const T& item) {
   char name[64];
-  std::snprintf(name, sizeof(name), "%s%012lld%s", kFilePrefix,
-                static_cast<long long>(cp.tick), kFileSuffix);
-  SGL_RETURN_IF_ERROR(
-      SaveCheckpointFile(cp, dir_ + "/" + name, fault_));
-  std::vector<std::string> files = ListFiles();
-  std::error_code ec;
-  for (size_t i = 0;
-       i + static_cast<size_t>(keep_) < files.size(); ++i) {
-    std::filesystem::remove(dir_ + "/" + files[i], ec);
-  }
-  return Status::OK();
-}
-
-StatusOr<Checkpoint> CheckpointStore::LoadLatestGood() const {
-  std::vector<std::string> files = ListFiles();
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    Checkpoint cp;
-    Status status = LoadCheckpointFile(dir_ + "/" + *it, &cp, fault_);
-    if (status.ok()) return cp;
-  }
-  return Status::NotFound("checkpoint store: no valid checkpoint in " +
-                          dir_);
-}
-
-// --- Black-box dumps -------------------------------------------------------
-
-Status SaveBlackBoxFile(const BlackBoxDump& dump, const std::string& path) {
-  std::string image;
-  image.reserve(kBBoxHeaderBytes + dump.reason.size() +
-                dump.chrome_trace.size() + dump.metrics.size() +
-                dump.sites.size() + dump.provenance.size());
-  uint64_t payload_fnv = Fnv1a(dump.reason.data(), dump.reason.size());
-  payload_fnv =
-      Fnv1a(dump.chrome_trace.data(), dump.chrome_trace.size(), payload_fnv);
-  payload_fnv = Fnv1a(dump.metrics.data(), dump.metrics.size(), payload_fnv);
-  payload_fnv = Fnv1a(dump.sites.data(), dump.sites.size(), payload_fnv);
-  payload_fnv =
-      Fnv1a(dump.provenance.data(), dump.provenance.size(), payload_fnv);
-  binio::Append<uint64_t>(&image, kBBoxMagic);
-  binio::Append<uint32_t>(&image, kBBoxVersion);
-  binio::Append<uint32_t>(&image, 0u);
-  binio::Append<int64_t>(&image, static_cast<int64_t>(dump.tick));
-  binio::Append<uint64_t>(&image, dump.world_checksum);
-  binio::Append<uint64_t>(&image, static_cast<uint64_t>(dump.reason.size()));
-  binio::Append<uint64_t>(&image,
-                          static_cast<uint64_t>(dump.chrome_trace.size()));
-  binio::Append<uint64_t>(&image, static_cast<uint64_t>(dump.metrics.size()));
-  binio::Append<uint64_t>(&image, static_cast<uint64_t>(dump.sites.size()));
-  binio::Append<uint64_t>(&image,
-                          static_cast<uint64_t>(dump.provenance.size()));
-  binio::Append<uint64_t>(&image, payload_fnv);
-  binio::Append<uint64_t>(&image, Fnv1a(image.data(), image.size()));
-  image.append(dump.reason);
-  image.append(dump.chrome_trace);
-  image.append(dump.metrics);
-  image.append(dump.sites);
-  image.append(dump.provenance);
-  return WriteFileAtomic(image, path, "blackbox");
-}
-
-Status LoadBlackBoxFile(const std::string& path, BlackBoxDump* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("blackbox: no file at " + path);
-  }
-  std::string data;
-  {
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
-      std::fclose(f);
-      return Status::Internal("blackbox: cannot size " + path);
-    }
-    data.resize(static_cast<size_t>(size));
-    if (!data.empty() &&
-        std::fread(&data[0], 1, data.size(), f) != data.size()) {
-      std::fclose(f);
-      return Status::Internal("blackbox: read failed: " + path);
-    }
-    std::fclose(f);
-  }
-  if (data.size() < kBBoxHeaderBytes) {
-    return Status::InvalidArgument("blackbox: truncated header: " + path);
-  }
-  const char* cur = data.data();
-  const char* end = cur + data.size();
-  uint64_t magic = 0, world_checksum = 0, payload_fnv = 0, header_fnv = 0;
-  uint32_t version = 0, reserved = 0;
-  int64_t tick = 0;
-  uint64_t sizes[5] = {0, 0, 0, 0, 0};
-  binio::Read(&cur, end, &magic);
-  binio::Read(&cur, end, &version);
-  binio::Read(&cur, end, &reserved);
-  binio::Read(&cur, end, &tick);
-  binio::Read(&cur, end, &world_checksum);
-  for (uint64_t& s : sizes) binio::Read(&cur, end, &s);
-  binio::Read(&cur, end, &payload_fnv);
-  binio::Read(&cur, end, &header_fnv);
-  if (header_fnv != Fnv1a(data.data(), kBBoxChecksummedBytes)) {
-    return Status::InvalidArgument("blackbox: header checksum mismatch: " +
-                                   path);
-  }
-  if (magic != kBBoxMagic) {
-    return Status::InvalidArgument("blackbox: bad magic: " + path);
-  }
-  if (version != kBBoxVersion) {
-    return Status::InvalidArgument("blackbox: unsupported version " +
-                                   std::to_string(version) + ": " + path);
-  }
-  const uint64_t remaining = static_cast<uint64_t>(end - cur);
-  uint64_t total = 0;
-  for (uint64_t s : sizes) {
-    if (s > remaining) {
-      return Status::InvalidArgument("blackbox: truncated payload: " + path);
-    }
-    total += s;
-  }
-  if (total != remaining) {
-    return Status::InvalidArgument("blackbox: payload size mismatch: " +
-                                   path);
-  }
-  if (payload_fnv != Fnv1a(cur, static_cast<size_t>(remaining))) {
-    return Status::InvalidArgument("blackbox: payload checksum mismatch: " +
-                                   path);
-  }
-  out->tick = static_cast<Tick>(tick);
-  out->world_checksum = world_checksum;
-  out->reason.assign(cur, static_cast<size_t>(sizes[0]));
-  cur += sizes[0];
-  out->chrome_trace.assign(cur, static_cast<size_t>(sizes[1]));
-  cur += sizes[1];
-  out->metrics.assign(cur, static_cast<size_t>(sizes[2]));
-  cur += sizes[2];
-  out->sites.assign(cur, static_cast<size_t>(sizes[3]));
-  cur += sizes[3];
-  out->provenance.assign(cur, static_cast<size_t>(sizes[4]));
-  return Status::OK();
-}
-
-BlackBoxStore::BlackBoxStore(std::string dir, int keep)
-    : dir_(std::move(dir)), keep_(std::max(keep, 2)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-}
-
-std::vector<std::string> BlackBoxStore::ListFiles() const {
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > sizeof(kBBoxPrefix) - 1 + sizeof(kBBoxSuffix) - 1 &&
-        name.compare(0, sizeof(kBBoxPrefix) - 1, kBBoxPrefix) == 0 &&
-        name.compare(name.size() - (sizeof(kBBoxSuffix) - 1),
-                     sizeof(kBBoxSuffix) - 1, kBBoxSuffix) == 0) {
-      files.push_back(name);
-    }
-  }
-  std::sort(files.begin(), files.end());  // zero-padded tick = tick order
-  return files;
-}
-
-Status BlackBoxStore::Save(const BlackBoxDump& dump) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%012lld%s", kBBoxPrefix,
-                static_cast<long long>(dump.tick), kBBoxSuffix);
-  SGL_RETURN_IF_ERROR(SaveBlackBoxFile(dump, dir_ + "/" + name));
+  std::snprintf(name, sizeof(name), "%s%012lld%s", Kind<T>::kFormat.prefix,
+                static_cast<long long>(item.tick), Kind<T>::kFormat.suffix);
+  SGL_RETURN_IF_ERROR(SaveContainer(item, dir_ + "/" + name, fault_));
   std::vector<std::string> files = ListFiles();
   std::error_code ec;
   for (size_t i = 0; i + static_cast<size_t>(keep_) < files.size(); ++i) {
@@ -445,14 +374,18 @@ Status BlackBoxStore::Save(const BlackBoxDump& dump) {
   return Status::OK();
 }
 
-StatusOr<BlackBoxDump> BlackBoxStore::LoadLatestGood() const {
+template <typename T>
+StatusOr<T> ContainerStore<T>::LoadLatestGood() const {
   std::vector<std::string> files = ListFiles();
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    BlackBoxDump dump;
-    Status status = LoadBlackBoxFile(dir_ + "/" + *it, &dump);
-    if (status.ok()) return dump;
+    T item;
+    if (LoadContainer(dir_ + "/" + *it, &item, fault_).ok()) return item;
   }
-  return Status::NotFound("blackbox store: no valid dump in " + dir_);
+  return Status::NotFound(std::string(Kind<T>::kFormat.what) +
+                          " store: no valid file in " + dir_);
 }
+
+template class ContainerStore<Checkpoint>;
+template class ContainerStore<BlackBoxDump>;
 
 }  // namespace sgl

@@ -1,37 +1,22 @@
-// Durable checkpoint files: versioned, checksummed, atomically replaced.
+// Durable container files: checkpoints and black-box dumps.
 //
-// The in-memory Checkpoint (checkpoint.h) becomes durable through a single
-// flat file:
+// Both artifacts are instances of one versioned, double-checksummed
+// container — magic, version, fixed u64 header words, N byte sections —
+// written atomically (`<path>.tmp` + fflush + fsync + rename) and kept in a
+// rotating newest-good directory. The layout, the two instances (72-byte
+// "SGLCKPT1" checkpoints, 88-byte "SGLBBOX1" black boxes), the validation
+// order, the write protocol and the store are specified in
+// CHECKPOINT_FORMAT.md next to this file.
 //
-//   header (72 bytes):
-//     u64 magic "SGLCKPT1"    u32 version    u32 reserved(0)
-//     i64 tick
-//     u64 state_size  u64 shard_partition_size  u64 jobs_size
-//     u64 components_size
-//     u64 payload_fnv         (FNV-1a over the concatenated sections)
-//     u64 header_fnv          (FNV-1a over the 64 header bytes above)
-//   payload:
-//     state || shard_partition || jobs || components
-//
-// Write protocol (SaveCheckpointFile): build the full image in memory,
-// write it to `<path>.tmp`, fflush + fsync, then rename onto `path`. A
-// crash at any instant leaves either the complete previous file or the
-// complete new one — never a half-written target. Restore-side corruption
-// (truncation, bit flips, a stray rename of a short write) is caught by
-// the two checksums and the size arithmetic and reported as a clean
-// Status, never a crash.
-//
-// CheckpointStore rotates a directory of such files
-// (`ckpt_<zero-padded-tick>.sgl`) and, on load, walks newest → oldest
-// until a file validates — the fallback-to-last-good policy the
-// crash-recovery harness (tests/fault_test.cc) exercises under injected
-// torn writes and flipped bits. All checkpoint fault sites (ckpt.write.*,
-// ckpt.read.bitflip, ckpt.serialize.allocfail) are implemented here.
+// All checkpoint fault sites (ckpt.write.*, ckpt.read.bitflip,
+// ckpt.serialize.allocfail) are implemented here; black boxes are written
+// and read with no injector.
 
 #ifndef SGL_DEBUG_CHECKPOINT_FILE_H_
 #define SGL_DEBUG_CHECKPOINT_FILE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -50,37 +35,18 @@ class FaultInjector;
 Status SaveCheckpointFile(const Checkpoint& cp, const std::string& path,
                           FaultInjector* fault = nullptr);
 
-/// Reads and validates `path` into `out`. NotFound when the file does not
-/// exist; InvalidArgument (with `out` untouched semantics not guaranteed)
-/// on any corruption — bad magic, version, checksum, or size arithmetic.
-/// The ckpt.read.bitflip site evaluates at tick 0 with the file size as
-/// key.
+/// Reads and validates `path` into `out`, which is written only on
+/// success. NotFound when the file does not exist; InvalidArgument when
+/// `path` is not a regular file or on any corruption — bad magic, version,
+/// checksum, or size arithmetic. The ckpt.read.bitflip site evaluates at
+/// tick 0 with the file size as key.
 Status LoadCheckpointFile(const std::string& path, Checkpoint* out,
                           FaultInjector* fault = nullptr);
 
-// --- Black-box dumps (flight recorder) -------------------------------------
-//
-// Same file discipline as checkpoints — versioned, double-checksummed,
-// written to `<path>.tmp` + fsync + rename — but carrying the flight
-// recorder's self-contained post-mortem instead of restorable state:
-//
-//   header (88 bytes):
-//     u64 magic "SGLBBOX1"    u32 version    u32 reserved(0)
-//     i64 tick                u64 world_checksum
-//     u64 reason_size  u64 chrome_trace_size  u64 metrics_size
-//     u64 sites_size   u64 provenance_size
-//     u64 payload_fnv         u64 header_fnv
-//   payload:
-//     reason || chrome_trace || metrics || sites || provenance
-//
-// `chrome_trace` is DumpChromeTrace() JSON of the ring window, `metrics`
-// the metrics-snapshot text, `sites` DescribeSitesJson(), `provenance` the
-// flat serialized frame records of the ring tail. The trace/metrics
-// sections carry wall-clock timings; the provenance section and the world
-// checksum are deterministic — those are the bytes the
-// never-crashed-vs-recovered differential compares.
-
-/// One self-contained black-box dump.
+/// One self-contained black-box dump (flight recorder post-mortem).
+/// `chrome_trace` and `metrics` carry wall-clock timings; the provenance
+/// section and the world checksum are deterministic — those are the bytes
+/// the never-crashed-vs-recovered differential compares.
 struct BlackBoxDump {
   Tick tick = 0;
   uint64_t world_checksum = 0;
@@ -94,57 +60,57 @@ struct BlackBoxDump {
 /// Atomically writes `dump` to `path` (`<path>.tmp` + fsync + rename).
 Status SaveBlackBoxFile(const BlackBoxDump& dump, const std::string& path);
 
-/// Reads and validates `path` into `out`. NotFound when absent;
-/// InvalidArgument on any corruption (bad magic, version, checksum, or
-/// size arithmetic) — same detection surface as checkpoint loads.
+/// Reads and validates `path` into `out` — same contract as
+/// LoadCheckpointFile, with no fault site.
 Status LoadBlackBoxFile(const std::string& path, BlackBoxDump* out);
 
-/// A rotating directory of black-box dumps (`bbox_<zero-padded-tick>.sbb`),
-/// CheckpointStore-style: prune-after-successful-save, newest-wins load
-/// with fallback over corrupt files.
-class BlackBoxStore {
+/// A rotating directory of container files named
+/// `<prefix><zero-padded-tick><suffix>`, for T = Checkpoint or BlackBoxDump.
+template <typename T>
+class ContainerStore {
  public:
-  explicit BlackBoxStore(std::string dir, int keep = 4);
+  /// Saves `item`, then prunes the oldest files beyond the keep budget.
+  /// Pruning only runs after a fully successful save, so a failed save
+  /// never costs an older good file.
+  Status Save(const T& item);
 
-  Status Save(const BlackBoxDump& dump);
-  /// Newest dump that validates; NotFound when none does.
-  StatusOr<BlackBoxDump> LoadLatestGood() const;
-  /// Dump file names, ascending by tick.
+  /// Newest file that validates, walking backwards over anything corrupt,
+  /// torn or unreadable. NotFound when no file in the directory validates.
+  StatusOr<T> LoadLatestGood() const;
+
+  /// File names in the store, ascending by tick.
   std::vector<std::string> ListFiles() const;
+
   const std::string& dir() const { return dir_; }
 
- private:
-  std::string dir_;
-  int keep_;
-};
-
-/// A rotating directory of checkpoint files, newest-wins with fallback.
-class CheckpointStore {
- public:
+ protected:
   /// Creates `dir` if needed. Keeps the newest `keep` files (clamped to
   /// >= 2: fallback-to-previous-good requires a previous good). `fault`
   /// (may be null) is threaded into every file save/load.
-  explicit CheckpointStore(std::string dir, int keep = 3,
-                           FaultInjector* fault = nullptr);
-
-  /// Saves `cp` as `ckpt_<zero-padded-tick>.sgl`, then prunes the oldest
-  /// files beyond the keep budget. Pruning only runs after a fully
-  /// successful save, so a failed save never costs an older good file.
-  Status Save(const Checkpoint& cp);
-
-  /// Newest checkpoint that validates, walking backwards over anything
-  /// corrupt or torn. NotFound when no file in the directory validates.
-  StatusOr<Checkpoint> LoadLatestGood() const;
-
-  /// Checkpoint file names in the store, ascending by tick.
-  std::vector<std::string> ListFiles() const;
-
-  const std::string& dir() const { return dir_; }
+  ContainerStore(std::string dir, int keep, FaultInjector* fault);
 
  private:
   std::string dir_;
   int keep_;
   FaultInjector* fault_;
+};
+
+extern template class ContainerStore<Checkpoint>;
+extern template class ContainerStore<BlackBoxDump>;
+
+/// `ckpt_<tick>.sgl` files; `fault` reaches every save and load.
+class CheckpointStore : public ContainerStore<Checkpoint> {
+ public:
+  explicit CheckpointStore(std::string dir, int keep = 3,
+                           FaultInjector* fault = nullptr)
+      : ContainerStore(std::move(dir), keep, fault) {}
+};
+
+/// `bbox_<tick>.sbb` files.
+class BlackBoxStore : public ContainerStore<BlackBoxDump> {
+ public:
+  explicit BlackBoxStore(std::string dir, int keep = 4)
+      : ContainerStore(std::move(dir), keep, nullptr) {}
 };
 
 }  // namespace sgl

@@ -127,18 +127,4 @@ std::string Telemetry::DumpChromeTrace() const {
   return out;
 }
 
-Status Telemetry::WriteChromeTrace(const std::string& path) const {
-  const std::string json = DumpChromeTrace();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open trace file: " + path);
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Internal("short write on trace file: " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace sgl

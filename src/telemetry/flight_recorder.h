@@ -38,9 +38,9 @@
 //   * crash detected on restore (Engine::Restore → NotifyRestore),
 // and writes a self-contained dump (reason, Chrome trace of the ring
 // window, metrics snapshot, site table JSON, serialized provenance tail,
-// world checksum) through the fsync'd black-box writer with
-// CheckpointStore-style rotation (checkpoint_file.h). Dump writing is off
-// the steady-state contract — it allocates freely; a cooldown keeps a
+// world checksum) into a BlackBoxStore, the "SGLBBOX1" instance of the
+// checkpoint container (src/debug/CHECKPOINT_FORMAT.md). Dump writing is
+// off the steady-state contract — it allocates freely; a cooldown keeps a
 // sustained anomaly from flooding the store.
 //
 // The provenance tail and world checksum serialize only deterministic

@@ -265,7 +265,6 @@ class Telemetry {
   /// Chrome trace-event JSON ("X" complete events, pid = track, tid =
   /// lane; metadata names both). Load in Perfetto / chrome://tracing.
   std::string DumpChromeTrace() const;
-  Status WriteChromeTrace(const std::string& path) const;
 
   // --- Standard per-tick recording (executors, barrier thread) ----------
   /// Records one finished tick into the standard series, its site rows

@@ -2,9 +2,10 @@
 //
 //   * FaultInjector semantics — seeded determinism, tick windows, rate
 //     hashing, max_fires caps, the injected-crash Status contract.
-//   * Checkpoint files — round trips, atomic (torn-write-safe) replacement,
-//     corruption detection (truncation, bit flips, injected write faults),
-//     CheckpointStore fallback to the last good file.
+//   * Container files — round trips, atomic (torn-write-safe) replacement,
+//     corruption detection (truncation and bit-flip sweeps over checkpoints
+//     and black-box dumps, injected write faults), both on-disk formats
+//     pinned byte for byte, store fallback to the last good file.
 //   * JobService recovery — in-flight submissions serialize and restore so
 //     each installs at its original contracted tick, in its original seeded
 //     order, on a service built with a *different* seed.
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -208,6 +210,55 @@ Checkpoint SyntheticCheckpoint(Tick tick) {
   return cp;
 }
 
+// A fixed black-box dump with every section non-empty.
+BlackBoxDump SyntheticBlackBox(Tick tick) {
+  BlackBoxDump dump;
+  dump.tick = tick;
+  dump.world_checksum = 0x0123456789abcdefULL;
+  dump.reason = "synthetic";
+  dump.chrome_trace = "{\"traceEvents\":[]}";
+  dump.metrics = "tick.total_us 1";
+  dump.sites = "[]";
+  dump.provenance.assign(2048, '\0');
+  for (size_t i = 0; i < dump.provenance.size(); ++i) {
+    dump.provenance[i] = static_cast<char>((i * 13 + tick * 5) & 0xff);
+  }
+  return dump;
+}
+
+// Both container kinds — checkpoints and black-box dumps — as a save/load
+// pair over a fixed sample, so the corruption sweeps run over each.
+struct ContainerKind {
+  const char* name;
+  Status (*save)(const std::string& path);
+  Status (*load)(const std::string& path);
+};
+
+const ContainerKind kContainerKinds[] = {
+    {"checkpoint",
+     [](const std::string& path) {
+       return SaveCheckpointFile(SyntheticCheckpoint(7), path);
+     },
+     [](const std::string& path) {
+       Checkpoint loaded;
+       return LoadCheckpointFile(path, &loaded);
+     }},
+    {"blackbox",
+     [](const std::string& path) {
+       return SaveBlackBoxFile(SyntheticBlackBox(7), path);
+     },
+     [](const std::string& path) {
+       BlackBoxDump loaded;
+       return LoadBlackBoxFile(path, &loaded);
+     }},
+};
+
+uint64_t ReadU64At(const std::string& bytes, size_t offset) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
 TEST(CheckpointFileTest, RoundTripPreservesEverySection) {
   const std::string dir = FreshDir("roundtrip");
   std::filesystem::create_directories(dir);
@@ -235,42 +286,120 @@ TEST(CheckpointFileTest, MissingFileIsNotFound) {
 TEST(CheckpointFileTest, TruncationIsRejectedCleanly) {
   const std::string dir = FreshDir("truncate");
   std::filesystem::create_directories(dir);
-  const std::string path = dir + "/cp.sgl";
-  ASSERT_TRUE(SaveCheckpointFile(SyntheticCheckpoint(7), path).ok());
-  const std::string good = ReadFileBytes(path);
-  // Mid-payload, mid-header, and empty truncations must all be detected.
-  for (size_t keep : {good.size() - 1, good.size() / 2, size_t{40},
-                      size_t{0}}) {
-    WriteFileBytes(path, good.substr(0, keep));
-    Checkpoint loaded;
-    const Status st = LoadCheckpointFile(path, &loaded);
-    EXPECT_FALSE(st.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  for (const ContainerKind& kind : kContainerKinds) {
+    SCOPED_TRACE(kind.name);
+    const std::string path = dir + "/" + kind.name;
+    ASSERT_TRUE(kind.save(path).ok());
+    const std::string good = ReadFileBytes(path);
+    // Mid-payload, mid-header, and empty truncations must all be detected.
+    for (size_t keep : {good.size() - 1, good.size() / 2, size_t{40},
+                        size_t{0}}) {
+      WriteFileBytes(path, good.substr(0, keep));
+      const Status st = kind.load(path);
+      EXPECT_FALSE(st.ok()) << "kept " << keep << " bytes";
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    }
   }
 }
 
 TEST(CheckpointFileTest, EveryFlippedBitIsDetected) {
   const std::string dir = FreshDir("bitflip");
   std::filesystem::create_directories(dir);
-  const std::string path = dir + "/cp.sgl";
-  ASSERT_TRUE(SaveCheckpointFile(SyntheticCheckpoint(7), path).ok());
-  const std::string good = ReadFileBytes(path);
-  // A flip anywhere — header fields, section sizes, payload — must fail
-  // validation. Sampled stride keeps the test fast; offset 0 and the final
-  // byte are always included.
-  for (size_t at = 0; at < good.size(); at += 97) {
+  for (const ContainerKind& kind : kContainerKinds) {
+    SCOPED_TRACE(kind.name);
+    const std::string path = dir + "/" + kind.name;
+    ASSERT_TRUE(kind.save(path).ok());
+    const std::string good = ReadFileBytes(path);
+    // A flip anywhere — header fields, section sizes, payload — must fail
+    // validation. Sampled stride keeps the test fast; offset 0 and the
+    // final byte are always included.
+    for (size_t at = 0; at < good.size(); at += 97) {
+      std::string bad = good;
+      bad[at] = static_cast<char>(bad[at] ^ 0x20);
+      WriteFileBytes(path, bad);
+      EXPECT_FALSE(kind.load(path).ok())
+          << "flip at byte " << at << " went undetected";
+    }
     std::string bad = good;
-    bad[at] = static_cast<char>(bad[at] ^ 0x20);
+    bad.back() = static_cast<char>(bad.back() ^ 0x01);
     WriteFileBytes(path, bad);
-    Checkpoint loaded;
-    EXPECT_FALSE(LoadCheckpointFile(path, &loaded).ok())
-        << "flip at byte " << at << " went undetected";
+    EXPECT_FALSE(kind.load(path).ok());
   }
-  std::string bad = good;
-  bad.back() = static_cast<char>(bad.back() ^ 0x01);
-  WriteFileBytes(path, bad);
-  Checkpoint loaded;
-  EXPECT_FALSE(LoadCheckpointFile(path, &loaded).ok());
+}
+
+// Pins both on-disk formats byte for byte: the header fields at the
+// offsets CHECKPOINT_FORMAT.md documents, the 72- and 88-byte header
+// lengths, and an FNV-1a of each complete file.
+TEST(CheckpointFileTest, OnDiskFormatsArePinned) {
+  const std::string dir = FreshDir("golden");
+  std::filesystem::create_directories(dir);
+
+  const Checkpoint cp = SyntheticCheckpoint(7);
+  ASSERT_TRUE(SaveCheckpointFile(cp, dir + "/cp.sgl").ok());
+  const std::string ckpt = ReadFileBytes(dir + "/cp.sgl");
+  ASSERT_GE(ckpt.size(), 72u);
+  EXPECT_EQ(ckpt.substr(0, 8), "SGLCKPT1");
+  EXPECT_EQ(ReadU64At(ckpt, 8), 1u);  // u32 version 1, u32 reserved 0
+  EXPECT_EQ(ReadU64At(ckpt, 16), 7u);
+  EXPECT_EQ(ReadU64At(ckpt, 24), cp.state.size());
+  EXPECT_EQ(ReadU64At(ckpt, 32), cp.shard_partition.size());
+  EXPECT_EQ(ReadU64At(ckpt, 40), cp.jobs.size());
+  EXPECT_EQ(ReadU64At(ckpt, 48), cp.components.size());
+  EXPECT_EQ(ReadU64At(ckpt, 56), Fnv1a(ckpt.data() + 72, ckpt.size() - 72));
+  EXPECT_EQ(ReadU64At(ckpt, 64), Fnv1a(ckpt.data(), 64));
+  EXPECT_EQ(ckpt.size(), 72 + cp.state.size() + cp.shard_partition.size() +
+                             cp.jobs.size() + cp.components.size());
+  EXPECT_EQ(ckpt.substr(72), cp.state + cp.shard_partition + cp.jobs +
+                                 cp.components);
+  EXPECT_EQ(Fnv1a(ckpt.data(), ckpt.size()), 0x880f1f73f12fc837ULL);
+
+  const BlackBoxDump dump = SyntheticBlackBox(7);
+  ASSERT_TRUE(SaveBlackBoxFile(dump, dir + "/bb.sbb").ok());
+  const std::string bbox = ReadFileBytes(dir + "/bb.sbb");
+  ASSERT_GE(bbox.size(), 88u);
+  EXPECT_EQ(bbox.substr(0, 8), "SGLBBOX1");
+  EXPECT_EQ(ReadU64At(bbox, 8), 1u);
+  EXPECT_EQ(ReadU64At(bbox, 16), 7u);
+  EXPECT_EQ(ReadU64At(bbox, 24), dump.world_checksum);
+  EXPECT_EQ(ReadU64At(bbox, 32), dump.reason.size());
+  EXPECT_EQ(ReadU64At(bbox, 40), dump.chrome_trace.size());
+  EXPECT_EQ(ReadU64At(bbox, 48), dump.metrics.size());
+  EXPECT_EQ(ReadU64At(bbox, 56), dump.sites.size());
+  EXPECT_EQ(ReadU64At(bbox, 64), dump.provenance.size());
+  EXPECT_EQ(ReadU64At(bbox, 72), Fnv1a(bbox.data() + 88, bbox.size() - 88));
+  EXPECT_EQ(ReadU64At(bbox, 80), Fnv1a(bbox.data(), 80));
+  EXPECT_EQ(bbox.substr(88), dump.reason + dump.chrome_trace + dump.metrics +
+                                 dump.sites + dump.provenance);
+  EXPECT_EQ(Fnv1a(bbox.data(), bbox.size()), 0x4081fcc1315904e5ULL);
+}
+
+// A directory named like a store file is not a container: loading it
+// directly fails cleanly, and each store skips it and falls back to the
+// older good file.
+TEST(CheckpointFileTest, NonRegularStoreEntryIsSkipped) {
+  const std::string ckpt_dir = FreshDir("nonregular_ckpt");
+  CheckpointStore ckpt_store(ckpt_dir, /*keep=*/3);
+  ASSERT_TRUE(ckpt_store.Save(SyntheticCheckpoint(6)).ok());
+  const std::string ckpt_entry = ckpt_dir + "/ckpt_000000000012.sgl";
+  std::filesystem::create_directories(ckpt_entry);
+  ASSERT_EQ(ckpt_store.ListFiles().size(), 2u);
+  Checkpoint cp;
+  EXPECT_FALSE(LoadCheckpointFile(ckpt_entry, &cp).ok());
+  auto latest_cp = ckpt_store.LoadLatestGood();
+  ASSERT_TRUE(latest_cp.ok()) << latest_cp.status();
+  EXPECT_EQ(latest_cp->tick, 6);
+
+  const std::string bbox_dir = FreshDir("nonregular_bbox");
+  BlackBoxStore bbox_store(bbox_dir, /*keep=*/4);
+  ASSERT_TRUE(bbox_store.Save(SyntheticBlackBox(6)).ok());
+  const std::string bbox_entry = bbox_dir + "/bbox_000000000012.sbb";
+  std::filesystem::create_directories(bbox_entry);
+  ASSERT_EQ(bbox_store.ListFiles().size(), 2u);
+  BlackBoxDump dump;
+  EXPECT_FALSE(LoadBlackBoxFile(bbox_entry, &dump).ok());
+  auto latest_dump = bbox_store.LoadLatestGood();
+  ASSERT_TRUE(latest_dump.ok()) << latest_dump.status();
+  EXPECT_EQ(latest_dump->tick, 6);
 }
 
 TEST(CheckpointFileTest, InjectedWriteCorruptionIsDetectedOnLoad) {
