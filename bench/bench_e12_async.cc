@@ -16,11 +16,18 @@
 //                 reference mode (same install schedule, search cost paid
 //                 at the barrier) — the async-vs-sync win that remains at
 //                 W = 0 is the cache; the rest is the workers.
+//   * async/W/T — the same with T tick threads. Due jobs no worker has
+//                 claimed run in the barrier's drain, fanned out over the
+//                 tick pool when T > 1: at W = 1 and 16k units, T = 2, 4
+//                 against T = 1 is the drain's speed-up on the retarget
+//                 tick (`max_tick_ms`).
 //
 // Counters: phase breakdown, allocs/tick, jobs submitted/installed/in
-// flight, barrier wait. The determinism side (bit-identical state across
+// flight, barrier wait, drain runs per tick (`fallback_runs`) and the
+// slowest tick (`max_tick_ms`, the retarget tick's install hitch). The determinism side (bit-identical state across
 // worker counts) is pinned by tests/async_test.cc, not measured here.
 
+#include <algorithm>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -50,10 +57,15 @@ void RunTicks(sgl::Engine* engine, const sgl::ArmiesConfig& config,
               benchmark::State& state) {
   int64_t query_us = 0, update_us = 0, allocs = 0;
   int64_t submitted = 0, installed = 0, in_flight = 0, wait_us = 0;
+  int64_t max_tick_us = 0;
   int64_t ticks = 0, round = 1;
+  const sgl::JobService* jobs = engine->executor().jobs_or_null();
+  const int64_t fallback_before =
+      jobs != nullptr ? jobs->total_fallback_runs() : 0;
   for (auto _ : state) {
     if (!engine->Tick().ok()) state.SkipWithError("tick failed");
     const sgl::TickStats& stats = engine->last_stats();
+    max_tick_us = std::max(max_tick_us, stats.total_micros);
     query_us += stats.query_effect_micros;
     update_us += stats.update_micros;
     allocs += stats.allocs_per_tick;
@@ -75,6 +87,12 @@ void RunTicks(sgl::Engine* engine, const sgl::ArmiesConfig& config,
   state.counters["jobs_installed"] = static_cast<double>(installed) / n;
   state.counters["jobs_in_flight"] = static_cast<double>(in_flight) / n;
   state.counters["job_wait_ms"] = static_cast<double>(wait_us) / n / 1000.0;
+  state.counters["fallback_runs"] =
+      jobs != nullptr
+          ? static_cast<double>(jobs->total_fallback_runs() - fallback_before) /
+                n
+          : 0.0;
+  state.counters["max_tick_ms"] = static_cast<double>(max_tick_us) / 1000.0;
   state.counters["hw_cores"] =
       static_cast<double>(std::thread::hardware_concurrency());
 }
@@ -102,22 +120,28 @@ BENCHMARK(BM_E12_SyncTick)
 void BM_E12_AsyncTick(benchmark::State& state) {
   const int units = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(2));
   const sgl::ArmiesConfig config = E12Config(units, /*async=*/true);
-  sgl::EngineOptions options = sgl_bench::Options(sgl::PlanMode::kCostBased);
+  sgl::EngineOptions options =
+      sgl_bench::Options(sgl::PlanMode::kCostBased, false, threads);
   options.exec.jobs.num_workers = workers;
   auto engine = sgl::ArmiesWorkload::Build(config, options);
   if (!engine.ok()) std::abort();
   sgl_bench::WarmupSteadyState(engine->get());
   RunTicks(engine->get(), config, state);
   state.counters["workers"] = workers;
+  state.counters["threads"] = threads;
 }
 
+// Args: {units, job workers, tick threads}.
 BENCHMARK(BM_E12_AsyncTick)
-    ->Args({4096, 0})
-    ->Args({4096, 4})
-    ->Args({16384, 0})
-    ->Args({16384, 1})
-    ->Args({16384, 4})
+    ->Args({4096, 0, 1})
+    ->Args({4096, 4, 1})
+    ->Args({16384, 0, 1})
+    ->Args({16384, 1, 1})
+    ->Args({16384, 1, 2})
+    ->Args({16384, 1, 4})
+    ->Args({16384, 4, 1})
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
 

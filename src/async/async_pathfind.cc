@@ -42,6 +42,18 @@ struct PathfindScratch : JobScratch {
   std::vector<uint32_t> stamp;
   std::vector<uint64_t> heap;  ///< (f << 32) | cell, min-heap
   uint32_t epoch = 0;
+
+  /// Sizes the arrays for an `n`-cell map. MakeScratch calls it, so a
+  /// scratch is at working size before its first search.
+  void Fit(size_t n) {
+    g.resize(n);
+    parent.resize(n);
+    stamp.assign(n, 0);
+    epoch = 0;
+    // Pre-size the open list so per-search frontiers never ratchet its
+    // capacity (a cell re-enters at most once per improving neighbor).
+    heap.reserve(std::min<size_t>(4 * n, size_t{1} << 16));
+  }
 };
 
 /// 4-connected A* with an optional per-cell additive occupancy cost.
@@ -56,15 +68,7 @@ bool CrowdAStar(const GridMap& map, const uint8_t* occ, int penalty_units,
   const int w = map.width();
   const int h = map.height();
   const size_t n = static_cast<size_t>(w) * static_cast<size_t>(h);
-  if (s->g.size() < n) {
-    s->g.resize(n);
-    s->parent.resize(n);
-    s->stamp.assign(n, 0);
-    s->epoch = 0;
-    // Pre-size the open list so per-search frontiers never ratchet its
-    // capacity (a cell re-enters at most once per improving neighbor).
-    s->heap.reserve(std::min<size_t>(4 * n, size_t{1} << 16));
-  }
+  SGL_CHECK(s->g.size() >= n && "scratch made for a smaller map");
   ++s->epoch;
   if (s->epoch == 0) {  // stamp wrap: one full clear per 2^32 searches
     std::fill(s->stamp.begin(), s->stamp.end(), 0);
@@ -436,7 +440,10 @@ void AsyncPathfindComponent::Run(const SnapshotView* snap, JobSlot* job,
 }
 
 std::unique_ptr<JobScratch> AsyncPathfindComponent::MakeScratch() {
-  return std::make_unique<PathfindScratch>();
+  auto scratch = std::make_unique<PathfindScratch>();
+  scratch->Fit(static_cast<size_t>(map_.width()) *
+               static_cast<size_t>(map_.height()));
+  return scratch;
 }
 
 void AsyncPathfindComponent::Install(const JobSlot& job) {

@@ -5,6 +5,7 @@
 #include "src/common/bin_io.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
+#include "src/common/thread_pool.h"
 #include "src/fault/fault_injector.h"
 #include "src/telemetry/telemetry.h"
 
@@ -24,11 +25,15 @@ void BusyDelayMicros(int64_t micros) {
 
 }  // namespace
 
-JobService::JobService(const JobServiceOptions& options) : options_(options) {
+JobService::JobService(const JobServiceOptions& options, ThreadPool* pool)
+    : options_(options),
+      pool_(pool),
+      num_shares_(pool != nullptr ? pool->num_threads() + 1 : 1) {
   SGL_CHECK(options_.num_workers >= 0);
   SGL_CHECK(options_.max_latency >= 2);
   due_.resize(static_cast<size_t>(options_.max_latency));
-  scratch_.resize(static_cast<size_t>(options_.num_workers) + 1);
+  // Sized once: workers and drain shares read the table concurrently.
+  scratch_.resize(static_cast<size_t>(options_.num_workers + num_shares_));
   worker_completions_.assign(static_cast<size_t>(options_.num_workers), 0);
   for (int w = 0; w < options_.num_workers; ++w) {
     lanes_.push_back(std::make_unique<CompletionLane>());
@@ -50,7 +55,10 @@ JobService::~JobService() {
 int JobService::RegisterClient(JobClient* client) {
   SGL_CHECK(in_flight_ == 0 && "register clients before submitting");
   clients_.push_back(client);
-  for (auto& per_slot : scratch_) per_slot.push_back(nullptr);
+  // Every scratch exists before the first job: a drain share picks jobs
+  // from a shared cursor, so the tick of its first job is timing-dependent
+  // and must not be the tick that allocates its scratch.
+  for (auto& per_slot : scratch_) per_slot.push_back(client->MakeScratch());
   return static_cast<int>(clients_.size()) - 1;
 }
 
@@ -88,7 +96,7 @@ void JobService::RecycleJob(JobSlot* slot) {
     slot->snap = nullptr;
   }
   // `done` and `claim` are NOT reset here: a stale worker may still hold
-  // this slot's pointer (it was stolen from it by the deadline fallback
+  // this slot's pointer (it was stolen from it by the barrier's drain
   // while it was stalled pre-claim). Submit resets both only after the
   // slot's next job is fully written, which is what keeps that worker's
   // late CAS from claiming a half-filled slot.
@@ -133,23 +141,16 @@ void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
   }
 }
 
-JobScratch* JobService::ScratchFor(int scratch_index, int client) {
-  std::unique_ptr<JobScratch>& slot =
-      scratch_[static_cast<size_t>(scratch_index)]
-              [static_cast<size_t>(client)];
-  if (slot == nullptr) {
-    slot = clients_[static_cast<size_t>(client)]->MakeScratch();
-  }
-  return slot.get();
-}
-
 void JobService::RunJob(JobSlot* slot, int scratch_index) {
   // tick = the submit tick; arg = client id. Worker threads bind their own
   // span lanes, so Perfetto shows job execution on its own tid rows.
   SGL_TRACE_SPAN(options_.telemetry, kSpanJobRun, slot->submit_tick, 0,
                  static_cast<uint16_t>(slot->client));
   JobClient* client = clients_[static_cast<size_t>(slot->client)];
-  client->Run(slot->snap, slot, ScratchFor(scratch_index, slot->client));
+  client->Run(slot->snap, slot,
+              scratch_[static_cast<size_t>(scratch_index)]
+                      [static_cast<size_t>(slot->client)]
+                          .get());
 }
 
 void JobService::WorkerLoop(int worker_index) {
@@ -177,8 +178,8 @@ void JobService::WorkerLoop(int worker_index) {
       // Simulated worker death: the job is dropped before execution and
       // redelivered to the back of the queue (bounded by the retry
       // policy). Past the budget it stays unclaimed — the barrier's
-      // deadline fallback runs it inline at its contracted install tick,
-      // so the declared schedule holds either way.
+      // drain runs it at its contracted install tick, so the declared
+      // schedule holds either way.
       bool redeliver =
           entry.attempt + 1 <
           static_cast<uint32_t>(options_.retry.max_attempts);
@@ -208,8 +209,8 @@ void JobService::WorkerLoop(int worker_index) {
     uint32_t expected = 0;
     if (!slot->claim.compare_exchange_strong(expected, 1,
                                              std::memory_order_acq_rel)) {
-      // Lost the claim: the barrier's deadline fallback already ran this
-      // job (or this is a stale pointer to a since-recycled slot).
+      // Lost the claim: the barrier's drain already ran this job (or
+      // this is a stale pointer to a since-recycled slot).
       {
         std::lock_guard<std::mutex> lock(mu_);
         --running_;
@@ -242,6 +243,47 @@ void JobService::DrainLanes() {
     worker_completions_[w] +=
         static_cast<int64_t>(lane.bufs[lane.cur ^ 1].size());
   }
+}
+
+void JobService::Drain() {
+  // Deadline fallback: every due job no worker has claimed by its
+  // contracted install tick (all of them in inline mode; stalled or
+  // dropped ones otherwise) runs now, in drain shares. A share claims a
+  // job with the same CAS the workers use, so a stalled worker's late
+  // claim loses and drops the slot. Each job is a pure function of its
+  // snapshot and args, and installs happen afterwards in seeded order, so
+  // which thread ran it changes no state.
+  size_t unclaimed = 0;
+  for (const JobSlot* slot : due_sorted_) {
+    if (slot->claim.load(std::memory_order_relaxed) == 0) ++unclaimed;
+  }
+  if (unclaimed == 0) return;
+  drain_next_.store(0, std::memory_order_relaxed);
+  if (pool_ == nullptr || unclaimed < 2) {
+    DrainShare(0);  // not worth waking the pool
+  } else {
+    pool_->ParallelFor(num_shares_, [this](int share) { DrainShare(share); });
+  }
+  total_fallback_ += drain_runs_.exchange(0, std::memory_order_relaxed);
+}
+
+void JobService::DrainShare(int share) {
+  const int scratch_index = options_.num_workers + share;
+  int64_t runs = 0;
+  for (size_t i = drain_next_.fetch_add(1, std::memory_order_relaxed);
+       i < due_sorted_.size();
+       i = drain_next_.fetch_add(1, std::memory_order_relaxed)) {
+    JobSlot* slot = due_sorted_[i];
+    uint32_t expected = 0;
+    if (!slot->claim.compare_exchange_strong(expected, 1,
+                                             std::memory_order_acq_rel)) {
+      continue;  // a worker has it; the install loop waits if it must
+    }
+    RunJob(slot, scratch_index);
+    slot->done.store(1, std::memory_order_release);
+    ++runs;
+  }
+  drain_runs_.fetch_add(runs, std::memory_order_relaxed);
 }
 
 void JobService::InstallDue(Tick tick) {
@@ -281,33 +323,18 @@ void JobService::InstallDue(Tick tick) {
               }
               return a->seq < b->seq;
             });
+  Drain();
   for (JobSlot* slot : due_sorted_) {
-    if (workers_.empty()) {
-      // Inline reference mode: the job runs now, on the barrier thread.
-      RunJob(slot, static_cast<int>(scratch_.size()) - 1);
-    } else if (slot->done.load(std::memory_order_acquire) == 0) {
-      uint32_t expected = 0;
-      if (slot->claim.compare_exchange_strong(expected, 1,
-                                              std::memory_order_acq_rel)) {
-        // Deadline miss, deterministic fallback: no worker claimed the
-        // job by its contracted install tick (stalled pre-claim, or
-        // dropped past its redelivery budget), so the barrier runs it
-        // inline right now — the same tick, the same install order, the
-        // same pure function, so state is bit-identical to the no-fault
-        // run. The stalled worker's late CAS loses and drops the slot.
-        RunJob(slot, static_cast<int>(scratch_.size()) - 1);
-        ++total_fallback_;
-      } else {
-        // A worker claimed it and is still running: the barrier waits.
-        // This is the only place async execution can stall a tick, and
-        // only by as much as the job actually overran.
-        Stopwatch wait;
-        std::unique_lock<std::mutex> lock(mu_);
-        done_cv_.wait(lock, [slot] {
-          return slot->done.load(std::memory_order_acquire) != 0;
-        });
-        last_wait_micros_ += wait.ElapsedMicros();
-      }
+    if (slot->done.load(std::memory_order_acquire) == 0) {
+      // A worker claimed it and is still running: the barrier waits. This
+      // is the only place async execution can stall a tick, and only by
+      // as much as the job actually overran.
+      Stopwatch wait;
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [slot] {
+        return slot->done.load(std::memory_order_acquire) != 0;
+      });
+      last_wait_micros_ += wait.ElapsedMicros();
     }
     clients_[static_cast<size_t>(slot->client)]->Install(*slot);
     RecycleJob(slot);

@@ -13,8 +13,9 @@
 //
 //   * A job submitted at tick T with declared latency L installs at tick
 //     T + L — never earlier (even if a worker finishes in microseconds) and
-//     never later (the barrier blocks on stragglers). Completion time is a
-//     declared property of the submission, not an accident of OS
+//     never later (the barrier runs every job no worker has claimed yet
+//     and blocks only on jobs a worker is still running). Completion time
+//     is a declared property of the submission, not an accident of OS
 //     scheduling.
 //   * Within one install tick, jobs install in ascending seeded ordering
 //     key (splitmix64 of the service seed, submit tick, and submission
@@ -22,8 +23,9 @@
 //     total order fixed at submit time.
 //   * Job execution must be a pure function of (SnapshotView, args,
 //     immutable client config). Under that contract, world state is
-//     bit-identical for any worker count — including 0, the inline
-//     reference mode where jobs run on the barrier thread at install time.
+//     bit-identical for any worker count and tick-thread count — including
+//     0 workers, the inline reference mode where every job runs at its
+//     install tick in the barrier's drain.
 //
 // Mechanics mirror the PR 4 shard mailboxes: job slots live in a flat
 // pooled arena (stable addresses, free-list recycling), each worker
@@ -34,11 +36,15 @@
 // thread.
 //
 // Threading shape: Submit / InstallDue / CancelAll / SampleTick run on the
-// barrier thread only (the update phase is single-threaded in both
-// executors). Workers touch a slot only between claiming it from the
-// pending queue and releasing its `done` flag; the slot arena, snapshot
-// pool, and client registry are barrier-owned, and everything a worker
-// dereferences is address-stable. Clients must register before the first
+// barrier thread only (the update phase is single-threaded). Workers touch
+// a slot only between claiming it from the pending queue and releasing its
+// `done` flag; the slot arena, snapshot pool, and client registry are
+// barrier-owned, and everything a worker dereferences is address-stable.
+// JobClient::Run may execute on a worker, on the barrier thread, or on a
+// thread of the executor's ThreadPool: InstallDue's drain fans the due jobs
+// no worker has claimed out over that pool (the pool threads plus the
+// barrier thread). JobClient::Install always runs on the barrier thread,
+// after the drain has joined. Clients must register before the first
 // Submit.
 
 #ifndef SGL_ASYNC_JOB_SERVICE_H_
@@ -58,21 +64,22 @@ namespace sgl {
 
 class FaultInjector;
 class Telemetry;
+class ThreadPool;
 
 /// Redelivery policy for jobs whose worker dies before claiming them (the
 /// fault-injected "worker death"). A dropped job re-enters the pending
 /// queue until its attempt budget is spent; after that it simply stays
-/// unclaimed and the barrier's deadline fallback runs it inline at its
-/// contracted install tick — so results never change, only where the work
-/// happened.
+/// unclaimed and the barrier's drain runs it at its contracted install
+/// tick — so results never change, only where the work happened.
 struct JobRetryPolicy {
   int max_attempts = 3;
 };
 
 struct JobServiceOptions {
-  /// Background workers. 0 = inline reference mode: jobs execute on the
-  /// barrier thread at their install tick (bit-identical to any worker
-  /// count by the purity contract).
+  /// Background workers. 0 = inline reference mode: no job is ever
+  /// claimed early, so every job runs in the barrier's drain at its install
+  /// tick — on the drain pool if the service has one (bit-identical to any
+  /// worker count by the purity contract).
   int num_workers = 0;
   /// Seed for the deterministic job-ordering keys.
   uint64_t seed = 0x0b5eeded5eedULL;
@@ -93,9 +100,10 @@ struct JobServiceOptions {
 };
 
 /// Client-opaque per-worker scratch (A* arrays, heaps, ...). One instance
-/// per (worker, client) plus one for the inline path; created on demand and
-/// reused for every subsequent job, so per-job execution allocates nothing
-/// once the scratch reaches its high-water size.
+/// per (worker, client) plus one per (drain share, client), all created
+/// when the client registers and reused for every job. A drain share's
+/// first job can come at any tick, so MakeScratch should return the
+/// scratch at its working size: then per-job execution allocates nothing.
 class JobScratch {
  public:
   virtual ~JobScratch() = default;
@@ -103,7 +111,7 @@ class JobScratch {
 
 /// One pooled job record. Everything before `result` is written at Submit
 /// and immutable afterwards; `result` is written by exactly one worker
-/// (or the inline path) before `done` is released.
+/// (or a drain share) before `done` is released.
 struct JobSlot {
   uint64_t order_key = 0;  ///< seeded deterministic install ordering
   uint64_t user_key = 0;   ///< client dedup key, echoed at install
@@ -120,15 +128,16 @@ struct JobSlot {
   std::vector<uint64_t> blob;
   std::atomic<uint32_t> done{0};
   /// Execution claim: 0 = unclaimed, 1 = claimed. Exactly one executor —
-  /// a worker (after its pre-claim delays) or the barrier's deadline
-  /// fallback — wins the CAS and runs the job; every loser drops it. Reset
+  /// a worker (after its pre-claim delays) or a share of the barrier's
+  /// drain — wins the CAS and runs the job; every loser drops it. Reset
   /// by Submit after the slot's fields are filled, so a stale worker still
   /// holding a recycled slot's pointer can never claim a half-written job.
   std::atomic<uint32_t> claim{0};
 };
 
-/// The component side of a job. Run() executes on a background worker (or
-/// inline); Install() is called at the barrier in deterministic order.
+/// The component side of a job. Run() executes on a background worker or
+/// in the barrier's drain (possibly on a pool thread); Install() is called
+/// on the barrier thread in deterministic order.
 class JobClient {
  public:
   virtual ~JobClient() = default;
@@ -155,7 +164,11 @@ struct JobTickStats {
 
 class JobService {
  public:
-  explicit JobService(const JobServiceOptions& options);
+  /// `pool` (borrowed, may be null; must outlive the service) runs the
+  /// barrier's drain: the executor's tick pool, idle at the barrier. Null
+  /// = the drain runs on the barrier thread alone.
+  explicit JobService(const JobServiceOptions& options,
+                      ThreadPool* pool = nullptr);
   ~JobService();
 
   JobService(const JobService&) = delete;
@@ -181,9 +194,11 @@ class JobService {
   void Submit(int client, uint64_t user_key, const uint64_t args[4],
               SnapshotView* snap, int latency, Tick now, int shard = 0);
 
-  /// Installs every job due at `tick` in deterministic order, blocking on
-  /// workers that have not finished yet. Executors call this at the tick
-  /// barrier, before update components run. Must run every tick.
+  /// Installs every job due at `tick` in deterministic order. First the
+  /// drain runs every due job no worker has claimed, across the pool;
+  /// then the installs block only on jobs a worker is still running. The
+  /// executor calls this at the tick barrier, before update components
+  /// run. Must run every tick.
   void InstallDue(Tick tick);
 
   /// Drops every pending and in-flight job without installing (checkpoint
@@ -216,8 +231,9 @@ class JobService {
   size_t in_flight() const { return in_flight_; }
   int64_t total_submitted() const { return total_submitted_; }
   int64_t total_installed() const { return total_installed_; }
-  /// Jobs the barrier ran inline because no worker had claimed them by
-  /// their contracted install tick (deadline-miss fallback).
+  /// Jobs the barrier's drain ran because no worker had claimed them by
+  /// their contracted install tick (deadline-miss fallback; in inline mode,
+  /// every job).
   int64_t total_fallback_runs() const { return total_fallback_; }
   /// Jobs harvested from worker `w`'s completion lane so far.
   int64_t worker_completions(int w) const {
@@ -238,7 +254,11 @@ class JobService {
 
   void WorkerLoop(int worker_index);
   void RunJob(JobSlot* slot, int scratch_index);
-  JobScratch* ScratchFor(int scratch_index, int client);
+  /// Claims and runs every unclaimed job in `due_sorted_`: serially when
+  /// there is no pool or fewer than 2 such jobs, else one DrainShare per
+  /// pool thread plus the barrier thread.
+  void Drain();
+  void DrainShare(int share);
   void DrainLanes();
   void RecycleJob(JobSlot* slot);
   JobSlot* AcquireJobSlot();
@@ -266,8 +286,16 @@ class JobService {
   std::vector<DueQueue> due_;        ///< indexed by clamped latency
   std::vector<JobSlot*> due_sorted_;  ///< per-barrier scratch
 
-  /// Per (scratch slot, client) worker scratch; the last slot is the
-  /// inline path.
+  /// Drain fan-out: borrowed pool, shares per drain (pool threads + the
+  /// barrier thread), the shared cursor over `due_sorted_`, and the jobs
+  /// the shares ran.
+  ThreadPool* pool_ = nullptr;
+  int num_shares_ = 1;
+  std::atomic<size_t> drain_next_{0};
+  std::atomic<int64_t> drain_runs_{0};
+
+  /// Per (scratch slot, client) scratch: one slot per worker, then one
+  /// per drain share.
   std::vector<std::vector<std::unique_ptr<JobScratch>>> scratch_;
 
   // --- worker plumbing --------------------------------------------------

@@ -421,10 +421,28 @@ TEST(AllocSteadyState, AsyncPathfindSharded4Parallel4IsAllocationFree) {
                             /*check_allocs=*/true);
 }
 
+// The barrier's drain on a tick pool: every job (inline mode) or every
+// job the one worker has not claimed (the tick-anatomy shape) runs on
+// whichever pool share reaches it first, so each share's scratch must
+// be warm before the first job, not when that share first gets one.
+TEST(AllocSteadyState, AsyncPathfindInlinePoolDrainIsAllocationFree) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
+  RunAsyncArmiesSteadyState(/*workers=*/0, /*shards=*/1, /*tick_threads=*/4,
+                            /*check_allocs=*/true);
+}
+
+TEST(AllocSteadyState, AsyncPathfind1WorkerSharded2Parallel2IsAllocationFree) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
+  RunAsyncArmiesSteadyState(/*workers=*/1, /*shards=*/2, /*tick_threads=*/2,
+                            /*check_allocs=*/true);
+}
+
 TEST(AllocSteadyState, AsyncPathfindStateMatchesAcrossWorkerCounts) {
   const uint64_t inline_sum = RunAsyncArmiesSteadyState(0, 1, 1, false);
   EXPECT_EQ(RunAsyncArmiesSteadyState(4, 1, 1, false), inline_sum);
   EXPECT_EQ(RunAsyncArmiesSteadyState(4, 4, 4, false), inline_sum);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(0, 1, 4, false), inline_sum);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(1, 2, 2, false), inline_sum);
 }
 
 // The counters themselves must move when the program allocates — otherwise

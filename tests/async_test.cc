@@ -2,10 +2,11 @@
 //
 //   * JobService unit behavior — results install at exactly
 //     submit + latency in seeded deterministic order, for any worker
-//     count; the barrier blocks on stragglers; CancelAll drops cleanly.
+//     count and with the barrier's drain fanned out over a thread pool;
+//     the barrier blocks on stragglers; CancelAll drops cleanly.
 //   * Async pathfinding determinism — world checksums are bit-identical
-//     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 4}
-//     × tick-thread counts {1, 4}, including goal churn, crowd-penalty
+//     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 2, 4}
+//     × tick-thread counts {1, 2, 4}, including goal churn, crowd-penalty
 //     snapshots, and background refreshes.
 //   * Forced-slow-job stress — workers that take many ticks per search
 //     change nothing but wall-clock.
@@ -15,9 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "src/async/async_pathfind.h"
 #include "src/async/job_service.h"
+#include "src/common/stopwatch.h"
+#include "src/common/thread_pool.h"
 #include "src/debug/checkpoint.h"
 #include "src/sim/armies.h"
 
@@ -114,6 +120,72 @@ TEST(JobServiceTest, BarrierBlocksOnSlowJobs) {
   }
 }
 
+// RecordingClient whose Run takes ~200us and notes the thread it ran on,
+// so a drain fanned out over a pool has time to reach every share.
+class ThreadNotingClient : public RecordingClient {
+ public:
+  void Run(const SnapshotView* snap, JobSlot* job,
+           JobScratch* scratch) override {
+    Stopwatch spin;
+    while (spin.ElapsedMicros() < 200) {
+    }
+    RecordingClient::Run(snap, job, scratch);
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  }
+
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+};
+
+// 64 jobs submitted at tick 0, all due at tick 1. Returns the installs,
+// the drain's run count and the distinct threads that ran a job.
+std::vector<RecordingClient::Record> RunDueBurst(int workers, int64_t delay,
+                                                 ThreadPool* pool,
+                                                 int64_t* fallback_runs,
+                                                 size_t* run_threads) {
+  JobServiceOptions options;
+  options.num_workers = workers;
+  options.seed = 77;
+  options.test_delay_micros = delay;
+  JobService service(options, pool);
+  ThreadNotingClient client;
+  const int id = service.RegisterClient(&client);
+  for (uint64_t k = 0; k < 64; ++k) {
+    const uint64_t args[4] = {k, 0, 0, 0};
+    service.Submit(id, k, args, nullptr, /*latency=*/1, /*now=*/0);
+  }
+  service.InstallDue(1);
+  EXPECT_EQ(service.in_flight(), 0u);
+  *fallback_runs = service.total_fallback_runs();
+  *run_threads = client.threads.size();
+  return client.installs;
+}
+
+TEST(JobServiceTest, PoolDrainInstallsInSeededOrder) {
+  int64_t fallbacks = 0;
+  size_t run_threads = 0;
+  const auto baseline =
+      RunDueBurst(0, 0, nullptr, &fallbacks, &run_threads);
+  ASSERT_EQ(baseline.size(), 64u);
+  EXPECT_EQ(run_threads, 1u) << "no pool: the barrier thread runs all";
+  // The one worker stalls 50ms before each claim, so the drain gets
+  // (nearly) every job and spreads it over the pool and the barrier.
+  ThreadPool pool(3);
+  const auto got = RunDueBurst(1, /*delay=*/50000, &pool, &fallbacks,
+                               &run_threads);
+  ASSERT_EQ(got.size(), baseline.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, baseline[i].key) << "install order at " << i;
+    EXPECT_EQ(got[i].tick, baseline[i].tick);
+    EXPECT_EQ(got[i].value, baseline[i].value);
+  }
+  EXPECT_GT(fallbacks, 0) << "the drain ran nothing";
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GT(run_threads, 1u) << "the drain never left the barrier thread";
+  }
+}
+
 TEST(JobServiceTest, CancelAllDropsPendingAndInFlight) {
   JobServiceOptions options;
   options.num_workers = 2;
@@ -195,6 +267,10 @@ TEST(AsyncPathfindTest, ChecksumParityAcrossWorkersShardsThreads) {
   EXPECT_EQ(RunArmies(config, 4, 1, 1), baseline) << "4 workers";
   EXPECT_EQ(RunArmies(config, 4, 1, 4), baseline) << "4 workers, 4 threads";
   EXPECT_EQ(RunArmies(config, 0, 4, 1), baseline) << "inline, 4 shards";
+  EXPECT_EQ(RunArmies(config, 0, 1, 4), baseline)
+      << "inline, 4 threads: every job runs in the pool drain";
+  EXPECT_EQ(RunArmies(config, 1, 2, 2), baseline)
+      << "1 worker, 2 shards, 2 threads (the tick-anatomy shape)";
   EXPECT_EQ(RunArmies(config, 4, 4, 4), baseline)
       << "4 workers, 4 shards, 4 threads";
 }

@@ -10,8 +10,8 @@
 //     each installs at its original contracted tick, in its original seeded
 //     order, on a service built with a *different* seed.
 //   * Worker faults — injected stalls and deaths (through the retry budget
-//     into the barrier's deadline-miss inline fallback) change nothing in
-//     world state for any worker count.
+//     into the barrier's deadline-miss drain, serial or on the tick pool)
+//     change nothing in world state for any worker or tick-thread count.
 //   * The capstone differential harness: an armies run with periodic
 //     durable checkpoints is crashed at injected ticks across the exec,
 //     shard, and txn layers, rebuilt from the newest good checkpoint, and
@@ -635,14 +635,17 @@ ArmiesConfig FaultArmies() {
 }
 
 // Runs the armies workload under `fault` (may be null) and returns the
-// final canonical checksum. `fallback_runs`, if given, receives the
-// JobService's deadline-miss inline-run count.
+// final canonical checksum. `threads` > 1 gives the engine a tick pool, so
+// the barrier's drain runs unclaimed jobs on it. `fallback_runs`, if
+// given, receives the JobService's deadline-miss drain-run count.
 uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
-                             int shards, FaultInjector* fault, int ticks = 20,
+                             int shards, int threads, FaultInjector* fault,
+                             int ticks = 20,
                              int64_t* fallback_runs = nullptr) {
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
   options.exec.num_shards = shards;
+  options.exec.num_threads = threads;
   options.exec.fault = fault;
   auto engine = ArmiesWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
@@ -660,35 +663,46 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
 
 TEST(WorkerFaultTest, InjectedStallsKeepChecksumParity) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
-  for (int workers : {1, 4}) {
-    FaultInjector fault(
-        RatePlan(kFaultAsyncWorkerStall, 0.3, /*stall micros=*/300));
-    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, &fault), baseline)
-        << workers << " workers under injected stalls";
-    EXPECT_GT(fault.total_fires(), 0) << "the stall plan never fired";
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
+  // At 4 tick threads the drain's pool shares race the stalled workers
+  // for each job's claim.
+  for (int threads : {1, 4}) {
+    for (int workers : {1, 4}) {
+      FaultInjector fault(
+          RatePlan(kFaultAsyncWorkerStall, 0.3, /*stall micros=*/300));
+      EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, threads, &fault),
+                baseline)
+          << workers << " workers, " << threads
+          << " threads under injected stalls";
+      EXPECT_GT(fault.total_fires(), 0) << "the stall plan never fired";
+    }
   }
 }
 
 TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
   // Every delivery dies: the retry budget (3 attempts) is spent without a
   // single worker claim, and *every* job runs through the barrier's
-  // deadline-miss inline fallback at its contracted tick.
-  FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 1.0));
-  int64_t fallbacks = 0;
-  EXPECT_EQ(RunArmiesUnderFault(config, 2, 1, &fault, 20, &fallbacks),
-            baseline);
-  EXPECT_GT(fallbacks, 0) << "deadline fallback never ran";
-  EXPECT_GT(fault.total_fires(), 0);
+  // deadline-miss drain at its contracted tick — on the barrier thread at
+  // 1 tick thread, across the tick pool at 4.
+  for (int threads : {1, 4}) {
+    FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 1.0));
+    int64_t fallbacks = 0;
+    EXPECT_EQ(RunArmiesUnderFault(config, 2, 1, threads, &fault, 20,
+                                  &fallbacks),
+              baseline)
+        << threads << " threads";
+    EXPECT_GT(fallbacks, 0) << "deadline fallback never ran";
+    EXPECT_GT(fault.total_fires(), 0);
+  }
 }
 
 TEST(WorkerFaultTest, PartialDeathRateKeepsChecksumParity) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
   FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 0.5));
-  EXPECT_EQ(RunArmiesUnderFault(config, 4, 1, &fault), baseline)
+  EXPECT_EQ(RunArmiesUnderFault(config, 4, 1, 1, &fault), baseline)
       << "half the deliveries dying must not change a bit of state";
   EXPECT_GT(fault.total_fires(), 0);
 }
@@ -703,11 +717,11 @@ TEST(WorkerFaultTest, ForcedSlowJobsUnderStallFaultKeepParity) {
   config.map_h = 28;
   const int ticks = 16;
   const uint64_t baseline =
-      RunArmiesUnderFault(config, 0, 1, nullptr, ticks);
+      RunArmiesUnderFault(config, 0, 1, 1, nullptr, ticks);
   for (int workers : {1, 4}) {
     FaultInjector fault(
         RatePlan(kFaultAsyncWorkerStall, 1.0, /*stall micros=*/2000));
-    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, &fault, ticks),
+    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, 1, &fault, ticks),
               baseline)
         << workers << " workers, 2ms forced stalls";
   }
@@ -715,10 +729,10 @@ TEST(WorkerFaultTest, ForcedSlowJobsUnderStallFaultKeepParity) {
 
 TEST(ShardFaultTest, BarrierStallsKeepShardParity) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 4, 4, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 4, 4, 1, nullptr);
   FaultInjector fault(
       RatePlan(kFaultShardBarrierStall, 0.5, /*stall micros=*/200));
-  EXPECT_EQ(RunArmiesUnderFault(config, 4, 4, &fault), baseline)
+  EXPECT_EQ(RunArmiesUnderFault(config, 4, 4, 1, &fault), baseline)
       << "barrier stalls are latency faults, never state faults";
   EXPECT_GT(fault.total_fires(), 0);
 }
