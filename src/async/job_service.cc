@@ -28,7 +28,16 @@ void BusyDelayMicros(int64_t micros) {
 JobService::JobService(const JobServiceOptions& options, ThreadPool* pool)
     : options_(options),
       pool_(pool),
-      num_shares_(pool != nullptr ? pool->num_threads() + 1 : 1) {
+      // The workers keep running through the drain, racing the shares
+      // for the same due jobs, so the shares take only the threads the
+      // workers leave of a parallel phase's pool threads + barrier
+      // thread. More would oversubscribe the cores the tick was given,
+      // and the drain's speed would then hinge on which cores happen to
+      // be free.
+      num_shares_(pool != nullptr
+                      ? std::max(1, pool->num_threads() + 1 -
+                                        options.num_workers)
+                      : 1) {
   SGL_CHECK(options_.num_workers >= 0);
   SGL_CHECK(options_.max_latency >= 2);
   due_.resize(static_cast<size_t>(options_.max_latency));
@@ -259,7 +268,7 @@ void JobService::Drain() {
   }
   if (unclaimed == 0) return;
   drain_next_.store(0, std::memory_order_relaxed);
-  if (pool_ == nullptr || unclaimed < 2) {
+  if (num_shares_ < 2 || unclaimed < 2) {
     DrainShare(0);  // not worth waking the pool
   } else {
     pool_->ParallelFor(num_shares_, [this](int share) { DrainShare(share); });

@@ -43,7 +43,7 @@
 // JobClient::Run may execute on a worker, on the barrier thread, or on a
 // thread of the executor's ThreadPool: InstallDue's drain fans the due jobs
 // no worker has claimed out over that pool (the pool threads plus the
-// barrier thread). JobClient::Install always runs on the barrier thread,
+// barrier thread, less one per worker). JobClient::Install always runs on the barrier thread,
 // after the drain has joined. Clients must register before the first
 // Submit.
 
@@ -255,8 +255,8 @@ class JobService {
   void WorkerLoop(int worker_index);
   void RunJob(JobSlot* slot, int scratch_index);
   /// Claims and runs every unclaimed job in `due_sorted_`: serially when
-  /// there is no pool or fewer than 2 such jobs, else one DrainShare per
-  /// pool thread plus the barrier thread.
+  /// there is one share or fewer than 2 such jobs, else `num_shares_`
+  /// DrainShares across the pool.
   void Drain();
   void DrainShare(int share);
   void DrainLanes();
@@ -287,7 +287,7 @@ class JobService {
   std::vector<JobSlot*> due_sorted_;  ///< per-barrier scratch
 
   /// Drain fan-out: borrowed pool, shares per drain (pool threads + the
-  /// barrier thread), the shared cursor over `due_sorted_`, and the jobs
+  /// barrier thread - workers, at least 1), the shared cursor over `due_sorted_`, and the jobs
   /// the shares ran.
   ThreadPool* pool_ = nullptr;
   int num_shares_ = 1;
