@@ -1,11 +1,9 @@
 // E2 — Figure 2's accum-loop as a relational plan (§2.1): join-strategy
-// sweep for the range-count query, plus a storage-layout ablation.
+// sweep for the range-count query.
 //
-// Series 1: ms/tick at n units for NL / grid / range-tree joins on the
-// literal Figure-2 query. Expected: NL quadratic; grid ≈ tree, both
-// near-linear; tree ahead when boxes are small relative to world size.
-// Series 2: same query under unified / per-field / affinity column layouts
-// (design decision 3 in DESIGN.md). Expected: modest but consistent gaps.
+// ms/tick at n units for NL / grid / range-tree joins on the literal
+// Figure-2 query. Expected: NL quadratic; grid ≈ tree, both near-linear;
+// tree ahead when boxes are small relative to world size.
 
 #include "bench/bench_util.h"
 
@@ -39,11 +37,8 @@ script Count for Unit {
 }
 )sgl";
 
-std::unique_ptr<sgl::Engine> BuildFigure2(int n, sgl::PlanMode mode,
-                                          sgl::LayoutStrategy layout) {
-  sgl::EngineOptions options = sgl_bench::Options(mode);
-  options.layout = layout;
-  auto engine = sgl::Engine::Create(kFigure2, options);
+std::unique_ptr<sgl::Engine> BuildFigure2(int n, sgl::PlanMode mode) {
+  auto engine = sgl::Engine::Create(kFigure2, sgl_bench::Options(mode));
   if (!engine.ok()) std::abort();
   sgl::Rng rng(4242);
   for (int i = 0; i < n; ++i) {
@@ -56,8 +51,7 @@ std::unique_ptr<sgl::Engine> BuildFigure2(int n, sgl::PlanMode mode,
 }
 
 void RunStrategy(benchmark::State& state, sgl::PlanMode mode) {
-  auto engine = BuildFigure2(static_cast<int>(state.range(0)), mode,
-                             sgl::LayoutStrategy::kUnified);
+  auto engine = BuildFigure2(static_cast<int>(state.range(0)), mode);
   sgl_bench::Warmup(engine.get());
   int64_t matches = 0;
   for (auto _ : state) {
@@ -97,31 +91,6 @@ BENCHMARK(BM_JoinTree)
     ->Arg(32768)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
-
-// --- Layout ablation ----------------------------------------------------
-
-void RunLayout(benchmark::State& state, sgl::LayoutStrategy layout) {
-  auto engine =
-      BuildFigure2(8192, sgl::PlanMode::kStaticRangeTree, layout);
-  sgl_bench::Warmup(engine.get());
-  for (auto _ : state) {
-    if (!engine->Tick().ok()) state.SkipWithError("tick failed");
-  }
-}
-
-void BM_LayoutUnified(benchmark::State& state) {
-  RunLayout(state, sgl::LayoutStrategy::kUnified);
-}
-void BM_LayoutPerField(benchmark::State& state) {
-  RunLayout(state, sgl::LayoutStrategy::kPerField);
-}
-void BM_LayoutAffinity(benchmark::State& state) {
-  RunLayout(state, sgl::LayoutStrategy::kAffinity);
-}
-
-BENCHMARK(BM_LayoutUnified)->Unit(benchmark::kMillisecond)->MinTime(0.05);
-BENCHMARK(BM_LayoutPerField)->Unit(benchmark::kMillisecond)->MinTime(0.05);
-BENCHMARK(BM_LayoutAffinity)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "src/common/bin_io.h"
 #include "src/common/rng.h"
@@ -10,10 +9,6 @@
 namespace sgl {
 
 namespace {
-
-// Fixed-point step cost: admissible manhattan heuristic scales by the base
-// step, crowd occupancy only ever adds on top.
-constexpr int32_t kStepCost = 16;
 
 inline uint64_t PackKey(int sx, int sy, int gx, int gy) {
   return (static_cast<uint64_t>(sx + 1) << 48) |
@@ -33,105 +28,18 @@ inline uint32_t PackCell(int x, int y) {
   return (static_cast<uint32_t>(y) << 16) | static_cast<uint32_t>(x);
 }
 
-/// Per-worker A* state: epoch-stamped g/parent arrays (no per-search
-/// memset) and a manual binary heap over pooled storage. Everything keeps
-/// its high-water capacity, so steady-state searches allocate nothing.
-struct PathfindScratch : JobScratch {
-  std::vector<int32_t> g;
-  std::vector<int32_t> parent;
-  std::vector<uint32_t> stamp;
-  std::vector<uint64_t> heap;  ///< (f << 32) | cell, min-heap
-  uint32_t epoch = 0;
-
-  /// Sizes the arrays for an `n`-cell map. MakeScratch calls it, so a
-  /// scratch is at working size before its first search.
-  void Fit(size_t n) {
-    g.resize(n);
-    parent.resize(n);
-    stamp.assign(n, 0);
-    epoch = 0;
-    // Pre-size the open list so per-search frontiers never ratchet its
-    // capacity (a cell re-enters at most once per improving neighbor).
-    heap.reserve(std::min<size_t>(4 * n, size_t{1} << 16));
-  }
-};
-
-/// 4-connected A* with an optional per-cell additive occupancy cost.
-/// Deterministic: the heap orders by the full (f, cell) word and stale
-/// entries are skipped, so expansion order is a pure function of the
-/// inputs. Appends the packed cells of the path (start through goal,
-/// inclusive) to `path`; returns false (path untouched) if unreachable.
-bool CrowdAStar(const GridMap& map, const uint8_t* occ, int penalty_units,
-                int sx, int sy, int gx, int gy, PathfindScratch* s,
-                std::vector<uint64_t>* path) {
-  if (map.Blocked(sx, sy) || map.Blocked(gx, gy)) return false;
-  const int w = map.width();
-  const int h = map.height();
-  const size_t n = static_cast<size_t>(w) * static_cast<size_t>(h);
-  SGL_CHECK(s->g.size() >= n && "scratch made for a smaller map");
-  ++s->epoch;
-  if (s->epoch == 0) {  // stamp wrap: one full clear per 2^32 searches
-    std::fill(s->stamp.begin(), s->stamp.end(), 0);
-    s->epoch = 1;
-  }
-  const uint32_t ep = s->epoch;
-  auto idx = [w](int x, int y) { return y * w + x; };
-  auto heuristic = [&](int x, int y) {
-    return kStepCost * (std::abs(x - gx) + std::abs(y - gy));
-  };
-  s->heap.clear();
-  const int start = idx(sx, sy);
-  s->g[static_cast<size_t>(start)] = 0;
-  s->parent[static_cast<size_t>(start)] = -1;
-  s->stamp[static_cast<size_t>(start)] = ep;
-  s->heap.push_back((static_cast<uint64_t>(heuristic(sx, sy)) << 32) |
-                    static_cast<uint32_t>(start));
-  const int dx[4] = {1, -1, 0, 0};
-  const int dy[4] = {0, 0, 1, -1};
-  while (!s->heap.empty()) {
-    std::pop_heap(s->heap.begin(), s->heap.end(), std::greater<>());
-    const uint64_t top = s->heap.back();
-    s->heap.pop_back();
-    const int cell = static_cast<int>(top & 0xffffffffu);
-    const int32_t f = static_cast<int32_t>(top >> 32);
-    const int cx = cell % w;
-    const int cy = cell / w;
-    const int32_t gc = s->g[static_cast<size_t>(cell)];
-    if (f > gc + heuristic(cx, cy)) continue;  // stale entry
-    if (cx == gx && cy == gy) {
-      const size_t first = path->size();
-      for (int step = cell; step != -1;
-           step = s->parent[static_cast<size_t>(step)]) {
-        path->push_back(PackCell(step % w, step / w));
-      }
-      std::reverse(path->begin() + static_cast<ptrdiff_t>(first),
-                   path->end());
-      return true;
-    }
-    for (int k = 0; k < 4; ++k) {
-      const int nx = cx + dx[k];
-      const int ny = cy + dy[k];
-      if (map.Blocked(nx, ny)) continue;
-      const int ncell = idx(nx, ny);
-      int32_t step_cost = kStepCost;
-      if (occ != nullptr) {
-        step_cost += penalty_units * occ[static_cast<size_t>(ncell)];
-      }
-      const int32_t ng = gc + step_cost;
-      const size_t nc = static_cast<size_t>(ncell);
-      if (s->stamp[nc] != ep || ng < s->g[nc]) {
-        s->stamp[nc] = ep;
-        s->g[nc] = ng;
-        s->parent[nc] = cell;
-        s->heap.push_back(
-            (static_cast<uint64_t>(ng + heuristic(nx, ny)) << 32) |
-            static_cast<uint32_t>(ncell));
-        std::push_heap(s->heap.begin(), s->heap.end(), std::greater<>());
-      }
-    }
-  }
-  return false;
+/// The request cache's starting capacity: the configured reserve rounded up
+/// to a power of two, at least 16.
+size_t ReserveCapacity(size_t reserve) {
+  size_t cap = 16;
+  while (cap < reserve) cap <<= 1;
+  return cap;
 }
+
+/// A worker's (or drain share's) A* state.
+struct PathfindJobScratch : JobScratch {
+  PathfindScratch search;
+};
 
 }  // namespace
 
@@ -193,8 +101,7 @@ AsyncPathfindComponent::Create(const Catalog& catalog,
   SGL_RETURN_IF_ERROR(state_num(config.waypoint_x, &comp->wx_));
   SGL_RETURN_IF_ERROR(state_num(config.waypoint_y, &comp->wy_));
 
-  size_t cap = 16;
-  while (cap < config.cache_reserve) cap <<= 1;
+  const size_t cap = ReserveCapacity(config.cache_reserve);
   comp->cache_.assign(cap, Entry());
   comp->alt_cache_.assign(cap, Entry());
   comp->client_id_ = service->RegisterClient(comp.get());
@@ -222,6 +129,19 @@ void AsyncPathfindComponent::InsertRehash(std::vector<Entry>* table,
   size_t i = static_cast<size_t>(Mix64(e.key)) & mask;
   while ((*table)[i].key != 0) i = (i + 1) & mask;
   (*table)[i] = e;
+}
+
+size_t AsyncPathfindComponent::MaxCapacity() const {
+  // Keys are (start cell, goal cell) pairs with start != goal. Create caps
+  // each axis below 2^16 cells, so the product fits in 64 bits.
+  const uint64_t cells = static_cast<uint64_t>(map_.width()) *
+                         static_cast<uint64_t>(map_.height());
+  const uint64_t keys = cells * (cells - 1);
+  // FindOrInsert grows a table of capacity c only when more than 3c/4 - 1
+  // keys are live, so once 3c/4 exceeds the key space it never grows.
+  uint64_t cap = ReserveCapacity(config_.cache_reserve);
+  while (cap / 4 * 3 <= keys && cap < (uint64_t{1} << 62)) cap <<= 1;
+  return static_cast<size_t>(cap);
 }
 
 void AsyncPathfindComponent::Grow() {
@@ -400,7 +320,7 @@ void AsyncPathfindComponent::Update(World* world, Tick tick) {
 
 void AsyncPathfindComponent::Run(const SnapshotView* snap, JobSlot* job,
                                  JobScratch* scratch) {
-  auto* s = static_cast<PathfindScratch*>(scratch);
+  auto* s = &static_cast<PathfindJobScratch*>(scratch)->search;
   int sx, sy, gx, gy;
   UnpackKey(job->args[0], &sx, &sy, &gx, &gy);
   const uint8_t* occ = nullptr;
@@ -431,6 +351,11 @@ void AsyncPathfindComponent::Run(const SnapshotView* snap, JobSlot* job,
   if (job->blob.capacity() < blob_quantum_) job->blob.reserve(blob_quantum_);
   const bool reached =
       CrowdAStar(map_, occ, penalty_units_, sx, sy, gx, gy, s, &job->blob);
+  // Cell indices -> the packed cells the request cache stores.
+  for (uint64_t& cell : job->blob) {
+    const int i = static_cast<int>(cell);
+    cell = PackCell(i % map_.width(), i / map_.width());
+  }
   job->result[0] = job->blob.size() >= 2 ? static_cast<uint64_t>(job->blob[1])
                                          : PackCell(sx, sy);
   job->result[1] = reached ? 1 : 0;
@@ -440,9 +365,9 @@ void AsyncPathfindComponent::Run(const SnapshotView* snap, JobSlot* job,
 }
 
 std::unique_ptr<JobScratch> AsyncPathfindComponent::MakeScratch() {
-  auto scratch = std::make_unique<PathfindScratch>();
-  scratch->Fit(static_cast<size_t>(map_.width()) *
-               static_cast<size_t>(map_.height()));
+  auto scratch = std::make_unique<PathfindJobScratch>();
+  scratch->search.Fit(static_cast<size_t>(map_.width()) *
+                      static_cast<size_t>(map_.height()));
   return scratch;
 }
 
@@ -534,6 +459,16 @@ Status AsyncPathfindComponent::LoadState(const char* data, size_t size) {
   if (cap < 16 || (cap & (cap - 1)) != 0 || count * 4 > cap * 3 ||
       count * kEntryBytes != static_cast<uint64_t>(end - cur)) {
     return Status::InvalidArgument("pathfind cache: bad shape");
+  }
+  // Refuse a capacity no run of this component can reach before allocating
+  // it. Sweeps keep capacity, so the saved count does not bound it; the
+  // key space does. Legitimate runs sit far below: the largest capacities
+  // measured after sweeps were 1024 (16x16 map, 16-entry reserve; bound
+  // 131072) and 131072 (128x128 map, 16k units; bound 2^29).
+  if (cap > MaxCapacity()) {
+    return Status::InvalidArgument(
+        "pathfind cache: capacity " + std::to_string(cap) +
+        " exceeds what this map's key space can grow to");
   }
   alt_cache_.assign(static_cast<size_t>(cap), Entry());
   for (uint64_t i = 0; i < count; ++i) {

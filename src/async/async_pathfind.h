@@ -138,6 +138,10 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   Entry* FindOrInsert(uint64_t key, bool* inserted);
   void InsertRehash(std::vector<Entry>* table, const Entry& e) const;
   void Grow();
+  /// The largest capacity the cache can legitimately reach: the reserve,
+  /// doubled until the map's whole (start, goal) key space fits below the
+  /// grow threshold. LoadState rejects anything larger.
+  size_t MaxCapacity() const;
   void MaybeSweep(Tick tick);
   void SubmitSearch(World* world, uint64_t key, Tick tick, int shard,
                     SnapshotView** snap);

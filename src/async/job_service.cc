@@ -39,14 +39,9 @@ JobService::JobService(const JobServiceOptions& options, ThreadPool* pool)
                                         options.num_workers)
                       : 1) {
   SGL_CHECK(options_.num_workers >= 0);
-  SGL_CHECK(options_.max_latency >= 2);
-  due_.resize(static_cast<size_t>(options_.max_latency));
+  due_.resize(static_cast<size_t>(kJobMaxLatency));
   // Sized once: workers and drain shares read the table concurrently.
   scratch_.resize(static_cast<size_t>(options_.num_workers + num_shares_));
-  worker_completions_.assign(static_cast<size_t>(options_.num_workers), 0);
-  for (int w = 0; w < options_.num_workers; ++w) {
-    lanes_.push_back(std::make_unique<CompletionLane>());
-  }
   for (int w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
@@ -116,7 +111,7 @@ void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
                         SnapshotView* snap, int latency, Tick now,
                         int shard) {
   SGL_CHECK(client >= 0 && client < static_cast<int>(clients_.size()));
-  latency = std::max(1, std::min(latency, options_.max_latency - 1));
+  latency = std::max(1, std::min(latency, kJobMaxLatency - 1));
   if (now != seq_tick_) {
     seq_tick_ = now;
     seq_in_tick_ = 0;
@@ -163,7 +158,6 @@ void JobService::RunJob(JobSlot* slot, int scratch_index) {
 }
 
 void JobService::WorkerLoop(int worker_index) {
-  CompletionLane& lane = *lanes_[static_cast<size_t>(worker_index)];
   for (;;) {
     PendingEntry entry;
     {
@@ -189,9 +183,8 @@ void JobService::WorkerLoop(int worker_index) {
       // policy). Past the budget it stays unclaimed — the barrier's
       // drain runs it at its contracted install tick, so the declared
       // schedule holds either way.
-      bool redeliver =
-          entry.attempt + 1 <
-          static_cast<uint32_t>(options_.retry.max_attempts);
+      const bool redeliver =
+          entry.attempt + 1 < static_cast<uint32_t>(kJobMaxAttempts);
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (redeliver) {
@@ -229,28 +222,11 @@ void JobService::WorkerLoop(int worker_index) {
     }
     RunJob(slot, worker_index);
     {
-      std::lock_guard<std::mutex> lane_lock(lane.mu);
-      lane.bufs[lane.cur].push_back(slot);
-    }
-    {
       std::lock_guard<std::mutex> lock(mu_);
       slot->done.store(1, std::memory_order_release);
       --running_;
     }
     done_cv_.notify_all();
-  }
-}
-
-void JobService::DrainLanes() {
-  // Mailbox-shaped harvest (stats only; `done` flags carry correctness):
-  // flip each lane and count the side the worker finished writing.
-  for (size_t w = 0; w < lanes_.size(); ++w) {
-    CompletionLane& lane = *lanes_[w];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    lane.cur ^= 1;
-    lane.bufs[lane.cur].clear();
-    worker_completions_[w] +=
-        static_cast<int64_t>(lane.bufs[lane.cur ^ 1].size());
   }
 }
 
@@ -296,7 +272,6 @@ void JobService::DrainShare(int share) {
 }
 
 void JobService::InstallDue(Tick tick) {
-  DrainLanes();
   last_installed_ = 0;
   last_wait_micros_ = 0;
   due_sorted_.clear();
@@ -361,8 +336,6 @@ void JobService::CancelAll() {
     pending_head_ = 0;
     done_cv_.wait(lock, [this] { return running_ == 0; });
   }
-  DrainLanes();
-  DrainLanes();  // both sides (a flip only exposes one)
   for (DueQueue& queue : due_) {
     for (size_t i = queue.head; i < queue.items.size(); ++i) {
       RecycleJob(queue.items[i]);
@@ -518,7 +491,7 @@ Status JobService::RestoreInFlight(const std::string& data, Tick now) {
       return Status::InvalidArgument("job blob: client mismatch: " + name);
     }
     const Tick latency = job.install_tick - job.submit_tick;
-    if (latency < 1 || latency >= options_.max_latency ||
+    if (latency < 1 || latency >= kJobMaxLatency ||
         job.install_tick < now) {
       release_snaps();
       return Status::InvalidArgument("job blob: install tick out of range");

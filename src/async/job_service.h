@@ -27,13 +27,11 @@
 //     0 workers, the inline reference mode where every job runs at its
 //     install tick in the barrier's drain.
 //
-// Mechanics mirror the PR 4 shard mailboxes: job slots live in a flat
-// pooled arena (stable addresses, free-list recycling), each worker
-// appends finished slots to its own double-buffered completion lane
-// (flipped and drained at the barrier), and per-worker scratch
-// (client-defined, e.g. A* open lists) reaches a high-water mark — after
-// warmup, steady-state ticks with jobs in flight allocate nothing on any
-// thread.
+// Mechanics: job slots live in a flat pooled arena (stable addresses,
+// free-list recycling), a finished job is published by its slot's `done`
+// flag, and per-worker scratch (client-defined, e.g. A* open lists)
+// reaches a high-water mark — after warmup, steady-state ticks with jobs
+// in flight allocate nothing on any thread.
 //
 // Threading shape: Submit / InstallDue / CancelAll / SampleTick run on the
 // barrier thread only (the update phase is single-threaded). Workers touch
@@ -43,9 +41,9 @@
 // JobClient::Run may execute on a worker, on the barrier thread, or on a
 // thread of the executor's ThreadPool: InstallDue's drain fans the due jobs
 // no worker has claimed out over that pool (the pool threads plus the
-// barrier thread, less one per worker). JobClient::Install always runs on the barrier thread,
-// after the drain has joined. Clients must register before the first
-// Submit.
+// barrier thread, less one per worker). JobClient::Install always runs on
+// the barrier thread, after the drain has joined. Clients must register
+// before the first Submit.
 
 #ifndef SGL_ASYNC_JOB_SERVICE_H_
 #define SGL_ASYNC_JOB_SERVICE_H_
@@ -66,14 +64,16 @@ class FaultInjector;
 class Telemetry;
 class ThreadPool;
 
-/// Redelivery policy for jobs whose worker dies before claiming them (the
+/// Upper bound (exclusive) on a submission's declared latency; sizes the
+/// per-latency due queues.
+constexpr int kJobMaxLatency = 64;
+
+/// Deliveries a job gets when its worker dies before claiming it (the
 /// fault-injected "worker death"). A dropped job re-enters the pending
-/// queue until its attempt budget is spent; after that it simply stays
-/// unclaimed and the barrier's drain runs it at its contracted install
-/// tick — so results never change, only where the work happened.
-struct JobRetryPolicy {
-  int max_attempts = 3;
-};
+/// queue until this budget is spent; after that it simply stays unclaimed
+/// and the barrier's drain runs it at its contracted install tick — so
+/// results never change, only where the work happened.
+constexpr int kJobMaxAttempts = 3;
 
 struct JobServiceOptions {
   /// Background workers. 0 = inline reference mode: no job is ever
@@ -83,14 +83,9 @@ struct JobServiceOptions {
   int num_workers = 0;
   /// Seed for the deterministic job-ordering keys.
   uint64_t seed = 0x0b5eeded5eedULL;
-  /// Upper bound (exclusive) on a submission's declared latency; sizes the
-  /// install ring.
-  int max_latency = 64;
   /// Test hook: busy-delay spun by workers before running each job
   /// (forced-slow-job stress — results spanning many ticks). 0 = off.
   int64_t test_delay_micros = 0;
-  /// Redelivery budget for fault-dropped jobs.
-  JobRetryPolicy retry;
   /// Armed fault plan (worker stall / worker death sites); null = off.
   /// Must outlive the service.
   FaultInjector* fault = nullptr;
@@ -189,7 +184,7 @@ class JobService {
   void ReleaseUnused(SnapshotView* snap);
 
   /// Submits a job: install at `now + latency` (latency clamped to
-  /// [1, max_latency - 1]). Barrier thread only. `snap` may be null for
+  /// [1, kJobMaxLatency - 1]). Barrier thread only. `snap` may be null for
   /// jobs that read nothing but their args.
   void Submit(int client, uint64_t user_key, const uint64_t args[4],
               SnapshotView* snap, int latency, Tick now, int shard = 0);
@@ -235,23 +230,8 @@ class JobService {
   /// their contracted install tick (deadline-miss fallback; in inline mode,
   /// every job).
   int64_t total_fallback_runs() const { return total_fallback_; }
-  /// Jobs harvested from worker `w`'s completion lane so far.
-  int64_t worker_completions(int w) const {
-    return worker_completions_[static_cast<size_t>(w)];
-  }
 
  private:
-  /// Single-producer (its worker) flat log of finished slots, flipped and
-  /// drained at the barrier — the mailbox-lane shape of
-  /// src/shard/shard_router.h with the producer on another thread, so
-  /// appends and flips synchronize on a tiny per-lane mutex (never on the
-  /// query-phase critical path).
-  struct CompletionLane {
-    std::mutex mu;
-    std::vector<JobSlot*> bufs[2];
-    int cur = 0;
-  };
-
   void WorkerLoop(int worker_index);
   void RunJob(JobSlot* slot, int scratch_index);
   /// Claims and runs every unclaimed job in `due_sorted_`: serially when
@@ -259,7 +239,6 @@ class JobService {
   /// DrainShares across the pool.
   void Drain();
   void DrainShare(int share);
-  void DrainLanes();
   void RecycleJob(JobSlot* slot);
   JobSlot* AcquireJobSlot();
 
@@ -287,8 +266,8 @@ class JobService {
   std::vector<JobSlot*> due_sorted_;  ///< per-barrier scratch
 
   /// Drain fan-out: borrowed pool, shares per drain (pool threads + the
-  /// barrier thread - workers, at least 1), the shared cursor over `due_sorted_`, and the jobs
-  /// the shares ran.
+  /// barrier thread - workers, at least 1), the shared cursor over
+  /// `due_sorted_`, and the jobs the shares ran.
   ThreadPool* pool_ = nullptr;
   int num_shares_ = 1;
   std::atomic<size_t> drain_next_{0};
@@ -300,7 +279,6 @@ class JobService {
 
   // --- worker plumbing --------------------------------------------------
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<CompletionLane>> lanes_;
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< wakes workers (pending / stop)
   std::condition_variable done_cv_;  ///< wakes the barrier (job finished)
@@ -330,7 +308,6 @@ class JobService {
   int64_t submitted_window_ = 0;
   int64_t last_installed_ = 0;
   int64_t last_wait_micros_ = 0;
-  std::vector<int64_t> worker_completions_;
 };
 
 }  // namespace sgl

@@ -41,7 +41,7 @@ struct Checkpoint {
 /// Captures `world` at `tick`.
 Checkpoint TakeCheckpoint(const World& world, Tick tick);
 
-/// Restores a snapshot into a world built over the same catalog/layout.
+/// Restores a snapshot into a world built over the same catalog.
 Status RestoreCheckpoint(const Checkpoint& cp, World* world);
 
 /// Incremental FNV-1a over raw bytes (chainable: pass the previous return

@@ -17,16 +17,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(
   auto engine = std::unique_ptr<Engine>(new Engine());
   SGL_ASSIGN_OR_RETURN(engine->program_, CompileSource(source));
   engine->world_ = std::make_unique<World>(engine->program_->catalog.get());
-  if (options.layout != LayoutStrategy::kUnified) {
-    for (ClassId c = 0; c < engine->program_->catalog->num_classes(); ++c) {
-      const AffinityMatrix* affinity =
-          options.layout == LayoutStrategy::kAffinity
-              ? &engine->program_->affinity[static_cast<size_t>(c)]
-              : nullptr;
-      SGL_RETURN_IF_ERROR(
-          engine->world_->SetLayout(c, options.layout, affinity));
-    }
-  }
   if (options.exec.num_shards > 1) {
     engine->sharded_world_ = std::make_unique<ShardedWorld>(
         engine->world_.get(), options.exec.num_shards);

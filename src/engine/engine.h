@@ -8,9 +8,9 @@
 //   double hp = engine->Get(id, "health")->AsNumber();
 //
 // Create() parses + compiles the program (schema generation, §2.1), builds
-// the World with the chosen storage layout (partitioned into shards when
-// exec.num_shards > 1), and wires the one TickExecutor with the built-in
-// update components (transaction engine + expression updater).
+// the World (partitioned into shards when exec.num_shards > 1), and wires
+// the one TickExecutor with the built-in update components (transaction
+// engine + expression updater).
 // Physics / pathfinding components attach via AddPhysics / AddPathfinder
 // (§2.2). Debugging (§3.3) is exposed through inspector/tracer/checkpoint
 // accessors.
@@ -41,9 +41,6 @@ struct EngineOptions {
   /// pipeline over either layout. Create() rejects morsel_size == 0 and
   /// num_shards >= 255 with InvalidArgument.
   ExecOptions exec;
-  /// Storage layout for numeric state columns (§2.1). kAffinity uses the
-  /// attribute co-occurrence mined by the compiler.
-  LayoutStrategy layout = LayoutStrategy::kUnified;
 };
 
 class Engine {

@@ -1,7 +1,6 @@
 #include "src/lang/compiler.h"
 
 #include <map>
-#include <set>
 
 #include "src/lang/parser.h"
 
@@ -62,7 +61,6 @@ class ProgramCompiler {
     SGL_RETURN_IF_ERROR(CompileHandlers());
     SGL_RETURN_IF_ERROR(CompileUpdateRules());
     SGL_RETURN_IF_ERROR(CheckOwnershipConflicts());
-    ComputeAffinity();
     out->num_sites = next_site_;
     return Status::OK();
   }
@@ -1380,6 +1378,8 @@ class ProgramCompiler {
     return Status::OK();
   }
 
+  // --- Pass 5: ownership conflicts ---------------------------------------
+
   Status CheckOwnershipConflicts() {
     // A state field may be updated by at most one component (§2.2): the
     // transaction engine and the expression updater must not share fields.
@@ -1396,101 +1396,6 @@ class ProgramCompiler {
       }
     }
     return Status::OK();
-  }
-
-  // --- Pass 5: affinity ----------------------------------------------------
-
-  void VisitExpr(const Expr& e, ClassId cls, std::set<FieldIdx>* fields) {
-    if (e.kind == ExprKind::kStateRead && e.side == 0 && e.cls == cls &&
-        e.type.is_number()) {
-      fields->insert(e.field);
-    }
-    for (const auto& k : e.kids) VisitExpr(*k, cls, fields);
-  }
-
-  void TallyExpr(const Expr* e, ClassId cls, AffinityMatrix* m) {
-    if (e == nullptr) return;
-    std::set<FieldIdx> fields;
-    VisitExpr(*e, cls, &fields);
-    for (FieldIdx a : fields) {
-      for (FieldIdx b : fields) {
-        m->counts[static_cast<size_t>(a)][static_cast<size_t>(b)] += 1.0;
-      }
-    }
-  }
-
-  void TallyOps(const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
-                AffinityMatrix* m) {
-    for (const auto& op : ops) {
-      switch (op->kind) {
-        case PlanOp::Kind::kComputeLocals: {
-          auto* o = static_cast<const ComputeLocalsOp*>(op.get());
-          for (const LocalDef& d : o->defs) TallyExpr(d.value.get(), cls, m);
-          break;
-        }
-        case PlanOp::Kind::kEffects: {
-          auto* o = static_cast<const EffectsOp*>(op.get());
-          for (const EffectWrite& w : o->writes) {
-            TallyExpr(w.guard.get(), cls, m);
-            TallyExpr(w.value.get(), cls, m);
-            TallyExpr(w.target_ref.get(), cls, m);
-          }
-          break;
-        }
-        case PlanOp::Kind::kAccum: {
-          auto* o = static_cast<const AccumOp*>(op.get());
-          TallyExpr(o->outer_guard.get(), cls, m);
-          TallyExpr(o->residual.get(), cls, m);
-          for (const RangeDim& d : o->range_dims) {
-            TallyExpr(d.lo.get(), cls, m);
-            TallyExpr(d.hi.get(), cls, m);
-          }
-          for (const HashDim& d : o->hash_dims) TallyExpr(d.key.get(), cls, m);
-          for (const AccumAssign& a : o->accum_assigns) {
-            TallyExpr(a.guard.get(), cls, m);
-            TallyExpr(a.value.get(), cls, m);
-          }
-          for (const EffectWrite& w : o->pair_writes) {
-            TallyExpr(w.guard.get(), cls, m);
-            TallyExpr(w.value.get(), cls, m);
-            TallyExpr(w.target_ref.get(), cls, m);
-          }
-          break;
-        }
-        case PlanOp::Kind::kTxnEmit: {
-          auto* o = static_cast<const TxnEmitOp*>(op.get());
-          TallyExpr(o->guard.get(), cls, m);
-          for (const ExprPtr& c : o->constraints) TallyExpr(c.get(), cls, m);
-          for (const TxnWrite& w : o->writes) {
-            TallyExpr(w.value.get(), cls, m);
-            TallyExpr(w.target_ref.get(), cls, m);
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  void ComputeAffinity() {
-    out_->affinity.resize(static_cast<size_t>(catalog_->num_classes()));
-    for (ClassId c = 0; c < catalog_->num_classes(); ++c) {
-      size_t nfields = catalog_->Get(c).state_fields().size();
-      out_->affinity[static_cast<size_t>(c)].counts.assign(
-          nfields, std::vector<double>(nfields, 0.0));
-    }
-    for (const CompiledScript& cs : out_->scripts) {
-      AffinityMatrix* m = &out_->affinity[static_cast<size_t>(cs.cls)];
-      for (const auto& phase : cs.phases) TallyOps(phase, cs.cls, m);
-    }
-    for (const CompiledHandler& ch : out_->handlers) {
-      AffinityMatrix* m = &out_->affinity[static_cast<size_t>(ch.cls)];
-      TallyExpr(ch.cond.get(), ch.cls, m);
-      TallyOps(ch.ops, ch.cls, m);
-    }
-    for (const UpdateRule& r : out_->update_rules) {
-      TallyExpr(r.value.get(), r.cls,
-                &out_->affinity[static_cast<size_t>(r.cls)]);
-    }
   }
 
   const AstProgram* ast_ = nullptr;

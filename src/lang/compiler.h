@@ -16,7 +16,13 @@
 //          implicit PC (the "direct translation to standard single-tick
 //          SGL programs" of §3.2),
 //        - atomic blocks become transaction-intent emission ops.
-//   5. Attribute-affinity mining for layout selection (§2.1).
+//   5. Ownership check: no state field is written by both atomic blocks
+//      and an update rule.
+//
+// §2.1 also lets the compiler pick each class's storage layout. This one
+// does not: every class gets one interleaved numeric block, because no
+// workload measured a difference between layouts (entity_table.h gives
+// the numbers).
 //
 // All access-rule violations (reading effects, writing state, waits inside
 // accum/atomic, etc.) are compile-time SemanticErrors with positions.
@@ -32,7 +38,6 @@
 #include "src/lang/ast.h"
 #include "src/ra/plan.h"
 #include "src/schema/catalog.h"
-#include "src/schema/layout.h"
 
 namespace sgl {
 
@@ -42,8 +47,6 @@ struct CompiledProgram {
   std::vector<CompiledScript> scripts;    ///< program order
   std::vector<CompiledHandler> handlers;  ///< program order
   std::vector<UpdateRule> update_rules;   ///< declared + auto PC rules
-  /// Per-class attribute co-occurrence (for LayoutStrategy::kAffinity).
-  std::vector<AffinityMatrix> affinity;
   /// Per-class state fields owned by the transaction engine (targets of
   /// atomic-block writes, plus status fields).
   std::vector<std::vector<FieldIdx>> txn_owned;

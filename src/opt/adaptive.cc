@@ -19,6 +19,10 @@ AdaptiveController::AdaptiveController(const Options& options, int num_sites)
 
 namespace {
 
+// Smoothing weight of the newest sample in each site's per-strategy
+// time-per-outer-row estimate.
+constexpr double kEwmaAlpha = 0.3;
+
 // Tree/grid access paths are legal only up to the executor's stack-array
 // dimensionality bound (kMaxIndexDims).
 bool RangeIndexable(const AccumOp& op) {
@@ -104,7 +108,7 @@ JoinStrategy AdaptiveController::Choose(const AccumOp& op, Tick tick,
   if (!site.initialized) {
     site.candidates = Candidates(op);
     site.time_per_outer.assign(site.candidates.size(),
-                               Ewma(options_.ewma_alpha));
+                               Ewma(kEwmaAlpha));
     site.last = CostBasedPick(op, inner_stats, outer_rows);
     site.initialized = true;
     return site.last;

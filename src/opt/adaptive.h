@@ -60,7 +60,6 @@ class AdaptiveController {
     PlanMode mode = PlanMode::kCostBased;
     int probe_interval = 32;     ///< ticks between exploration probes
     double drift_ratio = 3.0;    ///< fan-out change triggering re-probe
-    double ewma_alpha = 0.3;
   };
 
   AdaptiveController(const Options& options, int num_sites);

@@ -4,8 +4,25 @@
 
 namespace sgl {
 
-double EstimateJoinCost(JoinStrategy strategy, const JoinCostInputs& in,
-                        const CostConstants& c) {
+namespace {
+
+// The model's constants, in work units per operation.
+struct CostConstants {
+  double pair_eval = 1.0;       ///< evaluate predicates on one candidate
+  double emit = 0.5;            ///< materialize one match
+  double tree_build_factor = 4.0;   ///< per point per log-level
+  double tree_probe = 8.0;      ///< per-probe descend overhead factor
+  double grid_build = 1.5;      ///< per point
+  double grid_probe = 4.0;      ///< per-probe cell setup
+  double grid_slack = 2.0;      ///< candidate inflation from cell granularity
+  double hash_build = 1.2;      ///< per point
+  double hash_probe = 2.0;      ///< per probe
+};
+
+}  // namespace
+
+double EstimateJoinCost(JoinStrategy strategy, const JoinCostInputs& in) {
+  constexpr CostConstants c;
   const double n = std::max(1.0, in.outer_rows);
   const double m = std::max(1.0, in.inner_rows);
   const double logm = std::max(1.0, std::log2(m));

@@ -15,19 +15,6 @@
 
 namespace sgl {
 
-/// Tunable constants of the cost model (work units per operation).
-struct CostConstants {
-  double pair_eval = 1.0;       ///< evaluate predicates on one candidate
-  double emit = 0.5;            ///< materialize one match
-  double tree_build_factor = 4.0;   ///< per point per log-level
-  double tree_probe = 8.0;      ///< per-probe descend overhead factor
-  double grid_build = 1.5;      ///< per point
-  double grid_probe = 4.0;      ///< per-probe cell setup
-  double grid_slack = 2.0;      ///< candidate inflation from cell granularity
-  double hash_build = 1.2;      ///< per point
-  double hash_probe = 2.0;      ///< per probe
-};
-
 /// Inputs describing one potential execution of an AccumOp this tick.
 struct JoinCostInputs {
   double outer_rows = 0;     ///< rows surviving the outer guard
@@ -39,8 +26,7 @@ struct JoinCostInputs {
 };
 
 /// Estimated total work units for `strategy` under `in`.
-double EstimateJoinCost(JoinStrategy strategy, const JoinCostInputs& in,
-                        const CostConstants& c = CostConstants());
+double EstimateJoinCost(JoinStrategy strategy, const JoinCostInputs& in);
 
 /// Estimates the average box selectivity of an AccumOp's range predicate
 /// using column stats: the average query box side is derived from the lo/hi

@@ -3,7 +3,7 @@
 // A migration batch is applied per class as one arena rebuild: rows are
 // regrouped by destination shard (stable within a shard, so surviving
 // relative order is preserved) and moved with EntityTable::RebuildBySlices
-// — one memcpy per (column group, contiguous run), no per-row Value
+// — one memcpy per (column, contiguous run), no per-row Value
 // round-trips — after which the open-addressing directory is refreshed in
 // a single pass. The same slice machinery implements bulk spawn (append a
 // default-initialized block, then slide it into the target shard's range)

@@ -48,38 +48,24 @@ bool GetVec(const char** cursor, const char* end, std::vector<T>* v) {
 
 }  // namespace
 
-EntityTable::EntityTable(const ClassDef* cls, ColumnGrouping grouping)
-    : cls_(cls), grouping_(std::move(grouping)) {
+EntityTable::EntityTable(const ClassDef* cls) : cls_(cls) {
   slots_.resize(cls_->state_fields().size());
-  for (const auto& group_fields : grouping_.groups) {
-    NumGroup g;
-    g.fields = group_fields;
-    g.stride = group_fields.size();
-    int gi = static_cast<int>(num_groups_.size());
-    for (size_t off = 0; off < group_fields.size(); ++off) {
-      FieldIdx f = group_fields[off];
-      SGL_CHECK(cls_->state_field(f).type.is_number());
-      slots_[static_cast<size_t>(f)] = {gi, off};
-    }
-    num_groups_.push_back(std::move(g));
-  }
-  // Non-numeric fields get per-field vectors; verify numeric coverage.
   for (const FieldDef& f : cls_->state_fields()) {
+    size_t& slot = slots_[static_cast<size_t>(f.index)];
     switch (f.type.kind) {
       case TypeKind::kNumber:
-        SGL_CHECK(slots_[static_cast<size_t>(f.index)].group >= 0 &&
-                  "numeric state field missing from grouping");
+        slot = stride_++;
         break;
       case TypeKind::kBool:
-        slots_[static_cast<size_t>(f.index)] = {-1, bools_.size()};
+        slot = bools_.size();
         bools_.emplace_back();
         break;
       case TypeKind::kRef:
-        slots_[static_cast<size_t>(f.index)] = {-1, refs_.size()};
+        slot = refs_.size();
         refs_.emplace_back();
         break;
       case TypeKind::kSet:
-        slots_[static_cast<size_t>(f.index)] = {-1, sets_.size()};
+        slot = sets_.size();
         sets_.emplace_back();
         break;
     }
@@ -87,42 +73,40 @@ EntityTable::EntityTable(const ClassDef* cls, ColumnGrouping grouping)
 }
 
 NumberColumn EntityTable::Num(FieldIdx state_field) {
-  const FieldSlot& s = slots_[static_cast<size_t>(state_field)];
-  SGL_DCHECK(s.group >= 0);
-  NumGroup& g = num_groups_[static_cast<size_t>(s.group)];
-  return NumberColumn{g.data.data() + s.offset, g.stride};
+  SGL_DCHECK(cls_->state_field(state_field).type.is_number());
+  return NumberColumn{nums_.data() + slots_[static_cast<size_t>(state_field)],
+                      stride_};
 }
 
 ConstNumberColumn EntityTable::Num(FieldIdx state_field) const {
-  const FieldSlot& s = slots_[static_cast<size_t>(state_field)];
-  SGL_DCHECK(s.group >= 0);
-  const NumGroup& g = num_groups_[static_cast<size_t>(s.group)];
-  return ConstNumberColumn{g.data.data() + s.offset, g.stride};
+  SGL_DCHECK(cls_->state_field(state_field).type.is_number());
+  return ConstNumberColumn{
+      nums_.data() + slots_[static_cast<size_t>(state_field)], stride_};
 }
 
 uint8_t* EntityTable::BoolCol(FieldIdx f) {
-  return bools_[slots_[static_cast<size_t>(f)].offset].data();
+  return bools_[slots_[static_cast<size_t>(f)]].data();
 }
 const uint8_t* EntityTable::BoolCol(FieldIdx f) const {
-  return bools_[slots_[static_cast<size_t>(f)].offset].data();
+  return bools_[slots_[static_cast<size_t>(f)]].data();
 }
 EntityId* EntityTable::RefCol(FieldIdx f) {
-  return refs_[slots_[static_cast<size_t>(f)].offset].data();
+  return refs_[slots_[static_cast<size_t>(f)]].data();
 }
 const EntityId* EntityTable::RefCol(FieldIdx f) const {
-  return refs_[slots_[static_cast<size_t>(f)].offset].data();
+  return refs_[slots_[static_cast<size_t>(f)]].data();
 }
 EntitySet* EntityTable::SetCol(FieldIdx f) {
-  return sets_[slots_[static_cast<size_t>(f)].offset].data();
+  return sets_[slots_[static_cast<size_t>(f)]].data();
 }
 const EntitySet* EntityTable::SetCol(FieldIdx f) const {
-  return sets_[slots_[static_cast<size_t>(f)].offset].data();
+  return sets_[slots_[static_cast<size_t>(f)]].data();
 }
 
 RowIdx EntityTable::AddRow(EntityId id) {
   RowIdx row = static_cast<RowIdx>(ids_.size());
   ids_.push_back(id);
-  for (NumGroup& g : num_groups_) g.data.resize(g.data.size() + g.stride);
+  nums_.resize(nums_.size() + stride_);
   for (auto& b : bools_) b.push_back(0);
   for (auto& r : refs_) r.push_back(kNullEntity);
   for (auto& s : sets_) s.emplace_back();
@@ -139,13 +123,13 @@ void EntityTable::AddRowsDefault(const EntityId* ids, size_t n) {
   const size_t old_rows = ids_.size();
   const size_t new_rows = old_rows + n;
   ids_.insert(ids_.end(), ids, ids + n);
-  for (NumGroup& g : num_groups_) g.data.resize(new_rows * g.stride);
+  nums_.resize(new_rows * stride_);
   for (auto& b : bools_) b.resize(new_rows);
   for (auto& r : refs_) r.resize(new_rows);
   for (auto& s : sets_) s.resize(new_rows);
   // Broadcast each field's declared default down its column.
   for (const FieldDef& f : cls_->state_fields()) {
-    const FieldSlot& slot = slots_[static_cast<size_t>(f.index)];
+    const size_t slot = slots_[static_cast<size_t>(f.index)];
     switch (f.type.kind) {
       case TypeKind::kNumber: {
         NumberColumn col = Num(f.index);
@@ -155,21 +139,19 @@ void EntityTable::AddRowsDefault(const EntityId* ids, size_t n) {
       }
       case TypeKind::kBool: {
         const uint8_t v = f.default_value.AsBool() ? 1 : 0;
-        std::fill(bools_[slot.offset].begin() + old_rows,
-                  bools_[slot.offset].end(), v);
+        std::fill(bools_[slot].begin() + old_rows, bools_[slot].end(), v);
         break;
       }
       case TypeKind::kRef: {
         const EntityId v = f.default_value.AsRef();
-        std::fill(refs_[slot.offset].begin() + old_rows,
-                  refs_[slot.offset].end(), v);
+        std::fill(refs_[slot].begin() + old_rows, refs_[slot].end(), v);
         break;
       }
       case TypeKind::kSet: {
         const EntitySet& v = f.default_value.AsSet();
         if (!v.empty()) {
           for (size_t i = old_rows; i < new_rows; ++i) {
-            sets_[slot.offset][i] = v;
+            sets_[slot][i] = v;
           }
         }
         break;
@@ -196,25 +178,19 @@ void EntityTable::RebuildBySlices(const RowSlice* slices, size_t n_slices,
   }
   ids_.swap(scratch->ids);
 
-  // numeric groups: one memcpy of len * stride doubles per slice
-  if (scratch->groups.size() < num_groups_.size()) {
-    scratch->groups.resize(num_groups_.size());
-  }
-  for (size_t gi = 0; gi < num_groups_.size(); ++gi) {
-    NumGroup& g = num_groups_[gi];
-    std::vector<double>& out = scratch->groups[gi];
-    ResizeAmortized(&out, new_rows * g.stride);
+  // numeric block: one memcpy of len * stride doubles per slice
+  if (stride_ > 0) {
+    ResizeAmortized(&scratch->nums, new_rows * stride_);
     size_t at = 0;
     for (size_t i = 0; i < n_slices; ++i) {
       if (slices[i].len == 0) continue;
-      const size_t elems = static_cast<size_t>(slices[i].len) * g.stride;
-      std::memcpy(out.data() + at,
-                  g.data.data() + static_cast<size_t>(slices[i].begin) *
-                                      g.stride,
+      const size_t elems = static_cast<size_t>(slices[i].len) * stride_;
+      std::memcpy(scratch->nums.data() + at,
+                  nums_.data() + static_cast<size_t>(slices[i].begin) * stride_,
                   elems * sizeof(double));
       at += elems;
     }
-    g.data.swap(out);
+    nums_.swap(scratch->nums);
   }
 
   if (scratch->bools.size() < bools_.size()) {
@@ -271,17 +247,15 @@ EntityId EntityTable::SwapRemoveRow(RowIdx row) {
   if (row != last) {
     moved = ids_[last];
     ids_[row] = ids_[last];
-    for (NumGroup& g : num_groups_) {
-      for (size_t k = 0; k < g.stride; ++k) {
-        g.data[row * g.stride + k] = g.data[last * g.stride + k];
-      }
+    for (size_t k = 0; k < stride_; ++k) {
+      nums_[row * stride_ + k] = nums_[last * stride_ + k];
     }
     for (auto& b : bools_) b[row] = b[last];
     for (auto& r : refs_) r[row] = r[last];
     for (auto& s : sets_) s[row] = std::move(s[last]);
   }
   ids_.pop_back();
-  for (NumGroup& g : num_groups_) g.data.resize(g.data.size() - g.stride);
+  nums_.resize(nums_.size() - stride_);
   for (auto& b : bools_) b.pop_back();
   for (auto& r : refs_) r.pop_back();
   for (auto& s : sets_) s.pop_back();
@@ -329,10 +303,8 @@ Status EntityTable::SetValue(RowIdx row, FieldIdx state_field,
 }
 
 size_t EntityTable::MemoryBytes() const {
-  size_t bytes = ids_.capacity() * sizeof(EntityId);
-  for (const NumGroup& g : num_groups_) {
-    bytes += g.data.capacity() * sizeof(double);
-  }
+  size_t bytes = ids_.capacity() * sizeof(EntityId) +
+                 nums_.capacity() * sizeof(double);
   for (const auto& b : bools_) bytes += b.capacity();
   for (const auto& r : refs_) bytes += r.capacity() * sizeof(EntityId);
   for (const auto& s : sets_) {
@@ -344,8 +316,11 @@ size_t EntityTable::MemoryBytes() const {
 
 void EntityTable::Serialize(std::string* out) const {
   PutVec(out, ids_);
-  PutPod<uint64_t>(out, num_groups_.size());
-  for (const NumGroup& g : num_groups_) PutVec(out, g.data);
+  // The group count (0 or 1) predates the single numeric block; it stays
+  // so checkpoint bytes do not change.
+  const uint64_t num_blocks = stride_ > 0 ? 1 : 0;
+  PutPod<uint64_t>(out, num_blocks);
+  if (num_blocks > 0) PutVec(out, nums_);
   PutPod<uint64_t>(out, bools_.size());
   for (const auto& b : bools_) PutVec(out, b);
   PutPod<uint64_t>(out, refs_.size());
@@ -365,10 +340,12 @@ Status EntityTable::Deserialize(const char** cursor, const char* end) {
   auto corrupt = [] { return Status::Internal("corrupt checkpoint"); };
   if (!GetVec(cursor, end, &ids_)) return corrupt();
   uint64_t n;
-  if (!GetPod(cursor, end, &n) || n != num_groups_.size()) return corrupt();
-  for (NumGroup& g : num_groups_) {
-    if (!GetVec(cursor, end, &g.data)) return corrupt();
-    if (g.data.size() != ids_.size() * g.stride) return corrupt();
+  if (!GetPod(cursor, end, &n) || n != (stride_ > 0 ? 1u : 0u)) {
+    return corrupt();
+  }
+  if (n > 0) {
+    if (!GetVec(cursor, end, &nums_)) return corrupt();
+    if (nums_.size() != ids_.size() * stride_) return corrupt();
   }
   if (!GetPod(cursor, end, &n) || n != bools_.size()) return corrupt();
   for (auto& b : bools_) {

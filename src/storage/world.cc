@@ -8,23 +8,9 @@ World::World(const Catalog* catalog) : catalog_(catalog) {
   SGL_CHECK(catalog_->finalized());
   for (ClassId c = 0; c < catalog_->num_classes(); ++c) {
     const ClassDef& cls = catalog_->Get(c);
-    tables_.push_back(std::make_unique<EntityTable>(
-        &cls, ComputeGrouping(cls, LayoutStrategy::kUnified)));
+    tables_.push_back(std::make_unique<EntityTable>(&cls));
     effects_.push_back(std::make_unique<EffectBuffer>(&cls));
   }
-}
-
-Status World::SetLayout(ClassId cls, LayoutStrategy strategy,
-                        const AffinityMatrix* affinity) {
-  EntityTable& t = table(cls);
-  if (!t.empty()) {
-    return Status::InvalidArgument(
-        "cannot change layout of non-empty table '" + t.cls().name() + "'");
-  }
-  const ClassDef& def = catalog_->Get(cls);
-  tables_[static_cast<size_t>(cls)] = std::make_unique<EntityTable>(
-      &def, ComputeGrouping(def, strategy, affinity));
-  return Status::OK();
 }
 
 EntityId World::Spawn(ClassId cls) {

@@ -27,18 +27,15 @@ namespace sgl {
 /// All live entities of all classes, plus this tick's effect accumulators.
 class World {
  public:
-  /// Builds empty tables for every class in `catalog` (must be finalized)
-  /// using the unified layout. Use SetLayout before spawning to change it.
+  /// Builds empty tables for every class in `catalog` (must be finalized).
+  /// Each table keeps its numeric state in one interleaved block; see
+  /// entity_table.h for why there is no other layout.
   explicit World(const Catalog* catalog);
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
   const Catalog& catalog() const { return *catalog_; }
-
-  /// Replaces a class's column grouping. Only legal while its table is empty.
-  Status SetLayout(ClassId cls, LayoutStrategy strategy,
-                   const AffinityMatrix* affinity = nullptr);
 
   /// Where an entity lives.
   using Locator = EntityLocator;

@@ -193,8 +193,7 @@ const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
       if (g.tick < 0 || g.seq == frame.seq) continue;
       p95_scratch_.push_back(g.stats.total_micros);
     }
-    if (static_cast<int>(p95_scratch_.size()) >=
-        options_.min_frames_for_anomaly) {
+    if (static_cast<int>(p95_scratch_.size()) >= kMinFramesForAnomaly) {
       size_t k = p95_scratch_.size() * 95 / 100;
       if (k >= p95_scratch_.size()) k = p95_scratch_.size() - 1;
       std::nth_element(p95_scratch_.begin(),

@@ -86,8 +86,6 @@ struct FlightRecorderOptions {
   // --- Black-box triggers (0 / false = disabled) -------------------------
   /// Fire when tick total µs exceeds `factor × p95` of the in-ring frames.
   double anomaly_p95_factor = 0.0;
-  /// Frames required in the ring before the p95 trigger can fire.
-  int min_frames_for_anomaly = 8;
   /// Fire when a sharded world's imbalance gauge reaches this (bp).
   int64_t imbalance_bp_threshold = 0;
   /// Fire when the barrier stall gauge reaches this (µs).
@@ -100,6 +98,9 @@ struct FlightRecorderOptions {
   /// Minimum ticks between automatic dumps (suppressed_dumps() counts).
   Tick dump_cooldown_ticks = 16;
 };
+
+/// Frames required in the ring before the p95 trigger can fire.
+constexpr int kMinFramesForAnomaly = 8;
 
 /// An 8-byte record payload; the record's kind bits say which member is
 /// live. Numbers use `num`; refs, bools (0/1) and set cardinalities use

@@ -1,13 +1,12 @@
 // MetricsRegistry: named counters, gauges, and log2-bucketed histograms
 // with an allocation-free record path (src/telemetry/).
 //
-// The registry replaces TickStats' flat bag of per-tick micros as the
-// *primary* store of latency series (TickStats stays as a compatibility
-// view): histograms keep full distributions, so the p50/p95/p99 the
-// ROADMAP's scaling items need — tick, probe, job-wait, barrier-stall —
-// are one Snapshot() away instead of being averaged out of existence
-// (PR 8's ~45% run-to-run noise went undiagnosed for exactly this
-// reason).
+// TickStats is the one per-tick record; the registry holds the series
+// across ticks. Telemetry::RecordTick folds each tick's TickStats into
+// histograms that keep full distributions, so the p50/p95/p99 of tick,
+// probe, job-wait and barrier-stall times are one Snapshot() away instead
+// of being averaged out of existence (a ~45% run-to-run tick-time noise
+// once went undiagnosed for exactly this reason).
 //
 // Contracts:
 //   * Registration (Register*) happens at setup time, single-threaded —

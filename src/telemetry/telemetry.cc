@@ -48,8 +48,7 @@ Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {
     lane.mask_ = ring - 1;
   }
   NowNs();  // pin the process epoch before any worker races the init
-  counter_ring_.resize(static_cast<size_t>(
-      options_.counter_samples > 0 ? options_.counter_samples : 1));
+  counter_ring_.resize(static_cast<size_t>(kCounterSamples));
 
   std_.tick_total_us = metrics_.RegisterHistogram("tick.total_us");
   std_.tick_query_us = metrics_.RegisterHistogram("tick.query_us");
@@ -184,9 +183,7 @@ void Telemetry::EnsureSites(int num_sites) {
   const size_t old = sites_.size();
   sites_.resize(static_cast<size_t>(num_sites));
   for (size_t i = old; i < sites_.size(); ++i) {
-    sites_[i].history.resize(
-        static_cast<size_t>(options_.site_history > 0 ? options_.site_history
-                                                      : 1));
+    sites_[i].history.resize(static_cast<size_t>(kSiteHistory));
   }
 }
 

@@ -178,12 +178,13 @@ struct TelemetryOptions {
   /// Ring capacity per lane, rounded up to a power of two. Overflow wraps
   /// (newest spans win); size for the window you intend to export.
   size_t ring_spans = 4096;
-  /// Decision-history ring length per site (recorded on change).
-  int site_history = 16;
-  /// Per-tick counter-sample ring length (the "ph":"C" counter lanes in
-  /// DumpChromeTrace). Overflow wraps, newest samples win.
-  int counter_samples = 256;
 };
+
+/// Decision-history ring length per site (recorded on change).
+constexpr int kSiteHistory = 16;
+/// Per-tick counter-sample ring length (the "ph":"C" counter lanes in
+/// DumpChromeTrace). Overflow wraps, newest samples win.
+constexpr int kCounterSamples = 256;
 
 /// One join-strategy decision (recorded when it differs from the previous
 /// one, so the ring holds the switch history, not every tick).

@@ -2,59 +2,108 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
-#include <queue>
 
 namespace sgl {
 
-std::vector<std::pair<int, int>> AStar(const GridMap& map, int sx, int sy,
-                                       int gx, int gy) {
-  if (map.Blocked(sx, sy) || map.Blocked(gx, gy)) return {};
+void PathfindScratch::Fit(size_t n) {
+  g.resize(n);
+  parent.resize(n);
+  stamp.assign(n, 0);
+  epoch = 0;
+  // Pre-size the open list so per-search frontiers never ratchet its
+  // capacity (a cell re-enters at most once per improving neighbor).
+  heap.reserve(std::min<size_t>(4 * n, size_t{1} << 16));
+}
+
+bool CrowdAStar(const GridMap& map, const uint8_t* occ, int penalty_units,
+                int sx, int sy, int gx, int gy, PathfindScratch* s,
+                std::vector<uint64_t>* path) {
+  if (map.Blocked(sx, sy) || map.Blocked(gx, gy)) return false;
   const int w = map.width();
   const int h = map.height();
+  const size_t n = static_cast<size_t>(w) * static_cast<size_t>(h);
+  SGL_CHECK(s->g.size() >= n && "scratch made for a smaller map");
+  ++s->epoch;
+  if (s->epoch == 0) {  // stamp wrap: one full clear per 2^32 searches
+    std::fill(s->stamp.begin(), s->stamp.end(), 0);
+    s->epoch = 1;
+  }
+  const uint32_t ep = s->epoch;
   auto idx = [w](int x, int y) { return y * w + x; };
-  const int n = w * h;
-  std::vector<int32_t> g(static_cast<size_t>(n), -1);
-  std::vector<int32_t> parent(static_cast<size_t>(n), -1);
   auto heuristic = [&](int x, int y) {
-    return std::abs(x - gx) + std::abs(y - gy);
+    return kStepCost * (std::abs(x - gx) + std::abs(y - gy));
   };
-  using Entry = std::pair<int32_t, int32_t>;  // (f, cell) — min-heap
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-  g[static_cast<size_t>(idx(sx, sy))] = 0;
-  open.emplace(heuristic(sx, sy), idx(sx, sy));
+  s->heap.clear();
+  const int start = idx(sx, sy);
+  s->g[static_cast<size_t>(start)] = 0;
+  s->parent[static_cast<size_t>(start)] = -1;
+  s->stamp[static_cast<size_t>(start)] = ep;
+  s->heap.push_back((static_cast<uint64_t>(heuristic(sx, sy)) << 32) |
+                    static_cast<uint32_t>(start));
   const int dx[4] = {1, -1, 0, 0};
   const int dy[4] = {0, 0, 1, -1};
-  while (!open.empty()) {
-    auto [f, cell] = open.top();
-    open.pop();
-    int cx = cell % w;
-    int cy = cell / w;
-    int32_t gc = g[static_cast<size_t>(cell)];
+  while (!s->heap.empty()) {
+    std::pop_heap(s->heap.begin(), s->heap.end(), std::greater<>());
+    const uint64_t top = s->heap.back();
+    s->heap.pop_back();
+    const int cell = static_cast<int>(top & 0xffffffffu);
+    const int32_t f = static_cast<int32_t>(top >> 32);
+    const int cx = cell % w;
+    const int cy = cell / w;
+    const int32_t gc = s->g[static_cast<size_t>(cell)];
     if (f > gc + heuristic(cx, cy)) continue;  // stale entry
     if (cx == gx && cy == gy) {
-      std::vector<std::pair<int, int>> path;
-      for (int c = cell; c != -1; c = parent[static_cast<size_t>(c)]) {
-        path.emplace_back(c % w, c / w);
+      const size_t first = path->size();
+      for (int step = cell; step != -1;
+           step = s->parent[static_cast<size_t>(step)]) {
+        path->push_back(static_cast<uint64_t>(step));
       }
-      std::reverse(path.begin(), path.end());
-      return path;
+      std::reverse(path->begin() + static_cast<ptrdiff_t>(first),
+                   path->end());
+      return true;
     }
     for (int k = 0; k < 4; ++k) {
-      int nx = cx + dx[k];
-      int ny = cy + dy[k];
+      const int nx = cx + dx[k];
+      const int ny = cy + dy[k];
       if (map.Blocked(nx, ny)) continue;
-      int ncell = idx(nx, ny);
-      int32_t ng = gc + 1;
-      if (g[static_cast<size_t>(ncell)] < 0 ||
-          ng < g[static_cast<size_t>(ncell)]) {
-        g[static_cast<size_t>(ncell)] = ng;
-        parent[static_cast<size_t>(ncell)] = cell;
-        open.emplace(ng + heuristic(nx, ny), ncell);
+      const int ncell = idx(nx, ny);
+      int32_t step_cost = kStepCost;
+      if (occ != nullptr) {
+        step_cost += penalty_units * occ[static_cast<size_t>(ncell)];
+      }
+      const int32_t ng = gc + step_cost;
+      const size_t nc = static_cast<size_t>(ncell);
+      if (s->stamp[nc] != ep || ng < s->g[nc]) {
+        s->stamp[nc] = ep;
+        s->g[nc] = ng;
+        s->parent[nc] = cell;
+        s->heap.push_back(
+            (static_cast<uint64_t>(ng + heuristic(nx, ny)) << 32) |
+            static_cast<uint32_t>(ncell));
+        std::push_heap(s->heap.begin(), s->heap.end(), std::greater<>());
       }
     }
   }
-  return {};
+  return false;
+}
+
+std::vector<std::pair<int, int>> AStar(const GridMap& map, int sx, int sy,
+                                       int gx, int gy) {
+  PathfindScratch scratch;
+  scratch.Fit(static_cast<size_t>(map.width()) *
+              static_cast<size_t>(map.height()));
+  std::vector<uint64_t> cells;
+  std::vector<std::pair<int, int>> path;
+  if (!CrowdAStar(map, nullptr, 0, sx, sy, gx, gy, &scratch, &cells)) {
+    return path;
+  }
+  const int w = map.width();
+  for (uint64_t c : cells) {
+    path.emplace_back(static_cast<int>(c) % w, static_cast<int>(c) / w);
+  }
+  return path;
 }
 
 StatusOr<std::unique_ptr<PathfinderComponent>> PathfinderComponent::Create(
@@ -90,6 +139,8 @@ StatusOr<std::unique_ptr<PathfinderComponent>> PathfinderComponent::Create(
   SGL_RETURN_IF_ERROR(effect_num(config.goal_y, &comp->goal_y_));
   SGL_RETURN_IF_ERROR(state_num(config.waypoint_x, &comp->wx_));
   SGL_RETURN_IF_ERROR(state_num(config.waypoint_y, &comp->wy_));
+  comp->scratch_.Fit(static_cast<size_t>(comp->map_.width()) *
+                     static_cast<size_t>(comp->map_.height()));
   return comp;
 }
 
@@ -130,13 +181,14 @@ void PathfinderComponent::Update(World* world, Tick tick) {
       next = it->second;
       ++total_.cache_hits;
     } else {
-      auto path = AStar(map_, sx, sy, gx, gy);
+      path_.clear();
       ++total_.searches;
-      if (path.empty()) {
+      if (!CrowdAStar(map_, nullptr, 0, sx, sy, gx, gy, &scratch_, &path_)) {
         ++total_.unreachable;
         next = {sx, sy};  // stay put
       } else {
-        next = path.size() > 1 ? path[1] : path[0];
+        const int cell = static_cast<int>(path_[path_.size() > 1 ? 1 : 0]);
+        next = {cell % map_.width(), cell / map_.width()};
       }
       memo[key] = next;
     }

@@ -5,7 +5,9 @@
 // fields; the pathfinder owns two waypoint state fields and writes the next
 // step toward each goal along a shortest obstacle-avoiding path. Per-tick
 // (start-cell, goal-cell) memoization exploits the set-at-a-time batch: many
-// NPCs heading to the same place share one search.
+// NPCs heading to the same place share one search. The search itself,
+// CrowdAStar, is also the one the asynchronous pathfinder
+// (src/async/async_pathfind.h) runs on job workers.
 
 #ifndef SGL_UPDATE_PATHFIND_H_
 #define SGL_UPDATE_PATHFIND_H_
@@ -61,8 +63,38 @@ class GridMap {
   std::vector<uint8_t> blocked_;
 };
 
-/// 4-connected A* over a GridMap. Returns the cell path including start and
-/// goal; empty if unreachable. Exposed for direct use and tests.
+/// Fixed-point step cost of CrowdAStar: the admissible manhattan heuristic
+/// scales by the base step, crowd occupancy only ever adds on top.
+constexpr int32_t kStepCost = 16;
+
+/// A* search state: epoch-stamped g/parent arrays (no per-search memset)
+/// and a manual binary heap over pooled storage. Everything keeps its
+/// high-water capacity, so steady-state searches allocate nothing.
+struct PathfindScratch {
+  std::vector<int32_t> g;
+  std::vector<int32_t> parent;
+  std::vector<uint32_t> stamp;
+  std::vector<uint64_t> heap;  ///< (f << 32) | cell, min-heap
+  uint32_t epoch = 0;
+
+  /// Sizes the arrays for an `n`-cell map; call before the first search.
+  void Fit(size_t n);
+};
+
+/// 4-connected A* with an optional per-cell additive occupancy cost: a step
+/// into cell c costs kStepCost + penalty_units * occ[c] (`occ` may be
+/// null). Deterministic: the heap orders by the full (f, cell) word and
+/// stale entries are skipped, so expansion order is a pure function of the
+/// inputs. Appends the path's cell indices (y * width + x, start through
+/// goal inclusive) to `path`; returns false (path untouched) if
+/// unreachable.
+bool CrowdAStar(const GridMap& map, const uint8_t* occ, int penalty_units,
+                int sx, int sy, int gx, int gy, PathfindScratch* s,
+                std::vector<uint64_t>* path);
+
+/// CrowdAStar with no occupancy cost, as (x, y) cells including start and
+/// goal; empty if unreachable. Allocates a scratch per call: for tests and
+/// one-off queries.
 std::vector<std::pair<int, int>> AStar(const GridMap& map, int sx, int sy,
                                        int gx, int gy);
 
@@ -103,6 +135,8 @@ class PathfinderComponent : public UpdateComponent {
   FieldIdx x_ = kInvalidField, y_ = kInvalidField;
   FieldIdx goal_x_ = kInvalidField, goal_y_ = kInvalidField;
   FieldIdx wx_ = kInvalidField, wy_ = kInvalidField;
+  PathfindScratch scratch_;     ///< sized to the map at Create
+  std::vector<uint64_t> path_;  ///< reused search output
   PathfinderStats total_;
 };
 

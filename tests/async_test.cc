@@ -11,7 +11,8 @@
 //   * Forced-slow-job stress — workers that take many ticks per search
 //     change nothing but wall-clock.
 //   * Request dedup, functional pathfinding, and checkpoint-restore
-//     behavior with jobs in flight.
+//     behavior with jobs in flight; corrupt request-cache blobs are
+//     refused, not allocated.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 
 #include "src/async/async_pathfind.h"
 #include "src/async/job_service.h"
+#include "src/common/bin_io.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
 #include "src/debug/checkpoint.h"
@@ -415,6 +417,74 @@ TEST(AsyncPathfindTest, RestoreWithJobsInFlightIsDeterministic) {
   ASSERT_TRUE((*engine)->RunTicks(20).ok());
   EXPECT_EQ(WorldChecksum((*engine)->world()), fresh)
       << "in-place restore diverged from fresh-engine restore";
+}
+
+// A pathfind-cache blob header: magic, version, last sweep, capacity and
+// entry count (no entries follow).
+std::string PathCacheHeader(uint64_t capacity) {
+  std::string blob;
+  binio::Append<uint32_t>(&blob, 0x50464348u);
+  binio::Append<uint32_t>(&blob, 1);
+  binio::Append<int64_t>(&blob, 0);
+  binio::Append<uint64_t>(&blob, capacity);
+  binio::Append<uint64_t>(&blob, 0);
+  return blob;
+}
+
+// LoadState refuses, before allocating, a capacity the cache can never
+// reach on this map: a corrupt checkpoint must not throw std::bad_alloc
+// out of Engine::Restore.
+TEST(AsyncPathfindTest, LoadStateRefusesCapacityBeyondKeySpace) {
+  ArmiesConfig config = SmallArmies();
+  config.num_units = 256;
+  config.map_w = 16;
+  config.map_h = 16;
+  config.num_armies = 4;
+  auto engine = ArmiesWorkload::Build(config, EngineOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE((*engine)->RunTicks(8).ok());
+  Checkpoint cp = (*engine)->TakeCheckpoint();
+
+  // Swap the pathfinder's blob for a header naming 2^44 slots.
+  const std::string corrupt = PathCacheHeader(uint64_t{1} << 44);
+  std::string section;
+  const char* cur = cp.components.data();
+  const char* end = cur + cp.components.size();
+  std::string name, blob;
+  bool swapped = false;
+  while (cur != end) {
+    ASSERT_TRUE(binio::ReadString(&cur, end, &name));
+    ASSERT_TRUE(binio::ReadString(&cur, end, &blob));
+    if (name == "async_pathfind") {
+      blob = corrupt;
+      swapped = true;
+    }
+    binio::AppendString(&section, name);
+    binio::AppendString(&section, blob);
+  }
+  ASSERT_TRUE(swapped);
+  cp.components = section;
+  // The rejected blob drops the cache; the restore and later ticks succeed.
+  ASSERT_TRUE((*engine)->Restore(cp).ok());
+  ASSERT_TRUE((*engine)->RunTicks(4).ok());
+
+  AsyncPathfindComponent* pathfinder = nullptr;
+  ComponentRegistry& registry = (*engine)->executor().components();
+  for (int i = 0; i < registry.num_components(); ++i) {
+    if (registry.component(i)->name() == "async_pathfind") {
+      pathfinder = static_cast<AsyncPathfindComponent*>(registry.component(i));
+    }
+  }
+  ASSERT_NE(pathfinder, nullptr);
+  EXPECT_EQ(pathfinder->LoadState(corrupt.data(), corrupt.size()).code(),
+            StatusCode::kInvalidArgument);
+  // 16x16 cells give 65280 (start, goal) keys: 2^17 slots is the most the
+  // cache can grow to, so it loads and 2^18 does not.
+  const std::string largest = PathCacheHeader(uint64_t{1} << 17);
+  EXPECT_TRUE(pathfinder->LoadState(largest.data(), largest.size()).ok());
+  const std::string beyond = PathCacheHeader(uint64_t{1} << 18);
+  EXPECT_EQ(pathfinder->LoadState(beyond.data(), beyond.size()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Compiler tests: plan shapes (predicate extraction into range/hash/residual
-// pieces, §2.1), the access-rule SemanticErrors, implicit-field injection
-// (§3.1–3.2), and affinity mining.
+// pieces, §2.1), the access-rule SemanticErrors and implicit-field
+// injection (§3.1–3.2).
 
 #include <gtest/gtest.h>
 
@@ -215,24 +215,6 @@ script March for Unit {
     if (r.state_field == s.pc_state) found_pc_rule = true;
   }
   EXPECT_TRUE(found_pc_rule);
-}
-
-TEST(Compiler, AffinityCountsCoOccurrence) {
-  auto p = C(std::string(kBase) + R"sgl(
-script S for Unit {
-  if (x + y > 10) { vx <- 1; }
-}
-)sgl");
-  ASSERT_TRUE(p.ok()) << p.status();
-  ClassId cls = (*p)->catalog->Find("Unit");
-  const AffinityMatrix& m = (*p)->affinity[static_cast<size_t>(cls)];
-  const ClassDef& def = (*p)->catalog->Get(cls);
-  FieldIdx x = def.FindState("x");
-  FieldIdx y = def.FindState("y");
-  FieldIdx health = def.FindState("health");
-  EXPECT_GT(m.counts[static_cast<size_t>(x)][static_cast<size_t>(y)], 0);
-  EXPECT_EQ(0,
-            m.counts[static_cast<size_t>(x)][static_cast<size_t>(health)]);
 }
 
 // --- Access-rule errors ------------------------------------------------------

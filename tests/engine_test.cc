@@ -141,14 +141,11 @@ TEST(Engine, OptionsArePluumbedThrough) {
   EngineOptions options;
   options.exec.num_threads = 2;
   options.exec.planner.mode = PlanMode::kAdaptive;
-  options.layout = LayoutStrategy::kPerField;
   auto engine = Engine::Create(kMinimal, options);
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ(2, (*engine)->executor().options().num_threads);
   EXPECT_EQ(PlanMode::kAdaptive,
             (*engine)->executor().controller().mode());
-  ClassId cls = (*engine)->catalog().Find("A");
-  EXPECT_EQ(1u, (*engine)->world().table(cls).grouping().groups.size());
   ASSERT_TRUE((*engine)->RunTicks(2).ok());
 }
 

@@ -1,8 +1,8 @@
 // The load-bearing property tests of the whole reproduction: the compiled
 // set-at-a-time engine, the object-at-a-time interpreter, every join
-// strategy, every storage layout, and every thread count must produce the
-// same simulation. (§2's claim is that declarative processing changes the
-// *performance*, never the *meaning*, of a script.)
+// strategy, and every thread count must produce the same simulation.
+// (§2's claim is that declarative processing changes the *performance*,
+// never the *meaning*, of a script.)
 
 #include <gtest/gtest.h>
 
@@ -102,28 +102,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// --- Storage layouts agree -------------------------------------------------
-
-class LayoutEquivalence : public ::testing::TestWithParam<LayoutStrategy> {};
-
-TEST_P(LayoutEquivalence, RtsChecksumIndependentOfLayout) {
-  EngineOptions unified = WithMode(PlanMode::kCostBased);
-  EngineOptions layout = WithMode(PlanMode::kCostBased);
-  layout.layout = GetParam();
-  EXPECT_EQ(RunRts(unified, 10, 256, false), RunRts(layout, 10, 256, false));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllLayouts, LayoutEquivalence,
-                         ::testing::Values(LayoutStrategy::kPerField,
-                                           LayoutStrategy::kAffinity),
-                         [](const auto& info) {
-                           return std::string(
-                               LayoutStrategyName(info.param)) ==
-                                          "per-field"
-                                      ? "per_field"
-                                      : "affinity";
-                         });
 
 // --- Parallel == serial -----------------------------------------------------
 

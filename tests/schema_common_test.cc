@@ -1,16 +1,13 @@
 // Foundations: Status/StatusOr, Value/EntitySet, Rng determinism, thread
-// pool, SGL types, combinators, class definitions, catalog resolution, and
-// layout-strategy grouping.
+// pool, SGL types, combinators, class definitions and catalog resolution.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/schema/catalog.h"
-#include "src/schema/layout.h"
 
 namespace sgl {
 namespace {
@@ -237,65 +234,6 @@ TEST(Catalog, DanglingRefFailsFinalize) {
   ASSERT_TRUE(a.AddState("other", SglType::Ref("Missing")).ok());
   ASSERT_TRUE(catalog.Register(std::move(a)).ok());
   EXPECT_EQ(StatusCode::kNotFound, catalog.Finalize().code());
-}
-
-// --- Layout --------------------------------------------------------------
-
-ClassDef NumericClass(int fields) {
-  ClassDef def("N");
-  for (int i = 0; i < fields; ++i) {
-    EXPECT_TRUE(def.AddState("f" + std::to_string(i),
-                             SglType::Number()).ok());
-  }
-  return def;
-}
-
-TEST(Layout, UnifiedPutsAllInOneGroup) {
-  ClassDef def = NumericClass(6);
-  ColumnGrouping g = ComputeGrouping(def, LayoutStrategy::kUnified);
-  ASSERT_EQ(1u, g.groups.size());
-  EXPECT_EQ(6u, g.groups[0].size());
-}
-
-TEST(Layout, PerFieldMakesSingletons) {
-  ClassDef def = NumericClass(6);
-  ColumnGrouping g = ComputeGrouping(def, LayoutStrategy::kPerField);
-  EXPECT_EQ(6u, g.groups.size());
-}
-
-TEST(Layout, AffinityGroupsCoAccessedFields) {
-  ClassDef def = NumericClass(4);
-  AffinityMatrix m;
-  m.counts.assign(4, std::vector<double>(4, 0));
-  // f0 and f1 co-occur heavily; f2, f3 never with anything.
-  m.counts[0][1] = m.counts[1][0] = 10;
-  ColumnGrouping g = ComputeGrouping(def, LayoutStrategy::kAffinity, &m);
-  // Expect {f0,f1} together and f2, f3 alone.
-  ASSERT_EQ(3u, g.groups.size());
-  bool found_pair = false;
-  for (const auto& group : g.groups) {
-    if (group.size() == 2) {
-      EXPECT_EQ(0, group[0]);
-      EXPECT_EQ(1, group[1]);
-      found_pair = true;
-    }
-  }
-  EXPECT_TRUE(found_pair);
-}
-
-TEST(Layout, EveryNumericFieldCoveredOnce) {
-  ClassDef def = NumericClass(9);
-  AffinityMatrix m;
-  m.counts.assign(9, std::vector<double>(9, 1));  // everything related
-  ColumnGrouping g =
-      ComputeGrouping(def, LayoutStrategy::kAffinity, &m, /*max=*/4);
-  std::vector<int> seen(9, 0);
-  for (const auto& group : g.groups) {
-    EXPECT_LE(group.size(), 4u);
-    for (FieldIdx f : group) seen[static_cast<size_t>(f)]++;
-  }
-  EXPECT_EQ(9, std::accumulate(seen.begin(), seen.end(), 0));
-  for (int s : seen) EXPECT_EQ(1, s);
 }
 
 }  // namespace

@@ -69,7 +69,6 @@ TEST(EntityTable, SwapRemoveKeepsDirectoryConsistent) {
 TEST(EntityTable, GroupedLayoutRoundTripsValues) {
   Catalog catalog = MakeCatalog();
   World world(&catalog);
-  ASSERT_TRUE(world.SetLayout(0, LayoutStrategy::kPerField).ok());
   Rng rng(1);
   std::vector<EntityId> ids;
   std::vector<double> expected;
@@ -94,7 +93,7 @@ TEST(EntityTable, StridedColumnViewsSeeSameData) {
   const ClassDef& def = catalog.Get(0);
   NumberColumn x = table.Num(def.FindState("x"));
   NumberColumn y = table.Num(def.FindState("y"));
-  // Unified layout: same group, different offsets.
+  // One interleaved block: same base, different offsets.
   x.at(0) = 42;
   y.at(0) = 43;
   EXPECT_DOUBLE_EQ(42, world.Get(world.table(0).id_at(0), "x")->AsNumber());
