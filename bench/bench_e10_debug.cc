@@ -1,8 +1,8 @@
 // E10 — debugging overhead (§3.3).
 //
-// Series: ms/tick for the 4k-unit RTS battle with each debug facility
-// enabled — none / effect tracer (one watched NPC) / per-tick checksum
-// replay log / per-tick full checkpoint. Expected shape: tracer ≈ baseline
+// Series: ms/tick for the 4k-unit RTS battle, under the default planner,
+// with each debug facility enabled — none / effect tracer (one watched
+// NPC) / per-tick checksum replay log / per-tick full checkpoint. Expected shape: tracer ≈ baseline
 // (pay-as-you-go pointer check), checksum a small linear add-on, full
 // checkpointing the most expensive (state-size-proportional copy) — which
 // is why the replay log only snapshots periodically. The telemetry (PR 9)
@@ -26,7 +26,7 @@ namespace {
 constexpr int kUnits = 4096;
 
 void BM_DebugOff(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kCostBased);
   sgl_bench::Warmup(engine.get());
   for (auto _ : state) {
     if (!engine->Tick().ok()) state.SkipWithError("tick failed");
@@ -34,7 +34,7 @@ void BM_DebugOff(benchmark::State& state) {
 }
 
 void BM_TracerOneEntity(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kCostBased);
   sgl::EffectTracer tracer;
   tracer.Watch(engine->world().table(0).id_at(0));
   engine->SetTracer(&tracer);
@@ -46,7 +46,7 @@ void BM_TracerOneEntity(benchmark::State& state) {
 }
 
 void BM_ReplayChecksum(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kCostBased);
   sgl::ReplayLog log;
   sgl_bench::Warmup(engine.get());
   sgl::Tick t = 0;
@@ -57,7 +57,7 @@ void BM_ReplayChecksum(benchmark::State& state) {
 }
 
 void BM_CheckpointEveryTick(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kCostBased);
   sgl_bench::Warmup(engine.get());
   size_t bytes = 0;
   for (auto _ : state) {
@@ -70,7 +70,7 @@ void BM_CheckpointEveryTick(benchmark::State& state) {
 }
 
 void BM_CheckpointRestoreRoundTrip(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(kUnits, sgl::PlanMode::kCostBased);
   sgl_bench::Warmup(engine.get());
   sgl::Checkpoint cp = engine->TakeCheckpoint();
   for (auto _ : state) {
@@ -84,7 +84,7 @@ void BM_CheckpointRestoreRoundTrip(benchmark::State& state) {
 // The restore round trip above never touches a file; this is the container
 // reader's cost.
 void BM_CheckpointFileLoad(benchmark::State& state) {
-  auto engine = sgl_bench::BuildRts(16384, sgl::PlanMode::kStaticRangeTree);
+  auto engine = sgl_bench::BuildRts(16384, sgl::PlanMode::kCostBased);
   sgl_bench::Warmup(engine.get());
   const std::string path =
       (std::filesystem::temp_directory_path() / "sgl_bench_ckpt_load.sgl")
@@ -120,7 +120,6 @@ std::unique_ptr<sgl::Engine> BuildTelemetryRts(int units,
   sgl::RtsConfig config;
   config.num_units = units;
   sgl::EngineOptions options;
-  options.exec.planner.mode = sgl::PlanMode::kStaticRangeTree;
   options.exec.telemetry = tel;
   auto engine = sgl::RtsWorkload::Build(config, options);
   if (!engine.ok()) {
@@ -187,7 +186,6 @@ void BM_FlightRecorderDisarmed(benchmark::State& state) {
   sgl::RtsConfig config;
   config.num_units = kTelemetryUnits;
   sgl::EngineOptions options;
-  options.exec.planner.mode = sgl::PlanMode::kStaticRangeTree;
   options.exec.recorder = &rec;
   auto engine = sgl::RtsWorkload::Build(config, options);
   if (!engine.ok()) std::abort();
@@ -204,7 +202,6 @@ void BM_FlightRecorderArmed(benchmark::State& state) {
   sgl::RtsConfig config;
   config.num_units = kTelemetryUnits;
   sgl::EngineOptions options;
-  options.exec.planner.mode = sgl::PlanMode::kStaticRangeTree;
   options.exec.recorder = &rec;
   auto engine = sgl::RtsWorkload::Build(config, options);
   if (!engine.ok()) std::abort();

@@ -7,10 +7,10 @@
 //                   what a traditional scripting engine does
 //   compiled-nl     set-at-a-time, but nested-loop joins (vectorization
 //                   alone, no indexing)
-//   compiled-tree   set-at-a-time + range-tree index joins (full SGL)
+//   compiled-grid   set-at-a-time + grid index joins (full SGL)
 //
-// Expected shape: interpreted and compiled-nl grow ~O(n^2); compiled-tree
-// ~O(n log n). The compiled/interpreted gap widens with n.
+// Expected shape: interpreted and compiled-nl grow ~O(n^2); compiled-grid
+// near-linear on spread units. The compiled/interpreted gap widens with n.
 
 #include <algorithm>
 
@@ -34,16 +34,6 @@ void BM_Interpreted(benchmark::State& state) {
 void BM_CompiledNl(benchmark::State& state) {
   auto engine =
       BuildRts(static_cast<int>(state.range(0)), sgl::PlanMode::kStaticNL);
-  Warmup(engine.get());
-  for (auto _ : state) {
-    if (!engine->Tick().ok()) state.SkipWithError("tick failed");
-  }
-  state.counters["units"] = static_cast<double>(state.range(0));
-}
-
-void BM_CompiledTree(benchmark::State& state) {
-  auto engine = BuildRts(static_cast<int>(state.range(0)),
-                         sgl::PlanMode::kStaticRangeTree);
   Warmup(engine.get());
   for (auto _ : state) {
     if (!engine->Tick().ok()) state.SkipWithError("tick failed");
@@ -80,15 +70,6 @@ BENCHMARK(BM_CompiledNl)
     ->Arg(1024)
     ->Arg(2048)
     ->Arg(4096)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_CompiledTree)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Arg(4096)
-    ->Arg(8192)
-    ->Arg(16384)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(BM_CompiledGrid)

@@ -1,9 +1,8 @@
 // E2 — Figure 2's accum-loop as a relational plan (§2.1): join-strategy
 // sweep for the range-count query.
 //
-// ms/tick at n units for NL / grid / range-tree joins on the literal
-// Figure-2 query. Expected: NL quadratic; grid ≈ tree, both near-linear;
-// tree ahead when boxes are small relative to world size.
+// ms/tick at n units for NL / grid joins on the literal Figure-2 query.
+// Expected: NL quadratic; grid near-linear.
 
 #include "bench/bench_util.h"
 
@@ -67,9 +66,6 @@ void BM_JoinNl(benchmark::State& state) {
 void BM_JoinGrid(benchmark::State& state) {
   RunStrategy(state, sgl::PlanMode::kStaticGrid);
 }
-void BM_JoinTree(benchmark::State& state) {
-  RunStrategy(state, sgl::PlanMode::kStaticRangeTree);
-}
 
 BENCHMARK(BM_JoinNl)
     ->Arg(512)
@@ -78,13 +74,6 @@ BENCHMARK(BM_JoinNl)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(BM_JoinGrid)
-    ->Arg(512)
-    ->Arg(2048)
-    ->Arg(8192)
-    ->Arg(32768)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_JoinTree)
     ->Arg(512)
     ->Arg(2048)
     ->Arg(8192)

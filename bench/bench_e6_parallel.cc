@@ -15,7 +15,7 @@ namespace {
 
 void BM_ParallelTick(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  auto engine = sgl_bench::BuildRts(16384, sgl::PlanMode::kStaticRangeTree,
+  auto engine = sgl_bench::BuildRts(16384, sgl::PlanMode::kStaticGrid,
                                     /*interpreted=*/false, threads,
                                     /*clustered=*/false);
   sgl_bench::WarmupSteadyState(engine.get());
@@ -49,7 +49,7 @@ BENCHMARK(BM_ParallelTick)
 // output stresses the sharded effect merge.
 void BM_ParallelTickClustered(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  auto engine = sgl_bench::BuildRts(8192, sgl::PlanMode::kStaticRangeTree,
+  auto engine = sgl_bench::BuildRts(8192, sgl::PlanMode::kStaticGrid,
                                     false, threads, /*clustered=*/true);
   sgl_bench::Warmup(engine.get());
   for (auto _ : state) {

@@ -1,25 +1,20 @@
-// E7 — range-tree space: the paper's Θ(n·log^(d−1) n) analysis (§4.2).
+// E7 — range-index space and cost (§4.2).
 //
 // "Each of these trees takes Θ(n·log^(d−1) n) space ... a tree with 100,000
-// entries of 16 bytes each takes about 2 GB to store. As the dimensionality
-// and number of characters increase, this will quickly exhaust the main
-// memory of a single machine."
+// entries of 16 bytes each takes about 2 GB to store." The engine's one
+// range index is the uniform grid, whose memory is linear in n; the range
+// tree's measured table is kept in src/index/README.md.
 //
-// Output 1 (table): measured bytes vs. the formula for n × d, plus
-// bytes/entry — the series that motivates index partitioning.
-// Output 2 (benchmarks): cold build, steady-state rebuild (the per-tick
-// cost, with allocs_per_build asserting the flat layouts' zero-allocation
-// rebuild), single-box query time, and batched probes (QueryBatch) for
-// tree vs. grid.
+// Benchmarks: cold build (with bytes_per_entry, flat in n), steady-state
+// rebuild (the per-tick cost; allocs_per_build asserts the zero-allocation
+// rebuild), single-box query time, and batched probes (QueryBatch).
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 
 #include "bench/bench_util.h"
 #include "src/common/alloc_hook.h"
 #include "src/index/grid_index.h"
-#include "src/index/range_tree.h"
 
 namespace {
 
@@ -34,39 +29,6 @@ std::vector<std::vector<double>> RandomPoints(size_t n, int d,
   return coords;
 }
 
-void PrintMemoryTables() {
-  std::printf(
-      "\n== E7a: range-tree memory vs n, d "
-      "(paper: Theta(n log^(d-1) n)) ==\n");
-  std::printf("%10s %4s %16s %16s %12s\n", "n", "d", "measured_bytes",
-              "formula_bytes", "bytes/entry");
-  for (int d : {1, 2, 3}) {
-    for (size_t n : {size_t{1024}, size_t{8192}, size_t{32768},
-                     size_t{131072}}) {
-      if (d == 3 && n > 32768) continue;  // keep the harness fast
-      sgl::RangeTree tree(d);
-      tree.Build(RandomPoints(n, d, 7 * n + static_cast<size_t>(d)));
-      size_t measured = tree.MemoryBytes();
-      size_t formula = sgl::RangeTree::TheoreticalBytes(n, d, 16);
-      std::printf("%10zu %4d %16zu %16zu %12.1f\n", n, d, measured, formula,
-                  static_cast<double>(measured) / static_cast<double>(n));
-    }
-  }
-  std::printf("\n");
-}
-
-void BM_TreeBuild(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  auto coords = RandomPoints(n, d, 5);
-  for (auto _ : state) {
-    sgl::RangeTree tree(d);
-    auto copy = coords;
-    tree.Build(std::move(copy));
-    benchmark::DoNotOptimize(tree.MemoryBytes());
-  }
-}
-
 void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int d = static_cast<int>(state.range(1));
@@ -77,18 +39,21 @@ void BM_GridBuild(benchmark::State& state) {
     grid.Build(std::move(copy));
     benchmark::DoNotOptimize(grid.MemoryBytes());
   }
+  sgl::GridIndex grid(d);
+  grid.Build(coords);
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(grid.MemoryBytes()) / static_cast<double>(n);
 }
 
 // Steady-state rebuild: one persistent index cycling its column buffer
 // through the move-in Build, exactly the per-tick path IndexManager drives.
-// allocs_per_build measures heap traffic per rebuild (0 for the flat
-// layouts once past high water).
-template <typename Index>
-void RebuildLoop(benchmark::State& state) {
+// allocs_per_build measures heap traffic per rebuild (0 once past high
+// water).
+void BM_GridRebuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int d = static_cast<int>(state.range(1));
   const auto coords = RandomPoints(n, d, 5);
-  Index index(d);
+  sgl::GridIndex index(d);
   auto buf = coords;
   for (int warm = 0; warm < 3; ++warm) {
     for (int k = 0; k < d; ++k) {
@@ -110,34 +75,6 @@ void RebuildLoop(benchmark::State& state) {
   state.counters["allocs_per_build"] =
       static_cast<double>(after.count - before.count) /
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
-}
-
-void BM_TreeRebuild(benchmark::State& state) {
-  RebuildLoop<sgl::RangeTree>(state);
-}
-
-void BM_GridRebuild(benchmark::State& state) {
-  RebuildLoop<sgl::GridIndex>(state);
-}
-
-void BM_TreeQuery(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  sgl::RangeTree tree(d);
-  tree.Build(RandomPoints(n, d, 5));
-  sgl::Rng rng(6);
-  std::vector<sgl::RowIdx> out;
-  for (auto _ : state) {
-    std::vector<double> lo(static_cast<size_t>(d)), hi(static_cast<size_t>(d));
-    for (int k = 0; k < d; ++k) {
-      double c = rng.Uniform(0, 1000);
-      lo[static_cast<size_t>(k)] = c - 20;
-      hi[static_cast<size_t>(k)] = c + 20;
-    }
-    out.clear();
-    tree.Query(lo.data(), hi.data(), &out);
-    benchmark::DoNotOptimize(out.size());
-  }
 }
 
 void BM_GridQuery(benchmark::State& state) {
@@ -167,12 +104,11 @@ void BM_GridQuery(benchmark::State& state) {
 // spans at most 32 bitmap words, so EmitAscending takes the bitmap scan.
 // {65536, 2048, 2} is sparse-wide: a couple of rows scattered over ~1000
 // words, so each slice takes the std::sort fallback.
-template <typename Index>
-void QueryBatchLoop(benchmark::State& state) {
+void BM_GridQueryBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t probes = static_cast<size_t>(state.range(1));
   const double per_probe = static_cast<double>(state.range(2));
-  Index index(2);
+  sgl::GridIndex index(2);
   index.Build(RandomPoints(n, 2, 5));
   const double half =
       0.5 * std::sqrt(per_probe * 1e6 / static_cast<double>(n));
@@ -199,27 +135,7 @@ void QueryBatchLoop(benchmark::State& state) {
       static_cast<double>(batch.items.size()) / static_cast<double>(probes);
 }
 
-void BM_TreeQueryBatch(benchmark::State& state) {
-  QueryBatchLoop<sgl::RangeTree>(state);
-}
-
-void BM_GridQueryBatch(benchmark::State& state) {
-  QueryBatchLoop<sgl::GridIndex>(state);
-}
-
-BENCHMARK(BM_TreeBuild)
-    ->Args({16384, 2})
-    ->Args({65536, 2})
-    ->Args({16384, 3})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
 BENCHMARK(BM_GridBuild)
-    ->Args({16384, 2})
-    ->Args({65536, 2})
-    ->Args({16384, 3})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_TreeRebuild)
     ->Args({16384, 2})
     ->Args({65536, 2})
     ->Args({16384, 3})
@@ -231,19 +147,9 @@ BENCHMARK(BM_GridRebuild)
     ->Args({16384, 3})
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
-BENCHMARK(BM_TreeQuery)
-    ->Args({65536, 2})
-    ->Args({16384, 3})
-    ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.05);
 BENCHMARK(BM_GridQuery)
     ->Args({65536, 2})
     ->Args({16384, 3})
-    ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_TreeQueryBatch)
-    ->Args({2048, 2048, 100})
-    ->Args({65536, 2048, 2})
     ->Unit(benchmark::kMicrosecond)
     ->MinTime(0.05);
 BENCHMARK(BM_GridQueryBatch)
@@ -254,10 +160,4 @@ BENCHMARK(BM_GridQueryBatch)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  PrintMemoryTables();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -4,11 +4,12 @@
 # the performance trajectory (tick times, phase breakdown, allocs/tick).
 #
 #   E1  set-at-a-time vs object-at-a-time (tick ms + allocs_per_tick on the
-#       zero-allocation grid and range-tree paths)
+#       zero-allocation grid path)
 #   E3  transaction throughput / abort behaviour under contention, plus
 #       admission-engine scaling (allocs_per_tick on the flat write path)
 #   E6  multicore scaling (phase breakdown + allocs_per_tick)
-#   E7  index build / steady-state rebuild cost (allocs_per_build) / memory
+#   E7  grid index build / steady-state rebuild cost (allocs_per_build) /
+#       memory (bytes_per_entry)
 #   E8  traffic scaling under the cost-based planner (vehicle_ticks/s +
 #       allocs_per_tick)
 #   E11 sharded world partitioning (tick latency + phase breakdown +
@@ -61,7 +62,7 @@ tmp, out = sys.argv[1], sys.argv[2]
 keep = ("name", "real_time", "cpu_time", "time_unit", "iterations",
         "allocs_per_tick", "allocs_per_build", "units", "threads",
         "query_ms", "merge_ms", "update_ms", "hw_cores", "bytes",
-        "formula_bytes", "issued/tick", "committed/tick", "abort_rate",
+        "bytes_per_entry", "issued/tick", "committed/tick", "abort_rate",
         "consistent", "txns/s", "vehicle_ticks/s", "mean_speed",
         "shards", "cross_records", "moved_per_batch", "rows_per_batch",
         "workers", "jobs_submitted", "jobs_installed", "jobs_in_flight",

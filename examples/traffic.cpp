@@ -1,9 +1,10 @@
 // Traffic simulation: the §4.2 "simulate traffic networks with millions of
 // vehicles" motivation, scaled to one machine. Car-following scripts whose
-// neighbour search is a 1-D range join with a lane equality key — the
-// cost-based optimizer gets to choose among range tree, grid, and hash.
+// neighbour search is a range join on position plus a lane equality; the
+// compiler makes the lane a degenerate range dim, and the cost-based
+// optimizer chooses between the grid and a nested loop.
 //
-// Run: ./build/examples/traffic [vehicles] [ticks]
+// Run: ./build/example_traffic [vehicles] [ticks]
 
 #include <cstdio>
 #include <cstdlib>

@@ -1,7 +1,6 @@
 #include "src/exec/op_exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "src/common/stopwatch.h"
@@ -261,13 +260,14 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
 
 // --- Accum fold --------------------------------------------------------
 
-// Running ⊕ accumulator for one outer row's accum variable.
+// Running ⊕ accumulator for one outer row's accum variable. The compiler
+// admits only order-insensitive combinators over numbers and bools here:
+// first/last are rejected, and refs allow nothing else.
 struct Fold {
   double num = 0;
   double sum = 0;
   uint64_t cnt = 0;
   bool b = false;
-  EntityId ref = kNullEntity;
 
   void Reset() { *this = Fold(); }
 
@@ -283,15 +283,7 @@ struct Fold {
       case Combinator::kMax:
         num = cnt == 0 ? v : std::max(num, v);
         break;
-      case Combinator::kCount:
-        break;
-      case Combinator::kFirst:
-        if (cnt == 0) num = v;
-        break;
-      case Combinator::kLast:
-        num = v;
-        break;
-      default:
+      default:  // kCount
         break;
     }
     ++cnt;
@@ -304,22 +296,8 @@ struct Fold {
       case Combinator::kAnd:
         b = cnt == 0 ? v : (b && v);
         break;
-      case Combinator::kFirst:
-        if (cnt == 0) b = v;
-        break;
-      case Combinator::kLast:
-        b = v;
-        break;
       default:
         break;
-    }
-    ++cnt;
-  }
-  void AddRef(Combinator comb, EntityId v) {
-    if (comb == Combinator::kFirst) {
-      if (cnt == 0) ref = v;
-    } else {  // kLast
-      ref = v;
     }
     ++cnt;
   }
@@ -344,10 +322,8 @@ void FlushFold(const AccumOp& op, const Fold& fold, RowIdx row,
   const size_t slot = static_cast<size_t>(op.accum_slot);
   if (op.accum_type.is_number()) {
     locals->num[slot][row] = fold.FinalNum(op.accum_comb);
-  } else if (op.accum_type.is_bool()) {
-    locals->bools[slot][row] = fold.cnt > 0 && fold.b ? 1 : 0;
   } else {
-    locals->refs[slot][row] = fold.cnt == 0 ? kNullEntity : fold.ref;
+    locals->bools[slot][row] = fold.cnt > 0 && fold.b ? 1 : 0;
   }
 }
 
@@ -356,10 +332,8 @@ void PrefillSlot(const AccumOp& op, const std::vector<RowIdx>& rows,
   const size_t slot = static_cast<size_t>(op.accum_slot);
   if (op.accum_type.is_number()) {
     for (RowIdx r : rows) locals->num[slot][r] = 0.0;
-  } else if (op.accum_type.is_bool()) {
-    for (RowIdx r : rows) locals->bools[slot][r] = 0;
   } else {
-    for (RowIdx r : rows) locals->refs[slot][r] = kNullEntity;
+    for (RowIdx r : rows) locals->bools[slot][r] = 0;
   }
 }
 
@@ -407,11 +381,9 @@ class PooledNumCols {
 };
 
 // Enumerates the candidate inner rows for one outer row of a set-domain or
-// hash site (nested-loop sites stream the inner extent in chunks, range
+// hash site (nested-loop sites stream the inner extent in chunks, grid
 // sites consume the morsel's batched probe). Candidates are ascending.
-void Candidates(const AccumOp& op, const PreparedSite& site,
-                const ExecEnv& env, RowIdx outer_row,
-                const std::vector<double>& hash_keys,
+void Candidates(const AccumOp& op, const ExecEnv& env, RowIdx outer_row,
                 const std::vector<EntityId>& id_keys, size_t outer_pos,
                 std::vector<RowIdx>* out) {
   out->clear();
@@ -429,16 +401,10 @@ void Candidates(const AccumOp& op, const PreparedSite& site,
     return;
   }
 
-  SGL_DCHECK(site.strategy == JoinStrategy::kHash);
-  if (site.hash_field == kInvalidField) {
-    // Entity-id key: a directory lookup.
-    const World::Locator* loc = env.world->Find(id_keys[outer_pos]);
-    if (loc != nullptr && loc->cls == op.inner_cls) {
-      out->push_back(loc->row);
-    }
-  } else {
-    // Flat hash emits rows ascending already.
-    site.hash->Lookup(hash_keys[outer_pos], out);
+  // Hash site: the entity-id key is a directory lookup.
+  const World::Locator* loc = env.world->Find(id_keys[outer_pos]);
+  if (loc != nullptr && loc->cls == op.inner_cls) {
+    out->push_back(loc->row);
   }
 }
 
@@ -469,15 +435,14 @@ void RunAccumVectorized(const AccumOp& op,
   if (S->empty()) return;
 
   // Precompute per-outer bounds / keys. Bound columns exist only for the
-  // indexed range strategies (other strategies never read them, and must
-  // not be constrained by the kMaxIndexDims stack-array limit).
+  // grid strategy (other strategies never read them, and must not be
+  // constrained by the kMaxIndexDims stack-array limit).
   PairRows s_rows{S, nullptr};
   VecContext s_ctx = MakeCtx(env, nullptr, s_rows);
-  // Range-indexed sites answer all of this morsel's boxes with one
-  // QueryBatch call (contract: probe_batch.h). Set-domain sites always run
-  // nested-loop, so a range strategy implies a plain inner extent.
-  const bool range_indexed = site.strategy == JoinStrategy::kRangeTree ||
-                             site.strategy == JoinStrategy::kGrid;
+  // Grid sites answer all of this morsel's boxes with one QueryBatch call
+  // (contract: probe_batch.h). Set-domain sites always run nested-loop, so
+  // the grid strategy implies a plain inner extent.
+  const bool range_indexed = site.strategy == JoinStrategy::kGrid;
   SGL_DCHECK(!range_indexed || (site.index != nullptr &&
                                 op.inner_set_field == kInvalidField));
   PooledNumCols lo_cols(sc, range_indexed ? op.range_dims.size() : 0);
@@ -502,17 +467,12 @@ void RunAccumVectorized(const AccumOp& op,
       }
     }
   }
-  ScopedVec<double> hash_keys(sc);
   ScopedVec<EntityId> id_keys(sc);
   if (site.strategy == JoinStrategy::kHash) {
-    if (site.hash_field == kInvalidField) {
-      VmRef(*op.hash_dims[0].key, s_ctx, env, id_keys.get());
-    } else {
-      VmNum(*op.hash_dims[0].key, s_ctx, env, hash_keys.get());
-    }
+    VmRef(*op.hash_dims[0].key, s_ctx, env, id_keys.get());
   }
 
-  // One devirtualized batch probe for the whole morsel.
+  // One batch probe for the whole morsel.
   int64_t probe_micros = 0;
   if (range_indexed) {
     const double* blo[kMaxIndexDims];
@@ -598,7 +558,7 @@ void RunAccumVectorized(const AccumOp& op,
       candidates += static_cast<int64_t>(chunk_inner->size());
       filter_chunk(o);
     } else {
-      Candidates(op, site, env, o, *hash_keys, *id_keys, pos, cand.get());
+      Candidates(op, env, o, *id_keys, pos, cand.get());
       chunk_inner->clear();
       chunk_inner->reserve(cand->size());
       for (RowIdx j : *cand) {
@@ -622,7 +582,6 @@ void RunAccumVectorized(const AccumOp& op,
     }
     PoolLease<uint8_t> bool_lease(&sc->bools);
     PoolLease<double> num_lease(&sc->num);
-    PoolLease<EntityId> ref_lease(&sc->refs);
     for (size_t a = 0; a < op.accum_assigns.size(); ++a) {
       const AccumAssign& assign = op.accum_assigns[a];
       evaled[a] = ExecScratch::AssignBufs();
@@ -635,12 +594,9 @@ void RunAccumVectorized(const AccumOp& op,
       if (op.accum_type.is_number()) {
         evaled[a].nums = num_lease.Acquire();
         VmNum(*assign.value, pctx, env, evaled[a].nums);
-      } else if (op.accum_type.is_bool()) {
+      } else {
         evaled[a].bools = bool_lease.Acquire();
         VmBool(*assign.value, pctx, env, evaled[a].bools);
-      } else {
-        evaled[a].refs = ref_lease.Acquire();
-        VmRef(*assign.value, pctx, env, evaled[a].refs);
       }
     }
     Fold fold;
@@ -655,10 +611,8 @@ void RunAccumVectorized(const AccumOp& op,
         if (evaled[a].guard != nullptr && !(*evaled[a].guard)[p]) continue;
         if (op.accum_type.is_number()) {
           fold.AddNum(op.accum_comb, (*evaled[a].nums)[p]);
-        } else if (op.accum_type.is_bool()) {
-          fold.AddBool(op.accum_comb, (*evaled[a].bools)[p] != 0);
         } else {
-          fold.AddRef(op.accum_comb, (*evaled[a].refs)[p]);
+          fold.AddBool(op.accum_comb, (*evaled[a].bools)[p] != 0);
         }
       }
     }
@@ -749,49 +703,6 @@ void RunTxnEmitVectorized(const TxnEmitOp& op,
 
 }  // namespace
 
-// --- Flat hash -----------------------------------------------------------
-
-namespace {
-
-// Total order over (key, row) pairs that is a strict weak ordering even for
-// NaN keys (std::sort on raw double operator< would be UB): NaN sorts after
-// every number, tied NaNs by row.
-struct FlatHashLess {
-  bool operator()(const std::pair<double, RowIdx>& a,
-                  const std::pair<double, RowIdx>& b) const {
-    const bool a_nan = std::isnan(a.first);
-    const bool b_nan = std::isnan(b.first);
-    if (a_nan || b_nan) {
-      if (a_nan != b_nan) return b_nan;  // numbers before NaNs
-      return a.second < b.second;
-    }
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  }
-};
-
-}  // namespace
-
-void FlatNumHash::Build(ConstNumberColumn col, size_t n) {
-  entries_.clear();
-  entries_.reserve(n);
-  for (size_t j = 0; j < n; ++j) {
-    entries_.emplace_back(col[j], static_cast<RowIdx>(j));
-  }
-  std::sort(entries_.begin(), entries_.end(), FlatHashLess());
-}
-
-void FlatNumHash::Lookup(double key, std::vector<RowIdx>* out) const {
-  // NaN never equals anything — same semantics as the hash probe it
-  // replaced.
-  if (std::isnan(key)) return;
-  auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                             std::make_pair(key, RowIdx{0}), FlatHashLess());
-  for (; it != entries_.end() && it->first == key; ++it) {
-    out->push_back(it->second);
-  }
-}
-
 // --- Site preparation ---------------------------------------------------
 
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
@@ -799,8 +710,6 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
                  PreparedSite* out) {
   out->strategy = strategy;
   out->index = nullptr;
-  out->hash = nullptr;
-  out->hash_field = kInvalidField;
 
   // Compose the pair filters from the op's predicate decomposition. The
   // compositions are pure functions of (op, strategy); they are cloned into
@@ -832,25 +741,14 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
   };
   auto hash_pred = [&](size_t skip_dim) -> ExprPtr {
     ExprPtr composed;
-    const ClassDef& inner_def = world.catalog().Get(op.inner_cls);
     for (size_t k = 0; k < op.hash_dims.size(); ++k) {
       if (k == skip_dim) continue;
-      const HashDim& d = op.hash_dims[k];
-      ExprPtr c;
-      if (d.inner_field == kInvalidField) {
-        auto cmp = std::make_unique<Expr>();
-        cmp->kind = ExprKind::kCmpRef;
-        cmp->type = SglType::Bool();
-        cmp->cmp = CmpOp::kEq;
-        cmp->kids.push_back(RowIdRead(1, op.inner_cls));
-        cmp->kids.push_back(d.key->Clone());
-        c = std::move(cmp);
-      } else {
-        const SglType& t = inner_def.state_field(d.inner_field).type;
-        c = CmpNum(CmpOp::kEq,
-                   StateRead(1, op.inner_cls, d.inner_field, t),
-                   d.key->Clone());
-      }
+      auto c = std::make_unique<Expr>();
+      c->kind = ExprKind::kCmpRef;
+      c->type = SglType::Bool();
+      c->cmp = CmpOp::kEq;
+      c->kids.push_back(RowIdRead(1, op.inner_cls));
+      c->kids.push_back(op.hash_dims[k].key->Clone());
       composed = composed == nullptr ? std::move(c)
                                      : AndB(std::move(composed),
                                             std::move(c));
@@ -891,7 +789,6 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
       case JoinStrategy::kNestedLoop:
         cache->post_index_filter = nullptr;
         break;
-      case JoinStrategy::kRangeTree:
       case JoinStrategy::kGrid:
         cache->post_index_filter =
             compose(hash_pred(static_cast<size_t>(-1)), residual());
@@ -909,33 +806,17 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
   out->post_filter_vm =
       cache->post_index_filter != nullptr ? &cache->post_filter_vm : nullptr;
 
-  switch (strategy) {
-    case JoinStrategy::kNestedLoop:
-      break;
-    case JoinStrategy::kRangeTree:
-    case JoinStrategy::kGrid: {
-      if (!cache->spec_built) {
-        cache->spec.cls = op.inner_cls;
-        for (const RangeDim& d : op.range_dims) {
-          cache->spec.fields.push_back(d.inner_field);
-        }
-        cache->spec_built = true;
+  // The hash strategy probes the entity directory, so only the grid needs
+  // a structure built.
+  if (strategy == JoinStrategy::kGrid) {
+    if (!cache->spec_built) {
+      cache->spec.cls = op.inner_cls;
+      for (const RangeDim& d : op.range_dims) {
+        cache->spec.fields.push_back(d.inner_field);
       }
-      cache->spec.kind = strategy == JoinStrategy::kRangeTree
-                             ? IndexKind::kRangeTree
-                             : IndexKind::kGrid;
-      out->index = indexes->GetOrBuild(world, cache->spec, tick);
-      break;
+      cache->spec_built = true;
     }
-    case JoinStrategy::kHash: {
-      out->hash_field = op.hash_dims[0].inner_field;
-      if (out->hash_field != kInvalidField) {
-        const EntityTable& inner = world.table(op.inner_cls);
-        cache->hash.Build(inner.Num(out->hash_field), inner.size());
-        out->hash = &cache->hash;
-      }
-      break;
-    }
+    out->index = indexes->GetOrBuild(world, cache->spec, tick);
   }
 }
 
@@ -1127,10 +1008,8 @@ void RunAccumScalarBatch(const AccumOp& op,
         }
         if (op.accum_type.is_number()) {
           fold.AddNum(op.accum_comb, EvalScalarNum(*assign.value, pctx));
-        } else if (op.accum_type.is_bool()) {
-          fold.AddBool(op.accum_comb, EvalScalarBool(*assign.value, pctx));
         } else {
-          fold.AddRef(op.accum_comb, EvalScalarRef(*assign.value, pctx));
+          fold.AddBool(op.accum_comb, EvalScalarBool(*assign.value, pctx));
         }
       }
       if (!op.pair_writes.empty()) pairs.emplace_back(row, j);

@@ -28,29 +28,12 @@ namespace sgl {
 class Telemetry;
 class VmProgramCache;
 
-/// Flat multimap from a numeric inner field to its rows: a sorted
-/// (key, row) array rebuilt per tick into the same buffer (no node
-/// allocation, unlike unordered_multimap). Lookups append rows ascending,
-/// matching the canonical candidate order.
-class FlatNumHash {
- public:
-  /// Rebuilds over `col[0..n)`, reusing the entry buffer's capacity.
-  void Build(ConstNumberColumn col, size_t n);
-  /// Appends every row whose key equals `key`, in ascending row order.
-  void Lookup(double key, std::vector<RowIdx>* out) const;
-
- private:
-  std::vector<std::pair<double, RowIdx>> entries_;  // sorted by (key, row)
-};
-
 /// Per-tick prepared access path for one AccumOp site. All pointers borrow
 /// from the executor-owned SiteCache / IndexManager; PreparedSite itself is
 /// a plain value refreshed in place each tick.
 struct PreparedSite {
   JoinStrategy strategy = JoinStrategy::kNestedLoop;
-  const SpatialIndex* index = nullptr;  ///< tree/grid strategies
-  const FlatNumHash* hash = nullptr;    ///< numeric-field hash strategy
-  FieldIdx hash_field = kInvalidField;  ///< kInvalidField = entity-id probe
+  const GridIndex* index = nullptr;  ///< grid strategy only
   /// Pair filters, composed from the op's predicate pieces:
   /// `nl_filter` re-checks everything (range + hash + residual + self);
   /// `post_index_filter` omits what the access path already guarantees.
@@ -63,16 +46,15 @@ struct PreparedSite {
 
 /// Executor-owned per-site cache backing PreparedSite across ticks: the
 /// composed filter expressions (rebuilt only when the strategy switches,
-/// not every tick), the index spec, and the reused hash-table buffer.
+/// not every tick) and the index spec.
 struct SiteCache {
   ExprPtr nl_filter;  ///< strategy-independent; composed once
   bool nl_built = false;
   ExprPtr post_index_filter;  ///< for `post_strategy`
   JoinStrategy post_strategy = JoinStrategy::kNestedLoop;
   bool post_built = false;
-  IndexSpec spec;  ///< tree/grid strategies; fields filled once
+  IndexSpec spec;  ///< grid strategy; fields filled once
   bool spec_built = false;
-  FlatNumHash hash;  ///< kHash strategy; rebuilt per tick in place
   /// Compiled twins of the composed filters, lowered whenever the Expr is
   /// (re)composed.
   VmProgram nl_filter_vm;
@@ -102,7 +84,7 @@ struct ExecScratch : EvalScratch {
 };
 
 /// Refreshes the prepared access path for `op` under `strategy`: builds or
-/// fetches the index / hash table and composes the residual filters and
+/// fetches the grid index and composes the residual filters and
 /// their bytecode twins (cached in `cache`; recomposed and recompiled only
 /// on a strategy switch).
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,

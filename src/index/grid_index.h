@@ -1,7 +1,7 @@
-// Uniform grid index: the game-industry workhorse alternative to range
-// trees. O(n) build via counting sort into cells (CSR layout), queries
-// enumerate overlapping cells and filter. Used by the optimizer as a
-// competing access path (E2) and by the physics broad-phase.
+// Uniform grid index: the engine's one range index (the game-industry
+// broad-phase workhorse). O(n) build via counting sort into cells (CSR
+// layout), O(n) memory; queries enumerate overlapping cells and filter.
+// Backs every range-indexed accum site (JoinStrategy::kGrid).
 //
 // Rebuilt every tick, so Build reuses all internal buffers (coords copy,
 // CSR offsets/items, counting-sort scratch) at their high-water capacity:

@@ -6,48 +6,6 @@ namespace sgl {
 
 namespace {
 
-class RangeTreeIndex : public SpatialIndex {
- public:
-  explicit RangeTreeIndex(int dims) : tree_(dims) {}
-  void Build(std::vector<std::vector<double>>&& coords) {
-    tree_.Build(std::move(coords));
-  }
-  int dims() const override { return tree_.dims(); }
-  void Query(const double* lo, const double* hi,
-             std::vector<RowIdx>* out) const override {
-    tree_.Query(lo, hi, out);
-  }
-  void QueryBatch(const double* const* lo, const double* const* hi,
-                  size_t num_probes, ProbeBatch* out) const override {
-    tree_.QueryBatch(lo, hi, num_probes, out);
-  }
-  size_t MemoryBytes() const override { return tree_.MemoryBytes(); }
-
- private:
-  RangeTree tree_;
-};
-
-class GridIndexAdapter : public SpatialIndex {
- public:
-  explicit GridIndexAdapter(int dims) : grid_(dims) {}
-  void Build(std::vector<std::vector<double>>&& coords) {
-    grid_.Build(std::move(coords));
-  }
-  int dims() const override { return grid_.dims(); }
-  void Query(const double* lo, const double* hi,
-             std::vector<RowIdx>* out) const override {
-    grid_.Query(lo, hi, out);
-  }
-  void QueryBatch(const double* const* lo, const double* const* hi,
-                  size_t num_probes, ProbeBatch* out) const override {
-    grid_.QueryBatch(lo, hi, num_probes, out);
-  }
-  size_t MemoryBytes() const override { return grid_.MemoryBytes(); }
-
- private:
-  GridIndex grid_;
-};
-
 // Copies the indexed columns into `coords`, reusing its buffers.
 void ExtractCoords(const World& world, const IndexSpec& spec,
                    std::vector<std::vector<double>>* coords) {
@@ -63,49 +21,24 @@ void ExtractCoords(const World& world, const IndexSpec& spec,
 
 }  // namespace
 
-const char* IndexKindName(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kRangeTree: return "range-tree";
-    case IndexKind::kGrid: return "grid";
-  }
-  return "?";
-}
-
-const SpatialIndex* IndexManager::GetOrBuild(const World& world,
-                                             const IndexSpec& spec,
-                                             Tick tick) {
+const GridIndex* IndexManager::GetOrBuild(const World& world,
+                                          const IndexSpec& spec, Tick tick) {
   Entry& e = entries_[spec];
   if (e.built_at == tick && e.index != nullptr) return e.index.get();
   Stopwatch timer;
-  const int dims = static_cast<int>(spec.fields.size());
   // Build swaps e.coords with the index's previous column copy, so each
   // rebuild performs exactly one O(dims*n) copy and both buffers keep
   // their high-water capacity.
   ExtractCoords(world, spec, &e.coords);
-  switch (spec.kind) {
-    case IndexKind::kRangeTree: {
-      if (e.index == nullptr) {
-        e.index = std::make_unique<RangeTreeIndex>(dims);
-      }
-      static_cast<RangeTreeIndex*>(e.index.get())->Build(std::move(e.coords));
-      break;
-    }
-    case IndexKind::kGrid: {
-      if (e.index == nullptr) {
-        e.index = std::make_unique<GridIndexAdapter>(dims);
-      }
-      static_cast<GridIndexAdapter*>(e.index.get())->Build(std::move(e.coords));
-      break;
-    }
+  if (e.index == nullptr) {
+    const int dims = static_cast<int>(spec.fields.size());
+    e.index = std::make_unique<GridIndex>(dims);
   }
+  e.index->Build(std::move(e.coords));
   e.built_at = tick;
   ++builds_;
   build_micros_ += timer.ElapsedMicros();
   return e.index.get();
-}
-
-void IndexManager::InvalidateAll() {
-  for (auto& [spec, entry] : entries_) entry.built_at = -1;
 }
 
 size_t IndexManager::MemoryBytes() const {

@@ -1,23 +1,23 @@
-// Pooled CSR output of one batched index probe (SpatialIndex::QueryBatch).
+// Pooled CSR output of one batched index probe (GridIndex::QueryBatch).
 //
-// Contract — identical results to per-box SpatialIndex::Query calls:
+// Contract — identical results to per-box GridIndex::Query calls:
 //   * probe p's candidates are items[offsets[p] .. offsets[p+1]);
 //   * every slice is sorted ascending by row index, exactly like
 //     `Query(...)` + `std::sort` for box p, so downstream pair order (and
 //     therefore world checksums) is the canonical one;
 //   * an inverted box (lo > hi on any dim) yields an empty slice, and NaN
-//     coordinates are kept, both matching the per-index Query semantics.
+//     coordinates are kept, both matching the Query semantics.
 //
-// Backends produce that order with EmitAscending below: a bitmap scan over
+// The index produces that order with EmitAscending below: a bitmap scan over
 // the slice's row range when the range is dense, a comparison sort only
 // when it is sparse and wide.
 //
 // All vectors grow amortized to their high-water mark and are pooled in
 // ExecScratch, so steady-state batched probing performs zero allocations.
-// The tmp_* / visit_keys members are implementation scratch for index
-// backends that emit candidates in visit order (GridIndex groups probes by
-// primary cell) before scattering them back into probe order; `bits` is
-// EmitAscending's row bitmap.
+// The tmp_* / visit_keys members are GridIndex's scratch: it emits
+// candidates in visit order (probes grouped by primary cell) before
+// scattering them back into probe order; `bits` is EmitAscending's row
+// bitmap.
 
 #ifndef SGL_INDEX_PROBE_BATCH_H_
 #define SGL_INDEX_PROBE_BATCH_H_
@@ -45,7 +45,7 @@ struct ProbeBatch {
   std::vector<uint32_t> offsets;  ///< num_probes + 1 CSR offsets into items
   std::vector<RowIdx> items;      ///< candidates, slice-sorted ascending
 
-  // Backend scratch (see file comment). Not part of the result.
+  // Index scratch (see file comment). Not part of the result.
   std::vector<uint64_t> visit_keys;
   std::vector<uint32_t> tmp_start;
   std::vector<RowIdx> tmp_items;

@@ -900,20 +900,16 @@ class ProgramCompiler {
     if (c.kind != ExprKind::kCmpRef || c.cmp != CmpOp::kEq) return false;
     const Expr* a = c.kids[0].get();
     const Expr* b = c.kids[1].get();
-    const Expr* inner = nullptr;
     const Expr* outer = nullptr;
     if (a->kind == ExprKind::kRowId && a->side == 1 && !b->UsesInner()) {
-      inner = a;
       outer = b;
     } else if (b->kind == ExprKind::kRowId && b->side == 1 &&
                !a->UsesInner()) {
-      inner = b;
       outer = a;
     } else {
       return false;
     }
-    (void)inner;
-    op->hash_dims.push_back(HashDim{kInvalidField, outer->Clone()});
+    op->hash_dims.push_back(HashDim{outer->Clone()});
     return true;
   }
 
@@ -942,15 +938,8 @@ class ProgramCompiler {
     }
     if (accum_type.is_set()) {
       return Status::SemanticError("set-typed accum variables are not "
-                                   "supported; accumulate refs or numbers" +
+                                   "supported; accumulate numbers or bools" +
                                    At(s.pos));
-    }
-    if (accum_type.is_ref()) {
-      accum_type.target = catalog_->Find(accum_type.target_name);
-      if (accum_type.target == kInvalidClass) {
-        return Status::NotFound("class '" + accum_type.target_name +
-                                "' not found" + At(s.pos));
-      }
     }
 
     auto op = std::make_unique<AccumOp>();

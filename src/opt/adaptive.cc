@@ -1,11 +1,12 @@
 #include "src/opt/adaptive.h"
 
+#include <algorithm>
+
 namespace sgl {
 
 const char* PlanModeName(PlanMode mode) {
   switch (mode) {
     case PlanMode::kStaticNL: return "static-nested-loop";
-    case PlanMode::kStaticRangeTree: return "static-range-tree";
     case PlanMode::kStaticGrid: return "static-grid";
     case PlanMode::kStaticHash: return "static-hash";
     case PlanMode::kCostBased: return "cost-based";
@@ -23,30 +24,36 @@ namespace {
 // time-per-outer-row estimate.
 constexpr double kEwmaAlpha = 0.3;
 
-// Tree/grid access paths are legal only up to the executor's stack-array
+// The grid access path is legal only up to the executor's stack-array
 // dimensionality bound (kMaxIndexDims).
 bool RangeIndexable(const AccumOp& op) {
   return !op.range_dims.empty() &&
          op.range_dims.size() <= static_cast<size_t>(kMaxIndexDims);
 }
 
+// A static mode's strategy where the op allows it, else nested loop. So a
+// set-domain site runs nested loop under every static mode.
+JoinStrategy StaticPick(const AccumOp& op, JoinStrategy want) {
+  JoinStrategy buf[3];
+  const int n = AdaptiveController::CandidateList(op, buf);
+  return std::find(buf, buf + n, want) != buf + n ? want
+                                                  : JoinStrategy::kNestedLoop;
+}
+
 }  // namespace
 
 int AdaptiveController::CandidateList(const AccumOp& op,
-                                      JoinStrategy out[4]) {
+                                      JoinStrategy out[3]) {
   int n = 0;
   out[n++] = JoinStrategy::kNestedLoop;
   if (op.inner_set_field != kInvalidField) return n;  // set domain: NL only
-  if (RangeIndexable(op)) {
-    out[n++] = JoinStrategy::kRangeTree;
-    out[n++] = JoinStrategy::kGrid;
-  }
+  if (RangeIndexable(op)) out[n++] = JoinStrategy::kGrid;
   if (!op.hash_dims.empty()) out[n++] = JoinStrategy::kHash;
   return n;
 }
 
 std::vector<JoinStrategy> AdaptiveController::Candidates(const AccumOp& op) {
-  JoinStrategy buf[4];
+  JoinStrategy buf[3];
   const int n = CandidateList(op, buf);
   return std::vector<JoinStrategy>(buf, buf + n);
 }
@@ -58,18 +65,13 @@ JoinStrategy AdaptiveController::CostBasedPick(const AccumOp& op,
   in.outer_rows = static_cast<double>(outer_rows);
   in.inner_rows =
       inner_stats != nullptr ? static_cast<double>(inner_stats->row_count) : 0;
-  in.range_dims = static_cast<int>(op.range_dims.size());
-  in.has_hash = !op.hash_dims.empty();
   in.box_selectivity =
       inner_stats != nullptr ? EstimateBoxSelectivity(op, *inner_stats) : 0.1;
-  // Entity-id hash keys match at most one row.
-  in.hash_selectivity =
-      (!op.hash_dims.empty() && op.hash_dims[0].inner_field == kInvalidField)
-          ? (in.inner_rows > 0 ? 1.0 / in.inner_rows : 0.0)
-          : 0.05;
+  // An entity-id hash key matches at most one row.
+  in.hash_selectivity = in.inner_rows > 0 ? 1.0 / in.inner_rows : 0.0;
   JoinStrategy best = JoinStrategy::kNestedLoop;
   double best_cost = EstimateJoinCost(best, in);
-  JoinStrategy candidates[4];
+  JoinStrategy candidates[3];
   const int count = CandidateList(op, candidates);
   for (int i = 0; i < count; ++i) {
     double cost = EstimateJoinCost(candidates[i], in);
@@ -87,17 +89,10 @@ JoinStrategy AdaptiveController::Choose(const AccumOp& op, Tick tick,
   switch (options_.mode) {
     case PlanMode::kStaticNL:
       return JoinStrategy::kNestedLoop;
-    case PlanMode::kStaticRangeTree:
-      return !RangeIndexable(op) || op.inner_set_field != kInvalidField
-                 ? JoinStrategy::kNestedLoop
-                 : JoinStrategy::kRangeTree;
     case PlanMode::kStaticGrid:
-      return !RangeIndexable(op) || op.inner_set_field != kInvalidField
-                 ? JoinStrategy::kNestedLoop
-                 : JoinStrategy::kGrid;
+      return StaticPick(op, JoinStrategy::kGrid);
     case PlanMode::kStaticHash:
-      return op.hash_dims.empty() ? JoinStrategy::kNestedLoop
-                                  : JoinStrategy::kHash;
+      return StaticPick(op, JoinStrategy::kHash);
     case PlanMode::kCostBased:
       return CostBasedPick(op, inner_stats, outer_rows);
     case PlanMode::kAdaptive:

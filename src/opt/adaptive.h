@@ -3,9 +3,11 @@
 // "We are currently exploring the idea of compiling several query plans
 // optimized for different workloads and switching between them as the game
 // progresses." Every AccumOp is a *site* with a set of candidate physical
-// strategies (the compiled plan set). The controller picks one per tick:
+// strategies (the compiled plan set: nested loop, the grid index, the
+// entity-id hash). The controller picks one per tick:
 //
-//   kStatic*    — always the same strategy (the baselines of bench E5)
+//   kStatic*    — always the same strategy where the site allows it, else
+//                 nested loop (the baselines of bench E5)
 //   kCostBased  — rank candidates with the cost model on current stats
 //   kAdaptive   — cost-based seeding + runtime feedback: keeps an EWMA of
 //                 measured time per strategy, re-probes non-best strategies
@@ -32,7 +34,6 @@ namespace sgl {
 /// Plan-selection policy for the whole engine.
 enum class PlanMode : uint8_t {
   kStaticNL,
-  kStaticRangeTree,
   kStaticGrid,
   kStaticHash,
   kCostBased,
@@ -79,12 +80,12 @@ class AdaptiveController {
   /// Times drift detection reset a site's beliefs.
   int64_t drift_resets() const { return drift_resets_; }
 
-  /// Strategies legal for an op (NL always; tree/grid need range dims;
-  /// hash needs a hash dim; set-domain iteration forces NL).
+  /// Strategies legal for an op (NL always; grid needs range dims; hash
+  /// needs a hash dim; set-domain iteration forces NL).
   static std::vector<JoinStrategy> Candidates(const AccumOp& op);
-  /// Allocation-free variant: fills `out[0..3]`, returns the count. The
+  /// Allocation-free variant: fills `out[0..2]`, returns the count. The
   /// per-tick cost-based pick uses this on the hot path.
-  static int CandidateList(const AccumOp& op, JoinStrategy out[4]);
+  static int CandidateList(const AccumOp& op, JoinStrategy out[3]);
 
  private:
   struct SiteState {

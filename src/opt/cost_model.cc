@@ -1,6 +1,6 @@
 #include "src/opt/cost_model.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace sgl {
 
@@ -10,8 +10,6 @@ namespace {
 struct CostConstants {
   double pair_eval = 1.0;       ///< evaluate predicates on one candidate
   double emit = 0.5;            ///< materialize one match
-  double tree_build_factor = 4.0;   ///< per point per log-level
-  double tree_probe = 8.0;      ///< per-probe descend overhead factor
   double grid_build = 1.5;      ///< per point
   double grid_probe = 4.0;      ///< per-probe cell setup
   double grid_slack = 2.0;      ///< candidate inflation from cell granularity
@@ -25,21 +23,10 @@ double EstimateJoinCost(JoinStrategy strategy, const JoinCostInputs& in) {
   constexpr CostConstants c;
   const double n = std::max(1.0, in.outer_rows);
   const double m = std::max(1.0, in.inner_rows);
-  const double logm = std::max(1.0, std::log2(m));
   const double box_matches = m * in.box_selectivity;
   switch (strategy) {
     case JoinStrategy::kNestedLoop:
       return n * m * c.pair_eval + n * box_matches * c.emit;
-    case JoinStrategy::kRangeTree: {
-      double levels = 1;
-      for (int k = 1; k < in.range_dims; ++k) levels *= logm;
-      const double build = c.tree_build_factor * m * logm * levels;
-      double probe_logs = 1;
-      for (int k = 0; k < std::max(1, in.range_dims); ++k) probe_logs *= logm;
-      const double probe = n * (c.tree_probe * probe_logs +
-                                box_matches * (c.pair_eval + c.emit));
-      return build + probe;
-    }
     case JoinStrategy::kGrid: {
       const double build = c.grid_build * m;
       const double candidates = box_matches * c.grid_slack;

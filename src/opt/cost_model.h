@@ -1,4 +1,5 @@
-// Analytical cost model for AccumOp join strategies (§4.1).
+// Analytical cost model for AccumOp join strategies (§4.1): nested loop,
+// the grid index, and the entity-id hash.
 //
 // Costs are in abstract "work units" (roughly: inner-tuple touches plus
 // per-probe overheads); only the *ranking* matters. Estimates combine the
@@ -20,8 +21,6 @@ struct JoinCostInputs {
   double outer_rows = 0;     ///< rows surviving the outer guard
   double inner_rows = 0;     ///< size of the iteration domain
   double box_selectivity = 1.0;  ///< est. fraction of inner in the range box
-  int range_dims = 0;        ///< number of extracted range dimensions
-  bool has_hash = false;     ///< an equality key was extracted
   double hash_selectivity = 1.0;  ///< est. fraction matching the hash key
 };
 

@@ -5,7 +5,6 @@ namespace sgl {
 const char* JoinStrategyName(JoinStrategy s) {
   switch (s) {
     case JoinStrategy::kNestedLoop: return "nested-loop";
-    case JoinStrategy::kRangeTree: return "range-tree";
     case JoinStrategy::kGrid: return "grid";
     case JoinStrategy::kHash: return "hash";
   }
@@ -63,8 +62,7 @@ std::string AccumOp::DebugString() const {
            (r.hi != nullptr ? r.hi->ToString() : "+inf") + "])";
   }
   for (const HashDim& h : hash_dims) {
-    out += ", eq(s" + std::to_string(h.inner_field) + "=" +
-           h.key->ToString() + ")";
+    out += ", eq(id=" + h.key->ToString() + ")";
   }
   if (residual != nullptr) out += ", residual: " + residual->ToString();
   if (exclude_self) out += ", it!=self";

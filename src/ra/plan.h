@@ -6,8 +6,9 @@
 //   EffectsOp            σ_guard → π_(target,value) → ⊕-aggregate into effects
 //   AccumOp              σ_guard(E) ⋈_pred Inner → γ_(outer;⊕) plus pair
 //                        effect writes; the join predicate is decomposed into
-//                        d-dim range conjuncts (index-joinable), equality
-//                        conjuncts (hash-joinable), and a residual filter
+//                        d-dim range conjuncts (grid-joinable), entity-id
+//                        equality conjuncts (hash-joinable), and a residual
+//                        filter
 //   TxnEmitOp            σ_guard → transaction-intent emission (§3.1)
 //
 // AccumOp's physical strategy is the optimizer's main decision knob (§4.1);
@@ -28,9 +29,8 @@ namespace sgl {
 /// Physical algorithm for an AccumOp's join.
 enum class JoinStrategy : uint8_t {
   kNestedLoop,  ///< scan all inner rows per outer row
-  kRangeTree,   ///< orthogonal range tree on the range-predicate dims
   kGrid,        ///< uniform grid on the range-predicate dims
-  kHash,        ///< hash the equality-predicate keys
+  kHash,        ///< look the entity-id equality key up in the directory
 };
 
 const char* JoinStrategyName(JoinStrategy s);
@@ -69,10 +69,10 @@ struct RangeDim {
   ExprPtr hi;  ///< outer-only expr; null means unbounded above
 };
 
-/// One equality conjunct: inner.field == key(outer).
+/// One id-equality conjunct: it == key(outer). Numeric equality on an
+/// inner field is a degenerate range dim (lo == hi) instead.
 struct HashDim {
-  FieldIdx inner_field = kInvalidField;
-  ExprPtr key;  ///< outer-only expr
+  ExprPtr key;  ///< outer-only ref expr
 };
 
 /// An assignment to the accum variable inside BLOCK1 (pair context).

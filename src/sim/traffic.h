@@ -3,9 +3,10 @@
 //
 // A synthetic multi-lane ring road network. Each vehicle runs a
 // car-following script: an accum-loop finds the nearest leader in its lane
-// within a look-ahead horizon (a 1-D range join with a lane equality key —
-// so the plan space includes the range tree, the grid, AND the hash join)
-// and accelerates or brakes to keep a safe gap. Positions wrap modulo the
+// within a look-ahead horizon (a range join on position plus a lane
+// equality, which the compiler turns into a degenerate lo == hi range dim,
+// so the grid indexes lane and position together) and accelerates or brakes
+// to keep a safe gap. Positions wrap modulo the
 // road length, so the fleet circulates forever.
 
 #ifndef SGL_SIM_TRAFFIC_H_

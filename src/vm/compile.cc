@@ -592,9 +592,7 @@ void VmProgramCache::AddOps(const std::vector<std::unique_ptr<PlanOp>>& ops,
           AddValue(d.hi.get(), TypeKind::kNumber);
         }
         for (const HashDim& d : o->hash_dims) {
-          AddValue(d.key.get(), d.inner_field == kInvalidField
-                                    ? TypeKind::kRef
-                                    : TypeKind::kNumber);
+          AddValue(d.key.get(), TypeKind::kRef);
         }
         if (o->residual != nullptr && status_.ok()) {
           // Not cached: PrepareSite composes the residual into its pair

@@ -60,10 +60,9 @@ TEST(CostModel, NestedLoopWinsTinyTables) {
   in.outer_rows = 8;
   in.inner_rows = 8;
   in.box_selectivity = 0.5;
-  in.range_dims = 2;
   double nl = EstimateJoinCost(JoinStrategy::kNestedLoop, in);
-  double tree = EstimateJoinCost(JoinStrategy::kRangeTree, in);
-  EXPECT_LT(nl, tree) << "index build cost must dominate at tiny n";
+  double grid = EstimateJoinCost(JoinStrategy::kGrid, in);
+  EXPECT_LT(nl, grid) << "index build cost must dominate at tiny n";
 }
 
 TEST(CostModel, IndexWinsLargeSelectiveJoins) {
@@ -71,11 +70,8 @@ TEST(CostModel, IndexWinsLargeSelectiveJoins) {
   in.outer_rows = 10000;
   in.inner_rows = 10000;
   in.box_selectivity = 0.001;
-  in.range_dims = 2;
   double nl = EstimateJoinCost(JoinStrategy::kNestedLoop, in);
-  double tree = EstimateJoinCost(JoinStrategy::kRangeTree, in);
   double grid = EstimateJoinCost(JoinStrategy::kGrid, in);
-  EXPECT_LT(tree, nl);
   EXPECT_LT(grid, nl);
 }
 
@@ -84,14 +80,12 @@ TEST(CostModel, HashWinsOnPointKeys) {
   in.outer_rows = 5000;
   in.inner_rows = 5000;
   in.box_selectivity = 0.3;  // wide box: range index unattractive
-  in.range_dims = 1;
-  in.has_hash = true;
   in.hash_selectivity = 1.0 / 5000;
   double hash = EstimateJoinCost(JoinStrategy::kHash, in);
   double nl = EstimateJoinCost(JoinStrategy::kNestedLoop, in);
-  double tree = EstimateJoinCost(JoinStrategy::kRangeTree, in);
+  double grid = EstimateJoinCost(JoinStrategy::kGrid, in);
   EXPECT_LT(hash, nl);
-  EXPECT_LT(hash, tree);
+  EXPECT_LT(hash, grid);
 }
 
 // --- Controller ----------------------------------------------------------
@@ -106,11 +100,11 @@ AccumOp RangeOp(int site) {
 
 TEST(Controller, StaticModesNeverSwitch) {
   AdaptiveController::Options options;
-  options.mode = PlanMode::kStaticRangeTree;
+  options.mode = PlanMode::kStaticGrid;
   AdaptiveController controller(options, 1);
   AccumOp op = RangeOp(0);
   for (Tick t = 0; t < 10; ++t) {
-    EXPECT_EQ(JoinStrategy::kRangeTree,
+    EXPECT_EQ(JoinStrategy::kGrid,
               controller.Choose(op, t, nullptr, 100));
   }
   EXPECT_EQ(0, controller.switches());
@@ -118,12 +112,27 @@ TEST(Controller, StaticModesNeverSwitch) {
 
 TEST(Controller, StaticIndexFallsBackToNlWithoutRangeDims) {
   AdaptiveController::Options options;
-  options.mode = PlanMode::kStaticRangeTree;
+  options.mode = PlanMode::kStaticGrid;
   AdaptiveController controller(options, 1);
   AccumOp op;
   op.site_id = 0;
   op.inner_cls = 0;  // no range dims
   EXPECT_EQ(JoinStrategy::kNestedLoop, controller.Choose(op, 0, nullptr, 10));
+}
+
+TEST(Controller, StaticModesRunSetDomainSitesAsNl) {
+  // A set-domain site enumerates its set; a grid or directory probe would
+  // replace that domain, so every static mode falls back to NL there.
+  AccumOp op = RangeOp(0);
+  op.inner_set_field = 0;
+  op.hash_dims.push_back(HashDim{NumLit(0)});
+  for (PlanMode mode : {PlanMode::kStaticGrid, PlanMode::kStaticHash}) {
+    AdaptiveController::Options options;
+    options.mode = mode;
+    AdaptiveController controller(options, 1);
+    EXPECT_EQ(JoinStrategy::kNestedLoop, controller.Choose(op, 0, nullptr, 10))
+        << PlanModeName(mode);
+  }
 }
 
 TEST(Controller, AdaptiveConvergesToFasterStrategy) {
@@ -132,7 +141,7 @@ TEST(Controller, AdaptiveConvergesToFasterStrategy) {
   options.probe_interval = 5;
   AdaptiveController controller(options, 1);
   AccumOp op = RangeOp(0);
-  // Feed synthetic feedback: the tree is 10x faster than whatever else runs.
+  // Feed synthetic feedback: the grid is 10x faster than whatever else runs.
   JoinStrategy converged = JoinStrategy::kNestedLoop;
   for (Tick t = 0; t < 100; ++t) {
     JoinStrategy s = controller.Choose(op, t, nullptr, 1000);
@@ -141,11 +150,11 @@ TEST(Controller, AdaptiveConvergesToFasterStrategy) {
     fb.strategy = s;
     fb.outer_rows = 1000;
     fb.matches = 1000;
-    fb.micros = s == JoinStrategy::kRangeTree ? 100 : 1000;
+    fb.micros = s == JoinStrategy::kGrid ? 100 : 1000;
     controller.Feedback(fb);
     converged = s;
   }
-  EXPECT_EQ(JoinStrategy::kRangeTree, converged);
+  EXPECT_EQ(JoinStrategy::kGrid, converged);
 }
 
 TEST(Controller, DriftTriggersReprobe) {
@@ -172,11 +181,11 @@ TEST(Controller, DriftTriggersReprobe) {
 TEST(Controller, CandidatesReflectPredicates) {
   AccumOp range_only = RangeOp(0);
   auto c1 = AdaptiveController::Candidates(range_only);
-  EXPECT_EQ(3u, c1.size());  // NL, tree, grid
+  EXPECT_EQ(2u, c1.size());  // NL, grid
 
   AccumOp with_hash = RangeOp(1);
-  with_hash.hash_dims.push_back(HashDim{kInvalidField, NumLit(0)});
-  EXPECT_EQ(4u, AdaptiveController::Candidates(with_hash).size());
+  with_hash.hash_dims.push_back(HashDim{NumLit(0)});
+  EXPECT_EQ(3u, AdaptiveController::Candidates(with_hash).size());
 
   AccumOp set_domain;
   set_domain.site_id = 2;

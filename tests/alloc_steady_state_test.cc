@@ -89,22 +89,6 @@ TEST(AllocSteadyState, SerialNestedLoopIsAllocationFree) {
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
 }
 
-// The flat arena range tree closes the last indexed access path that used
-// to allocate (~1.8k nodes per tick in the pointer-based layout): rebuilt
-// every tick, zero heap traffic after warmup.
-TEST(AllocSteadyState, SerialRangeTreeIsAllocationFree) {
-  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  auto engine = BuildRts(800, Opts(PlanMode::kStaticRangeTree));
-  EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-}
-
-TEST(AllocSteadyState, Parallel4ThreadRangeTreeIsAllocationFree) {
-  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  auto engine =
-      BuildRts(800, Opts(PlanMode::kStaticRangeTree, /*threads=*/4));
-  EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-}
-
 // --- SIMD kernels + batched probes + bytecode, still zero-alloc ----------
 // The default fast path — bytecode expressions, AVX2 (or forced scalar)
 // kernels, and QueryBatch probing with its pooled CSR buffers on a grid
@@ -156,10 +140,6 @@ TEST(AllocSteadyState, PoolingPreservesBitIdenticalState) {
   auto parallel = BuildRts(units, Opts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(parallel->RunTicks(ticks).ok());
   EXPECT_EQ(WorldChecksum(parallel->world()), serial_sum);
-
-  auto range_tree = BuildRts(units, Opts(PlanMode::kStaticRangeTree));
-  ASSERT_TRUE(range_tree->RunTicks(ticks).ok());
-  EXPECT_EQ(WorldChecksum(range_tree->world()), serial_sum);
 
   auto interpreted =
       BuildRts(units, Opts(PlanMode::kStaticNL, 1, /*interpreted=*/true));

@@ -92,9 +92,8 @@ TEST_P(StrategyEquivalence, TrafficChecksumIndependentOfStrategy) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StrategyEquivalence,
-    ::testing::Values(PlanMode::kStaticRangeTree, PlanMode::kStaticGrid,
-                      PlanMode::kStaticHash, PlanMode::kCostBased,
-                      PlanMode::kAdaptive),
+    ::testing::Values(PlanMode::kStaticGrid, PlanMode::kStaticHash,
+                      PlanMode::kCostBased, PlanMode::kAdaptive),
     [](const ::testing::TestParamInfo<PlanMode>& info) {
       std::string name = PlanModeName(info.param);
       for (char& c : name) {

@@ -4,8 +4,8 @@
 // ref and set effects — and assert that the compiled set-at-a-time engine
 // (the bytecode VM) and the object-at-a-time oracle produce identical
 // worlds, across every index strategy, thread count and shard count: every
-// random program runs under forced nested-loop, range-tree, and grid access
-// paths plus the cost-based picker, with 1 or 4 threads and 1 or 4 shards,
+// random program runs under forced nested-loop and grid access paths plus
+// the cost-based picker, with 1 or 4 threads and 1 or 4 shards,
 // and all must agree bit-for-bit. This is the
 // wide-net version of the hand-written equivalence tests: any divergence in
 // predicate extraction, guard rebuilding, ⊕ order keys, fold order, or an
@@ -243,10 +243,8 @@ uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
   return WorldChecksum((*engine)->world());
 }
 
-/// The four index strategies every random program is swept under.
-constexpr PlanMode kSweptModes[] = {PlanMode::kStaticNL,
-                                    PlanMode::kStaticRangeTree,
-                                    PlanMode::kStaticGrid,
+/// The plan modes every random program is swept under.
+constexpr PlanMode kSweptModes[] = {PlanMode::kStaticNL, PlanMode::kStaticGrid,
                                     PlanMode::kCostBased};
 
 /// Thread and shard counts the fast path is swept under.

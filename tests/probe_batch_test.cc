@@ -1,12 +1,12 @@
-// Batched index probes (SpatialIndex::QueryBatch, src/index/probe_batch.h)
-// must be a pure restructuring of per-box Query calls: for every backend
-// and every probe mix — ordinary boxes, degenerate (lo == hi), inverted
+// Batched index probes (GridIndex::QueryBatch, src/index/probe_batch.h)
+// must be a pure restructuring of per-box Query calls: for every probe
+// mix — ordinary boxes, degenerate (lo == hi), inverted
 // (lo > hi, contract: empty slice), whole-world boxes, duplicate-heavy
 // point sets — slice p of the CSR output must equal Query(box p) + sort,
 // element for element. On top of the structural contract, the engine-level
 // sweep asserts the observable guarantee: the fast path's batched probes
 // reach the scalar oracle's world checksum (the oracle probes nothing — it
-// scans), under the range-indexed strategies, in serial, 4-thread, and
+// scans), under the grid and the planner modes, in serial, 4-thread, and
 // 4-shard execution. The EmitAscending cases pin the row-order emit that
 // produces every slice: bitmap word boundaries, the sparse-wide sort
 // fallback, a clean bitmap across table sizes, and zero allocations.
@@ -21,7 +21,6 @@
 #include "src/debug/checkpoint.h"
 #include "src/index/grid_index.h"
 #include "src/index/probe_batch.h"
-#include "src/index/range_tree.h"
 #include "src/sim/rts.h"
 
 namespace sgl {
@@ -86,11 +85,9 @@ BoxColumns RandomBoxes(int d, size_t count, Rng* rng,
   return b;
 }
 
-/// Asserts QueryBatch(boxes) == per-box Query + sort on `index`, which can
-/// be either native backend (they share the method shape).
-template <typename Index>
-void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b, int d,
-                              ProbeBatch* reused) {
+/// Asserts QueryBatch(boxes) == per-box Query + sort on `index`.
+void ExpectBatchMatchesSingle(const GridIndex& index, const BoxColumns& b,
+                              int d, ProbeBatch* reused) {
   ProbeBatch& batch = *reused;
   index.QueryBatch(b.lo_ptr, b.hi_ptr, b.count, &batch);
   ASSERT_EQ(batch.num_probes(), b.count);
@@ -116,8 +113,7 @@ void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b, int d,
   }
 }
 
-template <typename Index>
-void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
+void ExpectBatchMatchesSingle(const GridIndex& index, const BoxColumns& b,
                               int d) {
   ProbeBatch batch;
   ExpectBatchMatchesSingle(index, b, d, &batch);
@@ -141,18 +137,6 @@ TEST_P(ProbeBatchDifferential, GridBatchMatchesSingle) {
   for (int round = 0; round < 3; ++round) {
     auto boxes = RandomBoxes(p.d, 40, &rng, points);
     ExpectBatchMatchesSingle(grid, boxes, p.d);
-  }
-}
-
-TEST_P(ProbeBatchDifferential, RangeTreeBatchMatchesSingle) {
-  const Sweep& p = GetParam();
-  Rng rng(p.seed ^ 0xbeefULL);
-  auto points = RandomPoints(p.n, p.d, &rng, p.duplicate_heavy);
-  RangeTree tree(p.d);
-  tree.Build(points);
-  for (int round = 0; round < 3; ++round) {
-    auto boxes = RandomBoxes(p.d, 40, &rng, points);
-    ExpectBatchMatchesSingle(tree, boxes, p.d);
   }
 }
 
@@ -225,38 +209,39 @@ TEST(EmitAscending, WordBoundaryProbesMatchSingle) {
   const auto points = RowLine(n);
   GridIndex grid(1);
   grid.Build(points);
-  RangeTree tree(1);
-  tree.Build(points);
   const BoxColumns boxes =
       Boxes1D({{63, 65}, {62.5, 64.5}, {64, 64}, {63, 63}, {0, 129},
                {-5, 200}, {127, 129}, {65, 65}, {0, 63}, {64, 127}});
-  ExpectBatchMatchesSingle(grid, boxes, 1);
-  ExpectBatchMatchesSingle(tree, boxes, 1);
+  ProbeBatch batch;
+  ExpectBatchMatchesSingle(grid, boxes, 1, &batch);
+  // Every slice here is dense, so each went through the bitmap.
+  EXPECT_GE(batch.bits.size() * 64, n);
+  EXPECT_TRUE(AllZero(batch.bits));
 }
 
 TEST(EmitAscending, SparseWideSliceTakesSortFallback) {
-  // Two rows at opposite ends of a 100k-row index: their slice spans
-  // ~1563 bitmap words for 2 rows, so it must be ordered by std::sort
-  // and must never touch the bitmap.
+  // A wide box over three far-apart rows of a 100k-row index: the box
+  // spans many grid cells, but its slice is rows {0, 50000, 99999}, ~1563
+  // bitmap words for 3 rows, so it must be ordered by std::sort and must
+  // never touch the bitmap. Every other row sits far outside the box.
   const size_t n = 100000;
   auto points = RowLine(n);
-  for (size_t i = 0; i < n; ++i) points[0][i] = 10.0 + static_cast<double>(i);
-  points[0][0] = 0.0;
-  points[0][n - 1] = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    points[0][i] = 1000.0 + static_cast<double>(i);
+  }
+  points[0][n - 1] = 10.0;
+  points[0][n / 2] = 50.0;
+  points[0][0] = 90.0;
   GridIndex grid(1);
   grid.Build(points);
-  RangeTree tree(1);
-  tree.Build(points);
-  const BoxColumns boxes = Boxes1D({{-1, 1}});
-  ProbeBatch grid_batch, tree_batch;
-  ExpectBatchMatchesSingle(grid, boxes, 1, &grid_batch);
-  ExpectBatchMatchesSingle(tree, boxes, 1, &tree_batch);
-  for (const ProbeBatch* b : {&grid_batch, &tree_batch}) {
-    ASSERT_EQ(2u, b->items.size());
-    EXPECT_EQ(0u, b->items[0]);
-    EXPECT_EQ(n - 1, b->items[1]);
-    EXPECT_TRUE(b->bits.empty()) << "sparse slice went through the bitmap";
-  }
+  const BoxColumns boxes = Boxes1D({{0, 100}});
+  ProbeBatch batch;
+  ExpectBatchMatchesSingle(grid, boxes, 1, &batch);
+  ASSERT_EQ(3u, batch.items.size());
+  EXPECT_EQ(0u, batch.items[0]);
+  EXPECT_EQ(n / 2, batch.items[1]);
+  EXPECT_EQ(n - 1, batch.items[2]);
+  EXPECT_TRUE(batch.bits.empty()) << "sparse slice went through the bitmap";
 }
 
 TEST(EmitAscending, BitmapStaysZeroAcrossTableSizes) {
@@ -267,9 +252,6 @@ TEST(EmitAscending, BitmapStaysZeroAcrossTableSizes) {
   GridIndex small_grid(1), large_grid(1);
   small_grid.Build(small_points);
   large_grid.Build(large_points);
-  RangeTree small_tree(1), large_tree(1);
-  small_tree.Build(small_points);
-  large_tree.Build(large_points);
   const BoxColumns small_boxes =
       Boxes1D({{0, 99}, {10, 70}, {63, 64}, {98, 99}});
   const BoxColumns large_boxes = Boxes1D(
@@ -279,10 +261,6 @@ TEST(EmitAscending, BitmapStaysZeroAcrossTableSizes) {
     ExpectBatchMatchesSingle(small_grid, small_boxes, 1, &batch);
     EXPECT_TRUE(AllZero(batch.bits));
     ExpectBatchMatchesSingle(large_grid, large_boxes, 1, &batch);
-    EXPECT_TRUE(AllZero(batch.bits));
-    ExpectBatchMatchesSingle(small_tree, small_boxes, 1, &batch);
-    EXPECT_TRUE(AllZero(batch.bits));
-    ExpectBatchMatchesSingle(large_tree, large_boxes, 1, &batch);
     EXPECT_TRUE(AllZero(batch.bits));
   }
   EXPECT_GE(batch.bits.size() * 64, large_points[0].size() - 1);
@@ -294,18 +272,14 @@ TEST(EmitAscending, ZeroAllocationsAtHighWater) {
   const auto points = RandomPoints(2048, 2, &rng, false);
   GridIndex grid(2);
   grid.Build(points);
-  RangeTree tree(2);
-  tree.Build(points);
   const BoxColumns boxes = RandomBoxes(2, 256, &rng, points);
   ProbeBatch batch;
   for (int warm = 0; warm < 2; ++warm) {
     grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
-    tree.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
   }
   const AllocCounts before = AllocCountersNow();
   for (int q = 0; q < 5; ++q) {
     grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
-    tree.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
   }
   const AllocCounts after = AllocCountersNow();
   EXPECT_EQ(0, after.count - before.count);
@@ -351,18 +325,15 @@ uint64_t RunRts(bool interpreted, PlanMode plan, int threads, int shards) {
 TEST(BatchedProbeParity, MatchesOracleUnderIndexedStrategies) {
   const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
   EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1, 1));
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticRangeTree, 1, 1));
   EXPECT_EQ(oracle, RunRts(false, PlanMode::kCostBased, 1, 1));
   EXPECT_EQ(oracle, RunRts(false, PlanMode::kAdaptive, 1, 1));
 }
 
 TEST(BatchedProbeParity, MatchesOracleUnderThreadsAndShards) {
   const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
-  for (PlanMode plan : {PlanMode::kStaticGrid, PlanMode::kStaticRangeTree}) {
-    EXPECT_EQ(oracle, RunRts(false, plan, 4, 1)) << PlanModeName(plan);
-    EXPECT_EQ(oracle, RunRts(false, plan, 1, 4)) << PlanModeName(plan);
-    EXPECT_EQ(oracle, RunRts(false, plan, 4, 4)) << PlanModeName(plan);
-  }
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1, 4));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4, 4));
 }
 
 }  // namespace

@@ -195,7 +195,6 @@ TEST(ShardParity, PatrolShardCountThreadCountMorselSweep) {
 
 TEST(ShardParity, RtsMatchesAcrossPlanModes) {
   const uint64_t baseline = RunRts(ShardOpts(PlanMode::kStaticGrid, 1));
-  EXPECT_EQ(RunRts(ShardOpts(PlanMode::kStaticRangeTree, 4)), baseline);
   EXPECT_EQ(RunRts(ShardOpts(PlanMode::kCostBased, 4)), baseline);
   EXPECT_EQ(RunRts(ShardOpts(PlanMode::kStaticNL, 3, 1, 2048,
                              /*interpreted=*/true)),

@@ -148,7 +148,7 @@ TEST(Workloads, DespawningDeadUnitsMidRun) {
   config.num_units = 300;
   config.clustered = true;
   EngineOptions options;
-  options.exec.planner.mode = PlanMode::kStaticRangeTree;
+  options.exec.planner.mode = PlanMode::kStaticGrid;
   auto engine = RtsWorkload::Build(config, options);
   ASSERT_TRUE(engine.ok());
   for (int t = 0; t < 30; ++t) {
