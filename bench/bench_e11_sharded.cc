@@ -6,16 +6,13 @@
 // shard a self-contained QUERY pipeline fanned out across 4 threads, with
 // effects routed through per-(src,dst) mailboxes and merged at the tick
 // barrier; the single-shard row is the no-partition baseline the
-// checksum-parity tests pin the others to. Also: the columnar
-// EntityMigrator's bulk-move throughput (entities moved per rebuilt
-// arena), the contrast with one-at-a-time spawns, and the traffic
-// workload at 16k vehicles where the 1-D road makes cross-shard writes
-// rare (the near-ideal partitioning case).
+// checksum-parity tests pin the others to. Also: the traffic workload at
+// 16k vehicles, where the 1-D road makes cross-shard writes rare (the
+// near-ideal partitioning case).
 
 #include <thread>
 
 #include "bench/bench_util.h"
-#include "src/debug/checkpoint.h"
 #include "src/engine/engine.h"
 
 namespace {
@@ -121,83 +118,6 @@ BENCHMARK(BM_ShardedTrafficTick)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
-
-// Columnar bulk migration: move a random 25% of 16k units to new shards
-// in one batch (one slice rebuild per class) and undo it, vs what the
-// boxed path would do row-at-a-time.
-void BM_MigrateBatch(benchmark::State& state) {
-  const int units = 16384;
-  auto engine = BuildShardedRts(units, /*shards=*/4, /*threads=*/1);
-  if (!engine->Tick().ok()) std::abort();  // builds the partition
-  sgl::Rng rng(17);
-  std::vector<sgl::ShardMove> there, back;
-  for (sgl::EntityId id = 1; id <= units; ++id) {
-    if (rng.Next() % 4 != 0) continue;
-    there.push_back(
-        sgl::ShardMove{id, static_cast<int>(rng.Next() % 4)});
-    back.push_back(sgl::ShardMove{
-        id, engine->sharded_world().ShardOfEntity(id)});
-  }
-  for (auto _ : state) {
-    if (!engine->sharded_world().MigrateNow(there).ok()) {
-      state.SkipWithError("migrate failed");
-    }
-    if (!engine->sharded_world().MigrateNow(back).ok()) {
-      state.SkipWithError("migrate failed");
-    }
-  }
-  state.counters["moved_per_batch"] = static_cast<double>(there.size());
-}
-
-BENCHMARK(BM_MigrateBatch)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-
-// Columnar bulk spawn vs one-at-a-time boxed spawns, 4k rows into a
-// 16k-unit 4-shard world.
-void BM_SpawnBatchColumnar(benchmark::State& state) {
-  auto engine = BuildShardedRts(16384, 4, 1);
-  if (!engine->Tick().ok()) std::abort();
-  const sgl::ClassId unit = engine->catalog().Find("Unit");
-  std::vector<sgl::EntityId> ids;
-  for (auto _ : state) {
-    ids.clear();
-    if (!engine->sharded_world().SpawnBatch(unit, 4096, 1, &ids).ok()) {
-      state.SkipWithError("spawn failed");
-    }
-    state.PauseTiming();
-    if (!engine->sharded_world().DespawnBatch(ids).ok()) {
-      state.SkipWithError("despawn failed");
-    }
-    state.ResumeTiming();
-  }
-  state.counters["rows_per_batch"] = 4096;
-}
-
-BENCHMARK(BM_SpawnBatchColumnar)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-
-// The boxed comparison: one-at-a-time spawns into the *same* target shard
-// (each pays a per-row default round-trip plus its own slide-into-range
-// move), vs the batch's single columnar rebuild above.
-void BM_SpawnSingles(benchmark::State& state) {
-  auto engine = BuildShardedRts(16384, 4, 1);
-  if (!engine->Tick().ok()) std::abort();
-  std::vector<sgl::EntityId> ids;
-  for (auto _ : state) {
-    ids.clear();
-    for (int i = 0; i < 4096; ++i) {
-      auto id = engine->sharded_world().Spawn("Unit", {}, /*shard=*/1);
-      if (!id.ok()) state.SkipWithError("spawn failed");
-      ids.push_back(*id);
-    }
-    state.PauseTiming();
-    if (!engine->sharded_world().DespawnBatch(ids).ok()) {
-      state.SkipWithError("despawn failed");
-    }
-    state.ResumeTiming();
-  }
-  state.counters["rows_per_batch"] = 4096;
-}
-
-BENCHMARK(BM_SpawnSingles)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 
 }  // namespace
 

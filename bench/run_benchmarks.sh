@@ -13,8 +13,8 @@
 #   E8  traffic scaling under the cost-based planner (vehicle_ticks/s +
 #       allocs_per_tick)
 #   E11 sharded world partitioning (tick latency + phase breakdown +
-#       cross-shard records + allocs_per_tick vs shard count; columnar
-#       migration / bulk-spawn throughput)
+#       cross-shard records + allocs_per_tick vs shard count, for the RTS
+#       battle and the traffic workload)
 #   E12 asynchronous out-of-band pathfinding (sync vs async tick latency
 #       on the large-map armies workload, jobs in flight, barrier wait,
 #       allocs_per_tick vs job-worker count)

@@ -46,8 +46,7 @@ struct PathfindJobScratch : JobScratch {
 StatusOr<std::unique_ptr<AsyncPathfindComponent>>
 AsyncPathfindComponent::Create(const Catalog& catalog,
                                const AsyncPathfinderConfig& config,
-                               GridMap map, JobService* service,
-                               const ShardedWorld* sharded) {
+                               GridMap map, JobService* service) {
   SGL_CHECK(service != nullptr);
   if (map.width() >= 0xfffe || map.height() >= 0xfffe) {
     return Status::InvalidArgument(
@@ -59,7 +58,6 @@ AsyncPathfindComponent::Create(const Catalog& catalog,
   comp->config_ = config;
   comp->map_ = std::move(map);
   comp->service_ = service;
-  comp->sharded_ = sharded;
   // Any positive penalty must survive fixed-point quantization, or
   // sub-1/16 values would silently disable the crowd-aware path.
   comp->penalty_units_ =
@@ -197,8 +195,7 @@ void AsyncPathfindComponent::MaybeSweep(Tick tick) {
 }
 
 void AsyncPathfindComponent::SubmitSearch(World* world, uint64_t key,
-                                          Tick tick, int shard,
-                                          SnapshotView** snap) {
+                                          Tick tick, SnapshotView** snap) {
   if (penalty_units_ > 0 && *snap == nullptr) {
     // One capture shared by every job submitted this tick.
     *snap = service_->AcquireSnapshot();
@@ -207,8 +204,7 @@ void AsyncPathfindComponent::SubmitSearch(World* world, uint64_t key,
                      static_cast<uint64_t>(tick));
   }
   const uint64_t args[4] = {key, 0, 0, 0};
-  service_->Submit(client_id_, key, args, *snap, config_.latency_ticks,
-                   tick, shard);
+  service_->Submit(client_id_, key, args, *snap, config_.latency_ticks, tick);
   ++total_.submitted;
 }
 
@@ -254,15 +250,13 @@ void AsyncPathfindComponent::Update(World* world, Tick tick) {
       wy.at(i) = gy_pos;
       continue;
     }
-    const int shard =
-        sharded_ != nullptr ? sharded_->ShardOfRow(cls_, r) : 0;
     const uint64_t key = PackKey(sx, sy, gx, gy);
     bool inserted = false;
     Entry* e = FindOrInsert(key, &inserted);
     e->last_used = tick;
     if (inserted) {
       e->flags = kInFlight;
-      SubmitSearch(world, key, tick, shard, &snap);
+      SubmitSearch(world, key, tick, &snap);
       ++total_.stalls;
       wx.at(i) = x[i];  // hold position while the search is out
       wy.at(i) = y[i];
@@ -281,7 +275,7 @@ void AsyncPathfindComponent::Update(World* world, Tick tick) {
       // Background revalidation: keep following the old answer, but get a
       // fresh search (new crowd snapshot) in flight.
       e->flags |= kInFlight;
-      SubmitSearch(world, key, tick, shard, &snap);
+      SubmitSearch(world, key, tick, &snap);
       ++total_.refreshes;
     }
     if (nx == sx && ny == sy) {
@@ -297,7 +291,7 @@ void AsyncPathfindComponent::Update(World* world, Tick tick) {
       // and re-search; the requester holds position meanwhile.
       ++total_.dropped_stale;
       if ((e->flags & kInFlight) == 0) {
-        SubmitSearch(world, key, tick, shard, &snap);
+        SubmitSearch(world, key, tick, &snap);
       }
       e->flags = kInFlight;
       ++total_.stalls;

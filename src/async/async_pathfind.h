@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/async/job_service.h"
-#include "src/shard/sharded_world.h"
 #include "src/update/pathfind.h"
 #include "src/update/update_component.h"
 
@@ -82,13 +81,10 @@ struct AsyncPathfinderStats {
 
 class AsyncPathfindComponent : public UpdateComponent, public JobClient {
  public:
-  /// `service` must outlive the component. `sharded` may be null; when set,
-  /// submissions are tagged with the requesting entity's shard (stats /
-  /// distribution groundwork — placement does not affect results).
+  /// `service` must outlive the component.
   static StatusOr<std::unique_ptr<AsyncPathfindComponent>> Create(
       const Catalog& catalog, const AsyncPathfinderConfig& config,
-      GridMap map, JobService* service,
-      const ShardedWorld* sharded = nullptr);
+      GridMap map, JobService* service);
 
   // --- UpdateComponent --------------------------------------------------
   const std::string& name() const override { return name_; }
@@ -143,14 +139,12 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   /// grow threshold. LoadState rejects anything larger.
   size_t MaxCapacity() const;
   void MaybeSweep(Tick tick);
-  void SubmitSearch(World* world, uint64_t key, Tick tick, int shard,
-                    SnapshotView** snap);
+  void SubmitSearch(World* world, uint64_t key, Tick tick, SnapshotView** snap);
 
   std::string name_ = "async_pathfind";
   AsyncPathfinderConfig config_;
   GridMap map_;
   JobService* service_ = nullptr;
-  const ShardedWorld* sharded_ = nullptr;
   int client_id_ = -1;
   int penalty_units_ = 0;  ///< fixed-point crowd penalty per occupant
   /// Fixed capacity every result blob is reserved to (min(w*h+1, 4096)):

@@ -108,8 +108,7 @@ void JobService::RecycleJob(JobSlot* slot) {
 }
 
 void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
-                        SnapshotView* snap, int latency, Tick now,
-                        int shard) {
+                        SnapshotView* snap, int latency, Tick now) {
   SGL_CHECK(client >= 0 && client < static_cast<int>(clients_.size()));
   latency = std::max(1, std::min(latency, kJobMaxLatency - 1));
   if (now != seq_tick_) {
@@ -123,7 +122,6 @@ void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
   slot->install_tick = now + latency;
   slot->seq = seq_in_tick_++;
   slot->client = client;
-  slot->shard = shard;
   slot->order_key = Mix64(options_.seed ^
                           (static_cast<uint64_t>(now) << 20) ^ slot->seq);
   slot->snap = snap;
@@ -203,10 +201,6 @@ void JobService::WorkerLoop(int worker_index) {
       // payload says so. Runs before the claim, so a stalled worker can
       // lose its job to the barrier instead of stalling the tick.
       BusyDelayMicros(payload != 0 ? static_cast<int64_t>(payload) : 1000);
-    }
-    if (options_.test_delay_micros > 0) {
-      // Forced-slow-job stress: simulate searches far slower than a tick.
-      BusyDelayMicros(options_.test_delay_micros);
     }
     uint32_t expected = 0;
     if (!slot->claim.compare_exchange_strong(expected, 1,
@@ -393,7 +387,7 @@ void JobService::SerializeInFlight(std::string* out) const {
       binio::Append<int64_t>(&jobs_buf, slot->submit_tick);
       binio::Append<int64_t>(&jobs_buf, slot->install_tick);
       binio::Append<uint32_t>(&jobs_buf, slot->seq);
-      binio::Append<int32_t>(&jobs_buf, slot->shard);
+      binio::Append<int32_t>(&jobs_buf, 0);  // reserved: 0, ignored on read
       binio::Append<uint64_t>(&jobs_buf, slot->order_key);
       binio::Append<int64_t>(&jobs_buf, snap_index);
       ++num_jobs;
@@ -450,7 +444,6 @@ Status JobService::RestoreInFlight(const std::string& data, Tick now) {
     Tick submit_tick;
     Tick install_tick;
     uint32_t seq;
-    int32_t shard;
     uint64_t order_key;
     int64_t snap_index;
   };
@@ -466,6 +459,7 @@ Status JobService::RestoreInFlight(const std::string& data, Tick now) {
   for (uint64_t j = 0; j < num_jobs; ++j) {
     ParsedJob job;
     int64_t submit = 0, install = 0;
+    int32_t reserved = 0;
     bool ok = binio::Read(&cur, end, &job.client) &&
               binio::ReadString(&cur, end, &name) &&
               binio::Read(&cur, end, &job.user_key);
@@ -475,7 +469,7 @@ Status JobService::RestoreInFlight(const std::string& data, Tick now) {
     ok = ok && binio::Read(&cur, end, &submit) &&
          binio::Read(&cur, end, &install) &&
          binio::Read(&cur, end, &job.seq) &&
-         binio::Read(&cur, end, &job.shard) &&
+         binio::Read(&cur, end, &reserved) &&
          binio::Read(&cur, end, &job.order_key) &&
          binio::Read(&cur, end, &job.snap_index);
     if (!ok) {
@@ -514,7 +508,6 @@ Status JobService::RestoreInFlight(const std::string& data, Tick now) {
     slot->install_tick = job.install_tick;
     slot->seq = job.seq;
     slot->client = job.client;
-    slot->shard = job.shard;
     slot->order_key = job.order_key;
     slot->snap =
         job.snap_index < 0 ? nullptr

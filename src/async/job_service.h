@@ -83,9 +83,6 @@ struct JobServiceOptions {
   int num_workers = 0;
   /// Seed for the deterministic job-ordering keys.
   uint64_t seed = 0x0b5eeded5eedULL;
-  /// Test hook: busy-delay spun by workers before running each job
-  /// (forced-slow-job stress — results spanning many ticks). 0 = off.
-  int64_t test_delay_micros = 0;
   /// Armed fault plan (worker stall / worker death sites); null = off.
   /// Must outlive the service.
   FaultInjector* fault = nullptr;
@@ -115,7 +112,6 @@ struct JobSlot {
   Tick install_tick = 0;
   uint32_t seq = 0;            ///< submission sequence within its tick
   int client = 0;
-  int shard = 0;               ///< submitting shard (stats; 0 unsharded)
   SnapshotView* snap = nullptr;
   uint64_t result[4] = {0, 0, 0, 0};
   /// Variable-length result payload (e.g. the full path). Cleared by the
@@ -187,7 +183,7 @@ class JobService {
   /// [1, kJobMaxLatency - 1]). Barrier thread only. `snap` may be null for
   /// jobs that read nothing but their args.
   void Submit(int client, uint64_t user_key, const uint64_t args[4],
-              SnapshotView* snap, int latency, Tick now, int shard = 0);
+              SnapshotView* snap, int latency, Tick now);
 
   /// Installs every job due at `tick` in deterministic order. First the
   /// drain runs every due job no worker has claimed, across the pool;

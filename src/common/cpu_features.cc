@@ -57,22 +57,4 @@ void ResetKernelDispatch() {
   g_dispatch_override.store(-1, std::memory_order_relaxed);
 }
 
-std::string CpuFeatureString() {
-  std::string s;
-#if SGL_KERNELS_AVX2
-  const auto add = [&s](bool has, const char* name) {
-    if (!has) return;
-    if (!s.empty()) s += ',';
-    s += name;
-  };
-  add(__builtin_cpu_supports("sse4.2") != 0, "sse4.2");
-  add(__builtin_cpu_supports("avx") != 0, "avx");
-  add(__builtin_cpu_supports("avx2") != 0, "avx2");
-  add(__builtin_cpu_supports("fma") != 0, "fma");
-  add(__builtin_cpu_supports("avx512f") != 0, "avx512f");
-#endif
-  if (s.empty()) s = "none";
-  return s;
-}
-
 }  // namespace sgl

@@ -18,7 +18,6 @@
 #define SGL_COMMON_CPU_FEATURES_H_
 
 #include <cstdint>
-#include <string>
 
 // Whether the AVX2 kernel table is compiled into this binary at all
 // (x86-64 with a GCC-compatible compiler). Selection still happens at run
@@ -49,10 +48,6 @@ void SetKernelDispatch(KernelDispatch d);
 
 /// Drops the override; ActiveKernelDispatch() returns to env/CPU selection.
 void ResetKernelDispatch();
-
-/// Comma-separated feature list of the running CPU relevant to the kernel
-/// layer (e.g. "sse4.2,avx,avx2,fma"), for bench/context reporting.
-std::string CpuFeatureString();
 
 }  // namespace sgl
 

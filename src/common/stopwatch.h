@@ -23,11 +23,6 @@ class Stopwatch {
         .count();
   }
 
-  /// Seconds since construction or last Restart().
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) * 1e-6;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

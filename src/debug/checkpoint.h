@@ -24,8 +24,8 @@ struct Checkpoint {
   std::string state;  ///< serialized World
   /// Sharded engines only: the serialized shard partition (per-class shard
   /// boundaries, see ShardedWorld::SerializePartition), so restore resumes
-  /// the exact partition — including migration history — instead of
-  /// re-blocking. Empty for single-world checkpoints.
+  /// the exact partition — uneven after despawns — instead of re-blocking.
+  /// Empty for single-world checkpoints.
   std::string shard_partition;
   /// In-flight JobService submissions (JobService::SerializeInFlight): a
   /// restore re-creates each job so it installs at its originally
@@ -56,9 +56,10 @@ uint64_t Fnv1a(const void* data, size_t len,
 uint64_t WorldChecksum(const World& world);
 
 /// Row-order-independent variant: rows are visited in ascending EntityId
-/// order (row-major), so any permutation of rows — e.g. a shard migration,
-/// which moves state without changing it — leaves the checksum unchanged.
-/// Compares worlds that hold the same entities under different partitions.
+/// order (row-major), so any permutation of rows — e.g. the one a
+/// swap-remove despawn makes where a stable erase keeps order — leaves the
+/// checksum unchanged. Compares worlds that hold the same entities in
+/// different row orders.
 uint64_t CanonicalWorldChecksum(const World& world);
 
 /// Per-tick checksum log with optional periodic full checkpoints.

@@ -10,15 +10,6 @@ void EffectTracer::Watch(EntityId id) {
   watched_.insert(it, id);
 }
 
-void EffectTracer::Unwatch(EntityId id) {
-  auto it = std::lower_bound(watched_.begin(), watched_.end(), id);
-  if (it != watched_.end() && *it == id) watched_.erase(it);
-}
-
-bool EffectTracer::IsWatched(EntityId id) const {
-  return std::binary_search(watched_.begin(), watched_.end(), id);
-}
-
 void EffectTracer::OnEffectAssign(Tick tick, EntityId target,
                                   ClassId target_cls, FieldIdx field,
                                   const Value& value, int assign_id,

@@ -15,7 +15,7 @@
 // (tick, order_key) order — the same total order the old single-vector
 // implementation exposed, now independent of which worker recorded what.
 //
-// Watch/Unwatch/Clear configure the tracer and must run between ticks
+// Watch/Clear configure the tracer and must run between ticks
 // (the barrier thread); OnEffectAssign may run from any worker.
 
 #ifndef SGL_DEBUG_TRACER_H_
@@ -61,8 +61,6 @@ class EffectTracer : public EffectTraceSink {
   /// Starts watching an entity. No filter set = trace nothing.
   /// Configure between ticks (see header comment).
   void Watch(EntityId id);
-  void Unwatch(EntityId id);
-  bool IsWatched(EntityId id) const;
 
   /// Watch-all mode records every assignment regardless of the watch list.
   /// Configure between ticks.

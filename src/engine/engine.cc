@@ -14,6 +14,11 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(
         "exec.num_shards must be < 255 (shard ids are 8-bit), got " +
         std::to_string(options.exec.num_shards));
   }
+  if (options.exec.jobs.num_workers < 0) {
+    return Status::InvalidArgument(
+        "exec.jobs.num_workers must be >= 0, got " +
+        std::to_string(options.exec.jobs.num_workers));
+  }
   auto engine = std::unique_ptr<Engine>(new Engine());
   SGL_ASSIGN_OR_RETURN(engine->program_, CompileSource(source));
   engine->world_ = std::make_unique<World>(engine->program_->catalog.get());
@@ -46,7 +51,7 @@ Status Engine::AddAsyncPathfinder(const AsyncPathfinderConfig& config,
   SGL_ASSIGN_OR_RETURN(
       auto comp,
       AsyncPathfindComponent::Create(catalog(), config, std::move(map),
-                                     &executor_->jobs(), sharded_world_.get()));
+                                     &executor_->jobs()));
   return AddComponent(std::move(comp));
 }
 
@@ -57,7 +62,8 @@ Status Engine::AddComponent(std::unique_ptr<UpdateComponent> component) {
 StatusOr<EntityId> Engine::Spawn(
     const std::string& cls,
     const std::vector<std::pair<std::string, Value>>& init) {
-  if (sharded_world_ != nullptr) return sharded_world_->Spawn(cls, init);
+  // A sharded world's partition folds the new row into its last shard
+  // when it next catches up (EnsurePartition).
   return world_->Spawn(cls, init);
 }
 
@@ -105,11 +111,9 @@ Status Engine::Restore(const Checkpoint& cp) {
   if (jobs != nullptr) jobs->CancelAll();
   SGL_RETURN_IF_ERROR(RestoreCheckpoint(cp, world_.get()));
   if (sharded_world_ != nullptr) {
-    // Moves queued against the pre-restore world must not replay here.
-    sharded_world_->ClearPendingMigrations();
     if (!cp.shard_partition.empty()) {
       // Resume the exact partition the checkpoint was taken under
-      // (including migration history). Only a shard-count mismatch
+      // (uneven after despawns). Only a shard-count mismatch
       // (InvalidArgument) legitimately falls back to fresh block ranges;
       // a corrupt blob must surface, not silently re-block.
       Status st = sharded_world_->RestorePartition(cp.shard_partition);

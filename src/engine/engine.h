@@ -38,8 +38,8 @@ namespace sgl {
 struct EngineOptions {
   /// exec.num_shards > 1 partitions the world into row-range shards with
   /// cross-shard effect routing (src/shard/); the executor runs the same
-  /// pipeline over either layout. Create() rejects morsel_size == 0 and
-  /// num_shards >= 255 with InvalidArgument.
+  /// pipeline over either layout. Create() rejects morsel_size == 0,
+  /// num_shards >= 255 and jobs.num_workers < 0 with InvalidArgument.
   ExecOptions exec;
 };
 
@@ -119,16 +119,17 @@ class Engine {
   /// Attaches a tracer (null detaches).
   void SetTracer(EffectTracer* tracer) { executor_->set_trace(tracer); }
   /// Snapshot / resume. Sharded engines also capture the shard partition,
-  /// so Restore resumes the exact post-migration ranges. Checkpoints are
-  /// tick-boundary snapshots that also capture async jobs still in flight
-  /// (with their snapshots and contracted install ticks) and every
-  /// component's private cross-tick state: Restore re-creates the jobs so
-  /// each installs at its original tick and reloads the component caches,
-  /// making the restored run bit-identical to one that never stopped. A
-  /// checkpoint missing those sections (or failing to match this engine's
-  /// configuration) falls back to the legacy recovery — cancel in-flight
-  /// work, drop caches, re-request — which is deterministic going forward
-  /// but may briefly re-stall on results the original run already had.
+  /// so Restore resumes its exact ranges (despawns leave them uneven).
+  /// Checkpoints are tick-boundary snapshots that also capture async jobs
+  /// still in flight (with their snapshots and contracted install ticks)
+  /// and every component's private cross-tick state: Restore re-creates
+  /// the jobs so each installs at its original tick and reloads the
+  /// component caches, making the restored run bit-identical to one that
+  /// never stopped. A checkpoint missing those sections (or failing to
+  /// match this engine's configuration) falls back to the legacy recovery
+  /// — cancel in-flight work, drop caches, re-request — which is
+  /// deterministic going forward but may briefly re-stall on results the
+  /// original run already had.
   Checkpoint TakeCheckpoint() const;
   Status Restore(const Checkpoint& cp);
 

@@ -53,7 +53,7 @@ struct TickExecutor::Partition {
 namespace {
 
 /// Makes `rows` the iota [begin, end). A pure function of the range, so it
-/// is rebuilt only when spawns, despawns or migrations moved the range.
+/// is rebuilt only when spawns or despawns moved the range.
 void FillRange(RowIdx begin, RowIdx end, std::vector<RowIdx>* rows) {
   if (rows->size() == static_cast<size_t>(end - begin) &&
       (rows->empty() || (*rows)[0] == begin)) {
@@ -522,21 +522,12 @@ Status TickExecutor::RunTick() {
                             std::to_string(tick_));
   }
   if (options_.fault != nullptr) {
-    // Crash after the update phase but before the tick commits (migrations,
-    // epoch, counter bump): the classic torn-tick window a checkpoint must
-    // mend.
+    // Crash after the update phase but before the tick commits (counter
+    // bump): the classic torn-tick window a checkpoint must mend.
     SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
         sharded_ != nullptr ? kFaultShardCrashPostUpdate
                             : kFaultExecCrashPostUpdate,
         tick_));
-  }
-  // Barrier tail: queued migrations, then the epoch bump.
-  if (sharded_ != nullptr) {
-    if (sharded_->has_pending_migrations()) {
-      SGL_TRACE_SPAN(tel, kSpanTickMigrate, tick_, 0, 0);
-      SGL_RETURN_IF_ERROR(sharded_->ApplyPendingMigrations());
-    }
-    sharded_->BumpEpoch();
   }
 
   // --- 7. Bookkeeping ----------------------------------------------------

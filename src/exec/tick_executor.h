@@ -35,8 +35,7 @@
 //     cross-shard mailbox), with threads spread across partitions and each
 //     partition's morsels run in order on one thread;
 //   * the barrier — with more than one partition, merging flips and replays
-//     the mailboxes, and the tick ends by applying queued migrations and
-//     bumping the partition epoch (src/shard/README.md).
+//     the mailboxes (src/shard/README.md).
 //
 // Either way the result is bit-identical for any thread count and morsel
 // size, and across partition counts within the contract of

@@ -38,13 +38,9 @@ class IndexManager {
   const GridIndex* GetOrBuild(const World& world, const IndexSpec& spec,
                               Tick tick);
 
-  /// Cumulative statistics (reset with ResetStats).
+  /// Cumulative statistics.
   int64_t builds() const { return builds_; }
   int64_t build_micros() const { return build_micros_; }
-  void ResetStats() {
-    builds_ = 0;
-    build_micros_ = 0;
-  }
 
   /// Heap bytes across all currently built indices.
   size_t MemoryBytes() const;

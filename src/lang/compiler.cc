@@ -1421,13 +1421,6 @@ std::string CompiledProgram::Explain() const {
   return out;
 }
 
-int CompiledProgram::FindScript(const std::string& name) const {
-  for (size_t i = 0; i < scripts.size(); ++i) {
-    if (scripts[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 StatusOr<std::unique_ptr<CompiledProgram>> Compile(const AstProgram& ast) {
   auto out = std::make_unique<CompiledProgram>();
   ProgramCompiler compiler;

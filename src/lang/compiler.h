@@ -54,9 +54,6 @@ struct CompiledProgram {
 
   /// Human-readable plan dump (EXPLAIN) for every script and handler.
   std::string Explain() const;
-
-  /// Index of the script with `name`, or -1.
-  int FindScript(const std::string& name) const;
 };
 
 /// Compiles a parsed program.

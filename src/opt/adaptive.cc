@@ -112,7 +112,7 @@ JoinStrategy AdaptiveController::Choose(const AccumOp& op, Tick tick,
 
   // Periodic exploration: probe the next unexplored/stale candidate.
   bool probing = site.last_probe < 0 ||
-                 tick - site.last_probe >= options_.probe_interval;
+                 tick - site.last_probe >= kProbeInterval;
   if (probing) {
     site.last_probe = tick;
     site.probe_cursor =
@@ -167,7 +167,7 @@ void AdaptiveController::Feedback(const SiteFeedback& fb) {
     double slow = site.fanout_slow.value() + 1e-9;
     double fast = site.fanout_fast.value() + 1e-9;
     double ratio = fast > slow ? fast / slow : slow / fast;
-    if (ratio > options_.drift_ratio) {
+    if (ratio > kDriftRatio) {
       for (Ewma& e : site.time_per_outer) e.Reset();
       site.fanout_slow = site.fanout_fast;
       site.last_probe = -1;  // probe immediately next tick

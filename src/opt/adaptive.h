@@ -59,9 +59,13 @@ class AdaptiveController {
  public:
   struct Options {
     PlanMode mode = PlanMode::kCostBased;
-    int probe_interval = 32;     ///< ticks between exploration probes
-    double drift_ratio = 3.0;    ///< fan-out change triggering re-probe
   };
+
+  /// kAdaptive: ticks between a site's exploration probes.
+  static constexpr int kProbeInterval = 32;
+  /// kAdaptive: short- over long-horizon join fan-out ratio (either way)
+  /// past which a site forgets its timings and re-probes.
+  static constexpr double kDriftRatio = 3.0;
 
   AdaptiveController(const Options& options, int num_sites);
 

@@ -2,16 +2,6 @@
 
 namespace sgl {
 
-const char* TypeKindName(TypeKind kind) {
-  switch (kind) {
-    case TypeKind::kNumber: return "number";
-    case TypeKind::kBool: return "bool";
-    case TypeKind::kRef: return "ref";
-    case TypeKind::kSet: return "set";
-  }
-  return "?";
-}
-
 std::string SglType::ToString() const {
   switch (kind) {
     case TypeKind::kNumber: return "number";

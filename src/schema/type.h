@@ -17,9 +17,6 @@ namespace sgl {
 /// The four SGL value categories.
 enum class TypeKind : uint8_t { kNumber, kBool, kRef, kSet };
 
-/// Name of a TypeKind ("number", "bool", "ref", "set").
-const char* TypeKindName(TypeKind kind);
-
 /// A (possibly parameterized) SGL type. For kRef/kSet, `target_name` holds
 /// the referenced class's name and `target` its resolved id (kInvalidClass
 /// until Catalog::Finalize runs).

@@ -52,8 +52,8 @@ void ShardedWorld::EnsurePartition() {
     PartitionBlock();
     return;
   }
-  // Pre-partition spawns through the plain World API leave shard_of short;
-  // fold the stragglers into the last shard (a pure append).
+  // Spawns go through the plain World API and leave shard_of short; fold
+  // the new rows into the last shard (a pure append).
   const int num_classes = world_->catalog().num_classes();
   for (ClassId c = 0; c < num_classes; ++c) {
     ClassPartition& part = parts_[static_cast<size_t>(c)];
@@ -129,87 +129,34 @@ Status ShardedWorld::RestorePartition(const std::string& data) {
   return Status::OK();
 }
 
-void ShardedWorld::SetPartitionSizes(ClassId cls, const uint32_t* sizes) {
-  ClassPartition& part = parts_[static_cast<size_t>(cls)];
-  const size_t S = static_cast<size_t>(num_shards_);
-  part.base.resize(S + 1);
-  part.base[0] = 0;
-  for (size_t s = 0; s < S; ++s) {
-    part.base[s + 1] = part.base[s] + sizes[s];
-  }
-  part.shard_of.resize(part.base[S]);
-  for (size_t s = 0; s < S; ++s) {
-    std::fill(part.shard_of.begin() + part.base[s],
-              part.shard_of.begin() + part.base[s + 1],
-              static_cast<uint8_t>(s));
-  }
-}
-
-int ShardedWorld::ShardOfEntity(EntityId id) const {
+int ShardedWorld::ShardOfEntity(EntityId id) {
+  EnsurePartition();
   const World::Locator* loc = world_->Find(id);
   if (loc == nullptr) return -1;
   return ShardOfRow(loc->cls, loc->row);
 }
 
-StatusOr<EntityId> ShardedWorld::Spawn(
-    const std::string& cls_name,
-    const std::vector<std::pair<std::string, Value>>& init, int shard) {
-  if (!partitioned_ && shard < 0) {
-    // Build phase: plain append; EnsurePartition slices everything later.
-    return world_->Spawn(cls_name, init);
-  }
-  // An explicit placement request forces the partition into existence so
-  // it can be honored rather than silently dropped.
-  EnsurePartition();
-  SGL_ASSIGN_OR_RETURN(EntityId id, world_->Spawn(cls_name, init));
-  const World::Locator* loc = world_->Find(id);
-  // The fresh row sits at the end of its table = end of the last shard.
-  ClassPartition& part = parts_[static_cast<size_t>(loc->cls)];
-  part.shard_of.push_back(static_cast<uint8_t>(num_shards_ - 1));
-  ++part.base[static_cast<size_t>(num_shards_)];
-  if (shard >= 0 && shard != num_shards_ - 1) {
-    single_move_.assign(1, ShardMove{id, shard});
-    SGL_RETURN_IF_ERROR(migrator_.Migrate(this, single_move_.data(), 1));
-  }
-  return id;
-}
-
-Status ShardedWorld::SpawnBatch(ClassId cls, size_t n, int shard,
-                                std::vector<EntityId>* out_ids) {
-  EnsurePartition();
-  return migrator_.SpawnBatch(this, cls, n, shard, out_ids);
-}
-
 Status ShardedWorld::Despawn(EntityId id) {
   EnsurePartition();
-  return migrator_.DespawnBatch(this, &id, 1);
-}
-
-Status ShardedWorld::DespawnBatch(const std::vector<EntityId>& ids) {
-  EnsurePartition();
-  return migrator_.DespawnBatch(this, ids.data(), ids.size());
-}
-
-Status ShardedWorld::QueueMigration(EntityId id, int dst_shard) {
-  if (world_->Find(id) == nullptr) {
-    return Status::NotFound("cannot migrate: entity does not exist");
+  const World::Locator* loc = world_->Find(id);
+  if (loc == nullptr) {
+    return Status::NotFound("cannot despawn: entity does not exist");
   }
-  if (dst_shard < 0 || dst_shard >= num_shards_) {
-    return Status::InvalidArgument("destination shard out of range");
+  const ClassId cls = loc->cls;
+  const RowIdx row = loc->row;
+  world_->DirectoryErase(id);
+  EntityTable& table = world_->table(cls);
+  const RowSlice keep[2] = {
+      RowSlice{0, row},
+      RowSlice{row + 1, static_cast<uint32_t>(table.size() - row - 1)}};
+  table.RebuildBySlices(keep, 2, &rebuild_scratch_);
+  world_->ReindexClass(cls);
+  ClassPartition& part = parts_[static_cast<size_t>(cls)];
+  for (size_t s = part.shard_of[row] + 1u; s < part.base.size(); ++s) {
+    --part.base[s];
   }
-  pending_.push_back(ShardMove{id, dst_shard});
+  part.shard_of.erase(part.shard_of.begin() + row);
   return Status::OK();
-}
-
-Status ShardedWorld::ApplyPendingMigrations() {
-  if (pending_.empty()) return Status::OK();
-  Status st = migrator_.Migrate(this, pending_.data(), pending_.size());
-  pending_.clear();
-  return st;
-}
-
-Status ShardedWorld::MigrateNow(const std::vector<ShardMove>& moves) {
-  return migrator_.Migrate(this, moves.data(), moves.size());
 }
 
 bool ShardedWorld::PartitionConsistent() const {

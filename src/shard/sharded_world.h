@@ -14,44 +14,32 @@
 //
 // The block partition keeps each shard's rows contiguous *and* in global
 // spawn order, which is what makes the sharded tick bit-comparable to the
-// single-shard one (see src/shard/README.md). Entities move between shards
-// only through EntityMigrator, which rewrites the class arenas as column
-// memcpy slices and refreshes the directory in one pass — the same
-// machinery backs bulk spawn/despawn.
+// single-shard one (see src/shard/README.md). Rows never change shard:
+// new rows join the last shard when the partition next catches up
+// (EnsurePartition), and a despawn stable-erases its row and shrinks the
+// owning shard's range.
 
 #ifndef SGL_SHARD_SHARDED_WORLD_H_
 #define SGL_SHARD_SHARDED_WORLD_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/shard/entity_migrator.h"
 #include "src/storage/world.h"
 
 namespace sgl {
-
-/// One queued shard move, applied at the next tick barrier.
-struct ShardMove {
-  EntityId id = kNullEntity;
-  int dst_shard = 0;
-};
 
 class ShardedWorld {
  public:
   /// Partitions `world` (not owned, must outlive this) into `num_shards`
   /// block ranges. May be built before entities exist: the partition is
-  /// (re)computed lazily on first use, so workload builders can spawn
-  /// through the plain Engine API first.
+  /// (re)computed lazily on first use, so entities spawn through the
+  /// plain World API.
   ShardedWorld(World* world, int num_shards);
 
   World& world() { return *world_; }
   const World& world() const { return *world_; }
   int num_shards() const { return num_shards_; }
-
-  /// Tick barriers completed (mailbox double-buffer parity, tests).
-  uint64_t epoch() const { return epoch_; }
-  void BumpEpoch() { ++epoch_; }
 
   /// Block-partitions every class's current rows evenly, without moving
   /// any row. Also the fallback recovery path after a checkpoint restore
@@ -68,8 +56,8 @@ class ShardedWorld {
   /// state is left untouched — callers fall back to PartitionBlock().
   Status RestorePartition(const std::string& data);
 
-  /// Recomputes the partition if it has never been built or table sizes
-  /// drifted behind its back (pre-partition spawns). Idempotent.
+  /// Builds the partition if it never was, and folds rows spawned since
+  /// into the last shard (a pure append). Idempotent.
   void EnsurePartition();
 
   // --- Partition queries (valid after EnsurePartition) -----------------
@@ -83,69 +71,31 @@ class ShardedWorld {
   int ShardOfRow(ClassId cls, RowIdx row) const {
     return parts_[static_cast<size_t>(cls)].shard_of[row];
   }
-  /// Shard owning `id`, or -1 if the entity does not exist.
-  int ShardOfEntity(EntityId id) const;
+  /// Shard owning `id`, or -1 if the entity does not exist. Catches the
+  /// partition up first, so an entity spawned since the last tick reads
+  /// as the last shard's.
+  int ShardOfEntity(EntityId id);
 
-  // --- Entity management (tick-boundary only) --------------------------
-  // All paths keep ranges contiguous; World::Despawn's swap-remove must
-  // not be used on a partitioned world.
-
-  /// Spawns into `shard` (-1 = the last shard: a pure column append, no
-  /// row moves).
-  StatusOr<EntityId> Spawn(
-      const std::string& cls_name,
-      const std::vector<std::pair<std::string, Value>>& init,
-      int shard = -1);
-
-  /// Columnar bulk spawn of `n` default-initialized entities into `shard`
-  /// (the streaming ingest path: one arena rebuild instead of n boxed
-  /// spawns). Appends new ids to `out_ids` if non-null.
-  Status SpawnBatch(ClassId cls, size_t n, int shard,
-                    std::vector<EntityId>* out_ids);
-
+  /// Removes an entity without disturbing range contiguity (tick-boundary
+  /// only; World::Despawn's swap-remove must not be used on a partitioned
+  /// world): its row is stable-erased and its shard's range shrinks by one.
   Status Despawn(EntityId id);
-  /// Columnar bulk despawn: one arena rebuild per affected class.
-  Status DespawnBatch(const std::vector<EntityId>& ids);
-
-  // --- Migration -------------------------------------------------------
-
-  /// Queues a move; the executor applies all queued moves at the next tick
-  /// barrier (ApplyPendingMigrations).
-  Status QueueMigration(EntityId id, int dst_shard);
-  bool has_pending_migrations() const { return !pending_.empty(); }
-  /// Drops queued moves without applying them (checkpoint restore: moves
-  /// queued against the pre-restore world must not replay on the restored
-  /// one).
-  void ClearPendingMigrations() { pending_.clear(); }
-  /// Applies queued moves (tick barrier / tests). Clears the queue.
-  Status ApplyPendingMigrations();
-  /// Immediate batch migration (tick-boundary).
-  Status MigrateNow(const std::vector<ShardMove>& moves);
 
   /// Validates ranges, shard_of, and directory coherence (tests).
   bool PartitionConsistent() const;
 
  private:
-  friend class EntityMigrator;
-
   /// Row partition of one class: shard s owns [base[s], base[s+1]).
   struct ClassPartition {
     std::vector<RowIdx> base;       ///< size num_shards + 1 (prefix sums)
     std::vector<uint8_t> shard_of;  ///< per row; O(1) effect routing
   };
 
-  /// Rebuilds base/shard_of of `cls` from per-shard row counts (rows are
-  /// already grouped by shard in range order).
-  void SetPartitionSizes(ClassId cls, const uint32_t* sizes);
-
   World* world_;
   int num_shards_;
   bool partitioned_ = false;
   std::vector<ClassPartition> parts_;  ///< by class
-  EntityMigrator migrator_;
-  std::vector<ShardMove> pending_;
-  std::vector<ShardMove> single_move_;  ///< reused 1-element buffer
-  uint64_t epoch_ = 0;
+  TableRebuildScratch rebuild_scratch_;  ///< Despawn's row erase
 };
 
 }  // namespace sgl

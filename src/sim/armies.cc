@@ -1,7 +1,6 @@
 #include "src/sim/armies.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/rng.h"
 
@@ -126,23 +125,6 @@ void ArmiesWorkload::Retarget(Engine* engine, const ArmiesConfig& config,
     tx.at(i) = (rally.first + 0.5) * config.cell;
     ty.at(i) = (rally.second + 0.5) * config.cell;
   }
-}
-
-double ArmiesWorkload::MeanGoalDistance(Engine* engine) {
-  World& world = engine->world();
-  const ClassId cls = engine->catalog().Find("Soldier");
-  const EntityTable& table = world.table(cls);
-  const ClassDef& def = engine->catalog().Get(cls);
-  ConstNumberColumn x = table.Num(def.FindState("x"));
-  ConstNumberColumn y = table.Num(def.FindState("y"));
-  ConstNumberColumn tx = table.Num(def.FindState("tx"));
-  ConstNumberColumn ty = table.Num(def.FindState("ty"));
-  if (table.empty()) return 0;
-  double total = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    total += std::abs(x[i] - tx[i]) + std::abs(y[i] - ty[i]);
-  }
-  return total / static_cast<double>(table.size());
 }
 
 }  // namespace sgl

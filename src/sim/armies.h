@@ -62,10 +62,6 @@ class ArmiesWorkload {
   /// Goal churn: rotates every army to its round-`round` rally point
   /// (direct column writes — allocation-free, usable mid-measurement).
   static void Retarget(Engine* engine, const ArmiesConfig& config, int round);
-
-  /// Mean manhattan distance from soldiers to their targets (a progress
-  /// probe: marching armies drive it down).
-  static double MeanGoalDistance(Engine* engine);
 };
 
 }  // namespace sgl

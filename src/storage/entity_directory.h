@@ -10,9 +10,10 @@
 // erased slots recycle without tombstone decay (Knuth's backward-shift
 // deletion keeps probe chains tight).
 //
-// The shard migrator leans on this: moving a batch of entities between
-// shards rewrites one locator per moved row with a plain probe + store —
-// no rehash, no allocation once the table reaches its high-water capacity.
+// Row moves lean on this: a swap-remove despawn, or a sharded despawn's
+// stable erase, rewrites one locator per moved row with a plain probe +
+// store — no rehash, no allocation once the table reaches its high-water
+// capacity.
 
 #ifndef SGL_STORAGE_ENTITY_DIRECTORY_H_
 #define SGL_STORAGE_ENTITY_DIRECTORY_H_
@@ -58,7 +59,7 @@ class EntityDirectory {
   /// Inserts `id` (must not be present) at (cls, row).
   void Insert(EntityId id, ClassId cls, RowIdx row);
 
-  /// Repositions an existing entry (migration / compaction). The entry must
+  /// Repositions an existing entry (row moves on despawn). The entry must
   /// be present; never allocates.
   void Update(EntityId id, ClassId cls, RowIdx row) {
     Slot* s = const_cast<Slot*>(FindSlot(id));

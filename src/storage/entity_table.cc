@@ -118,48 +118,6 @@ RowIdx EntityTable::AddRow(EntityId id) {
   return row;
 }
 
-void EntityTable::AddRowsDefault(const EntityId* ids, size_t n) {
-  if (n == 0) return;
-  const size_t old_rows = ids_.size();
-  const size_t new_rows = old_rows + n;
-  ids_.insert(ids_.end(), ids, ids + n);
-  nums_.resize(new_rows * stride_);
-  for (auto& b : bools_) b.resize(new_rows);
-  for (auto& r : refs_) r.resize(new_rows);
-  for (auto& s : sets_) s.resize(new_rows);
-  // Broadcast each field's declared default down its column.
-  for (const FieldDef& f : cls_->state_fields()) {
-    const size_t slot = slots_[static_cast<size_t>(f.index)];
-    switch (f.type.kind) {
-      case TypeKind::kNumber: {
-        NumberColumn col = Num(f.index);
-        const double v = f.default_value.AsNumber();
-        for (size_t i = old_rows; i < new_rows; ++i) col.at(i) = v;
-        break;
-      }
-      case TypeKind::kBool: {
-        const uint8_t v = f.default_value.AsBool() ? 1 : 0;
-        std::fill(bools_[slot].begin() + old_rows, bools_[slot].end(), v);
-        break;
-      }
-      case TypeKind::kRef: {
-        const EntityId v = f.default_value.AsRef();
-        std::fill(refs_[slot].begin() + old_rows, refs_[slot].end(), v);
-        break;
-      }
-      case TypeKind::kSet: {
-        const EntitySet& v = f.default_value.AsSet();
-        if (!v.empty()) {
-          for (size_t i = old_rows; i < new_rows; ++i) {
-            sets_[slot][i] = v;
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
 void EntityTable::RebuildBySlices(const RowSlice* slices, size_t n_slices,
                                   TableRebuildScratch* scratch) {
   size_t new_rows = 0;

@@ -52,11 +52,11 @@ struct ConstNumberColumn {
   double operator[](size_t row) const { return base[row * stride]; }
 };
 
-/// A contiguous run of `len` current rows starting at `begin`. Bulk row
-/// operations (shard migration, bulk despawn) are expressed as slice lists:
-/// the rebuilt table is the concatenation of the slices, each moved with
-/// one memcpy per column (the numeric block counts as one) — no per-row
-/// Value round-trips.
+/// A contiguous run of `len` current rows starting at `begin`. Row
+/// rebuilds (the sharded despawn's stable erase) are expressed as slice
+/// lists: the rebuilt table is the concatenation of the slices, each moved
+/// with one memcpy per column (the numeric block counts as one) — no
+/// per-row Value round-trips.
 struct RowSlice {
   RowIdx begin = 0;
   uint32_t len = 0;
@@ -65,8 +65,8 @@ struct RowSlice {
 /// Ping-pong buffers for RebuildBySlices. The rebuild gathers into the
 /// scratch columns and swaps them with the live ones, so the scratch keeps
 /// the previous generation's buffers (capacity intact) for the next
-/// rebuild: steady-state migrations allocate nothing once both sides reach
-/// their high-water sizes. One scratch may be shared across tables.
+/// rebuild: repeated rebuilds allocate nothing once both sides reach their
+/// high-water sizes. One scratch may be shared across tables.
 struct TableRebuildScratch {
   std::vector<EntityId> ids;
   std::vector<double> nums;
@@ -107,11 +107,6 @@ class EntityTable {
   /// Swap-removes `row`. Returns the EntityId that moved into `row`
   /// (kNullEntity if `row` was the last row). Caller updates its map.
   EntityId SwapRemoveRow(RowIdx row);
-
-  /// Appends `n` default-initialized rows for `ids[0..n)` in one columnar
-  /// pass (the bulk spawn path: per-column default fills instead of n
-  /// boxed SetValue round-trips). Caller maintains the id -> row map.
-  void AddRowsDefault(const EntityId* ids, size_t n);
 
   /// Rebuilds the table as the concatenation of `slices` (each a run of
   /// current rows; a row may appear in at most one slice — rows in no

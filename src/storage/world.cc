@@ -20,26 +20,6 @@ EntityId World::Spawn(ClassId cls) {
   return id;
 }
 
-void World::SpawnBatch(ClassId cls, size_t n,
-                       std::vector<EntityId>* out_ids) {
-  if (n == 0) return;
-  EntityTable& t = table(cls);
-  const RowIdx first = static_cast<RowIdx>(t.size());
-  spawn_ids_.clear();
-  spawn_ids_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    spawn_ids_.push_back(next_id_++);
-  }
-  t.AddRowsDefault(spawn_ids_.data(), n);
-  directory_.Reserve(directory_.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    directory_.Insert(spawn_ids_[i], cls, first + static_cast<RowIdx>(i));
-  }
-  if (out_ids != nullptr) {
-    out_ids->insert(out_ids->end(), spawn_ids_.begin(), spawn_ids_.end());
-  }
-}
-
 StatusOr<EntityId> World::Spawn(
     const std::string& cls_name,
     const std::vector<std::pair<std::string, Value>>& init) {

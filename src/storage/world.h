@@ -4,9 +4,9 @@
 // the id -> (class, row) directory (a flat open-addressing EntityDirectory —
 // Find is a probe, not a node walk). Spawn/despawn are tick-boundary
 // operations; within a tick rows are stable, which is what allows compiled
-// plans to work on dense RowIdx vectors. The bulk row operations
-// (SpawnBatch, ReindexClass) exist for the shard migrator, which moves rows
-// columnar-wholesale and then refreshes locators in one pass.
+// plans to work on dense RowIdx vectors. ReindexClass and DirectoryErase
+// exist for the sharded despawn, which stable-erases a row (shifting the
+// rows after it) and then refreshes the class's locators in one pass.
 
 #ifndef SGL_STORAGE_WORLD_H_
 #define SGL_STORAGE_WORLD_H_
@@ -43,11 +43,6 @@ class World {
   /// Creates an entity of `cls` with default field values.
   EntityId Spawn(ClassId cls);
 
-  /// Creates `n` entities of `cls` with default field values in one
-  /// columnar append (no per-row boxed writes). Appends the new ids to
-  /// `out_ids` if non-null. Tick-boundary only.
-  void SpawnBatch(ClassId cls, size_t n, std::vector<EntityId>* out_ids);
-
   /// Creates an entity by class name with named initial state values.
   StatusOr<EntityId> Spawn(
       const std::string& cls_name,
@@ -61,12 +56,12 @@ class World {
   const Locator* Find(EntityId id) const { return directory_.Find(id); }
 
   /// Re-stamps the directory locator of every row of `cls` from the table's
-  /// current id order. Called after bulk row moves (migration, bulk
-  /// despawn) that reposition many rows at once; allocation-free.
+  /// current id order. Called after a row rebuild that repositions many
+  /// rows at once (the sharded despawn); allocation-free.
   void ReindexClass(ClassId cls);
 
   /// Removes `id` from the directory without touching its table row. The
-  /// caller owns the row's removal (bulk despawn path).
+  /// caller owns the row's removal (the sharded despawn).
   bool DirectoryErase(EntityId id) { return directory_.Erase(id); }
 
   EntityTable& table(ClassId cls) {
@@ -108,7 +103,6 @@ class World {
   std::vector<std::unique_ptr<EffectBuffer>> effects_;
   EntityDirectory directory_;
   EntityId next_id_ = 1;
-  std::vector<EntityId> spawn_ids_;  ///< reused SpawnBatch id buffer
 };
 
 }  // namespace sgl

@@ -26,10 +26,10 @@ const char* SpanSiteName(uint64_t id) {
   static constexpr SpanSite kSites[] = {
       kSpanTickTotal,     kSpanTickSelect,  kSpanTickSitePrep,
       kSpanTickQuery,     kSpanTickMerge,   kSpanTickFinalize,
-      kSpanTickInstall,   kSpanTickUpdate,  kSpanTickMigrate,
-      kSpanShardRun,      kSpanTickBarrier, kSpanMailboxFlip,
-      kSpanMailboxReplay, kSpanSiteQuery,   kSpanSiteProbe,
-      kSpanJobRun,        kSpanVmCompile,
+      kSpanTickInstall,   kSpanTickUpdate,  kSpanShardRun,
+      kSpanTickBarrier,   kSpanMailboxFlip, kSpanMailboxReplay,
+      kSpanSiteQuery,     kSpanSiteProbe,   kSpanJobRun,
+      kSpanVmCompile,
   };
   for (const SpanSite& s : kSites) {
     if (s.id == id) return s.name;

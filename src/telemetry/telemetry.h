@@ -92,7 +92,6 @@ inline constexpr SpanSite kSpanTickFinalize =
     MakeSpanSite("tick.finalize_sets");
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
-inline constexpr SpanSite kSpanTickMigrate = MakeSpanSite("tick.migrate");
 // shard: a sharded world's per-shard query phase and barrier internals.
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");

@@ -138,12 +138,16 @@ TEST(Controller, StaticModesRunSetDomainSitesAsNl) {
 TEST(Controller, AdaptiveConvergesToFasterStrategy) {
   AdaptiveController::Options options;
   options.mode = PlanMode::kAdaptive;
-  options.probe_interval = 5;
   AdaptiveController controller(options, 1);
   AccumOp op = RangeOp(0);
-  // Feed synthetic feedback: the grid is 10x faster than whatever else runs.
+  // Feed synthetic feedback: the grid is 10x faster than whatever else
+  // runs. Over several probe intervals the controller keeps probing nested
+  // loop, yet every tick that is not a probe exploits the grid.
+  constexpr Tick kTicks = 4 * AdaptiveController::kProbeInterval + 3;
+  int probes_of_nl = 0;
+  int exploit_ticks = 0;
   JoinStrategy converged = JoinStrategy::kNestedLoop;
-  for (Tick t = 0; t < 100; ++t) {
+  for (Tick t = 0; t < kTicks; ++t) {
     JoinStrategy s = controller.Choose(op, t, nullptr, 1000);
     SiteFeedback fb;
     fb.site = 0;
@@ -153,29 +157,50 @@ TEST(Controller, AdaptiveConvergesToFasterStrategy) {
     fb.micros = s == JoinStrategy::kGrid ? 100 : 1000;
     controller.Feedback(fb);
     converged = s;
+    if (t < 2) continue;  // seeding pick and the first probe
+    if ((t - 1) % AdaptiveController::kProbeInterval == 0) {
+      probes_of_nl += s == JoinStrategy::kNestedLoop;
+    } else {
+      ++exploit_ticks;
+      EXPECT_EQ(JoinStrategy::kGrid, s) << "exploit tick " << t;
+    }
   }
   EXPECT_EQ(JoinStrategy::kGrid, converged);
+  EXPECT_GT(probes_of_nl, 0) << "the controller never re-probed";
+  EXPECT_GT(exploit_ticks, 0);
 }
 
 TEST(Controller, DriftTriggersReprobe) {
   AdaptiveController::Options options;
   options.mode = PlanMode::kAdaptive;
-  options.probe_interval = 1000;  // no scheduled probes
-  options.drift_ratio = 2.0;
   AdaptiveController controller(options, 1);
   AccumOp op = RangeOp(0);
-  // Stable fan-out for a while, then a 10x jump.
-  for (Tick t = 0; t < 30; ++t) {
+  // The grid is 10x faster throughout, so after the first probe (tick 1)
+  // only a probe can pick nested loop. Stable fan-out for a while, then a
+  // 50x jump, all before the next scheduled probe: only drift can re-probe.
+  constexpr Tick kJump = 20;
+  constexpr Tick kTicks = 30;
+  static_assert(kTicks <= AdaptiveController::kProbeInterval,
+                "a scheduled probe would mask the drift re-probe");
+  Tick first_nl = -1;
+  for (Tick t = 0; t < kTicks; ++t) {
     JoinStrategy s = controller.Choose(op, t, nullptr, 100);
+    if (t >= 2 && s == JoinStrategy::kNestedLoop && first_nl < 0) {
+      first_nl = t;
+    }
     SiteFeedback fb;
     fb.site = 0;
     fb.strategy = s;
     fb.outer_rows = 100;
-    fb.matches = t < 20 ? 100 : 5000;
-    fb.micros = 50;
+    fb.matches = t < kJump ? 100 : 5000;
+    fb.micros = s == JoinStrategy::kGrid ? 50 : 500;
     controller.Feedback(fb);
+    if (t == kJump - 1) {
+      EXPECT_EQ(controller.drift_resets(), 0) << "stable fan-out drifted";
+    }
   }
   EXPECT_GT(controller.drift_resets(), 0);
+  EXPECT_GT(first_nl, kJump) << "drift must trigger the only re-probe";
 }
 
 TEST(Controller, CandidatesReflectPredicates) {
@@ -219,13 +244,14 @@ TEST(Adaptive, AdaptiveModeRunsAndSwitches) {
   config.num_units = 512;
   EngineOptions options;
   options.exec.planner.mode = PlanMode::kAdaptive;
-  options.exec.planner.probe_interval = 4;
   auto engine = RtsWorkload::Build(config, options);
   ASSERT_TRUE(engine.ok());
+  // Four spread/clumped phases spanning three probe intervals.
   for (int phase = 0; phase < 4; ++phase) {
     RtsWorkload::RepositionMode(engine->get(), config, phase % 2 == 1,
                                 static_cast<uint64_t>(phase));
-    ASSERT_TRUE((*engine)->RunTicks(12).ok());
+    ASSERT_TRUE(
+        (*engine)->RunTicks(3 * AdaptiveController::kProbeInterval / 4).ok());
   }
   // The controller probed alternatives at least once.
   EXPECT_GT((*engine)->executor().controller().switches(), 0);

@@ -259,8 +259,8 @@ TEST(AllocSteadyState, TrafficStateIsBitIdenticalAcrossThreadCounts) {
 }
 
 // --- Sharded pipeline (src/shard/) ---------------------------------------
-// Once the mailbox lanes, range-sized local effect buffers, and migration
-// scratch reach their high-water capacity, a sharded tick must be exactly
+// Once the mailbox lanes and range-sized local effect buffers reach their
+// high-water capacity, a sharded tick must be exactly
 // as allocation-free as the single-world one — in serial shard order and
 // with shards fanned out across threads.
 

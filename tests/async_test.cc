@@ -8,8 +8,9 @@
 //     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 2, 4}
 //     × tick-thread counts {1, 2, 4}, including goal churn, crowd-penalty
 //     snapshots, and background refreshes.
-//   * Forced-slow-job stress — workers that take many ticks per search
-//     change nothing but wall-clock.
+//   * Forced-slow-job stress — workers stalled through the
+//     async.worker.stall fault site for many ticks per search change
+//     nothing but wall-clock.
 //   * Request dedup, functional pathfinding, and checkpoint-restore
 //     behavior with jobs in flight; corrupt request-cache blobs are
 //     refused, not allocated.
@@ -27,6 +28,7 @@
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
 #include "src/debug/checkpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/sim/armies.h"
 
 namespace sgl {
@@ -60,12 +62,26 @@ class RecordingClient : public JobClient {
   std::vector<Record> installs;
 };
 
+// Forced-slow jobs: a plan whose one rule stalls every worker delivery
+// `delay` micros at the async.worker.stall site, before the claim. Null
+// (no stall) when `delay` is 0.
+std::unique_ptr<FaultInjector> StallEveryJob(int64_t delay) {
+  if (delay <= 0) return nullptr;
+  FaultRule stall;
+  stall.site = kFaultAsyncWorkerStall.name;
+  stall.payload = static_cast<uint64_t>(delay);
+  FaultPlan plan;
+  plan.rules.push_back(stall);
+  return std::make_unique<FaultInjector>(plan);
+}
+
 std::vector<RecordingClient::Record> RunServiceScenario(int workers,
                                                          int64_t delay = 0) {
+  const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
   JobServiceOptions options;
   options.num_workers = workers;
   options.seed = 77;
-  options.test_delay_micros = delay;
+  options.fault = stall.get();
   JobService service(options);
   RecordingClient client;
   const int id = service.RegisterClient(&client);
@@ -146,10 +162,11 @@ std::vector<RecordingClient::Record> RunDueBurst(int workers, int64_t delay,
                                                  ThreadPool* pool,
                                                  int64_t* fallback_runs,
                                                  size_t* run_threads) {
+  const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
   JobServiceOptions options;
   options.num_workers = workers;
   options.seed = 77;
-  options.test_delay_micros = delay;
+  options.fault = stall.get();
   JobService service(options, pool);
   ThreadNotingClient client;
   const int id = service.RegisterClient(&client);
@@ -189,9 +206,10 @@ TEST(JobServiceTest, PoolDrainInstallsInSeededOrder) {
 }
 
 TEST(JobServiceTest, CancelAllDropsPendingAndInFlight) {
+  const std::unique_ptr<FaultInjector> stall = StallEveryJob(2000);
   JobServiceOptions options;
   options.num_workers = 2;
-  options.test_delay_micros = 2000;
+  options.fault = stall.get();
   JobService service(options);
   RecordingClient client;
   const int id = service.RegisterClient(&client);
@@ -245,9 +263,10 @@ ArmiesConfig SmallArmies() {
 
 uint64_t RunArmies(const ArmiesConfig& config, int workers, int shards,
                    int threads, int ticks = 40, int64_t delay = 0) {
+  const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
-  options.exec.jobs.test_delay_micros = delay;
+  options.exec.fault = stall.get();  // the engine hands it to JobService
   options.exec.num_shards = shards;
   options.exec.num_threads = threads;
   auto engine = ArmiesWorkload::Build(config, options);

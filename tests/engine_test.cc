@@ -176,6 +176,17 @@ TEST(Engine, CreateRejectsTooManyShards) {
   EXPECT_EQ(StatusCode::kOk, RtsCreateCode(1, 254, 2048));
 }
 
+// A negative job-worker count fails Create instead of aborting the process
+// in JobService's constructor once a component asks for the service.
+TEST(Engine, CreateRejectsNegativeJobWorkers) {
+  EngineOptions options;
+  options.exec.jobs.num_workers = -1;
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            Engine::Create(kMinimal, options).status().code());
+  options.exec.jobs.num_workers = 0;
+  EXPECT_EQ(StatusCode::kOk, Engine::Create(kMinimal, options).status().code());
+}
+
 TEST(Engine, PhysicsOnUnknownClassFails) {
   auto engine = Engine::Create(kMinimal);
   ASSERT_TRUE(engine.ok());

@@ -2,10 +2,10 @@
 // sharded layouts against the one-partition layout across shard count ×
 // thread count × morsel size (RTS, and a multi-phase script plus reactive
 // handler), cross-shard effect routing, the
-// partition-independence of transaction admission under sharding, bulk
-// columnar spawn/despawn, and the migration property (random migration
-// batches move state without changing it, and migrated runs stay
-// bit-identical across thread counts at a fixed shard count).
+// partition-independence of transaction admission under sharding,
+// despawns that keep ranges contiguous, and uneven partitions (despawns
+// concentrated in one shard) that stay bit-identical across thread counts
+// and survive a checkpoint exactly.
 
 #include <gtest/gtest.h>
 
@@ -207,7 +207,6 @@ TEST(ShardParity, CrossShardEffectsActuallyFlow) {
   auto engine = BuildRts(300, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
   EXPECT_GT(engine->last_stats().cross_shard_records, 0);
-  EXPECT_EQ(engine->sharded_world().epoch(), 5u);
 }
 
 // --- E3: transactional market under sharding ------------------------------
@@ -280,115 +279,89 @@ TEST(ShardParity, TrafficMatchesSingleShard) {
   EXPECT_EQ(RunTraffic(4, 4), baseline);
 }
 
-// --- Migration ------------------------------------------------------------
+// --- Uneven partitions ----------------------------------------------------
 
-TEST(Migration, RandomBatchesPreserveWorldChecksum) {
-  MarketConfig config = MarketCfg();
-  auto engine =
-      MarketWorkload::Build(config, ShardOpts(PlanMode::kCostBased, 4));
-  ASSERT_TRUE(engine.ok());
-  Rng rng(99);
-  ASSERT_TRUE((*engine)->RunTicks(3).ok());  // build partition + some churn
-
-  ShardedWorld& sharded = (*engine)->sharded_world();
-  World& world = (*engine)->world();
-  for (int round = 0; round < 20; ++round) {
-    const uint64_t before = CanonicalWorldChecksum(world);
-    std::vector<ShardMove> moves;
-    const int batch = 1 + static_cast<int>(rng.Next() % 40);
-    for (int i = 0; i < batch; ++i) {
-      // Ids are dense from 1 (traders then items).
-      EntityId id = 1 + static_cast<EntityId>(
-                            rng.Next() %
-                            (config.num_traders + config.num_items));
-      moves.push_back(ShardMove{id, static_cast<int>(rng.Next() % 4)});
-    }
-    ASSERT_TRUE(sharded.MigrateNow(moves).ok());
-    EXPECT_TRUE(sharded.PartitionConsistent());
-    // Migration moves state; it must not change it.
-    EXPECT_EQ(CanonicalWorldChecksum(world), before);
-    EXPECT_TRUE(MarketWorkload::OwnershipConsistent(engine->get()));
+// Despawns up to `n` live entities of shard 0, drawn from ids [1, max_id]
+// by `rng`. Despawns stable-erase and shrink the owning shard, so a run of
+// these leaves shard 0 smaller than its block-partition share.
+void DespawnFromShard0(Engine* engine, EntityId max_id, int n, Rng* rng) {
+  ShardedWorld& sharded = engine->sharded_world();
+  for (int attempt = 0; attempt < 1000 && n > 0; ++attempt) {
+    const EntityId id = 1 + static_cast<EntityId>(rng->Next() % max_id);
+    if (sharded.ShardOfEntity(id) != 0) continue;
+    EXPECT_TRUE(engine->Despawn(id).ok());
+    --n;
   }
+  EXPECT_EQ(n, 0) << "shard 0 ran out of entities";
+  EXPECT_TRUE(sharded.PartitionConsistent());
 }
 
-// At a fixed shard count, runs with identical migration schedules are
-// bit-identical for any thread count — migrations resolve at the barrier
-// from an explicit queue, never concurrently with the query phase.
-TEST(Migration, MigratedRunsBitIdenticalAcrossThreadCounts) {
+int ShardRows(Engine* engine, int s) {
+  const ClassId unit = engine->catalog().Find("Unit");
+  const ShardedWorld& sharded = engine->sharded_world();
+  return static_cast<int>(sharded.shard_end(unit, s) -
+                          sharded.shard_begin(unit, s));
+}
+
+// At a fixed shard count, runs with identical despawn schedules are
+// bit-identical for any thread count — despawns happen between ticks,
+// never concurrently with the query phase, and the skewed partition they
+// leave runs like any other.
+TEST(UnevenPartition, RunsBitIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
-    RtsConfig config;
-    config.num_units = 200;
-    config.clustered = true;
-    auto engine = RtsWorkload::Build(
-        config, ShardOpts(PlanMode::kStaticGrid, 4, threads));
-    EXPECT_TRUE(engine.ok());
+    auto engine = BuildRts(200, ShardOpts(PlanMode::kStaticGrid, 4, threads));
     Rng rng(7);
     for (int t = 0; t < 20; ++t) {
-      if (t % 3 == 1) {
-        for (int i = 0; i < 10; ++i) {
-          EntityId id = 1 + static_cast<EntityId>(rng.Next() % 200);
-          EXPECT_TRUE((*engine)
-                          ->sharded_world()
-                          .QueueMigration(
-                              id, static_cast<int>(rng.Next() % 4))
-                          .ok());
-        }
-      }
-      EXPECT_TRUE((*engine)->Tick().ok());
+      if (t % 3 == 1) DespawnFromShard0(engine.get(), 200, 5, &rng);
+      EXPECT_TRUE(engine->Tick().ok());
     }
-    return WorldChecksum((*engine)->world());
+    EXPECT_LT(ShardRows(engine.get(), 0), ShardRows(engine.get(), 3));
+    return WorldChecksum(engine->world());
   };
   EXPECT_EQ(run(1), run(4));
 }
 
-// --- Bulk columnar spawn / despawn ---------------------------------------
-
-TEST(BulkRows, SpawnBatchMatchesSingleSpawns) {
-  auto a = BuildRts(64, ShardOpts(PlanMode::kStaticGrid, 4));
-  auto b = BuildRts(64, ShardOpts(PlanMode::kStaticGrid, 4));
-  ASSERT_TRUE(a->Tick().ok());
-  ASSERT_TRUE(b->Tick().ok());
-
-  const ClassId unit = a->catalog().Find("Unit");
-  ASSERT_NE(unit, kInvalidClass);
-
-  // a: columnar batch into shard 1; b: singles into shard 1.
-  std::vector<EntityId> batch_ids;
-  ASSERT_TRUE(
-      a->sharded_world().SpawnBatch(unit, 33, /*shard=*/1, &batch_ids).ok());
-  ASSERT_EQ(batch_ids.size(), 33u);
-  for (int i = 0; i < 33; ++i) {
-    auto id = b->sharded_world().Spawn("Unit", {}, /*shard=*/1);
-    ASSERT_TRUE(id.ok());
-  }
-  EXPECT_TRUE(a->sharded_world().PartitionConsistent());
-  EXPECT_TRUE(b->sharded_world().PartitionConsistent());
-  EXPECT_EQ(CanonicalWorldChecksum(a->world()),
-            CanonicalWorldChecksum(b->world()));
-  for (EntityId id : batch_ids) {
-    EXPECT_EQ(a->sharded_world().ShardOfEntity(id), 1);
-  }
-  // The engine keeps ticking correctly over the grown partition.
-  ASSERT_TRUE(a->RunTicks(3).ok());
-  ASSERT_TRUE(b->RunTicks(3).ok());
-  EXPECT_EQ(WorldChecksum(a->world()), WorldChecksum(b->world()));
-}
+// --- Despawn --------------------------------------------------------------
 
 TEST(BulkRows, DespawnBatchDropsExactlyTheVictims) {
   auto engine = BuildRts(100, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->Tick().ok());
-  ShardedWorld& sharded = engine->sharded_world();
 
   std::vector<EntityId> victims;
   for (EntityId id = 5; id <= 95; id += 5) victims.push_back(id);
-  ASSERT_TRUE(sharded.DespawnBatch(victims).ok());
-  EXPECT_TRUE(sharded.PartitionConsistent());
+  for (EntityId id : victims) ASSERT_TRUE(engine->Despawn(id).ok());
+  EXPECT_TRUE(engine->sharded_world().PartitionConsistent());
   EXPECT_EQ(engine->world().TotalEntities(), 100u - victims.size());
   for (EntityId id : victims) {
     EXPECT_EQ(engine->world().Find(id), nullptr);
   }
   EXPECT_NE(engine->world().Find(1), nullptr);
+  EXPECT_FALSE(engine->Despawn(victims[0]).ok()) << "despawned twice";
   ASSERT_TRUE(engine->RunTicks(3).ok());  // still ticks cleanly
+}
+
+// Spawns append through the plain World API; the partition folds them into
+// the last shard, and despawns in between keep every range contiguous.
+TEST(BulkRows, SpawnsJoinTheLastShard) {
+  auto engine = BuildRts(64, ShardOpts(PlanMode::kStaticGrid, 4));
+  ASSERT_TRUE(engine->Tick().ok());
+  ShardedWorld& sharded = engine->sharded_world();
+
+  std::vector<EntityId> spawned;
+  for (int i = 0; i < 5; ++i) {
+    auto id = engine->Spawn("Unit");
+    ASSERT_TRUE(id.ok());
+    spawned.push_back(*id);
+  }
+  for (EntityId id : spawned) EXPECT_EQ(sharded.ShardOfEntity(id), 3);
+  EXPECT_TRUE(sharded.PartitionConsistent());
+  ASSERT_TRUE(engine->Despawn(spawned[0]).ok());
+  ASSERT_TRUE(engine->Spawn("Unit").ok());
+  ASSERT_TRUE(engine->Despawn(1).ok());  // a shard-0 entity
+  EXPECT_TRUE(sharded.PartitionConsistent());
+  EXPECT_EQ(engine->world().TotalEntities(), 64u + 5u - 1u);
+  ASSERT_TRUE(engine->RunTicks(3).ok());
+  EXPECT_TRUE(sharded.PartitionConsistent());
 }
 
 // --- Directory (open-addressing World::Find) ------------------------------
@@ -444,24 +417,22 @@ TEST(ShardParity, CheckpointRestoreResumesShardedRun) {
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// Sharded checkpoints persist the partition: a run that migrated entities
-// resumes with the exact post-migration ranges (not a fresh re-blocking),
-// so restored runs are bit-identical to the uninterrupted one — including
-// the cross-shard traffic pattern.
-TEST(ShardParity, CheckpointRestoresMigratedPartitionExactly) {
+// Sharded checkpoints persist the partition: a run whose despawns left
+// the ranges uneven resumes with those exact ranges (not a fresh
+// re-blocking), so restored runs are bit-identical to the uninterrupted
+// one — including the cross-shard traffic pattern.
+TEST(ShardParity, CheckpointRestoresUnevenPartitionExactly) {
   const int units = 150;
   auto engine = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
 
-  // Shuffle a third of the units across shards, then run a few more ticks
-  // so the migrated partition is the live one.
+  // Despawn most of shard 0, then run a few more ticks so the uneven
+  // partition is the live one. A re-blocking would move survivors of
+  // shards 1-3 down into shard 0.
   Rng rng(23);
-  std::vector<ShardMove> moves;
-  for (EntityId id = 1; id <= units; id += 3) {
-    moves.push_back(ShardMove{id, static_cast<int>(rng.Next() % 4)});
-  }
-  ASSERT_TRUE(engine->sharded_world().MigrateNow(moves).ok());
+  DespawnFromShard0(engine.get(), units, 25, &rng);
   ASSERT_TRUE(engine->RunTicks(3).ok());
+  ASSERT_LT(ShardRows(engine.get(), 0), ShardRows(engine.get(), 1));
 
   Checkpoint cp = engine->TakeCheckpoint();
   EXPECT_FALSE(cp.shard_partition.empty());
