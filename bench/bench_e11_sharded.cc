@@ -1,14 +1,12 @@
 // E11 — sharded world partitioning (src/shard/): tick latency, phase
-// breakdown, cross-shard routing volume, and allocs_per_tick vs shard
-// count at 16k and 64k entities.
+// breakdown and allocs_per_tick vs shard count at 16k and 64k entities.
 //
 // Series: ms/tick for the RTS battle under {1, 2, 4, 8} shards, each
-// shard a self-contained QUERY pipeline fanned out across 4 threads, with
-// effects routed through per-(src,dst) mailboxes and merged at the tick
-// barrier; the single-shard row is the no-partition baseline the
-// checksum-parity tests pin the others to. Also: the traffic workload at
-// 16k vehicles, where the 1-D road makes cross-shard writes rare (the
-// near-ideal partitioning case).
+// shard a row range one worker runs, its effects written to full-size
+// per-worker buffers merged at the tick barrier; the single-shard row is
+// the no-partition baseline the checksum-parity tests pin the others to.
+// Also: the traffic workload at 16k vehicles, where the 1-D road keeps
+// interactions lane-local.
 
 #include <thread>
 
@@ -33,9 +31,8 @@ std::unique_ptr<sgl::Engine> BuildShardedRts(int units, int shards,
     std::abort();
   }
   // Zero attack so nobody dies: the measured regime keeps every matching
-  // pair emitting its (frequently cross-shard) damage write each tick —
-  // a stationary peak load instead of a battle that decays to an empty
-  // world during warmup.
+  // pair emitting its damage write each tick — a stationary peak load
+  // instead of a battle that decays to an empty world during warmup.
   for (sgl::EntityId id = 1; id <= units; ++id) {
     if (!(*engine)->Set(id, "attack", sgl::Value::Number(0)).ok()) {
       std::abort();
@@ -45,11 +42,11 @@ std::unique_ptr<sgl::Engine> BuildShardedRts(int units, int shards,
 }
 
 // Threads stay at 1 so the series isolates the partition layer's own cost
-// (routing + mailbox merge vs direct dense writes); on a multicore box the
-// shard fan-out additionally parallelizes the query phase (E6's scaling
-// shape), which `hw_cores` lets readers of the JSON calibrate for. The
-// 16k rows are the dense clustered battle (heavy cross-shard traffic);
-// 64k runs uniform, or the join fan-out would swamp the measurement.
+// (per-worker buffers and their merge vs direct dense writes); on a
+// multicore box the shard fan-out additionally parallelizes the query
+// phase (E6's scaling shape), which `hw_cores` lets readers of the JSON
+// calibrate for. The 16k rows are the dense clustered battle; 64k runs
+// uniform, or the join fan-out would swamp the measurement.
 void BM_ShardedRtsTick(benchmark::State& state) {
   const int units = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
@@ -57,14 +54,12 @@ void BM_ShardedRtsTick(benchmark::State& state) {
                                 /*clustered=*/units <= 16384);
   sgl_bench::WarmupSteadyState(engine.get());
   int64_t query_us = 0, merge_us = 0, update_us = 0, allocs = 0;
-  int64_t cross = 0;
   for (auto _ : state) {
     if (!engine->Tick().ok()) state.SkipWithError("tick failed");
     query_us += engine->last_stats().query_effect_micros;
     merge_us += engine->last_stats().merge_micros;
     update_us += engine->last_stats().update_micros;
     allocs += engine->last_stats().allocs_per_tick;
-    cross += engine->last_stats().cross_shard_records;
   }
   const double n = static_cast<double>(state.iterations());
   state.counters["units"] = units;
@@ -73,7 +68,6 @@ void BM_ShardedRtsTick(benchmark::State& state) {
   state.counters["merge_ms"] = static_cast<double>(merge_us) / n / 1000.0;
   state.counters["update_ms"] = static_cast<double>(update_us) / n / 1000.0;
   state.counters["allocs_per_tick"] = static_cast<double>(allocs) / n;
-  state.counters["cross_records"] = static_cast<double>(cross) / n;
   state.counters["hw_cores"] =
       static_cast<double>(std::thread::hardware_concurrency());
 }
@@ -89,8 +83,7 @@ BENCHMARK(BM_ShardedRtsTick)
     ->MinTime(0.2);
 
 // Traffic at 16k vehicles: lane-local interactions under a block
-// partition mean almost no cross-shard records — the workload sharding is
-// supposed to love.
+// partition mean almost no writes into another shard's rows.
 void BM_ShardedTrafficTick(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   sgl::TrafficConfig config;

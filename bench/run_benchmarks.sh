@@ -13,8 +13,8 @@
 #   E8  traffic scaling under the cost-based planner (vehicle_ticks/s +
 #       allocs_per_tick)
 #   E11 sharded world partitioning (tick latency + phase breakdown +
-#       cross-shard records + allocs_per_tick vs shard count, for the RTS
-#       battle and the traffic workload)
+#       allocs_per_tick vs shard count, for the RTS battle and the traffic
+#       workload)
 #   E12 asynchronous out-of-band pathfinding (sync vs async tick latency
 #       on the large-map armies workload, jobs in flight, barrier wait,
 #       allocs_per_tick vs job-worker count)
@@ -64,7 +64,7 @@ keep = ("name", "real_time", "cpu_time", "time_unit", "iterations",
         "query_ms", "merge_ms", "update_ms", "hw_cores", "bytes",
         "bytes_per_entry", "issued/tick", "committed/tick", "abort_rate",
         "consistent", "txns/s", "vehicle_ticks/s", "mean_speed",
-        "shards", "cross_records", "moved_per_batch", "rows_per_batch",
+        "shards", "moved_per_batch", "rows_per_batch",
         "workers", "jobs_submitted", "jobs_installed", "jobs_in_flight",
         "job_wait_ms", "n", "vm_programs", "simd_lanes", "probe_us",
         "cpu_avx2", "kernel_avx2", "spans_per_tick", "ns_per_span",

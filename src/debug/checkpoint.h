@@ -57,9 +57,8 @@ uint64_t WorldChecksum(const World& world);
 
 /// Row-order-independent variant: rows are visited in ascending EntityId
 /// order (row-major), so any permutation of rows — e.g. the one a
-/// swap-remove despawn makes where a stable erase keeps order — leaves the
-/// checksum unchanged. Compares worlds that hold the same entities in
-/// different row orders.
+/// swap-remove despawn makes — leaves the checksum unchanged. Compares
+/// worlds that hold the same entities in different row orders.
 uint64_t CanonicalWorldChecksum(const World& world);
 
 /// Per-tick checksum log with optional periodic full checkpoints.

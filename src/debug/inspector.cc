@@ -67,19 +67,6 @@ std::string Inspector::DescribeEntity(EntityId id) const {
   return out;
 }
 
-std::vector<std::string> Inspector::FieldValues(EntityId id) const {
-  std::vector<std::string> out;
-  const World::Locator* loc = world_->Find(id);
-  if (loc == nullptr) return out;
-  const ClassDef& def = world_->catalog().Get(loc->cls);
-  for (const FieldDef& f : def.state_fields()) {
-    out.push_back(
-        f.name + " = " +
-        world_->table(loc->cls).GetValue(loc->row, f.index).ToString());
-  }
-  return out;
-}
-
 std::string Inspector::DescribeClass(const std::string& cls_name) const {
   ClassId cls = world_->catalog().Find(cls_name);
   if (cls == kInvalidClass) return "<no class '" + cls_name + "'>";

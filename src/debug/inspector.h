@@ -27,9 +27,6 @@ class Inspector {
   /// "Unit@17 {x: 3, y: 4, health: 92, ...}" or an error note.
   std::string DescribeEntity(EntityId id) const;
 
-  /// One line per state field: "x = 3".
-  std::vector<std::string> FieldValues(EntityId id) const;
-
   /// Class-level summary: row count plus per-numeric-field min/mean/max —
   /// the aggregate view of the generated relation.
   std::string DescribeClass(const std::string& cls_name) const;

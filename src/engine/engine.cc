@@ -68,8 +68,8 @@ StatusOr<EntityId> Engine::Spawn(
 }
 
 Status Engine::Despawn(EntityId id) {
-  // The sharded path must not swap-remove: ranges stay contiguous.
-  if (sharded_world_ != nullptr) return sharded_world_->Despawn(id);
+  // A sharded world's partition clamps its ranges to the shrunk class when
+  // it next catches up: the moved survivor joins the victim's shard.
   return world_->Despawn(id);
 }
 

@@ -36,9 +36,9 @@ namespace sgl {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// exec.num_shards > 1 partitions the world into row-range shards with
-  /// cross-shard effect routing (src/shard/); the executor runs the same
-  /// pipeline over either layout. Create() rejects morsel_size == 0,
+  /// exec.num_shards > 1 partitions the world into row-range shards, one
+  /// worker each (src/shard/); the executor runs the same pipeline over
+  /// either layout. Create() rejects morsel_size == 0,
   /// num_shards >= 255 and jobs.num_workers < 0 with InvalidArgument.
   ExecOptions exec;
 };

@@ -23,52 +23,6 @@ inline uint64_t OrderKey(int assign_id, RowIdx outer, RowIdx inner) {
 
 // --- Write application ------------------------------------------------
 
-/// The effect destination of one write batch: the shard router when the
-/// world is partitioned, the target class's dense buffer otherwise. Keeps
-/// the local-vs-routed dispatch in one place instead of at every Add* call
-/// site; the per-element branch predicts perfectly (fixed per batch).
-struct EffectDest {
-  EffectRouter* router;
-  EffectBuffer* direct;
-  ClassId cls;
-
-  EffectDest(const ExecEnv& env, ClassId target_cls)
-      : router(env.router),
-        direct(env.router != nullptr
-                   ? nullptr
-                   : env.effect_sinks[static_cast<size_t>(target_cls)]),
-        cls(target_cls) {}
-
-  void AddNumber(FieldIdx f, RowIdx row, double v, uint64_t key) const {
-    if (router != nullptr) {
-      router->AddNumber(cls, f, row, v, key);
-    } else {
-      direct->AddNumber(f, row, v, key);
-    }
-  }
-  void AddBool(FieldIdx f, RowIdx row, bool v, uint64_t key) const {
-    if (router != nullptr) {
-      router->AddBool(cls, f, row, v, key);
-    } else {
-      direct->AddBool(f, row, v, key);
-    }
-  }
-  void AddRef(FieldIdx f, RowIdx row, EntityId v, uint64_t key) const {
-    if (router != nullptr) {
-      router->AddRef(cls, f, row, v, key);
-    } else {
-      direct->AddRef(f, row, v, key);
-    }
-  }
-  void AddSetInsert(FieldIdx f, RowIdx row, EntityId v) const {
-    if (router != nullptr) {
-      router->AddSetInsert(cls, f, row, v);
-    } else {
-      direct->AddSetInsert(f, row, v);
-    }
-  }
-};
-
 struct PairRows {
   const std::vector<RowIdx>* outer;
   const std::vector<RowIdx>* inner;  // null outside pair contexts
@@ -171,7 +125,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
     VecContext ctx = MakeCtx(env, inner_table, sub);
 
     // 2. Resolve target rows.
-    const EffectDest sink(env, w.target_cls);
+    EffectBuffer* sink = env.effect_sinks[static_cast<size_t>(w.target_cls)];
     const EntityTable& target_table = env.world->table(w.target_cls);
     auto target_row = [&](size_t i) -> RowIdx {
       switch (w.target_kind) {
@@ -226,7 +180,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
-        sink.AddSetInsert(w.field, row, (*refs)[i]);
+        sink->AddSetInsert(w.field, row, (*refs)[i]);
         trace(i, row, Value::Ref((*refs)[i]));
       }
     } else if (field.type.is_number()) {
@@ -234,7 +188,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
-        sink.AddNumber(w.field, row, (*nums)[i], key_at(i));
+        sink->AddNumber(w.field, row, (*nums)[i], key_at(i));
         trace(i, row, Value::Number((*nums)[i]));
       }
     } else if (field.type.is_bool()) {
@@ -242,7 +196,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
-        sink.AddBool(w.field, row, (*bools)[i] != 0, key_at(i));
+        sink->AddBool(w.field, row, (*bools)[i] != 0, key_at(i));
         trace(i, row, Value::Bool((*bools)[i] != 0));
       }
     } else if (field.type.is_ref()) {
@@ -250,7 +204,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       for (size_t i = 0; i < m; ++i) {
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
-        sink.AddRef(w.field, row, (*refs)[i], key_at(i));
+        sink->AddRef(w.field, row, (*refs)[i], key_at(i));
         trace(i, row, Value::Ref((*refs)[i]));
       }
     }
@@ -910,7 +864,7 @@ void ApplyWriteScalar(const EffectWrite& w, RowIdx row, ClassId inner_cls,
     }
   }
   if (target_row == kInvalidRow) return;
-  const EffectDest sink(env, w.target_cls);
+  EffectBuffer* sink = env.effect_sinks[static_cast<size_t>(w.target_cls)];
   uint64_t key = OrderKey(w.assign_id, row,
                           inner_row == kInvalidRow ? 0 : inner_row);
   const FieldDef& field =
@@ -918,19 +872,19 @@ void ApplyWriteScalar(const EffectWrite& w, RowIdx row, ClassId inner_cls,
   Value traced;
   if (w.set_insert) {
     EntityId v = EvalScalarRef(*w.value, ctx);
-    sink.AddSetInsert(w.field, target_row, v);
+    sink->AddSetInsert(w.field, target_row, v);
     traced = Value::Ref(v);
   } else if (field.type.is_number()) {
     double v = EvalScalarNum(*w.value, ctx);
-    sink.AddNumber(w.field, target_row, v, key);
+    sink->AddNumber(w.field, target_row, v, key);
     traced = Value::Number(v);
   } else if (field.type.is_bool()) {
     bool v = EvalScalarBool(*w.value, ctx);
-    sink.AddBool(w.field, target_row, v, key);
+    sink->AddBool(w.field, target_row, v, key);
     traced = Value::Bool(v);
   } else {
     EntityId v = EvalScalarRef(*w.value, ctx);
-    sink.AddRef(w.field, target_row, v, key);
+    sink->AddRef(w.field, target_row, v, key);
     traced = Value::Ref(v);
   }
   if (env.trace != nullptr || env.recorder_sink != nullptr) {

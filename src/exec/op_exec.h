@@ -5,7 +5,9 @@
 // property tests assert equal end states. The vectorized path evaluates
 // every expression on the bytecode VM (src/vm/) and answers range-indexed
 // accum sites with one batched index probe per morsel; the scalar path uses
-// only the scalar evaluator of src/ra/eval.h.
+// only the scalar evaluator of src/ra/eval.h. On both, every effect write
+// goes straight into the worker's EffectBuffer for the target class,
+// whatever the partition layout.
 
 #ifndef SGL_EXEC_OP_EXEC_H_
 #define SGL_EXEC_OP_EXEC_H_
@@ -91,25 +93,6 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
                  IndexManager* indexes, Tick tick, SiteCache* cache,
                  PreparedSite* out);
 
-/// Routes effect writes by target row when the world is partitioned into
-/// shards (src/shard/): writes whose target row lies in the emitting
-/// shard's own partition land in its dense local buffer, remote writes are
-/// appended to the (src, dst) mailbox lane and replayed at the tick
-/// barrier. One-partition layouts leave ExecEnv::router null and pay
-/// nothing; the virtual dispatch only sits on the sharded path.
-class EffectRouter {
- public:
-  virtual ~EffectRouter() = default;
-  virtual void AddNumber(ClassId cls, FieldIdx f, RowIdx row, double v,
-                         uint64_t order_key) = 0;
-  virtual void AddBool(ClassId cls, FieldIdx f, RowIdx row, bool v,
-                       uint64_t order_key) = 0;
-  virtual void AddRef(ClassId cls, FieldIdx f, RowIdx row, EntityId v,
-                      uint64_t order_key) = 0;
-  virtual void AddSetInsert(ClassId cls, FieldIdx f, RowIdx row,
-                            EntityId v) = 0;
-};
-
 /// Everything one worker needs while running ops over a morsel.
 struct ExecEnv {
   World* world = nullptr;
@@ -117,12 +100,10 @@ struct ExecEnv {
   ClassId outer_cls = kInvalidClass;
   const EntityTable* outer = nullptr;
 
-  /// Effect sinks, one per class (worker shard or the world's own buffers).
-  /// Ignored when `router` is set.
+  /// Effect sinks, one per class: the world's own buffers for worker 0,
+  /// the worker's full-size buffers for every other worker.
   std::vector<EffectBuffer*> effect_sinks;
-  /// Shard-mode effect routing; null with one partition.
-  EffectRouter* router = nullptr;
-  /// Transaction-intent sink (worker shard's flat intent log).
+  /// Transaction-intent sink (the worker's flat intent log).
   TxnIntentLog* txn_sink = nullptr;
   /// Local columns of the running script/handler (full table size; morsels
   /// write disjoint rows).

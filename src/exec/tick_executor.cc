@@ -6,7 +6,7 @@
 #include "src/common/alloc_hook.h"
 #include "src/common/stopwatch.h"
 #include "src/fault/fault_injector.h"
-#include "src/shard/shard_router.h"
+#include "src/shard/sharded_world.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/update/expr_updater.h"
@@ -28,11 +28,10 @@ struct TickExecutor::Worker {
   ExecScratch scratch;
   std::vector<RowIdx> slice;  ///< morsel chunk buffer
   std::vector<SiteFeedback> feedback;
-  /// The effect sink: a router with more than one partition, per-class
-  /// buffers with one partition and several threads, and neither (the
-  /// world's own buffers) with one partition and one thread.
-  std::unique_ptr<ShardRouter> router;
-  std::vector<std::unique_ptr<EffectBuffer>> effects;  ///< by class
+  /// The effect sink of every worker but worker 0 (which writes the
+  /// world's own buffers): full-size buffers by class, merged in worker
+  /// order.
+  std::vector<std::unique_ptr<EffectBuffer>> effects;
 };
 
 struct TickExecutor::Partition {
@@ -102,22 +101,18 @@ TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
     auto worker = std::make_unique<Worker>();
     ExecEnv& env = worker->env;
     env.world = world_;
-    if (sharded_ != nullptr) {
-      worker->router = std::make_unique<ShardRouter>(sharded_, w);
-      env.router = worker->router.get();
-      // Chrome pid w+1: pid 0 stays the barrier thread's "world" track.
-      env.tel_track = static_cast<uint8_t>(w + 1);
-    } else {
-      for (ClassId c = 0; c < catalog.num_classes(); ++c) {
-        if (num_workers > 1) {
-          worker->effects.push_back(
-              std::make_unique<EffectBuffer>(&catalog.Get(c)));
-          env.effect_sinks.push_back(worker->effects.back().get());
-        } else {
-          env.effect_sinks.push_back(&world_->effects(c));
-        }
+    for (ClassId c = 0; c < catalog.num_classes(); ++c) {
+      if (w == 0) {
+        env.effect_sinks.push_back(&world_->effects(c));
+      } else {
+        worker->effects.push_back(
+            std::make_unique<EffectBuffer>(&catalog.Get(c)));
+        env.effect_sinks.push_back(worker->effects.back().get());
       }
     }
+    // Chrome pid s+1 for shard s: pid 0 stays the barrier thread's "world"
+    // track.
+    if (sharded_ != nullptr) env.tel_track = static_cast<uint8_t>(w + 1);
     env.scratch = &worker->scratch;
     env.vm = vm_cache_.get();
     env.telemetry = options_.telemetry;
@@ -367,7 +362,6 @@ Status TickExecutor::RunTick() {
   txn_.set_prov_sink(recorder_sink_);
   txn_.BeginTick(static_cast<int>(workers_.size()));
   for (auto& worker : workers_) {
-    if (worker->router != nullptr) worker->router->BeginTick();
     for (size_t c = 0; c < worker->effects.size(); ++c) {
       worker->effects[c]->Reset(
           world_->table(static_cast<ClassId>(c)).size());
@@ -424,46 +418,25 @@ Status TickExecutor::RunTick() {
   {
     SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanTickBarrier : kSpanTickMerge,
                    tick_, 0, 0);
-    if (sharded_ != nullptr) {
-      if (options_.fault != nullptr) {
-        // Latency fault at the barrier entrance: every shard's query work
-        // is done, nothing has merged. Must be state-neutral — the
-        // stall-parity test holds the checksum to the no-fault run's.
+    if (options_.fault != nullptr) {
+      // Every worker's query work is done and nothing has merged. A crash
+      // here loses the issued effects and intents with the process; state
+      // columns are still pre-tick, so recovery restores the last
+      // checkpoint and replays. The sharded barrier's latency fault must be
+      // state-neutral: the stall-parity test holds the checksum to the
+      // no-fault run's.
+      if (sharded_ != nullptr) {
         options_.fault->MaybeStall(kFaultShardBarrierStall, tick_);
       }
-      {
-        SGL_TRACE_SPAN(tel, kSpanMailboxFlip, tick_, 0, 0);
-        for (auto& worker : workers_) {
-          for (int d = 0; d < num_partitions; ++d) {
-            worker->router->lane(d).Flip();
-          }
-        }
-      }
-      if (options_.fault != nullptr) {
-        // Crash after the mailbox flip but before any shard merges: routed
-        // records are stranded in flipped lanes and die with the process.
-        SGL_RETURN_IF_ERROR(
-            options_.fault->MaybeCrash(kFaultShardCrashPremerge, tick_));
-      }
-      SGL_TRACE_SPAN(tel, kSpanMailboxReplay, tick_, 0, 0);
-      for (auto& worker : workers_) {  // source-major: the serial ⊕ order
-        worker->router->MergeInto(world_);
-        last_.cross_shard_records +=
-            static_cast<int64_t>(worker->router->OutboundRecords());
-      }
-    } else {
-      if (options_.fault != nullptr) {
-        // Crash between query and merge: issued effects/intents die with
-        // the process, state columns are still pre-tick. Recovery restores
-        // the last checkpoint and replays.
-        SGL_RETURN_IF_ERROR(
-            options_.fault->MaybeCrash(kFaultExecCrashPostQuery, tick_));
-      }
-      for (auto& worker : workers_) {  // worker order: the serial ⊕ order
-        for (size_t c = 0; c < worker->effects.size(); ++c) {
-          world_->effects(static_cast<ClassId>(c))
-              .MergeFrom(*worker->effects[c]);
-        }
+      SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
+          sharded_ != nullptr ? kFaultShardCrashPremerge
+                              : kFaultExecCrashPostQuery,
+          tick_));
+    }
+    for (auto& worker : workers_) {  // worker order = shard order
+      for (size_t c = 0; c < worker->effects.size(); ++c) {
+        world_->effects(static_cast<ClassId>(c))
+            .MergeFrom(*worker->effects[c]);
       }
     }
     // Canonicalize set-effect logs (sort + dedup + pooled materialization)

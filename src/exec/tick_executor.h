@@ -26,20 +26,17 @@
 //                 rules, then any registered engine components (§2.2)
 //   7 BOOKKEEPING statistics refresh, adaptive feedback, tick++
 //
-// Only two things depend on the layout:
+// The layout decides only which rows each worker runs: with one partition
+// the workers split each selection into morsels (morsel m on worker
+// m % T); with shards, worker s runs shard s's rows, its morsels in order.
+// Effects go to the same sinks either way: worker 0 writes the world's own
+// effect buffers, every other worker its own full-size buffers, and the
+// merge folds those into the world's in worker order (= shard order).
 //
-//   * the worker's effect sink — one partition, one thread: the world's own
-//     buffers; one partition, T threads: per-thread EffectBuffers with a
-//     static morsel->thread assignment (morsel m on thread m % T); more than
-//     one partition: a ShardRouter per partition (local dense buffer or
-//     cross-shard mailbox), with threads spread across partitions and each
-//     partition's morsels run in order on one thread;
-//   * the barrier — with more than one partition, merging flips and replays
-//     the mailboxes (src/shard/README.md).
-//
-// Either way the result is bit-identical for any thread count and morsel
-// size, and across partition counts within the contract of
-// src/shard/README.md.
+// Results are therefore the same for any thread count, morsel size and
+// shard count, with one exception: a `sum`/`avg` over inexact summands
+// folds one partial sum per worker, so it can differ in floating-point
+// association.
 //
 // Expressions run on the register bytecode VM (src/vm/): Init() lowers every
 // plan expression and update rule once, and a program that does not lower
@@ -79,8 +76,8 @@ class Telemetry;
 struct ExecOptions {
   int num_threads = 1;
   /// > 1 partitions the world into that many row-range shards
-  /// (src/shard/) with cross-shard effect routing; must stay below 255.
-  /// The remaining fields keep their meaning under either layout.
+  /// (src/shard/), one worker each; must stay below 255. The remaining
+  /// fields keep their meaning under either layout.
   int num_shards = 1;
   /// Rows per morsel, the unit of work a thread runs at a time; > 0.
   size_t morsel_size = 2048;
@@ -156,11 +153,10 @@ struct TickStats {
   int64_t job_wait_micros = 0;
   /// Partition-layout gauges. Sharded: the slowest-minus-fastest partition
   /// query time (approximates how long the barrier waited on the
-  /// straggler), that skew as (max/mean - 1) in basis points, and the
-  /// effect records routed across shards. One partition: -1 / 0 / 0.
+  /// straggler) and that skew as (max/mean - 1) in basis points. One
+  /// partition: -1 / 0.
   int64_t barrier_stall_us = -1;
   int64_t imbalance_bp = 0;
-  int64_t cross_shard_records = 0;
   std::vector<SiteFeedback> sites;  ///< per accum site, aggregated
   TxnStats txn;
 

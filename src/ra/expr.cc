@@ -46,16 +46,6 @@ bool Expr::UsesInner() const {
   return false;
 }
 
-bool Expr::ReadsEffects() const {
-  if (kind == ExprKind::kEffectRead || kind == ExprKind::kAssigned) {
-    return true;
-  }
-  for (const auto& k : kids) {
-    if (k->ReadsEffects()) return true;
-  }
-  return false;
-}
-
 namespace {
 const char* ArithOpName(ArithOp op) {
   switch (op) {

@@ -81,8 +81,6 @@ struct Expr {
   std::string ToString() const;
   /// True if any descendant reads side 1 (the accum iteration tuple).
   bool UsesInner() const;
-  /// True if any descendant is a kEffectRead/kAssigned node.
-  bool ReadsEffects() const;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;

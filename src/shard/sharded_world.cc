@@ -1,5 +1,6 @@
 #include "src/shard/sharded_world.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sgl {
@@ -23,25 +24,18 @@ bool ReadU32(const char** cursor, const char* end, uint32_t* v) {
 
 ShardedWorld::ShardedWorld(World* world, int num_shards)
     : world_(world), num_shards_(num_shards) {
-  SGL_CHECK(num_shards_ >= 1 && num_shards_ < 255);  // shard ids fit uint8
-  parts_.resize(static_cast<size_t>(world_->catalog().num_classes()));
+  // Shard ids fit the 8-bit provenance and trace-track fields.
+  SGL_CHECK(num_shards_ >= 1 && num_shards_ < 255);
+  bases_.resize(static_cast<size_t>(world_->catalog().num_classes()));
 }
 
 void ShardedWorld::PartitionBlock() {
-  const int num_classes = world_->catalog().num_classes();
   const size_t S = static_cast<size_t>(num_shards_);
-  for (ClassId c = 0; c < num_classes; ++c) {
-    ClassPartition& part = parts_[static_cast<size_t>(c)];
-    const size_t n = world_->table(c).size();
-    part.base.resize(S + 1);
-    part.shard_of.resize(n);
+  for (size_t c = 0; c < bases_.size(); ++c) {
+    const size_t n = world_->table(static_cast<ClassId>(c)).size();
+    bases_[c].resize(S + 1);
     for (size_t s = 0; s <= S; ++s) {
-      part.base[s] = static_cast<RowIdx>(n * s / S);
-    }
-    for (size_t s = 0; s < S; ++s) {
-      std::fill(part.shard_of.begin() + part.base[s],
-                part.shard_of.begin() + part.base[s + 1],
-                static_cast<uint8_t>(s));
+      bases_[c][s] = static_cast<RowIdx>(n * s / S);
     }
   }
   partitioned_ = true;
@@ -52,17 +46,15 @@ void ShardedWorld::EnsurePartition() {
     PartitionBlock();
     return;
   }
-  // Spawns go through the plain World API and leave shard_of short; fold
-  // the new rows into the last shard (a pure append).
-  const int num_classes = world_->catalog().num_classes();
-  for (ClassId c = 0; c < num_classes; ++c) {
-    ClassPartition& part = parts_[static_cast<size_t>(c)];
-    const size_t n = world_->table(c).size();
-    if (part.shard_of.size() == n) continue;
-    SGL_CHECK(part.shard_of.size() < n &&
-              "rows were removed behind the partition's back");
-    part.shard_of.resize(n, static_cast<uint8_t>(num_shards_ - 1));
-    part.base[static_cast<size_t>(num_shards_)] = static_cast<RowIdx>(n);
+  // Spawns append and despawns swap-remove through the plain World API;
+  // clamping every boundary to the class size shrinks the last non-empty
+  // shard and gives new rows to the last shard.
+  for (size_t c = 0; c < bases_.size(); ++c) {
+    const RowIdx n =
+        static_cast<RowIdx>(world_->table(static_cast<ClassId>(c)).size());
+    std::vector<RowIdx>& base = bases_[c];
+    for (RowIdx& b : base) b = std::min(b, n);
+    base.back() = n;
   }
 }
 
@@ -70,9 +62,9 @@ void ShardedWorld::SerializePartition(std::string* out) {
   EnsurePartition();
   AppendU32(out, kPartitionMagic);
   AppendU32(out, static_cast<uint32_t>(num_shards_));
-  AppendU32(out, static_cast<uint32_t>(parts_.size()));
-  for (const ClassPartition& part : parts_) {
-    for (RowIdx base : part.base) AppendU32(out, base);
+  AppendU32(out, static_cast<uint32_t>(bases_.size()));
+  for (const std::vector<RowIdx>& base : bases_) {
+    for (RowIdx b : base) AppendU32(out, b);
   }
 }
 
@@ -88,13 +80,13 @@ Status ShardedWorld::RestorePartition(const std::string& data) {
     return Status::InvalidArgument(
         "shard partition: checkpoint taken under a different shard count");
   }
-  if (!ReadU32(&cursor, end, &classes) || classes != parts_.size()) {
+  if (!ReadU32(&cursor, end, &classes) || classes != bases_.size()) {
     return Status::Internal("shard partition: class count mismatch");
   }
   const size_t S = static_cast<size_t>(num_shards_);
   // Validate everything before touching any partition state.
-  std::vector<std::vector<RowIdx>> bases(parts_.size());
-  for (size_t c = 0; c < parts_.size(); ++c) {
+  std::vector<std::vector<RowIdx>> bases(bases_.size());
+  for (size_t c = 0; c < bases_.size(); ++c) {
     bases[c].resize(S + 1);
     for (size_t s = 0; s <= S; ++s) {
       uint32_t v;
@@ -115,16 +107,7 @@ Status ShardedWorld::RestorePartition(const std::string& data) {
   if (cursor != end) {
     return Status::Internal("shard partition: trailing bytes");
   }
-  for (size_t c = 0; c < parts_.size(); ++c) {
-    ClassPartition& part = parts_[c];
-    part.base = std::move(bases[c]);
-    part.shard_of.resize(part.base[S]);
-    for (size_t s = 0; s < S; ++s) {
-      std::fill(part.shard_of.begin() + part.base[s],
-                part.shard_of.begin() + part.base[s + 1],
-                static_cast<uint8_t>(s));
-    }
-  }
+  bases_ = std::move(bases);
   partitioned_ = true;
   return Status::OK();
 }
@@ -133,52 +116,31 @@ int ShardedWorld::ShardOfEntity(EntityId id) {
   EnsurePartition();
   const World::Locator* loc = world_->Find(id);
   if (loc == nullptr) return -1;
-  return ShardOfRow(loc->cls, loc->row);
+  // The last boundary <= row starts the shard that holds it (an empty
+  // shard's begin equals the next shard's and is skipped).
+  const std::vector<RowIdx>& base = bases_[static_cast<size_t>(loc->cls)];
+  const auto it = std::upper_bound(base.begin(), base.end(), loc->row);
+  return static_cast<int>(it - base.begin()) - 1;
 }
 
-Status ShardedWorld::Despawn(EntityId id) {
+bool ShardedWorld::PartitionConsistent() {
   EnsurePartition();
-  const World::Locator* loc = world_->Find(id);
-  if (loc == nullptr) {
-    return Status::NotFound("cannot despawn: entity does not exist");
-  }
-  const ClassId cls = loc->cls;
-  const RowIdx row = loc->row;
-  world_->DirectoryErase(id);
-  EntityTable& table = world_->table(cls);
-  const RowSlice keep[2] = {
-      RowSlice{0, row},
-      RowSlice{row + 1, static_cast<uint32_t>(table.size() - row - 1)}};
-  table.RebuildBySlices(keep, 2, &rebuild_scratch_);
-  world_->ReindexClass(cls);
-  ClassPartition& part = parts_[static_cast<size_t>(cls)];
-  for (size_t s = part.shard_of[row] + 1u; s < part.base.size(); ++s) {
-    --part.base[s];
-  }
-  part.shard_of.erase(part.shard_of.begin() + row);
-  return Status::OK();
-}
-
-bool ShardedWorld::PartitionConsistent() const {
-  const int num_classes = world_->catalog().num_classes();
   const size_t S = static_cast<size_t>(num_shards_);
-  for (ClassId c = 0; c < num_classes; ++c) {
-    const ClassPartition& part = parts_[static_cast<size_t>(c)];
-    const EntityTable& table = world_->table(c);
-    if (part.base.size() != S + 1 || part.base[0] != 0 ||
-        part.base[S] != table.size() ||
-        part.shard_of.size() != table.size()) {
+  for (size_t c = 0; c < bases_.size(); ++c) {
+    const std::vector<RowIdx>& base = bases_[c];
+    const EntityTable& table = world_->table(static_cast<ClassId>(c));
+    if (base.size() != S + 1 || base[0] != 0 || base[S] != table.size()) {
       return false;
     }
     for (size_t s = 0; s < S; ++s) {
-      if (part.base[s] > part.base[s + 1]) return false;
-      for (RowIdx r = part.base[s]; r < part.base[s + 1]; ++r) {
-        if (part.shard_of[r] != s) return false;
-      }
+      if (base[s] > base[s + 1]) return false;
     }
     for (RowIdx r = 0; r < table.size(); ++r) {
       const World::Locator* loc = world_->Find(table.id_at(r));
-      if (loc == nullptr || loc->cls != c || loc->row != r) return false;
+      if (loc == nullptr || loc->cls != static_cast<ClassId>(c) ||
+          loc->row != r) {
+        return false;
+      }
     }
   }
   return true;

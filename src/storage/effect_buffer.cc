@@ -111,68 +111,63 @@ void EffectBuffer::AddSetUnion(FieldIdx f, RowIdx row, const EntitySet& v) {
   ++a.cnt[row];
 }
 
-void EffectBuffer::MergeFromOffset(const EffectBuffer& shard, RowIdx base) {
-  SGL_CHECK(base + shard.rows_ <= rows_ && shard.cls_ == cls_);
+void EffectBuffer::MergeFrom(const EffectBuffer& worker) {
+  SGL_CHECK(worker.rows_ == rows_ && worker.cls_ == cls_);
   for (size_t fi = 0; fi < accums_.size(); ++fi) {
     Accum& a = accums_[fi];
-    const Accum& s = shard.accums_[fi];
+    const Accum& s = worker.accums_[fi];
     if (a.kind == TypeKind::kSet) {
       // Log concatenation: FinalizeSets' sort canonicalizes the union, so
-      // the result is independent of shard order and thread count.
-      for (const SetEntry& e : s.set_log) {
-        a.set_log.push_back(SetEntry{e.row + base, e.elem});
-      }
-      for (size_t row = 0; row < shard.rows_; ++row) {
-        a.cnt[base + row] += s.cnt[row];
-      }
+      // the result is independent of worker order and count.
+      a.set_log.insert(a.set_log.end(), s.set_log.begin(), s.set_log.end());
+      for (size_t row = 0; row < rows_; ++row) a.cnt[row] += s.cnt[row];
       continue;
     }
-    for (size_t srow = 0; srow < shard.rows_; ++srow) {
-      if (s.cnt[srow] == 0) continue;
-      const size_t row = base + srow;
+    for (size_t row = 0; row < rows_; ++row) {
+      if (s.cnt[row] == 0) continue;
       if (a.cnt[row] == 0) {
-        // Copy shard's accumulator wholesale.
+        // Copy the worker's accumulator wholesale.
         switch (a.kind) {
-          case TypeKind::kNumber: a.num[row] = s.num[srow]; break;
-          case TypeKind::kBool: a.bools[row] = s.bools[srow]; break;
-          case TypeKind::kRef: a.refs[row] = s.refs[srow]; break;
+          case TypeKind::kNumber: a.num[row] = s.num[row]; break;
+          case TypeKind::kBool: a.bools[row] = s.bools[row]; break;
+          case TypeKind::kRef: a.refs[row] = s.refs[row]; break;
           case TypeKind::kSet: break;  // handled above
         }
-        if (a.keyed) a.key[row] = s.key[srow];
-        a.cnt[row] = s.cnt[srow];
+        if (a.keyed) a.key[row] = s.key[row];
+        a.cnt[row] = s.cnt[row];
         continue;
       }
       // Both sides assigned: combine.
       if (a.keyed) {
-        bool take = a.comb == Combinator::kFirst ? s.key[srow] < a.key[row]
-                                                 : s.key[srow] > a.key[row];
+        bool take = a.comb == Combinator::kFirst ? s.key[row] < a.key[row]
+                                                 : s.key[row] > a.key[row];
         if (take) {
           switch (a.kind) {
-            case TypeKind::kNumber: a.num[row] = s.num[srow]; break;
-            case TypeKind::kBool: a.bools[row] = s.bools[srow]; break;
-            case TypeKind::kRef: a.refs[row] = s.refs[srow]; break;
+            case TypeKind::kNumber: a.num[row] = s.num[row]; break;
+            case TypeKind::kBool: a.bools[row] = s.bools[row]; break;
+            case TypeKind::kRef: a.refs[row] = s.refs[row]; break;
             case TypeKind::kSet: break;
           }
-          a.key[row] = s.key[srow];
+          a.key[row] = s.key[row];
         }
       } else {
         switch (a.comb) {
           case Combinator::kSum:
           case Combinator::kAvg:
           case Combinator::kCount:
-            a.num[row] += s.num[srow];
+            a.num[row] += s.num[row];
             break;
           case Combinator::kMin:
-            a.num[row] = std::min(a.num[row], s.num[srow]);
+            a.num[row] = std::min(a.num[row], s.num[row]);
             break;
           case Combinator::kMax:
-            a.num[row] = std::max(a.num[row], s.num[srow]);
+            a.num[row] = std::max(a.num[row], s.num[row]);
             break;
           case Combinator::kOr:
-            a.bools[row] |= s.bools[srow];
+            a.bools[row] |= s.bools[row];
             break;
           case Combinator::kAnd:
-            a.bools[row] &= s.bools[srow];
+            a.bools[row] &= s.bools[row];
             break;
           case Combinator::kUnion:
           case Combinator::kFirst:
@@ -180,7 +175,7 @@ void EffectBuffer::MergeFromOffset(const EffectBuffer& shard, RowIdx base) {
             break;  // handled above
         }
       }
-      a.cnt[row] += s.cnt[srow];
+      a.cnt[row] += s.cnt[row];
     }
   }
 }
@@ -243,17 +238,6 @@ const EntitySet& EffectBuffer::FinalSet(FieldIdx f, RowIdx row) const {
   SGL_DCHECK(a.kind == TypeKind::kSet && a.sets_final);
   const uint32_t slot = a.set_ref[row];
   return slot == kNoSet ? kEmpty : *set_pool_[slot];
-}
-
-Value EffectBuffer::FinalValue(FieldIdx f, RowIdx row) const {
-  const Accum& a = accums_[static_cast<size_t>(f)];
-  switch (a.kind) {
-    case TypeKind::kNumber: return Value::Number(FinalNumber(f, row));
-    case TypeKind::kBool: return Value::Bool(FinalBool(f, row));
-    case TypeKind::kRef: return Value::Ref(FinalRef(f, row));
-    case TypeKind::kSet: return Value::Set(FinalSet(f, row));
-  }
-  return Value::Number(0);
 }
 
 }  // namespace sgl

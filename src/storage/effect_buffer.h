@@ -2,9 +2,11 @@
 //
 // During the query/effect phase every `x <- v` lands here; nothing is visible
 // to reads until the update phase (state read-only / effects write-only, §2).
-// The parallel executor gives each worker its own shard and merges shards in
-// shard order; all combinators are order-insensitive (first/last carry
-// explicit order keys), so the merged result is independent of thread count.
+// The executor's worker 0 writes the world's own buffers; every other worker
+// writes full-size buffers of its own, merged into the world's in worker
+// order. Order-keyed (first/last), idempotent and counting combinators give
+// the same result for any worker count; sums and averages may differ in
+// floating-point association only.
 //
 // Set-typed accumulators are CSR-pooled rather than value-per-row: inserts
 // and unions append (row, element) pairs to one contiguous log per field;
@@ -46,24 +48,16 @@ class EffectBuffer {
   void AddSetInsert(FieldIdx f, RowIdx row, EntityId v);
   void AddSetUnion(FieldIdx f, RowIdx row, const EntitySet& v);
 
-  /// Folds a worker shard into this buffer. Deterministic for any shard
-  /// content because every combinator is commutative/associative (or
-  /// order-keyed); set logs concatenate and are canonicalized by
+  /// Folds a worker's same-size buffer into this one. Deterministic for
+  /// any content because every combinator is commutative/associative (or
+  /// order-keyed); a row this buffer never assigned copies the worker's
+  /// accumulator whole. Set logs concatenate and are canonicalized by
   /// FinalizeSets().
-  void MergeFrom(const EffectBuffer& shard) {
-    SGL_CHECK(shard.rows_ == rows_);  // same-extent merge, not a prefix
-    MergeFromOffset(shard, 0);
-  }
-
-  /// MergeFrom for a *range-sized* shard buffer: shard row r lands on this
-  /// buffer's row `base + r`. This is how a world shard's dense local
-  /// accumulators (sized to its row partition, see src/shard/) fold into
-  /// the world's full-size buffers at the tick barrier.
-  void MergeFromOffset(const EffectBuffer& shard, RowIdx base);
+  void MergeFrom(const EffectBuffer& worker);
 
   /// Canonicalizes the set logs (sort + per-row dedup + pooled
   /// materialization). Must run after the last Add*/MergeFrom of the tick
-  /// and before any FinalSet/FinalValue read. Idempotent per tick.
+  /// and before any FinalSet read. Idempotent per tick.
   void FinalizeSets();
 
   // --- Reads (update phase) -------------------------------------------
@@ -83,9 +77,6 @@ class EffectBuffer {
   /// Requires FinalizeSets() to have run this tick. Unassigned rows yield
   /// the empty set (the kUnion identity).
   const EntitySet& FinalSet(FieldIdx f, RowIdx row) const;
-
-  /// Boxed read for the debugger / tracer.
-  Value FinalValue(FieldIdx f, RowIdx row) const;
 
  private:
   /// One (row, element) set-effect assignment, log-ordered.

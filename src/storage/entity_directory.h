@@ -10,10 +10,9 @@
 // erased slots recycle without tombstone decay (Knuth's backward-shift
 // deletion keeps probe chains tight).
 //
-// Row moves lean on this: a swap-remove despawn, or a sharded despawn's
-// stable erase, rewrites one locator per moved row with a plain probe +
-// store — no rehash, no allocation once the table reaches its high-water
-// capacity.
+// Row moves lean on this: a swap-remove despawn rewrites the moved row's
+// locator with a plain probe + store — no rehash, no allocation once the
+// table reaches its high-water capacity.
 
 #ifndef SGL_STORAGE_ENTITY_DIRECTORY_H_
 #define SGL_STORAGE_ENTITY_DIRECTORY_H_

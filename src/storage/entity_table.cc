@@ -1,8 +1,6 @@
 #include "src/storage/entity_table.h"
 
-#include <algorithm>
-
-#include "src/common/vec_util.h"
+#include <cstring>
 
 namespace sgl {
 
@@ -116,86 +114,6 @@ RowIdx EntityTable::AddRow(EntityId id) {
     SGL_CHECK(st.ok());
   }
   return row;
-}
-
-void EntityTable::RebuildBySlices(const RowSlice* slices, size_t n_slices,
-                                  TableRebuildScratch* scratch) {
-  size_t new_rows = 0;
-  for (size_t i = 0; i < n_slices; ++i) new_rows += slices[i].len;
-
-  // ids
-  ResizeAmortized(&scratch->ids, new_rows);
-  {
-    size_t at = 0;
-    for (size_t i = 0; i < n_slices; ++i) {
-      if (slices[i].len == 0) continue;
-      std::memcpy(scratch->ids.data() + at, ids_.data() + slices[i].begin,
-                  slices[i].len * sizeof(EntityId));
-      at += slices[i].len;
-    }
-  }
-  ids_.swap(scratch->ids);
-
-  // numeric block: one memcpy of len * stride doubles per slice
-  if (stride_ > 0) {
-    ResizeAmortized(&scratch->nums, new_rows * stride_);
-    size_t at = 0;
-    for (size_t i = 0; i < n_slices; ++i) {
-      if (slices[i].len == 0) continue;
-      const size_t elems = static_cast<size_t>(slices[i].len) * stride_;
-      std::memcpy(scratch->nums.data() + at,
-                  nums_.data() + static_cast<size_t>(slices[i].begin) * stride_,
-                  elems * sizeof(double));
-      at += elems;
-    }
-    nums_.swap(scratch->nums);
-  }
-
-  if (scratch->bools.size() < bools_.size()) {
-    scratch->bools.resize(bools_.size());
-  }
-  for (size_t bi = 0; bi < bools_.size(); ++bi) {
-    std::vector<uint8_t>& out = scratch->bools[bi];
-    ResizeAmortized(&out, new_rows);
-    size_t at = 0;
-    for (size_t i = 0; i < n_slices; ++i) {
-      if (slices[i].len == 0) continue;
-      std::memcpy(out.data() + at, bools_[bi].data() + slices[i].begin,
-                  slices[i].len);
-      at += slices[i].len;
-    }
-    bools_[bi].swap(out);
-  }
-
-  if (scratch->refs.size() < refs_.size()) {
-    scratch->refs.resize(refs_.size());
-  }
-  for (size_t ri = 0; ri < refs_.size(); ++ri) {
-    std::vector<EntityId>& out = scratch->refs[ri];
-    ResizeAmortized(&out, new_rows);
-    size_t at = 0;
-    for (size_t i = 0; i < n_slices; ++i) {
-      if (slices[i].len == 0) continue;
-      std::memcpy(out.data() + at, refs_[ri].data() + slices[i].begin,
-                  slices[i].len * sizeof(EntityId));
-      at += slices[i].len;
-    }
-    refs_[ri].swap(out);
-  }
-
-  // Sets move element-wise: the EntitySet objects steal their heap buffers
-  // (no element copies). After the swap the scratch holds the previous
-  // generation's moved-from sets, whose storage the next rebuild reuses.
-  for (auto& col : sets_) {
-    ResizeAmortized(&scratch->sets, new_rows);
-    size_t at = 0;
-    for (size_t i = 0; i < n_slices; ++i) {
-      for (uint32_t k = 0; k < slices[i].len; ++k) {
-        scratch->sets[at++] = std::move(col[slices[i].begin + k]);
-      }
-    }
-    col.swap(scratch->sets);
-  }
 }
 
 EntityId EntityTable::SwapRemoveRow(RowIdx row) {

@@ -20,7 +20,6 @@
 #ifndef SGL_STORAGE_ENTITY_TABLE_H_
 #define SGL_STORAGE_ENTITY_TABLE_H_
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,29 +49,6 @@ struct ConstNumberColumn {
       : base(c.base), stride(c.stride) {}
 
   double operator[](size_t row) const { return base[row * stride]; }
-};
-
-/// A contiguous run of `len` current rows starting at `begin`. Row
-/// rebuilds (the sharded despawn's stable erase) are expressed as slice
-/// lists: the rebuilt table is the concatenation of the slices, each moved
-/// with one memcpy per column (the numeric block counts as one) — no
-/// per-row Value round-trips.
-struct RowSlice {
-  RowIdx begin = 0;
-  uint32_t len = 0;
-};
-
-/// Ping-pong buffers for RebuildBySlices. The rebuild gathers into the
-/// scratch columns and swaps them with the live ones, so the scratch keeps
-/// the previous generation's buffers (capacity intact) for the next
-/// rebuild: repeated rebuilds allocate nothing once both sides reach their
-/// high-water sizes. One scratch may be shared across tables.
-struct TableRebuildScratch {
-  std::vector<EntityId> ids;
-  std::vector<double> nums;
-  std::vector<std::vector<uint8_t>> bools;
-  std::vector<std::vector<EntityId>> refs;
-  std::vector<EntitySet> sets;  ///< reused per set column in turn
 };
 
 /// Columnar storage for all live entities of one class.
@@ -107,14 +83,6 @@ class EntityTable {
   /// Swap-removes `row`. Returns the EntityId that moved into `row`
   /// (kNullEntity if `row` was the last row). Caller updates its map.
   EntityId SwapRemoveRow(RowIdx row);
-
-  /// Rebuilds the table as the concatenation of `slices` (each a run of
-  /// current rows; a row may appear in at most one slice — rows in no
-  /// slice are dropped). The numeric block, bool and ref columns move with
-  /// one memcpy per slice; sets move element-wise (pointer steals). The
-  /// caller updates its id -> row map afterwards (World::ReindexClass).
-  void RebuildBySlices(const RowSlice* slices, size_t n_slices,
-                       TableRebuildScratch* scratch);
 
   /// Boxed read of any state field.
   Value GetValue(RowIdx row, FieldIdx state_field) const;

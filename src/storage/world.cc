@@ -53,13 +53,6 @@ Status World::Despawn(EntityId id) {
   return Status::OK();
 }
 
-void World::ReindexClass(ClassId cls) {
-  const EntityTable& t = table(cls);
-  for (RowIdx r = 0; r < t.size(); ++r) {
-    directory_.Update(t.id_at(r), cls, r);
-  }
-}
-
 void World::ResetEffects() {
   for (ClassId c = 0; c < catalog_->num_classes(); ++c) {
     effects(c).Reset(table(c).size());

@@ -4,9 +4,7 @@
 // the id -> (class, row) directory (a flat open-addressing EntityDirectory —
 // Find is a probe, not a node walk). Spawn/despawn are tick-boundary
 // operations; within a tick rows are stable, which is what allows compiled
-// plans to work on dense RowIdx vectors. ReindexClass and DirectoryErase
-// exist for the sharded despawn, which stable-erases a row (shifting the
-// rows after it) and then refreshes the class's locators in one pass.
+// plans to work on dense RowIdx vectors.
 
 #ifndef SGL_STORAGE_WORLD_H_
 #define SGL_STORAGE_WORLD_H_
@@ -54,15 +52,6 @@ class World {
 
   /// Locator for an entity, or nullptr if it does not exist.
   const Locator* Find(EntityId id) const { return directory_.Find(id); }
-
-  /// Re-stamps the directory locator of every row of `cls` from the table's
-  /// current id order. Called after a row rebuild that repositions many
-  /// rows at once (the sharded despawn); allocation-free.
-  void ReindexClass(ClassId cls);
-
-  /// Removes `id` from the directory without touching its table row. The
-  /// caller owns the row's removal (the sharded despawn).
-  bool DirectoryErase(EntityId id) { return directory_.Erase(id); }
 
   EntityTable& table(ClassId cls) {
     return *tables_[static_cast<size_t>(cls)];

@@ -207,14 +207,6 @@ const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
       }
     }
   }
-  if (reason[0] == '\0' && options_.imbalance_bp_threshold > 0 &&
-      frame.stats.imbalance_bp >= options_.imbalance_bp_threshold) {
-    reason = "anomaly.shard_imbalance";
-  }
-  if (reason[0] == '\0' && options_.barrier_stall_us_threshold > 0 &&
-      frame.stats.barrier_stall_us >= options_.barrier_stall_us_threshold) {
-    reason = "anomaly.barrier_stall";
-  }
   return reason;
 }
 

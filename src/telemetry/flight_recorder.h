@@ -33,7 +33,6 @@
 //
 // Black-box triggers: after each capture the trigger engine checks
 //   * tick time > anomaly_p95_factor × rolling p95 over the ring,
-//   * shard.imbalance_bp / barrier.stall_us thresholds,
 //   * any FaultInjector fire since the previous capture,
 //   * crash detected on restore (Engine::Restore → NotifyRestore),
 // and writes a self-contained dump (reason, Chrome trace of the ring
@@ -86,10 +85,6 @@ struct FlightRecorderOptions {
   // --- Black-box triggers (0 / false = disabled) -------------------------
   /// Fire when tick total µs exceeds `factor × p95` of the in-ring frames.
   double anomaly_p95_factor = 0.0;
-  /// Fire when a sharded world's imbalance gauge reaches this (bp).
-  int64_t imbalance_bp_threshold = 0;
-  /// Fire when the barrier stall gauge reaches this (µs).
-  int64_t barrier_stall_us_threshold = 0;
   /// Fire when the attached FaultInjector's total_fires() advanced since
   /// the previous capture.
   bool dump_on_fault = false;

@@ -27,9 +27,8 @@ const char* SpanSiteName(uint64_t id) {
       kSpanTickTotal,     kSpanTickSelect,  kSpanTickSitePrep,
       kSpanTickQuery,     kSpanTickMerge,   kSpanTickFinalize,
       kSpanTickInstall,   kSpanTickUpdate,  kSpanShardRun,
-      kSpanTickBarrier,   kSpanMailboxFlip, kSpanMailboxReplay,
-      kSpanSiteQuery,     kSpanSiteProbe,   kSpanJobRun,
-      kSpanVmCompile,
+      kSpanTickBarrier,   kSpanSiteQuery,   kSpanSiteProbe,
+      kSpanJobRun,        kSpanVmCompile,
   };
   for (const SpanSite& s : kSites) {
     if (s.id == id) return s.name;
@@ -58,13 +57,10 @@ Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {
   std_.job_wait_us = metrics_.RegisterHistogram("job.wait_us");
   std_.barrier_stall_us = metrics_.RegisterHistogram("barrier.stall_us");
   std_.shard_query_us = metrics_.RegisterHistogram("shard.query_us");
-  std_.cross_shard_records_total =
-      metrics_.RegisterCounter("shard.cross_records_total");
   std_.jobs_submitted = metrics_.RegisterCounter("jobs.submitted");
   std_.jobs_installed = metrics_.RegisterCounter("jobs.installed");
   std_.jobs_in_flight = metrics_.RegisterGauge("jobs.in_flight");
   std_.shard_imbalance_bp = metrics_.RegisterGauge("shard.imbalance_bp");
-  std_.cross_shard_records = metrics_.RegisterGauge("shard.cross_records");
   std_.vm_programs = metrics_.RegisterGauge("vm.programs");
 }
 
@@ -153,10 +149,6 @@ void Telemetry::RecordTick(const TickStats& st, bool has_jobs) {
     metrics_.Record(std_.barrier_stall_us, st.barrier_stall_us);
     metrics_.Set(std_.shard_imbalance_bp, st.imbalance_bp);
   }
-  if (st.cross_shard_records > 0) {
-    metrics_.Count(std_.cross_shard_records_total, st.cross_shard_records);
-  }
-  metrics_.Set(std_.cross_shard_records, st.cross_shard_records);
   if (st.jobs_submitted > 0) {
     metrics_.Count(std_.jobs_submitted, st.jobs_submitted);
   }

@@ -92,11 +92,11 @@ inline constexpr SpanSite kSpanTickFinalize =
     MakeSpanSite("tick.finalize_sets");
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
-// shard: a sharded world's per-shard query phase and barrier internals.
+// shard: a sharded world's per-shard query phase and its merge.
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");
-inline constexpr SpanSite kSpanMailboxFlip =
-    MakeSpanSite("shard.mailbox.flip");
+// Never emitted: the shard mailboxes it timed are gone. Kept only because
+// the tick-anatomy benchmark (perfbench/) still names it.
 inline constexpr SpanSite kSpanMailboxReplay =
     MakeSpanSite("shard.mailbox.replay");
 // exec: per-site work inside the query phase (src/exec/op_exec.cc);
@@ -221,13 +221,11 @@ struct StdMetrics {
   MetricId barrier_stall_us;  ///< shard imbalance: max-min per-shard query µs
   MetricId shard_query_us;    ///< one sample per shard per tick
   // Counters.
-  MetricId cross_shard_records_total;
   MetricId jobs_submitted;
   MetricId jobs_installed;
   // Gauges (latest tick).
   MetricId jobs_in_flight;
-  MetricId shard_imbalance_bp;   ///< (max-mean)/mean in basis points
-  MetricId cross_shard_records;  ///< routed last tick
+  MetricId shard_imbalance_bp;  ///< (max-mean)/mean in basis points
   MetricId vm_programs;
 };
 

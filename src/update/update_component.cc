@@ -89,9 +89,4 @@ Status ComponentRegistry::RestoreState(const std::string& data) {
   return Status::OK();
 }
 
-std::string ComponentRegistry::OwnerOf(ClassId cls, FieldIdx field) const {
-  auto it = ownership_.find({cls, field});
-  return it == ownership_.end() ? "" : it->second;
-}
-
 }  // namespace sgl

@@ -90,9 +90,6 @@ class ComponentRegistry {
   /// match this engine" and fall back to NotifyRestore() recovery.
   Status RestoreState(const std::string& data);
 
-  /// Component owning (cls, field), or empty string.
-  std::string OwnerOf(ClassId cls, FieldIdx field) const;
-
   int num_components() const { return static_cast<int>(components_.size()); }
   UpdateComponent* component(int i) {
     return components_[static_cast<size_t>(i)].get();

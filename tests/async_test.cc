@@ -11,9 +11,9 @@
 //   * Forced-slow-job stress — workers stalled through the
 //     async.worker.stall fault site for many ticks per search change
 //     nothing but wall-clock.
-//   * Request dedup, functional pathfinding, and checkpoint-restore
-//     behavior with jobs in flight; corrupt request-cache blobs are
-//     refused, not allocated.
+//   * Request dedup, functional pathfinding, stale-route revalidation,
+//     unreachable goals, and checkpoint-restore behavior with jobs in
+//     flight; corrupt request-cache blobs are refused, not allocated.
 
 #include <gtest/gtest.h>
 
@@ -398,6 +398,106 @@ TEST(AsyncPathfindTest, SharedRequestsDedupToOneSearch) {
   EXPECT_NE(2.2, x0) << "walkers should be moving by now";
   for (EntityId id = 2; id <= 40; ++id) {
     EXPECT_DOUBLE_EQ(x0, (*engine)->Get(id, "x")->AsNumber());
+  }
+}
+
+// One walker on a 20x20 open map with `workers` job workers, driven by
+// an AsyncPathfindComponent the test keeps a handle to.
+struct WalkerRig {
+  std::unique_ptr<Engine> engine;
+  AsyncPathfindComponent* pathfinder = nullptr;
+  EntityId walker = kNullEntity;
+};
+
+WalkerRig BuildWalker(int workers, GridMap map, double x, double y,
+                      double tx, double ty) {
+  WalkerRig rig;
+  EngineOptions options;
+  options.exec.jobs.num_workers = workers;
+  auto engine = Engine::Create(WalkerSource(), options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  rig.engine = std::move(engine).value();
+  AsyncPathfinderConfig config;
+  config.cls = "Walker";
+  config.latency_ticks = 2;
+  auto comp = AsyncPathfindComponent::Create(
+      rig.engine->catalog(), config, std::move(map),
+      &rig.engine->executor().jobs());
+  EXPECT_TRUE(comp.ok()) << comp.status();
+  rig.pathfinder = comp->get();
+  EXPECT_TRUE(rig.engine->AddComponent(std::move(*comp)).ok());
+  auto id = rig.engine->Spawn("Walker", {{"x", Value::Number(x)},
+                                         {"y", Value::Number(y)},
+                                         {"waypoint_x", Value::Number(x)},
+                                         {"waypoint_y", Value::Number(y)},
+                                         {"tx", Value::Number(tx)},
+                                         {"ty", Value::Number(ty)}});
+  EXPECT_TRUE(id.ok());
+  rig.walker = *id;
+  return rig;
+}
+
+double Field(const WalkerRig& rig, const char* field) {
+  return rig.engine->Get(rig.walker, field)->AsNumber();
+}
+
+// Stale-result revalidation: a cell blocked on a cached route at a tick
+// boundary is dropped when the walker reaches it, re-searched, and never
+// entered; the walker still arrives by the detour.
+TEST(AsyncPathfindTest, BlockedCellOnCachedRouteIsResearched) {
+  for (int workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    WalkerRig rig =
+        BuildWalker(workers, GridMap(20, 20, 1.0), 2.5, 10.5, 17.5, 10.5);
+    ASSERT_TRUE(rig.engine->RunTicks(5).ok());
+    // The one search installed its straight route along row 10 and the
+    // walker is marching it; nothing is in flight.
+    ASSERT_EQ(rig.pathfinder->total().submitted, 1);
+    ASSERT_EQ(rig.engine->executor().jobs().in_flight(), 0u);
+    ASSERT_EQ(static_cast<int>(Field(rig, "waypoint_y")), 10);
+    const int bx = static_cast<int>(Field(rig, "waypoint_x")) + 3;
+    ASSERT_LT(bx, 17);
+    rig.pathfinder->mutable_map().SetBlocked(bx, 10, true);
+
+    for (int t = 0; t < 40; ++t) {
+      ASSERT_TRUE(rig.engine->Tick().ok());
+      const int cx = static_cast<int>(Field(rig, "x"));
+      const int cy = static_cast<int>(Field(rig, "y"));
+      EXPECT_FALSE(cx == bx && cy == 10) << "stepped into the blocked cell";
+    }
+    EXPECT_GT(rig.pathfinder->total().dropped_stale, 0);
+    EXPECT_GT(rig.pathfinder->total().submitted, 1) << "no re-search";
+    EXPECT_NEAR(17.5, Field(rig, "x"), 1.0);
+    EXPECT_NEAR(10.5, Field(rig, "y"), 1.0);
+  }
+}
+
+// Unreachable install: a goal walled off on every side installs as "hold
+// position", counted once, and the walker stops stalling on it.
+TEST(AsyncPathfindTest, WalledOffGoalInstallsUnreachableAndHolds) {
+  for (int workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    GridMap map(20, 20, 1.0);
+    for (int d = -1; d <= 1; ++d) {
+      map.SetBlocked(15 + d, 14, true);
+      map.SetBlocked(15 + d, 16, true);
+      map.SetBlocked(14, 15 + d, true);
+      map.SetBlocked(16, 15 + d, true);
+    }
+    WalkerRig rig = BuildWalker(workers, std::move(map), 2.5, 2.5, 15.5, 15.5);
+    ASSERT_TRUE(rig.engine->RunTicks(4).ok());
+    const AsyncPathfinderStats installed = rig.pathfinder->total();
+    EXPECT_EQ(installed.submitted, 1);
+    EXPECT_EQ(installed.unreachable, 1);
+
+    ASSERT_TRUE(rig.engine->RunTicks(20).ok());
+    const AsyncPathfinderStats later = rig.pathfinder->total();
+    EXPECT_EQ(later.submitted, 1) << "an unreachable goal is not re-searched";
+    EXPECT_EQ(later.unreachable, 1);
+    EXPECT_EQ(later.stalls, installed.stalls) << "still stalling";
+    EXPECT_GE(later.cache_hits, installed.cache_hits + 20);
+    EXPECT_DOUBLE_EQ(2.5, Field(rig, "x"));
+    EXPECT_DOUBLE_EQ(2.5, Field(rig, "y"));
   }
 }
 

@@ -184,5 +184,31 @@ TEST(Explain, ShowsStrategiesAndPredicates) {
   EXPECT_NE(std::string::npos, plan.find("update A.hp"));
 }
 
+// The full EXPLAIN text of a script with a `let` binding and an
+// `atomic`/`require` region: the Extend and TxnEmit operators, pinned
+// verbatim.
+TEST(Explain, PinsLetAndTransactionOperators) {
+  auto engine = Engine::Create(R"sgl(
+class Account {
+  state:
+    number balance = 10;
+    number withdraw_amount = 0;
+}
+script Withdraw for Account {
+  let number amount = withdraw_amount * 2;
+  if (amount > 0) {
+    atomic "wd" require(balance >= 0) {
+      balance <- -amount;
+    }
+  }
+}
+)sgl");
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ((*engine)->ExplainPlans(),
+            "script Withdraw for Account:\n"
+            "  Extend[$0=(self.s1*2)]\n"
+            "  TxnEmit[wd, guard: ($0>0), constraints: 1, writes: 1]\n");
+}
+
 }  // namespace
 }  // namespace sgl

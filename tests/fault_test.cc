@@ -771,7 +771,6 @@ TEST(RestoreStatsTest, JobCountersResetConsistentlyAfterRestore) {
   EXPECT_EQ(stats.txn.issued, 0);
   EXPECT_EQ(stats.txn.committed, 0);
   EXPECT_EQ(stats.txn.aborted, 0);
-  EXPECT_EQ(stats.cross_shard_records, 0);
   EXPECT_EQ(stats.barrier_stall_us, -1) << "one partition has no barrier";
   EXPECT_TRUE(stats.sites.empty());
 

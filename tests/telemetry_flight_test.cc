@@ -360,7 +360,6 @@ void ExpectSameTickStats(const TickStats& want, const TickStats& got) {
   SGL_EXPECT_SAME(job_wait_micros);
   SGL_EXPECT_SAME(barrier_stall_us);
   SGL_EXPECT_SAME(imbalance_bp);
-  SGL_EXPECT_SAME(cross_shard_records);
   SGL_EXPECT_SAME(txn.issued);
   SGL_EXPECT_SAME(txn.committed);
   SGL_EXPECT_SAME(txn.aborted);
@@ -424,10 +423,8 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   EXPECT_EQ(f->stats.allocs_per_tick, 0);
   EXPECT_EQ(f->stats.bytes_per_tick, 0);
   EXPECT_GE(live.barrier_stall_us, 0) << "two partitions have a barrier";
-  EXPECT_GT(live.cross_shard_records, 0);
   const MetricsSnapshot snap = tel.metrics().Snapshot();
   EXPECT_EQ(snap.Gauge("shard.imbalance_bp"), live.imbalance_bp);
-  EXPECT_EQ(snap.Gauge("shard.cross_records"), live.cross_shard_records);
   const HistogramSnapshot* stall = snap.Find("barrier.stall_us");
   ASSERT_NE(stall, nullptr);
   EXPECT_EQ(stall->count, 6) << "one stall sample per sharded tick";
@@ -442,7 +439,6 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   const TickStats& one = solo->last_stats();
   EXPECT_EQ(one.barrier_stall_us, -1);
   EXPECT_EQ(one.imbalance_bp, 0);
-  EXPECT_EQ(one.cross_shard_records, 0);
   ExpectSameTickStats(one, solo_rec.frame(one.tick)->stats);
   const MetricsSnapshot solo_snap = solo_tel.metrics().Snapshot();
   const HistogramSnapshot* solo_stall = solo_snap.Find("barrier.stall_us");
@@ -831,6 +827,56 @@ TEST(BlackBox, FaultTriggerWritesDumpAndCooldownSuppresses) {
   EXPECT_TRUE(trace.names.count("tick.total"));
   MiniJson sites(dump->sites);
   ExpectValidJson(dump->sites, &sites);
+}
+
+// The tick-time trigger, fed synthetic frames so the timings are exact: a
+// slow tick fires only once kMinFramesForAnomaly other frames are in the
+// ring, writes one "anomaly.tick_time" dump, and the cooldown suppresses
+// the next slow tick.
+TEST(BlackBox, SlowTickWritesAnomalyDumpAndCooldownSuppresses) {
+  const std::string dir = FreshDir("anomaly");
+  BlackBoxStore store(dir, /*keep=*/4);
+  FlightRecorderOptions fo;
+  fo.ring_ticks = 16;
+  fo.anomaly_p95_factor = 3.0;
+  fo.dump_cooldown_ticks = 16;
+  FlightRecorder rec(fo);
+  rec.set_armed(true);
+  rec.AttachStore(&store);
+  auto engine = BuildRts(64, RecorderOpts(nullptr));
+  auto capture = [&](Tick tick, int64_t micros) {
+    TickStats stats;
+    stats.Reset(tick);
+    stats.total_micros = micros;
+    rec.CaptureTick(stats, engine->world());
+  };
+
+  // Too few frames: a slow tick with kMinFramesForAnomaly - 1 others in
+  // the ring does not fire.
+  Tick t = 0;
+  for (; t < kMinFramesForAnomaly - 1; ++t) capture(t, 1000);
+  capture(t++, 100000);
+  EXPECT_EQ(rec.dumps_written(), 0);
+  EXPECT_EQ(rec.dumps_suppressed(), 0);
+
+  // Refill the ring with ordinary ticks, so the earlier slow one is gone
+  // from every later p95.
+  for (int i = 0; i < fo.ring_ticks; ++i) capture(t++, 1000);
+  EXPECT_EQ(rec.dumps_written(), 0);
+
+  const Tick slow = t;
+  capture(t++, 10000);  // > 3 x p95 (1000)
+  EXPECT_EQ(rec.dumps_written(), 1);
+  EXPECT_EQ(rec.last_trigger(), "anomaly.tick_time");
+  auto dump = store.LoadLatestGood();
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_EQ(dump->reason, "anomaly.tick_time");
+  EXPECT_EQ(dump->tick, slow);
+
+  capture(t++, 1000000);  // slower still, but inside the cooldown
+  EXPECT_EQ(rec.dumps_written(), 1);
+  EXPECT_EQ(rec.dumps_suppressed(), 1);
+  EXPECT_EQ(store.ListFiles().size(), 1u);
 }
 
 TEST(BlackBox, CorruptDumpIsRejectedAndStoreFallsBack) {

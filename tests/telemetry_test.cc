@@ -311,8 +311,7 @@ TEST(ChromeTrace, ShardedAsyncRunCoversEveryPhase) {
   // Every sharded-pipeline phase shows up by name.
   for (const char* phase :
        {"tick.total", "tick.select", "tick.siteprep", "shard.run",
-        "tick.barrier", "shard.mailbox.flip", "shard.mailbox.replay",
-        "tick.finalize_sets", "tick.install", "tick.update",
+        "tick.barrier", "tick.finalize_sets", "tick.install", "tick.update",
         "async.worker.run"}) {
     EXPECT_TRUE(parser.names.count(phase)) << "missing phase " << phase;
   }
@@ -490,9 +489,9 @@ TEST(ArmedAllocs, Parallel4ThreadSteadyStateIsAllocationFree) {
 }
 
 // Sharded variant uses the stationary battle (see alloc_steady_state_test):
-// zeroed attack freezes the engagement geometry so the cross-shard mailbox
-// lanes hit their high-water capacity inside the warmup window, while every
-// matching pair still routes its damage write each tick.
+// zeroed attack freezes the engagement geometry so every buffer hits its
+// high-water capacity inside the warmup window, while every matching pair
+// still emits its damage write each tick.
 TEST(ArmedAllocs, Sharded4SteadyStateIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
   Telemetry tel;
