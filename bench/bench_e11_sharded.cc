@@ -1,10 +1,12 @@
-// E11 — sharded world partitioning (src/shard/): tick latency, phase
-// breakdown and allocs_per_tick vs shard count at 16k and 64k entities.
+// E11 — the shard schedule (ExecOptions::num_shards, see
+// src/exec/tick_executor.h): tick latency, phase breakdown and
+// allocs_per_tick vs shard count at 16k and 64k entities.
 //
 // Series: ms/tick for the RTS battle under {1, 2, 4, 8} shards, each
-// shard a row range one worker runs, its effects written to full-size
-// per-worker buffers merged at the tick barrier; the single-shard row is
-// the no-partition baseline the checksum-parity tests pin the others to.
+// shard the row block [n·s/S, n·(s+1)/S) of every class that one worker
+// runs, its effects written to full-size per-worker buffers merged at the
+// tick barrier; the single-shard row is the baseline the checksum-parity
+// tests pin the others to.
 // Also: the traffic workload at 16k vehicles, where the 1-D road keeps
 // interactions lane-local.
 
@@ -41,7 +43,7 @@ std::unique_ptr<sgl::Engine> BuildShardedRts(int units, int shards,
   return std::move(engine).value();
 }
 
-// Threads stay at 1 so the series isolates the partition layer's own cost
+// Threads stay at 1 so the series isolates the shard schedule's own cost
 // (per-worker buffers and their merge vs direct dense writes); on a
 // multicore box the shard fan-out additionally parallelizes the query
 // phase (E6's scaling shape), which `hw_cores` lets readers of the JSON

@@ -12,9 +12,9 @@
 #       memory (bytes_per_entry)
 #   E8  traffic scaling under the cost-based planner (vehicle_ticks/s +
 #       allocs_per_tick)
-#   E11 sharded world partitioning (tick latency + phase breakdown +
-#       allocs_per_tick vs shard count, for the RTS battle and the traffic
-#       workload)
+#   E11 the shard schedule: per-tick row blocks, one worker each (tick
+#       latency + phase breakdown + allocs_per_tick vs shard count, for the
+#       RTS battle and the traffic workload)
 #   E12 asynchronous out-of-band pathfinding (sync vs async tick latency
 #       on the large-map armies workload, jobs in flight, barrier wait,
 #       allocs_per_tick vs job-worker count)

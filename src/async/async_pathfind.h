@@ -114,7 +114,6 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   /// (service in_flight() == 0, e.g. after CancelAll).
   GridMap& mutable_map() { return map_; }
   const AsyncPathfinderStats& total() const { return total_; }
-  size_t cache_entries() const { return cache_size_; }
 
  private:
   /// One (start cell, goal cell) request. key 0 = empty slot.

@@ -132,7 +132,6 @@ void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
   slot->claim.store(0, std::memory_order_release);
   due_[static_cast<size_t>(latency)].items.push_back(slot);
   ++in_flight_;
-  ++total_submitted_;
   ++submitted_window_;
   if (!workers_.empty()) {
     {

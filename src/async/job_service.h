@@ -220,7 +220,6 @@ class JobService {
   void SampleTick(JobTickStats* out);
 
   size_t in_flight() const { return in_flight_; }
-  int64_t total_submitted() const { return total_submitted_; }
   int64_t total_installed() const { return total_installed_; }
   /// Jobs the barrier's drain ran because no worker had claimed them by
   /// their contracted install tick (deadline-miss fallback; in inline mode,
@@ -298,7 +297,6 @@ class JobService {
   uint32_t seq_in_tick_ = 0;
   Tick seq_tick_ = -1;
   size_t in_flight_ = 0;
-  int64_t total_submitted_ = 0;
   int64_t total_installed_ = 0;
   int64_t total_fallback_ = 0;
   int64_t submitted_window_ = 0;

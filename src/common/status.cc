@@ -16,8 +16,6 @@ const char* StatusCodeName(StatusCode code) {
       return "ParseError";
     case StatusCode::kSemanticError:
       return "SemanticError";
-    case StatusCode::kConstraintViolation:
-      return "ConstraintViolation";
     case StatusCode::kUnsupported:
       return "Unsupported";
     case StatusCode::kInternal:

@@ -23,7 +23,6 @@ enum class StatusCode : uint8_t {
   kAlreadyExists,     ///< Duplicate registration (class, component, ...).
   kParseError,        ///< Lexical or syntactic error in SGL source.
   kSemanticError,     ///< Type error or access-rule violation in SGL source.
-  kConstraintViolation,  ///< Transaction constraint can never be satisfied.
   kUnsupported,       ///< Feature combination the engine does not implement.
   kInternal,          ///< Invariant breakage that is not the caller's fault.
 };
@@ -57,9 +56,6 @@ class Status {
   }
   static Status SemanticError(std::string msg) {
     return Status(StatusCode::kSemanticError, std::move(msg));
-  }
-  static Status ConstraintViolation(std::string msg) {
-    return Status(StatusCode::kConstraintViolation, std::move(msg));
   }
   static Status Unsupported(std::string msg) {
     return Status(StatusCode::kUnsupported, std::move(msg));

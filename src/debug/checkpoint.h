@@ -22,10 +22,10 @@ namespace sgl {
 struct Checkpoint {
   Tick tick = 0;
   std::string state;  ///< serialized World
-  /// Sharded engines only: the serialized shard partition (per-class shard
-  /// boundaries, see ShardedWorld::SerializePartition), so restore resumes
-  /// the exact partition — uneven after despawns — instead of re-blocking.
-  /// Empty for single-world checkpoints.
+  /// Reserved: the on-disk format keeps this section (checkpoint_file.h),
+  /// but the engine writes it empty and ignores it on restore, because the
+  /// shard blocks are worked out each tick. Checkpoints of earlier versions
+  /// that stored a partition here still restore.
   std::string shard_partition;
   /// In-flight JobService submissions (JobService::SerializeInFlight): a
   /// restore re-creates each job so it installs at its originally

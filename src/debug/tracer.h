@@ -65,7 +65,6 @@ class EffectTracer : public EffectTraceSink {
   /// Watch-all mode records every assignment regardless of the watch list.
   /// Configure between ticks.
   void set_watch_all(bool on) { watch_all_ = on; }
-  bool watch_all() const { return watch_all_; }
 
   void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
                       FieldIdx field, const Value& value, int assign_id,

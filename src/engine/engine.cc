@@ -22,13 +22,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(
   auto engine = std::unique_ptr<Engine>(new Engine());
   SGL_ASSIGN_OR_RETURN(engine->program_, CompileSource(source));
   engine->world_ = std::make_unique<World>(engine->program_->catalog.get());
-  if (options.exec.num_shards > 1) {
-    engine->sharded_world_ = std::make_unique<ShardedWorld>(
-        engine->world_.get(), options.exec.num_shards);
-  }
   engine->executor_ = std::make_unique<TickExecutor>(
-      engine->world_.get(), engine->sharded_world_.get(),
-      engine->program_.get(), options.exec);
+      engine->world_.get(), engine->program_.get(), options.exec);
   SGL_RETURN_IF_ERROR(engine->executor_->Init());
   return engine;
 }
@@ -62,14 +57,10 @@ Status Engine::AddComponent(std::unique_ptr<UpdateComponent> component) {
 StatusOr<EntityId> Engine::Spawn(
     const std::string& cls,
     const std::vector<std::pair<std::string, Value>>& init) {
-  // A sharded world's partition folds the new row into its last shard
-  // when it next catches up (EnsurePartition).
   return world_->Spawn(cls, init);
 }
 
 Status Engine::Despawn(EntityId id) {
-  // A sharded world's partition clamps its ranges to the shrunk class when
-  // it next catches up: the moved survivor joins the victim's shard.
   return world_->Despawn(id);
 }
 
@@ -94,9 +85,6 @@ Status Engine::RunTicks(int n) {
 
 Checkpoint Engine::TakeCheckpoint() const {
   Checkpoint cp = sgl::TakeCheckpoint(*world_, tick());
-  if (sharded_world_ != nullptr) {
-    sharded_world_->SerializePartition(&cp.shard_partition);
-  }
   JobService* jobs = executor_->jobs_or_null();
   if (jobs != nullptr) jobs->SerializeInFlight(&cp.jobs);
   executor_->components().SerializeState(&cp.components);
@@ -110,21 +98,6 @@ Status Engine::Restore(const Checkpoint& cp) {
   JobService* jobs = executor_->jobs_or_null();
   if (jobs != nullptr) jobs->CancelAll();
   SGL_RETURN_IF_ERROR(RestoreCheckpoint(cp, world_.get()));
-  if (sharded_world_ != nullptr) {
-    if (!cp.shard_partition.empty()) {
-      // Resume the exact partition the checkpoint was taken under
-      // (uneven after despawns). Only a shard-count mismatch
-      // (InvalidArgument) legitimately falls back to fresh block ranges;
-      // a corrupt blob must surface, not silently re-block.
-      Status st = sharded_world_->RestorePartition(cp.shard_partition);
-      if (!st.ok()) {
-        if (st.code() != StatusCode::kInvalidArgument) return st;
-        sharded_world_->PartitionBlock();
-      }
-    } else {
-      sharded_world_->PartitionBlock();
-    }
-  }
   executor_->set_tick(cp.tick);
   ComponentRegistry& components = executor_->components();
   // Fidelity path: re-create in-flight jobs at their contracted install

@@ -8,9 +8,8 @@
 //   double hp = engine->Get(id, "health")->AsNumber();
 //
 // Create() parses + compiles the program (schema generation, §2.1), builds
-// the World (partitioned into shards when exec.num_shards > 1), and wires
-// the one TickExecutor with the built-in update components (transaction
-// engine + expression updater).
+// the World, and wires the one TickExecutor with the built-in update
+// components (transaction engine + expression updater).
 // Physics / pathfinding components attach via AddPhysics / AddPathfinder
 // (§2.2). Debugging (§3.3) is exposed through inspector/tracer/checkpoint
 // accessors.
@@ -28,7 +27,6 @@
 #include "src/debug/tracer.h"
 #include "src/exec/tick_executor.h"
 #include "src/lang/compiler.h"
-#include "src/shard/sharded_world.h"
 #include "src/update/pathfind.h"
 #include "src/update/physics.h"
 
@@ -36,10 +34,11 @@ namespace sgl {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// exec.num_shards > 1 partitions the world into row-range shards, one
-  /// worker each (src/shard/); the executor runs the same pipeline over
-  /// either layout. Create() rejects morsel_size == 0,
-  /// num_shards >= 255 and jobs.num_workers < 0 with InvalidArgument.
+  /// exec.num_shards > 1 runs each tick's query phase as that many row
+  /// blocks, one worker each (src/exec/tick_executor.h); the executor runs
+  /// the same pipeline on either schedule. Create() rejects
+  /// morsel_size == 0, num_shards >= 255 and jobs.num_workers < 0 with
+  /// InvalidArgument.
   ExecOptions exec;
 };
 
@@ -52,17 +51,12 @@ class Engine {
   World& world() { return *world_; }
   const Catalog& catalog() const { return *program_->catalog; }
   const CompiledProgram& program() const { return *program_; }
-  /// The tick executor, whichever the partition layout.
+  /// The tick executor, whichever the shard schedule.
   TickExecutor& executor() { return *executor_; }
   /// Alias of executor(); the tick-anatomy benchmark (perfbench/) calls it.
   TickExecutor& shard_executor() { return executor(); }
-  /// True when exec.num_shards > 1 partitioned the world.
-  bool sharded() const { return sharded_world_ != nullptr; }
-  /// The partition layout; sharded engines only.
-  ShardedWorld& sharded_world() {
-    SGL_CHECK(sharded_world_ != nullptr && "engine is not sharded");
-    return *sharded_world_;
-  }
+  /// True when exec.num_shards > 1; the tick-anatomy benchmark calls it.
+  bool sharded() const { return executor_->options().num_shards > 1; }
 
   /// Attaches a physics component (§2.2). Call before the first tick.
   Status AddPhysics(const PhysicsConfig& config);
@@ -118,14 +112,15 @@ class Engine {
   Inspector inspector() const { return Inspector(world_.get()); }
   /// Attaches a tracer (null detaches).
   void SetTracer(EffectTracer* tracer) { executor_->set_trace(tracer); }
-  /// Snapshot / resume. Sharded engines also capture the shard partition,
-  /// so Restore resumes its exact ranges (despawns leave them uneven).
-  /// Checkpoints are tick-boundary snapshots that also capture async jobs
-  /// still in flight (with their snapshots and contracted install ticks)
-  /// and every component's private cross-tick state: Restore re-creates
-  /// the jobs so each installs at its original tick and reloads the
-  /// component caches, making the restored run bit-identical to one that
-  /// never stopped. A checkpoint missing those sections (or failing to
+  /// Snapshot / resume. The shard blocks are worked out each tick, so a
+  /// checkpoint holds no partition: TakeCheckpoint writes the
+  /// `shard_partition` section empty and Restore ignores it, on every
+  /// shard count. Checkpoints are tick-boundary snapshots that also
+  /// capture async jobs still in flight (with their snapshots and
+  /// contracted install ticks) and every component's private cross-tick
+  /// state: Restore re-creates the jobs so each installs at its original
+  /// tick and reloads the component caches, making the restored run
+  /// bit-identical to one that never stopped. A checkpoint missing those sections (or failing to
   /// match this engine's configuration) falls back to the legacy recovery
   /// — cancel in-flight work, drop caches, re-request — which is
   /// deterministic going forward but may briefly re-stall on results the
@@ -138,7 +133,6 @@ class Engine {
 
   std::unique_ptr<CompiledProgram> program_;
   std::unique_ptr<World> world_;
-  std::unique_ptr<ShardedWorld> sharded_world_;  ///< exec.num_shards > 1
   std::unique_ptr<TickExecutor> executor_;
 };
 

@@ -80,7 +80,7 @@ size_t RunGuardFilter(const Expr& guard, const VecContext& ctx,
 // Returns how many writes landed (post guard / target resolution) — the
 // per-site `effects` attribution.
 // The emitting worker's shard for provenance attribution: tel_track 0 is
-// the unsharded world / barrier thread, s + 1 is world shard s.
+// the unsharded engine / barrier thread, s + 1 is shard s.
 inline int32_t ProvShard(const ExecEnv& env) {
   return env.tel_track == 0 ? 0 : static_cast<int32_t>(env.tel_track) - 1;
 }

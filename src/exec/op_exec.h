@@ -7,7 +7,7 @@
 // accum sites with one batched index probe per morsel; the scalar path uses
 // only the scalar evaluator of src/ra/eval.h. On both, every effect write
 // goes straight into the worker's EffectBuffer for the target class,
-// whatever the partition layout.
+// whatever the shard count.
 
 #ifndef SGL_EXEC_OP_EXEC_H_
 #define SGL_EXEC_OP_EXEC_H_
@@ -126,8 +126,8 @@ struct ExecEnv {
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch
   /// per instrumented point). Borrowed, set by the owning executor.
   Telemetry* telemetry = nullptr;
-  /// Chrome-trace pid for this worker's spans: 0 = world (one partition /
-  /// barrier thread), s + 1 = world shard s.
+  /// Chrome-trace pid for this worker's spans: 0 = world (one shard /
+  /// barrier thread), s + 1 = shard s.
   uint8_t tel_track = 0;
 };
 

@@ -6,7 +6,6 @@
 #include "src/common/alloc_hook.h"
 #include "src/common/stopwatch.h"
 #include "src/fault/fault_injector.h"
-#include "src/shard/sharded_world.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/update/expr_updater.h"
@@ -34,41 +33,21 @@ struct TickExecutor::Worker {
   std::vector<std::unique_ptr<EffectBuffer>> effects;
 };
 
-struct TickExecutor::Partition {
-  /// Also the index of the partition's first worker, which evaluates its
-  /// selections; workers [id, id + workers per partition) run its morsels.
-  int id = 0;
-  /// Per script, per phase: selected rows of this partition's ranges.
-  std::vector<std::vector<std::vector<RowIdx>>> script_selections;
-  /// Per handler: cached range iota and this tick's selection.
-  std::vector<std::vector<RowIdx>> handler_rows;
-  std::vector<std::vector<RowIdx>> handler_selections;
-  std::vector<uint8_t> handler_keep;
-  /// Wall time of this partition's query phase last tick; the barrier
-  /// derives the stall (max−min) and imbalance gauges from these.
-  int64_t query_micros = 0;
-};
-
 namespace {
 
-/// Makes `rows` the iota [begin, end). A pure function of the range, so it
-/// is rebuilt only when spawns or despawns moved the range.
-void FillRange(RowIdx begin, RowIdx end, std::vector<RowIdx>* rows) {
-  if (rows->size() == static_cast<size_t>(end - begin) &&
-      (rows->empty() || (*rows)[0] == begin)) {
-    return;
-  }
-  rows->resize(end - begin);
-  std::iota(rows->begin(), rows->end(), begin);
+/// Makes `rows` the iota [0, n). A pure function of the class size, so it
+/// is rebuilt only when spawns or despawns changed the size.
+void FillRange(size_t n, std::vector<RowIdx>* rows) {
+  if (rows->size() == n) return;
+  rows->resize(n);
+  std::iota(rows->begin(), rows->end(), RowIdx{0});
 }
 
 }  // namespace
 
-TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
-                           const CompiledProgram* program,
+TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
                            ExecOptions options)
     : world_(world),
-      sharded_(sharded),
       program_(program),
       options_(options),
       controller_(options.planner, program->num_sites),
@@ -89,13 +68,12 @@ TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
   script_locals_.resize(program_->scripts.size());
   handler_locals_.resize(program_->handlers.size());
 
-  // The layout: one worker per partition, or one per thread when the whole
-  // world is one partition.
-  const int num_partitions = sharded_ != nullptr ? sharded_->num_shards() : 1;
-  SGL_CHECK(num_partitions == std::max(1, options_.num_shards));
-  const int num_workers = num_partitions > 1
-                              ? num_partitions
-                              : std::max(1, options_.num_threads);
+  // The schedule: one worker per shard, or one per thread on one shard.
+  // Shard ids fit the 8-bit provenance and trace-track fields.
+  SGL_CHECK(options_.num_shards < 255);
+  const int num_shards = std::max(1, options_.num_shards);
+  const int num_workers =
+      sharded() ? num_shards : std::max(1, options_.num_threads);
   const Catalog& catalog = world_->catalog();
   for (int w = 0; w < num_workers; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -112,23 +90,18 @@ TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
     }
     // Chrome pid s+1 for shard s: pid 0 stays the barrier thread's "world"
     // track.
-    if (sharded_ != nullptr) env.tel_track = static_cast<uint8_t>(w + 1);
+    if (sharded()) env.tel_track = static_cast<uint8_t>(w + 1);
     env.scratch = &worker->scratch;
     env.vm = vm_cache_.get();
     env.telemetry = options_.telemetry;
     workers_.push_back(std::move(worker));
   }
-  for (int p = 0; p < num_partitions; ++p) {
-    auto part = std::make_unique<Partition>();
-    part->id = p;
-    for (const CompiledScript& script : program_->scripts) {
-      part->script_selections.emplace_back(
-          static_cast<size_t>(script.num_phases()));
-    }
-    part->handler_rows.resize(program_->handlers.size());
-    part->handler_selections.resize(program_->handlers.size());
-    partitions_.push_back(std::move(part));
+  for (const CompiledScript& script : program_->scripts) {
+    script_selections_.emplace_back(static_cast<size_t>(script.num_phases()));
   }
+  handler_rows_.resize(program_->handlers.size());
+  handler_selections_.resize(program_->handlers.size());
+  shard_query_micros_.resize(static_cast<size_t>(num_shards));
 }
 
 TickExecutor::~TickExecutor() = default;
@@ -153,30 +126,21 @@ Status TickExecutor::RegisterComponent(
   return components_.Register(program_->catalog.get(), std::move(component));
 }
 
-void TickExecutor::ComputeSelections(Partition& part) {
-  Worker& worker = *workers_[static_cast<size_t>(part.id)];
-  auto range_begin = [&](ClassId cls) -> RowIdx {
-    return sharded_ != nullptr ? sharded_->shard_begin(cls, part.id) : 0;
-  };
-  auto range_end = [&](ClassId cls) -> RowIdx {
-    return sharded_ != nullptr
-               ? sharded_->shard_end(cls, part.id)
-               : static_cast<RowIdx>(world_->table(cls).size());
-  };
+void TickExecutor::ComputeSelections() {
+  Worker& worker = *workers_[0];
 
-  // Scripts: the partition's slice of every class extent, dispatched on
-  // the PC column for multi-phase scripts (§3.2).
+  // Scripts: every class extent, dispatched on the PC column for
+  // multi-phase scripts (§3.2).
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
     const CompiledScript& script = program_->scripts[si];
-    auto& selections = part.script_selections[si];
-    const RowIdx begin = range_begin(script.cls);
-    const RowIdx end = range_end(script.cls);
+    auto& selections = script_selections_[si];
+    const size_t n = world_->table(script.cls).size();
     if (script.num_phases() == 1) {
-      FillRange(begin, end, &selections[0]);
+      FillRange(n, &selections[0]);
     } else {
       for (auto& sel : selections) sel.clear();
       ConstNumberColumn pc = world_->table(script.cls).Num(script.pc_state);
-      for (RowIdx r = begin; r < end; ++r) {
+      for (RowIdx r = 0; r < n; ++r) {
         int phase = static_cast<int>(pc[r]);
         if (phase < 0 || phase >= script.num_phases()) phase = 0;
         selections[static_cast<size_t>(phase)].push_back(r);
@@ -184,15 +148,15 @@ void TickExecutor::ComputeSelections(Partition& part) {
     }
   }
 
-  // Handlers (§3.2): conditions over the partition's range. They only read
+  // Handlers (§3.2): conditions over the class's rows. They only read
   // prior state and zeroed locals, both unchanged throughout the query
   // phase, so evaluating them before any script runs is equivalent to
   // evaluating them after.
   for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
     const CompiledHandler& handler = program_->handlers[hi];
-    auto& rows = part.handler_rows[hi];
-    FillRange(range_begin(handler.cls), range_end(handler.cls), &rows);
-    auto& selection = part.handler_selections[hi];
+    auto& rows = handler_rows_[hi];
+    FillRange(world_->table(handler.cls).size(), &rows);
+    auto& selection = handler_selections_[hi];
     selection.clear();
     if (rows.empty()) continue;
     if (options_.interpreted) {
@@ -211,9 +175,9 @@ void TickExecutor::ComputeSelections(Partition& part) {
       ctx.outer_rows = &rows;
       ctx.locals = &handler_locals_[hi];
       VmEvalBool(*vm_cache_->Value(handler.cond.get()), ctx,
-                 &worker.scratch.vm, nullptr, 0, &part.handler_keep);
+                 &worker.scratch.vm, nullptr, 0, &handler_keep_);
       for (size_t i = 0; i < rows.size(); ++i) {
-        if (part.handler_keep[i]) selection.push_back(rows[i]);
+        if (handler_keep_[i]) selection.push_back(rows[i]);
       }
     }
   }
@@ -244,32 +208,26 @@ void TickExecutor::PrepareSites(
 
 void TickExecutor::PrepareAllSites() {
   // Site ids are program-unique, so one pass over every unit prepares each
-  // site exactly once, fed the unit's outer-row count summed over
-  // partitions — the same count whatever the layout.
+  // site exactly once, fed the unit's whole outer-row count — the same
+  // count whatever the schedule.
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
     const CompiledScript& script = program_->scripts[si];
     for (int k = 0; k < script.num_phases(); ++k) {
-      size_t total = 0;
-      for (const auto& part : partitions_) {
-        total += part->script_selections[si][static_cast<size_t>(k)].size();
-      }
-      if (total == 0) continue;
-      PrepareSites(script.phases[static_cast<size_t>(k)], total);
+      const size_t rows = script_selections_[si][static_cast<size_t>(k)].size();
+      if (rows == 0) continue;
+      PrepareSites(script.phases[static_cast<size_t>(k)], rows);
     }
   }
   for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
-    size_t total = 0;
-    for (const auto& part : partitions_) {
-      total += part->handler_selections[hi].size();
-    }
-    if (total == 0) continue;
-    PrepareSites(program_->handlers[hi].ops, total);
+    const size_t rows = handler_selections_[hi].size();
+    if (rows == 0) continue;
+    PrepareSites(program_->handlers[hi].ops, rows);
   }
 }
 
 void TickExecutor::RunUnit(
-    const Partition& part, const std::vector<std::unique_ptr<PlanOp>>& ops,
-    ClassId cls, const std::vector<RowIdx>& selection, LocalColumns* locals) {
+    int shard, const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
+    const std::vector<RowIdx>& selection, LocalColumns* locals) {
   auto configure = [&](int w) -> ExecEnv& {
     Worker& worker = *workers_[static_cast<size_t>(w)];
     ExecEnv& env = worker.env;
@@ -285,32 +243,49 @@ void TickExecutor::RunUnit(
     return env;
   };
 
-  if (options_.interpreted) {
-    RunOpsScalar(ops, selection, configure(part.id));
-    return;
+  // This shard's rows of the ascending selection: those inside block
+  // `shard` of the class, [n·s/S, n·(s+1)/S) — all of them on one shard.
+  auto first = selection.begin();
+  auto last = selection.end();
+  if (sharded()) {
+    const size_t n = world_->table(cls).size();
+    const size_t num_shards = static_cast<size_t>(options_.num_shards);
+    const size_t s = static_cast<size_t>(shard);
+    first = std::lower_bound(first, last,
+                             static_cast<RowIdx>(n * s / num_shards));
+    last = std::lower_bound(first, last,
+                            static_cast<RowIdx>(n * (s + 1) / num_shards));
   }
-  // Static morsel -> worker assignment: morsel m runs on the partition's
-  // worker m % stride, each worker's morsels in increasing order —
+  const size_t rows = static_cast<size_t>(last - first);
+  if (rows == 0) return;
+
+  // Static morsel -> worker assignment: morsel m runs on worker
+  // shard + m % fan, each worker's morsels in increasing order —
   // deterministic regardless of scheduling. A single worker runs every
   // morsel in order, which bounds its per-unit pair scratch. Workers per
-  // partition: all of them on one partition, one per shard otherwise.
-  const int fan = static_cast<int>(workers_.size() / partitions_.size());
-  const size_t morsel = options_.morsel_size;
-  const size_t num_morsels = (selection.size() + morsel - 1) / morsel;
+  // unit: all of them on one shard, the shard's own otherwise. The
+  // object-at-a-time oracle runs the rows as one morsel.
+  const int fan = sharded() ? 1 : static_cast<int>(workers_.size());
+  const size_t morsel = options_.interpreted ? rows : options_.morsel_size;
+  const size_t num_morsels = (rows + morsel - 1) / morsel;
   auto run = [&](int t, size_t stride) {
-    const int w = part.id + t;
+    const int w = shard + t;
     ExecEnv& env = configure(w);
-    if (num_morsels == 1) {
-      RunOpsVectorized(ops, selection, env);
-      return;
-    }
     std::vector<RowIdx>& slice = workers_[static_cast<size_t>(w)]->slice;
     for (size_t m = static_cast<size_t>(t); m < num_morsels; m += stride) {
       const size_t begin = m * morsel;
-      const size_t end = std::min(selection.size(), begin + morsel);
-      slice.assign(selection.begin() + static_cast<ptrdiff_t>(begin),
-                   selection.begin() + static_cast<ptrdiff_t>(end));
-      RunOpsVectorized(ops, slice, env);
+      const size_t end = std::min(rows, begin + morsel);
+      const std::vector<RowIdx>* chunk = &selection;
+      if (end - begin != selection.size()) {
+        slice.assign(first + static_cast<ptrdiff_t>(begin),
+                     first + static_cast<ptrdiff_t>(end));
+        chunk = &slice;
+      }
+      if (options_.interpreted) {
+        RunOpsScalar(ops, *chunk, env);
+      } else {
+        RunOpsVectorized(ops, *chunk, env);
+      }
     }
   };
   if (fan > 1 && num_morsels > 1) {
@@ -320,22 +295,21 @@ void TickExecutor::RunUnit(
   }
 }
 
-void TickExecutor::RunPartition(Partition& part) {
+void TickExecutor::RunShard(int shard) {
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
     const CompiledScript& script = program_->scripts[si];
     for (int k = 0; k < script.num_phases(); ++k) {
-      const auto& selection =
-          part.script_selections[si][static_cast<size_t>(k)];
+      const auto& selection = script_selections_[si][static_cast<size_t>(k)];
       if (selection.empty()) continue;
-      RunUnit(part, script.phases[static_cast<size_t>(k)], script.cls,
+      RunUnit(shard, script.phases[static_cast<size_t>(k)], script.cls,
               selection, &script_locals_[si]);
     }
   }
   for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
     const CompiledHandler& handler = program_->handlers[hi];
-    const auto& selection = part.handler_selections[hi];
+    const auto& selection = handler_selections_[hi];
     if (selection.empty()) continue;
-    RunUnit(part, handler.ops, handler.cls, selection, &handler_locals_[hi]);
+    RunUnit(shard, handler.ops, handler.cls, selection, &handler_locals_[hi]);
   }
 }
 
@@ -347,12 +321,11 @@ Status TickExecutor::RunTick() {
   SGL_TRACE_SPAN(tel, kSpanTickTotal, tick_, 0, 0);
   last_.Reset(tick_);
   const int num_classes = world_->catalog().num_classes();
-  const int num_partitions = static_cast<int>(partitions_.size());
+  const int num_shards = static_cast<int>(shard_query_micros_.size());
   const int64_t index_micros_before = indexes_.build_micros();
   const int64_t simd_lanes_before = SimdLanesNow();
 
   // --- Setup -----------------------------------------------------------
-  if (sharded_ != nullptr) sharded_->EnsurePartition();
   world_->ResetEffects();
   if (!options_.interpreted) stats_mgr_.MaybeRefresh(*world_, tick_);
   recorder_sink_ = options_.recorder != nullptr
@@ -380,43 +353,36 @@ Status TickExecutor::RunTick() {
                          &handler_locals_[hi]);
   }
 
-  // --- 1. Select, 2. site-prep, 3. query (partitions in parallel) --------
+  // --- 1. Select, 2. site-prep, 3. query (shards in parallel) ------------
   Stopwatch query_timer;
-  auto for_each_partition = [&](auto&& fn) {
-    if (pool_ != nullptr && num_partitions > 1) {
-      pool_->ParallelFor(num_partitions, [&](int p) {
-        fn(*partitions_[static_cast<size_t>(p)]);
-      });
-    } else {
-      for (auto& part : partitions_) fn(*part);
-    }
-  };
-  auto track = [&](const Partition& part) {
-    return workers_[static_cast<size_t>(part.id)]->env.tel_track;
-  };
-  for_each_partition([&](Partition& part) {
-    SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, track(part), 0);
-    ComputeSelections(part);
-  });
+  {
+    SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0, 0);
+    ComputeSelections();
+  }
   {
     SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0, 0);
     PrepareAllSites();
   }
-  for_each_partition([&](Partition& part) {
-    Stopwatch part_timer;
+  auto run_shard = [&](int s) {
+    Stopwatch shard_timer;
     {
-      SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanShardRun : kSpanTickQuery,
-                     tick_, track(part), 0);
-      RunPartition(part);
+      SGL_TRACE_SPAN(tel, sharded() ? kSpanShardRun : kSpanTickQuery, tick_,
+                     workers_[static_cast<size_t>(s)]->env.tel_track, 0);
+      RunShard(s);
     }
-    part.query_micros = part_timer.ElapsedMicros();
-  });
+    shard_query_micros_[static_cast<size_t>(s)] = shard_timer.ElapsedMicros();
+  };
+  if (pool_ != nullptr && num_shards > 1) {
+    pool_->ParallelFor(num_shards, run_shard);
+  } else {
+    for (int s = 0; s < num_shards; ++s) run_shard(s);
+  }
   last_.query_effect_micros = query_timer.ElapsedMicros();
 
   // --- 4. Merge: fold the worker sinks, canonicalize ---------------------
   Stopwatch merge_timer;
   {
-    SGL_TRACE_SPAN(tel, sharded_ != nullptr ? kSpanTickBarrier : kSpanTickMerge,
+    SGL_TRACE_SPAN(tel, sharded() ? kSpanTickBarrier : kSpanTickMerge,
                    tick_, 0, 0);
     if (options_.fault != nullptr) {
       // Every worker's query work is done and nothing has merged. A crash
@@ -425,11 +391,11 @@ Status TickExecutor::RunTick() {
       // checkpoint and replays. The sharded barrier's latency fault must be
       // state-neutral: the stall-parity test holds the checksum to the
       // no-fault run's.
-      if (sharded_ != nullptr) {
+      if (sharded()) {
         options_.fault->MaybeStall(kFaultShardBarrierStall, tick_);
       }
       SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
-          sharded_ != nullptr ? kFaultShardCrashPremerge
+          sharded() ? kFaultShardCrashPremerge
                               : kFaultExecCrashPostQuery,
           tick_));
     }
@@ -498,7 +464,7 @@ Status TickExecutor::RunTick() {
     // Crash after the update phase but before the tick commits (counter
     // bump): the classic torn-tick window a checkpoint must mend.
     SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
-        sharded_ != nullptr ? kFaultShardCrashPostUpdate
+        sharded() ? kFaultShardCrashPostUpdate
                             : kFaultExecCrashPostUpdate,
         tick_));
   }
@@ -520,18 +486,18 @@ Status TickExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  if (sharded_ != nullptr) {
-    // Partition skew: slowest-minus-fastest query phase approximates the
-    // time the barrier sat waiting on the straggler.
+  if (sharded()) {
+    // Shard skew: slowest-minus-fastest query phase approximates the time
+    // the barrier sat waiting on the straggler.
     int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
-    for (const auto& part : partitions_) {
-      q_max = std::max(q_max, part->query_micros);
-      q_min = std::min(q_min, part->query_micros);
-      q_sum += part->query_micros;
+    for (int64_t q : shard_query_micros_) {
+      q_max = std::max(q_max, q);
+      q_min = std::min(q_min, q);
+      q_sum += q;
     }
     last_.barrier_stall_us = q_max - q_min;
     last_.imbalance_bp =
-        q_sum > 0 ? (q_max * num_partitions - q_sum) * 10000 / q_sum : 0;
+        q_sum > 0 ? (q_max * num_shards - q_sum) * 10000 / q_sum : 0;
   }
   last_.total_micros = total.ElapsedMicros();
   if (options_.recorder != nullptr) {
@@ -543,10 +509,9 @@ Status TickExecutor::RunTick() {
   last_.allocs_per_tick = alloc_after.count - alloc_before.count;
   last_.bytes_per_tick = alloc_after.bytes - alloc_before.bytes;
   if (tel != nullptr && tel->armed()) {
-    if (sharded_ != nullptr) {
-      for (const auto& part : partitions_) {
-        tel->metrics().Record(tel->series().shard_query_us,
-                              part->query_micros);
+    if (sharded()) {
+      for (int64_t q : shard_query_micros_) {
+        tel->metrics().Record(tel->series().shard_query_us, q);
       }
     }
     tel->RecordTick(last_, /*has_jobs=*/jobs_ != nullptr);

@@ -1,18 +1,14 @@
 // TickExecutor: drives the state-effect pattern (§2) each tick, as one
-// pipeline over a partition layout.
+// pipeline over the whole world.
 //
-// The layout is either the whole world as one partition [0, table.size())
-// or a ShardedWorld of N contiguous row-range shards (num_shards > 1).
 // Every tick runs the same phases in the same order:
 //
-//   1 SELECT      each partition computes its script selections over its
-//                 row ranges (multi-phase scripts dispatch on their PC
-//                 column) and evaluates reactive-handler conditions; both
-//                 read only prior state and zeroed locals
+//   1 SELECT      script selections over each class's rows (multi-phase
+//                 scripts dispatch on their PC column) and reactive-handler
+//                 conditions; both read only prior state and zeroed locals
 //   2 SITE-PREP   access paths (join strategy, indexes, hashes, composed
-//                 pair filters) are prepared once, globally, from the
-//                 summed outer-row counts: the read view is shared by
-//                 construction
+//                 pair filters) are prepared once, globally, from each
+//                 unit's outer-row count
 //   3 QUERY       compiled plans run set-at-a-time over the selections,
 //                 scripts then handlers; effects and transaction intents
 //                 land in per-worker sinks — the phase only reads state, so
@@ -26,17 +22,32 @@
 //                 rules, then any registered engine components (§2.2)
 //   7 BOOKKEEPING statistics refresh, adaptive feedback, tick++
 //
-// The layout decides only which rows each worker runs: with one partition
-// the workers split each selection into morsels (morsel m on worker
-// m % T); with shards, worker s runs shard s's rows, its morsels in order.
-// Effects go to the same sinks either way: worker 0 writes the world's own
-// effect buffers, every other worker its own full-size buffers, and the
-// merge folds those into the world's in worker order (= shard order).
+// ExecOptions::num_shards decides only the worker schedule of the query
+// phase. With one shard the workers split each selection into morsels
+// (morsel m on worker m % T), one fan-out per unit. With S > 1 shards
+// there is one worker per shard and one fan-out per tick: worker s runs,
+// of every selection, the rows inside block s of their class — rows
+// [n·s/S, n·(s+1)/S) for the class's current size n — its morsels in
+// order. The blocks are worked out afresh each tick, so spawns and
+// despawns between ticks need no bookkeeping. Reads see the whole world
+// on either schedule, and effects go to the same sinks: worker 0 writes
+// the world's own effect buffers, every other worker its own full-size
+// buffers, and the merge folds those into the world's in worker order
+// (= shard order).
 //
-// Results are therefore the same for any thread count, morsel size and
-// shard count, with one exception: a `sum`/`avg` over inexact summands
-// folds one partial sum per worker, so it can differ in floating-point
-// association.
+// Determinism:
+//   1 With a fixed shard count S > 1, results are bit-identical for any
+//     thread count and any morsel size: each shard's work is
+//     self-contained (own sinks, scratch, intent log, feedback), shards
+//     merge in shard order, and a shard runs its morsels in order.
+//   2 Otherwise results are the same for any thread count, morsel size and
+//     shard count, with one exception: a `sum`/`avg` over inexact summands
+//     folds one partial sum per worker, so it can differ in floating-point
+//     association. Order-keyed (first/last), idempotent (min/max/or/and)
+//     and counting combinators are bit-exact, and so are sums whose
+//     additions are exact (integers, dyadic rationals). Despawns change
+//     nothing here: every schedule swap-removes through World::Despawn, so
+//     rows keep the same order on every layout.
 //
 // Expressions run on the register bytecode VM (src/vm/): Init() lowers every
 // plan expression and update rule once, and a program that does not lower
@@ -69,15 +80,14 @@ namespace sgl {
 
 class FaultInjector;
 class FlightRecorder;
-class ShardedWorld;
 class Telemetry;
 
 /// Executor configuration.
 struct ExecOptions {
   int num_threads = 1;
-  /// > 1 partitions the world into that many row-range shards
-  /// (src/shard/), one worker each; must stay below 255. The remaining
-  /// fields keep their meaning under either layout.
+  /// > 1 runs the query phase as that many row blocks, one worker each
+  /// (see the header comment); must stay below 255. The remaining fields
+  /// keep their meaning under either schedule.
   int num_shards = 1;
   /// Rows per morsel, the unit of work a thread runs at a time; > 0.
   size_t morsel_size = 2048;
@@ -151,10 +161,9 @@ struct TickStats {
   /// Barrier time spent blocked on jobs whose declared latency elapsed
   /// before their worker finished (the async pipeline's only stall).
   int64_t job_wait_micros = 0;
-  /// Partition-layout gauges. Sharded: the slowest-minus-fastest partition
-  /// query time (approximates how long the barrier waited on the
-  /// straggler) and that skew as (max/mean - 1) in basis points. One
-  /// partition: -1 / 0.
+  /// Shard-schedule gauges. Sharded: the slowest-minus-fastest shard query
+  /// time (approximates how long the barrier waited on the straggler) and
+  /// that skew as (max/mean - 1) in basis points. One shard: -1 / 0.
   int64_t barrier_stall_us = -1;
   int64_t imbalance_bp = 0;
   std::vector<SiteFeedback> sites;  ///< per accum site, aggregated
@@ -167,12 +176,10 @@ struct TickStats {
 
 class TickExecutor {
  public:
-  /// `world`, `program` and, if non-null, `sharded` must outlive the
-  /// executor. `sharded` is the partition layout of a world split into
-  /// options.num_shards > 1 shards; null runs the whole world as one
-  /// partition. Options must be valid (Engine::Create checks them).
-  TickExecutor(World* world, ShardedWorld* sharded,
-               const CompiledProgram* program, ExecOptions options);
+  /// `world` and `program` must outlive the executor. Options must be
+  /// valid (Engine::Create checks them).
+  TickExecutor(World* world, const CompiledProgram* program,
+               ExecOptions options);
   ~TickExecutor();
 
   /// Lowers the program to bytecode (unless `interpreted`) and registers
@@ -201,7 +208,6 @@ class TickExecutor {
   AdaptiveController& controller() { return controller_; }
   IndexManager& indexes() { return indexes_; }
   TxnEngine& txn() { return txn_; }
-  StatsManager& table_stats() { return stats_mgr_; }
   ComponentRegistry& components() { return components_; }
 
   /// The out-of-band JobService (created on first use from
@@ -226,20 +232,19 @@ class TickExecutor {
  private:
   /// One worker's reusable state and effect sink (see the header comment).
   struct Worker;
-  /// One partition's selections, cached iotas, and last query time.
-  struct Partition;
 
-  void ComputeSelections(Partition& part);
+  bool sharded() const { return options_.num_shards > 1; }
+  void ComputeSelections();
   void PrepareAllSites();
   void PrepareSites(const std::vector<std::unique_ptr<PlanOp>>& ops,
                     size_t outer_rows);
-  void RunPartition(Partition& part);
-  void RunUnit(const Partition& part,
-               const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
-               const std::vector<RowIdx>& selection, LocalColumns* locals);
+  /// Runs every unit's rows of shard `shard` (all rows with one shard).
+  void RunShard(int shard);
+  void RunUnit(int shard, const std::vector<std::unique_ptr<PlanOp>>& ops,
+               ClassId cls, const std::vector<RowIdx>& selection,
+               LocalColumns* locals);
 
   World* world_;
-  ShardedWorld* sharded_;  ///< null = one partition
   const CompiledProgram* program_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -262,9 +267,19 @@ class TickExecutor {
   bool initialized_ = false;
 
   // --- Steady-state scratch (high-water reuse, see header comment) ------
-  /// Partition p's first worker is workers_[p]; one partition owns them all.
+  /// One per shard when sharded (shard s runs on workers_[s]), else one
+  /// per thread.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<Partition>> partitions_;
+  /// Per script, per phase: the selected rows, ascending.
+  std::vector<std::vector<std::vector<RowIdx>>> script_selections_;
+  /// Per handler: the cached iota of the class's rows, this tick's
+  /// selection (ascending), and the condition's keep flags.
+  std::vector<std::vector<RowIdx>> handler_rows_;
+  std::vector<std::vector<RowIdx>> handler_selections_;
+  std::vector<uint8_t> handler_keep_;
+  /// Per shard: wall time of its query phase last tick; the barrier
+  /// derives the stall (max−min) and imbalance gauges from these.
+  std::vector<int64_t> shard_query_micros_;
   std::vector<SiteCache> site_cache_;    ///< by site id
   std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per tick
   std::vector<LocalColumns> script_locals_;   ///< by script index

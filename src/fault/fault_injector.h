@@ -77,13 +77,13 @@ inline constexpr FaultSite kFaultAsyncWorkerStall =
     MakeFaultSite("async.worker.stall");
 inline constexpr FaultSite kFaultAsyncWorkerDeath =
     MakeFaultSite("async.worker.death");
-// exec: crashes inside the tick of a one-partition world
+// exec: crashes inside the tick of a one-shard engine
 // (src/exec/tick_executor.cc).
 inline constexpr FaultSite kFaultExecCrashPostQuery =
     MakeFaultSite("exec.crash.postquery");
 inline constexpr FaultSite kFaultExecCrashPostUpdate =
     MakeFaultSite("exec.crash.postupdate");
-// shard: barrier faults in the tick of a sharded world (same executor).
+// shard: barrier faults in the tick of a sharded engine (same executor).
 inline constexpr FaultSite kFaultShardBarrierStall =
     MakeFaultSite("shard.barrier.stall");
 inline constexpr FaultSite kFaultShardCrashPremerge =

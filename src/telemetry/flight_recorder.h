@@ -4,7 +4,7 @@
 //
 // Each ring frame holds one tick's
 //   * TickStats — the executor's own record of the tick (phase micros, job
-//     and txn counters, partition gauges, per-site rows), copied whole
+//     and txn counters, shard gauges, per-site rows), copied whole
 //     rather than re-declared, so a frame reads exactly like last_stats(),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
 //     order key, txn phase, source rows, source shard) and each record's
@@ -90,7 +90,7 @@ struct FlightRecorderOptions {
   bool dump_on_fault = false;
   /// Fire from NotifyRestore (crash detected on restore).
   bool dump_on_restore = false;
-  /// Minimum ticks between automatic dumps (suppressed_dumps() counts).
+  /// Minimum ticks between automatic dumps (dumps_suppressed() counts).
   Tick dump_cooldown_ticks = 16;
 };
 

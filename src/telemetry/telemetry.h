@@ -82,7 +82,7 @@ constexpr SpanSite MakeSpanSite(const char* name) {
 // tick: the pipeline's phases (src/exec/tick_executor.cc; track 0 = the
 // barrier thread's view; per-shard work carries track = shard + 1).
 // tick.query and tick.merge name the query and merge phases of a
-// one-partition world; sharded worlds name them shard.run and tick.barrier.
+// one-shard engine; sharded engines name them shard.run and tick.barrier.
 inline constexpr SpanSite kSpanTickTotal = MakeSpanSite("tick.total");
 inline constexpr SpanSite kSpanTickSelect = MakeSpanSite("tick.select");
 inline constexpr SpanSite kSpanTickSitePrep = MakeSpanSite("tick.siteprep");
@@ -92,7 +92,7 @@ inline constexpr SpanSite kSpanTickFinalize =
     MakeSpanSite("tick.finalize_sets");
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
-// shard: a sharded world's per-shard query phase and its merge.
+// shard: a sharded engine's per-shard query phase and its merge.
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");
 // Never emitted: the shard mailboxes it timed are gone. Kept only because
@@ -268,7 +268,7 @@ class Telemetry {
   /// Records one finished tick into the standard series, its site rows
   /// into the per-site table, and a counter-ring sample. `job.wait_us` is
   /// sampled only when `has_jobs` (a JobService exists), the barrier-stall
-  /// histogram and imbalance gauge only for a sharded world (stall >= 0),
+  /// histogram and imbalance gauge only for a sharded engine (stall >= 0),
   /// and `probe.us` only on ticks that probed.
   void RecordTick(const TickStats& st, bool has_jobs);
 

@@ -198,7 +198,7 @@ class TxnEngine {
 /// Adapts `engine` to the update-component interface: the component owns
 /// every state field written by atomic blocks plus the status fields
 /// (§3.1). The executor's per-worker intent logs — per thread with one
-/// partition, per shard otherwise — feed the same partition-independent
+/// shard, per shard otherwise — feed the same partition-independent
 /// admission.
 std::unique_ptr<UpdateComponent> MakeTxnComponent(
     TxnEngine* engine, const CompiledProgram* program);

@@ -256,7 +256,7 @@ TEST(AllocSteadyState, TrafficStateIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(RunTrafficSteadyState(1, false), RunTrafficSteadyState(4, false));
 }
 
-// --- Sharded pipeline (src/shard/) ---------------------------------------
+// --- Sharded schedule (ExecOptions::num_shards) ---------------------------
 // Once the per-worker effect buffers and scratch reach their high-water
 // capacity, a sharded tick must be exactly as allocation-free as the
 // single-world one — in serial shard order and with shards fanned out

@@ -274,8 +274,9 @@ TEST_P(FuzzEquivalence, CompiledMatchesInterpretedOnRandomProgram) {
   std::string program = RandomProgram(&rng);
   SCOPED_TRACE(program);
   // One oracle run per shard count: across shard counts, sum/avg effects
-  // over inexact summands are only associativity-equivalent (contract 2 of
-  // src/shard/README.md), while a fixed shard count is bit-exact.
+  // over inexact summands are only associativity-equivalent (determinism
+  // rule 2 of src/exec/tick_executor.h), while a fixed shard count is
+  // bit-exact.
   uint64_t oracle[std::size(kSweptShards)];
   for (size_t k = 0; k < std::size(kSweptShards); ++k) {
     oracle[k] = RunProgram(program, GetParam(), true, PlanMode::kStaticNL, 6,

@@ -1,14 +1,16 @@
-// Tests for the sharded world partition (src/shard/): checksum parity of
-// sharded layouts against the one-partition layout across shard count ×
-// thread count × morsel size (RTS, and a multi-phase script plus reactive
-// handler), the partition-independence of transaction admission under
-// sharding, despawns that give the same rows and results on every layout,
-// and uneven partitions (despawns shrink the last shard) that stay
-// bit-identical across thread counts and survive a checkpoint exactly.
+// Tests for the shard schedule (ExecOptions::num_shards, see
+// src/exec/tick_executor.h): checksum parity of sharded runs against the
+// one-shard run across shard count × thread count × morsel size (RTS, and
+// a multi-phase script plus reactive handler), the partition-independence
+// of transaction admission under sharding, spawns and despawns that give
+// the same rows and results on every layout, runs with despawns that stay
+// bit-identical across thread counts and survive a checkpoint exactly, and
+// restores that ignore a partition stored by earlier versions.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -275,33 +277,28 @@ TEST(ShardParity, TrafficMatchesSingleShard) {
 
 // --- Uneven partitions ----------------------------------------------------
 
-// Despawns up to `n` live entities of shard 0, drawn from ids [1, max_id]
-// by `rng`. A despawn swap-removes: the class's last row moves into the
-// victim's row and shard, so a run of these leaves the last shard smaller
-// than its block-partition share.
+// Despawns up to `n` live entities of the first quarter of their class's
+// rows (shard 0's block on 4 shards), drawn from ids [1, max_id] by `rng`.
+// A despawn swap-removes: the class's last row moves into the victim's
+// row, so a run of these moves entities of the last block into the first.
 void DespawnFromShard0(Engine* engine, EntityId max_id, int n, Rng* rng) {
-  ShardedWorld& sharded = engine->sharded_world();
   for (int attempt = 0; attempt < 1000 && n > 0; ++attempt) {
     const EntityId id = 1 + static_cast<EntityId>(rng->Next() % max_id);
-    if (sharded.ShardOfEntity(id) != 0) continue;
+    const World::Locator* loc = engine->world().Find(id);
+    if (loc == nullptr ||
+        loc->row >= engine->world().table(loc->cls).size() / 4) {
+      continue;
+    }
     EXPECT_TRUE(engine->Despawn(id).ok());
     --n;
   }
   EXPECT_EQ(n, 0) << "shard 0 ran out of entities";
-  EXPECT_TRUE(sharded.PartitionConsistent());
-}
-
-int ShardRows(Engine* engine, int s) {
-  const ClassId unit = engine->catalog().Find("Unit");
-  const ShardedWorld& sharded = engine->sharded_world();
-  return static_cast<int>(sharded.shard_end(unit, s) -
-                          sharded.shard_begin(unit, s));
 }
 
 // At a fixed shard count, runs with identical despawn schedules are
 // bit-identical for any thread count — despawns happen between ticks,
-// never concurrently with the query phase, and the skewed partition they
-// leave runs like any other.
+// never concurrently with the query phase, and the next tick's blocks
+// cover the shrunk class like any other.
 TEST(UnevenPartition, RunsBitIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
     auto engine = BuildRts(200, ShardOpts(PlanMode::kStaticGrid, 4, threads));
@@ -310,7 +307,6 @@ TEST(UnevenPartition, RunsBitIdenticalAcrossThreadCounts) {
       if (t % 3 == 1) DespawnFromShard0(engine.get(), 200, 5, &rng);
       EXPECT_TRUE(engine->Tick().ok());
     }
-    EXPECT_LT(ShardRows(engine.get(), 3), ShardRows(engine.get(), 0));
     return WorldChecksum(engine->world());
   };
   EXPECT_EQ(run(1), run(4));
@@ -388,10 +384,12 @@ TEST(DespawnParity, LastEffectWinnerIsTheSameOnEveryLayout) {
   }
 }
 
-// A clustered RTS battle with despawns every few ticks: raw checksums and
-// every survivor's health agree across all layouts.
+// A clustered RTS battle with despawns every few ticks and spawns into the
+// first cluster in between: raw checksums and every survivor's health
+// agree across all layouts.
 TEST(DespawnParity, RtsWithDespawnsMatchesTheOracleOnEveryLayout) {
   constexpr int kUnits = 300;
+  constexpr int kSpawned = 8 * 6;  ///< 8 spawns at each of 6 ticks
   struct Result {
     uint64_t checksum = 0;
     std::vector<double> health;  ///< by entity id; -1 = despawned
@@ -409,11 +407,21 @@ TEST(DespawnParity, RtsWithDespawnsMatchesTheOracleOnEveryLayout) {
           }
         }
       }
+      if (t % 4 == 3) {
+        for (int k = 0; k < 8; ++k) {
+          EXPECT_TRUE(engine
+                          ->Spawn("Unit", {{"player", Value::Number(k % 2)},
+                                           {"x", Value::Number(190 + 4 * k)},
+                                           {"y", Value::Number(500)},
+                                           {"range", Value::Number(15)}})
+                          .ok());
+        }
+      }
       EXPECT_TRUE(engine->Tick().ok());
     }
     Result r;
     r.checksum = WorldChecksum(engine->world());
-    for (EntityId id = 1; id <= kUnits; ++id) {
+    for (EntityId id = 1; id <= kUnits + kSpawned; ++id) {
       auto health = engine->Get(id, "health");
       r.health.push_back(health.ok() ? health->AsNumber() : -1);
     }
@@ -422,7 +430,7 @@ TEST(DespawnParity, RtsWithDespawnsMatchesTheOracleOnEveryLayout) {
   const std::vector<EngineOptions> layouts = DespawnLayouts();
   const Result oracle = run(layouts[0]);
   EXPECT_LT(std::count(oracle.health.begin(), oracle.health.end(), -1.0),
-            kUnits);
+            kUnits + kSpawned);
   EXPECT_GT(std::count(oracle.health.begin(), oracle.health.end(), -1.0), 0);
   for (size_t i = 1; i < layouts.size(); ++i) {
     SCOPED_TRACE(Describe(layouts[i]));
@@ -441,7 +449,6 @@ TEST(BulkRows, DespawnBatchDropsExactlyTheVictims) {
   std::vector<EntityId> victims;
   for (EntityId id = 5; id <= 95; id += 5) victims.push_back(id);
   for (EntityId id : victims) ASSERT_TRUE(engine->Despawn(id).ok());
-  EXPECT_TRUE(engine->sharded_world().PartitionConsistent());
   EXPECT_EQ(engine->world().TotalEntities(), 100u - victims.size());
   for (EntityId id : victims) {
     EXPECT_EQ(engine->world().Find(id), nullptr);
@@ -449,30 +456,6 @@ TEST(BulkRows, DespawnBatchDropsExactlyTheVictims) {
   EXPECT_NE(engine->world().Find(1), nullptr);
   EXPECT_FALSE(engine->Despawn(victims[0]).ok()) << "despawned twice";
   ASSERT_TRUE(engine->RunTicks(3).ok());  // still ticks cleanly
-}
-
-// Spawns append through the plain World API; the partition folds them into
-// the last shard, and despawns in between keep every range consistent.
-TEST(BulkRows, SpawnsJoinTheLastShard) {
-  auto engine = BuildRts(64, ShardOpts(PlanMode::kStaticGrid, 4));
-  ASSERT_TRUE(engine->Tick().ok());
-  ShardedWorld& sharded = engine->sharded_world();
-
-  std::vector<EntityId> spawned;
-  for (int i = 0; i < 5; ++i) {
-    auto id = engine->Spawn("Unit");
-    ASSERT_TRUE(id.ok());
-    spawned.push_back(*id);
-  }
-  for (EntityId id : spawned) EXPECT_EQ(sharded.ShardOfEntity(id), 3);
-  EXPECT_TRUE(sharded.PartitionConsistent());
-  ASSERT_TRUE(engine->Despawn(spawned[0]).ok());
-  ASSERT_TRUE(engine->Spawn("Unit").ok());
-  ASSERT_TRUE(engine->Despawn(1).ok());  // a shard-0 entity
-  EXPECT_TRUE(sharded.PartitionConsistent());
-  EXPECT_EQ(engine->world().TotalEntities(), 64u + 5u - 1u);
-  ASSERT_TRUE(engine->RunTicks(3).ok());
-  EXPECT_TRUE(sharded.PartitionConsistent());
 }
 
 // --- Directory (open-addressing World::Find) ------------------------------
@@ -528,49 +511,32 @@ TEST(ShardParity, CheckpointRestoreResumesShardedRun) {
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// Sharded checkpoints persist the partition: a run whose despawns left
-// the ranges uneven resumes with those exact ranges (not a fresh
-// re-blocking), so restored runs are bit-identical to the uninterrupted
-// one and every entity stays in its shard.
+// A sharded run with despawns restores bit-identically: the checkpoint
+// holds no partition (the section is written empty), and the restored run
+// works out the same blocks from the same class sizes.
 TEST(ShardParity, CheckpointRestoresUnevenPartitionExactly) {
   const int units = 150;
   auto engine = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
 
-  // Despawn 25 entities of shard 0, which shrinks shard 3, then run a few
-  // more ticks so the uneven partition is the live one. A re-blocking
-  // would move rows of shards 0-2 up into shard 3.
+  // Despawn 25 entities of shard 0's block, then run a few more ticks.
   Rng rng(23);
   DespawnFromShard0(engine.get(), units, 25, &rng);
   ASSERT_TRUE(engine->RunTicks(3).ok());
-  ASSERT_LT(ShardRows(engine.get(), 3), ShardRows(engine.get(), 2));
 
   Checkpoint cp = engine->TakeCheckpoint();
-  EXPECT_FALSE(cp.shard_partition.empty());
-
-  // Record the live partition, then continue the original run.
-  std::vector<int> shard_of;
-  for (EntityId id = 1; id <= units; ++id) {
-    shard_of.push_back(engine->sharded_world().ShardOfEntity(id));
-  }
+  EXPECT_TRUE(cp.shard_partition.empty());
   ASSERT_TRUE(engine->RunTicks(10).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
 
   auto resumed = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(resumed->Restore(cp).ok());
-  EXPECT_TRUE(resumed->sharded_world().PartitionConsistent());
-  for (EntityId id = 1; id <= units; ++id) {
-    EXPECT_EQ(resumed->sharded_world().ShardOfEntity(id),
-              shard_of[static_cast<size_t>(id - 1)])
-        << "entity " << id << " restored into a different shard";
-  }
   ASSERT_TRUE(resumed->RunTicks(10).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// A checkpoint taken under one shard count restored under another cannot
-// reuse the partition blob; restore falls back to fresh block ranges and
-// still resumes with correct state.
+// A checkpoint taken under one shard count restores under another and
+// resumes with correct state.
 TEST(ShardParity, CheckpointShardCountMismatchFallsBackToBlock) {
   auto engine = BuildRts(90, ShardOpts(PlanMode::kStaticGrid, 4));
   ASSERT_TRUE(engine->RunTicks(5).ok());
@@ -580,30 +546,52 @@ TEST(ShardParity, CheckpointShardCountMismatchFallsBackToBlock) {
 
   auto resumed = BuildRts(90, ShardOpts(PlanMode::kStaticGrid, 2));
   ASSERT_TRUE(resumed->Restore(cp).ok());
-  EXPECT_TRUE(resumed->sharded_world().PartitionConsistent());
   ASSERT_TRUE(resumed->RunTicks(8).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// Direct round-trip of the partition blob, including the reject paths.
-TEST(ShardedWorldTest, PartitionSerializeRestoreRoundTrip) {
-  auto engine = BuildRts(64, ShardOpts(PlanMode::kStaticGrid, 4));
-  ASSERT_TRUE(engine->Tick().ok());
-  ShardedWorld& sharded = engine->sharded_world();
+// Earlier versions stored each class's shard boundaries in the
+// checkpoint's `shard_partition` section. Restore ignores that blob: a
+// 4-shard checkpoint carrying one with uneven boundaries — whole, or cut
+// short — resumes under 2 and 4 shards exactly like the uninterrupted run.
+TEST(ShardParity, RestoreIgnoresAStoredPartition) {
+  const int units = 120;
+  auto engine = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
+  ASSERT_TRUE(engine->RunTicks(6).ok());
+  Checkpoint cp = engine->TakeCheckpoint();
+  ASSERT_TRUE(engine->RunTicks(8).ok());
+  const uint64_t final_sum = WorldChecksum(engine->world());
 
-  std::string blob;
-  sharded.SerializePartition(&blob);
-  EXPECT_TRUE(sharded.RestorePartition(blob).ok());
-  EXPECT_TRUE(sharded.PartitionConsistent());
+  // The earlier format: magic "SPAR", shard count, class count, then per
+  // class num_shards + 1 ascending row boundaries — here uneven ones.
+  auto append = [&](uint32_t v) {
+    char bytes[sizeof(v)];
+    std::memcpy(bytes, &v, sizeof(v));
+    cp.shard_partition.append(bytes, sizeof(v));
+  };
+  const int num_classes = engine->catalog().num_classes();
+  append(0x53504152u);
+  append(4);
+  append(static_cast<uint32_t>(num_classes));
+  for (ClassId c = 0; c < num_classes; ++c) {
+    const uint32_t n =
+        static_cast<uint32_t>(engine->world().table(c).size());
+    for (uint32_t b : {0u, n / 8, n / 2, n / 2 + 1, n}) append(b);
+  }
 
-  std::string truncated = blob.substr(0, blob.size() - 3);
-  EXPECT_FALSE(sharded.RestorePartition(truncated).ok());
-  std::string garbage = blob;
-  garbage[0] ^= 0x5a;  // magic
-  EXPECT_FALSE(sharded.RestorePartition(garbage).ok());
-  // Rejects must leave the good partition usable.
-  EXPECT_TRUE(sharded.RestorePartition(blob).ok());
-  EXPECT_TRUE(sharded.PartitionConsistent());
+  Checkpoint truncated = cp;
+  truncated.shard_partition.resize(cp.shard_partition.size() - 3);
+  for (const Checkpoint* restored : {&cp, &truncated}) {
+    for (int shards : {2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " blob bytes=" +
+                   std::to_string(restored->shard_partition.size()));
+      auto resumed =
+          BuildRts(units, ShardOpts(PlanMode::kStaticGrid, shards));
+      ASSERT_TRUE(resumed->Restore(*restored).ok());
+      ASSERT_TRUE(resumed->RunTicks(8).ok());
+      EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
+    }
+  }
 }
 
 }  // namespace

@@ -515,7 +515,7 @@ script S for T { e <- 1; }
     World world(program.catalog.get());
     ExecOptions options;
     options.interpreted = interpreted;
-    TickExecutor exec(&world, nullptr, &program, options);
+    TickExecutor exec(&world, &program, options);
     Status st = exec.Init();
     if (interpreted) {
       EXPECT_TRUE(st.ok()) << st;
