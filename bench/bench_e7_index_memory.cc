@@ -7,7 +7,8 @@
 //
 // Benchmarks: cold build (with bytes_per_entry, flat in n), steady-state
 // rebuild (the per-tick cost; allocs_per_build asserts the zero-allocation
-// rebuild), single-box query time, and batched probes (QueryBatch).
+// rebuild), single-box query time, and batched probes (QueryBatch), plain
+// and over a filtered, key-partitioned grid.
 
 #include <algorithm>
 #include <cmath>
@@ -36,7 +37,7 @@ void BM_GridBuild(benchmark::State& state) {
   for (auto _ : state) {
     sgl::GridIndex grid(d);
     auto copy = coords;
-    grid.Build(std::move(copy));
+    grid.Build(std::move(copy), {}, nullptr);
     benchmark::DoNotOptimize(grid.MemoryBytes());
   }
   sgl::GridIndex grid(d);
@@ -46,7 +47,7 @@ void BM_GridBuild(benchmark::State& state) {
 }
 
 // Steady-state rebuild: one persistent index cycling its column buffer
-// through the move-in Build, exactly the per-tick path IndexManager drives.
+// through the swapping Build, exactly the per-tick path IndexManager drives.
 // allocs_per_build measures heap traffic per rebuild (0 once past high
 // water).
 void BM_GridRebuild(benchmark::State& state) {
@@ -60,7 +61,7 @@ void BM_GridRebuild(benchmark::State& state) {
       buf[static_cast<size_t>(k)].assign(coords[static_cast<size_t>(k)].begin(),
                                          coords[static_cast<size_t>(k)].end());
     }
-    index.Build(std::move(buf));
+    index.Build(std::move(buf), {}, nullptr);
   }
   const sgl::AllocCounts before = sgl::AllocCountersNow();
   for (auto _ : state) {
@@ -68,7 +69,7 @@ void BM_GridRebuild(benchmark::State& state) {
       buf[static_cast<size_t>(k)].assign(coords[static_cast<size_t>(k)].begin(),
                                          coords[static_cast<size_t>(k)].end());
     }
-    index.Build(std::move(buf));
+    index.Build(std::move(buf), {}, nullptr);
     benchmark::DoNotOptimize(index.MemoryBytes());
   }
   const sgl::AllocCounts after = sgl::AllocCountersNow();
@@ -98,22 +99,39 @@ void BM_GridQuery(benchmark::State& state) {
 }
 
 // Batched probe over a morsel of boxes, the join loop's index call.
-// Args: {points, probes, target candidates per probe}; 2-D points are
-// uniform over [0, 1000]^2 in random row order, and each box is a square
-// sized for the target. {2048, 2048, 100} is battle's shape: every slice
-// spans at most 32 bitmap words, so EmitAscending takes the bitmap scan.
-// {65536, 2048, 2} is sparse-wide: a couple of rows scattered over ~1000
-// words, so each slice takes the std::sort fallback.
+// Args: {points, probes, target candidates per probe, keys}; 2-D points
+// are uniform over [0, 1000]^2 in random row order, and each box is a
+// square sized for the target. {2048, 2048, 100, 0} has every slice span
+// at most 32 bitmap words, so EmitAscending takes the bitmap scan.
+// {65536, 2048, 2, 0} is sparse-wide: a couple of rows scattered over
+// ~1000 words, so each slice takes the std::sort fallback. keys > 0 pushes
+// both accum parts into the grid: the build keeps 3 rows in 4 (a keep
+// mask, like `w.health > 0`) and keys row i by i % keys, and probe p
+// carries key p % keys (like `w.player != player`). {2048, 2048, 100, 2}
+// is battle's shape, two key partitions; at 3 keys, past
+// kMaxKeyPartitions, the grid keeps one partition and checks keys per row.
 void BM_GridQueryBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t probes = static_cast<size_t>(state.range(1));
   const double per_probe = static_cast<double>(state.range(2));
+  const int64_t num_keys = state.range(3);
   sgl::GridIndex index(2);
-  index.Build(RandomPoints(n, 2, 5));
+  std::vector<double> keys;
+  std::vector<sgl::RowIdx> kept;
+  if (num_keys > 0) {
+    keys.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = static_cast<double>(static_cast<int64_t>(i) % num_keys);
+      if (i % 4 != 3) kept.push_back(static_cast<sgl::RowIdx>(i));
+    }
+  }
+  index.Build(RandomPoints(n, 2, 5), std::move(keys),
+              num_keys > 0 ? &kept : nullptr);
   const double half =
       0.5 * std::sqrt(per_probe * 1e6 / static_cast<double>(n));
   std::vector<std::vector<double>> lo(2, std::vector<double>(probes));
   std::vector<std::vector<double>> hi(2, std::vector<double>(probes));
+  std::vector<double> probe_keys(probes);
   sgl::Rng rng(6);
   for (size_t p = 0; p < probes; ++p) {
     for (size_t k = 0; k < 2; ++k) {
@@ -121,18 +139,23 @@ void BM_GridQueryBatch(benchmark::State& state) {
       lo[k][p] = c - half;
       hi[k][p] = c + half;
     }
+    if (num_keys > 0) {
+      probe_keys[p] = static_cast<double>(static_cast<int64_t>(p) % num_keys);
+    }
   }
   const double* lo_cols[2] = {lo[0].data(), lo[1].data()};
   const double* hi_cols[2] = {hi[0].data(), hi[1].data()};
+  const double* key_col = num_keys > 0 ? probe_keys.data() : nullptr;
   sgl::ProbeBatch batch;
-  index.QueryBatch(lo_cols, hi_cols, probes, &batch);
+  index.QueryBatch(lo_cols, hi_cols, key_col, probes, &batch);
   for (auto _ : state) {
-    index.QueryBatch(lo_cols, hi_cols, probes, &batch);
+    index.QueryBatch(lo_cols, hi_cols, key_col, probes, &batch);
     benchmark::DoNotOptimize(batch.items.data());
     benchmark::ClobberMemory();
   }
   state.counters["candidates_per_probe"] =
       static_cast<double>(batch.items.size()) / static_cast<double>(probes);
+  state.counters["partitions"] = index.num_partitions();
 }
 
 BENCHMARK(BM_GridBuild)
@@ -153,8 +176,10 @@ BENCHMARK(BM_GridQuery)
     ->Unit(benchmark::kMicrosecond)
     ->MinTime(0.05);
 BENCHMARK(BM_GridQueryBatch)
-    ->Args({2048, 2048, 100})
-    ->Args({65536, 2048, 2})
+    ->Args({2048, 2048, 100, 0})
+    ->Args({2048, 2048, 100, 2})
+    ->Args({2048, 2048, 100, 3})
+    ->Args({65536, 2048, 2, 0})
     ->Unit(benchmark::kMicrosecond)
     ->MinTime(0.05);
 

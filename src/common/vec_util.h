@@ -4,7 +4,10 @@
 #define SGL_COMMON_VEC_UTIL_H_
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "src/common/types.h"
 
 namespace sgl {
 
@@ -17,6 +20,14 @@ template <typename T>
 inline void ResizeAmortized(std::vector<T>* v, size_t n) {
   if (n > v->capacity()) v->reserve(std::max(n, v->capacity() * 2));
   v->resize(n);
+}
+
+/// Makes `rows` the iota [0, n). A pure function of the size, so it is
+/// refilled only when the size changed.
+inline void FillRange(size_t n, std::vector<RowIdx>* rows) {
+  if (rows->size() == n) return;
+  rows->resize(n);
+  std::iota(rows->begin(), rows->end(), RowIdx{0});
 }
 
 }  // namespace sgl

@@ -425,6 +425,12 @@ void RunAccumVectorized(const AccumOp& op,
   if (site.strategy == JoinStrategy::kHash) {
     VmRef(*op.hash_dims[0].key, s_ctx, env, id_keys.get());
   }
+  // The grid is partitioned by the key conjunct's inner field; each probe
+  // carries its outer key.
+  ScopedVec<double> probe_keys(sc);
+  if (range_indexed && op.key != nullptr) {
+    VmNum(*op.key, s_ctx, env, probe_keys.get());
+  }
 
   // One batch probe for the whole morsel.
   int64_t probe_micros = 0;
@@ -438,7 +444,9 @@ void RunAccumVectorized(const AccumOp& op,
     Stopwatch probe_timer;
     SGL_TRACE_SPAN(env.telemetry, kSpanSiteProbe, env.tick, env.tel_track,
                    static_cast<uint16_t>(op.site_id));
-    site.index->QueryBatch(blo, bhi, S->size(), &sc->probe);
+    site.index->QueryBatch(blo, bhi,
+                           op.key != nullptr ? probe_keys->data() : nullptr,
+                           S->size(), &sc->probe);
     probe_micros = probe_timer.ElapsedMicros();
   }
 
@@ -660,8 +668,8 @@ void RunTxnEmitVectorized(const TxnEmitOp& op,
 // --- Site preparation ---------------------------------------------------
 
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
-                 IndexManager* indexes, Tick tick, SiteCache* cache,
-                 PreparedSite* out) {
+                 IndexManager* indexes, Tick tick, VmRegisters* regs,
+                 SiteCache* cache, PreparedSite* out) {
   out->strategy = strategy;
   out->index = nullptr;
 
@@ -714,12 +722,28 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
     if (b == nullptr) return a;
     return AndB(std::move(a), std::move(b));
   };
-  auto residual = [&]() -> ExprPtr {
-    return op.residual != nullptr ? op.residual->Clone() : nullptr;
+  // The conjuncts the grid answers by its build (it.key != key, the inner
+  // filter) followed by the residual.
+  auto pushed_and_residual = [&](bool include_pushed) -> ExprPtr {
+    ExprPtr composed;
+    if (include_pushed && op.key != nullptr) {
+      const SglType& t =
+          world.catalog().Get(op.inner_cls).state_field(op.key_field).type;
+      composed = CmpNum(CmpOp::kNe,
+                        StateRead(1, op.inner_cls, op.key_field, t),
+                        op.key->Clone());
+    }
+    if (include_pushed && op.inner_filter != nullptr) {
+      composed = compose(std::move(composed), op.inner_filter->Clone());
+    }
+    if (op.residual != nullptr) {
+      composed = compose(std::move(composed), op.residual->Clone());
+    }
+    return composed;
   };
 
-  // The composed filters lower: their conjuncts are range bounds and hash
-  // keys (compiled as values) and the residual, which
+  // The composed filters lower: their conjuncts are range bounds and keys
+  // (compiled as values), the inner filter and the residual, which
   // VmProgramCache::CompileProgram checked.
   auto lower = [](const ExprPtr& filter, VmProgram* vm) {
     if (filter == nullptr) return;
@@ -730,7 +754,7 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
   if (!cache->nl_built) {
     cache->nl_filter =
         compose(compose(range_pred(true), hash_pred(static_cast<size_t>(-1))),
-                residual());
+                pushed_and_residual(true));
     lower(cache->nl_filter, &cache->nl_filter_vm);
     cache->nl_built = true;
   }
@@ -744,12 +768,16 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
         cache->post_index_filter = nullptr;
         break;
       case JoinStrategy::kGrid:
+        // The grid's build already left out every row failing the inner
+        // filter, and its probes skip the key partitions equal to theirs.
         cache->post_index_filter =
-            compose(hash_pred(static_cast<size_t>(-1)), residual());
+            compose(hash_pred(static_cast<size_t>(-1)),
+                    pushed_and_residual(false));
         break;
       case JoinStrategy::kHash:
         cache->post_index_filter =
-            compose(compose(range_pred(true), hash_pred(0)), residual());
+            compose(compose(range_pred(true), hash_pred(0)),
+                    pushed_and_residual(true));
         break;
     }
     lower(cache->post_index_filter, &cache->post_filter_vm);
@@ -768,9 +796,11 @@ void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
       for (const RangeDim& d : op.range_dims) {
         cache->spec.fields.push_back(d.inner_field);
       }
+      cache->spec.inner_filter = op.inner_filter.get();
+      cache->spec.key_field = op.key_field;
       cache->spec_built = true;
     }
-    out->index = indexes->GetOrBuild(world, cache->spec, tick);
+    out->index = indexes->GetOrBuild(world, cache->spec, tick, regs);
   }
 }
 

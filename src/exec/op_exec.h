@@ -37,8 +37,9 @@ struct PreparedSite {
   JoinStrategy strategy = JoinStrategy::kNestedLoop;
   const GridIndex* index = nullptr;  ///< grid strategy only
   /// Pair filters, composed from the op's predicate pieces:
-  /// `nl_filter` re-checks everything (range + hash + residual + self);
-  /// `post_index_filter` omits what the access path already guarantees.
+  /// `nl_filter` re-checks everything (range + hash + key + inner filter +
+  /// residual); `post_index_filter` omits what the access path already
+  /// guarantees (the grid: range, key and inner filter).
   const Expr* nl_filter = nullptr;
   const Expr* post_index_filter = nullptr;
   /// Bytecode twins of the pair filters (null iff the filter is).
@@ -55,7 +56,7 @@ struct SiteCache {
   ExprPtr post_index_filter;  ///< for `post_strategy`
   JoinStrategy post_strategy = JoinStrategy::kNestedLoop;
   bool post_built = false;
-  IndexSpec spec;  ///< grid strategy; fields filled once
+  IndexSpec spec;  ///< grid strategy; filled once
   bool spec_built = false;
   /// Compiled twins of the composed filters, lowered whenever the Expr is
   /// (re)composed.
@@ -86,12 +87,12 @@ struct ExecScratch : EvalScratch {
 };
 
 /// Refreshes the prepared access path for `op` under `strategy`: builds or
-/// fetches the grid index and composes the residual filters and
-/// their bytecode twins (cached in `cache`; recomposed and recompiled only
-/// on a strategy switch).
+/// fetches the grid index (evaluating its inner filter on `regs`) and
+/// composes the pair filters and their bytecode twins (cached in `cache`;
+/// recomposed and recompiled only on a strategy switch).
 void PrepareSite(const AccumOp& op, JoinStrategy strategy, const World& world,
-                 IndexManager* indexes, Tick tick, SiteCache* cache,
-                 PreparedSite* out);
+                 IndexManager* indexes, Tick tick, VmRegisters* regs,
+                 SiteCache* cache, PreparedSite* out);
 
 /// Everything one worker needs while running ops over a morsel.
 struct ExecEnv {

@@ -1,10 +1,10 @@
 #include "src/exec/tick_executor.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/common/alloc_hook.h"
 #include "src/common/stopwatch.h"
+#include "src/common/vec_util.h"
 #include "src/fault/fault_injector.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
@@ -32,18 +32,6 @@ struct TickExecutor::Worker {
   /// order.
   std::vector<std::unique_ptr<EffectBuffer>> effects;
 };
-
-namespace {
-
-/// Makes `rows` the iota [0, n). A pure function of the class size, so it
-/// is rebuilt only when spawns or despawns changed the size.
-void FillRange(size_t n, std::vector<RowIdx>* rows) {
-  if (rows->size() == n) return;
-  rows->resize(n);
-  std::iota(rows->begin(), rows->end(), RowIdx{0});
-}
-
-}  // namespace
 
 TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
                            ExecOptions options)
@@ -200,7 +188,10 @@ void TickExecutor::PrepareSites(
       options_.telemetry->RecordSiteDecision(accum->site_id, tick_,
                                              JoinStrategyName(strategy));
     }
+    // Site prep runs before any worker starts, so worker 0's registers
+    // are free for the grid's build-time filter.
     PrepareSite(*accum, strategy, *world_, &indexes_, tick_,
+                &workers_[0]->scratch.vm,
                 &site_cache_[static_cast<size_t>(accum->site_id)],
                 &prepared_[static_cast<size_t>(accum->site_id)]);
   }

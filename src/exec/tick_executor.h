@@ -14,8 +14,11 @@
 //                 land in per-worker sinks — the phase only reads state, so
 //                 no synchronization (§4.2)
 //   4 MERGE       worker sinks fold into the world's effect buffers in
-//                 worker order (⊕ combinators are order-insensitive;
-//                 first/last carry explicit keys); set logs canonicalize
+//                 worker order (first/last carry explicit keys; min/max,
+//                 or/and and count are order-insensitive; sum/avg add the
+//                 workers' partial sums, so over inexact summands they
+//                 depend on how the folds are split — determinism rule 2
+//                 below); set logs canonicalize
 //   5 INSTALL     due out-of-band job results install (src/async/)
 //   6 UPDATE      update components run over their disjoint state
 //                 partitions: transaction admission, declared update

@@ -29,20 +29,32 @@ void GridIndex::Build(const std::vector<std::vector<double>>& coords) {
         coords[static_cast<size_t>(k)].begin(),
         coords[static_cast<size_t>(k)].end());
   }
-  BuildCells();
+  keys_.clear();
+  BuildCells(nullptr);
 }
 
-void GridIndex::Build(std::vector<std::vector<double>>&& coords) {
+void GridIndex::Build(std::vector<std::vector<double>>&& coords,
+                      std::vector<double>&& keys,
+                      const std::vector<RowIdx>* rows) {
   SGL_CHECK(static_cast<int>(coords.size()) == dims_);
   n_ = coords.empty() ? 0 : coords[0].size();
   for (const auto& c : coords) SGL_CHECK(c.size() == n_);
+  SGL_CHECK(keys.empty() || keys.size() == n_);
   coords_.swap(coords);
-  BuildCells();
+  keys_.swap(keys);
+  BuildCells(rows);
 }
 
-void GridIndex::BuildCells() {
+void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
+  const size_t m = rows != nullptr ? rows->size() : n_;
+  auto row_at = [rows](size_t i) {
+    return rows != nullptr ? (*rows)[i] : static_cast<RowIdx>(i);
+  };
   cell_items_.clear();
-  if (n_ == 0) {
+  num_parts_ = 1;
+  key_check_ = false;
+  if (m == 0) {
+    spatial_cells_ = 1;
     cell_start_.assign(2, 0);
     std::fill(min_.begin(), min_.end(), 0.0);
     std::fill(max_.begin(), max_.end(), 0.0);
@@ -52,53 +64,91 @@ void GridIndex::BuildCells() {
   }
 
   for (int k = 0; k < dims_; ++k) {
-    auto [lo, hi] = std::minmax_element(coords_[static_cast<size_t>(k)].begin(),
-                                        coords_[static_cast<size_t>(k)].end());
-    min_[static_cast<size_t>(k)] = *lo;
-    max_[static_cast<size_t>(k)] = *hi;
+    const std::vector<double>& col = coords_[static_cast<size_t>(k)];
+    double lo = col[row_at(0)], hi = lo;
+    for (size_t i = 1; i < m; ++i) {
+      const double v = col[row_at(i)];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    min_[static_cast<size_t>(k)] = lo;
+    max_[static_cast<size_t>(k)] = hi;
   }
-  // Aim for n / target_per_cell cells total, spread evenly across dims.
+  // Aim for m / target_per_cell spatial cells, spread evenly across dims.
   double total_cells =
-      std::max(1.0, static_cast<double>(n_) / target_per_cell_);
+      std::max(1.0, static_cast<double>(m) / target_per_cell_);
   int64_t per_dim = std::max<int64_t>(
       1, static_cast<int64_t>(std::floor(
              std::pow(total_cells, 1.0 / static_cast<double>(dims_)))));
-  size_t num_cells = 1;
+  spatial_cells_ = 1;
   for (int k = 0; k < dims_; ++k) {
     cells_per_dim_[static_cast<size_t>(k)] = per_dim;
     double extent =
         max_[static_cast<size_t>(k)] - min_[static_cast<size_t>(k)];
     cell_size_[static_cast<size_t>(k)] =
         extent > 0 ? extent / static_cast<double>(per_dim) : 1.0;
-    num_cells *= static_cast<size_t>(per_dim);
+    spatial_cells_ *= static_cast<size_t>(per_dim);
   }
 
-  // Counting sort points into cells (CSR). All scratch is member-owned and
-  // keeps its high-water capacity across rebuilds.
-  cell_of_.resize(n_);
+  // Key partitions: cell_of_[i] first holds indexed row i's partition.
+  // Keys group by IEEE equality, so -0.0 joins 0.0; NaN != NaN, so NaN
+  // keys are matched by isnan and share one partition (keyed NaN, which
+  // every probe walks since NaN != q).
+  auto same_key = [](double a, double b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  };
+  cell_of_.assign(m, 0);
+  if (!keys_.empty()) {
+    num_parts_ = 0;
+    for (size_t i = 0; i < m; ++i) {
+      const double key = keys_[row_at(i)];
+      int p = 0;
+      while (p < num_parts_ && !same_key(part_key_[p], key)) ++p;
+      if (p == kMaxKeyPartitions) {
+        key_check_ = true;
+        break;
+      }
+      if (p == num_parts_) part_key_[num_parts_++] = key;
+      cell_of_[i] = static_cast<uint32_t>(p);
+    }
+    if (key_check_) {
+      num_parts_ = 1;
+      std::fill(cell_of_.begin(), cell_of_.end(), 0u);
+    }
+  }
+  const size_t num_cells = static_cast<size_t>(num_parts_) * spatial_cells_;
+
+  // Counting sort points into cells (CSR), partition-major. All scratch is
+  // member-owned and keeps its high-water capacity across rebuilds.
   int64_t cc[kMaxIndexDims];
   cell_start_.assign(num_cells + 1, 0);
-  for (size_t i = 0; i < n_; ++i) {
+  for (size_t i = 0; i < m; ++i) {
+    const RowIdx r = row_at(i);
     for (int k = 0; k < dims_; ++k) {
-      cc[k] = CellCoord(k, coords_[static_cast<size_t>(k)][i]);
+      cc[k] = CellCoord(k, coords_[static_cast<size_t>(k)][r]);
     }
-    uint32_t cell = static_cast<uint32_t>(CellIndex(cc));
+    const uint32_t cell =
+        static_cast<uint32_t>(cell_of_[i] * spatial_cells_ + CellIndex(cc));
     cell_of_[i] = cell;
     ++cell_start_[cell + 1];
   }
   for (size_t c = 0; c < num_cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  cell_items_.resize(n_);
+  cell_items_.resize(m);
   cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
-  for (size_t i = 0; i < n_; ++i) {
-    cell_items_[cursor_[cell_of_[i]]++] = static_cast<RowIdx>(i);
+  for (size_t i = 0; i < m; ++i) {
+    cell_items_[cursor_[cell_of_[i]]++] = row_at(i);
   }
 }
 
 int64_t GridIndex::CellCoord(int dim, double v) const {
   size_t k = static_cast<size_t>(dim);
-  double rel = (v - min_[k]) / cell_size_[k];
-  int64_t c = static_cast<int64_t>(std::floor(rel));
-  return std::clamp<int64_t>(c, 0, cells_per_dim_[k] - 1);
+  const double rel = (v - min_[k]) / cell_size_[k];
+  // Clamp before the cast, which is undefined for ±inf, NaN and doubles
+  // beyond int64's range. NaN lands in cell 0.
+  const double last = static_cast<double>(cells_per_dim_[k] - 1);
+  if (!(rel > 0)) return 0;
+  if (rel >= last) return cells_per_dim_[k] - 1;
+  return static_cast<int64_t>(rel);
 }
 
 size_t GridIndex::CellIndex(const int64_t* cc) const {
@@ -112,7 +162,7 @@ size_t GridIndex::CellIndex(const int64_t* cc) const {
 
 void GridIndex::Query(const double* lo, const double* hi,
                       std::vector<RowIdx>* out) const {
-  if (n_ == 0) return;
+  if (cell_items_.empty()) return;
   int64_t c_lo[kMaxIndexDims];
   int64_t c_hi[kMaxIndexDims];
   for (int k = 0; k < dims_; ++k) {
@@ -120,47 +170,53 @@ void GridIndex::Query(const double* lo, const double* hi,
     c_lo[k] = CellCoord(k, lo[k]);
     c_hi[k] = CellCoord(k, hi[k]);
   }
-  // Iterate the (hyper)rectangle of cells.
-  int64_t cc[kMaxIndexDims];
-  std::copy(c_lo, c_lo + dims_, cc);
-  for (;;) {
-    size_t cell = CellIndex(cc);
-    for (uint32_t i = cell_start_[cell]; i < cell_start_[cell + 1]; ++i) {
-      RowIdx p = cell_items_[i];
-      bool inside = true;
-      for (int k = 0; k < dims_; ++k) {
-        double v = coords_[static_cast<size_t>(k)][p];
-        if (v < lo[k] || v > hi[k]) {
-          inside = false;
-          break;
+  // Iterate the (hyper)rectangle of cells in every partition.
+  for (int part = 0; part < num_parts_; ++part) {
+    const size_t base = static_cast<size_t>(part) * spatial_cells_;
+    int64_t cc[kMaxIndexDims];
+    std::copy(c_lo, c_lo + dims_, cc);
+    for (;;) {
+      size_t cell = base + CellIndex(cc);
+      for (uint32_t i = cell_start_[cell]; i < cell_start_[cell + 1]; ++i) {
+        RowIdx p = cell_items_[i];
+        bool inside = true;
+        for (int k = 0; k < dims_; ++k) {
+          double v = coords_[static_cast<size_t>(k)][p];
+          if (v < lo[k] || v > hi[k]) {
+            inside = false;
+            break;
+          }
         }
+        if (inside) out->push_back(p);
       }
-      if (inside) out->push_back(p);
+      // Odometer increment over [c_lo, c_hi].
+      int k = dims_ - 1;
+      for (; k >= 0; --k) {
+        if (++cc[k] <= c_hi[k]) break;
+        cc[k] = c_lo[k];
+      }
+      if (k < 0) break;
     }
-    // Odometer increment over [c_lo, c_hi].
-    int k = dims_ - 1;
-    for (; k >= 0; --k) {
-      if (++cc[k] <= c_hi[k]) break;
-      cc[k] = c_lo[k];
-    }
-    if (k < 0) break;
   }
 }
 
 void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
-                           size_t num_probes, ProbeBatch* out) const {
+                           const double* keys, size_t num_probes,
+                           ProbeBatch* out) const {
   GrowWithHeadroom(&out->offsets, num_probes + 1);
   out->items.clear();
   out->offsets[0] = 0;
-  if (n_ == 0 || num_probes == 0) {
+  if (cell_items_.empty() || num_probes == 0) {
     std::fill(out->offsets.begin(), out->offsets.end(), 0u);
     return;
   }
+  SGL_DCHECK(keys == nullptr || !keys_.empty());
+  if (keys_.empty()) keys = nullptr;
 
-  // Visit probes grouped by their box's primary cell so consecutive probes
-  // walk overlapping CSR runs; ties keep probe order (stable by key since
-  // the probe id is the low half). Inverted boxes sort as cell 0 and emit
-  // nothing.
+  // Visit probes grouped by their box's first walked cell so consecutive
+  // probes walk overlapping CSR runs; ties keep probe order (stable by key
+  // since the probe id is the low half). Inverted boxes, and probes whose
+  // key equals every partition's, sort as cell 0 and emit nothing.
   GrowWithHeadroom(&out->visit_keys, num_probes);
   for (size_t p = 0; p < num_probes; ++p) {
     uint64_t cell = 0;
@@ -171,10 +227,16 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
         break;
       }
     }
-    if (!empty) {
+    int part = 0;
+    while (part < num_parts_ &&
+           !Walks(part, keys != nullptr ? keys + p : nullptr)) {
+      ++part;
+    }
+    if (!empty && part < num_parts_) {
       int64_t cc[kMaxIndexDims];
       for (int k = 0; k < dims_; ++k) cc[k] = CellCoord(k, lo[k][p]);
-      cell = static_cast<uint64_t>(CellIndex(cc));
+      cell = static_cast<uint64_t>(static_cast<size_t>(part) * spatial_cells_ +
+                                   CellIndex(cc));
     }
     out->visit_keys[p] = (cell << 32) | static_cast<uint64_t>(p);
   }
@@ -192,7 +254,7 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
     const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
     out->tmp_start[v] = static_cast<uint32_t>(tmp_n);
     if (v + 1 < num_probes) {
-      // Pull the next probe's primary CSR span toward the cache while this
+      // Pull the next probe's first CSR span toward the cache while this
       // probe filters its candidates.
       const size_t nc = static_cast<size_t>(out->visit_keys[v + 1] >> 32);
       __builtin_prefetch(cell_items_.data() + cell_start_[nc]);
@@ -210,36 +272,54 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
       c_lo[k] = CellCoord(k, plo[k]);
       c_hi[k] = CellCoord(k, phi[k]);
     }
-    // Odometer over every dim but the last; the last dim's cell run
-    // [c_lo, c_hi] is one contiguous CSR span.
+    const double* q = keys != nullptr ? keys + p : nullptr;
+    const size_t probe_start = tmp_n;
+    // Per walked partition: odometer over every dim but the last; the last
+    // dim's cell run [c_lo, c_hi] is one contiguous CSR span.
     const int last = dims_ - 1;
-    int64_t cc[kMaxIndexDims];
-    std::copy(c_lo, c_lo + dims_, cc);
     const size_t span_cells = static_cast<size_t>(c_hi[last] - c_lo[last]);
-    for (;;) {
-      cc[last] = c_lo[last];
-      const size_t first_cell = CellIndex(cc);
-      const uint32_t a = cell_start_[first_cell];
-      const uint32_t b = cell_start_[first_cell + span_cells + 1];
-      if (b > a) {
-        const size_t len = b - a;
-        GrowWithHeadroom(&out->tmp_items, tmp_n + len);
-        tmp_n += kern.range_filter(cell_items_.data() + a, len, cols, dims_,
-                                   plo, phi, out->tmp_items.data() + tmp_n);
+    for (int part = 0; part < num_parts_; ++part) {
+      if (!Walks(part, q)) continue;
+      const size_t base = static_cast<size_t>(part) * spatial_cells_;
+      int64_t cc[kMaxIndexDims];
+      std::copy(c_lo, c_lo + dims_, cc);
+      for (;;) {
+        cc[last] = c_lo[last];
+        const size_t first_cell = base + CellIndex(cc);
+        const uint32_t a = cell_start_[first_cell];
+        const uint32_t b = cell_start_[first_cell + span_cells + 1];
+        if (b > a) {
+          const size_t len = b - a;
+          GrowWithHeadroom(&out->tmp_items, tmp_n + len);
+          tmp_n += kern.range_filter(cell_items_.data() + a, len, cols, dims_,
+                                     plo, phi, out->tmp_items.data() + tmp_n);
+        }
+        int k = last - 1;
+        for (; k >= 0; --k) {
+          if (++cc[k] <= c_hi[k]) break;
+          cc[k] = c_lo[k];
+        }
+        if (k < 0) break;
       }
-      int k = last - 1;
-      for (; k >= 0; --k) {
-        if (++cc[k] <= c_hi[k]) break;
-        cc[k] = c_lo[k];
+    }
+    if (q != nullptr && key_check_) {
+      // Over the partition cap: drop the in-box rows whose key is not
+      // `!=` the probe's.
+      RowIdx* items = out->tmp_items.data();
+      size_t kept = probe_start;
+      for (size_t t = probe_start; t < tmp_n; ++t) {
+        items[kept] = items[t];
+        kept += keys_[items[t]] != *q ? 1 : 0;
       }
-      if (k < 0) break;
+      tmp_n = kept;
     }
   }
   out->tmp_start[num_probes] = static_cast<uint32_t>(tmp_n);
 
   // Scatter visit-order slices back into probe-order CSR, each emitted in
   // ascending row order to match the per-box Query contract. A probe's
-  // cells are disjoint, so its slice is duplicate-free.
+  // cells are disjoint, across partitions too, so its slice is
+  // duplicate-free.
   for (size_t p = 0; p <= num_probes; ++p) out->offsets[p] = 0;
   for (size_t v = 0; v < num_probes; ++v) {
     const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
@@ -259,6 +339,7 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
 size_t GridIndex::MemoryBytes() const {
   size_t bytes = cell_start_.capacity() * sizeof(uint32_t) +
                  cell_items_.capacity() * sizeof(RowIdx) +
+                 keys_.capacity() * sizeof(double) +
                  cell_of_.capacity() * sizeof(uint32_t) +
                  cursor_.capacity() * sizeof(uint32_t);
   for (const auto& c : coords_) bytes += c.capacity() * sizeof(double);

@@ -70,10 +70,10 @@ struct ProbeBatch {
 /// W <= len, each row sets one bit and the W words are scanned with ctz,
 /// each cleared as it is read: ~len bit sets plus W <= len word reads, so
 /// linear in len and well under the len*log2(len) compares of a sort.
-/// Battle's ~100-candidate slices over a 2048-row table (32 words) always
-/// take this branch. When W > len (a few rows far apart, e.g. two rows at
-/// opposite ends of a 100k-row table), the scan would read mostly empty
-/// words, so std::sort orders the slice instead.
+/// When W > len (a few rows far apart, e.g. two rows at opposite ends of a
+/// 100k-row table), the scan would read mostly empty words, so std::sort
+/// orders the slice instead. Battle's ~22-match slices over a 2048-row
+/// table (32 words) take either branch.
 inline void EmitAscending(const RowIdx* src, size_t len, RowIdx* dst,
                           std::vector<uint64_t>* bits) {
   if (len == 0) return;

@@ -913,6 +913,48 @@ class ProgramCompiler {
     return true;
   }
 
+  // True if `e` reads nothing but the inner row's state (directly or
+  // through its refs) and literals: no outer state, outer row id or local.
+  // Such a conjunct can be evaluated once per inner row, before the join.
+  static bool IsInnerOnly(const Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kStateRead:
+      case ExprKind::kRowId:
+        return e.side == 1;
+      case ExprKind::kLocal:
+      case ExprKind::kEffectRead:
+      case ExprKind::kAssigned:
+        return false;
+      default:
+        break;
+    }
+    for (const auto& k : e.kids) {
+      if (!IsInnerOnly(*k)) return false;
+    }
+    return true;
+  }
+
+  // it.f != outer-expr (either order) on a numeric inner field: the key
+  // conjunct the grid partitions its cells by. Only the first one found is
+  // taken; `op` must not have one yet.
+  static bool TryExtractKey(const Expr& c, AccumOp* op) {
+    if (op->key != nullptr || c.kind != ExprKind::kCmpNum ||
+        c.cmp != CmpOp::kNe) {
+      return false;
+    }
+    auto is_inner_field = [](const Expr* e) {
+      return e->kind == ExprKind::kStateRead && e->side == 1 &&
+             e->type.is_number();
+    };
+    const Expr* a = c.kids[0].get();
+    const Expr* b = c.kids[1].get();
+    if (!is_inner_field(a) || b->UsesInner()) std::swap(a, b);
+    if (!is_inner_field(a) || b->UsesInner()) return false;
+    op->key_field = a->field;
+    op->key = b->Clone();
+    return true;
+  }
+
   Status CompileAccum(const AstStmt& s, const Expr* guard, Ctx& ctx,
                       std::vector<std::unique_ptr<PlanOp>>* ops) {
     if (ctx.in_accum1) {
@@ -1038,8 +1080,9 @@ class ProgramCompiler {
   }
 
   // Pulls conjuncts common to every BLOCK1 assignment's guard out into the
-  // join predicate (range dims / id-hash dims / exclude-self / residual /
-  // hoisted outer guard), leaving only per-assignment residual guards.
+  // join predicate (range dims / id-hash dims / exclude-self / inner filter /
+  // key / residual / hoisted outer guard), leaving only per-assignment
+  // residual guards.
   void ExtractJoinPredicates(AccumOp* accum) {
     // Gather flattened guard conjunct lists for every assignment.
     std::vector<std::vector<ExprPtr>> lists;
@@ -1091,6 +1134,7 @@ class ProgramCompiler {
     }
 
     // Classify common conjuncts.
+    std::vector<ExprPtr> inner_filter;
     std::vector<ExprPtr> residual;
     std::vector<ExprPtr> hoisted;  // outer-only: AND into outer_guard
     for (ExprPtr& c : common) {
@@ -1105,8 +1149,14 @@ class ProgramCompiler {
       }
       if (TryExtractRange(*c, accum)) continue;
       if (TryExtractIdHash(*c, accum)) continue;
+      if (IsInnerOnly(*c)) {
+        inner_filter.push_back(std::move(c));
+        continue;
+      }
+      if (TryExtractKey(*c, accum)) continue;
       residual.push_back(std::move(c));
     }
+    accum->inner_filter = AndChain(std::move(inner_filter));
     accum->residual = AndChain(std::move(residual));
     if (!hoisted.empty()) {
       ExprPtr h = AndChain(std::move(hoisted));

@@ -11,7 +11,8 @@
 //          guarded effect writes (σ -> π -> ⊕),
 //        - accum-loops become joins; their predicates are decomposed into
 //          rectangular range dims (index-joinable), equality dims
-//          (hash-joinable), and a residual filter,
+//          (hash-joinable), an inner-only filter and a `!=` key conjunct
+//          (both pushed into the grid), and a residual filter,
 //        - waitNextTick splits the body into phases dispatched on the
 //          implicit PC (the "direct translation to standard single-tick
 //          SGL programs" of §3.2),

@@ -64,6 +64,13 @@ std::string AccumOp::DebugString() const {
   for (const HashDim& h : hash_dims) {
     out += ", eq(id=" + h.key->ToString() + ")";
   }
+  if (key != nullptr) {
+    out += ", key(s" + std::to_string(key_field) + " != " + key->ToString() +
+           ")";
+  }
+  if (inner_filter != nullptr) {
+    out += ", inner-filter: " + inner_filter->ToString();
+  }
   if (residual != nullptr) out += ", residual: " + residual->ToString();
   if (exclude_self) out += ", it!=self";
   if (accum_slot >= 0) {

@@ -4,11 +4,17 @@
 // desugaring, §3.2). The mapping to relational algebra:
 //   ComputeLocalsOp      π (extend with computed columns)
 //   EffectsOp            σ_guard → π_(target,value) → ⊕-aggregate into effects
-//   AccumOp              σ_guard(E) ⋈_pred Inner → γ_(outer;⊕) plus pair
-//                        effect writes; the join predicate is decomposed into
-//                        d-dim range conjuncts (grid-joinable), entity-id
-//                        equality conjuncts (hash-joinable), and a residual
-//                        filter
+//   AccumOp              σ_guard(E) ⋈_pred σ_filter(Inner) → γ_(outer;⊕) plus
+//                        pair effect writes; the join predicate is decomposed
+//                        into four parts:
+//                          1 d-dim range conjuncts (grid-joinable) and
+//                            entity-id equality conjuncts (hash-joinable);
+//                          2 an inner filter: conjuncts over the inner row's
+//                            state and literals alone (a selection pushed
+//                            below the join, applied when the grid is built);
+//                          3 one key conjunct it.f != key(outer) on a numeric
+//                            field (the grid partitions its cells by f);
+//                          4 the residual: every other conjunct
 //   TxnEmitOp            σ_guard → transaction-intent emission (§3.1)
 //
 // AccumOp's physical strategy is the optimizer's main decision knob (§4.1);
@@ -114,6 +120,12 @@ struct AccumOp : PlanOp {
   // Decomposed join predicate.
   std::vector<RangeDim> range_dims;
   std::vector<HashDim> hash_dims;
+  /// Inner-only conjuncts: read the inner row's state and literals, no
+  /// outer state, locals or outer row id. May be null.
+  ExprPtr inner_filter;
+  /// The key conjunct it.key_field != key; kInvalidField / null = none.
+  FieldIdx key_field = kInvalidField;
+  ExprPtr key;       ///< outer-only numeric expr
   ExprPtr residual;  ///< leftover pair predicate; may be null
   bool exclude_self = false;  ///< predicate implied `it != self`
 

@@ -594,12 +594,14 @@ void VmProgramCache::AddOps(const std::vector<std::unique_ptr<PlanOp>>& ops,
         for (const HashDim& d : o->hash_dims) {
           AddValue(d.key.get(), TypeKind::kRef);
         }
-        if (o->residual != nullptr && status_.ok()) {
-          // Not cached: PrepareSite composes the residual into its pair
-          // filters and compiles those. Checking it here keeps every
-          // lowering error at engine creation.
+        AddValue(o->key.get(), TypeKind::kNumber);
+        // Not cached: PrepareSite composes these into its pair filters, and
+        // the index manager lowers the inner filter for its grid builds.
+        // Checking them here keeps every lowering error at engine creation.
+        for (const Expr* e : {o->inner_filter.get(), o->residual.get()}) {
+          if (e == nullptr || !status_.ok()) continue;
           VmProgram check;
-          status_ = CompileFilter(*o->residual, &check);
+          status_ = CompileFilter(*e, &check);
         }
         for (const AccumAssign& a : o->accum_assigns) {
           // Assign guards are consumed as columns by the fold loop, not as

@@ -12,8 +12,9 @@
 // All compilation happens single-threaded — once in TickExecutor::Init
 // (every plan expression reachable from the CompiledProgram) and in
 // PrepareSite for the composed per-site pair filters (which only recompose
-// on a strategy switch). Workers share the resulting read-only programs;
-// per-run state lives entirely in their VmRegisters.
+// on a strategy switch) and each grid's build-time inner filter. Workers
+// share the resulting read-only programs; per-run state lives entirely in
+// their VmRegisters.
 
 #ifndef SGL_VM_COMPILE_H_
 #define SGL_VM_COMPILE_H_
@@ -55,10 +56,10 @@ class VmProgramCache {
   /// Lowers every plan expression reachable from `prog`: handler
   /// conditions, local defs, effect-write guards/targets/values, accum
   /// guards/bounds/keys/assignments, txn-emit guards and intents, and the
-  /// number/bool/ref update rules. Also checks that every accum residual
-  /// lowers as a filter, so PrepareSite's composed pair filters cannot
-  /// fail later. The first expression that does not lower fails the whole
-  /// program.
+  /// number/bool/ref update rules. Also checks that every accum inner
+  /// filter and residual lowers as a filter, so PrepareSite's composed
+  /// pair filters and the grid's build-time filter cannot fail later. The
+  /// first expression that does not lower fails the whole program.
   Status CompileProgram(const CompiledProgram& prog);
 
   /// Value-mode program for `e`; null only for expressions outside the

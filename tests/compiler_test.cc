@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/lang/compiler.h"
+#include "src/sim/rts.h"
 
 namespace sgl {
 namespace {
@@ -52,11 +53,80 @@ script S for Unit {
   ASSERT_EQ(1u, accum->range_dims.size());  // x has both bounds
   EXPECT_NE(nullptr, accum->range_dims[0].lo);
   EXPECT_NE(nullptr, accum->range_dims[0].hi);
-  // health > 50 is strict, stays residual.
-  ASSERT_NE(nullptr, accum->residual);
+  // health > 50 is strict, so no range bound; it reads only the inner row,
+  // so it is pushed below the join as the inner filter.
+  ASSERT_NE(nullptr, accum->inner_filter);
+  EXPECT_EQ("(it.s3>50)", accum->inner_filter->ToString());
+  EXPECT_EQ(nullptr, accum->residual);
   EXPECT_TRUE(accum->accum_assigns[0].guard == nullptr)
       << "fully-extracted guard should vanish: "
       << accum->accum_assigns[0].guard->ToString();
+}
+
+TEST(Compiler, InnerFilterKeyAndResidualExtraction) {
+  auto p = C(std::string(kBase) + R"sgl(
+script S for Unit {
+  accum number cnt with sum over Unit w from Unit {
+    if (w.x >= x - range && w.x <= x + range && w.alive &&
+        range != w.range && w.health != health && w.health > health &&
+        w.target != null) {
+      cnt <- 1;
+    }
+  } in {}
+}
+)sgl");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const auto* accum = static_cast<const AccumOp*>(
+      (*p)->scripts[0].phases[0][0].get());
+  ASSERT_EQ(1u, accum->range_dims.size());
+  // Inner-only conjuncts, including a ref test on the inner row.
+  ASSERT_NE(nullptr, accum->inner_filter);
+  EXPECT_EQ("(it.s4&&(it.s5!=null))", accum->inner_filter->ToString());
+  // The first numeric `it.f != outer` conjunct, either way round, is the
+  // key; a second one stays residual, as does any other mixed conjunct.
+  EXPECT_EQ(2, accum->key_field);
+  ASSERT_NE(nullptr, accum->key);
+  EXPECT_EQ("self.s2", accum->key->ToString());
+  ASSERT_NE(nullptr, accum->residual);
+  EXPECT_EQ("((it.s3!=self.s3)&&(it.s3>self.s3))",
+            accum->residual->ToString());
+  EXPECT_EQ(nullptr, accum->accum_assigns[0].guard);
+}
+
+TEST(Compiler, InnerFilterMayNotReadLocals) {
+  auto p = C(std::string(kBase) + R"sgl(
+script S for Unit {
+  let number floor = 10;
+  accum number cnt with sum over Unit w from Unit {
+    if (w.health > floor && w.health > 10 - 5) { cnt <- 1; }
+  } in {}
+}
+)sgl");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const auto& ops = (*p)->scripts[0].phases[0];
+  ASSERT_EQ(2u, ops.size());
+  const auto* accum = static_cast<const AccumOp*>(ops[1].get());
+  ASSERT_NE(nullptr, accum->inner_filter);
+  EXPECT_EQ("(it.s3>(10-5))", accum->inner_filter->ToString());
+  ASSERT_NE(nullptr, accum->residual);
+  EXPECT_EQ("(it.s3>$0)", accum->residual->ToString());
+  EXPECT_EQ(nullptr, accum->key);
+}
+
+// Battle's Combat site, verbatim: the box becomes two range dims, and
+// both leftover conjuncts are pushed into the grid, so no residual remains.
+TEST(Compiler, RtsCombatPlanIsPinned) {
+  auto p = C(RtsWorkload::Source());
+  ASSERT_TRUE(p.ok()) << p.status();
+  const auto* accum = static_cast<const AccumOp*>(
+      (*p)->scripts[0].phases[0][0].get());
+  EXPECT_EQ(
+      "AccumJoin[nested-loop, inner: class0, "
+      "range(s1 in [(self.s1-self.s4),(self.s1+self.s4)]), "
+      "range(s2 in [(self.s2-self.s4),(self.s2+self.s4)]), "
+      "key(s0 != self.s0), inner-filter: (it.s3>0), "
+      "gamma($0 sum over 1 assigns), pair-writes: 1]",
+      accum->DebugString());
 }
 
 TEST(Compiler, TwoDimensionalBoxExtraction) {

@@ -9,7 +9,11 @@
 // and all must agree bit-for-bit. This is the
 // wide-net version of the hand-written equivalence tests: any divergence in
 // predicate extraction, guard rebuilding, ⊕ order keys, fold order, or an
-// index returning a wrong candidate set shows up here.
+// index returning a wrong candidate set shows up here. Accum loops also
+// draw inner-only conjuncts and an `it.kind != kind` conjunct over a field
+// valued in {0, 1} or {0, 1, 2} (some zeros negative), which the grid
+// answers by its build filter and by key partitions or, past
+// kMaxKeyPartitions keys, a per-row key check.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +103,8 @@ std::string RandomProgram(Rng* rng) {
                   rng->Uniform(-5, 5));
     src += buf;
   }
+  // The accum key field: low-cardinality, set at spawn, never updated.
+  src += "    number kind = 0;\n";
   src += "    ref<Thing> pal = null;\n";
   // Non-numeric state, fed by the bool / ref / set effects below.
   src += "    bool flagged = false;\n";
@@ -193,6 +199,16 @@ std::string RandomProgram(Rng* rng) {
     if (rng->Bernoulli(0.5)) {
       src += " && " + RandomBoolExpr(rng, fields, 1);
     }
+    if (rng->Bernoulli(0.5)) {
+      // Reads only the inner row: the grid's build filter.
+      std::vector<std::string> inner_fields;
+      for (const std::string& f : fields) inner_fields.push_back("w." + f);
+      src += " && " + RandomBoolExpr(rng, inner_fields, 1);
+    }
+    if (rng->Bernoulli(0.5)) {
+      // The grid's key partitions.
+      src += rng->Bernoulli(0.5) ? " && w.kind != kind" : " && kind != w.kind";
+    }
     src += ") {\n      acc <- w." + fields[rng->NextBelow(fields.size())] +
            ";\n";
     if (rng->Bernoulli(0.4)) {
@@ -220,6 +236,9 @@ uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
   EXPECT_TRUE(engine.ok()) << engine.status() << "\nprogram:\n" << src;
   if (!engine.ok()) return 0;
   Rng rng(spawn_seed);
+  // Its own stream, so the key values leave the numeric state's draws be.
+  Rng kind_rng(spawn_seed ^ 0x6b696e64ULL);
+  const uint64_t num_kinds = 2 + kind_rng.NextBelow(2);
   std::vector<EntityId> ids;
   for (int i = 0; i < 60; ++i) {
     auto id = (*engine)->Spawn("Thing", {});
@@ -234,6 +253,11 @@ uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
                       ->Set(*id, field, Value::Number(rng.Uniform(-10, 10)))
                       .ok());
     }
+    // Key values 0 .. num_kinds - 1, with some zeros written as -0.0,
+    // which must share 0.0's key partition.
+    double kind = static_cast<double>(kind_rng.NextBelow(num_kinds));
+    if (kind == 0 && kind_rng.Bernoulli(0.5)) kind = -0.0;
+    EXPECT_TRUE((*engine)->Set(*id, "kind", Value::Number(kind)).ok());
   }
   for (size_t i = 0; i + 1 < ids.size(); i += 3) {
     EXPECT_TRUE(
