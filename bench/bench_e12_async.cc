@@ -1,25 +1,21 @@
 // E12 — asynchronous out-of-band pathfinding (src/async/): tick latency
-// with sync vs async A* on the large-map armies workload, repathing under
-// goal churn.
+// of the goal-field pathfinder on the large-map armies workload, repathing
+// under goal churn.
 //
 // Series: ms/tick for N soldiers marching across a walled grid while their
 // orders rotate every kChurnPeriod ticks.
 //
-//   * sync      — the blocking PathfinderComponent: every unique
-//                 (start, goal) pair is searched inside the update phase,
-//                 every tick (its memo is per-tick).
 //   * async/W   — AsyncPathfindComponent over a JobService with W workers:
-//                 searches run off the tick across `latency_ticks`
-//                 boundaries, results install deterministically, and the
-//                 cross-tick request cache means a pair is searched once
-//                 per churn, not once per tick. W = 0 is the inline
-//                 reference mode (same install schedule, search cost paid
-//                 at the barrier) — the async-vs-sync win that remains at
-//                 W = 0 is the cache; the rest is the workers.
+//                 one goal field per rally cell, searched off the tick
+//                 across `latency_ticks` boundaries and installed
+//                 deterministically; with the crowd penalty on, one field
+//                 is re-searched per tick. W = 0 is the inline reference
+//                 mode (same install schedule, search cost paid at the
+//                 barrier).
 //   * async/W/T — the same with T tick threads. Due jobs no worker has
 //                 claimed run in the barrier's drain, fanned out over the
 //                 tick pool when T > 1: at W = 1 and 16k units, T = 2, 4
-//                 against T = 1 is the drain's speed-up on the retarget
+//                 against T = 1 is the drain's speed-up on the slowest
 //                 tick (`max_tick_ms`).
 //
 // Counters: phase breakdown, allocs/tick, jobs submitted/installed/in
@@ -37,7 +33,7 @@ namespace {
 
 constexpr int kChurnPeriod = 16;
 
-sgl::ArmiesConfig E12Config(int units, bool async) {
+sgl::ArmiesConfig E12Config(int units) {
   sgl::ArmiesConfig config;
   config.num_units = units;
   config.map_w = 128;
@@ -45,11 +41,9 @@ sgl::ArmiesConfig E12Config(int units, bool async) {
   config.num_armies = 32;
   config.num_rally = 12;
   config.wall_density = 0.08;
-  config.async_pathfind = async;
   config.async.latency_ticks = 2;
   config.async.result_ttl_ticks = 24;
   config.async.crowd_penalty = 0.25;  // jobs read the position snapshot
-  config.async.cache_reserve = 1u << 15;
   return config;
 }
 
@@ -97,31 +91,11 @@ void RunTicks(sgl::Engine* engine, const sgl::ArmiesConfig& config,
       static_cast<double>(std::thread::hardware_concurrency());
 }
 
-// The blocking baseline. Short warmup on purpose: its per-tick cost is the
-// searches themselves, which do not pool away (the memo is per-tick), and
-// at 16k units a single steady-state tick costs what the async path pays
-// per churn across all workers.
-void BM_E12_SyncTick(benchmark::State& state) {
-  const int units = static_cast<int>(state.range(0));
-  const sgl::ArmiesConfig config = E12Config(units, /*async=*/false);
-  auto engine = sgl::ArmiesWorkload::Build(
-      config, sgl_bench::Options(sgl::PlanMode::kCostBased));
-  if (!engine.ok()) std::abort();
-  sgl_bench::WarmupSteadyState(engine->get(), 4);
-  RunTicks(engine->get(), config, state);
-}
-
-BENCHMARK(BM_E12_SyncTick)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
-
 void BM_E12_AsyncTick(benchmark::State& state) {
   const int units = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
   const int threads = static_cast<int>(state.range(2));
-  const sgl::ArmiesConfig config = E12Config(units, /*async=*/true);
+  const sgl::ArmiesConfig config = E12Config(units);
   sgl::EngineOptions options =
       sgl_bench::Options(sgl::PlanMode::kCostBased, false, threads);
   options.exec.jobs.num_workers = workers;
@@ -149,7 +123,7 @@ BENCHMARK(BM_E12_AsyncTick)
 // threads — completions ride the shard barrier.
 void BM_E12_AsyncShardedTick(benchmark::State& state) {
   const int units = static_cast<int>(state.range(0));
-  const sgl::ArmiesConfig config = E12Config(units, /*async=*/true);
+  const sgl::ArmiesConfig config = E12Config(units);
   sgl::EngineOptions options =
       sgl_bench::Options(sgl::PlanMode::kCostBased, false, /*threads=*/4);
   options.exec.num_shards = 4;

@@ -15,9 +15,9 @@
 #   E11 the shard schedule: per-tick row blocks, one worker each (tick
 #       latency + phase breakdown + allocs_per_tick vs shard count, for the
 #       RTS battle and the traffic workload)
-#   E12 asynchronous out-of-band pathfinding (sync vs async tick latency
-#       on the large-map armies workload, jobs in flight, barrier wait,
-#       allocs_per_tick vs job-worker count)
+#   E12 asynchronous out-of-band pathfinding (goal-field tick latency on
+#       the large-map armies workload, jobs in flight, barrier wait,
+#       allocs_per_tick vs job-worker and tick-thread count)
 #   E13 register bytecode VM (dense nested-loop ticks where fused filter
 #       pipelines dominate, plus the indexed steady state with batched
 #       probes; allocs_per_tick + vm_programs + simd_lanes + probe_us + the

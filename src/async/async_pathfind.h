@@ -1,33 +1,31 @@
-// AsyncPathfindComponent: tick-spanning A* pathfinding over the JobService.
+// AsyncPathfindComponent: tick-spanning goal-field pathfinding over the
+// JobService.
 //
-// The synchronous PathfinderComponent (src/update/pathfind.h) runs every A*
-// search inside the update phase — one long search over a large map stalls
-// the whole tick. This component replaces the blocking search with
-// submit/poll:
+// Pathfinding is set-at-a-time work here (§2.2): the component plans per
+// goal cell, not per entity. Each goal some entity heads for gets one
+// goal field (src/update/pathfind.h): a reverse Dijkstra from the goal
+// that gives every map cell its next step there. An entity reads
+// `next[its goal][its cell]`, so every entity bound for one goal, wherever
+// it stands, shares one search.
 //
-//   * Each requested (start cell, goal cell) pair becomes at most one job,
-//     deduplicated across entities *and* across ticks by a flat
-//     open-addressing request cache (the cross-tick generalization of the
-//     sync component's per-tick memo).
-//   * Jobs execute on JobService workers against an epoch-stamped
-//     SnapshotView of the declared position columns (used to rasterize a
-//     crowd-occupancy cost layer when `crowd_penalty > 0`); results
-//     install at the deterministic tick `submit + latency_ticks`, in
-//     seeded job-order. Installation seeds the cache along the *whole*
-//     computed path — every on-route cell maps to its successor — so one
-//     search serves an army's entire march down that route; entities only
-//     wait on genuinely novel (start, goal) requests.
-//   * While a request is in flight its entities hold position (waypoint =
-//     current position); once the result installs, every entity at that
-//     (start, goal) pair steps identically. World state is therefore
+//   * A field is computed by a job on JobService workers against an
+//     epoch-stamped SnapshotView of the declared position columns (used to
+//     rasterize a crowd-occupancy cost layer when `crowd_penalty > 0`);
+//     it installs at the deterministic tick `submit + latency_ticks`, in
+//     seeded job order.
+//   * While a goal's first field is in flight its entities hold position
+//     (waypoint = current position); once it installs, every entity on one
+//     cell with one goal steps identically. World state is therefore
 //     bit-identical for any worker count, shard count, and thread count.
 //
-// Staleness: cached results are revalidated on use — a next cell that the
-// (mutable) GridMap has since blocked is dropped and re-searched, and
-// entries older than `refresh_after_ticks` re-submit in the background
-// while entities keep following the old answer until the fresh one
-// installs. Entries unused for `result_ttl_ticks` are evicted by a
-// ping-pong sweep (capacity kept; steady-state ticks allocate nothing).
+// Staleness, decided per goal: a next cell the (mutable) GridMap has
+// since blocked holds its entity and re-submits the field. With
+// `crowd_penalty > 0`, each tick also re-submits the one installed field
+// with no job out that was installed longest ago, so the fields follow the
+// crowd; entities keep following the old field until the fresh one
+// installs. A goal no entity has asked for in `result_ttl_ticks` is
+// evicted. Each goal's field storage is kept when its slot is reused, so
+// steady-state ticks allocate nothing.
 
 #ifndef SGL_ASYNC_ASYNC_PATHFIND_H_
 #define SGL_ASYNC_ASYNC_PATHFIND_H_
@@ -52,31 +50,28 @@ struct AsyncPathfinderConfig {
   /// Result installation happens exactly this many ticks after submission
   /// (the declared deterministic completion latency). >= 1.
   int latency_ticks = 2;
-  /// Evict cached results unused for this many ticks (<= 0: never evict).
+  /// Evict a goal's field after this many ticks in which no entity headed
+  /// for the goal (<= 0: never evict).
   int result_ttl_ticks = 16;
-  /// Re-search results older than this in the background (0: never; for
-  /// static maps with no crowd penalty the first answer stays correct).
-  int refresh_after_ticks = 0;
   /// > 0: each entity occupying a cell (in the submit-time snapshot) adds
-  /// this much to the cell's step cost — congestion-aware paths. This is
-  /// what makes jobs read the SnapshotView.
+  /// this much to the cost of stepping into the cell: congestion-aware
+  /// paths. This is what makes jobs read the SnapshotView, and what makes
+  /// the component re-submit one installed field per tick.
   double crowd_penalty = 0.0;
-  /// Initial request-cache capacity (rounded up to a power of two).
-  /// Size for the steady-state working set to keep growth out of ticks.
-  size_t cache_reserve = 1u << 12;
+  /// Ignored: goal fields need no reserve. Kept because
+  /// perfbench/tick_anatomy.cc sets it.
+  size_t cache_reserve = 0;
 };
 
 struct AsyncPathfinderStats {
-  int64_t submitted = 0;      ///< jobs handed to the service
-  int64_t installed = 0;      ///< results installed at barriers
-  int64_t cache_hits = 0;     ///< entity-requests served from the cache
-  int64_t stalls = 0;         ///< entity-requests held while in flight
-  int64_t unreachable = 0;    ///< installed results with no path
-  int64_t refreshes = 0;      ///< background re-searches
-  int64_t dropped_stale = 0;  ///< cached next cells invalidated by the map
-  int64_t evicted = 0;        ///< TTL sweep evictions
-  int64_t seeded = 0;         ///< path-seeded cache entries (new keys)
-  int64_t path_cells = 0;     ///< total installed path length (cells)
+  int64_t submitted = 0;      ///< field jobs handed to the service
+  int64_t installed = 0;      ///< fields installed at barriers
+  int64_t refreshes = 0;      ///< of `submitted`: crowd re-submissions
+  int64_t cache_hits = 0;     ///< entity steps read from an installed field
+  int64_t stalls = 0;         ///< entity steps held: goal's field not in yet
+  int64_t unreachable = 0;    ///< entity steps held: off map or no path
+  int64_t dropped_stale = 0;  ///< entity steps held: next cell now blocked
+  int64_t evicted = 0;        ///< goals evicted by the TTL
 };
 
 class AsyncPathfindComponent : public UpdateComponent, public JobClient {
@@ -90,15 +85,17 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   const std::string& name() const override { return name_; }
   std::vector<std::pair<ClassId, FieldIdx>> OwnedFields() const override;
   void Update(World* world, Tick tick) override;
-  /// Drops the request cache: in-flight keys refer to jobs the engine just
-  /// cancelled, and ready results belong to the pre-restore trajectory.
+  /// Drops every goal: in-flight goals refer to jobs the engine just
+  /// cancelled, and installed fields belong to the pre-restore trajectory.
   void OnRestore() override;
-  /// Full request-cache image (keys, ready next-cells, in-flight bits,
-  /// sweep phase). With the in-flight job section of the same checkpoint
-  /// restored alongside it, every kInFlight key's job is re-created too —
-  /// post-restore ticks replay bit-identically to the uninterrupted run
-  /// instead of re-searching from a cold cache.
+  /// Every live goal with its field (format v2, src/debug/
+  /// CHECKPOINT_FORMAT.md). With the in-flight job section of the same
+  /// checkpoint restored alongside it, every in-flight goal's job is
+  /// re-created too, so post-restore ticks replay bit-identically to the
+  /// uninterrupted run instead of re-searching from nothing.
   void SaveState(std::string* out) const override;
+  /// InvalidArgument, with nothing allocated or changed, for any blob
+  /// other than a well-formed v2 one for this map.
   Status LoadState(const char* data, size_t size) override;
 
   // --- JobClient --------------------------------------------------------
@@ -116,29 +113,26 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   const AsyncPathfinderStats& total() const { return total_; }
 
  private:
-  /// One (start cell, goal cell) request. key 0 = empty slot.
-  struct Entry {
-    uint64_t key = 0;
-    uint32_t next_cell = 0;  ///< (ny << 16) | nx, valid when kReady
+  /// One goal cell and its field. A slot with flags == 0 is free.
+  struct Goal {
+    uint32_t cell = 0;  ///< y * width + x
     uint32_t flags = 0;
     Tick last_used = 0;
-    Tick installed = 0;
+    Tick installed = 0;          ///< install tick of `next`, when kReady
+    std::vector<uint32_t> next;  ///< per map cell, valid when kReady
   };
-  static constexpr uint32_t kInFlight = 1;  ///< a job is out for this key
-  static constexpr uint32_t kReady = 2;     ///< next_cell is usable
+  static constexpr uint32_t kInFlight = 1;  ///< a job is out for the goal
+  static constexpr uint32_t kReady = 2;     ///< `next` is usable
 
   AsyncPathfindComponent() : map_(1, 1, 1.0) {}
 
-  Entry* Find(uint64_t key);
-  Entry* FindOrInsert(uint64_t key, bool* inserted);
-  void InsertRehash(std::vector<Entry>* table, const Entry& e) const;
-  void Grow();
-  /// The largest capacity the cache can legitimately reach: the reserve,
-  /// doubled until the map's whole (start, goal) key space fits below the
-  /// grow threshold. LoadState rejects anything larger.
-  size_t MaxCapacity() const;
-  void MaybeSweep(Tick tick);
-  void SubmitSearch(World* world, uint64_t key, Tick tick, SnapshotView** snap);
+  size_t cells() const {
+    return static_cast<size_t>(map_.width()) *
+           static_cast<size_t>(map_.height());
+  }
+  /// A slot for `cell`, reusing a free one first; returns its index.
+  int32_t AddGoal(uint32_t cell);
+  void Submit(World* world, Goal* goal, Tick tick, SnapshotView** snap);
 
   std::string name_ = "async_pathfind";
   AsyncPathfinderConfig config_;
@@ -146,24 +140,14 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   JobService* service_ = nullptr;
   int client_id_ = -1;
   int penalty_units_ = 0;  ///< fixed-point crowd penalty per occupant
-  /// Fixed capacity every result blob is reserved to (min(w*h+1, 4096)):
-  /// identical capacities mean a recycled slot never re-allocates for a
-  /// longer-than-before path, keeping steady-state ticks allocation-free.
-  /// Paths beyond the quantum (pathological mazes) still work — the blob
-  /// just grows.
-  size_t blob_quantum_ = 0;
 
   ClassId cls_ = kInvalidClass;
   FieldIdx x_ = kInvalidField, y_ = kInvalidField;
   FieldIdx goal_x_ = kInvalidField, goal_y_ = kInvalidField;
   FieldIdx wx_ = kInvalidField, wy_ = kInvalidField;
 
-  /// Open-addressing request cache + ping-pong sweep partner (same
-  /// capacity; swap on sweep, so steady-state eviction allocates nothing).
-  std::vector<Entry> cache_;
-  std::vector<Entry> alt_cache_;
-  size_t cache_size_ = 0;
-  Tick last_sweep_ = 0;
+  std::vector<Goal> goals_;
+  std::vector<int32_t> goal_slot_;  ///< per map cell: index in goals_, or -1
 
   AsyncPathfinderStats total_;
 };

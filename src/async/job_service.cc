@@ -136,6 +136,22 @@ void JobService::Submit(int client, uint64_t user_key, const uint64_t args[4],
   if (!workers_.empty()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.size() == pending_.capacity()) {
+        // Before the queue grows, drop the deliveries already taken and
+        // those no worker can win any more: the drain claimed their job,
+        // or their slot holds a newer job with its own delivery. Workers
+        // that fall behind then do not ratchet the queue's capacity.
+        size_t kept = 0;
+        for (size_t i = pending_head_; i < pending_.size(); ++i) {
+          const PendingEntry& e = pending_[i];
+          if (e.slot->claim.load(std::memory_order_acquire) == 0 &&
+              e.slot->order_key == e.order_key) {
+            pending_[kept++] = e;
+          }
+        }
+        pending_.resize(kept);
+        pending_head_ = 0;
+      }
       pending_.push_back({slot, now, slot->order_key, 0});
     }
     work_cv_.notify_one();

@@ -2,7 +2,7 @@
 // installation (src/async/).
 //
 // The paper treats expensive AI — pathfinding above all — as an update
-// component (§2.2), but a long A* search run synchronously stalls the whole
+// component (§2.2), but a long search run synchronously stalls the whole
 // QUERY→MERGE→UPDATE tick. Declarative processing is exactly the license to
 // move that work off the critical path: a component *submits* a read-only
 // job against an epoch-stamped SnapshotView of the columns it declares,
@@ -29,7 +29,7 @@
 //
 // Mechanics: job slots live in a flat pooled arena (stable addresses,
 // free-list recycling), a finished job is published by its slot's `done`
-// flag, and per-worker scratch (client-defined, e.g. A* open lists)
+// flag, and per-worker scratch (client-defined, e.g. search heaps)
 // reaches a high-water mark — after warmup, steady-state ticks with jobs
 // in flight allocate nothing on any thread.
 //
@@ -91,7 +91,7 @@ struct JobServiceOptions {
   Telemetry* telemetry = nullptr;
 };
 
-/// Client-opaque per-worker scratch (A* arrays, heaps, ...). One instance
+/// Client-opaque per-worker scratch (search arrays, heaps). One instance
 /// per (worker, client) plus one per (drain share, client), all created
 /// when the client registers and reused for every job. A drain share's
 /// first job can come at any tick, so MakeScratch should return the
@@ -114,7 +114,7 @@ struct JobSlot {
   int client = 0;
   SnapshotView* snap = nullptr;
   uint64_t result[4] = {0, 0, 0, 0};
-  /// Variable-length result payload (e.g. the full path). Cleared by the
+  /// Variable-length result payload (e.g. a goal field). Cleared by the
   /// runner, capacity kept across slot reuses.
   std::vector<uint64_t> blob;
   std::atomic<uint32_t> done{0};

@@ -34,13 +34,6 @@ Status Engine::AddPhysics(const PhysicsConfig& config) {
   return AddComponent(std::move(comp));
 }
 
-Status Engine::AddPathfinder(const PathfinderConfig& config, GridMap map) {
-  SGL_ASSIGN_OR_RETURN(
-      auto comp, PathfinderComponent::Create(catalog(), config,
-                                             std::move(map)));
-  return AddComponent(std::move(comp));
-}
-
 Status Engine::AddAsyncPathfinder(const AsyncPathfinderConfig& config,
                                   GridMap map) {
   SGL_ASSIGN_OR_RETURN(

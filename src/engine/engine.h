@@ -10,9 +10,9 @@
 // Create() parses + compiles the program (schema generation, §2.1), builds
 // the World, and wires the one TickExecutor with the built-in update
 // components (transaction engine + expression updater).
-// Physics / pathfinding components attach via AddPhysics / AddPathfinder
-// (§2.2). Debugging (§3.3) is exposed through inspector/tracer/checkpoint
-// accessors.
+// Physics / pathfinding components attach via AddPhysics /
+// AddAsyncPathfinder (§2.2). Debugging (§3.3) is exposed through
+// inspector/tracer/checkpoint accessors.
 
 #ifndef SGL_ENGINE_ENGINE_H_
 #define SGL_ENGINE_ENGINE_H_
@@ -27,7 +27,6 @@
 #include "src/debug/tracer.h"
 #include "src/exec/tick_executor.h"
 #include "src/lang/compiler.h"
-#include "src/update/pathfind.h"
 #include "src/update/physics.h"
 
 namespace sgl {
@@ -60,11 +59,10 @@ class Engine {
 
   /// Attaches a physics component (§2.2). Call before the first tick.
   Status AddPhysics(const PhysicsConfig& config);
-  /// Attaches an A* pathfinding component (§2.2).
-  Status AddPathfinder(const PathfinderConfig& config, GridMap map);
-  /// Attaches the asynchronous (tick-spanning) pathfinder: searches run on
-  /// the executor's JobService workers (options.exec.jobs) and results
-  /// install deterministically at submit + latency ticks (src/async/).
+  /// Attaches the pathfinding component (§2.2): one goal field per goal
+  /// cell, searched on the executor's JobService workers
+  /// (options.exec.jobs) and installed deterministically at submit +
+  /// latency ticks (src/async/).
   Status AddAsyncPathfinder(const AsyncPathfinderConfig& config, GridMap map);
   /// Attaches any custom update component.
   Status AddComponent(std::unique_ptr<UpdateComponent> component);

@@ -53,7 +53,20 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
   cell_items_.clear();
   num_parts_ = 1;
   key_check_ = false;
-  if (m == 0) {
+  // A row with a NaN coordinate is in no box (`v >= lo && v <= hi` is
+  // false for NaN), so it is not indexed: cell_of_ marks it kNoCell.
+  cell_of_.assign(m, 0);
+  size_t indexed = 0;
+  for (size_t i = 0; i < m; ++i) {
+    for (int k = 0; k < dims_; ++k) {
+      if (std::isnan(coords_[static_cast<size_t>(k)][row_at(i)])) {
+        cell_of_[i] = kNoCell;
+        break;
+      }
+    }
+    indexed += cell_of_[i] != kNoCell ? 1 : 0;
+  }
+  if (indexed == 0) {
     spatial_cells_ = 1;
     cell_start_.assign(2, 0);
     std::fill(min_.begin(), min_.end(), 0.0);
@@ -65,8 +78,9 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
 
   for (int k = 0; k < dims_; ++k) {
     const std::vector<double>& col = coords_[static_cast<size_t>(k)];
-    double lo = col[row_at(0)], hi = lo;
-    for (size_t i = 1; i < m; ++i) {
+    double lo = HUGE_VAL, hi = -HUGE_VAL;
+    for (size_t i = 0; i < m; ++i) {
+      if (cell_of_[i] == kNoCell) continue;
       const double v = col[row_at(i)];
       lo = std::min(lo, v);
       hi = std::max(hi, v);
@@ -74,9 +88,10 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
     min_[static_cast<size_t>(k)] = lo;
     max_[static_cast<size_t>(k)] = hi;
   }
-  // Aim for m / target_per_cell spatial cells, spread evenly across dims.
+  // Aim for indexed / target_per_cell spatial cells, spread evenly across
+  // dims.
   double total_cells =
-      std::max(1.0, static_cast<double>(m) / target_per_cell_);
+      std::max(1.0, static_cast<double>(indexed) / target_per_cell_);
   int64_t per_dim = std::max<int64_t>(
       1, static_cast<int64_t>(std::floor(
              std::pow(total_cells, 1.0 / static_cast<double>(dims_)))));
@@ -97,10 +112,10 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
   auto same_key = [](double a, double b) {
     return a == b || (std::isnan(a) && std::isnan(b));
   };
-  cell_of_.assign(m, 0);
   if (!keys_.empty()) {
     num_parts_ = 0;
     for (size_t i = 0; i < m; ++i) {
+      if (cell_of_[i] == kNoCell) continue;
       const double key = keys_[row_at(i)];
       int p = 0;
       while (p < num_parts_ && !same_key(part_key_[p], key)) ++p;
@@ -113,7 +128,9 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
     }
     if (key_check_) {
       num_parts_ = 1;
-      std::fill(cell_of_.begin(), cell_of_.end(), 0u);
+      for (uint32_t& c : cell_of_) {
+        if (c != kNoCell) c = 0;
+      }
     }
   }
   const size_t num_cells = static_cast<size_t>(num_parts_) * spatial_cells_;
@@ -123,6 +140,7 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
   int64_t cc[kMaxIndexDims];
   cell_start_.assign(num_cells + 1, 0);
   for (size_t i = 0; i < m; ++i) {
+    if (cell_of_[i] == kNoCell) continue;
     const RowIdx r = row_at(i);
     for (int k = 0; k < dims_; ++k) {
       cc[k] = CellCoord(k, coords_[static_cast<size_t>(k)][r]);
@@ -133,9 +151,10 @@ void GridIndex::BuildCells(const std::vector<RowIdx>* rows) {
     ++cell_start_[cell + 1];
   }
   for (size_t c = 0; c < num_cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  cell_items_.resize(m);
+  cell_items_.resize(indexed);
   cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
   for (size_t i = 0; i < m; ++i) {
+    if (cell_of_[i] == kNoCell) continue;
     cell_items_[cursor_[cell_of_[i]]++] = row_at(i);
   }
 }
@@ -144,7 +163,8 @@ int64_t GridIndex::CellCoord(int dim, double v) const {
   size_t k = static_cast<size_t>(dim);
   const double rel = (v - min_[k]) / cell_size_[k];
   // Clamp before the cast, which is undefined for ±inf, NaN and doubles
-  // beyond int64's range. NaN lands in cell 0.
+  // beyond int64's range. NaN lands in cell 0 (a NaN box edge never gets
+  // here: Query and QueryBatch treat it as an empty box).
   const double last = static_cast<double>(cells_per_dim_[k] - 1);
   if (!(rel > 0)) return 0;
   if (rel >= last) return cells_per_dim_[k] - 1;
@@ -166,7 +186,7 @@ void GridIndex::Query(const double* lo, const double* hi,
   int64_t c_lo[kMaxIndexDims];
   int64_t c_hi[kMaxIndexDims];
   for (int k = 0; k < dims_; ++k) {
-    if (lo[k] > hi[k]) return;
+    if (!(lo[k] <= hi[k])) return;  // inverted or NaN edge: empty box
     c_lo[k] = CellCoord(k, lo[k]);
     c_hi[k] = CellCoord(k, hi[k]);
   }
@@ -182,7 +202,7 @@ void GridIndex::Query(const double* lo, const double* hi,
         bool inside = true;
         for (int k = 0; k < dims_; ++k) {
           double v = coords_[static_cast<size_t>(k)][p];
-          if (v < lo[k] || v > hi[k]) {
+          if (!(v >= lo[k] && v <= hi[k])) {
             inside = false;
             break;
           }
@@ -216,13 +236,14 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
   // Visit probes grouped by their box's first walked cell so consecutive
   // probes walk overlapping CSR runs; ties keep probe order (stable by key
   // since the probe id is the low half). Inverted boxes, and probes whose
-  // key equals every partition's, sort as cell 0 and emit nothing.
+  // key equals every partition's, sort as cell 0 and emit nothing; so do
+  // boxes with a NaN edge, which hold no row.
   GrowWithHeadroom(&out->visit_keys, num_probes);
   for (size_t p = 0; p < num_probes; ++p) {
     uint64_t cell = 0;
     bool empty = false;
     for (int k = 0; k < dims_; ++k) {
-      if (lo[k][p] > hi[k][p]) {
+      if (!(lo[k][p] <= hi[k][p])) {
         empty = true;
         break;
       }
@@ -264,7 +285,7 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
     for (int k = 0; k < dims_; ++k) {
       plo[k] = lo[k][p];
       phi[k] = hi[k][p];
-      if (plo[k] > phi[k]) empty = true;
+      if (!(plo[k] <= phi[k])) empty = true;
     }
     if (empty) continue;
     int64_t c_lo[kMaxIndexDims], c_hi[kMaxIndexDims];

@@ -45,23 +45,24 @@ class GridIndex {
   /// Key partitions of the last build: 1 when unkeyed or over the cap.
   int num_partitions() const { return num_parts_; }
 
-  /// (Re)builds over every row of coords[k][i]. O(n + cells); no
-  /// allocation once the internal buffers have grown to the workload's
-  /// high-water size.
+  /// (Re)builds over every row of coords[k][i] with no NaN coordinate
+  /// (no box holds a NaN coordinate). O(n + cells); no allocation once the
+  /// internal buffers have grown to the workload's high-water size.
   void Build(const std::vector<std::vector<double>>& coords);
   /// Filtered, keyed rebuild that swaps `coords` and `keys` with the
   /// internal copies (the caller gets last build's buffers back, capacity
   /// intact), so the per-tick rebuild path copies each column exactly once.
-  /// Indexes only `rows` (ascending ids into coords; null = every row). A
-  /// non-empty `keys` (keys[i] is row i's key, one per coords row) makes
-  /// the grid keyed: indexed rows are grouped into key partitions by IEEE
-  /// equality (-0.0 joins 0.0, every NaN key joins one NaN partition), at
-  /// most kMaxKeyPartitions of them.
+  /// Indexes only `rows` (ascending ids into coords; null = every row),
+  /// and of those only the rows with no NaN coordinate. A non-empty `keys`
+  /// (keys[i] is row i's key, one per coords row) makes the grid keyed:
+  /// indexed rows are grouped into key partitions by IEEE equality (-0.0
+  /// joins 0.0, every NaN key joins one NaN partition), at most
+  /// kMaxKeyPartitions of them.
   void Build(std::vector<std::vector<double>>&& coords,
              std::vector<double>&& keys, const std::vector<RowIdx>* rows);
 
   /// Appends every indexed point in the closed box to `out`, whatever its
-  /// key.
+  /// key. A box with an inverted or NaN edge holds nothing.
   void Query(const double* lo, const double* hi,
              std::vector<RowIdx>* out) const;
 
@@ -91,6 +92,8 @@ class GridIndex {
   /// all) into the CSR cell layout.
   void BuildCells(const std::vector<RowIdx>* rows);
   int64_t CellCoord(int dim, double v) const;
+  /// cell_of_ mark of a row the build skips (a NaN coordinate).
+  static constexpr uint32_t kNoCell = UINT32_MAX;
   size_t CellIndex(const int64_t* cc) const;
   /// True if a probe with key `q` walks partition `part`.
   bool Walks(int part, const double* q) const {

@@ -5,8 +5,9 @@
 //   * every slice is sorted ascending by row index, exactly like
 //     `Query(...)` + `std::sort` for box p, so downstream pair order (and
 //     therefore world checksums) is the canonical one;
-//   * an inverted box (lo > hi on any dim) yields an empty slice, and NaN
-//     coordinates are kept, both matching the Query semantics.
+//   * a box with an inverted (lo > hi) or NaN edge on any dim yields an
+//     empty slice, and rows with a NaN coordinate are never returned (the
+//     build does not index them), both matching the Query semantics.
 //
 // The index produces that order with EmitAscending below: a bitmap scan over
 // the slice's row range when the range is dense, a comparison sort only

@@ -63,6 +63,11 @@ std::vector<std::pair<int, int>> ArmiesWorkload::RallyCells(
 
 StatusOr<std::unique_ptr<Engine>> ArmiesWorkload::Build(
     const ArmiesConfig& config, const EngineOptions& options) {
+  if (!config.async_pathfind) {
+    return Status::InvalidArgument(
+        "armies: async_pathfind = false asked for the synchronous "
+        "pathfinder, which no longer exists");
+  }
   SGL_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
                        Engine::Create(Source(), options));
   GridMap map = BuildMap(config);
@@ -96,15 +101,9 @@ StatusOr<std::unique_ptr<Engine>> ArmiesWorkload::Build(
                      {"ty", Value::Number(ty)}})
             .status());
   }
-  if (config.async_pathfind) {
-    AsyncPathfinderConfig async = config.async;
-    async.cls = "Soldier";
-    SGL_RETURN_IF_ERROR(engine->AddAsyncPathfinder(async, std::move(map)));
-  } else {
-    PathfinderConfig sync;
-    sync.cls = "Soldier";
-    SGL_RETURN_IF_ERROR(engine->AddPathfinder(sync, std::move(map)));
-  }
+  AsyncPathfinderConfig async = config.async;
+  async.cls = "Soldier";
+  SGL_RETURN_IF_ERROR(engine->AddAsyncPathfinder(async, std::move(map)));
   return engine;
 }
 

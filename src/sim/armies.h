@@ -4,11 +4,10 @@
 // N soldiers, grouped into armies, march across a walled grid map toward
 // per-army rally points; a host-side Retarget step periodically reassigns
 // the rally points (the "orders changed" churn that forces repathing).
-// Every soldier requests a path every tick (goal effects with `last`
-// combinators), so the pathfinder — synchronous (src/update/pathfind.h) or
-// asynchronous (src/async/async_pathfind.h) — is the dominant update-phase
-// cost: exactly the workload where moving A* off the tick's critical path
-// pays.
+// Every soldier requests a step every tick (goal effects with `last`
+// combinators), and the asynchronous pathfinder (src/async/
+// async_pathfind.h) serves each rally cell with one goal field, searched
+// off the tick's critical path.
 
 #ifndef SGL_SIM_ARMIES_H_
 #define SGL_SIM_ARMIES_H_
@@ -32,11 +31,12 @@ struct ArmiesConfig {
   int num_rally = 8;           ///< rally points armies rotate through
   uint64_t seed = 42;
 
-  /// false: synchronous PathfinderComponent (the per-tick blocking A*).
-  /// true: AsyncPathfindComponent over the executor's JobService
-  /// (options.exec.jobs selects the worker count).
+  /// Must stay true: the AsyncPathfindComponent over the executor's
+  /// JobService (options.exec.jobs selects the worker count) is the only
+  /// pathfinder, and Build fails with InvalidArgument on false. Kept
+  /// because perfbench/tick_anatomy.cc sets it.
   bool async_pathfind = true;
-  /// Async-only tuning (cls/field names are filled in by Build).
+  /// Pathfinder tuning (cls/field names are filled in by Build).
   AsyncPathfinderConfig async;
 };
 
@@ -55,7 +55,7 @@ class ArmiesWorkload {
       const ArmiesConfig& config);
 
   /// Compiles the program, builds the map, spawns the armies, attaches
-  /// the configured pathfinder.
+  /// the pathfinder.
   static StatusOr<std::unique_ptr<Engine>> Build(const ArmiesConfig& config,
                                                  const EngineOptions& options);
 

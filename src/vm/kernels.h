@@ -102,9 +102,9 @@ struct VmKernels {
   // Batched index probe filter: keeps items whose point lies inside
   // [lo[k], hi[k]] on every dim, writing survivors to `out` (capacity >= n)
   // in input order; returns the kept count. Matches GridIndex::Query's
-  // exclusion test `v < lo || v > hi` exactly — a NaN coordinate is KEPT
-  // (both comparisons false), so the SIMD form must be ~(lt | gt), not
-  // (ge & le).
+  // test `v >= lo && v <= hi` exactly, the language's range semantics: a
+  // NaN coordinate or box edge is never inside, so the SIMD form is
+  // (ge & le) with ordered compares.
   using RangeFilterFn = size_t (*)(const RowIdx* items, size_t n,
                                    const double* const* coords, int dims,
                                    const double* lo, const double* hi,

@@ -422,8 +422,9 @@ SGL_AX_CMP(Eq, _CMP_EQ_OQ, ==)
 SGL_AX_CMP(Ne, _CMP_NEQ_UQ, !=)
 #undef SGL_AX_CMP
 
-// Batched probe filter. keep = ~(v < lo | v > hi) per dim — the negated
-// form keeps NaN coordinates, matching GridIndex::Query exactly.
+// Batched probe filter. keep = (v >= lo & v <= hi) per dim with ordered
+// compares, so a NaN coordinate or box edge is never inside, matching
+// GridIndex::Query exactly.
 SGL_AVX2 size_t RangeFilter(const RowIdx* items, size_t n,
                             const double* const* coords, int dims,
                             const double* lo, const double* hi, RowIdx* out) {
@@ -435,10 +436,10 @@ SGL_AVX2 size_t RangeFilter(const RowIdx* items, size_t n,
     __m256d keep = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     for (int k = 0; k < dims; ++k) {
       const __m256d v = _mm256_i32gather_pd(coords[k], idx, 8);
-      const __m256d excl = _mm256_or_pd(
-          _mm256_cmp_pd(v, _mm256_set1_pd(lo[k]), _CMP_LT_OQ),
-          _mm256_cmp_pd(v, _mm256_set1_pd(hi[k]), _CMP_GT_OQ));
-      keep = _mm256_andnot_pd(excl, keep);
+      const __m256d in = _mm256_and_pd(
+          _mm256_cmp_pd(v, _mm256_set1_pd(lo[k]), _CMP_GE_OQ),
+          _mm256_cmp_pd(v, _mm256_set1_pd(hi[k]), _CMP_LE_OQ));
+      keep = _mm256_and_pd(in, keep);
     }
     const int mask = _mm256_movemask_pd(keep);
     const __m128i ctrl =
@@ -453,7 +454,7 @@ SGL_AVX2 size_t RangeFilter(const RowIdx* items, size_t n,
     bool inside = true;
     for (int k = 0; k < dims; ++k) {
       const double v = coords[k][p];
-      if (v < lo[k] || v > hi[k]) {
+      if (!(v >= lo[k] && v <= hi[k])) {
         inside = false;
         break;
       }

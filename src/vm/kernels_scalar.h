@@ -186,8 +186,8 @@ SGL_SC_CMP(Eq, ==)
 SGL_SC_CMP(Ne, !=)
 #undef SGL_SC_CMP
 
-// Mirrors GridIndex::Query's exact per-item bounds test: exclusion via
-// `v < lo || v > hi`, so NaN coordinates are kept.
+// Mirrors GridIndex::Query's exact per-item bounds test, the language's
+// `v >= lo && v <= hi`: a NaN coordinate or box edge is never inside.
 inline size_t RangeFilter(const RowIdx* items, size_t n,
                           const double* const* coords, int dims,
                           const double* lo, const double* hi, RowIdx* out) {
@@ -197,7 +197,7 @@ inline size_t RangeFilter(const RowIdx* items, size_t n,
     bool inside = true;
     for (int k = 0; k < dims; ++k) {
       const double v = coords[k][p];
-      if (v < lo[k] || v > hi[k]) {
+      if (!(v >= lo[k] && v <= hi[k])) {
         inside = false;
         break;
       }

@@ -326,11 +326,11 @@ TEST(AllocSteadyState, ShardedMarketMatchesSingleWorldChecksum) {
 }
 
 // --- Async out-of-band jobs (src/async/) ---------------------------------
-// With background A* workers continuously fed (short refresh interval =>
-// every cached route re-searches every few ticks), steady-state ticks must
-// stay allocation-free *across all threads*: job slots, snapshots, blobs,
-// completion lanes, and per-worker search scratch all sit at their
-// high-water marks while jobs are genuinely in flight.
+// With background goal-field workers continuously fed (a crowd penalty
+// re-submits one field every tick), steady-state ticks must stay
+// allocation-free *across all threads*: job slots, snapshots, blobs, goal
+// field storage, completion lanes, and per-worker search scratch all sit
+// at their high-water marks while jobs are genuinely in flight.
 
 uint64_t RunAsyncArmiesSteadyState(int workers, int shards, int tick_threads,
                                    bool check_allocs) {
@@ -343,9 +343,9 @@ uint64_t RunAsyncArmiesSteadyState(int workers, int shards, int tick_threads,
   config.async_pathfind = true;
   config.async.latency_ticks = 2;
   config.async.result_ttl_ticks = 12;
-  config.async.refresh_after_ticks = 4;  // sustained job traffic
-  config.async.crowd_penalty = 0.5;      // snapshot capture every wave
-  config.async.cache_reserve = 1u << 13;
+  // Snapshot capture and one field re-submitted every tick: sustained job
+  // traffic.
+  config.async.crowd_penalty = 0.5;
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
   options.exec.num_shards = shards;

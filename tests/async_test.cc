@@ -7,23 +7,26 @@
 //   * Async pathfinding determinism — world checksums are bit-identical
 //     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 2, 4}
 //     × tick-thread counts {1, 2, 4}, including goal churn, crowd-penalty
-//     snapshots, and background refreshes.
+//     snapshots, and the per-tick crowd refresh of one goal field.
 //   * Forced-slow-job stress — workers stalled through the
 //     async.worker.stall fault site for many ticks per search change
 //     nothing but wall-clock.
-//   * Request dedup, functional pathfinding, stale-route revalidation,
-//     unreachable goals, and checkpoint-restore behavior with jobs in
-//     flight; corrupt request-cache blobs are refused, not allocated.
+//   * One job per goal, functional pathfinding, stale-field re-search,
+//     unreachable goals, off-map entities, and checkpoint-restore behavior
+//     with jobs in flight; old and corrupt goal-field blobs are refused,
+//     not allocated.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "src/async/async_pathfind.h"
 #include "src/async/job_service.h"
+#include "src/common/alloc_hook.h"
 #include "src/common/bin_io.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -256,8 +259,9 @@ ArmiesConfig SmallArmies() {
   config.async_pathfind = true;
   config.async.latency_ticks = 2;
   config.async.result_ttl_ticks = 12;
-  config.async.refresh_after_ticks = 5;  // keep jobs in flight throughout
-  config.async.crowd_penalty = 0.5;      // jobs read the position snapshot
+  // Jobs read the position snapshot, and one field re-submits every tick:
+  // jobs stay in flight throughout.
+  config.async.crowd_penalty = 0.5;
   return config;
 }
 
@@ -296,14 +300,23 @@ TEST(AsyncPathfindTest, ChecksumParityAcrossWorkersShardsThreads) {
       << "4 workers, 4 shards, 4 threads";
 }
 
+// The synchronous pathfinder is gone: asking for it is an error, not a
+// silent switch to the asynchronous one.
+TEST(AsyncPathfindTest, ArmiesWithoutAsyncPathfindIsRejected) {
+  ArmiesConfig config = SmallArmies();
+  config.async_pathfind = false;
+  auto engine = ArmiesWorkload::Build(config, EngineOptions());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(AsyncPathfindTest, ForcedSlowJobsChangeNothingButWallClock) {
   ArmiesConfig config = SmallArmies();
   config.num_units = 128;
   config.map_w = 28;
   config.map_h = 28;
-  // Every search takes ~2ms: at ~100 searches per wave and 2 workers, jobs
-  // genuinely span many ticks — the declared-latency barrier is what keeps
-  // the state identical to the instant-execution runs.
+  // Every search takes ~2ms: at one field job per tick and 2 workers, jobs
+  // genuinely span ticks — the declared-latency barrier is what keeps the
+  // state identical to the instant-execution runs.
   const int ticks = 16;
   const uint64_t slow = RunArmies(config, 2, 1, 1, ticks, /*delay=*/2000);
   EXPECT_EQ(RunArmies(config, 2, 1, 1, ticks, 0), slow);
@@ -359,7 +372,7 @@ TEST(AsyncPathfindTest, WalkerReachesGoalThroughMaze) {
   EXPECT_NEAR(2.5, (*engine)->Get(*id, "y")->AsNumber(), 1.0);
 }
 
-TEST(AsyncPathfindTest, SharedRequestsDedupToOneSearch) {
+TEST(AsyncPathfindTest, SharedGoalDedupsToOneSearch) {
   EngineOptions options;
   options.exec.jobs.num_workers = 2;
   auto engine = Engine::Create(WalkerSource(), options);
@@ -374,12 +387,13 @@ TEST(AsyncPathfindTest, SharedRequestsDedupToOneSearch) {
   ASSERT_TRUE(comp.ok()) << comp.status();
   AsyncPathfindComponent* pathfinder = comp->get();
   ASSERT_TRUE((*engine)->AddComponent(std::move(*comp)).ok());
-  // 40 walkers on the same cell heading to the same goal: one job.
+  // 40 walkers heading to the same goal from two cells: one job.
   for (int i = 0; i < 40; ++i) {
+    const double start = i < 20 ? 2.2 : 7.7;
     ASSERT_TRUE((*engine)
-                    ->Spawn("Walker", {{"x", Value::Number(2.2)},
+                    ->Spawn("Walker", {{"x", Value::Number(start)},
                                        {"y", Value::Number(2.2)},
-                                       {"waypoint_x", Value::Number(2.2)},
+                                       {"waypoint_x", Value::Number(start)},
                                        {"waypoint_y", Value::Number(2.2)},
                                        {"tx", Value::Number(15.5)},
                                        {"ty", Value::Number(15.5)}})
@@ -388,16 +402,20 @@ TEST(AsyncPathfindTest, SharedRequestsDedupToOneSearch) {
   ASSERT_TRUE((*engine)->Tick().ok());
   EXPECT_EQ(pathfinder->total().submitted, 1);
   EXPECT_EQ(pathfinder->total().stalls, 40);
-  // After the declared latency everyone takes the identical first step —
-  // and the path-seeded cache keeps serving the rest of the march without
-  // a single further search (every walker stays on the computed route).
+  // After the declared latency the one field serves the rest of both
+  // marches without a single further search, and the walkers that share
+  // a cell step identically.
   ASSERT_TRUE((*engine)->RunTicks(8).ok());
   EXPECT_EQ(pathfinder->total().submitted, 1);
   EXPECT_GT(pathfinder->total().cache_hits, 0);
-  double x0 = (*engine)->Get(1, "x")->AsNumber();
-  EXPECT_NE(2.2, x0) << "walkers should be moving by now";
-  for (EntityId id = 2; id <= 40; ++id) {
-    EXPECT_DOUBLE_EQ(x0, (*engine)->Get(id, "x")->AsNumber());
+  for (EntityId first : {EntityId{1}, EntityId{21}}) {
+    const double x0 = (*engine)->Get(first, "x")->AsNumber();
+    const double y0 = (*engine)->Get(first, "y")->AsNumber();
+    EXPECT_NE(2.2, y0) << "walkers should be moving by now";
+    for (EntityId id = first + 1; id < first + 20; ++id) {
+      EXPECT_DOUBLE_EQ(x0, (*engine)->Get(id, "x")->AsNumber());
+      EXPECT_DOUBLE_EQ(y0, (*engine)->Get(id, "y")->AsNumber());
+    }
   }
 }
 
@@ -441,17 +459,17 @@ double Field(const WalkerRig& rig, const char* field) {
   return rig.engine->Get(rig.walker, field)->AsNumber();
 }
 
-// Stale-result revalidation: a cell blocked on a cached route at a tick
-// boundary is dropped when the walker reaches it, re-searched, and never
-// entered; the walker still arrives by the detour.
+// Stale-field re-search: a cell blocked on the installed route at a tick
+// boundary holds the walker when it is next, re-submits the goal's field,
+// and is never entered; the walker still arrives by the detour.
 TEST(AsyncPathfindTest, BlockedCellOnCachedRouteIsResearched) {
   for (int workers : {0, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     WalkerRig rig =
         BuildWalker(workers, GridMap(20, 20, 1.0), 2.5, 10.5, 17.5, 10.5);
     ASSERT_TRUE(rig.engine->RunTicks(5).ok());
-    // The one search installed its straight route along row 10 and the
-    // walker is marching it; nothing is in flight.
+    // The one field installed; its route runs straight along row 10 and
+    // the walker is marching it; nothing is in flight.
     ASSERT_EQ(rig.pathfinder->total().submitted, 1);
     ASSERT_EQ(rig.engine->executor().jobs().in_flight(), 0u);
     ASSERT_EQ(static_cast<int>(Field(rig, "waypoint_y")), 10);
@@ -472,8 +490,9 @@ TEST(AsyncPathfindTest, BlockedCellOnCachedRouteIsResearched) {
   }
 }
 
-// Unreachable install: a goal walled off on every side installs as "hold
-// position", counted once, and the walker stops stalling on it.
+// Unreachable goal: a goal walled off on every side installs a field that
+// holds the walker where it is. It is searched once: holding counts as
+// `unreachable` every tick, not as a stall.
 TEST(AsyncPathfindTest, WalledOffGoalInstallsUnreachableAndHolds) {
   for (int workers : {0, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -488,17 +507,30 @@ TEST(AsyncPathfindTest, WalledOffGoalInstallsUnreachableAndHolds) {
     ASSERT_TRUE(rig.engine->RunTicks(4).ok());
     const AsyncPathfinderStats installed = rig.pathfinder->total();
     EXPECT_EQ(installed.submitted, 1);
-    EXPECT_EQ(installed.unreachable, 1);
+    EXPECT_EQ(installed.installed, 1);
+    EXPECT_GT(installed.unreachable, 0);
 
     ASSERT_TRUE(rig.engine->RunTicks(20).ok());
     const AsyncPathfinderStats later = rig.pathfinder->total();
     EXPECT_EQ(later.submitted, 1) << "an unreachable goal is not re-searched";
-    EXPECT_EQ(later.unreachable, 1);
+    EXPECT_EQ(later.unreachable, installed.unreachable + 20);
     EXPECT_EQ(later.stalls, installed.stalls) << "still stalling";
-    EXPECT_GE(later.cache_hits, installed.cache_hits + 20);
+    EXPECT_EQ(later.cache_hits, 0);
     EXPECT_DOUBLE_EQ(2.5, Field(rig, "x"));
     EXPECT_DOUBLE_EQ(2.5, Field(rig, "y"));
   }
+}
+
+// An entity nudged just off the map's left/bottom edge must pathfind as
+// "off-map start" (stay put), not alias into column 0 and march across
+// the map from there (the pre-floor-fix behavior). It submits nothing.
+TEST(AsyncPathfindTest, EntityJustOffMapEdgeStaysPut) {
+  WalkerRig rig = BuildWalker(0, GridMap(20, 20, 1.0), -0.4, 2.5, 10.5, 2.5);
+  ASSERT_TRUE(rig.engine->RunTicks(10).ok());
+  EXPECT_DOUBLE_EQ(-0.4, Field(rig, "x"));
+  EXPECT_DOUBLE_EQ(2.5, Field(rig, "y"));
+  EXPECT_EQ(rig.pathfinder->total().submitted, 0);
+  EXPECT_EQ(rig.pathfinder->total().unreachable, 10);
 }
 
 TEST(AsyncPathfindTest, RestoreWithJobsInFlightIsDeterministic) {
@@ -531,29 +563,47 @@ TEST(AsyncPathfindTest, RestoreWithJobsInFlightIsDeterministic) {
   // An *in-place* restore replays the submit tick on the same engine:
   // submission sequence numbers (and with them the seeded order keys)
   // must restart exactly as a fresh run assigns them, or the install
-  // order — and the seeded cache — diverges.
+  // order — and with it the installed fields — diverges.
   ASSERT_TRUE((*engine)->Restore(cp).ok());
   ASSERT_TRUE((*engine)->RunTicks(20).ok());
   EXPECT_EQ(WorldChecksum((*engine)->world()), fresh)
       << "in-place restore diverged from fresh-engine restore";
 }
 
-// A pathfind-cache blob header: magic, version, last sweep, capacity and
-// entry count (no entries follow).
-std::string PathCacheHeader(uint64_t capacity) {
-  std::string blob;
-  binio::Append<uint32_t>(&blob, 0x50464348u);
-  binio::Append<uint32_t>(&blob, 1);
-  binio::Append<int64_t>(&blob, 0);
-  binio::Append<uint64_t>(&blob, capacity);
-  binio::Append<uint64_t>(&blob, 0);
-  return blob;
+/// The pathfinder registered on `engine`.
+AsyncPathfindComponent* PathfinderOf(Engine* engine) {
+  ComponentRegistry& registry = engine->executor().components();
+  for (int i = 0; i < registry.num_components(); ++i) {
+    if (registry.component(i)->name() == "async_pathfind") {
+      return static_cast<AsyncPathfindComponent*>(registry.component(i));
+    }
+  }
+  return nullptr;
 }
 
-// LoadState refuses, before allocating, a capacity the cache can never
-// reach on this map: a corrupt checkpoint must not throw std::bad_alloc
-// out of Engine::Restore.
-TEST(AsyncPathfindTest, LoadStateRefusesCapacityBeyondKeySpace) {
+/// `cp` with the pathfinder's component blob replaced by `blob`.
+Checkpoint WithPathfinderBlob(const Checkpoint& cp, const std::string& blob) {
+  std::string section;
+  const char* cur = cp.components.data();
+  const char* end = cur + cp.components.size();
+  std::string name, saved;
+  while (cur != end) {
+    EXPECT_TRUE(binio::ReadString(&cur, end, &name));
+    EXPECT_TRUE(binio::ReadString(&cur, end, &saved));
+    binio::AppendString(&section, name);
+    binio::AppendString(&section, name == "async_pathfind" ? blob : saved);
+  }
+  Checkpoint out = cp;
+  out.components = section;
+  return out;
+}
+
+// A goal-field blob that is not a well-formed v2 blob for this map makes
+// LoadState fail with InvalidArgument before it allocates anything, and
+// Restore then drops the goals (OnRestore) and keeps running: an old v1
+// request-cache blob; a v2 blob cut short; one naming a goal cell off the
+// map or one goal twice; one whose size is not count × goal bytes.
+TEST(AsyncPathfindTest, LoadStateRefusesOldAndCorruptBlobs) {
   ArmiesConfig config = SmallArmies();
   config.num_units = 256;
   config.map_w = 16;
@@ -562,48 +612,64 @@ TEST(AsyncPathfindTest, LoadStateRefusesCapacityBeyondKeySpace) {
   auto engine = ArmiesWorkload::Build(config, EngineOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_TRUE((*engine)->RunTicks(8).ok());
-  Checkpoint cp = (*engine)->TakeCheckpoint();
-
-  // Swap the pathfinder's blob for a header naming 2^44 slots.
-  const std::string corrupt = PathCacheHeader(uint64_t{1} << 44);
-  std::string section;
-  const char* cur = cp.components.data();
-  const char* end = cur + cp.components.size();
-  std::string name, blob;
-  bool swapped = false;
-  while (cur != end) {
-    ASSERT_TRUE(binio::ReadString(&cur, end, &name));
-    ASSERT_TRUE(binio::ReadString(&cur, end, &blob));
-    if (name == "async_pathfind") {
-      blob = corrupt;
-      swapped = true;
-    }
-    binio::AppendString(&section, name);
-    binio::AppendString(&section, blob);
-  }
-  ASSERT_TRUE(swapped);
-  cp.components = section;
-  // The rejected blob drops the cache; the restore and later ticks succeed.
-  ASSERT_TRUE((*engine)->Restore(cp).ok());
-  ASSERT_TRUE((*engine)->RunTicks(4).ok());
-
-  AsyncPathfindComponent* pathfinder = nullptr;
-  ComponentRegistry& registry = (*engine)->executor().components();
-  for (int i = 0; i < registry.num_components(); ++i) {
-    if (registry.component(i)->name() == "async_pathfind") {
-      pathfinder = static_cast<AsyncPathfindComponent*>(registry.component(i));
-    }
-  }
+  AsyncPathfindComponent* pathfinder = PathfinderOf(engine->get());
   ASSERT_NE(pathfinder, nullptr);
-  EXPECT_EQ(pathfinder->LoadState(corrupt.data(), corrupt.size()).code(),
-            StatusCode::kInvalidArgument);
-  // 16x16 cells give 65280 (start, goal) keys: 2^17 slots is the most the
-  // cache can grow to, so it loads and 2^18 does not.
-  const std::string largest = PathCacheHeader(uint64_t{1} << 17);
-  EXPECT_TRUE(pathfinder->LoadState(largest.data(), largest.size()).ok());
-  const std::string beyond = PathCacheHeader(uint64_t{1} << 18);
-  EXPECT_EQ(pathfinder->LoadState(beyond.data(), beyond.size()).code(),
-            StatusCode::kInvalidArgument);
+  std::string good;
+  pathfinder->SaveState(&good);
+  // Header (magic, version, count) then per goal: cell, flags, last used,
+  // installed, and 16 × 16 next cells.
+  constexpr size_t kHeader = 4 + 4 + 8;
+  constexpr size_t kGoal = 4 + 4 + 8 + 8 + 4 * 16 * 16;
+  ASSERT_EQ(good.size(), kHeader + 4 * kGoal) << "one goal per rally cell";
+  EXPECT_TRUE(pathfinder->LoadState(good.data(), good.size()).ok());
+
+  std::string v1;
+  binio::Append<uint32_t>(&v1, 0x50464348u);
+  binio::Append<uint32_t>(&v1, 1);
+  binio::Append<int64_t>(&v1, 0);                       // last sweep
+  binio::Append<uint64_t>(&v1, uint64_t{1} << 44);      // capacity
+  binio::Append<uint64_t>(&v1, 0);                      // entry count
+  auto with_u32 = [&](size_t offset, uint32_t v) {
+    std::string blob = good;
+    std::memcpy(&blob[offset], &v, sizeof(v));
+    return blob;
+  };
+  auto with_count = [&](uint64_t count) {
+    std::string blob = good;
+    std::memcpy(&blob[8], &count, sizeof(count));
+    return blob;
+  };
+  uint32_t first_cell = 0;
+  std::memcpy(&first_cell, &good[kHeader], sizeof(first_cell));
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"v1", v1},
+      {"cut short", good.substr(0, good.size() - 1)},
+      {"header cut short", good.substr(0, 12)},
+      {"goal off the map", with_u32(kHeader + kGoal, 16 * 16)},
+      {"duplicate goal", with_u32(kHeader + 2 * kGoal, first_cell)},
+      {"count too small", with_count(3)},
+      {"count too large", with_count(5)},
+      {"count huge", with_count(uint64_t{1} << 60)},
+  };
+  for (const auto& [what, blob] : bad) {
+    SCOPED_TRACE(what);
+    const AllocCounts before = AllocCountersNow();
+    EXPECT_EQ(pathfinder->LoadState(blob.data(), blob.size()).code(),
+              StatusCode::kInvalidArgument);
+    if (AllocCountingEnabled()) {
+      // Only the error message: nothing sized by the blob.
+      EXPECT_LT(AllocCountersNow().bytes - before.bytes, 1024);
+    }
+    // The rejected blob drops the goals; the restore and later ticks
+    // succeed and search afresh.
+    const Checkpoint cp =
+        WithPathfinderBlob((*engine)->TakeCheckpoint(), blob);
+    const int64_t submitted = pathfinder->total().submitted;
+    ASSERT_TRUE((*engine)->Restore(cp).ok());
+    ASSERT_TRUE((*engine)->RunTicks(4).ok());
+    EXPECT_GE(pathfinder->total().submitted, submitted + 4)
+        << "every rally cell's field is searched again";
+  }
 }
 
 }  // namespace

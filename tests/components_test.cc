@@ -1,10 +1,15 @@
 // Update components (§2.2): physics integration/collision/override
-// accounting, A* pathfinding, and ownership-partition enforcement.
+// accounting, the goal-field path search, and ownership-partition
+// enforcement.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/engine/engine.h"
 
 namespace sgl {
@@ -157,24 +162,161 @@ class Body {
   EXPECT_EQ(StatusCode::kAlreadyExists, st.code()) << st;
 }
 
-// --- Pathfinding --------------------------------------------------------------
+// --- Pathfinding ----------------------------------------------------------
 
-TEST(AStar, FindsShortestPathAroundWall) {
+/// The goal field toward (gx, gy), as GoalField writes it.
+std::vector<uint64_t> FieldTo(const GridMap& map, int gx, int gy,
+                              const uint8_t* occ = nullptr,
+                              int penalty_units = 0) {
+  const size_t n = static_cast<size_t>(map.width()) *
+                   static_cast<size_t>(map.height());
+  FieldScratch scratch;
+  scratch.Fit(n, penalty_units);
+  std::vector<uint64_t> next(n);
+  GoalField(map, occ, penalty_units,
+            static_cast<uint32_t>(gy * map.width() + gx), &scratch,
+            next.data());
+  return next;
+}
+
+/// The cells the field walks from (sx, sy), start included, until a cell
+/// points at itself (the goal, or no path).
+std::vector<std::pair<int, int>> Follow(const GridMap& map,
+                                        const std::vector<uint64_t>& next,
+                                        int sx, int sy) {
+  const int w = map.width();
+  std::vector<std::pair<int, int>> path = {{sx, sy}};
+  uint64_t c = static_cast<uint64_t>(sy * w + sx);
+  while (next[c] != c && path.size() <= next.size()) {
+    c = next[c];
+    path.emplace_back(static_cast<int>(c % w), static_cast<int>(c / w));
+  }
+  return path;
+}
+
+TEST(GoalField, DetoursAroundWall) {
   GridMap map(10, 10, 1.0);
   for (int y = 0; y < 9; ++y) map.SetBlocked(5, y, true);  // wall with gap
-  auto path = AStar(map, 1, 1, 8, 1);
-  ASSERT_FALSE(path.empty());
+  const auto path = Follow(map, FieldTo(map, 8, 1), 1, 1);
   EXPECT_EQ(std::make_pair(1, 1), path.front());
   EXPECT_EQ(std::make_pair(8, 1), path.back());
-  // Must route through the gap at y=9.
+  // Must route through the gap at y=9, one 4-neighbour step at a time.
   bool through_gap = false;
-  for (auto& [x, y] : path) {
+  for (size_t i = 0; i < path.size(); ++i) {
+    const auto [x, y] = path[i];
     EXPECT_FALSE(map.Blocked(x, y));
+    if (i > 0) {
+      EXPECT_EQ(1, std::abs(x - path[i - 1].first) +
+                       std::abs(y - path[i - 1].second));
+    }
     if (x == 5 && y == 9) through_gap = true;
   }
   EXPECT_TRUE(through_gap);
   // Path length: manhattan detour = |8-1| + 2*|9-1| = 23 steps -> 24 cells.
   EXPECT_EQ(24u, path.size());
+}
+
+TEST(GoalField, CellsWithNoPathPointAtThemselves) {
+  GridMap map(10, 10, 1.0);
+  for (int y = 0; y < 10; ++y) map.SetBlocked(5, y, true);  // full wall
+  const auto next = FieldTo(map, 8, 1);
+  EXPECT_EQ(11u, next[1 * 10 + 1]) << "cut off by the wall";
+  EXPECT_EQ(35u, next[3 * 10 + 5]) << "a wall cell";
+  EXPECT_EQ(std::make_pair(8, 1), Follow(map, next, 6, 7).back());
+  // A walled goal reaches nothing, not even its neighbours.
+  map.SetBlocked(8, 1, true);
+  const auto blocked = FieldTo(map, 8, 1);
+  for (size_t c = 0; c < blocked.size(); ++c) EXPECT_EQ(c, blocked[c]);
+}
+
+TEST(GoalField, GoalPointsAtItself) {
+  GridMap map(5, 5, 1.0);
+  const auto next = FieldTo(map, 2, 2);
+  EXPECT_EQ(12u, next[12]);
+  EXPECT_EQ(1u, Follow(map, next, 2, 2).size());
+}
+
+// The field against a brute-force Bellman-Ford in the test, on seeded
+// random walled maps with random occupancy: each cell's next is exactly
+// the open neighbour with the least step cost plus distance (ties to the
+// lower index), and the cost along the followed cells is the distance.
+TEST(GoalField, MatchesBellmanFordOnRandomMaps) {
+  constexpr uint64_t kInf = UINT64_MAX;
+  Rng rng(2006);
+  for (int rep = 0; rep < 60; ++rep) {
+    const int w = 2 + static_cast<int>(rng.NextBelow(20));
+    const int h = 2 + static_cast<int>(rng.NextBelow(20));
+    const size_t n = static_cast<size_t>(w) * static_cast<size_t>(h);
+    GridMap map(w, h, 1.0);
+    std::vector<uint8_t> occ(n);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        map.SetBlocked(x, y, rng.Bernoulli(0.25));
+        occ[static_cast<size_t>(y * w + x)] =
+            static_cast<uint8_t>(rng.NextBelow(rep % 3 == 0 ? 1 : 6));
+      }
+    }
+    const int penalty = static_cast<int>(rng.NextBelow(9));
+    const int gx = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(w)));
+    const int gy = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(h)));
+    const size_t goal = static_cast<size_t>(gy * w + gx);
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    auto open = [&](size_t c) {
+      return !map.Blocked(static_cast<int>(c % w), static_cast<int>(c / w));
+    };
+    auto cost = [&](size_t c) {
+      return static_cast<uint64_t>(kStepCost) +
+             static_cast<uint64_t>(penalty) * occ[c];
+    };
+    // Neighbours of c in ascending cell index.
+    auto neighbours = [&](size_t c) {
+      std::vector<size_t> out;
+      const int x = static_cast<int>(c % w), y = static_cast<int>(c / w);
+      if (y > 0) out.push_back(c - static_cast<size_t>(w));
+      if (x > 0) out.push_back(c - 1);
+      if (x + 1 < w) out.push_back(c + 1);
+      if (y + 1 < h) out.push_back(c + static_cast<size_t>(w));
+      return out;
+    };
+    std::vector<uint64_t> dist(n, kInf);
+    if (open(goal)) dist[goal] = 0;
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (size_t c = 0; c < n; ++c) {
+        if (!open(c)) continue;
+        for (size_t d : neighbours(c)) {
+          if (dist[d] != kInf && cost(d) + dist[d] < dist[c]) {
+            dist[c] = cost(d) + dist[d];
+            changed = true;
+          }
+        }
+      }
+    }
+    const auto next = FieldTo(map, gx, gy, occ.data(), penalty);
+    for (size_t c = 0; c < n; ++c) {
+      size_t want = c;
+      if (c != goal && dist[c] != kInf) {
+        uint64_t best = kInf;
+        for (size_t d : neighbours(c)) {
+          if (dist[d] != kInf && cost(d) + dist[d] < best) {
+            best = cost(d) + dist[d];
+            want = d;
+          }
+        }
+      }
+      ASSERT_EQ(want, next[c]) << "cell " << c;
+      if (dist[c] == kInf) continue;
+      uint64_t walked = 0;
+      const auto path = Follow(map, next, static_cast<int>(c % w),
+                               static_cast<int>(c / w));
+      for (size_t i = 1; i < path.size(); ++i) {
+        walked += cost(static_cast<size_t>(path[i].second * w +
+                                           path[i].first));
+      }
+      EXPECT_EQ(std::make_pair(gx, gy), path.back()) << "cell " << c;
+      EXPECT_EQ(dist[c], walked) << "cell " << c;
+    }
+  }
 }
 
 // Regression: CellX/CellY used to truncate toward zero, folding
@@ -197,109 +339,6 @@ TEST(GridMapTest, NegativeCoordinatesFloorOutOfBounds) {
   EXPECT_EQ(-1, coarse.CellX(-0.1));
   EXPECT_EQ(0, coarse.CellX(2.4));
   EXPECT_EQ(1, coarse.CellX(2.5));
-}
-
-TEST(AStar, UnreachableReturnsEmpty) {
-  GridMap map(10, 10, 1.0);
-  for (int y = 0; y < 10; ++y) map.SetBlocked(5, y, true);  // full wall
-  EXPECT_TRUE(AStar(map, 1, 1, 8, 1).empty());
-}
-
-TEST(AStar, StartEqualsGoal) {
-  GridMap map(5, 5, 1.0);
-  auto path = AStar(map, 2, 2, 2, 2);
-  ASSERT_EQ(1u, path.size());
-}
-
-std::string PathSource() {
-  return R"sgl(
-class Walker {
-  state:
-    number x = 0;
-    number y = 0;
-    number waypoint_x = 0;
-    number waypoint_y = 0;
-    number tx = 0;
-    number ty = 0;
-  effects:
-    number goal_x : last;
-    number goal_y : last;
-  update:
-    x = waypoint_x;
-    y = waypoint_y;
-}
-script Seek for Walker {
-  goal_x <- tx;
-  goal_y <- ty;
-}
-)sgl";
-}
-
-TEST(Pathfinder, WalkerReachesGoalThroughMaze) {
-  auto engine = Engine::Create(PathSource());
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  GridMap map(20, 20, 1.0);
-  for (int y = 0; y < 19; ++y) map.SetBlocked(10, y, true);
-  PathfinderConfig config;
-  config.cls = "Walker";
-  ASSERT_TRUE((*engine)->AddPathfinder(config, std::move(map)).ok());
-  auto id = (*engine)->Spawn("Walker", {{"x", Value::Number(2.5)},
-                                        {"y", Value::Number(2.5)},
-                                        {"waypoint_x", Value::Number(2.5)},
-                                        {"waypoint_y", Value::Number(2.5)},
-                                        {"tx", Value::Number(17.5)},
-                                        {"ty", Value::Number(2.5)}});
-  ASSERT_TRUE((*engine)->RunTicks(60).ok());
-  EXPECT_NEAR(17.5, (*engine)->Get(*id, "x")->AsNumber(), 1.0);
-  EXPECT_NEAR(2.5, (*engine)->Get(*id, "y")->AsNumber(), 1.0);
-}
-
-// An entity nudged just off the map's left/bottom edge must pathfind as
-// "off-map start" (stay put), not alias into column 0 and march across
-// the map from there (the pre-floor-fix behavior).
-TEST(Pathfinder, EntityJustOffMapEdgeStaysPut) {
-  auto engine = Engine::Create(PathSource());
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  GridMap map(20, 20, 1.0);
-  PathfinderConfig config;
-  config.cls = "Walker";
-  ASSERT_TRUE((*engine)->AddPathfinder(config, std::move(map)).ok());
-  auto id = (*engine)->Spawn("Walker", {{"x", Value::Number(-0.4)},
-                                        {"y", Value::Number(2.5)},
-                                        {"waypoint_x", Value::Number(-0.4)},
-                                        {"waypoint_y", Value::Number(2.5)},
-                                        {"tx", Value::Number(10.5)},
-                                        {"ty", Value::Number(2.5)}});
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE((*engine)->RunTicks(3).ok());
-  // Start cell (-1, 2) is out of bounds => unreachable => the walker holds
-  // at its start cell instead of crossing toward the goal.
-  EXPECT_NEAR(-0.4, (*engine)->Get(*id, "x")->AsNumber(), 1.0);
-}
-
-TEST(Pathfinder, SharedGoalsHitMemo) {
-  auto engine = Engine::Create(PathSource());
-  ASSERT_TRUE(engine.ok());
-  GridMap map(20, 20, 1.0);
-  PathfinderConfig config;
-  config.cls = "Walker";
-  auto comp = PathfinderComponent::Create((*engine)->catalog(), config,
-                                          std::move(map));
-  ASSERT_TRUE(comp.ok());
-  PathfinderComponent* pathfinder = comp->get();
-  ASSERT_TRUE((*engine)->AddComponent(std::move(*comp)).ok());
-  // 30 walkers at the same start cell heading to the same goal.
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE((*engine)
-                    ->Spawn("Walker", {{"x", Value::Number(2.2)},
-                                       {"y", Value::Number(2.2)},
-                                       {"tx", Value::Number(15.5)},
-                                       {"ty", Value::Number(15.5)}})
-                    .ok());
-  }
-  ASSERT_TRUE((*engine)->Tick().ok());
-  EXPECT_EQ(1, pathfinder->total().searches);
-  EXPECT_EQ(29, pathfinder->total().cache_hits);
 }
 
 }  // namespace

@@ -24,10 +24,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/alloc_hook.h"
@@ -629,15 +631,20 @@ ArmiesConfig FaultArmies() {
   config.async_pathfind = true;
   config.async.latency_ticks = 2;
   config.async.result_ttl_ticks = 12;
-  config.async.refresh_after_ticks = 5;  // sustained in-flight traffic
-  config.async.crowd_penalty = 0.5;      // jobs read position snapshots
+  // Jobs read position snapshots, and one field re-submits every tick:
+  // sustained in-flight traffic.
+  config.async.crowd_penalty = 0.5;
   return config;
 }
 
 // Runs the armies workload under `fault` (may be null) and returns the
 // final canonical checksum. `threads` > 1 gives the engine a tick pool, so
 // the barrier's drain runs unclaimed jobs on it. `fallback_runs`, if
-// given, receives the JobService's deadline-miss drain-run count.
+// given, receives the JobService's deadline-miss drain-run count. Like a
+// frame loop, it leaves the job workers a moment between ticks: a field
+// job takes tens of microseconds, so on a loaded host a run could
+// otherwise end before a worker ever takes a delivery, and the worker
+// fault sites would have nothing to act on.
 uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
                              int shards, int threads, FaultInjector* fault,
                              int ticks = 20,
@@ -653,6 +660,7 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
   for (int t = 0; t < ticks; ++t) {
     if (t == ticks / 2) ArmiesWorkload::Retarget(engine->get(), config, 1);
     EXPECT_TRUE((*engine)->Tick().ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   if (fallback_runs != nullptr) {
     JobService* jobs = (*engine)->executor().jobs_or_null();
@@ -1028,9 +1036,7 @@ TEST(FaultAllocTest, ArmedIdlePlanKeepsTicksAllocationFree) {
   plan.rules.push_back(tiny_rate);
   FaultInjector fault(plan);
 
-  ArmiesConfig config = FaultArmies();
-  config.async.refresh_after_ticks = 4;
-  config.async.cache_reserve = 1u << 13;
+  const ArmiesConfig config = FaultArmies();
   EngineOptions options;
   options.exec.jobs.num_workers = 4;
   options.exec.fault = &fault;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -302,8 +303,8 @@ TEST(EmitAscendingDeathTest, DuplicateRowFailsLoudly) {
 // --- Filtered, key-partitioned grids -------------------------------------
 
 /// Brute-force reference for a filtered, keyed grid: the rows of `kept`
-/// inside box p (NaN coordinates kept, like the range filter) whose key is
-/// `!=` the probe key, ascending.
+/// inside box p by the language's `v >= lo && v <= hi` (false for a NaN
+/// coordinate or edge) whose key is `!=` the probe key, ascending.
 std::vector<RowIdx> BruteForce(const std::vector<std::vector<double>>& coords,
                                const std::vector<RowIdx>& kept,
                                const std::vector<double>& keys,
@@ -314,7 +315,7 @@ std::vector<RowIdx> BruteForce(const std::vector<std::vector<double>>& coords,
     bool inside = true;
     for (size_t k = 0; k < coords.size(); ++k) {
       const double v = coords[k][r];
-      if (b.lo[k][p] > b.hi[k][p] || v < b.lo[k][p] || v > b.hi[k][p]) {
+      if (!(v >= b.lo[k][p] && v <= b.hi[k][p])) {
         inside = false;
       }
     }
@@ -337,7 +338,13 @@ int ExpectKeyedBatchMatchesBruteForce(
   auto coords_copy = coords;
   auto keys_copy = keys;
   grid.Build(std::move(coords_copy), std::move(keys_copy), &kept);
-  EXPECT_EQ(kept.size(), grid.size());
+  size_t indexed = 0;  // rows with a NaN coordinate are not indexed
+  for (RowIdx r : kept) {
+    bool nan = false;
+    for (const auto& c : coords) nan = nan || std::isnan(c[r]);
+    indexed += nan ? 0 : 1;
+  }
+  EXPECT_EQ(indexed, grid.size());
   ProbeBatch batch;
   for (const double* q : {probe_keys.data(),
                           static_cast<const double*>(nullptr)}) {
@@ -422,6 +429,35 @@ TEST(KeyedGrid, NanKeysAndNanProbesSeeEveryRow) {
   EXPECT_EQ(kMaxKeyPartitions,
             ExpectKeyedBatchMatchesBruteForce(points, KeepMost(n), keys,
                                               boxes, probe_keys));
+}
+
+// A NaN coordinate is in no box and a NaN box edge holds nothing, as the
+// language's `w.x >= lo && w.x <= hi` says; the first kept row is NaN, so
+// the bounding box must skip it too.
+TEST(KeyedGrid, NanCoordinatesAndNanEdgesMatchBruteForce) {
+  Rng rng(47);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int d = 1; d <= 3; ++d) {
+    const size_t n = 240;
+    auto points = RandomPoints(static_cast<int>(n), d, &rng, false);
+    for (size_t i = 0; i < n; i += 7) {
+      points[i % static_cast<size_t>(d)][i] = nan;
+    }
+    std::vector<double> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i % 2);
+    auto boxes = RandomBoxes(d, 90, &rng, points);
+    for (size_t p = 0; p < boxes.count; p += 5) {
+      const size_t k = p % static_cast<size_t>(d);
+      (p % 2 == 0 ? boxes.lo : boxes.hi)[k][p] = nan;
+    }
+    const std::vector<double> probe_keys(boxes.count, 0.0);
+    ExpectKeyedBatchMatchesBruteForce(points, KeepMost(n), keys, boxes,
+                                      probe_keys);
+    // Every row NaN: nothing is indexed.
+    for (auto& col : points) std::fill(col.begin(), col.end(), nan);
+    ExpectKeyedBatchMatchesBruteForce(points, KeepMost(n), keys, boxes,
+                                      probe_keys);
+  }
 }
 
 TEST(KeyedGrid, MoreKeysThanTheCapFallBackToOnePartition) {
@@ -696,6 +732,53 @@ TEST(PushdownCounters, CombatCandidatesEqualMatches) {
     matches += combat.matches;
   }
   EXPECT_GT(matches, 0);
+}
+
+// A NaN coordinate is in no box: the oracle's `w.x >= x - 5 && w.x <=
+// x + 5` is false for it, and a NaN row's own box holds nothing. The grid
+// once indexed the NaN row in cell 0 and kept it in every box over that
+// cell, and let the NaN box walk cell 0.
+TEST(PushdownParity, NanCoordinateMatchesOracle) {
+  constexpr char kSrc[] = R"sgl(
+class P {
+  state:
+    number x = 0;
+    number c = 0;
+  effects:
+    number n : sum;
+  update:
+    c = n;
+}
+script S for P {
+  accum number k with sum over P w from P {
+    if (w.x >= x - 5 && w.x <= x + 5) { k <- 1; }
+  } in { n <- k; }
+}
+)sgl";
+  auto run = [&](bool interpreted, PlanMode plan, int threads) {
+    EngineOptions options;
+    options.exec.interpreted = interpreted;
+    options.exec.planner.mode = plan;
+    options.exec.num_threads = threads;
+    auto engine = Engine::Create(kSrc, options);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    std::vector<EntityId> ids;
+    for (int i = 0; i < 100; ++i) {
+      const double x =
+          i == 50 ? std::numeric_limits<double>::quiet_NaN() : i;
+      auto id = (*engine)->Spawn("P", {{"x", Value::Number(x)}});
+      EXPECT_TRUE(id.ok()) << id.status();
+      ids.push_back(id.ok() ? *id : kNullEntity);
+    }
+    EXPECT_TRUE((*engine)->RunTicks(1).ok());
+    EXPECT_EQ(6.0, (*engine)->Get(ids[0], "c")->AsNumber());
+    EXPECT_EQ(0.0, (*engine)->Get(ids[50], "c")->AsNumber());
+    return WorldChecksum((*engine)->world());
+  };
+  const uint64_t oracle = run(true, PlanMode::kStaticNL, 1);
+  EXPECT_EQ(oracle, run(false, PlanMode::kStaticGrid, 1));
+  EXPECT_EQ(oracle, run(false, PlanMode::kStaticGrid, 4));
+  EXPECT_EQ(oracle, run(false, PlanMode::kCostBased, 1));
 }
 
 // A one-sided range dim probes with an infinite upper bound; the grid must
