@@ -337,6 +337,24 @@ Status AsyncPathfindComponent::LoadState(const char* data, size_t size) {
     if (flags == 0 || (flags & ~(kInFlight | kReady)) != 0) {
       return Status::InvalidArgument("pathfind cache: bad goal flags");
     }
+    if ((flags & kReady) == 0) continue;  // `next` unread until it installs
+    // A ready field steps each cell to itself or to a 4-neighbour.
+    const char* field = cur + i * goal_bytes + 24;
+    const uint32_t w = static_cast<uint32_t>(map_.width());
+    for (uint32_t c = 0; c < cells(); ++c) {
+      uint32_t next = 0;
+      std::memcpy(&next, field + 4 * uint64_t{c}, sizeof(next));
+      const bool step_ok =
+          next == c || (next < cells() && (next + w == c || c + w == next ||
+                                           ((next + 1 == c || c + 1 == next) &&
+                                            next / w == c / w)));
+      if (!step_ok) {
+        return Status::InvalidArgument(
+            "pathfind cache: goal cell " + std::to_string(cell) +
+            " steps cell " + std::to_string(c) + " to " +
+            std::to_string(next));
+      }
+    }
   }
   // Valid: only now replace the current goals.
   OnRestore();

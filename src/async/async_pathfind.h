@@ -26,6 +26,16 @@
 // installs. A goal no entity has asked for in `result_ttl_ticks` is
 // evicted. Each goal's field storage is kept when its slot is reused, so
 // steady-state ticks allocate nothing.
+//
+// Cost grows with the number of distinct goal cells, not with entities:
+// each live goal holds 4·W·H bytes of field, and each new goal or refresh
+// is a full-map search. Fields pay off when goals are few next to the
+// entities heading for them (armies: 12 goals, 16k soldiers, the only
+// pathfinding benchmark). With one goal per entity the storage is
+// entities × 4·W·H bytes (1 GB for 16k goals on a 128×128 map), each
+// search covers the whole map where a per-(start, goal) A* would stop at
+// the goal, and with a crowd penalty each field is refreshed once every
+// (live goals) ticks.
 
 #ifndef SGL_ASYNC_ASYNC_PATHFIND_H_
 #define SGL_ASYNC_ASYNC_PATHFIND_H_
@@ -95,7 +105,8 @@ class AsyncPathfindComponent : public UpdateComponent, public JobClient {
   /// uninterrupted run instead of re-searching from nothing.
   void SaveState(std::string* out) const override;
   /// InvalidArgument, with nothing allocated or changed, for any blob
-  /// other than a well-formed v2 one for this map.
+  /// other than a well-formed v2 one for this map (a ready field must
+  /// step every cell to itself or a 4-neighbour).
   Status LoadState(const char* data, size_t size) override;
 
   // --- JobClient --------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -265,8 +266,13 @@ ArmiesConfig SmallArmies() {
   return config;
 }
 
+// Runs armies and returns the world checksum. `delay` stalls every job
+// delivery that long before its worker's claim. `pause_micros` is left
+// between ticks, as a frame loop would. `worker_runs`, if given, receives
+// the installed jobs a worker ran (the rest ran in the barrier's drain).
 uint64_t RunArmies(const ArmiesConfig& config, int workers, int shards,
-                   int threads, int ticks = 40, int64_t delay = 0) {
+                   int threads, int ticks = 40, int64_t delay = 0,
+                   int64_t pause_micros = 0, int64_t* worker_runs = nullptr) {
   const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
@@ -281,6 +287,13 @@ uint64_t RunArmies(const ArmiesConfig& config, int workers, int shards,
       ArmiesWorkload::Retarget(engine->get(), config, 1);
     }
     EXPECT_TRUE((*engine)->Tick().ok());
+    if (pause_micros > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(pause_micros));
+    }
+  }
+  if (worker_runs != nullptr) {
+    JobService& jobs = (*engine)->executor().jobs();
+    *worker_runs = jobs.total_installed() - jobs.total_fallback_runs();
   }
   return WorldChecksum((*engine)->world());
 }
@@ -314,11 +327,17 @@ TEST(AsyncPathfindTest, ForcedSlowJobsChangeNothingButWallClock) {
   config.num_units = 128;
   config.map_w = 28;
   config.map_h = 28;
-  // Every search takes ~2ms: at one field job per tick and 2 workers, jobs
-  // genuinely span ticks — the declared-latency barrier is what keeps the
-  // state identical to the instant-execution runs.
+  // Every delivery stalls its worker 2 ms before the claim. With 1 ms
+  // between ticks and a 4-tick latency, a stalled worker still claims its
+  // job ahead of the install tick and finishes it ticks after submission
+  // — the declared-latency barrier is what keeps the state identical to
+  // the instant-execution runs.
+  config.async.latency_ticks = 4;
   const int ticks = 16;
-  const uint64_t slow = RunArmies(config, 2, 1, 1, ticks, /*delay=*/2000);
+  int64_t worker_runs = 0;
+  const uint64_t slow = RunArmies(config, 2, 1, 1, ticks, /*delay=*/2000,
+                                  /*pause_micros=*/1000, &worker_runs);
+  EXPECT_GT(worker_runs, 0) << "no stalled worker ever ran a job";
   EXPECT_EQ(RunArmies(config, 2, 1, 1, ticks, 0), slow);
   EXPECT_EQ(RunArmies(config, 0, 1, 1, ticks, 0), slow);
 }
@@ -602,7 +621,9 @@ Checkpoint WithPathfinderBlob(const Checkpoint& cp, const std::string& blob) {
 // LoadState fail with InvalidArgument before it allocates anything, and
 // Restore then drops the goals (OnRestore) and keeps running: an old v1
 // request-cache blob; a v2 blob cut short; one naming a goal cell off the
-// map or one goal twice; one whose size is not count × goal bytes.
+// map or one goal twice; one with bad goal flags; one whose ready field
+// steps a cell off the map, to a cell that is not its neighbour or across
+// a row edge; one whose size is not count × goal bytes.
 TEST(AsyncPathfindTest, LoadStateRefusesOldAndCorruptBlobs) {
   ArmiesConfig config = SmallArmies();
   config.num_units = 256;
@@ -614,6 +635,8 @@ TEST(AsyncPathfindTest, LoadStateRefusesOldAndCorruptBlobs) {
   ASSERT_TRUE((*engine)->RunTicks(8).ok());
   AsyncPathfindComponent* pathfinder = PathfinderOf(engine->get());
   ASSERT_NE(pathfinder, nullptr);
+  // Every case restores tick 8, before the armies reach their rally cells.
+  const Checkpoint at_tick8 = (*engine)->TakeCheckpoint();
   std::string good;
   pathfinder->SaveState(&good);
   // Header (magic, version, count) then per goal: cell, flags, last used,
@@ -639,14 +662,22 @@ TEST(AsyncPathfindTest, LoadStateRefusesOldAndCorruptBlobs) {
     std::memcpy(&blob[8], &count, sizeof(count));
     return blob;
   };
-  uint32_t first_cell = 0;
+  uint32_t first_cell = 0, first_flags = 0;
   std::memcpy(&first_cell, &good[kHeader], sizeof(first_cell));
+  std::memcpy(&first_flags, &good[kHeader + 4], sizeof(first_flags));
+  ASSERT_NE(first_flags & 2u, 0u) << "the first goal's field is installed";
+  const size_t first_field = kHeader + 24;  // next[] of the first goal
   const std::vector<std::pair<const char*, std::string>> bad = {
       {"v1", v1},
       {"cut short", good.substr(0, good.size() - 1)},
       {"header cut short", good.substr(0, 12)},
       {"goal off the map", with_u32(kHeader + kGoal, 16 * 16)},
       {"duplicate goal", with_u32(kHeader + 2 * kGoal, first_cell)},
+      {"flags 0", with_u32(kHeader + 4, 0)},
+      {"flags 4", with_u32(kHeader + 4, 4)},
+      {"next off the map", with_u32(first_field, 16 * 16)},
+      {"next not a neighbour", with_u32(first_field, 16 * 16 - 1)},
+      {"next across a row edge", with_u32(first_field + 4 * 15, 16)},
       {"count too small", with_count(3)},
       {"count too large", with_count(5)},
       {"count huge", with_count(uint64_t{1} << 60)},
@@ -662,8 +693,7 @@ TEST(AsyncPathfindTest, LoadStateRefusesOldAndCorruptBlobs) {
     }
     // The rejected blob drops the goals; the restore and later ticks
     // succeed and search afresh.
-    const Checkpoint cp =
-        WithPathfinderBlob((*engine)->TakeCheckpoint(), blob);
+    const Checkpoint cp = WithPathfinderBlob(at_tick8, blob);
     const int64_t submitted = pathfinder->total().submitted;
     ASSERT_TRUE((*engine)->Restore(cp).ok());
     ASSERT_TRUE((*engine)->RunTicks(4).ok());

@@ -637,18 +637,24 @@ ArmiesConfig FaultArmies() {
   return config;
 }
 
+/// The JobService's lifetime job counts at the end of a run.
+struct JobTotals {
+  int64_t installed = 0;
+  int64_t fallback_runs = 0;  ///< of `installed`: run by the barrier's drain
+};
+
 // Runs the armies workload under `fault` (may be null) and returns the
 // final canonical checksum. `threads` > 1 gives the engine a tick pool, so
-// the barrier's drain runs unclaimed jobs on it. `fallback_runs`, if
-// given, receives the JobService's deadline-miss drain-run count. Like a
-// frame loop, it leaves the job workers a moment between ticks: a field
-// job takes tens of microseconds, so on a loaded host a run could
-// otherwise end before a worker ever takes a delivery, and the worker
-// fault sites would have nothing to act on.
+// the barrier's drain runs unclaimed jobs on it. `totals`, if given,
+// receives the JobService's job counts. Like a frame loop, it leaves the
+// job workers `pause_micros` between ticks: a field job takes tens of
+// microseconds, so on a loaded host a run could otherwise end before a
+// worker ever takes a delivery, and the worker fault sites would have
+// nothing to act on.
 uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
                              int shards, int threads, FaultInjector* fault,
-                             int ticks = 20,
-                             int64_t* fallback_runs = nullptr) {
+                             int ticks = 20, JobTotals* totals = nullptr,
+                             int64_t pause_micros = 200) {
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
   options.exec.num_shards = shards;
@@ -660,11 +666,12 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
   for (int t = 0; t < ticks; ++t) {
     if (t == ticks / 2) ArmiesWorkload::Retarget(engine->get(), config, 1);
     EXPECT_TRUE((*engine)->Tick().ok());
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::this_thread::sleep_for(std::chrono::microseconds(pause_micros));
   }
-  if (fallback_runs != nullptr) {
-    JobService* jobs = (*engine)->executor().jobs_or_null();
-    *fallback_runs = jobs != nullptr ? jobs->total_fallback_runs() : 0;
+  JobService* jobs = (*engine)->executor().jobs_or_null();
+  if (totals != nullptr && jobs != nullptr) {
+    totals->installed = jobs->total_installed();
+    totals->fallback_runs = jobs->total_fallback_runs();
   }
   return CanonicalWorldChecksum((*engine)->world());
 }
@@ -696,12 +703,12 @@ TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
   // 1 tick thread, across the tick pool at 4.
   for (int threads : {1, 4}) {
     FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 1.0));
-    int64_t fallbacks = 0;
+    JobTotals totals;
     EXPECT_EQ(RunArmiesUnderFault(config, 2, 1, threads, &fault, 20,
-                                  &fallbacks),
+                                  &totals),
               baseline)
         << threads << " threads";
-    EXPECT_GT(fallbacks, 0) << "deadline fallback never ran";
+    EXPECT_GT(totals.fallback_runs, 0) << "deadline fallback never ran";
     EXPECT_GT(fault.total_fires(), 0);
   }
 }
@@ -716,22 +723,30 @@ TEST(WorkerFaultTest, PartialDeathRateKeepsChecksumParity) {
 }
 
 TEST(WorkerFaultTest, ForcedSlowJobsUnderStallFaultKeepParity) {
-  // The satellite regression: every search stalled 2ms — jobs genuinely
-  // span many ticks — and the contracted-tick barrier still makes the
-  // state bit-identical to the no-fault inline run, for any worker count.
+  // Every delivery stalls its worker 2 ms before the claim. With 1 ms
+  // between ticks and a 4-tick latency, stalled workers still claim jobs
+  // ahead of their install ticks and finish them ticks after submission,
+  // and the contracted-tick barrier still makes the state bit-identical
+  // to the no-fault inline run, for any worker count.
   ArmiesConfig config = FaultArmies();
   config.num_units = 128;
   config.map_w = 28;
   config.map_h = 28;
+  config.async.latency_ticks = 4;
   const int ticks = 16;
   const uint64_t baseline =
       RunArmiesUnderFault(config, 0, 1, 1, nullptr, ticks);
   for (int workers : {1, 4}) {
     FaultInjector fault(
         RatePlan(kFaultAsyncWorkerStall, 1.0, /*stall micros=*/2000));
-    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, 1, &fault, ticks),
+    JobTotals totals;
+    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, 1, &fault, ticks,
+                                  &totals, /*pause_micros=*/1000),
               baseline)
         << workers << " workers, 2ms forced stalls";
+    EXPECT_GT(fault.total_fires(), 0) << "the stall plan never fired";
+    EXPECT_LT(totals.fallback_runs, totals.installed)
+        << workers << " workers: no stalled worker ever ran a job";
   }
 }
 
