@@ -179,8 +179,10 @@ void BM_TelemetryArmed(benchmark::State& state) {
 // interleave on one engine (set_armed flips between ticks), so both sides
 // share the world and the machine state; an armed tick adds the capture
 // path — one FrameRecord per effect write into a worker lane, the lane
-// buffer swapped into the ring frame, one after-value/order pass.
-// `armed_over_disarmed` is the ratio of the two sides' mean tick times.
+// buffer swapped into the ring frame, one after-value per written
+// (target, field). `armed_over_disarmed` is the ratio of the two sides'
+// mean tick times; `frame_bytes` is the mean bytes a frame holds (records
+// plus after-values), the memory side of the same trade.
 void BM_FlightRecorderDisarmed(benchmark::State& state) {
   sgl::FlightRecorder rec;  // attached, never armed: one branch per tick
   sgl::RtsConfig config;
@@ -212,6 +214,7 @@ void BM_FlightRecorderArmed(benchmark::State& state) {
   double ns[2] = {0, 0};  // [disarmed, armed]
   int64_t ticks[2] = {0, 0};
   int64_t records = 0;
+  double frame_bytes = 0;
   int64_t i = 0;
   for (auto _ : state) {
     // ABBA order, so a period-2 rhythm in the simulation cancels out.
@@ -224,7 +227,13 @@ void BM_FlightRecorderArmed(benchmark::State& state) {
                      std::chrono::steady_clock::now() - t0)
                      .count();
     ++ticks[armed];
-    if (armed) records += rec.frame(rec.newest_tick())->num_records;
+    if (armed) {
+      const sgl::TickFrame* f = rec.frame(rec.newest_tick());
+      records += f->num_records;
+      frame_bytes += static_cast<double>(
+          f->num_records * sizeof(sgl::FrameRecord) +
+          f->afters.size() * sizeof(sgl::AfterValue));
+    }
   }
   if (ticks[0] == 0 || ticks[1] == 0) return;
   const double armed_mean = ns[1] / static_cast<double>(ticks[1]);
@@ -235,6 +244,7 @@ void BM_FlightRecorderArmed(benchmark::State& state) {
   state.counters["records_per_frame"] =
       static_cast<double>(records) / static_cast<double>(ticks[1]);
   state.counters["bytes_per_record"] = sizeof(sgl::FrameRecord);
+  state.counters["frame_bytes"] = frame_bytes / static_cast<double>(ticks[1]);
   state.counters["dropped_records"] =
       static_cast<double>(rec.dropped_records());
 }

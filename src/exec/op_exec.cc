@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/common/stopwatch.h"
+#include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/vm/compile.h"
 
@@ -76,15 +77,54 @@ size_t RunGuardFilter(const Expr& guard, const VecContext& ctx,
   return VmRunFilter(*p, ctx, &env.scratch->vm, false, pos);
 }
 
-// Applies one batch of effect writes over a (possibly pair) row vector.
-// Returns how many writes landed (post guard / target resolution) — the
-// per-site `effects` attribution.
 // The emitting worker's shard for provenance attribution: tel_track 0 is
 // the unsharded engine / barrier thread, s + 1 is shard s.
 inline int32_t ProvShard(const ExecEnv& env) {
   return env.tel_track == 0 ? 0 : static_cast<int32_t>(env.tel_track) - 1;
 }
 
+// The per-statement part of a write's trace record; the writer fills the
+// target, order key, source rows and contribution per write.
+FrameRecord StatementRecord(const EffectWrite& w, int site,
+                            const ExecEnv& env) {
+  FrameRecord r{};
+  r.src_inner = kNullEntity;
+  r.target_cls = w.target_cls;
+  r.field = w.field;
+  r.site = site;
+  r.src_shard = static_cast<uint32_t>(ProvShard(env));
+  r.assign_id = w.assign_id;
+  r.is_txn = false;
+  return r;
+}
+
+// Hands one landed write to the user tracer as a boxed Value (the recorder
+// takes the record itself, inline in the write loop).
+void TraceToUser(const ExecEnv& env, const FrameRecord& r) {
+  EffectProv prov;
+  prov.site = r.site;
+  prov.src_shard = static_cast<int32_t>(r.src_shard);
+  prov.src_outer = r.src_outer;
+  prov.src_inner = r.src_inner;
+  Value v;
+  switch (static_cast<ValueKind>(r.contrib_kind)) {
+    case ValueKind::kNumber:
+      v = Value::Number(r.contrib.num);
+      break;
+    case ValueKind::kBool:
+      v = Value::Bool(r.contrib.i != 0);
+      break;
+    default:  // kRef; a set insert traces its element
+      v = Value::Ref(r.contrib.i);
+      break;
+  }
+  env.trace->OnEffectAssign(env.tick, r.target, r.target_cls, r.field, v,
+                            r.assign_id, r.order_key, prov);
+}
+
+// Applies one batch of effect writes over a (possibly pair) row vector.
+// Returns how many writes landed (post guard / target resolution) — the
+// per-site `effects` attribution.
 int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
                     const EntityTable* inner_table, const PairRows& rows,
                     ExecEnv& env, int site) {
@@ -152,28 +192,25 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       RowIdx inner = inner_rows != nullptr ? (*inner_rows)[i] : 0;
       return OrderKey(w.assign_id, (*outer_rows)[i], inner);
     };
-    auto trace = [&](size_t i, RowIdx row, const Value& v) {
+    // One recorder reservation for the statement's writes over this span;
+    // `traced` is the one loop-invariant check on the disarmed path.
+    const bool traced = env.trace != nullptr || env.recorder != nullptr;
+    FlightRecorder::Batch batch(env.recorder, m);
+    FrameRecord rec = StatementRecord(w, site, env);
+    auto trace = [&](size_t i, RowIdx row, ValueKind kind,
+                     FramePayload contrib) {
       ++applied;  // invoked exactly once per landed write, in all branches
-      if (env.trace != nullptr || env.recorder_sink != nullptr) {
-        EffectProv prov;
-        prov.site = site;
-        prov.src_shard = ProvShard(env);
-        prov.src_outer = env.outer->id_at((*outer_rows)[i]);
-        if (inner_rows != nullptr && inner_table != nullptr) {
-          prov.src_inner = inner_table->id_at((*inner_rows)[i]);
-        }
-        const EntityId target_id = target_table.id_at(row);
-        const uint64_t key = key_at(i);
-        if (env.trace != nullptr) {
-          env.trace->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                    w.field, v, w.assign_id, key, prov);
-        }
-        if (env.recorder_sink != nullptr) {
-          env.recorder_sink->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                            w.field, v, w.assign_id, key,
-                                            prov);
-        }
+      if (!traced) return;
+      rec.target = target_table.id_at(row);
+      rec.order_key = key_at(i);
+      rec.src_outer = env.outer->id_at((*outer_rows)[i]);
+      if (inner_rows != nullptr && inner_table != nullptr) {
+        rec.src_inner = inner_table->id_at((*inner_rows)[i]);
       }
+      rec.contrib = contrib;
+      rec.contrib_kind = static_cast<uint32_t>(kind);
+      if (env.recorder != nullptr) batch.Add(rec);
+      if (env.trace != nullptr) TraceToUser(env, rec);
     };
     if (w.set_insert) {
       VmRef(*w.value, ctx, env, refs.get());
@@ -181,7 +218,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink->AddSetInsert(w.field, row, (*refs)[i]);
-        trace(i, row, Value::Ref((*refs)[i]));
+        trace(i, row, ValueKind::kRef, FramePayload::Int((*refs)[i]));
       }
     } else if (field.type.is_number()) {
       VmNum(*w.value, ctx, env, nums.get());
@@ -189,7 +226,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink->AddNumber(w.field, row, (*nums)[i], key_at(i));
-        trace(i, row, Value::Number((*nums)[i]));
+        trace(i, row, ValueKind::kNumber, FramePayload::Num((*nums)[i]));
       }
     } else if (field.type.is_bool()) {
       VmBool(*w.value, ctx, env, bools.get());
@@ -197,7 +234,8 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink->AddBool(w.field, row, (*bools)[i] != 0, key_at(i));
-        trace(i, row, Value::Bool((*bools)[i] != 0));
+        trace(i, row, ValueKind::kBool,
+              FramePayload::Int((*bools)[i] != 0 ? 1 : 0));
       }
     } else if (field.type.is_ref()) {
       VmRef(*w.value, ctx, env, refs.get());
@@ -205,7 +243,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink->AddRef(w.field, row, (*refs)[i], key_at(i));
-        trace(i, row, Value::Ref((*refs)[i]));
+        trace(i, row, ValueKind::kRef, FramePayload::Int((*refs)[i]));
       }
     }
   }
@@ -899,43 +937,40 @@ void ApplyWriteScalar(const EffectWrite& w, RowIdx row, ClassId inner_cls,
                           inner_row == kInvalidRow ? 0 : inner_row);
   const FieldDef& field =
       env.world->catalog().Get(w.target_cls).effect_field(w.field);
-  Value traced;
+  FrameRecord rec = StatementRecord(w, site, env);
   if (w.set_insert) {
     EntityId v = EvalScalarRef(*w.value, ctx);
     sink->AddSetInsert(w.field, target_row, v);
-    traced = Value::Ref(v);
+    rec.contrib = FramePayload::Int(v);
+    rec.contrib_kind = static_cast<uint32_t>(ValueKind::kRef);
   } else if (field.type.is_number()) {
     double v = EvalScalarNum(*w.value, ctx);
     sink->AddNumber(w.field, target_row, v, key);
-    traced = Value::Number(v);
+    rec.contrib = FramePayload::Num(v);
+    rec.contrib_kind = static_cast<uint32_t>(ValueKind::kNumber);
   } else if (field.type.is_bool()) {
     bool v = EvalScalarBool(*w.value, ctx);
     sink->AddBool(w.field, target_row, v, key);
-    traced = Value::Bool(v);
+    rec.contrib = FramePayload::Int(v ? 1 : 0);
+    rec.contrib_kind = static_cast<uint32_t>(ValueKind::kBool);
   } else {
     EntityId v = EvalScalarRef(*w.value, ctx);
     sink->AddRef(w.field, target_row, v, key);
-    traced = Value::Ref(v);
+    rec.contrib = FramePayload::Int(v);
+    rec.contrib_kind = static_cast<uint32_t>(ValueKind::kRef);
   }
-  if (env.trace != nullptr || env.recorder_sink != nullptr) {
-    EffectProv prov;
-    prov.site = site;
-    prov.src_shard = ProvShard(env);
-    prov.src_outer = env.outer->id_at(row);
+  if (env.trace != nullptr || env.recorder != nullptr) {
+    rec.target = env.world->table(w.target_cls).id_at(target_row);
+    rec.order_key = key;
+    rec.src_outer = env.outer->id_at(row);
     if (inner_row != kInvalidRow && inner_cls != kInvalidClass) {
-      prov.src_inner = env.world->table(inner_cls).id_at(inner_row);
+      rec.src_inner = env.world->table(inner_cls).id_at(inner_row);
     }
-    const EntityId target_id =
-        env.world->table(w.target_cls).id_at(target_row);
-    if (env.trace != nullptr) {
-      env.trace->OnEffectAssign(env.tick, target_id, w.target_cls, w.field,
-                                traced, w.assign_id, key, prov);
+    if (env.recorder != nullptr) {
+      FlightRecorder::Batch batch(env.recorder, 1);
+      batch.Add(rec);
     }
-    if (env.recorder_sink != nullptr) {
-      env.recorder_sink->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                        w.field, traced, w.assign_id, key,
-                                        prov);
-    }
+    if (env.trace != nullptr) TraceToUser(env, rec);
   }
 }
 

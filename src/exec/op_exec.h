@@ -27,6 +27,7 @@
 
 namespace sgl {
 
+class FlightRecorder;
 class Telemetry;
 class VmProgramCache;
 
@@ -120,10 +121,10 @@ struct ExecEnv {
   std::vector<SiteFeedback>* feedback = nullptr;
   /// Optional tracing sink (§3.3). Null = off.
   EffectTraceSink* trace = nullptr;
-  /// Second tracing sink: the armed flight recorder, which captures every
-  /// write (src/telemetry/flight_recorder.h). Null = off; independent of
-  /// `trace` so a user tracer and the recorder can coexist.
-  EffectTraceSink* recorder_sink = nullptr;
+  /// The armed flight recorder, which captures every write
+  /// (src/telemetry/flight_recorder.h). Null = off; independent of `trace`
+  /// so a user tracer and the recorder can coexist.
+  FlightRecorder* recorder = nullptr;
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch
   /// per instrumented point). Borrowed, set by the owning executor.
   Telemetry* telemetry = nullptr;

@@ -230,7 +230,7 @@ void TickExecutor::RunUnit(
     env.prepared = &prepared_;
     env.feedback = &worker.feedback;
     env.trace = trace_;
-    env.recorder_sink = recorder_sink_;
+    env.recorder = capture_;
     return env;
   };
 
@@ -319,11 +319,11 @@ Status TickExecutor::RunTick() {
   // --- Setup -----------------------------------------------------------
   world_->ResetEffects();
   if (!options_.interpreted) stats_mgr_.MaybeRefresh(*world_, tick_);
-  recorder_sink_ = options_.recorder != nullptr
-                       ? options_.recorder->capture_sink()
-                       : nullptr;
+  capture_ = options_.recorder != nullptr && options_.recorder->armed()
+                 ? options_.recorder
+                 : nullptr;
   txn_.set_fault_tick(tick_);
-  txn_.set_prov_sink(recorder_sink_);
+  txn_.set_recorder(capture_);
   txn_.BeginTick(static_cast<int>(workers_.size()));
   for (auto& worker : workers_) {
     for (size_t c = 0; c < worker->effects.size(); ++c) {

@@ -116,7 +116,8 @@ struct ExecOptions {
   /// Flight recorder (src/telemetry/flight_recorder.h): a pooled ring of
   /// the last K ticks' provenance-tagged effect records, stats, and
   /// per-site rows, with black-box dump triggers. Null or disarmed = no
-  /// capture (one branch per tick plus one null check per effect write).
+  /// capture (one branch per tick plus one null check per write
+  /// statement).
   /// Same borrowed-pointer lifetime contract as `fault` / `telemetry`:
   /// must outlive the executor.
   FlightRecorder* recorder = nullptr;
@@ -262,9 +263,9 @@ class TickExecutor {
   std::unique_ptr<VmProgramCache> vm_cache_;
   std::unique_ptr<JobService> jobs_;  ///< lazily created, see jobs()
   EffectTraceSink* trace_ = nullptr;
-  /// The flight recorder's capture sink for this tick; refreshed at tick
-  /// start (null when no recorder is attached or it is disarmed).
-  EffectTraceSink* recorder_sink_ = nullptr;
+  /// The flight recorder capturing this tick; refreshed at tick start
+  /// (null when no recorder is attached or it is disarmed).
+  FlightRecorder* capture_ = nullptr;
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;

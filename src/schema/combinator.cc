@@ -81,11 +81,4 @@ double CombineNumeric(Combinator c, double acc, double value) {
   }
 }
 
-std::optional<double> FinalizeNumeric(Combinator c, double acc,
-                                      uint64_t count) {
-  if (count == 0) return std::nullopt;
-  if (c == Combinator::kAvg) return acc / static_cast<double>(count);
-  return acc;
-}
-
 }  // namespace sgl

@@ -53,8 +53,12 @@ double CombineNumeric(Combinator c, double acc, double value);
 /// Returns the field's post-merge value, or nullopt when count == 0
 /// (meaning "no assignment this tick" — the update rule sees `assigned`
 /// = false and typically keeps the old state).
-std::optional<double> FinalizeNumeric(Combinator c, double acc,
-                                      uint64_t count);
+inline std::optional<double> FinalizeNumeric(Combinator c, double acc,
+                                             uint64_t count) {
+  if (count == 0) return std::nullopt;
+  if (c == Combinator::kAvg) return acc / static_cast<double>(count);
+  return acc;
+}
 
 }  // namespace sgl
 

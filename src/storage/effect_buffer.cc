@@ -212,24 +212,14 @@ void EffectBuffer::FinalizeSets() {
   }
 }
 
-double EffectBuffer::FinalNumber(FieldIdx f, RowIdx row) const {
-  const Accum& a = accums_[static_cast<size_t>(f)];
-  SGL_DCHECK(a.kind == TypeKind::kNumber);
-  auto v = FinalizeNumeric(a.comb, a.num[row], a.cnt[row]);
-  SGL_DCHECK(v.has_value());
-  return *v;
-}
-
-bool EffectBuffer::FinalBool(FieldIdx f, RowIdx row) const {
-  const Accum& a = accums_[static_cast<size_t>(f)];
-  SGL_DCHECK(a.kind == TypeKind::kBool);
-  return a.bools[row] != 0;
-}
-
-EntityId EffectBuffer::FinalRef(FieldIdx f, RowIdx row) const {
-  const Accum& a = accums_[static_cast<size_t>(f)];
-  SGL_DCHECK(a.kind == TypeKind::kRef);
-  return a.refs[row];
+size_t EffectBuffer::AssignedRows(FieldIdx f, RowIdx* rows) const {
+  const std::vector<uint32_t>& cnt = accums_[static_cast<size_t>(f)].cnt;
+  size_t n = 0;
+  for (RowIdx row = 0; row < rows_; ++row) {
+    rows[n] = row;
+    n += cnt[row] > 0 ? 1 : 0;
+  }
+  return n;
 }
 
 const EntitySet& EffectBuffer::FinalSet(FieldIdx f, RowIdx row) const {

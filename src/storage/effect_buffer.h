@@ -70,10 +70,28 @@ class EffectBuffer {
     return accums_[static_cast<size_t>(f)].cnt[row];
   }
 
+  /// Writes the rows assigned field `f`, ascending, to `rows` (which needs
+  /// rows() slots) and returns how many — branch-free, for bulk readers.
+  size_t AssignedRows(FieldIdx f, RowIdx* rows) const;
+
   /// Final (post-⊕, avg-finalized) value. Requires Assigned().
-  double FinalNumber(FieldIdx f, RowIdx row) const;
-  bool FinalBool(FieldIdx f, RowIdx row) const;
-  EntityId FinalRef(FieldIdx f, RowIdx row) const;
+  double FinalNumber(FieldIdx f, RowIdx row) const {
+    const Accum& a = accums_[static_cast<size_t>(f)];
+    SGL_DCHECK(a.kind == TypeKind::kNumber);
+    auto v = FinalizeNumeric(a.comb, a.num[row], a.cnt[row]);
+    SGL_DCHECK(v.has_value());
+    return *v;
+  }
+  bool FinalBool(FieldIdx f, RowIdx row) const {
+    const Accum& a = accums_[static_cast<size_t>(f)];
+    SGL_DCHECK(a.kind == TypeKind::kBool);
+    return a.bools[row] != 0;
+  }
+  EntityId FinalRef(FieldIdx f, RowIdx row) const {
+    const Accum& a = accums_[static_cast<size_t>(f)];
+    SGL_DCHECK(a.kind == TypeKind::kRef);
+    return a.refs[row];
+  }
   /// Requires FinalizeSets() to have run this tick. Unassigned rows yield
   /// the empty set (the kUnion identity).
   const EntitySet& FinalSet(FieldIdx f, RowIdx row) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 #include "src/common/bin_io.h"
 #include "src/debug/checkpoint.h"
@@ -25,9 +26,82 @@ void ClearFrame(TickFrame* f) {
   f->stats.Reset(-1);
   f->num_records = 0;
   f->dropped_records = 0;
+  f->afters.clear();
+}
+
+/// The final value of effect field `fd` in an assigned `row`.
+FramePayload EffectPayload(const EffectBuffer& eb, const FieldDef& fd,
+                           RowIdx row) {
+  switch (fd.type.kind) {
+    case TypeKind::kNumber:
+      return FramePayload::Num(eb.FinalNumber(fd.index, row));
+    case TypeKind::kBool:
+      return FramePayload::Int(eb.FinalBool(fd.index, row) ? 1 : 0);
+    case TypeKind::kRef:
+      return FramePayload::Int(eb.FinalRef(fd.index, row));
+    case TypeKind::kSet:
+      return FramePayload::Int(
+          static_cast<int64_t>(eb.FinalSet(fd.index, row).size()));
+  }
+  return FramePayload::Int(0);  // not reached: every kind returns above
+}
+
+/// The value of state field `fd` in `row`.
+FramePayload StatePayload(const EntityTable& table, const FieldDef& fd,
+                          RowIdx row) {
+  switch (fd.type.kind) {
+    case TypeKind::kNumber:
+      return FramePayload::Num(table.Num(fd.index)[row]);
+    case TypeKind::kBool:
+      return FramePayload::Int(table.BoolCol(fd.index)[row] != 0 ? 1 : 0);
+    case TypeKind::kRef:
+      return FramePayload::Int(table.RefCol(fd.index)[row]);
+    case TypeKind::kSet:
+      return FramePayload::Int(
+          static_cast<int64_t>(table.SetCol(fd.index)[row].size()));
+  }
+  return FramePayload::Int(0);  // not reached: every kind returns above
+}
+
+/// Sort key of an after-value lookup.
+struct AfterKey {
+  EntityId target;
+  FieldIdx field;
+  bool is_txn;
+};
+
+bool AfterKeyLess(const AfterKey& a, const AfterKey& b) {
+  if (a.target != b.target) return a.target < b.target;
+  if (a.field != b.field) return a.field < b.field;
+  return a.is_txn < b.is_txn;
+}
+
+AfterKey KeyOf(const AfterValue& a) {
+  return AfterKey{a.target, a.field, a.is_txn};
 }
 
 }  // namespace
+
+void AfterIndex::Build(const TickFrame& frame) {
+  order_.resize(frame.afters.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+    return AfterKeyLess(KeyOf(frame.afters[a]), KeyOf(frame.afters[b]));
+  });
+}
+
+const AfterValue* AfterIndex::Find(const TickFrame& frame,
+                                   const FrameRecord& r) const {
+  const AfterKey want{r.target, r.field, r.is_txn};
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), want, [&](uint32_t pos, const AfterKey& k) {
+        return AfterKeyLess(KeyOf(frame.afters[pos]), k);
+      });
+  if (it == order_.end() || AfterKeyLess(want, KeyOf(frame.afters[*it]))) {
+    return nullptr;
+  }
+  return &frame.afters[*it];
+}
 
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
     : options_(options), lanes_(options.max_lanes) {
@@ -43,45 +117,6 @@ void FlightRecorder::set_fault(FaultInjector* fault) {
   last_fault_fires_ = fault != nullptr ? fault->total_fires() : 0;
 }
 
-void FlightRecorder::OnEffectAssign(Tick /*tick*/, EntityId target,
-                                    ClassId target_cls, FieldIdx field,
-                                    const Value& value, int assign_id,
-                                    uint64_t order_key,
-                                    const EffectProv& prov) {
-  SGL_DCHECK(prov.site < (1 << 23) && assign_id < (1 << 23));
-  SGL_DCHECK(prov.txn < 0 || static_cast<uint64_t>(prov.txn) == order_key);
-  FrameRecord r;
-  r.target = target;
-  r.order_key = order_key;
-  r.src_outer = prov.src_outer;
-  r.src_inner = prov.src_inner;
-  switch (value.kind()) {
-    case ValueKind::kNumber:
-      r.contrib.num = value.AsNumber();
-      break;
-    case ValueKind::kBool:
-      r.contrib.i = value.AsBool() ? 1 : 0;
-      break;
-    case ValueKind::kRef:
-      r.contrib.i = value.AsRef();
-      break;
-    case ValueKind::kSet:
-      r.contrib.i = static_cast<int64_t>(value.AsSet().size());
-      break;
-  }
-  r.after.i = 0;
-  r.target_cls = target_cls;
-  r.field = field;
-  r.site = prov.site;
-  r.src_shard = static_cast<uint32_t>(prov.src_shard);
-  r.assign_id = assign_id;
-  r.is_txn = prov.txn >= 0;
-  r.contrib_kind = static_cast<uint32_t>(value.kind());
-  r.after_kind = 0;
-  r.after_known = false;
-  lanes_.Append(r);
-}
-
 void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
   if (!armed_) return;
   TickFrame& f = ring_[static_cast<size_t>(frames_captured_) % ring_.size()];
@@ -92,15 +127,21 @@ void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
   f.stats = stats;
 
   const size_t published = lanes_.size();
+  const bool one_lane = lanes_.active_lanes() <= 1;
+  const bool descent = descent_.exchange(false, std::memory_order_relaxed);
   f.num_records = lanes_.DrainInto(&f.records, options_.max_records_per_frame);
   f.dropped_records = static_cast<int64_t>(published - f.num_records);
   dropped_records_total_ += f.dropped_records;
-  if (!ResolveAndCheckOrder(&f, world)) {
-    std::sort(f.records.begin(),
-              f.records.begin() + static_cast<ptrdiff_t>(f.num_records),
-              [](const FrameRecord& a, const FrameRecord& b) {
-                return TraceRecordCanonicalLess(a, b);
-              });
+  CaptureAfters(world, &f);
+  // One lane without a descent is already canonical (Batch checked it as
+  // it recorded). Several lanes take one order pass for their junctions;
+  // either way std::sort runs only on a descent.
+  const auto begin = f.records.begin();
+  const auto end = begin + static_cast<ptrdiff_t>(f.num_records);
+  if (one_lane ? descent
+               : std::is_sorted_until(begin, end, TraceRecordCanonicalLess) !=
+                     end) {
+    std::sort(begin, end, TraceRecordCanonicalLess);
   }
 
   ++frames_captured_;
@@ -108,74 +149,49 @@ void FlightRecorder::CaptureTick(const TickStats& stats, const World& world) {
   if (reason[0] != '\0') TriggerDump(reason, f.tick, &world);
 }
 
-bool FlightRecorder::ResolveAndCheckOrder(TickFrame* frame,
-                                          const World& world) {
-  bool ordered = true;
-  for (size_t i = 0; i < frame->num_records; ++i) {
-    FrameRecord& r = frame->records[i];
-    if (i > 0 && TraceRecordCanonicalLess(r, frame->records[i - 1])) {
-      ordered = false;
-    }
-    const World::Locator* loc = world.Find(r.target);
-    if (loc == nullptr) continue;  // despawned before capture
-    const EntityTable& table = world.table(loc->cls);
-    if (loc->row >= static_cast<RowIdx>(table.size())) continue;
-    const ClassDef& cls = table.cls();
-    if (r.is_txn) {
-      // Transaction write: the field lives in state space and the admitted
-      // value was written back during UPDATE — read the state column.
-      if (r.field < 0 ||
-          static_cast<size_t>(r.field) >= cls.state_fields().size()) {
-        continue;
+void FlightRecorder::CaptureAfters(const World& world, TickFrame* frame) {
+  std::vector<AfterValue>& out = frame->afters;
+  out.clear();
+  // The most pairs a tick can write, reserved so a slot's first capture at
+  // this world size is its only allocation.
+  size_t bound = writeback_cells_.size();
+  const int num_classes = world.catalog().num_classes();
+  for (ClassId c = 0; c < num_classes; ++c) {
+    bound += world.table(c).size() * world.table(c).cls().effect_fields().size();
+  }
+  out.reserve(bound);
+
+  // Query-phase effects: the merged (post-⊕, finalized) value is still in
+  // the effect buffer — ResetEffects runs at the *next* tick start. The
+  // assigned rows are gathered first, so the copy loop takes no
+  // data-dependent branch.
+  for (ClassId c = 0; c < num_classes; ++c) {
+    const EntityTable& table = world.table(c);
+    const EffectBuffer& eb = world.effects(c);
+    if (eb.rows() != table.size()) continue;  // no tick since a spawn
+    if (assigned_rows_.size() < eb.rows()) assigned_rows_.resize(eb.rows());
+    for (const FieldDef& fd : table.cls().effect_fields()) {
+      const size_t m = eb.AssignedRows(fd.index, assigned_rows_.data());
+      for (size_t k = 0; k < m; ++k) {
+        const RowIdx row = assigned_rows_[k];
+        out.push_back(AfterValue{table.id_at(row),
+                                 EffectPayload(eb, fd, row), fd.index,
+                                 /*is_txn=*/false, fd.type.kind});
       }
-      const TypeKind kind = cls.state_field(r.field).type.kind;
-      switch (kind) {
-        case TypeKind::kNumber:
-          r.after.num = table.Num(r.field)[loc->row];
-          break;
-        case TypeKind::kBool:
-          r.after.i = table.BoolCol(r.field)[loc->row] != 0 ? 1 : 0;
-          break;
-        case TypeKind::kRef:
-          r.after.i = table.RefCol(r.field)[loc->row];
-          break;
-        case TypeKind::kSet:
-          r.after.i =
-              static_cast<int64_t>(table.SetCol(r.field)[loc->row].size());
-          break;
-      }
-      r.after_kind = static_cast<uint32_t>(kind);
-      r.after_known = true;
-    } else {
-      // Query-phase effect: the merged (post-⊕, finalized) value is still
-      // in the effect buffer — ResetEffects runs at the *next* tick start.
-      if (r.field < 0 ||
-          static_cast<size_t>(r.field) >= cls.effect_fields().size()) {
-        continue;
-      }
-      const EffectBuffer& eb = world.effects(loc->cls);
-      if (!eb.Assigned(r.field, loc->row)) continue;
-      const TypeKind kind = cls.effect_field(r.field).type.kind;
-      switch (kind) {
-        case TypeKind::kNumber:
-          r.after.num = eb.FinalNumber(r.field, loc->row);
-          break;
-        case TypeKind::kBool:
-          r.after.i = eb.FinalBool(r.field, loc->row) ? 1 : 0;
-          break;
-        case TypeKind::kRef:
-          r.after.i = eb.FinalRef(r.field, loc->row);
-          break;
-        case TypeKind::kSet:
-          r.after.i =
-              static_cast<int64_t>(eb.FinalSet(r.field, loc->row).size());
-          break;
-      }
-      r.after_kind = static_cast<uint32_t>(kind);
-      r.after_known = true;
     }
   }
-  return ordered;
+
+  // Transaction writes: the admitted value was written back during UPDATE —
+  // read the state column.
+  for (const Cell& cell : writeback_cells_) {
+    const EntityTable& table = world.table(cell.cls);
+    if (cell.row >= table.size()) continue;
+    const FieldDef& fd = table.cls().state_field(cell.field);
+    out.push_back(AfterValue{table.id_at(cell.row),
+                             StatePayload(table, fd, cell.row), cell.field,
+                             /*is_txn=*/true, fd.type.kind});
+  }
+  writeback_cells_.clear();
 }
 
 const char* FlightRecorder::EvaluateTriggers(const TickFrame& frame) {
@@ -238,6 +254,8 @@ void FlightRecorder::NotifyRestore(Tick tick, const World* world) {
   // re-executed ticks would collide with stale pre-crash frames. Keep every
   // pooled capacity, drop the contents.
   lanes_.Clear();
+  descent_.store(false, std::memory_order_relaxed);
+  writeback_cells_.clear();
   for (TickFrame& f : ring_) ClearFrame(&f);
   frames_captured_ = 0;
 }
@@ -298,11 +316,13 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
       frames_captured_ > size ? frames_captured_ - size : 0;
   binio::Append<uint64_t>(out, kProvMagic);
   binio::Append<int64_t>(out, frames_captured_ - first);
+  AfterIndex afters;
   for (int64_t s = first; s < frames_captured_; ++s) {
     const TickFrame& f = ring_[static_cast<size_t>(s) % ring_.size()];
     binio::Append<int64_t>(out, f.tick);
     binio::Append<int64_t>(out, f.dropped_records);
     binio::Append<uint64_t>(out, static_cast<uint64_t>(f.num_records));
+    afters.Build(f);
     for (size_t i = 0; i < f.num_records; ++i) {
       const FrameRecord& r = f.records[i];
       binio::Append<int64_t>(out, f.tick);
@@ -338,17 +358,19 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
       // After-value: every payload slot is written, with its canonical
       // empty value unless the after-value is known and of that kind, so
       // the bytes never depend on what a pooled slot held before.
-      const bool known = r.after_known;
-      const auto kind = static_cast<TypeKind>(known ? r.after_kind : 0);
+      const AfterValue* after = afters.Find(f, r);
+      const bool known = after != nullptr;
+      const TypeKind kind = known ? after->kind : TypeKind::kNumber;
       auto is = [&](TypeKind k) { return known && kind == k; };
       binio::Append<uint8_t>(out, known ? 1 : 0);
       binio::Append<uint8_t>(out, static_cast<uint8_t>(kind));
-      binio::Append<double>(out, is(TypeKind::kNumber) ? r.after.num : 0.0);
-      binio::Append<uint8_t>(out,
-                             is(TypeKind::kBool) && r.after.i != 0 ? 1 : 0);
-      binio::Append<EntityId>(out,
-                              is(TypeKind::kRef) ? r.after.i : kNullEntity);
-      binio::Append<int64_t>(out, is(TypeKind::kSet) ? r.after.i : -1);
+      binio::Append<double>(out,
+                            is(TypeKind::kNumber) ? after->value.num : 0.0);
+      binio::Append<uint8_t>(
+          out, is(TypeKind::kBool) && after->value.i != 0 ? 1 : 0);
+      binio::Append<EntityId>(
+          out, is(TypeKind::kRef) ? after->value.i : kNullEntity);
+      binio::Append<int64_t>(out, is(TypeKind::kSet) ? after->value.i : -1);
     }
   }
 }

@@ -7,29 +7,37 @@
 //     and txn counters, shard gauges, per-site rows), copied whole
 //     rather than re-declared, so a frame reads exactly like last_stats(),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
-//     order key, txn phase, source rows, source shard) and each record's
-//     *resolved after-value* — the post-merge effect value or the
-//     post-write-back state value of the written field,
+//     order key, txn phase, source rows, source shard),
+//   * the tick's after-values: the end-of-tick value of each (target,
+//     field) written — the post-merge effect value or the post-write-back
+//     state value — stored once per pair, not once per record,
 //   * a wall-clock window (for span extraction into dumps).
 //
-// Capture path (armed): the recorder is itself the executors' effect sink.
-// Each write becomes one 64-byte FrameRecord (a trivially copyable POD:
-// contribution and after-value are one 8-byte payload each with kind bits,
-// no boxed Value) appended to the writing worker's pooled lane
-// (WorkerLanes). At tick bookkeeping — before the executor reads the
-// allocation counters, so frame assembly is held to the allocs_per_tick
-// == 0 contract — the stats copy into the current frame, the first
-// non-empty lane's buffer swaps into the frame in O(1) (the lane records
-// on into the frame's old buffer, so pooled capacities rotate), any other
-// lanes append after it, and one pass resolves after-values from the world
-// while checking canonical order. One worker emits a site's writes in
-// (assign, outer, inner) key order, so a single-lane frame is already
-// canonical; std::sort runs only when that pass finds a descent (several
-// lanes, or several runs in one lane).
+// Capture path (armed): the producers — the vectorized write loop, the
+// scalar oracle and the txn write-back — build 56-byte FrameRecords (a
+// trivially copyable POD: the contribution is one 8-byte payload with kind
+// bits, no boxed Value) straight into the writing worker's pooled lane
+// (WorkerLanes) through a FlightRecorder::Batch: one lane reservation and
+// one publish per write statement per morsel. At tick bookkeeping — before
+// the executor reads the allocation counters, so frame assembly is held to
+// the allocs_per_tick == 0 contract — the stats copy into the current
+// frame, the first non-empty lane's buffer swaps into the frame in O(1)
+// (the lane records on into the frame's old buffer, so pooled capacities
+// rotate), and any other lanes append after it. One worker emits a site's
+// writes in (assign, outer, inner) key order, so a single-lane frame is
+// usually canonical already; each Batch compares a record with the lane's
+// previous one as it records, so such a frame needs no order pass. A frame
+// of several lanes takes one order pass. std::sort runs only on a descent
+// (several lanes, or several runs in one lane — morsels, shards).
+// The after-values are copied per pair, not resolved per record:
+// every effect-buffer row assigned this tick and every cell the txn
+// write-back touched (NoteWriteBack) becomes one AfterValue, read from the
+// world at capture. Queries and dumps look them up by (target, field,
+// phase) through an AfterIndex built off the hot path.
 // Frames wrap-overwrite (newest wins) with eviction accounting; record
 // overflow within a frame keeps the first max_records_per_frame records in
 // lane order and counts the rest as dropped. Disarmed: one branch per tick
-// in the executor plus one null check per effect write.
+// in the executor plus one null check per write statement.
 //
 // Black-box triggers: after each capture the trigger engine checks
 //   * tick time > anomaly_p95_factor × rolling p95 over the ring,
@@ -53,6 +61,7 @@
 #ifndef SGL_TELEMETRY_FLIGHT_RECORDER_H_
 #define SGL_TELEMETRY_FLIGHT_RECORDER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -103,22 +112,30 @@ constexpr int kMinFramesForAnomaly = 8;
 union FramePayload {
   double num;
   int64_t i;
+
+  static FramePayload Num(double v) {
+    FramePayload p;
+    p.num = v;
+    return p;
+  }
+  static FramePayload Int(int64_t v) {
+    FramePayload p;
+    p.i = v;
+    return p;
+  }
 };
 
-/// One captured effect write plus its resolved after-value: a trivially
-/// copyable 64-byte POD, written once into a capture lane and never boxed.
-/// The frame carries the tick. `contrib` is the contribution (the
-/// assigned / ⊕-combined operand, kind `contrib_kind`); `after` is the
-/// field's value at end of tick (kind `after_kind`, valid when
-/// `after_known`) — the merged effect value for query-phase records, the
-/// post-write-back state value for transaction records.
+/// One captured effect write or txn write-back: a trivially copyable
+/// 56-byte POD, written once into a capture lane and never boxed. The
+/// frame carries the tick and the after-values (TickFrame::afters).
+/// `contrib` is the contribution (the assigned / ⊕-combined operand, kind
+/// `contrib_kind`).
 struct FrameRecord {
   EntityId target;
   uint64_t order_key;  ///< ⊕ key, or the intent key for a txn write
   EntityId src_outer;
   EntityId src_inner;  ///< kNullEntity = no inner row
   FramePayload contrib;
-  FramePayload after;
   ClassId target_cls;
   FieldIdx field;  ///< state-field space when is_txn, else effect-field
   /// Site ids and assign ids are bounded by the program's statement count;
@@ -129,12 +146,21 @@ struct FrameRecord {
   /// Transaction write-back; its txn id is `order_key` (EffectProv::txn).
   bool is_txn : 1;
   uint32_t contrib_kind : 2;  ///< ValueKind
-  uint32_t after_kind : 2;    ///< TypeKind; 0 when !after_known
-  bool after_known : 1;       ///< false: target despawned / unresolvable
 };
 static_assert(std::is_trivially_copyable_v<FrameRecord> &&
-                  sizeof(FrameRecord) <= 64,
+                  sizeof(FrameRecord) <= 56,
               "FrameRecord must stay a compact POD");
+
+/// The end-of-tick value of one (target, field) written in a frame — the
+/// merged effect value for query-phase writes, the post-write-back state
+/// value for transaction writes. One per pair, whatever the record count.
+struct AfterValue {
+  EntityId target;
+  FramePayload value;  ///< set-typed values hold their cardinality
+  FieldIdx field;      ///< state-field space when is_txn, else effect-field
+  bool is_txn;
+  TypeKind kind;
+};
 
 /// The frame records' canonical order (the same key as
 /// TraceRecordCanonicalLess; a frame holds one tick).
@@ -165,18 +191,37 @@ struct TickFrame {
   std::vector<FrameRecord> records;
   size_t num_records = 0;
   int64_t dropped_records = 0;  ///< truncated past max_records_per_frame
+
+  /// After-values, in capture order (pooled; look up with AfterIndex). A
+  /// record whose pair has no entry has an unknown after-value: its target
+  /// was gone at capture, or its effect field was never assigned.
+  std::vector<AfterValue> afters;
 };
 
-class FlightRecorder : public EffectTraceSink {
+/// Looks up a frame's after-values by (target, field, phase): a sorted
+/// permutation of TickFrame::afters, built off the hot path (provenance
+/// queries, dumps).
+class AfterIndex {
+ public:
+  void Build(const TickFrame& frame);
+  /// The after-value of `r`'s (target, field, phase) in `frame` (the frame
+  /// Build() saw), or nullptr when unknown.
+  const AfterValue* Find(const TickFrame& frame, const FrameRecord& r) const;
+
+ private:
+  std::vector<uint32_t> order_;
+};
+
+class FlightRecorder {
  public:
   explicit FlightRecorder(
       const FlightRecorderOptions& options = FlightRecorderOptions());
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Armed = capture; disarmed = executors see a null sink. Flip between
-  /// ticks. World checksums are bit-identical armed vs disarmed — capture
-  /// only observes.
+  /// Armed = capture; disarmed = executors see a null recorder. Flip
+  /// between ticks. World checksums are bit-identical armed vs disarmed —
+  /// capture only observes.
   bool armed() const { return armed_; }
   void set_armed(bool on) { armed_ = on; }
 
@@ -189,19 +234,59 @@ class FlightRecorder : public EffectTraceSink {
   void set_fault(FaultInjector* fault);
   void AttachStore(BlackBoxStore* store) { store_ = store; }
 
-  /// The effect-write sink the executors fan into this tick (null when
-  /// disarmed — the executors re-read this every tick).
-  EffectTraceSink* capture_sink() { return armed_ ? this : nullptr; }
+  /// Capture: up to `max_records` records from one producer step (one
+  /// write statement over one morsel, one scalar write, one committed
+  /// intent), reserved in the calling worker's lane at construction and
+  /// published at destruction. Producers build each FrameRecord directly.
+  /// Each Add also compares the record with the lane's previous one, while
+  /// both are still in registers, so a frame drained from one lane needs
+  /// no order pass: a descent anywhere is flagged for CaptureTick.
+  class Batch {
+   public:
+    Batch(FlightRecorder* rec, size_t max_records)
+        : rec_(rec),
+          slots_(rec != nullptr ? rec->lanes_.Reserve(max_records)
+                                : WorkerLanes<FrameRecord>::Reservation{}) {
+      if (slots_.prev != nullptr) last_ = CanonicalOrderOf(*slots_.prev);
+    }
+    ~Batch() {
+      if (rec_ == nullptr) return;
+      rec_->lanes_.Publish(slots_, used_);
+      if (descent_) rec_->descent_.store(true, std::memory_order_relaxed);
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
 
-  /// Capture: appends one FrameRecord to the calling worker's lane.
-  void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
-                      FieldIdx field, const Value& value, int assign_id,
-                      uint64_t order_key, const EffectProv& prov) override;
+    void Add(const FrameRecord& r) {
+      const EffectOrder key = CanonicalOrderOf(r);
+      descent_ |= key < last_;
+      last_ = key;
+      if (slots_.slots != nullptr) slots_.slots[used_] = r;
+      ++used_;  // a lane-less thread's records count as dropped
+    }
+
+   private:
+    FlightRecorder* rec_;
+    WorkerLanes<FrameRecord>::Reservation slots_;
+    size_t used_ = 0;
+    /// The lane's previous record's key; the default key sorts before
+    /// every record (txn = false, order key 0, target 0 = kNullEntity).
+    EffectOrder last_;
+    bool descent_ = false;
+  };
+
+  /// Capture: the txn write-back touched (cls, row, field) this tick; its
+  /// end-of-tick state value becomes an after-value at CaptureTick.
+  /// Barrier thread only.
+  void NoteWriteBack(ClassId cls, RowIdx row, FieldIdx field) {
+    writeback_cells_.push_back(Cell{cls, row, field});
+  }
 
   /// Seals the tick `stats` describes into a ring frame (stats copy, lane
-  /// swap + append, one after-value/order pass against `world`, a sort only
-  /// if that pass found the records out of order), then evaluates the dump
-  /// triggers. Allocation-free at the high-water mark. No-op when disarmed.
+  /// swap + append, the after-values of the pairs written this tick copied
+  /// from `world`, a sort only if the records descend somewhere), then
+  /// evaluates the dump triggers. Allocation-free at the high-water mark.
+  /// No-op when disarmed.
   void CaptureTick(const TickStats& stats, const World& world);
 
   /// Crash-recovery notification (Engine::Restore). Forgets the abandoned
@@ -241,9 +326,16 @@ class FlightRecorder : public EffectTraceSink {
   const std::string& last_trigger() const { return last_trigger_; }
 
  private:
-  /// Resolves every record's after-value and returns whether the records
-  /// were already in canonical order (one pass does both).
-  bool ResolveAndCheckOrder(TickFrame* frame, const World& world);
+  /// A txn write-back cell (NoteWriteBack).
+  struct Cell {
+    ClassId cls;
+    RowIdx row;
+    FieldIdx field;
+  };
+
+  /// Copies the end-of-tick value of every effect-buffer row assigned this
+  /// tick and every write-back cell into `frame->afters`.
+  void CaptureAfters(const World& world, TickFrame* frame);
   /// Evaluates triggers for the just-captured frame; returns the reason
   /// ("" = none).
   const char* EvaluateTriggers(const TickFrame& frame);
@@ -256,6 +348,10 @@ class FlightRecorder : public EffectTraceSink {
   BlackBoxStore* store_ = nullptr;
 
   WorkerLanes<FrameRecord> lanes_;  ///< this tick's captured records
+  /// Some lane's records descend in canonical order this tick (Batch).
+  std::atomic<bool> descent_{false};
+  std::vector<Cell> writeback_cells_;  ///< this tick's txn write-back cells
+  std::vector<RowIdx> assigned_rows_;  ///< CaptureAfters scratch
   std::vector<TickFrame> ring_;
   int64_t frames_captured_ = 0;
   int64_t dropped_records_total_ = 0;

@@ -20,23 +20,23 @@ bool KeyLess(const RecKey& a, const RecKey& b) {
 
 RecKey KeyOf(const FrameRecord& r) { return RecKey{r.target, r.field}; }
 
-ProvValue AfterOf(const FrameRecord& r) {
+ProvValue ValueOf(const AfterValue* a) {
   ProvValue v;
-  v.known = r.after_known;
+  v.known = a != nullptr;
   if (!v.known) return v;
-  v.kind = static_cast<TypeKind>(r.after_kind);
+  v.kind = a->kind;
   switch (v.kind) {
     case TypeKind::kNumber:
-      v.num = r.after.num;
+      v.num = a->value.num;
       break;
     case TypeKind::kBool:
-      v.b = r.after.i != 0;
+      v.b = a->value.i != 0;
       break;
     case TypeKind::kRef:
-      v.ref = r.after.i;
+      v.ref = a->value.i;
       break;
     case TypeKind::kSet:
-      v.set_size = r.after.i;
+      v.set_size = a->value.i;
       break;
   }
   return v;
@@ -135,6 +135,7 @@ const ProvenanceIndex::FrameIndex* ProvenanceIndex::IndexFor(
                        return KeyLess(KeyOf(f->records[a]),
                                       KeyOf(f->records[b]));
                      });
+    slot.afters.Build(*f);
   }
   *status = ProvStatus::kOk;
   return &slot;
@@ -165,7 +166,8 @@ WhyResult ProvenanceIndex::WhyDidChange(EntityId entity, FieldIdx field,
   for (size_t i = run.first; i < run.second; ++i) {
     out.steps.push_back(StepOf(f->records[idx->perm[i]], f->tick));
   }
-  out.after = AfterOf(f->records[idx->perm[run.second - 1]]);
+  out.after =
+      ValueOf(idx->afters.Find(*f, f->records[idx->perm[run.second - 1]]));
   // Before-value: the latest earlier in-ring frame that wrote the same
   // (entity, field). In-ring frames are contiguous in tick, so the walk
   // stops at the first missing frame.
@@ -177,7 +179,8 @@ WhyResult ProvenanceIndex::WhyDidChange(EntityId entity, FieldIdx field,
     if (gidx == nullptr) break;
     const auto grun = EqualRun(*g, gidx->perm, entity, field);
     if (grun.first == grun.second) continue;
-    out.before = AfterOf(g->records[gidx->perm[grun.second - 1]]);
+    out.before = ValueOf(
+        gidx->afters.Find(*g, g->records[gidx->perm[grun.second - 1]]));
     break;
   }
   return out;
@@ -197,22 +200,22 @@ ExplainResult ProvenanceIndex::ExplainTick(Tick tick) const {
   out.num_records = static_cast<int64_t>(f->num_records);
   out.dropped_records = f->dropped_records;
 
-  auto row_for = [&out](int site) -> ExplainSiteRow& {
-    for (ExplainSiteRow& r : out.sites) {
-      if (r.site == site) return r;
-    }
-    out.sites.emplace_back();
-    out.sites.back().site = site;
-    return out.sites.back();
+  // Records per site id, in slot site + 1 (plan-level -1 lands in slot 0);
+  // -1 = no row. A site that ran but wrote nothing still gets a row.
+  std::vector<int64_t> counts;
+  auto row = [&](int site) -> int64_t& {
+    SGL_DCHECK(site >= -1);
+    const size_t s = static_cast<size_t>(site + 1);
+    if (s >= counts.size()) counts.resize(s + 1, -1);
+    if (counts[s] < 0) counts[s] = 0;
+    return counts[s];
   };
-  for (const SiteFeedback& fb : f->stats.sites) row_for(fb.site);
-  for (size_t i = 0; i < f->num_records; ++i) {
-    ++row_for(f->records[i].site).records;
+  for (const SiteFeedback& fb : f->stats.sites) row(fb.site);
+  for (size_t i = 0; i < f->num_records; ++i) ++row(f->records[i].site);
+  for (size_t s = 0; s < counts.size(); ++s) {
+    if (counts[s] < 0) continue;
+    out.sites.push_back(ExplainSiteRow{static_cast<int>(s) - 1, counts[s]});
   }
-  std::sort(out.sites.begin(), out.sites.end(),
-            [](const ExplainSiteRow& a, const ExplainSiteRow& b) {
-              return a.site < b.site;
-            });
   return out;
 }
 

@@ -6,14 +6,16 @@
 // (entity, field) in one tick: every recorded write targeting it — site id,
 // ⊕/intent order key, transaction id, writing source rows — in canonical
 // order, plus the field's value before (the latest earlier in-ring
-// after-value) and after the tick. ExplainTick(t) returns the tick's
-// TickStats as captured plus per-site record counts.
+// after-value) and after the tick, read from the frames' after-values.
+// ExplainTick(t) returns the tick's TickStats as captured plus per-site
+// record counts.
 //
 // Both answer from flat per-frame indexes: a sorted permutation of the
 // frame's records keyed by (target, field) — CSR-style, one contiguous run
-// per written field — built lazily per frame *off the hot path* and cached
-// by frame sequence number, so repeated queries over one frame binary-search
-// instead of rescanning. Correctness is verified differentially against a
+// per written field — and an AfterIndex over the frame's after-values,
+// built lazily per frame *off the hot path* and cached by frame sequence
+// number, so repeated queries over one frame binary-search instead of
+// rescanning. Correctness is verified differentially against a
 // brute-force scan of the full effect stream (tests/telemetry_flight_test).
 //
 // Eviction is honest: a tick that fell off the ring reports kEvicted, never
@@ -80,7 +82,8 @@ struct WhyResult {
   /// Value before the tick: the latest earlier in-ring after-value for the
   /// same (entity, field); unknown when no earlier frame wrote it.
   ProvValue before;
-  /// Value after the tick (the last chain step's resolved after-value).
+  /// Value after the tick (the after-value of the last chain step's
+  /// (entity, field, phase)).
   ProvValue after;
   std::vector<ProvStep> steps;  ///< canonical order
 };
@@ -124,6 +127,7 @@ class ProvenanceIndex {
     uint64_t seq = ~uint64_t{0};
     Tick tick = -1;
     std::vector<uint32_t> perm;
+    AfterIndex afters;
   };
 
   /// Index for the frame holding `tick` (built on first touch, cached by

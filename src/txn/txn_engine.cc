@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/fault/fault_injector.h"
+#include "src/telemetry/flight_recorder.h"
 
 namespace sgl {
 
@@ -212,25 +213,31 @@ void TxnEngine::ApplyUpdate(World* world) {
       ++last_tick_.aborted;
     } else {
       ++last_tick_.committed;
-      if (prov_sink_ != nullptr) {
-        // Provenance for the flight recorder: one event per committed
-        // write, tagged with the intent's order key as the txn id. The
-        // value is the write's *contribution* (delta / inserted element /
-        // new ref), not the folded overlay state; field indexes are in
-        // state-field space (prov.txn >= 0 marks the namespace).
-        EffectProv prov;
-        prov.site = static_cast<int32_t>(intent.order_key >> 32);
-        prov.src_shard = static_cast<int32_t>(ref.shard);
-        prov.src_outer = intent.issuer;
-        prov.txn = static_cast<int64_t>(intent.order_key);
+      if (recorder_ != nullptr) {
+        // One record per committed write. The contribution is the write's
+        // delta / inserted element / new ref, not the folded overlay
+        // state; field indexes are in state-field space (is_txn marks the
+        // namespace) and the intent's order key is the txn id.
+        FlightRecorder::Batch batch(recorder_, intent.num_writes);
+        FrameRecord r{};
+        r.order_key = intent.order_key;
+        r.src_outer = intent.issuer;
+        r.src_inner = kNullEntity;
+        r.site = static_cast<int32_t>(intent.order_key >> 32);
+        r.src_shard = static_cast<uint32_t>(ref.shard);
+        r.is_txn = true;
         for (uint32_t wi = 0; wi < intent.num_writes; ++wi) {
           const TxnResolvedWrite& w = writes[wi];
-          const Value v = w.op == TxnWriteOp::kAddDelta
-                              ? Value::Number(w.num)
-                              : Value::Ref(w.ref);
-          prov_sink_->OnEffectAssign(fault_tick_, w.target, w.cls, w.field,
-                                     v, static_cast<int>(wi),
-                                     intent.order_key, prov);
+          const bool delta = w.op == TxnWriteOp::kAddDelta;
+          r.target = w.target;
+          r.target_cls = w.cls;
+          r.field = w.field;
+          r.assign_id = static_cast<int32_t>(wi);
+          r.contrib = delta ? FramePayload::Num(w.num)
+                            : FramePayload::Int(w.ref);
+          r.contrib_kind = static_cast<uint32_t>(delta ? ValueKind::kNumber
+                                                       : ValueKind::kRef);
+          batch.Add(r);
         }
       }
     }
@@ -256,6 +263,12 @@ void TxnEngine::ApplyUpdate(World* world) {
       [&](ClassId cls, RowIdx row, FieldIdx field, EntityId v) {
         world->table(cls).RefCol(field)[row] = v;
       });
+  if (recorder_ != nullptr) {
+    auto note = [&](ClassId cls, RowIdx row, FieldIdx field, const auto&) {
+      recorder_->NoteWriteBack(cls, row, field);
+    };
+    overlay_.ForEachTouched(note, note, note);
+  }
   overlay_.Clear();
 
   total_.issued += last_tick_.issued;

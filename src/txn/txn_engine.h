@@ -28,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/debug/trace.h"
 #include "src/lang/compiler.h"
 #include "src/ra/eval.h"
 #include "src/storage/world.h"
@@ -37,6 +36,7 @@
 namespace sgl {
 
 class FaultInjector;
+class FlightRecorder;
 
 /// A fully resolved single write of an intent.
 struct TxnResolvedWrite {
@@ -138,13 +138,14 @@ class TxnEngine {
   void set_fault(FaultInjector* fault) { fault_ = fault; }
   /// The tick admission rolls against (set by the executor each tick).
   void set_fault_tick(Tick tick) { fault_tick_ = tick; }
-  /// Provenance sink for committed writes (the flight recorder's capture
-  /// path; null = off). Each committed intent reports one event per
-  /// resolved write, tagged with the intent's order key as `prov.txn` —
-  /// the "which transaction wrote this state field" half of
-  /// WhyDidChange. Admission is single-threaded (update phase), so the
-  /// sink sees barrier-thread calls only. Set by the executor per tick.
-  void set_prov_sink(EffectTraceSink* sink) { prov_sink_ = sink; }
+  /// The flight recorder capturing committed writes (null = off). Each
+  /// committed intent hands it one record per resolved write, tagged with
+  /// the intent's order key as its txn id — the "which transaction wrote
+  /// this state field" half of WhyDidChange — and the write-back reports
+  /// every cell it wrote, whose end-of-tick value becomes the after-value.
+  /// Admission is single-threaded (update phase), so the recorder sees
+  /// barrier-thread calls only. Set by the executor per tick.
+  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
   /// True exactly once after an injected mid-admission crash: admission
   /// stopped partway, committed overlay values were still written back
   /// (a deliberately torn update), and unprocessed issuers kept status -1.
@@ -184,7 +185,7 @@ class TxnEngine {
 
   const CompiledProgram* program_;
   FaultInjector* fault_ = nullptr;
-  EffectTraceSink* prov_sink_ = nullptr;
+  FlightRecorder* recorder_ = nullptr;
   Tick fault_tick_ = 0;
   bool injected_crash_ = false;
   std::vector<TxnIntentLog> shards_;

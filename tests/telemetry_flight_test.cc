@@ -7,6 +7,8 @@
 //     (the CSR index path vs no index at all).
 //   * Transaction write-back chains on the contested-market workload
 //     (is_txn steps carrying intent order keys).
+//   * After- and before-values against an eager per-record resolution,
+//     with despawns and spawns between ticks.
 //   * Chain determinism: serialized chains bit-identical across
 //     {serial, 4-thread, 4-shard × 4-thread} and across eval / probe
 //     modes, with the src_shard topology tag zeroed before comparing.
@@ -16,8 +18,9 @@
 //     for record; the provenance tail never depends on a slot's history.
 //   * Black-box dumps: fault-fire trigger, cooldown suppression, rotation,
 //     corruption rejection with fallback-to-previous-good, Chrome-trace
-//     JSON round-trip of the dump payload, and the never-crashed vs
-//     crash/recover differential producing byte-identical dump files.
+//     JSON round-trip of the dump payload, the never-crashed vs
+//     crash/recover differential producing byte-identical dump files, and
+//     the provenance section's bytes pinned by hash.
 //   * The armed steady-state contract: allocs_per_tick == 0 with the
 //     recorder capturing every effect write (serial / threaded / sharded,
 //     with and without a user tracer sharing the fan-out), and world
@@ -32,9 +35,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/alloc_hook.h"
@@ -335,6 +340,96 @@ std::string ChainToString(const WhyResult& why, bool zero_shard) {
   return out;
 }
 
+// --- eager after-value reference --------------------------------------------
+
+// The after-value of record `r` resolved eagerly against `world`, as the
+// recorder once did for every record at capture: one World::Find plus one
+// effect-buffer or state-column read. An independent reference for the
+// recorder's per-pair after-values; only meaningful while `world` is still
+// at the end of the record's tick.
+ProvValue EagerAfter(const World& world, const FrameRecord& r) {
+  ProvValue v;
+  const World::Locator* loc = world.Find(r.target);
+  if (loc == nullptr) return v;
+  const EntityTable& table = world.table(loc->cls);
+  if (loc->row >= static_cast<RowIdx>(table.size())) return v;
+  const ClassDef& cls = table.cls();
+  if (r.is_txn) {
+    if (r.field < 0 ||
+        static_cast<size_t>(r.field) >= cls.state_fields().size()) {
+      return v;
+    }
+    v.kind = cls.state_field(r.field).type.kind;
+    switch (v.kind) {
+      case TypeKind::kNumber:
+        v.num = table.Num(r.field)[loc->row];
+        break;
+      case TypeKind::kBool:
+        v.b = table.BoolCol(r.field)[loc->row] != 0;
+        break;
+      case TypeKind::kRef:
+        v.ref = table.RefCol(r.field)[loc->row];
+        break;
+      case TypeKind::kSet:
+        v.set_size =
+            static_cast<int64_t>(table.SetCol(r.field)[loc->row].size());
+        break;
+    }
+  } else {
+    if (r.field < 0 ||
+        static_cast<size_t>(r.field) >= cls.effect_fields().size()) {
+      return v;
+    }
+    const EffectBuffer& eb = world.effects(loc->cls);
+    if (!eb.Assigned(r.field, loc->row)) return v;
+    v.kind = cls.effect_field(r.field).type.kind;
+    switch (v.kind) {
+      case TypeKind::kNumber:
+        v.num = eb.FinalNumber(r.field, loc->row);
+        break;
+      case TypeKind::kBool:
+        v.b = eb.FinalBool(r.field, loc->row);
+        break;
+      case TypeKind::kRef:
+        v.ref = eb.FinalRef(r.field, loc->row);
+        break;
+      case TypeKind::kSet:
+        v.set_size =
+            static_cast<int64_t>(eb.FinalSet(r.field, loc->row).size());
+        break;
+    }
+  }
+  v.known = true;
+  return v;
+}
+
+std::string DescribeValue(const ProvValue& v) {
+  if (!v.known) return "unknown";
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "kind=%d num=%.17g b=%d ref=%lld set=%lld",
+                static_cast<int>(v.kind), v.num, v.b ? 1 : 0,
+                static_cast<long long>(v.ref),
+                static_cast<long long>(v.set_size));
+  return buf;
+}
+
+using PairKey = std::tuple<Tick, EntityId, FieldIdx>;
+
+// Records the eager after-value of every (target, field) the newest frame
+// wrote, into `ref`. Call right after the tick, before the world changes.
+// Frames are canonical, so the last record of a pair — the one
+// WhyDidChange reads — is the last one assigned.
+void RecordEagerAfters(const FlightRecorder& rec, const World& world,
+                       std::map<PairKey, ProvValue>* ref) {
+  const Tick t = rec.newest_tick();
+  const TickFrame* f = rec.frame(t);
+  ASSERT_NE(f, nullptr);
+  for (size_t i = 0; i < f->num_records; ++i) {
+    const FrameRecord& r = f->records[i];
+    (*ref)[{t, r.target, r.field}] = EagerAfter(world, r);
+  }
+}
+
 // --- frame capture basics --------------------------------------------------
 
 // Field-for-field TickStats equality, site rows included. The alloc
@@ -595,6 +690,8 @@ TEST(Provenance, IndexMatchesBruteForceLinearScan) {
   const Tick t = rec.newest_tick();
   const TickFrame* f = rec.frame(t);
   ASSERT_NE(f, nullptr);
+  std::map<PairKey, ProvValue> eager;
+  RecordEagerAfters(rec, engine->world(), &eager);
   std::set<std::pair<EntityId, FieldIdx>> keys;
   for (size_t i = 0; i < f->num_records; ++i) {
     keys.emplace(f->records[i].target, f->records[i].field);
@@ -617,10 +714,8 @@ TEST(Provenance, IndexMatchesBruteForceLinearScan) {
       EXPECT_EQ(why.steps[i].assign_id, expect[i]->assign_id);
       EXPECT_EQ(why.steps[i].site, expect[i]->site);
     }
-    EXPECT_EQ(why.after.known, expect.back()->after_known);
-    if (why.after.known) {
-      EXPECT_EQ(why.after.num, expect.back()->after.num);
-    }
+    EXPECT_EQ(DescribeValue(why.after),
+              DescribeValue(eager.at({t, target, field})));
   }
 }
 
@@ -675,6 +770,130 @@ TEST(Provenance, TxnWritebackChainsOnContestedMarket) {
     }
   }
   EXPECT_GT(txn_chains, 0) << "no transaction write-backs were recorded";
+}
+
+// --- after-values against the eager reference ------------------------------
+
+// Runs `tick` (one engine tick plus its inputs) `ticks` times, recording the
+// eager after-value reference after each; between ticks `churn` despawns
+// and spawns. Then checks every in-ring frame's WhyDidChange after- and
+// before-values against the reference.
+void ExpectAftersMatchEager(FlightRecorder* rec, Engine* engine, int ticks,
+                            const std::function<void(int)>& tick,
+                            const std::function<void()>& churn,
+                            const std::string& what) {
+  SCOPED_TRACE(what);
+  std::map<PairKey, ProvValue> eager;
+  for (int i = 0; i < ticks; ++i) {
+    tick(i);
+    RecordEagerAfters(*rec, engine->world(), &eager);
+    if (i + 1 < ticks) churn();
+  }
+  ProvenanceIndex prov(rec);
+  const Tick oldest = rec->oldest_tick();
+  ASSERT_GE(oldest, 0);
+  size_t checked = 0, known = 0, befores = 0;
+  for (const auto& [key, after] : eager) {
+    const auto [t, target, field] = key;
+    if (t < oldest) continue;
+    const WhyResult why = prov.WhyDidChange(target, field, t);
+    ASSERT_EQ(why.status, ProvStatus::kOk) << ChainToString(why, false);
+    EXPECT_EQ(DescribeValue(why.after), DescribeValue(after))
+        << ChainToString(why, false);
+    // Before: the latest earlier in-ring tick that wrote the pair.
+    ProvValue before;
+    for (Tick u = t - 1; u >= oldest; --u) {
+      const auto it = eager.find({u, target, field});
+      if (it == eager.end()) continue;
+      before = it->second;
+      break;
+    }
+    EXPECT_EQ(DescribeValue(why.before), DescribeValue(before))
+        << ChainToString(why, false);
+    ++checked;
+    known += after.known ? 1 : 0;
+    befores += before.known ? 1 : 0;
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(known, 0u);
+  EXPECT_GT(befores, 0u);
+}
+
+TEST(Provenance, AfterValuesMatchEagerReference) {
+  // RTS, serial and 4 threads with 64-row morsels: each tick despawns a
+  // unit the last frame wrote and spawns one inside the battle.
+  for (int threads : {1, 4}) {
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 8;
+    FlightRecorder rec(fo);
+    rec.set_armed(true);
+    EngineOptions options = RecorderOpts(&rec, nullptr, threads);
+    options.exec.morsel_size = 64;
+    auto engine = BuildRts(256, options);
+    auto churn = [&] {
+      const TickFrame* f = rec.frame(rec.newest_tick());
+      ASSERT_TRUE(f != nullptr && f->num_records > 0);
+      const EntityId victim = f->records[f->num_records / 2].target;
+      const Value x = *engine->Get(victim, "x");
+      const Value y = *engine->Get(victim, "y");
+      ASSERT_TRUE(engine->Despawn(victim).ok());
+      ASSERT_TRUE(engine->Spawn("Unit", {{"x", x}, {"y", y}}).ok());
+    };
+    ExpectAftersMatchEager(
+        &rec, engine.get(), 10,
+        [&](int) { ASSERT_TRUE(engine->Tick().ok()); }, churn,
+        "rts threads=" + std::to_string(threads));
+  }
+
+  // Contested market: transaction write-backs (state-field after-values).
+  {
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 8;
+    FlightRecorder rec(fo);
+    rec.set_armed(true);
+    MarketConfig config;
+    config.num_traders = 32;
+    config.num_items = 64;
+    auto built = MarketWorkload::Build(config, RecorderOpts(&rec));
+    ASSERT_TRUE(built.ok()) << built.status();
+    Engine* engine = built->get();
+    Rng rng(21);
+    EntityId next_victim = 3;
+    auto churn = [&] {
+      ASSERT_TRUE(engine->Despawn(next_victim).ok());
+      next_victim += 5;
+      ASSERT_TRUE(engine->Spawn("Trader", {}).ok());
+    };
+    ExpectAftersMatchEager(
+        &rec, engine, 10,
+        [&](int) {
+          MarketWorkload::AssignWants(engine, config, &rng);
+          ASSERT_TRUE(engine->Tick().ok());
+        },
+        churn, "market");
+  }
+
+  // Fuzzed programs: plan-level, site-attributed and cross-entity writes.
+  for (uint64_t seed : {11u, 23u, 57u}) {
+    Rng rng(seed);
+    const std::string src = FuzzProgram(&rng);
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 8;
+    FlightRecorder rec(fo);
+    rec.set_armed(true);
+    auto engine = BuildFuzz(src, RecorderOpts(&rec), seed * 7 + 1);
+    ASSERT_NE(engine, nullptr);
+    EntityId next_victim = 2;
+    auto churn = [&] {
+      ASSERT_TRUE(engine->Despawn(next_victim).ok());
+      next_victim += 3;
+      ASSERT_TRUE(engine->Spawn("Thing", {}).ok());
+    };
+    ExpectAftersMatchEager(
+        &rec, engine.get(), 10,
+        [&](int) { ASSERT_TRUE(engine->Tick().ok()); }, churn,
+        "fuzz seed=" + std::to_string(seed) + "\n" + src);
+  }
 }
 
 // --- chain determinism across topologies and modes --------------------------
@@ -1085,6 +1304,54 @@ script S for U {
   ASSERT_FALSE(from_start.empty());
   EXPECT_EQ(from_start, from_tick3)
       << "the tail serialized bytes left over from earlier ticks";
+}
+
+// FNV-1a over a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The SGLPROV1 bytes are a file format: hashes of the provenance tail of a
+// seeded 64-unit RTS run and a small contested-market run, pinned to the
+// values the format had when after-values were still stored per record.
+// A change here breaks every dump written before it.
+TEST(BlackBox, ProvenanceTailBytesArePinned) {
+  FlightRecorder rts_rec;
+  rts_rec.set_armed(true);
+  auto rts = BuildRts(64, RecorderOpts(&rts_rec));
+  ASSERT_TRUE(rts->RunTicks(12).ok());
+  std::string rts_tail;
+  rts_rec.SerializeProvenanceTail(&rts_tail);
+
+  FlightRecorder market_rec;
+  market_rec.set_armed(true);
+  MarketConfig config;
+  config.num_traders = 32;
+  config.num_items = 64;
+  auto market = MarketWorkload::Build(config, RecorderOpts(&market_rec));
+  ASSERT_TRUE(market.ok()) << market.status();
+  Rng rng(21);
+  for (int t = 0; t < 8; ++t) {
+    MarketWorkload::AssignWants(market->get(), config, &rng);
+    ASSERT_TRUE((*market)->Tick().ok());
+  }
+  std::string market_tail;
+  market_rec.SerializeProvenanceTail(&market_tail);
+
+  char got[64];
+  std::snprintf(got, sizeof(got), "%016llx %zu",
+                static_cast<unsigned long long>(Fnv1a(rts_tail)),
+                rts_tail.size());
+  EXPECT_STREQ(got, "2207e80749b182b2 239920") << "rts provenance tail";
+  std::snprintf(got, sizeof(got), "%016llx %zu",
+                static_cast<unsigned long long>(Fnv1a(market_tail)),
+                market_tail.size());
+  EXPECT_STREQ(got, "7faeb85c98d796d6 50648") << "market provenance tail";
 }
 
 // --- armed steady-state allocation contract ---------------------------------
