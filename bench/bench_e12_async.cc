@@ -12,16 +12,18 @@
 //                 is re-searched per tick. W = 0 is the inline reference
 //                 mode (same install schedule, search cost paid at the
 //                 barrier).
-//   * async/W/T — the same with T tick threads. Due jobs no worker has
-//                 claimed run in the barrier's drain, fanned out over the
-//                 tick pool when T > 1: at W = 1 and 16k units, T = 2, 4
-//                 against T = 1 is the drain's speed-up on the slowest
-//                 tick (`max_tick_ms`).
+//   * async/W/T — the same with T tick threads. The tick pool runs the
+//                 query phase only; due jobs no worker has claimed run in
+//                 the barrier's drain on the tick thread for any T. At
+//                 W = 1 and 16k units, T = 2, 4 against T = 1 shows what
+//                 extra query threads do to the slowest tick
+//                 (`max_tick_ms`).
 //
 // Counters: phase breakdown, allocs/tick, jobs submitted/installed/in
 // flight, barrier wait, drain runs per tick (`fallback_runs`) and the
-// slowest tick (`max_tick_ms`, the retarget tick's install hitch). The determinism side (bit-identical state across
-// worker counts) is pinned by tests/async_test.cc, not measured here.
+// slowest tick (`max_tick_ms`, the retarget tick's install hitch). The
+// determinism side (bit-identical state across worker counts) is pinned by
+// tests/async_test.cc, not measured here.
 
 #include <algorithm>
 #include <thread>

@@ -10,7 +10,7 @@ namespace sgl {
 
 namespace {
 
-/// A worker's (or drain share's) goal-field search state.
+/// A worker's (or the barrier's drain's) goal-field search state.
 struct FieldJobScratch : JobScratch {
   FieldScratch search;
 };

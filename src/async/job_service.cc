@@ -5,7 +5,6 @@
 #include "src/common/bin_io.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
-#include "src/common/thread_pool.h"
 #include "src/fault/fault_injector.h"
 #include "src/telemetry/telemetry.h"
 
@@ -25,23 +24,11 @@ void BusyDelayMicros(int64_t micros) {
 
 }  // namespace
 
-JobService::JobService(const JobServiceOptions& options, ThreadPool* pool)
-    : options_(options),
-      pool_(pool),
-      // The workers keep running through the drain, racing the shares
-      // for the same due jobs, so the shares take only the threads the
-      // workers leave of a parallel phase's pool threads + barrier
-      // thread. More would oversubscribe the cores the tick was given,
-      // and the drain's speed would then hinge on which cores happen to
-      // be free.
-      num_shares_(pool != nullptr
-                      ? std::max(1, pool->num_threads() + 1 -
-                                        options.num_workers)
-                      : 1) {
+JobService::JobService(const JobServiceOptions& options) : options_(options) {
   SGL_CHECK(options_.num_workers >= 0);
   due_.resize(static_cast<size_t>(kJobMaxLatency));
-  // Sized once: workers and drain shares read the table concurrently.
-  scratch_.resize(static_cast<size_t>(options_.num_workers + num_shares_));
+  // Sized once: the workers and the drain read the table concurrently.
+  scratch_.resize(static_cast<size_t>(options_.num_workers + 1));
   for (int w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
@@ -59,9 +46,10 @@ JobService::~JobService() {
 int JobService::RegisterClient(JobClient* client) {
   SGL_CHECK(in_flight_ == 0 && "register clients before submitting");
   clients_.push_back(client);
-  // Every scratch exists before the first job: a drain share picks jobs
-  // from a shared cursor, so the tick of its first job is timing-dependent
-  // and must not be the tick that allocates its scratch.
+  // Every scratch exists before the first job: the drain's first job
+  // comes whenever a worker first misses a deadline, so the tick of that
+  // job is timing-dependent and must not be the tick that allocates its
+  // scratch.
   for (auto& per_slot : scratch_) per_slot.push_back(client->MakeScratch());
   return static_cast<int>(clients_.size()) - 1;
 }
@@ -242,32 +230,13 @@ void JobService::WorkerLoop(int worker_index) {
 void JobService::Drain() {
   // Deadline fallback: every due job no worker has claimed by its
   // contracted install tick (all of them in inline mode; stalled or
-  // dropped ones otherwise) runs now, in drain shares. A share claims a
-  // job with the same CAS the workers use, so a stalled worker's late
-  // claim loses and drops the slot. Each job is a pure function of its
-  // snapshot and args, and installs happen afterwards in seeded order, so
-  // which thread ran it changes no state.
-  size_t unclaimed = 0;
-  for (const JobSlot* slot : due_sorted_) {
-    if (slot->claim.load(std::memory_order_relaxed) == 0) ++unclaimed;
-  }
-  if (unclaimed == 0) return;
-  drain_next_.store(0, std::memory_order_relaxed);
-  if (num_shares_ < 2 || unclaimed < 2) {
-    DrainShare(0);  // not worth waking the pool
-  } else {
-    pool_->ParallelFor(num_shares_, [this](int share) { DrainShare(share); });
-  }
-  total_fallback_ += drain_runs_.exchange(0, std::memory_order_relaxed);
-}
-
-void JobService::DrainShare(int share) {
-  const int scratch_index = options_.num_workers + share;
-  int64_t runs = 0;
-  for (size_t i = drain_next_.fetch_add(1, std::memory_order_relaxed);
-       i < due_sorted_.size();
-       i = drain_next_.fetch_add(1, std::memory_order_relaxed)) {
-    JobSlot* slot = due_sorted_[i];
+  // dropped ones otherwise) runs now, on the barrier thread. The drain
+  // claims a job with the same CAS the workers use, so a stalled worker's
+  // late claim loses and drops the slot. Each job is a pure function of
+  // its snapshot and args, and installs happen afterwards in seeded order,
+  // so which thread ran it changes no state.
+  const int scratch_index = options_.num_workers;
+  for (JobSlot* slot : due_sorted_) {
     uint32_t expected = 0;
     if (!slot->claim.compare_exchange_strong(expected, 1,
                                              std::memory_order_acq_rel)) {
@@ -275,9 +244,8 @@ void JobService::DrainShare(int share) {
     }
     RunJob(slot, scratch_index);
     slot->done.store(1, std::memory_order_release);
-    ++runs;
+    ++total_fallback_;
   }
-  drain_runs_.fetch_add(runs, std::memory_order_relaxed);
 }
 
 void JobService::InstallDue(Tick tick) {

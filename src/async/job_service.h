@@ -38,12 +38,10 @@
 // a slot only between claiming it from the pending queue and releasing its
 // `done` flag; the slot arena, snapshot pool, and client registry are
 // barrier-owned, and everything a worker dereferences is address-stable.
-// JobClient::Run may execute on a worker, on the barrier thread, or on a
-// thread of the executor's ThreadPool: InstallDue's drain fans the due jobs
-// no worker has claimed out over that pool (the pool threads plus the
-// barrier thread, less one per worker). JobClient::Install always runs on
-// the barrier thread, after the drain has joined. Clients must register
-// before the first Submit.
+// JobClient::Run executes on a worker or, for the due jobs no worker has
+// claimed, on the barrier thread in InstallDue's drain. JobClient::Install
+// always runs on the barrier thread, after the drain. Clients must
+// register before the first Submit.
 
 #ifndef SGL_ASYNC_JOB_SERVICE_H_
 #define SGL_ASYNC_JOB_SERVICE_H_
@@ -62,7 +60,6 @@ namespace sgl {
 
 class FaultInjector;
 class Telemetry;
-class ThreadPool;
 
 /// Upper bound (exclusive) on a submission's declared latency; sizes the
 /// per-latency due queues.
@@ -78,8 +75,8 @@ constexpr int kJobMaxAttempts = 3;
 struct JobServiceOptions {
   /// Background workers. 0 = inline reference mode: no job is ever
   /// claimed early, so every job runs in the barrier's drain at its install
-  /// tick — on the drain pool if the service has one (bit-identical to any
-  /// worker count by the purity contract).
+  /// tick, on the barrier thread (bit-identical to any worker count by the
+  /// purity contract).
   int num_workers = 0;
   /// Seed for the deterministic job-ordering keys.
   uint64_t seed = 0x0b5eeded5eedULL;
@@ -92,10 +89,11 @@ struct JobServiceOptions {
 };
 
 /// Client-opaque per-worker scratch (search arrays, heaps). One instance
-/// per (worker, client) plus one per (drain share, client), all created
-/// when the client registers and reused for every job. A drain share's
-/// first job can come at any tick, so MakeScratch should return the
-/// scratch at its working size: then per-job execution allocates nothing.
+/// per (worker, client) plus one per client for the barrier's drain, all
+/// created when the client registers and reused for every job. The drain's
+/// first job can come at any tick (whenever a worker first misses a
+/// deadline), so MakeScratch should return the scratch at its working
+/// size: then per-job execution allocates nothing.
 class JobScratch {
  public:
   virtual ~JobScratch() = default;
@@ -103,7 +101,7 @@ class JobScratch {
 
 /// One pooled job record. Everything before `result` is written at Submit
 /// and immutable afterwards; `result` is written by exactly one worker
-/// (or a drain share) before `done` is released.
+/// (or the barrier's drain) before `done` is released.
 struct JobSlot {
   uint64_t order_key = 0;  ///< seeded deterministic install ordering
   uint64_t user_key = 0;   ///< client dedup key, echoed at install
@@ -119,16 +117,16 @@ struct JobSlot {
   std::vector<uint64_t> blob;
   std::atomic<uint32_t> done{0};
   /// Execution claim: 0 = unclaimed, 1 = claimed. Exactly one executor —
-  /// a worker (after its pre-claim delays) or a share of the barrier's
-  /// drain — wins the CAS and runs the job; every loser drops it. Reset
+  /// a worker (after its pre-claim delays) or the barrier's drain — wins
+  /// the CAS and runs the job; every loser drops it. Reset
   /// by Submit after the slot's fields are filled, so a stale worker still
   /// holding a recycled slot's pointer can never claim a half-written job.
   std::atomic<uint32_t> claim{0};
 };
 
 /// The component side of a job. Run() executes on a background worker or
-/// in the barrier's drain (possibly on a pool thread); Install() is called
-/// on the barrier thread in deterministic order.
+/// in the barrier's drain (on the barrier thread); Install() is called on
+/// the barrier thread in deterministic order.
 class JobClient {
  public:
   virtual ~JobClient() = default;
@@ -155,11 +153,7 @@ struct JobTickStats {
 
 class JobService {
  public:
-  /// `pool` (borrowed, may be null; must outlive the service) runs the
-  /// barrier's drain: the executor's tick pool, idle at the barrier. Null
-  /// = the drain runs on the barrier thread alone.
-  explicit JobService(const JobServiceOptions& options,
-                      ThreadPool* pool = nullptr);
+  explicit JobService(const JobServiceOptions& options);
   ~JobService();
 
   JobService(const JobService&) = delete;
@@ -186,10 +180,10 @@ class JobService {
               SnapshotView* snap, int latency, Tick now);
 
   /// Installs every job due at `tick` in deterministic order. First the
-  /// drain runs every due job no worker has claimed, across the pool;
-  /// then the installs block only on jobs a worker is still running. The
-  /// executor calls this at the tick barrier, before update components
-  /// run. Must run every tick.
+  /// drain runs every due job no worker has claimed, on the barrier
+  /// thread; then the installs block only on jobs a worker is still
+  /// running. The executor calls this at the tick barrier, before update
+  /// components run. Must run every tick.
   void InstallDue(Tick tick);
 
   /// Drops every pending and in-flight job without installing (checkpoint
@@ -229,11 +223,9 @@ class JobService {
  private:
   void WorkerLoop(int worker_index);
   void RunJob(JobSlot* slot, int scratch_index);
-  /// Claims and runs every unclaimed job in `due_sorted_`: serially when
-  /// there is one share or fewer than 2 such jobs, else `num_shares_`
-  /// DrainShares across the pool.
+  /// Claims and runs every unclaimed job in `due_sorted_`, in order, on
+  /// the barrier thread.
   void Drain();
-  void DrainShare(int share);
   void RecycleJob(JobSlot* slot);
   JobSlot* AcquireJobSlot();
 
@@ -260,16 +252,8 @@ class JobService {
   std::vector<DueQueue> due_;        ///< indexed by clamped latency
   std::vector<JobSlot*> due_sorted_;  ///< per-barrier scratch
 
-  /// Drain fan-out: borrowed pool, shares per drain (pool threads + the
-  /// barrier thread - workers, at least 1), the shared cursor over
-  /// `due_sorted_`, and the jobs the shares ran.
-  ThreadPool* pool_ = nullptr;
-  int num_shares_ = 1;
-  std::atomic<size_t> drain_next_{0};
-  std::atomic<int64_t> drain_runs_{0};
-
   /// Per (scratch slot, client) scratch: one slot per worker, then one
-  /// per drain share.
+  /// for the barrier's drain.
   std::vector<std::vector<std::unique_ptr<JobScratch>>> scratch_;
 
   // --- worker plumbing --------------------------------------------------

@@ -21,19 +21,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::RunParallelShare(void (*invoke)(void*, int), void* ctx,
                                   int n) {
   for (int i = pf_next_.fetch_add(1); i < n; i = pf_next_.fetch_add(1)) {
@@ -80,32 +67,19 @@ void ThreadPool::WorkerLoop() {
   uint64_t seen_gen = 0;
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
-    work_cv_.wait(lock, [&] {
-      return stop_ || !queue_.empty() || pf_gen_ != seen_gen;
-    });
-    if (stop_ && queue_.empty()) return;
-    if (pf_gen_ != seen_gen) {
-      seen_gen = pf_gen_;
-      if (pf_pending_.load() > 0) {
-        // Snapshot the call under the lock; registration as a sharer keeps
-        // the snapshot valid until we exit the share.
-        ++pf_sharers_;
-        auto invoke = pf_invoke_;
-        void* ctx = pf_ctx_;
-        int n = pf_n_;
-        lock.unlock();
-        RunParallelShare(invoke, ctx, n);
-      }
-      continue;
+    work_cv_.wait(lock, [&] { return stop_ || pf_gen_ != seen_gen; });
+    if (stop_) return;
+    seen_gen = pf_gen_;
+    if (pf_pending_.load() > 0) {
+      // Snapshot the call under the lock; registration as a sharer keeps
+      // the snapshot valid until we exit the share.
+      ++pf_sharers_;
+      auto invoke = pf_invoke_;
+      void* ctx = pf_ctx_;
+      int n = pf_n_;
+      lock.unlock();
+      RunParallelShare(invoke, ctx, n);
     }
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++active_;
-    lock.unlock();
-    task();
-    lock.lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
   }
 }
 

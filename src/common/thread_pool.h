@@ -1,9 +1,9 @@
 // Fixed-size worker pool used by the parallel executor (§4.2).
 //
-// The executor submits batches of independent closures (one per morsel) and
-// waits for the whole batch; there is no cross-task synchronization because
-// the query and effect phases are read-only over state (the paper's core
-// parallelism argument).
+// The executor's query phase runs batches of independent units (morsels,
+// or one per shard) through ParallelFor and waits for each whole batch;
+// there is no cross-task synchronization because the query and effect
+// phases are read-only over state (the paper's core parallelism argument).
 //
 // ParallelFor is allocation-free: the callable is broadcast to the resident
 // workers by pointer (a generation counter wakes them), so the per-tick
@@ -14,8 +14,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -35,21 +33,12 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues one task. Thread-safe.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted via Submit() so far has finished
-  /// executing. Covers Submit work only — an in-flight ParallelFor (which
-  /// blocks its own caller until completion) is not waited on.
-  void WaitIdle();
-
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   /// Work is pre-partitioned: task i is a fixed unit, so the decomposition
   /// (and therefore any order-keyed merge) is independent of thread count.
   /// The callable is invoked by reference — nothing is copied or boxed.
   /// At most one ParallelFor may be in flight per pool (the broadcast state
-  /// is shared); overlapping calls are a checked error. Submit/WaitIdle
-  /// remain independently thread-safe.
+  /// is shared); overlapping calls are a checked error.
   template <typename Fn>
   void ParallelFor(int n, Fn&& fn) {
     using Decayed =
@@ -71,11 +60,9 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers
-  std::condition_variable idle_cv_;   // signals WaitIdle / ParallelFor
-  int active_ = 0;
+  std::condition_variable idle_cv_;   // signals ParallelFor's caller
   bool stop_ = false;
 
   // Broadcast state for the current ParallelFor. pf_gen_/pf_invoke_/

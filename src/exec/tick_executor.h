@@ -222,8 +222,7 @@ class TickExecutor {
       JobServiceOptions jo = options_.jobs;
       jo.fault = options_.fault;  // worker stall/death sites share the plan
       jo.telemetry = options_.telemetry;  // worker-run spans, same lifetime
-      // The tick pool is idle at the barrier: it runs InstallDue's drain.
-      jobs_ = std::make_unique<JobService>(jo, pool_.get());
+      jobs_ = std::make_unique<JobService>(jo);
     }
     return *jobs_;
   }

@@ -393,11 +393,9 @@ TEST(AllocSteadyState, AsyncPathfindSharded4Parallel4IsAllocationFree) {
                             /*check_allocs=*/true);
 }
 
-// The barrier's drain on a tick pool: every job (inline mode) or every
-// job the one worker has not claimed (the tick-anatomy shape) runs on
-// whichever pool share reaches it first, so each share's scratch must
-// be warm before the first job, not when that share first gets one.
-TEST(AllocSteadyState, AsyncPathfindInlinePoolDrainIsAllocationFree) {
+// Inline mode beside a 4-thread tick pool: the pool runs the query phase
+// and the barrier's drain runs every job on the tick thread.
+TEST(AllocSteadyState, AsyncPathfindInlineParallel4IsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
   RunAsyncArmiesSteadyState(/*workers=*/0, /*shards=*/1, /*tick_threads=*/4,
                             /*check_allocs=*/true);

@@ -2,8 +2,9 @@
 //
 //   * JobService unit behavior — results install at exactly
 //     submit + latency in seeded deterministic order, for any worker
-//     count and with the barrier's drain fanned out over a thread pool;
-//     the barrier blocks on stragglers; CancelAll drops cleanly.
+//     count; the barrier's drain runs unclaimed jobs on the thread that
+//     called Tick(), also in an engine with a tick pool; the barrier
+//     blocks on stragglers; CancelAll drops cleanly.
 //   * Async pathfinding determinism — world checksums are bit-identical
 //     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 2, 4}
 //     × tick-thread counts {1, 2, 4}, including goal churn, crowd-penalty
@@ -30,7 +31,6 @@
 #include "src/common/alloc_hook.h"
 #include "src/common/bin_io.h"
 #include "src/common/stopwatch.h"
-#include "src/common/thread_pool.h"
 #include "src/debug/checkpoint.h"
 #include "src/fault/fault_injector.h"
 #include "src/sim/armies.h"
@@ -143,7 +143,7 @@ TEST(JobServiceTest, BarrierBlocksOnSlowJobs) {
 }
 
 // RecordingClient whose Run takes ~200us and notes the thread it ran on,
-// so a drain fanned out over a pool has time to reach every share.
+// so any thread that could take a job has time to reach one.
 class ThreadNotingClient : public RecordingClient {
  public:
   void Run(const SnapshotView* snap, JobSlot* job,
@@ -163,7 +163,6 @@ class ThreadNotingClient : public RecordingClient {
 // 64 jobs submitted at tick 0, all due at tick 1. Returns the installs,
 // the drain's run count and the distinct threads that ran a job.
 std::vector<RecordingClient::Record> RunDueBurst(int workers, int64_t delay,
-                                                 ThreadPool* pool,
                                                  int64_t* fallback_runs,
                                                  size_t* run_threads) {
   const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
@@ -171,7 +170,7 @@ std::vector<RecordingClient::Record> RunDueBurst(int workers, int64_t delay,
   options.num_workers = workers;
   options.seed = 77;
   options.fault = stall.get();
-  JobService service(options, pool);
+  JobService service(options);
   ThreadNotingClient client;
   const int id = service.RegisterClient(&client);
   for (uint64_t k = 0; k < 64; ++k) {
@@ -185,18 +184,15 @@ std::vector<RecordingClient::Record> RunDueBurst(int workers, int64_t delay,
   return client.installs;
 }
 
-TEST(JobServiceTest, PoolDrainInstallsInSeededOrder) {
+TEST(JobServiceTest, StalledWorkerDrainInstallsInSeededOrder) {
   int64_t fallbacks = 0;
   size_t run_threads = 0;
-  const auto baseline =
-      RunDueBurst(0, 0, nullptr, &fallbacks, &run_threads);
+  const auto baseline = RunDueBurst(0, 0, &fallbacks, &run_threads);
   ASSERT_EQ(baseline.size(), 64u);
-  EXPECT_EQ(run_threads, 1u) << "no pool: the barrier thread runs all";
-  // The one worker stalls 50ms before each claim, so the drain gets
-  // (nearly) every job and spreads it over the pool and the barrier.
-  ThreadPool pool(3);
-  const auto got = RunDueBurst(1, /*delay=*/50000, &pool, &fallbacks,
-                               &run_threads);
+  EXPECT_EQ(run_threads, 1u) << "inline: the barrier thread runs all";
+  // The one worker stalls 50ms before each claim, so the barrier's drain
+  // gets (nearly) every job and races the worker for each claim.
+  const auto got = RunDueBurst(1, /*delay=*/50000, &fallbacks, &run_threads);
   ASSERT_EQ(got.size(), baseline.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].key, baseline[i].key) << "install order at " << i;
@@ -204,8 +200,61 @@ TEST(JobServiceTest, PoolDrainInstallsInSeededOrder) {
     EXPECT_EQ(got[i].value, baseline[i].value);
   }
   EXPECT_GT(fallbacks, 0) << "the drain ran nothing";
-  if (std::thread::hardware_concurrency() >= 2) {
-    EXPECT_GT(run_threads, 1u) << "the drain never left the barrier thread";
+}
+
+// An inline-mode engine (0 job workers) with `threads` tick threads: 64
+// jobs submitted at tick 0 install in the second Tick(). Returns the
+// installs; `run_threads` receives the threads that ran a job.
+std::vector<RecordingClient::Record> RunEngineDueBurst(
+    int threads, std::set<std::thread::id>* run_threads) {
+  EngineOptions options;
+  options.exec.num_threads = threads;
+  options.exec.jobs.num_workers = 0;
+  options.exec.jobs.seed = 77;
+  auto engine = Engine::Create(R"sgl(
+class A {
+  state:
+    number x = 0;
+  effects:
+    number d : sum;
+  update:
+    x = x + d;
+}
+)sgl",
+                               options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  if (!engine.ok()) return {};
+  JobService& service = (*engine)->executor().jobs();
+  ThreadNotingClient client;
+  const int id = service.RegisterClient(&client);
+  const Tick now = (*engine)->executor().tick();
+  for (uint64_t k = 0; k < 64; ++k) {
+    const uint64_t args[4] = {k, 0, 0, 0};
+    service.Submit(id, k, args, nullptr, /*latency=*/1, now);
+  }
+  EXPECT_TRUE((*engine)->Tick().ok());  // installs nothing
+  EXPECT_TRUE(client.installs.empty());
+  EXPECT_TRUE((*engine)->Tick().ok());  // the 64 jobs' install tick
+  EXPECT_EQ(service.in_flight(), 0u);
+  EXPECT_EQ(service.total_fallback_runs(), 64);
+  *run_threads = client.threads;
+  return client.installs;
+}
+
+// A tick pool runs only the query phase: the barrier's drain stays on the
+// thread that called Tick(), and the installs are the 1-thread ones.
+TEST(JobServiceTest, DrainRunsOnTickThreadBesideTickPool) {
+  std::set<std::thread::id> run_threads;
+  const auto baseline = RunEngineDueBurst(1, &run_threads);
+  ASSERT_EQ(baseline.size(), 64u);
+  const auto got = RunEngineDueBurst(4, &run_threads);
+  ASSERT_EQ(got.size(), baseline.size());
+  EXPECT_EQ(run_threads, std::set<std::thread::id>{std::this_thread::get_id()})
+      << "a job ran off the thread that called Tick()";
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, baseline[i].key) << "install order at " << i;
+    EXPECT_EQ(got[i].tick, baseline[i].tick);
+    EXPECT_EQ(got[i].value, baseline[i].value);
   }
 }
 
@@ -306,7 +355,8 @@ TEST(AsyncPathfindTest, ChecksumParityAcrossWorkersShardsThreads) {
   EXPECT_EQ(RunArmies(config, 4, 1, 4), baseline) << "4 workers, 4 threads";
   EXPECT_EQ(RunArmies(config, 0, 4, 1), baseline) << "inline, 4 shards";
   EXPECT_EQ(RunArmies(config, 0, 1, 4), baseline)
-      << "inline, 4 threads: every job runs in the pool drain";
+      << "inline, 4 threads: every job runs in the barrier's drain beside "
+         "the tick pool";
   EXPECT_EQ(RunArmies(config, 1, 2, 2), baseline)
       << "1 worker, 2 shards, 2 threads (the tick-anatomy shape)";
   EXPECT_EQ(RunArmies(config, 4, 4, 4), baseline)

@@ -10,8 +10,8 @@
 //     each installs at its original contracted tick, in its original seeded
 //     order, on a service built with a *different* seed.
 //   * Worker faults — injected stalls and deaths (through the retry budget
-//     into the barrier's deadline-miss drain, serial or on the tick pool)
-//     change nothing in world state for any worker or tick-thread count.
+//     into the barrier's deadline-miss drain) change nothing in world
+//     state for any worker or tick-thread count.
 //   * The capstone differential harness: an armies run with periodic
 //     durable checkpoints is crashed at injected ticks across the exec,
 //     shard, and txn layers, rebuilt from the newest good checkpoint, and
@@ -644,13 +644,13 @@ struct JobTotals {
 };
 
 // Runs the armies workload under `fault` (may be null) and returns the
-// final canonical checksum. `threads` > 1 gives the engine a tick pool, so
-// the barrier's drain runs unclaimed jobs on it. `totals`, if given,
-// receives the JobService's job counts. Like a frame loop, it leaves the
-// job workers `pause_micros` between ticks: a field job takes tens of
-// microseconds, so on a loaded host a run could otherwise end before a
-// worker ever takes a delivery, and the worker fault sites would have
-// nothing to act on.
+// final canonical checksum. `threads` > 1 gives the engine a tick pool for
+// the query phase; the barrier's drain stays on the tick thread. `totals`,
+// if given, receives the JobService's job counts. Like a frame loop, it
+// leaves the job workers `pause_micros` between ticks: a field job takes
+// tens of microseconds, so on a loaded host a run could otherwise end
+// before a worker ever takes a delivery, and the worker fault sites would
+// have nothing to act on.
 uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
                              int shards, int threads, FaultInjector* fault,
                              int ticks = 20, JobTotals* totals = nullptr,
@@ -679,8 +679,8 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
 TEST(WorkerFaultTest, InjectedStallsKeepChecksumParity) {
   const ArmiesConfig config = FaultArmies();
   const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
-  // At 4 tick threads the drain's pool shares race the stalled workers
-  // for each job's claim.
+  // At 4 tick threads the tick pool's query phase runs beside the stalled
+  // workers, and the barrier's drain races them for each job's claim.
   for (int threads : {1, 4}) {
     for (int workers : {1, 4}) {
       FaultInjector fault(
@@ -699,8 +699,8 @@ TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
   const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
   // Every delivery dies: the retry budget (3 attempts) is spent without a
   // single worker claim, and *every* job runs through the barrier's
-  // deadline-miss drain at its contracted tick — on the barrier thread at
-  // 1 tick thread, across the tick pool at 4.
+  // deadline-miss drain at its contracted tick, on the barrier thread at 1
+  // and at 4 tick threads.
   for (int threads : {1, 4}) {
     FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 1.0));
     JobTotals totals;

@@ -146,16 +146,6 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   for (auto& h : hits) EXPECT_EQ(1, h.load());
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] { count++; });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(50, count.load());
-}
-
 // --- Types / combinators ------------------------------------------------------
 
 TEST(SglType, ToStringAndDefaults) {
