@@ -46,7 +46,7 @@ BENCHMARK(BM_ParallelTick)
     ->MinTime(0.1);
 
 // The same sweep on the clustered (battle) workload, whose heavier join
-// output stresses the sharded effect merge.
+// output stresses the per-worker effect merge.
 void BM_ParallelTickClustered(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   auto engine = sgl_bench::BuildRts(8192, sgl::PlanMode::kStaticGrid,

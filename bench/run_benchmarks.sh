@@ -12,12 +12,12 @@
 #       memory (bytes_per_entry)
 #   E8  traffic scaling under the cost-based planner (vehicle_ticks/s +
 #       allocs_per_tick)
-#   E11 the shard schedule: per-tick row blocks, one worker each (tick
-#       latency + phase breakdown + allocs_per_tick vs shard count, for the
-#       RTS battle and the traffic workload)
-#   E12 asynchronous out-of-band pathfinding (goal-field tick latency on
-#       the large-map armies workload, jobs in flight, barrier wait,
-#       allocs_per_tick vs job-worker and tick-thread count)
+#   E11 (retired: the shard schedule it measured is gone; the query phase
+#       has one schedule, whose thread scaling E6 measures)
+#   E12 asynchronous out-of-band pathfinding (goal-field tick latency and
+#       p99 tick over a fixed tick count on the large-map armies workload,
+#       jobs in flight, barrier wait, allocs_per_tick vs job-worker and
+#       tick-thread count)
 #   E13 register bytecode VM (dense nested-loop ticks where fused filter
 #       pipelines dominate, plus the indexed steady state with batched
 #       probes; allocs_per_tick + vm_programs + simd_lanes + probe_us + the
@@ -44,7 +44,7 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 for exp in e1_set_at_a_time e3_transactions e6_parallel e7_index_memory \
-           e8_traffic e10_debug e11_sharded e12_async e13_vm; do
+           e8_traffic e10_debug e12_async e13_vm; do
   bin="$BUILD_DIR/bench_${exp}"
   if [[ ! -x "$bin" ]]; then
     echo "missing $bin — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -64,9 +64,9 @@ keep = ("name", "real_time", "cpu_time", "time_unit", "iterations",
         "query_ms", "merge_ms", "update_ms", "hw_cores", "bytes",
         "bytes_per_entry", "issued/tick", "committed/tick", "abort_rate",
         "consistent", "txns/s", "vehicle_ticks/s", "mean_speed",
-        "shards", "moved_per_batch", "rows_per_batch",
         "workers", "jobs_submitted", "jobs_installed", "jobs_in_flight",
-        "job_wait_ms", "n", "vm_programs", "simd_lanes", "probe_us",
+        "job_wait_ms", "fallback_runs", "p99_tick_ms", "n", "vm_programs",
+        "simd_lanes", "probe_us",
         "cpu_avx2", "kernel_avx2", "spans_per_tick", "ns_per_span",
         "tick_p50_us", "tick_p95_us", "tick_p99_us", "records",
         "checkpoint_bytes", "records_per_frame", "frames_captured")

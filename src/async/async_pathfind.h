@@ -16,7 +16,7 @@
 //   * While a goal's first field is in flight its entities hold position
 //     (waypoint = current position); once it installs, every entity on one
 //     cell with one goal steps identically. World state is therefore
-//     bit-identical for any worker count, shard count, and thread count.
+//     bit-identical for any worker count and thread count.
 //
 // Staleness, decided per goal: a next cell the (mutable) GridMap has
 // since blocked holds its entity and re-submits the field. With

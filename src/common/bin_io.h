@@ -1,11 +1,11 @@
 // Little-endian POD append/read helpers for checkpoint-style blobs.
 //
-// Every serialized artifact in the engine (World::Serialize, shard
-// partitions, and now checkpoint files, in-flight job submissions, and
-// component state) is a flat byte string of trivially-copyable records.
-// These helpers centralize the memcpy-based append and the bounds-checked
-// cursor read so every format validates truncation the same way instead of
-// hand-rolling pointer arithmetic.
+// Every serialized artifact in the engine (World::Serialize, checkpoint
+// files, in-flight job submissions, and component state) is a flat byte
+// string of trivially-copyable records. These helpers centralize the
+// memcpy-based append and the bounds-checked cursor read so every format
+// validates truncation the same way instead of hand-rolling pointer
+// arithmetic.
 
 #ifndef SGL_COMMON_BIN_IO_H_
 #define SGL_COMMON_BIN_IO_H_

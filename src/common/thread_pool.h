@@ -1,9 +1,10 @@
 // Fixed-size worker pool used by the parallel executor (§4.2).
 //
-// The executor's query phase runs batches of independent units (morsels,
-// or one per shard) through ParallelFor and waits for each whole batch;
-// there is no cross-task synchronization because the query and effect
-// phases are read-only over state (the paper's core parallelism argument).
+// The executor's query phase runs batches of independent units (one per
+// worker, each taking every T-th morsel) through ParallelFor and waits for
+// each whole batch; there is no cross-task synchronization because the
+// query and effect phases are read-only over state (the paper's core
+// parallelism argument).
 //
 // ParallelFor is allocation-free: the callable is broadcast to the resident
 // workers by pointer (a generation counter wakes them), so the per-tick

@@ -23,9 +23,9 @@ struct Checkpoint {
   Tick tick = 0;
   std::string state;  ///< serialized World
   /// Reserved: the on-disk format keeps this section (checkpoint_file.h),
-  /// but the engine writes it empty and ignores it on restore, because the
-  /// shard blocks are worked out each tick. Checkpoints of earlier versions
-  /// that stored a partition here still restore.
+  /// but the engine writes it empty and ignores it on restore: the query
+  /// phase keeps no row partition across ticks. Checkpoints of earlier
+  /// versions that stored a partition here still restore.
   std::string shard_partition;
   /// In-flight JobService submissions (JobService::SerializeInFlight): a
   /// restore re-creates each job so it installs at its originally

@@ -14,18 +14,16 @@
 namespace sgl {
 
 /// Provenance tag attached to every effect-assignment event: which join
-/// site emitted the write, from which shard, reading which source rows,
-/// and — for transaction-resolved writes — which intent committed it.
+/// site emitted the write, reading which source rows, and — for
+/// transaction-resolved writes — which intent committed it.
 ///
 /// `site` is -1 for plan-level (non-site) effect ops. `txn` is -1 for
 /// query-phase effect writes and the intent order key
 /// ((site_id << 32) | issuing_row) for writes applied at transaction
-/// admission. `src_shard` is attribution of the emitting worker's shard
-/// (always 0 in unsharded runs) — topology metadata, not part of the
-/// deterministic causal content of a record.
+/// admission. Every field is causal content: none depends on the thread
+/// count or morsel size that produced the write.
 struct EffectProv {
   int32_t site = -1;
-  int32_t src_shard = 0;
   EntityId src_outer = kNullEntity;
   EntityId src_inner = kNullEntity;
   int64_t txn = -1;
@@ -62,7 +60,7 @@ class EffectTraceSink {
   /// Called once per effect assignment. `assign_id` identifies the source
   /// statement in the compiled program; `order_key` is the deterministic
   /// ⊕-resolution key; `prov` attributes the write to its emitting site,
-  /// shard, source rows, and (if any) transaction.
+  /// source rows, and (if any) transaction.
   virtual void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
                               FieldIdx field, const Value& value,
                               int assign_id, uint64_t order_key,

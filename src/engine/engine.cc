@@ -9,11 +9,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(
   if (options.exec.morsel_size == 0) {
     return Status::InvalidArgument("exec.morsel_size must be > 0");
   }
-  if (options.exec.num_shards >= 255) {
-    return Status::InvalidArgument(
-        "exec.num_shards must be < 255 (shard ids are 8-bit), got " +
-        std::to_string(options.exec.num_shards));
-  }
   if (options.exec.jobs.num_workers < 0) {
     return Status::InvalidArgument(
         "exec.jobs.num_workers must be >= 0, got " +

@@ -33,10 +33,9 @@ namespace sgl {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// exec.num_shards > 1 runs each tick's query phase as that many row
-  /// blocks, one worker each (src/exec/tick_executor.h); the executor runs
-  /// the same pipeline on either schedule. Create() rejects
-  /// morsel_size == 0, num_shards >= 255 and jobs.num_workers < 0 with
+  /// exec.num_threads workers split each tick's query phase into morsels
+  /// (src/exec/tick_executor.h); exec.num_shards is ignored. Create()
+  /// rejects morsel_size == 0 and jobs.num_workers < 0 with
   /// InvalidArgument.
   ExecOptions exec;
 };
@@ -50,12 +49,13 @@ class Engine {
   World& world() { return *world_; }
   const Catalog& catalog() const { return *program_->catalog; }
   const CompiledProgram& program() const { return *program_; }
-  /// The tick executor, whichever the shard schedule.
+  /// The tick executor.
   TickExecutor& executor() { return *executor_; }
   /// Alias of executor(); the tick-anatomy benchmark (perfbench/) calls it.
   TickExecutor& shard_executor() { return executor(); }
-  /// True when exec.num_shards > 1; the tick-anatomy benchmark calls it.
-  bool sharded() const { return executor_->options().num_shards > 1; }
+  /// Always false: the query phase has one schedule. Kept only because
+  /// the tick-anatomy benchmark calls it.
+  bool sharded() const { return false; }
 
   /// Attaches a physics component (§2.2). Call before the first tick.
   Status AddPhysics(const PhysicsConfig& config);
@@ -82,8 +82,8 @@ class Engine {
   // completions install at the tick barrier *before any* component runs
   // (the executor calls InstallDue first), in an order
   // fixed at submission time. A component observes a job's result at
-  // exactly tick `submit + latency`, regardless of worker count, shard
-  // count, thread count, or registration order — async completion is a
+  // exactly tick `submit + latency`, regardless of worker count, thread
+  // count, or registration order — async completion is a
   // scheduled event in the deterministic tick timeline, not a racy
   // callback.
 
@@ -110,10 +110,9 @@ class Engine {
   Inspector inspector() const { return Inspector(world_.get()); }
   /// Attaches a tracer (null detaches).
   void SetTracer(EffectTracer* tracer) { executor_->set_trace(tracer); }
-  /// Snapshot / resume. The shard blocks are worked out each tick, so a
-  /// checkpoint holds no partition: TakeCheckpoint writes the
-  /// `shard_partition` section empty and Restore ignores it, on every
-  /// shard count. Checkpoints are tick-boundary snapshots that also
+  /// Snapshot / resume. A checkpoint holds no row partition: TakeCheckpoint
+  /// writes the reserved `shard_partition` section empty and Restore
+  /// ignores it. Checkpoints are tick-boundary snapshots that also
   /// capture async jobs still in flight (with their snapshots and
   /// contracted install ticks) and every component's private cross-tick
   /// state: Restore re-creates the jobs so each installs at its original

@@ -77,22 +77,14 @@ size_t RunGuardFilter(const Expr& guard, const VecContext& ctx,
   return VmRunFilter(*p, ctx, &env.scratch->vm, false, pos);
 }
 
-// The emitting worker's shard for provenance attribution: tel_track 0 is
-// the unsharded engine / barrier thread, s + 1 is shard s.
-inline int32_t ProvShard(const ExecEnv& env) {
-  return env.tel_track == 0 ? 0 : static_cast<int32_t>(env.tel_track) - 1;
-}
-
 // The per-statement part of a write's trace record; the writer fills the
 // target, order key, source rows and contribution per write.
-FrameRecord StatementRecord(const EffectWrite& w, int site,
-                            const ExecEnv& env) {
+FrameRecord StatementRecord(const EffectWrite& w, int site) {
   FrameRecord r{};
   r.src_inner = kNullEntity;
   r.target_cls = w.target_cls;
   r.field = w.field;
   r.site = site;
-  r.src_shard = static_cast<uint32_t>(ProvShard(env));
   r.assign_id = w.assign_id;
   r.is_txn = false;
   return r;
@@ -103,7 +95,6 @@ FrameRecord StatementRecord(const EffectWrite& w, int site,
 void TraceToUser(const ExecEnv& env, const FrameRecord& r) {
   EffectProv prov;
   prov.site = r.site;
-  prov.src_shard = static_cast<int32_t>(r.src_shard);
   prov.src_outer = r.src_outer;
   prov.src_inner = r.src_inner;
   Value v;
@@ -196,7 +187,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
     // `traced` is the one loop-invariant check on the disarmed path.
     const bool traced = env.trace != nullptr || env.recorder != nullptr;
     FlightRecorder::Batch batch(env.recorder, m);
-    FrameRecord rec = StatementRecord(w, site, env);
+    FrameRecord rec = StatementRecord(w, site);
     auto trace = [&](size_t i, RowIdx row, ValueKind kind,
                      FramePayload contrib) {
       ++applied;  // invoked exactly once per landed write, in all branches
@@ -403,7 +394,7 @@ void Candidates(const AccumOp& op, const ExecEnv& env, RowIdx outer_row,
 void RunAccumVectorized(const AccumOp& op,
                         const std::vector<RowIdx>& selection, ExecEnv& env) {
   Stopwatch timer;
-  SGL_TRACE_SPAN(env.telemetry, kSpanSiteQuery, env.tick, env.tel_track,
+  SGL_TRACE_SPAN(env.telemetry, kSpanSiteQuery, env.tick, 0,
                  static_cast<uint16_t>(op.site_id));
   const PreparedSite& site = (*env.prepared)[static_cast<size_t>(op.site_id)];
   const EntityTable& inner = env.world->table(op.inner_cls);
@@ -480,7 +471,7 @@ void RunAccumVectorized(const AccumOp& op,
       bhi[k] = hi_cols[k]->data();
     }
     Stopwatch probe_timer;
-    SGL_TRACE_SPAN(env.telemetry, kSpanSiteProbe, env.tick, env.tel_track,
+    SGL_TRACE_SPAN(env.telemetry, kSpanSiteProbe, env.tick, 0,
                    static_cast<uint16_t>(op.site_id));
     site.index->QueryBatch(blo, bhi,
                            op.key != nullptr ? probe_keys->data() : nullptr,
@@ -937,7 +928,7 @@ void ApplyWriteScalar(const EffectWrite& w, RowIdx row, ClassId inner_cls,
                           inner_row == kInvalidRow ? 0 : inner_row);
   const FieldDef& field =
       env.world->catalog().Get(w.target_cls).effect_field(w.field);
-  FrameRecord rec = StatementRecord(w, site, env);
+  FrameRecord rec = StatementRecord(w, site);
   if (w.set_insert) {
     EntityId v = EvalScalarRef(*w.value, ctx);
     sink->AddSetInsert(w.field, target_row, v);

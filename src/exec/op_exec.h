@@ -6,8 +6,7 @@
 // every expression on the bytecode VM (src/vm/) and answers range-indexed
 // accum sites with one batched index probe per morsel; the scalar path uses
 // only the scalar evaluator of src/ra/eval.h. On both, every effect write
-// goes straight into the worker's EffectBuffer for the target class,
-// whatever the shard count.
+// goes straight into the worker's EffectBuffer for the target class.
 
 #ifndef SGL_EXEC_OP_EXEC_H_
 #define SGL_EXEC_OP_EXEC_H_
@@ -128,9 +127,6 @@ struct ExecEnv {
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch
   /// per instrumented point). Borrowed, set by the owning executor.
   Telemetry* telemetry = nullptr;
-  /// Chrome-trace pid for this worker's spans: 0 = world (one shard /
-  /// barrier thread), s + 1 = shard s.
-  uint8_t tel_track = 0;
 };
 
 /// Runs `ops` set-at-a-time over `selection` (rows of env.outer).

@@ -56,12 +56,7 @@ TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
   script_locals_.resize(program_->scripts.size());
   handler_locals_.resize(program_->handlers.size());
 
-  // The schedule: one worker per shard, or one per thread on one shard.
-  // Shard ids fit the 8-bit provenance and trace-track fields.
-  SGL_CHECK(options_.num_shards < 255);
-  const int num_shards = std::max(1, options_.num_shards);
-  const int num_workers =
-      sharded() ? num_shards : std::max(1, options_.num_threads);
+  const int num_workers = std::max(1, options_.num_threads);
   const Catalog& catalog = world_->catalog();
   for (int w = 0; w < num_workers; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -76,9 +71,6 @@ TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
         env.effect_sinks.push_back(worker->effects.back().get());
       }
     }
-    // Chrome pid s+1 for shard s: pid 0 stays the barrier thread's "world"
-    // track.
-    if (sharded()) env.tel_track = static_cast<uint8_t>(w + 1);
     env.scratch = &worker->scratch;
     env.vm = vm_cache_.get();
     env.telemetry = options_.telemetry;
@@ -89,7 +81,6 @@ TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
   }
   handler_rows_.resize(program_->handlers.size());
   handler_selections_.resize(program_->handlers.size());
-  shard_query_micros_.resize(static_cast<size_t>(num_shards));
 }
 
 TickExecutor::~TickExecutor() = default;
@@ -216,16 +207,16 @@ void TickExecutor::PrepareAllSites() {
   }
 }
 
-void TickExecutor::RunUnit(
-    int shard, const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
-    const std::vector<RowIdx>& selection, LocalColumns* locals) {
+void TickExecutor::RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops,
+                           ClassId cls, const std::vector<RowIdx>& selection,
+                           LocalColumns* locals) {
   auto configure = [&](int w) -> ExecEnv& {
     Worker& worker = *workers_[static_cast<size_t>(w)];
     ExecEnv& env = worker.env;
     env.tick = tick_;
     env.outer_cls = cls;
     env.outer = &world_->table(cls);
-    env.txn_sink = txn_.shard(w);
+    env.txn_sink = txn_.worker_log(w);
     env.locals = locals;
     env.prepared = &prepared_;
     env.feedback = &worker.feedback;
@@ -234,42 +225,25 @@ void TickExecutor::RunUnit(
     return env;
   };
 
-  // This shard's rows of the ascending selection: those inside block
-  // `shard` of the class, [n·s/S, n·(s+1)/S) — all of them on one shard.
-  auto first = selection.begin();
-  auto last = selection.end();
-  if (sharded()) {
-    const size_t n = world_->table(cls).size();
-    const size_t num_shards = static_cast<size_t>(options_.num_shards);
-    const size_t s = static_cast<size_t>(shard);
-    first = std::lower_bound(first, last,
-                             static_cast<RowIdx>(n * s / num_shards));
-    last = std::lower_bound(first, last,
-                            static_cast<RowIdx>(n * (s + 1) / num_shards));
-  }
-  const size_t rows = static_cast<size_t>(last - first);
-  if (rows == 0) return;
-
-  // Static morsel -> worker assignment: morsel m runs on worker
-  // shard + m % fan, each worker's morsels in increasing order —
-  // deterministic regardless of scheduling. A single worker runs every
-  // morsel in order, which bounds its per-unit pair scratch. Workers per
-  // unit: all of them on one shard, the shard's own otherwise. The
-  // object-at-a-time oracle runs the rows as one morsel.
-  const int fan = sharded() ? 1 : static_cast<int>(workers_.size());
+  // Static morsel -> worker assignment: morsel m runs on worker m % fan,
+  // each worker's morsels in increasing order — deterministic regardless
+  // of scheduling. A single worker runs every morsel in order, which
+  // bounds its per-unit pair scratch. The object-at-a-time oracle runs
+  // the rows as one morsel.
+  const size_t rows = selection.size();
+  const int fan = static_cast<int>(workers_.size());
   const size_t morsel = options_.interpreted ? rows : options_.morsel_size;
   const size_t num_morsels = (rows + morsel - 1) / morsel;
-  auto run = [&](int t, size_t stride) {
-    const int w = shard + t;
+  auto run = [&](int w, size_t stride) {
     ExecEnv& env = configure(w);
     std::vector<RowIdx>& slice = workers_[static_cast<size_t>(w)]->slice;
-    for (size_t m = static_cast<size_t>(t); m < num_morsels; m += stride) {
+    for (size_t m = static_cast<size_t>(w); m < num_morsels; m += stride) {
       const size_t begin = m * morsel;
       const size_t end = std::min(rows, begin + morsel);
       const std::vector<RowIdx>* chunk = &selection;
-      if (end - begin != selection.size()) {
-        slice.assign(first + static_cast<ptrdiff_t>(begin),
-                     first + static_cast<ptrdiff_t>(end));
+      if (end - begin != rows) {
+        slice.assign(selection.begin() + static_cast<ptrdiff_t>(begin),
+                     selection.begin() + static_cast<ptrdiff_t>(end));
         chunk = &slice;
       }
       if (options_.interpreted) {
@@ -286,21 +260,21 @@ void TickExecutor::RunUnit(
   }
 }
 
-void TickExecutor::RunShard(int shard) {
+void TickExecutor::RunQuery() {
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
     const CompiledScript& script = program_->scripts[si];
     for (int k = 0; k < script.num_phases(); ++k) {
       const auto& selection = script_selections_[si][static_cast<size_t>(k)];
       if (selection.empty()) continue;
-      RunUnit(shard, script.phases[static_cast<size_t>(k)], script.cls,
-              selection, &script_locals_[si]);
+      RunUnit(script.phases[static_cast<size_t>(k)], script.cls, selection,
+              &script_locals_[si]);
     }
   }
   for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
     const CompiledHandler& handler = program_->handlers[hi];
     const auto& selection = handler_selections_[hi];
     if (selection.empty()) continue;
-    RunUnit(shard, handler.ops, handler.cls, selection, &handler_locals_[hi]);
+    RunUnit(handler.ops, handler.cls, selection, &handler_locals_[hi]);
   }
 }
 
@@ -312,7 +286,6 @@ Status TickExecutor::RunTick() {
   SGL_TRACE_SPAN(tel, kSpanTickTotal, tick_, 0, 0);
   last_.Reset(tick_);
   const int num_classes = world_->catalog().num_classes();
-  const int num_shards = static_cast<int>(shard_query_micros_.size());
   const int64_t index_micros_before = indexes_.build_micros();
   const int64_t simd_lanes_before = SimdLanesNow();
 
@@ -344,7 +317,7 @@ Status TickExecutor::RunTick() {
                          &handler_locals_[hi]);
   }
 
-  // --- 1. Select, 2. site-prep, 3. query (shards in parallel) ------------
+  // --- 1. Select, 2. site-prep, 3. query ---------------------------------
   Stopwatch query_timer;
   {
     SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0, 0);
@@ -354,43 +327,25 @@ Status TickExecutor::RunTick() {
     SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0, 0);
     PrepareAllSites();
   }
-  auto run_shard = [&](int s) {
-    Stopwatch shard_timer;
-    {
-      SGL_TRACE_SPAN(tel, sharded() ? kSpanShardRun : kSpanTickQuery, tick_,
-                     workers_[static_cast<size_t>(s)]->env.tel_track, 0);
-      RunShard(s);
-    }
-    shard_query_micros_[static_cast<size_t>(s)] = shard_timer.ElapsedMicros();
-  };
-  if (pool_ != nullptr && num_shards > 1) {
-    pool_->ParallelFor(num_shards, run_shard);
-  } else {
-    for (int s = 0; s < num_shards; ++s) run_shard(s);
+  {
+    SGL_TRACE_SPAN(tel, kSpanTickQuery, tick_, 0, 0);
+    RunQuery();
   }
   last_.query_effect_micros = query_timer.ElapsedMicros();
 
   // --- 4. Merge: fold the worker sinks, canonicalize ---------------------
   Stopwatch merge_timer;
   {
-    SGL_TRACE_SPAN(tel, sharded() ? kSpanTickBarrier : kSpanTickMerge,
-                   tick_, 0, 0);
+    SGL_TRACE_SPAN(tel, kSpanTickMerge, tick_, 0, 0);
     if (options_.fault != nullptr) {
       // Every worker's query work is done and nothing has merged. A crash
       // here loses the issued effects and intents with the process; state
       // columns are still pre-tick, so recovery restores the last
-      // checkpoint and replays. The sharded barrier's latency fault must be
-      // state-neutral: the stall-parity test holds the checksum to the
-      // no-fault run's.
-      if (sharded()) {
-        options_.fault->MaybeStall(kFaultShardBarrierStall, tick_);
-      }
-      SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
-          sharded() ? kFaultShardCrashPremerge
-                              : kFaultExecCrashPostQuery,
-          tick_));
+      // checkpoint and replays.
+      SGL_RETURN_IF_ERROR(
+          options_.fault->MaybeCrash(kFaultExecCrashPostQuery, tick_));
     }
-    for (auto& worker : workers_) {  // worker order = shard order
+    for (auto& worker : workers_) {
       for (size_t c = 0; c < worker->effects.size(); ++c) {
         world_->effects(static_cast<ClassId>(c))
             .MergeFrom(*worker->effects[c]);
@@ -454,10 +409,8 @@ Status TickExecutor::RunTick() {
   if (options_.fault != nullptr) {
     // Crash after the update phase but before the tick commits (counter
     // bump): the classic torn-tick window a checkpoint must mend.
-    SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
-        sharded() ? kFaultShardCrashPostUpdate
-                            : kFaultExecCrashPostUpdate,
-        tick_));
+    SGL_RETURN_IF_ERROR(
+        options_.fault->MaybeCrash(kFaultExecCrashPostUpdate, tick_));
   }
 
   // --- 7. Bookkeeping ----------------------------------------------------
@@ -477,19 +430,6 @@ Status TickExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  if (sharded()) {
-    // Shard skew: slowest-minus-fastest query phase approximates the time
-    // the barrier sat waiting on the straggler.
-    int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
-    for (int64_t q : shard_query_micros_) {
-      q_max = std::max(q_max, q);
-      q_min = std::min(q_min, q);
-      q_sum += q;
-    }
-    last_.barrier_stall_us = q_max - q_min;
-    last_.imbalance_bp =
-        q_sum > 0 ? (q_max * num_shards - q_sum) * 10000 / q_sum : 0;
-  }
   last_.total_micros = total.ElapsedMicros();
   if (options_.recorder != nullptr) {
     // Before the alloc-count capture below, so the recorder's own frame
@@ -500,11 +440,6 @@ Status TickExecutor::RunTick() {
   last_.allocs_per_tick = alloc_after.count - alloc_before.count;
   last_.bytes_per_tick = alloc_after.bytes - alloc_before.bytes;
   if (tel != nullptr && tel->armed()) {
-    if (sharded()) {
-      for (int64_t q : shard_query_micros_) {
-        tel->metrics().Record(tel->series().shard_query_us, q);
-      }
-    }
     tel->RecordTick(last_, /*has_jobs=*/jobs_ != nullptr);
   }
   ++tick_;

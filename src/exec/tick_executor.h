@@ -17,7 +17,7 @@
 //                 worker order (first/last carry explicit keys; min/max,
 //                 or/and and count are order-insensitive; sum/avg add the
 //                 workers' partial sums, so over inexact summands they
-//                 depend on how the folds are split — determinism rule 2
+//                 depend on how the folds are split — see Determinism
 //                 below); set logs canonicalize
 //   5 INSTALL     due out-of-band job results install (src/async/)
 //   6 UPDATE      update components run over their disjoint state
@@ -25,32 +25,20 @@
 //                 rules, then any registered engine components (§2.2)
 //   7 BOOKKEEPING statistics refresh, adaptive feedback, tick++
 //
-// ExecOptions::num_shards decides only the worker schedule of the query
-// phase. With one shard the workers split each selection into morsels
-// (morsel m on worker m % T), one fan-out per unit. With S > 1 shards
-// there is one worker per shard and one fan-out per tick: worker s runs,
-// of every selection, the rows inside block s of their class — rows
-// [n·s/S, n·(s+1)/S) for the class's current size n — its morsels in
-// order. The blocks are worked out afresh each tick, so spawns and
-// despawns between ticks need no bookkeeping. Reads see the whole world
-// on either schedule, and effects go to the same sinks: worker 0 writes
-// the world's own effect buffers, every other worker its own full-size
-// buffers, and the merge folds those into the world's in worker order
-// (= shard order).
+// The query phase has one schedule: the workers split each selection
+// into morsels (morsel m on worker m % T), one fan-out per unit. Reads see
+// the whole world, and every worker writes its own sink: worker 0 the
+// world's own effect buffers, every other worker its own full-size
+// buffers, which the merge folds into the world's in worker order.
 //
-// Determinism:
-//   1 With a fixed shard count S > 1, results are bit-identical for any
-//     thread count and any morsel size: each shard's work is
-//     self-contained (own sinks, scratch, intent log, feedback), shards
-//     merge in shard order, and a shard runs its morsels in order.
-//   2 Otherwise results are the same for any thread count, morsel size and
-//     shard count, with one exception: a `sum`/`avg` over inexact summands
-//     folds one partial sum per worker, so it can differ in floating-point
-//     association. Order-keyed (first/last), idempotent (min/max/or/and)
-//     and counting combinators are bit-exact, and so are sums whose
-//     additions are exact (integers, dyadic rationals). Despawns change
-//     nothing here: every schedule swap-removes through World::Despawn, so
-//     rows keep the same order on every layout.
+// Determinism: results are the same for any thread count and morsel size,
+// with one exception: a `sum`/`avg` over inexact summands folds one
+// partial sum per worker, so it can differ in floating-point association.
+// Order-keyed (first/last), idempotent (min/max/or/and) and counting
+// combinators are bit-exact, and so are sums whose additions are exact
+// (integers, dyadic rationals). Despawns change nothing here: every run
+// swap-removes through World::Despawn, so rows keep the same order
+// whatever the thread count.
 //
 // Expressions run on the register bytecode VM (src/vm/): Init() lowers every
 // plan expression and update rule once, and a program that does not lower
@@ -88,9 +76,9 @@ class Telemetry;
 /// Executor configuration.
 struct ExecOptions {
   int num_threads = 1;
-  /// > 1 runs the query phase as that many row blocks, one worker each
-  /// (see the header comment); must stay below 255. The remaining fields
-  /// keep their meaning under either schedule.
+  /// Ignored: the query phase has one schedule (see the header comment),
+  /// which splits the rows by itself. Kept only because the tick-anatomy
+  /// benchmark (perfbench/) still sets it.
   int num_shards = 1;
   /// Rows per morsel, the unit of work a thread runs at a time; > 0.
   size_t morsel_size = 2048;
@@ -153,7 +141,7 @@ struct TickStats {
   /// fails Init()). Kept only because the tick-anatomy benchmark
   /// (perfbench/) reports it as `vm.fallbacks`.
   int64_t vm_fallbacks = 0;
-  /// Time inside batched QueryBatch calls, summed over sites and shards.
+  /// Time inside batched QueryBatch calls, summed over sites and workers.
   int64_t probe_micros = 0;
   /// Double lanes processed by AVX2 kernel bodies this tick (0 under
   /// scalar dispatch — see common/cpu_features.h).
@@ -165,11 +153,6 @@ struct TickStats {
   /// Barrier time spent blocked on jobs whose declared latency elapsed
   /// before their worker finished (the async pipeline's only stall).
   int64_t job_wait_micros = 0;
-  /// Shard-schedule gauges. Sharded: the slowest-minus-fastest shard query
-  /// time (approximates how long the barrier waited on the straggler) and
-  /// that skew as (max/mean - 1) in basis points. One shard: -1 / 0.
-  int64_t barrier_stall_us = -1;
-  int64_t imbalance_bp = 0;
   std::vector<SiteFeedback> sites;  ///< per accum site, aggregated
   TxnStats txn;
 
@@ -236,16 +219,15 @@ class TickExecutor {
   /// One worker's reusable state and effect sink (see the header comment).
   struct Worker;
 
-  bool sharded() const { return options_.num_shards > 1; }
   void ComputeSelections();
   void PrepareAllSites();
   void PrepareSites(const std::vector<std::unique_ptr<PlanOp>>& ops,
                     size_t outer_rows);
-  /// Runs every unit's rows of shard `shard` (all rows with one shard).
-  void RunShard(int shard);
-  void RunUnit(int shard, const std::vector<std::unique_ptr<PlanOp>>& ops,
-               ClassId cls, const std::vector<RowIdx>& selection,
-               LocalColumns* locals);
+  /// The query phase: runs every script phase's and handler's plan over
+  /// its selection.
+  void RunQuery();
+  void RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
+               const std::vector<RowIdx>& selection, LocalColumns* locals);
 
   World* world_;
   const CompiledProgram* program_;
@@ -270,8 +252,7 @@ class TickExecutor {
   bool initialized_ = false;
 
   // --- Steady-state scratch (high-water reuse, see header comment) ------
-  /// One per shard when sharded (shard s runs on workers_[s]), else one
-  /// per thread.
+  /// One per thread.
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Per script, per phase: the selected rows, ascending.
   std::vector<std::vector<std::vector<RowIdx>>> script_selections_;
@@ -280,9 +261,6 @@ class TickExecutor {
   std::vector<std::vector<RowIdx>> handler_rows_;
   std::vector<std::vector<RowIdx>> handler_selections_;
   std::vector<uint8_t> handler_keep_;
-  /// Per shard: wall time of its query phase last tick; the barrier
-  /// derives the stall (max−min) and imbalance gauges from these.
-  std::vector<int64_t> shard_query_micros_;
   std::vector<SiteCache> site_cache_;    ///< by site id
   std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per tick
   std::vector<LocalColumns> script_locals_;   ///< by script index

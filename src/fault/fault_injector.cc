@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 #include "src/common/rng.h"
-#include "src/common/stopwatch.h"
 
 namespace sgl {
 
@@ -70,16 +68,6 @@ Status FaultInjector::MaybeCrash(const FaultSite& site, Tick tick,
   if (!Fires(site, tick, key, &payload)) return Status::OK();
   return Status::Internal(std::string(kFaultCrashPrefix) + " at " +
                           site.name + " tick " + std::to_string(tick));
-}
-
-void FaultInjector::MaybeStall(const FaultSite& site, Tick tick,
-                               uint64_t key) {
-  uint64_t payload = 0;
-  if (!Fires(site, tick, key, &payload)) return;
-  const int64_t micros =
-      payload != 0 ? static_cast<int64_t>(payload) : 100;
-  Stopwatch delay;
-  while (delay.ElapsedMicros() < micros) std::this_thread::yield();
 }
 
 int64_t FaultInjector::fires_at(const FaultSite& site) const {

@@ -77,19 +77,11 @@ inline constexpr FaultSite kFaultAsyncWorkerStall =
     MakeFaultSite("async.worker.stall");
 inline constexpr FaultSite kFaultAsyncWorkerDeath =
     MakeFaultSite("async.worker.death");
-// exec: crashes inside the tick of a one-shard engine
-// (src/exec/tick_executor.cc).
+// exec: crashes inside the tick (src/exec/tick_executor.cc).
 inline constexpr FaultSite kFaultExecCrashPostQuery =
     MakeFaultSite("exec.crash.postquery");
 inline constexpr FaultSite kFaultExecCrashPostUpdate =
     MakeFaultSite("exec.crash.postupdate");
-// shard: barrier faults in the tick of a sharded engine (same executor).
-inline constexpr FaultSite kFaultShardBarrierStall =
-    MakeFaultSite("shard.barrier.stall");
-inline constexpr FaultSite kFaultShardCrashPremerge =
-    MakeFaultSite("shard.crash.premerge");
-inline constexpr FaultSite kFaultShardCrashPostUpdate =
-    MakeFaultSite("shard.crash.postupdate");
 // txn: crash mid-admission, leaving a torn update phase (src/txn/).
 inline constexpr FaultSite kFaultTxnAdmitCrash =
     MakeFaultSite("txn.admit.crash");
@@ -157,10 +149,6 @@ class FaultInjector {
   /// Crash-site helper: OK, or an injected-crash Internal Status carrying
   /// the site name (recognizable via IsInjectedCrash).
   Status MaybeCrash(const FaultSite& site, Tick tick, uint64_t key = 0);
-
-  /// Stall-site helper: busy-waits the rule payload (micros; 0 = 100) when
-  /// the site fires. State-neutral — a latency fault, not a state fault.
-  void MaybeStall(const FaultSite& site, Tick tick, uint64_t key = 0);
 
   int64_t total_fires() const {
     return total_fires_.load(std::memory_order_relaxed);

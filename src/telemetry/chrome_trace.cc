@@ -1,14 +1,14 @@
 // Chrome trace-event export (src/telemetry/): renders the span rings as
 // the JSON Object Format chrome://tracing and Perfetto load directly.
 //
-// Mapping: pid = span track (0 = world/barrier thread, s+1 = shard s),
-// tid = lane index (one per recording thread), "X" complete events with
-// microsecond ts/dur, plus "M" metadata naming every process and thread.
-// The per-tick counter ring renders as "C" counter events on pid 0 —
-// Perfetto draws each name (tick.total_us, shard.imbalance_bp,
-// jobs.in_flight) as its own counter lane over the timeline — and the
-// final metrics snapshot contributes one trailing "C" event per gauge and
-// per histogram p50. Entirely off the hot path — allocates freely.
+// Mapping: pid = span track (the engine records every span on track 0,
+// "world"), tid = lane index (one per recording thread), "X" complete
+// events with microsecond ts/dur, plus "M" metadata naming every process
+// and thread. The per-tick counter ring renders as "C" counter events on
+// pid 0 — Perfetto draws each name (tick.total_us, jobs.in_flight) as its
+// own counter lane over the timeline — and the final metrics snapshot
+// contributes one trailing "C" event per gauge and per histogram p50.
+// Entirely off the hot path — allocates freely.
 
 #include <algorithm>
 #include <cstdio>
@@ -53,8 +53,8 @@ std::string Telemetry::DumpChromeTrace() const {
     } else {
       std::snprintf(buf, sizeof(buf),
                     "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":"
-                    "\"process_name\",\"args\":{\"name\":\"shard %d\"}}",
-                    t, t - 1);
+                    "\"process_name\",\"args\":{\"name\":\"track %d\"}}",
+                    t, t);
     }
     emit(buf);
   }
@@ -102,8 +102,6 @@ std::string Telemetry::DumpChromeTrace() const {
     const double ts_us = static_cast<double>(s.ts_ns) / 1000.0;
     emit_counter(ts_us, "tick.total_us",
                  static_cast<long long>(s.total_us));
-    emit_counter(ts_us, "shard.imbalance_bp",
-                 static_cast<long long>(s.imbalance_bp));
     emit_counter(ts_us, "jobs.in_flight",
                  static_cast<long long>(s.jobs_in_flight));
     if (s.ts_ns > last_ts_ns) last_ts_ns = s.ts_ns;

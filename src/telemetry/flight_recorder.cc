@@ -332,7 +332,7 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
       binio::Append<int32_t>(out, static_cast<int32_t>(r.assign_id));
       binio::Append<uint64_t>(out, r.order_key);
       binio::Append<int32_t>(out, static_cast<int32_t>(r.site));
-      binio::Append<int32_t>(out, static_cast<int32_t>(r.src_shard));
+      binio::Append<int32_t>(out, 0);  // reserved slot, always 0
       binio::Append<EntityId>(out, r.src_outer);
       binio::Append<EntityId>(out, r.src_inner);
       binio::Append<int64_t>(

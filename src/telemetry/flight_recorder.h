@@ -4,10 +4,10 @@
 //
 // Each ring frame holds one tick's
 //   * TickStats — the executor's own record of the tick (phase micros, job
-//     and txn counters, shard gauges, per-site rows), copied whole
+//     and txn counters, per-site rows), copied whole
 //     rather than re-declared, so a frame reads exactly like last_stats(),
 //   * canonical effect records with provenance tags (site id, ⊕/intent
-//     order key, txn phase, source rows, source shard),
+//     order key, txn phase, source rows),
 //   * the tick's after-values: the end-of-tick value of each (target,
 //     field) written — the post-merge effect value or the post-write-back
 //     state value — stored once per pair, not once per record,
@@ -28,7 +28,7 @@
 // usually canonical already; each Batch compares a record with the lane's
 // previous one as it records, so such a frame needs no order pass. A frame
 // of several lanes takes one order pass. std::sort runs only on a descent
-// (several lanes, or several runs in one lane — morsels, shards).
+// (several lanes, or several runs in one lane — morsels).
 // The after-values are copied per pair, not resolved per record:
 // every effect-buffer row assigned this tick and every cell the txn
 // write-back touched (NoteWriteBack) becomes one AfterValue, read from the
@@ -140,9 +140,8 @@ struct FrameRecord {
   FieldIdx field;  ///< state-field space when is_txn, else effect-field
   /// Site ids and assign ids are bounded by the program's statement count;
   /// 24 bits exceed the order key's own 20-bit assign field.
-  int32_t site : 24;        ///< emitting site; -1 = plan-level
-  uint32_t src_shard : 8;   ///< < 255, enforced by Engine::Create
-  int32_t assign_id : 24;   ///< source statement (txn: write index)
+  int32_t site : 24;       ///< emitting site; -1 = plan-level
+  int32_t assign_id : 24;  ///< source statement (txn: write index)
   /// Transaction write-back; its txn id is `order_key` (EffectProv::txn).
   bool is_txn : 1;
   uint32_t contrib_kind : 2;  ///< ValueKind

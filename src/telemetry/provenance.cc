@@ -50,7 +50,6 @@ ProvStep StepOf(const FrameRecord& r, Tick tick) {
   s.order_key = r.order_key;
   s.is_txn = r.is_txn;
   s.txn = r.is_txn ? static_cast<int64_t>(r.order_key) : -1;
-  s.src_shard = static_cast<int32_t>(r.src_shard);
   s.src_outer = r.src_outer;
   s.src_inner = r.src_inner;
   s.contrib_kind = static_cast<ValueKind>(r.contrib_kind);

@@ -52,7 +52,6 @@ struct ProvStep {
   uint64_t order_key = 0;     ///< deterministic ⊕ key / txn intent key
   bool is_txn = false;        ///< true: transaction write-back (state field)
   int64_t txn = -1;           ///< intent order key when is_txn
-  int32_t src_shard = 0;      ///< topology attribution, NOT causal content
   EntityId src_outer = kNullEntity;  ///< issuing/outer source row
   EntityId src_inner = kNullEntity;  ///< inner join row (kNullEntity = none)
   /// The contribution (the ⊕ operand / intent delta), not the final value.

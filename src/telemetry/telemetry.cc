@@ -26,9 +26,8 @@ const char* SpanSiteName(uint64_t id) {
   static constexpr SpanSite kSites[] = {
       kSpanTickTotal,     kSpanTickSelect,  kSpanTickSitePrep,
       kSpanTickQuery,     kSpanTickMerge,   kSpanTickFinalize,
-      kSpanTickInstall,   kSpanTickUpdate,  kSpanShardRun,
-      kSpanTickBarrier,   kSpanSiteQuery,   kSpanSiteProbe,
-      kSpanJobRun,        kSpanVmCompile,
+      kSpanTickInstall,   kSpanTickUpdate,  kSpanSiteQuery,
+      kSpanSiteProbe,     kSpanJobRun,      kSpanVmCompile,
   };
   for (const SpanSite& s : kSites) {
     if (s.id == id) return s.name;
@@ -55,12 +54,9 @@ Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {
   std_.tick_update_us = metrics_.RegisterHistogram("tick.update_us");
   std_.probe_us = metrics_.RegisterHistogram("probe.us");
   std_.job_wait_us = metrics_.RegisterHistogram("job.wait_us");
-  std_.barrier_stall_us = metrics_.RegisterHistogram("barrier.stall_us");
-  std_.shard_query_us = metrics_.RegisterHistogram("shard.query_us");
   std_.jobs_submitted = metrics_.RegisterCounter("jobs.submitted");
   std_.jobs_installed = metrics_.RegisterCounter("jobs.installed");
   std_.jobs_in_flight = metrics_.RegisterGauge("jobs.in_flight");
-  std_.shard_imbalance_bp = metrics_.RegisterGauge("shard.imbalance_bp");
   std_.vm_programs = metrics_.RegisterGauge("vm.programs");
 }
 
@@ -145,10 +141,6 @@ void Telemetry::RecordTick(const TickStats& st, bool has_jobs) {
   metrics_.Record(std_.tick_update_us, st.update_micros);
   if (st.probe_micros > 0) metrics_.Record(std_.probe_us, st.probe_micros);
   if (has_jobs) metrics_.Record(std_.job_wait_us, st.job_wait_micros);
-  if (st.barrier_stall_us >= 0) {
-    metrics_.Record(std_.barrier_stall_us, st.barrier_stall_us);
-    metrics_.Set(std_.shard_imbalance_bp, st.imbalance_bp);
-  }
   if (st.jobs_submitted > 0) {
     metrics_.Count(std_.jobs_submitted, st.jobs_submitted);
   }
@@ -165,7 +157,6 @@ void Telemetry::RecordTick(const TickStats& st, bool has_jobs) {
       i % counter_ring_.size())];
   slot.ts_ns = NowNs();
   slot.total_us = st.total_micros;
-  slot.imbalance_bp = st.imbalance_bp;
   slot.jobs_in_flight = st.jobs_in_flight;
   counter_count_.store(i + 1, std::memory_order_release);
 }

@@ -27,9 +27,9 @@
 //     max_lanes record nothing (dropped_threads()).
 //
 // Export: DumpChromeTrace() renders the rings as Chrome trace-event JSON
-// — pid = track (0 = world/barrier, s+1 = shard s), tid = lane — so one
-// tick reads as a real timeline in Perfetto (see README.md). Export and
-// Snapshot() are off the hot path and may allocate.
+// — pid = track (the engine records every span on track 0, "world"),
+// tid = lane — so one tick reads as a real timeline in Perfetto (see
+// README.md). Export and Snapshot() are off the hot path and may allocate.
 //
 // Per-site attribution surfaces what src/opt/ already measures instead
 // of discarding it: cumulative µs / outer rows / candidates / matches /
@@ -79,10 +79,7 @@ constexpr SpanSite MakeSpanSite(const char* name) {
 }
 
 // --- The span sites wired into the engine -------------------------------
-// tick: the pipeline's phases (src/exec/tick_executor.cc; track 0 = the
-// barrier thread's view; per-shard work carries track = shard + 1).
-// tick.query and tick.merge name the query and merge phases of a
-// one-shard engine; sharded engines name them shard.run and tick.barrier.
+// tick: the pipeline's phases (src/exec/tick_executor.cc).
 inline constexpr SpanSite kSpanTickTotal = MakeSpanSite("tick.total");
 inline constexpr SpanSite kSpanTickSelect = MakeSpanSite("tick.select");
 inline constexpr SpanSite kSpanTickSitePrep = MakeSpanSite("tick.siteprep");
@@ -92,11 +89,11 @@ inline constexpr SpanSite kSpanTickFinalize =
     MakeSpanSite("tick.finalize_sets");
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
-// shard: a sharded engine's per-shard query phase and its merge.
+// Never emitted: the shard schedule and mailboxes they timed are gone.
+// Kept only because the tick-anatomy benchmark (perfbench/) still names
+// them.
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");
-// Never emitted: the shard mailboxes it timed are gone. Kept only because
-// the tick-anatomy benchmark (perfbench/) still names it.
 inline constexpr SpanSite kSpanMailboxReplay =
     MakeSpanSite("shard.mailbox.replay");
 // exec: per-site work inside the query phase (src/exec/op_exec.cc);
@@ -218,14 +215,11 @@ struct StdMetrics {
   MetricId tick_update_us;
   MetricId probe_us;          ///< per tick, only when a site probed batched
   MetricId job_wait_us;       ///< barrier time blocked on unfinished jobs
-  MetricId barrier_stall_us;  ///< shard imbalance: max-min per-shard query µs
-  MetricId shard_query_us;    ///< one sample per shard per tick
   // Counters.
   MetricId jobs_submitted;
   MetricId jobs_installed;
   // Gauges (latest tick).
   MetricId jobs_in_flight;
-  MetricId shard_imbalance_bp;  ///< (max-mean)/mean in basis points
   MetricId vm_programs;
 };
 
@@ -267,9 +261,8 @@ class Telemetry {
   // --- Standard per-tick recording (executors, barrier thread) ----------
   /// Records one finished tick into the standard series, its site rows
   /// into the per-site table, and a counter-ring sample. `job.wait_us` is
-  /// sampled only when `has_jobs` (a JobService exists), the barrier-stall
-  /// histogram and imbalance gauge only for a sharded engine (stall >= 0),
-  /// and `probe.us` only on ticks that probed.
+  /// sampled only when `has_jobs` (a JobService exists), and `probe.us`
+  /// only on ticks that probed.
   void RecordTick(const TickStats& st, bool has_jobs);
 
   // --- Per-site attribution (barrier thread only) -----------------------
@@ -289,7 +282,6 @@ class Telemetry {
   struct CounterSample {
     int64_t ts_ns = 0;
     int64_t total_us = 0;
-    int64_t imbalance_bp = 0;
     int64_t jobs_in_flight = 0;
   };
 

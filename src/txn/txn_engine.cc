@@ -7,12 +7,12 @@
 
 namespace sgl {
 
-void TxnEngine::BeginTick(int num_shards) {
-  // resize + Clear (not assign) keeps each shard's log capacity.
-  if (shards_.size() != static_cast<size_t>(num_shards)) {
-    shards_.resize(static_cast<size_t>(num_shards));
+void TxnEngine::BeginTick(int num_workers) {
+  // resize + Clear (not assign) keeps each log's capacity.
+  if (logs_.size() != static_cast<size_t>(num_workers)) {
+    logs_.resize(static_cast<size_t>(num_workers));
   }
-  for (TxnIntentLog& shard : shards_) shard.Clear();
+  for (TxnIntentLog& log : logs_) log.Clear();
 }
 
 void TxnEngine::ApplyUpdate(World* world) {
@@ -38,22 +38,22 @@ void TxnEngine::ApplyUpdate(World* world) {
     }
   }
 
-  // 2. Admission order: index handles into the shard logs, sorted by order
-  // key. Keys are unique per (site, issuing row), so the (shard, index)
+  // 2. Admission order: index handles into the worker logs, sorted by order
+  // key. Keys are unique per (site, issuing row), so the (log, index)
   // tie-break never influences results for a well-formed tick — admission
   // is independent of how intents were partitioned across workers.
   order_.clear();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (size_t i = 0; i < shards_[s].num_intents(); ++i) {
-      order_.push_back(IntentRef{shards_[s].intent(i).order_key,
-                                 static_cast<uint32_t>(s),
+  for (size_t l = 0; l < logs_.size(); ++l) {
+    for (size_t i = 0; i < logs_[l].num_intents(); ++i) {
+      order_.push_back(IntentRef{logs_[l].intent(i).order_key,
+                                 static_cast<uint32_t>(l),
                                  static_cast<uint32_t>(i)});
     }
   }
   std::sort(order_.begin(), order_.end(),
             [](const IntentRef& a, const IntentRef& b) {
               if (a.order_key != b.order_key) return a.order_key < b.order_key;
-              if (a.shard != b.shard) return a.shard < b.shard;
+              if (a.log != b.log) return a.log < b.log;
               return a.index < b.index;
             });
   last_tick_.issued = static_cast<int64_t>(order_.size());
@@ -75,7 +75,7 @@ void TxnEngine::ApplyUpdate(World* world) {
       break;
     }
     ++admit_index;
-    const TxnIntentLog& log = shards_[ref.shard];
+    const TxnIntentLog& log = logs_[ref.log];
     const TxnIntent& intent = log.intent(ref.index);
     const TxnResolvedWrite* writes = log.writes(intent);
     undo_.clear();
@@ -224,7 +224,6 @@ void TxnEngine::ApplyUpdate(World* world) {
         r.src_outer = intent.issuer;
         r.src_inner = kNullEntity;
         r.site = static_cast<int32_t>(intent.order_key >> 32);
-        r.src_shard = static_cast<uint32_t>(ref.shard);
         r.is_txn = true;
         for (uint32_t wi = 0; wi < intent.num_writes; ++wi) {
           const TxnResolvedWrite& w = writes[wi];

@@ -14,11 +14,11 @@
 // (1 committed / 0 aborted / -1 no transaction), which scripts read next
 // tick (§3.2's reactive reads).
 //
-// Storage layout: intents live in per-worker *flat logs*. Each shard owns
+// Storage layout: intents live in per-worker *flat logs*. Each log owns
 // one contiguous TxnResolvedWrite pool and one contiguous TxnIntent array;
 // an intent does not carry its writes, it is a (first_write, num_writes)
-// slice of its shard's pool. Admission ordering is computed over (order_key,
-// shard, index) triples pointing into the logs — no per-intent allocation,
+// slice of its log's pool. Admission ordering is computed over (order_key,
+// log, index) triples pointing into the logs — no per-intent allocation,
 // no pointer chasing, and every buffer keeps its high-water capacity, so
 // steady-state transaction ticks are allocation-free.
 
@@ -50,14 +50,14 @@ struct TxnResolvedWrite {
 
 /// One atomic region instance issued by one entity in one tick. Plain
 /// 32-byte record; its writes are the half-open slice
-/// [first_write, first_write + num_writes) of the owning shard's pool.
+/// [first_write, first_write + num_writes) of the owning log's pool.
 struct TxnIntent {
   uint64_t order_key = 0;  ///< (site << 32) | issuing row: admission order
   EntityId issuer = kNullEntity;
   ClassId issuer_cls = kInvalidClass;
   RowIdx issuer_row = kInvalidRow;
   const TxnEmitOp* op = nullptr;
-  uint32_t first_write = 0;  ///< into the owning shard's write pool
+  uint32_t first_write = 0;  ///< into the owning log's write pool
   uint32_t num_writes = 0;
 };
 
@@ -111,23 +111,22 @@ struct TxnStats {
   int64_t aborted = 0;
 };
 
-/// Collects intents (sharded for the parallel executor) and runs admission.
+/// Collects intents (one log per executor worker) and runs admission.
 class TxnEngine {
  public:
   explicit TxnEngine(const CompiledProgram* program) : program_(program) {}
 
-  /// Prepares per-worker intent shards for a tick.
-  void BeginTick(int num_shards);
+  /// Prepares `num_workers` empty intent logs for a tick.
+  void BeginTick(int num_workers);
 
   /// Worker-local intent sink (no synchronization needed).
-  TxnIntentLog* shard(int i) { return &shards_[static_cast<size_t>(i)]; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  TxnIntentLog* worker_log(int w) { return &logs_[static_cast<size_t>(w)]; }
 
   /// Admission + write-back + status reporting. Runs in the update phase.
   /// The admission order — and therefore every status field, statistic, and
   /// committed value — depends only on the intents' order keys, not on how
-  /// the intent multiset is partitioned across shards (order keys are unique
-  /// per (site, issuing row); ties broken by (shard, index) can only arise
+  /// the intent multiset is partitioned across logs (order keys are unique
+  /// per (site, issuing row); ties broken by (log, index) can only arise
   /// from duplicate keys).
   void ApplyUpdate(World* world);
 
@@ -158,10 +157,10 @@ class TxnEngine {
   }
 
  private:
-  /// Sorted admission handle into the shard logs.
+  /// Sorted admission handle into the worker logs.
   struct IntentRef {
     uint64_t order_key;
-    uint32_t shard;
+    uint32_t log;
     uint32_t index;
   };
   /// One rollback record; undo_ is replayed in reverse on abort.
@@ -188,7 +187,7 @@ class TxnEngine {
   FlightRecorder* recorder_ = nullptr;
   Tick fault_tick_ = 0;
   bool injected_crash_ = false;
-  std::vector<TxnIntentLog> shards_;
+  std::vector<TxnIntentLog> logs_;
   std::vector<IntentRef> order_;  ///< reused admission-order buffer
   std::vector<Undo> undo_;        ///< reused per-intent rollback log
   StateOverlay overlay_;
@@ -198,9 +197,8 @@ class TxnEngine {
 
 /// Adapts `engine` to the update-component interface: the component owns
 /// every state field written by atomic blocks plus the status fields
-/// (§3.1). The executor's per-worker intent logs — per thread with one
-/// shard, per shard otherwise — feed the same partition-independent
-/// admission.
+/// (§3.1). The executor's per-worker intent logs feed the same
+/// partition-independent admission.
 std::unique_ptr<UpdateComponent> MakeTxnComponent(
     TxnEngine* engine, const CompiledProgram* program);
 

@@ -1,9 +1,10 @@
 // Allocation-regression guard for the zero-allocation steady-state tick
-// pipeline: after a short warmup (index buffers, scratch pools, and effect
-// shards reach their high-water sizes), the QUERY→MERGE→UPDATE pipeline must
-// perform zero heap allocations per tick on the RTS workload — in serial and
-// in 4-thread parallel mode — and pooling must not change a single bit of
-// the simulation relative to the object-at-a-time reference execution.
+// pipeline: after a short warmup (index buffers, scratch pools, and
+// per-worker effect buffers reach their high-water sizes), the
+// QUERY→MERGE→UPDATE pipeline must perform zero heap allocations per tick
+// on the RTS workload — in serial and in 4-thread parallel mode — and
+// pooling must not change a single bit of the simulation relative to the
+// object-at-a-time reference execution.
 
 // PR 3 extends the guarantee to the *write* path: the transaction-heavy
 // market workload (E3 — flat intent logs, dense epoch overlay, pooled set
@@ -95,10 +96,8 @@ TEST(AllocSteadyState, SerialNestedLoopIsAllocationFree) {
 // site — must hold the same steady-state guarantee in every execution
 // shape.
 
-EngineOptions FastPathOpts(int threads = 1, int shards = 1) {
-  EngineOptions options = Opts(PlanMode::kStaticGrid, threads);
-  options.exec.num_shards = shards;
-  return options;
+EngineOptions FastPathOpts(int threads = 1) {
+  return Opts(PlanMode::kStaticGrid, threads);
 }
 
 TEST(AllocSteadyState, SerialBytecodeBatchedIsAllocationFree) {
@@ -121,8 +120,8 @@ TEST(AllocSteadyState, Parallel4ThreadBytecodeBatchedIsAllocationFree) {
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
 }
 
-// The sharded fast-path variant lives with the other sharded tests below,
-// on the stationary battle they share.
+// The small-morsel fast-path variants live below, on the stationary
+// battle.
 
 // Determinism guard: the pooled pipeline must produce bit-identical world
 // state across thread counts and against the unpooled object-at-a-time
@@ -158,9 +157,9 @@ MarketConfig MarketCfg() {
 
 EngineOptions MarketOpts(int threads) {
   EngineOptions options = Opts(PlanMode::kCostBased, threads);
-  // Small morsels force multi-shard intent emission in parallel mode, so
+  // Small morsels force multi-log intent emission in parallel mode, so
   // the flat intent logs and index-based admission ordering are exercised
-  // across genuinely different shard partitionings.
+  // across genuinely different worker partitionings.
   options.exec.morsel_size = 64;
   return options;
 }
@@ -173,11 +172,10 @@ constexpr int kMarketWarmupTicks = 40;
 // Runs the market with per-tick want reassignment; asserts every measured
 // tick is allocation-free and returns the final world checksum.
 uint64_t RunMarketSteadyState(int threads, bool interpreted,
-                              bool check_allocs, int shards = 1) {
+                              bool check_allocs) {
   MarketConfig config = MarketCfg();
   EngineOptions options = MarketOpts(threads);
   options.exec.interpreted = interpreted;
-  options.exec.num_shards = shards;
   auto engine = MarketWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   Rng rng(1234);
@@ -211,7 +209,7 @@ TEST(AllocSteadyState, Parallel4ThreadMarketTransactionsAreAllocationFree) {
 }
 
 // The flat write path must not change a single bit of the simulation:
-// serial, 4-thread (multi-shard intent logs), and the object-at-a-time
+// serial, 4-thread (multi-log intents), and the object-at-a-time
 // reference all converge to the same world state, statistics included.
 TEST(AllocSteadyState, MarketStateIsBitIdenticalAcrossModes) {
   const uint64_t serial = RunMarketSteadyState(1, false, false);
@@ -256,24 +254,23 @@ TEST(AllocSteadyState, TrafficStateIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(RunTrafficSteadyState(1, false), RunTrafficSteadyState(4, false));
 }
 
-// --- Sharded schedule (ExecOptions::num_shards) ---------------------------
+// --- Small morsels ------------------------------------------------------
 // Once the per-worker effect buffers and scratch reach their high-water
-// capacity, a sharded tick must be exactly as allocation-free as the
-// single-world one — in serial shard order and with shards fanned out
-// across threads.
+// capacity, a tick in 64-row morsels must be exactly as allocation-free
+// as one in a single morsel — on one thread and fanned out across four.
 
-EngineOptions ShardedOpts(PlanMode mode, int shards, int threads) {
-  EngineOptions options = Opts(mode, threads);
-  options.exec.num_shards = shards;
+EngineOptions Morsel64Opts(int threads) {
+  EngineOptions options = FastPathOpts(threads);
+  options.exec.morsel_size = 64;
   return options;
 }
 
 // Zeroing attack freezes the engagement geometry: every matching pair
-// still emits its damage write each tick, many of them into another
-// shard's rows, but the load is stationary and every buffer reaches its
-// high-water mark inside the warmup window.
-std::unique_ptr<Engine> BuildStationaryShardedRts(
-    int units, const EngineOptions& options) {
+// still emits its damage write each tick, many of them into rows of
+// another worker's morsels, but the load is stationary and every buffer
+// reaches its high-water mark inside the warmup window.
+std::unique_ptr<Engine> BuildStationaryRts(int units,
+                                           const EngineOptions& options) {
   RtsConfig config;
   config.num_units = units;
   config.clustered = true;
@@ -286,43 +283,16 @@ std::unique_ptr<Engine> BuildStationaryShardedRts(
   return std::move(engine).value();
 }
 
-TEST(AllocSteadyState, Sharded4SerialRtsIsAllocationFree) {
+TEST(AllocSteadyState, Morsel64SerialRtsIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  auto engine = BuildStationaryShardedRts(
-      800, ShardedOpts(PlanMode::kStaticGrid, /*shards=*/4, /*threads=*/1));
+  auto engine = BuildStationaryRts(800, Morsel64Opts(/*threads=*/1));
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
 }
 
-TEST(AllocSteadyState, Sharded4Parallel4RtsIsAllocationFree) {
+TEST(AllocSteadyState, Morsel64Parallel4RtsIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  auto engine = BuildStationaryShardedRts(
-      800, ShardedOpts(PlanMode::kStaticGrid, /*shards=*/4, /*threads=*/4));
+  auto engine = BuildStationaryRts(800, Morsel64Opts(/*threads=*/4));
   EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-}
-
-TEST(AllocSteadyState, Sharded4BytecodeBatchedIsAllocationFree) {
-  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  auto engine = BuildStationaryShardedRts(800, FastPathOpts(/*threads=*/1,
-                                                            /*shards=*/4));
-  EXPECT_EQ(MeasureSteadyState(engine.get()), 0);
-}
-
-TEST(AllocSteadyState, Sharded4MarketTransactionsAreAllocationFree) {
-  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunMarketSteadyState(/*threads=*/1, /*interpreted=*/false,
-                       /*check_allocs=*/true, /*shards=*/4);
-}
-
-TEST(AllocSteadyState, Sharded4Parallel4MarketTransactionsAreAllocationFree) {
-  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunMarketSteadyState(/*threads=*/4, /*interpreted=*/false,
-                       /*check_allocs=*/true, /*shards=*/4);
-}
-
-// Sharded steady state must also be the *same* steady state.
-TEST(AllocSteadyState, ShardedMarketMatchesSingleWorldChecksum) {
-  EXPECT_EQ(RunMarketSteadyState(4, false, false, /*shards=*/4),
-            RunMarketSteadyState(1, false, false));
 }
 
 // --- Async out-of-band jobs (src/async/) ---------------------------------
@@ -332,8 +302,8 @@ TEST(AllocSteadyState, ShardedMarketMatchesSingleWorldChecksum) {
 // field storage, completion lanes, and per-worker search scratch all sit
 // at their high-water marks while jobs are genuinely in flight.
 
-uint64_t RunAsyncArmiesSteadyState(int workers, int shards, int tick_threads,
-                                   bool check_allocs) {
+uint64_t RunAsyncArmiesSteadyState(int workers, int tick_threads,
+                                   size_t morsel, bool check_allocs) {
   ArmiesConfig config;
   config.num_units = 384;
   config.map_w = 40;
@@ -348,8 +318,8 @@ uint64_t RunAsyncArmiesSteadyState(int workers, int shards, int tick_threads,
   config.async.crowd_penalty = 0.5;
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
-  options.exec.num_shards = shards;
   options.exec.num_threads = tick_threads;
+  options.exec.morsel_size = morsel;
   auto engine = ArmiesWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   // Warmup covers two full goal-churn waves, so the measured third wave
@@ -377,42 +347,43 @@ uint64_t RunAsyncArmiesSteadyState(int workers, int shards, int tick_threads,
 
 TEST(AllocSteadyState, AsyncPathfind4WorkersIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunAsyncArmiesSteadyState(/*workers=*/4, /*shards=*/1, /*tick_threads=*/1,
-                            /*check_allocs=*/true);
+  RunAsyncArmiesSteadyState(/*workers=*/4, /*tick_threads=*/1,
+                            /*morsel=*/2048, /*check_allocs=*/true);
 }
 
 TEST(AllocSteadyState, AsyncPathfindInlineIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunAsyncArmiesSteadyState(/*workers=*/0, /*shards=*/1, /*tick_threads=*/1,
-                            /*check_allocs=*/true);
+  RunAsyncArmiesSteadyState(/*workers=*/0, /*tick_threads=*/1,
+                            /*morsel=*/2048, /*check_allocs=*/true);
 }
 
-TEST(AllocSteadyState, AsyncPathfindSharded4Parallel4IsAllocationFree) {
+TEST(AllocSteadyState, AsyncPathfind4WorkersParallel4Morsel64IsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunAsyncArmiesSteadyState(/*workers=*/4, /*shards=*/4, /*tick_threads=*/4,
-                            /*check_allocs=*/true);
+  RunAsyncArmiesSteadyState(/*workers=*/4, /*tick_threads=*/4,
+                            /*morsel=*/64, /*check_allocs=*/true);
 }
 
 // Inline mode beside a 4-thread tick pool: the pool runs the query phase
 // and the barrier's drain runs every job on the tick thread.
 TEST(AllocSteadyState, AsyncPathfindInlineParallel4IsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunAsyncArmiesSteadyState(/*workers=*/0, /*shards=*/1, /*tick_threads=*/4,
-                            /*check_allocs=*/true);
+  RunAsyncArmiesSteadyState(/*workers=*/0, /*tick_threads=*/4,
+                            /*morsel=*/2048, /*check_allocs=*/true);
 }
 
-TEST(AllocSteadyState, AsyncPathfind1WorkerSharded2Parallel2IsAllocationFree) {
+// The tick-anatomy benchmark's armies shape: 2 tick threads, 1 job worker.
+TEST(AllocSteadyState, AsyncPathfind1WorkerParallel2IsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
-  RunAsyncArmiesSteadyState(/*workers=*/1, /*shards=*/2, /*tick_threads=*/2,
-                            /*check_allocs=*/true);
+  RunAsyncArmiesSteadyState(/*workers=*/1, /*tick_threads=*/2,
+                            /*morsel=*/2048, /*check_allocs=*/true);
 }
 
 TEST(AllocSteadyState, AsyncPathfindStateMatchesAcrossWorkerCounts) {
-  const uint64_t inline_sum = RunAsyncArmiesSteadyState(0, 1, 1, false);
-  EXPECT_EQ(RunAsyncArmiesSteadyState(4, 1, 1, false), inline_sum);
-  EXPECT_EQ(RunAsyncArmiesSteadyState(4, 4, 4, false), inline_sum);
-  EXPECT_EQ(RunAsyncArmiesSteadyState(0, 1, 4, false), inline_sum);
-  EXPECT_EQ(RunAsyncArmiesSteadyState(1, 2, 2, false), inline_sum);
+  const uint64_t inline_sum = RunAsyncArmiesSteadyState(0, 1, 2048, false);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(4, 1, 2048, false), inline_sum);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(4, 4, 64, false), inline_sum);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(0, 4, 2048, false), inline_sum);
+  EXPECT_EQ(RunAsyncArmiesSteadyState(1, 2, 2048, false), inline_sum);
 }
 
 // The counters themselves must move when the program allocates — otherwise

@@ -6,8 +6,8 @@
 //     called Tick(), also in an engine with a tick pool; the barrier
 //     blocks on stragglers; CancelAll drops cleanly.
 //   * Async pathfinding determinism — world checksums are bit-identical
-//     across job-worker counts {0 (inline), 1, 4} × shard counts {1, 2, 4}
-//     × tick-thread counts {1, 2, 4}, including goal churn, crowd-penalty
+//     across job-worker counts {0 (inline), 1, 4} × tick-thread counts
+//     {1, 2, 4} × morsel sizes {64, 2048}, including goal churn, crowd-penalty
 //     snapshots, and the per-tick crowd refresh of one goal field.
 //   * Forced-slow-job stress — workers stalled through the
 //     async.worker.stall fault site for many ticks per search change
@@ -319,15 +319,15 @@ ArmiesConfig SmallArmies() {
 // delivery that long before its worker's claim. `pause_micros` is left
 // between ticks, as a frame loop would. `worker_runs`, if given, receives
 // the installed jobs a worker ran (the rest ran in the barrier's drain).
-uint64_t RunArmies(const ArmiesConfig& config, int workers, int shards,
-                   int threads, int ticks = 40, int64_t delay = 0,
+uint64_t RunArmies(const ArmiesConfig& config, int workers, int threads,
+                   size_t morsel, int ticks = 40, int64_t delay = 0,
                    int64_t pause_micros = 0, int64_t* worker_runs = nullptr) {
   const std::unique_ptr<FaultInjector> stall = StallEveryJob(delay);
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
   options.exec.fault = stall.get();  // the engine hands it to JobService
-  options.exec.num_shards = shards;
   options.exec.num_threads = threads;
+  options.exec.morsel_size = morsel;
   auto engine = ArmiesWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   for (int t = 0; t < ticks; ++t) {
@@ -347,20 +347,22 @@ uint64_t RunArmies(const ArmiesConfig& config, int workers, int shards,
   return WorldChecksum((*engine)->world());
 }
 
-TEST(AsyncPathfindTest, ChecksumParityAcrossWorkersShardsThreads) {
+TEST(AsyncPathfindTest, ChecksumParityAcrossWorkersThreadsMorsels) {
   const ArmiesConfig config = SmallArmies();
-  const uint64_t baseline = RunArmies(config, /*workers=*/0, 1, 1);
-  EXPECT_EQ(RunArmies(config, 1, 1, 1), baseline) << "1 worker";
-  EXPECT_EQ(RunArmies(config, 4, 1, 1), baseline) << "4 workers";
-  EXPECT_EQ(RunArmies(config, 4, 1, 4), baseline) << "4 workers, 4 threads";
-  EXPECT_EQ(RunArmies(config, 0, 4, 1), baseline) << "inline, 4 shards";
-  EXPECT_EQ(RunArmies(config, 0, 1, 4), baseline)
+  const uint64_t baseline = RunArmies(config, /*workers=*/0, 1, 2048);
+  EXPECT_EQ(RunArmies(config, 1, 1, 2048), baseline) << "1 worker";
+  EXPECT_EQ(RunArmies(config, 4, 1, 2048), baseline) << "4 workers";
+  EXPECT_EQ(RunArmies(config, 4, 4, 2048), baseline)
+      << "4 workers, 4 threads";
+  EXPECT_EQ(RunArmies(config, 0, 4, 2048), baseline)
       << "inline, 4 threads: every job runs in the barrier's drain beside "
          "the tick pool";
-  EXPECT_EQ(RunArmies(config, 1, 2, 2), baseline)
-      << "1 worker, 2 shards, 2 threads (the tick-anatomy shape)";
-  EXPECT_EQ(RunArmies(config, 4, 4, 4), baseline)
-      << "4 workers, 4 shards, 4 threads";
+  EXPECT_EQ(RunArmies(config, 1, 2, 2048), baseline)
+      << "1 worker, 2 threads (the tick-anatomy shape)";
+  EXPECT_EQ(RunArmies(config, 0, 4, 64), baseline)
+      << "inline, 4 threads, morsel 64";
+  EXPECT_EQ(RunArmies(config, 4, 4, 64), baseline)
+      << "4 workers, 4 threads, morsel 64";
 }
 
 // The synchronous pathfinder is gone: asking for it is an error, not a
@@ -385,11 +387,11 @@ TEST(AsyncPathfindTest, ForcedSlowJobsChangeNothingButWallClock) {
   config.async.latency_ticks = 4;
   const int ticks = 16;
   int64_t worker_runs = 0;
-  const uint64_t slow = RunArmies(config, 2, 1, 1, ticks, /*delay=*/2000,
+  const uint64_t slow = RunArmies(config, 2, 1, 2048, ticks, /*delay=*/2000,
                                   /*pause_micros=*/1000, &worker_runs);
   EXPECT_GT(worker_runs, 0) << "no stalled worker ever ran a job";
-  EXPECT_EQ(RunArmies(config, 2, 1, 1, ticks, 0), slow);
-  EXPECT_EQ(RunArmies(config, 0, 1, 1, ticks, 0), slow);
+  EXPECT_EQ(RunArmies(config, 2, 1, 2048, ticks, 0), slow);
+  EXPECT_EQ(RunArmies(config, 0, 1, 2048, ticks, 0), slow);
 }
 
 // The walker battery from components_test, now asynchronous: the march

@@ -150,30 +150,18 @@ TEST(Engine, OptionsArePluumbedThrough) {
 }
 
 // Exec options the executor cannot run are rejected up front: a zero
-// morsel size used to divide by zero (threads) or loop forever (shards),
-// and 255+ shards overflowed the 8-bit shard ids.
-StatusCode RtsCreateCode(int threads, int shards, size_t morsel) {
+// morsel size used to divide by zero.
+StatusCode RtsCreateCode(int threads, size_t morsel) {
   RtsConfig config;
   config.num_units = 300;
   EngineOptions options;
   options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
   options.exec.morsel_size = morsel;
   return RtsWorkload::Build(config, options).status().code();
 }
 
 TEST(Engine, CreateRejectsZeroMorselWithThreads) {
-  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(2, 1, 0));
-}
-
-TEST(Engine, CreateRejectsZeroMorselWithShards) {
-  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 2, 0));
-}
-
-TEST(Engine, CreateRejectsTooManyShards) {
-  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 300, 2048));
-  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(1, 255, 2048));
-  EXPECT_EQ(StatusCode::kOk, RtsCreateCode(1, 254, 2048));
+  EXPECT_EQ(StatusCode::kInvalidArgument, RtsCreateCode(2, 0));
 }
 
 // A negative job-worker count fails Create instead of aborting the process

@@ -157,7 +157,7 @@ TEST(Equivalence, MarketConsistentUnderThreads) {
 
 // A null ref in the middle of a span must gather the *empty set* — size()
 // reads 0, contains() reads false — identically in the scalar oracle and
-// the vectorized engine (serial, threaded, sharded). This pins the
+// the vectorized engine (serial, threaded, in small morsels). This pins the
 // regression where the set-gather kernel read through a stale row for null
 // lanes instead of substituting the empty set.
 TEST(Equivalence, NullRefSetGatherIsEmptySet) {
@@ -183,11 +183,11 @@ script S for G {
   ec <- if(contains(pal.friends, self), 1, 0);
 }
 )sgl";
-  auto run = [&](bool interpreted, int threads, int shards) {
+  auto run = [&](bool interpreted, int threads, size_t morsel) {
     EngineOptions options;
     options.exec.interpreted = interpreted;
     options.exec.num_threads = threads;
-    options.exec.num_shards = shards;
+    options.exec.morsel_size = morsel;
     auto engine = Engine::Create(src, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     // Row 1 of three keeps pal = null, mid-span.
@@ -205,10 +205,10 @@ script S for G {
     EXPECT_EQ(1.0, (*engine)->Get(*g0, "pal_friends")->AsNumber());
     return WorldChecksum((*engine)->world());
   };
-  const uint64_t interpreted = run(true, 1, 1);
-  EXPECT_EQ(interpreted, run(false, 1, 1));
-  EXPECT_EQ(interpreted, run(false, 4, 1)) << "4 threads";
-  EXPECT_EQ(interpreted, run(false, 1, 2)) << "2 shards";
+  const uint64_t interpreted = run(true, 1, 2048);
+  EXPECT_EQ(interpreted, run(false, 1, 2048));
+  EXPECT_EQ(interpreted, run(false, 4, 2048)) << "4 threads";
+  EXPECT_EQ(interpreted, run(false, 4, 2)) << "4 threads, morsel 2";
 }
 
 TEST(Equivalence, MarketCompiledMatchesInterpreted) {

@@ -13,11 +13,11 @@
 //     into the barrier's deadline-miss drain) change nothing in world
 //     state for any worker or tick-thread count.
 //   * The capstone differential harness: an armies run with periodic
-//     durable checkpoints is crashed at injected ticks across the exec,
-//     shard, and txn layers, rebuilt from the newest good checkpoint, and
+//     durable checkpoints is crashed at injected ticks across the exec
+//     and txn layers, rebuilt from the newest good checkpoint, and
 //     replayed — the final canonical world checksum must be bit-identical
-//     to the run that never crashed, for shard counts {1, 4} × worker
-//     counts {0, 4} × fault plans.
+//     to the run that never crashed, for tick-thread counts {1, 4} ×
+//     worker counts {0, 4} × fault plans.
 //   * An armed-but-idle fault plan keeps steady-state ticks at
 //     allocs_per_tick == 0 (the miss path is lock- and allocation-free).
 
@@ -652,12 +652,11 @@ struct JobTotals {
 // before a worker ever takes a delivery, and the worker fault sites would
 // have nothing to act on.
 uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
-                             int shards, int threads, FaultInjector* fault,
+                             int threads, FaultInjector* fault,
                              int ticks = 20, JobTotals* totals = nullptr,
                              int64_t pause_micros = 200) {
   EngineOptions options;
   options.exec.jobs.num_workers = workers;
-  options.exec.num_shards = shards;
   options.exec.num_threads = threads;
   options.exec.fault = fault;
   auto engine = ArmiesWorkload::Build(config, options);
@@ -678,14 +677,14 @@ uint64_t RunArmiesUnderFault(const ArmiesConfig& config, int workers,
 
 TEST(WorkerFaultTest, InjectedStallsKeepChecksumParity) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
   // At 4 tick threads the tick pool's query phase runs beside the stalled
   // workers, and the barrier's drain races them for each job's claim.
   for (int threads : {1, 4}) {
     for (int workers : {1, 4}) {
       FaultInjector fault(
           RatePlan(kFaultAsyncWorkerStall, 0.3, /*stall micros=*/300));
-      EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, threads, &fault),
+      EXPECT_EQ(RunArmiesUnderFault(config, workers, threads, &fault),
                 baseline)
           << workers << " workers, " << threads
           << " threads under injected stalls";
@@ -696,7 +695,7 @@ TEST(WorkerFaultTest, InjectedStallsKeepChecksumParity) {
 
 TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
   // Every delivery dies: the retry budget (3 attempts) is spent without a
   // single worker claim, and *every* job runs through the barrier's
   // deadline-miss drain at its contracted tick, on the barrier thread at 1
@@ -704,7 +703,7 @@ TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
   for (int threads : {1, 4}) {
     FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 1.0));
     JobTotals totals;
-    EXPECT_EQ(RunArmiesUnderFault(config, 2, 1, threads, &fault, 20,
+    EXPECT_EQ(RunArmiesUnderFault(config, 2, threads, &fault, 20,
                                   &totals),
               baseline)
         << threads << " threads";
@@ -715,9 +714,9 @@ TEST(WorkerFaultTest, CertainDeathFallsBackToBarrierInlineRuns) {
 
 TEST(WorkerFaultTest, PartialDeathRateKeepsChecksumParity) {
   const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, 1, nullptr);
+  const uint64_t baseline = RunArmiesUnderFault(config, 0, 1, nullptr);
   FaultInjector fault(RatePlan(kFaultAsyncWorkerDeath, 0.5));
-  EXPECT_EQ(RunArmiesUnderFault(config, 4, 1, 1, &fault), baseline)
+  EXPECT_EQ(RunArmiesUnderFault(config, 4, 1, &fault), baseline)
       << "half the deliveries dying must not change a bit of state";
   EXPECT_GT(fault.total_fires(), 0);
 }
@@ -735,12 +734,12 @@ TEST(WorkerFaultTest, ForcedSlowJobsUnderStallFaultKeepParity) {
   config.async.latency_ticks = 4;
   const int ticks = 16;
   const uint64_t baseline =
-      RunArmiesUnderFault(config, 0, 1, 1, nullptr, ticks);
+      RunArmiesUnderFault(config, 0, 1, nullptr, ticks);
   for (int workers : {1, 4}) {
     FaultInjector fault(
         RatePlan(kFaultAsyncWorkerStall, 1.0, /*stall micros=*/2000));
     JobTotals totals;
-    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, 1, &fault, ticks,
+    EXPECT_EQ(RunArmiesUnderFault(config, workers, 1, &fault, ticks,
                                   &totals, /*pause_micros=*/1000),
               baseline)
         << workers << " workers, 2ms forced stalls";
@@ -748,16 +747,6 @@ TEST(WorkerFaultTest, ForcedSlowJobsUnderStallFaultKeepParity) {
     EXPECT_LT(totals.fallback_runs, totals.installed)
         << workers << " workers: no stalled worker ever ran a job";
   }
-}
-
-TEST(ShardFaultTest, BarrierStallsKeepShardParity) {
-  const ArmiesConfig config = FaultArmies();
-  const uint64_t baseline = RunArmiesUnderFault(config, 4, 4, 1, nullptr);
-  FaultInjector fault(
-      RatePlan(kFaultShardBarrierStall, 0.5, /*stall micros=*/200));
-  EXPECT_EQ(RunArmiesUnderFault(config, 4, 4, 1, &fault), baseline)
-      << "barrier stalls are latency faults, never state faults";
-  EXPECT_GT(fault.total_fires(), 0);
 }
 
 // --- Stats after restore (regression) ---------------------------------------
@@ -794,7 +783,6 @@ TEST(RestoreStatsTest, JobCountersResetConsistentlyAfterRestore) {
   EXPECT_EQ(stats.txn.issued, 0);
   EXPECT_EQ(stats.txn.committed, 0);
   EXPECT_EQ(stats.txn.aborted, 0);
-  EXPECT_EQ(stats.barrier_stall_us, -1) << "one partition has no barrier";
   EXPECT_TRUE(stats.sites.empty());
 
   // Legacy restore (no jobs section): everything cancels, so the in-flight
@@ -889,11 +877,19 @@ void MaybeRetarget(Engine* engine, const ArmiesConfig& config) {
   }
 }
 
-uint64_t RunUninterrupted(const ArmiesConfig& config, int shards,
-                          int workers) {
+// The harness runs `threads` tick threads over 64-row morsels, so a
+// 4-thread run splits every selection across all four workers.
+EngineOptions HarnessOptions(int threads, int workers) {
   EngineOptions options;
-  options.exec.num_shards = shards;
+  options.exec.num_threads = threads;
+  options.exec.morsel_size = 64;
   options.exec.jobs.num_workers = workers;
+  return options;
+}
+
+uint64_t RunUninterrupted(const ArmiesConfig& config, int threads,
+                          int workers) {
+  const EngineOptions options = HarnessOptions(threads, workers);
   auto engine = ArmiesWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   if (!engine.ok()) return 0;
@@ -908,13 +904,11 @@ uint64_t RunUninterrupted(const ArmiesConfig& config, int shards,
 // every injected crash rebuild + restore from the store. Returns the final
 // canonical checksum; counts crashes and whether any restored checkpoint
 // carried in-flight jobs.
-uint64_t RunWithCrashRecovery(const ArmiesConfig& config, int shards,
+uint64_t RunWithCrashRecovery(const ArmiesConfig& config, int threads,
                               int workers, FaultInjector* fault,
                               const std::string& dir, int* crashes,
                               int* restores_with_jobs) {
-  EngineOptions options;
-  options.exec.num_shards = shards;
-  options.exec.jobs.num_workers = workers;
+  EngineOptions options = HarnessOptions(threads, workers);
   options.exec.fault = fault;
   CheckpointStore store(dir, /*keep=*/3);
   auto engine = ArmiesWorkload::Build(config, options);
@@ -948,12 +942,12 @@ uint64_t RunWithCrashRecovery(const ArmiesConfig& config, int shards,
   return CanonicalWorldChecksum((*engine)->world());
 }
 
-TEST(CrashRecoveryTest, DifferentialHarnessAcrossLayersShardsAndWorkers) {
+TEST(CrashRecoveryTest, DifferentialHarnessAcrossLayersThreadsAndWorkers) {
   ArmiesConfig config = FaultArmies();
   config.num_units = 256;
 
   struct Case {
-    int shards;
+    int threads;
     int workers;
     const FaultSite* site;
     Tick crash_tick;
@@ -961,18 +955,18 @@ TEST(CrashRecoveryTest, DifferentialHarnessAcrossLayersShardsAndWorkers) {
   };
   // Early crashes land between the tick-6 and tick-12 checkpoints; late
   // ones past the second retargeting, restoring from tick 24 — both
-  // single-world and sharded crash sites, inline and 4-worker jobs.
+  // crash sites at 1 and at 4 tick threads, inline and 4-worker jobs.
   const std::vector<Case> cases = {
       {1, 0, &kFaultExecCrashPostQuery, 7, 0xa1},
       {1, 4, &kFaultExecCrashPostUpdate, 29, 0xa2},
-      {4, 0, &kFaultShardCrashPremerge, 7, 0xa3},
-      {4, 4, &kFaultShardCrashPostUpdate, 29, 0xa4},
+      {4, 0, &kFaultExecCrashPostQuery, 7, 0xa3},
+      {4, 4, &kFaultExecCrashPostUpdate, 29, 0xa4},
       {1, 4, &kFaultExecCrashPostQuery, 17, 0xa5},
-      {4, 4, &kFaultShardCrashPremerge, 17, 0xa6},
+      {4, 4, &kFaultExecCrashPostQuery, 17, 0xa6},
   };
 
   // Determinism across configurations means one expected checksum for
-  // every shard/worker combination — assert that first, then hold every
+  // every thread/worker combination — assert that first, then hold every
   // crashed-and-recovered run to it.
   const uint64_t expected = RunUninterrupted(config, 1, 0);
   ASSERT_NE(expected, 0u);
@@ -989,11 +983,11 @@ TEST(CrashRecoveryTest, DifferentialHarnessAcrossLayersShardsAndWorkers) {
     const std::string dir =
         FreshDir("harness_" + std::to_string(i));
     const uint64_t got =
-        RunWithCrashRecovery(config, c.shards, c.workers, &fault, dir,
+        RunWithCrashRecovery(config, c.threads, c.workers, &fault, dir,
                              &crashes, &total_restores_with_jobs);
     EXPECT_EQ(got, expected)
         << "case " << i << ": " << c.site->name << " at tick "
-        << c.crash_tick << ", shards=" << c.shards
+        << c.crash_tick << ", threads=" << c.threads
         << ", workers=" << c.workers << "\n"
         << fault.Describe();
     EXPECT_EQ(crashes, 1) << "case " << i;

@@ -3,21 +3,18 @@
 // trees, accum loops with box predicates, update rules over number, bool,
 // ref and set effects — and assert that the compiled set-at-a-time engine
 // (the bytecode VM) and the object-at-a-time oracle produce identical
-// worlds, across every index strategy, thread count and shard count: every
-// random program runs under forced nested-loop and grid access paths plus
-// the cost-based picker, with 1 or 4 threads and 1 or 4 shards,
-// and all must agree bit-for-bit. This is the
-// wide-net version of the hand-written equivalence tests: any divergence in
-// predicate extraction, guard rebuilding, ⊕ order keys, fold order, or an
-// index returning a wrong candidate set shows up here. Accum loops also
-// draw inner-only conjuncts and an `it.kind != kind` conjunct over a field
-// valued in {0, 1} or {0, 1, 2} (some zeros negative), which the grid
-// answers by its build filter and by key partitions or, past
+// worlds, across every index strategy and thread count: every random
+// program runs under forced nested-loop and grid access paths plus the
+// cost-based picker, with 1 or 4 threads, and all must agree bit-for-bit.
+// This is the wide-net version of the hand-written equivalence tests: any
+// divergence in predicate extraction, guard rebuilding, ⊕ order keys, fold
+// order, or an index returning a wrong candidate set shows up here. Accum
+// loops also draw inner-only conjuncts and an `it.kind != kind` conjunct
+// over a field valued in {0, 1} or {0, 1, 2} (some zeros negative), which
+// the grid answers by its build filter and by key partitions or, past
 // kMaxKeyPartitions keys, a per-row key check.
 
 #include <gtest/gtest.h>
-
-#include <iterator>
 
 #include "src/common/cpu_features.h"
 #include "src/common/rng.h"
@@ -226,12 +223,11 @@ std::string RandomProgram(Rng* rng) {
 
 uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
                     bool interpreted, PlanMode mode, int ticks,
-                    int threads = 1, int shards = 1) {
+                    int threads = 1) {
   EngineOptions options;
   options.exec.interpreted = interpreted;
   options.exec.planner.mode = mode;
   options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
   auto engine = Engine::Create(src, options);
   EXPECT_TRUE(engine.ok()) << engine.status() << "\nprogram:\n" << src;
   if (!engine.ok()) return 0;
@@ -271,9 +267,8 @@ uint64_t RunProgram(const std::string& src, uint64_t spawn_seed,
 constexpr PlanMode kSweptModes[] = {PlanMode::kStaticNL, PlanMode::kStaticGrid,
                                     PlanMode::kCostBased};
 
-/// Thread and shard counts the fast path is swept under.
+/// Thread counts the fast path is swept under.
 constexpr int kSweptThreads[] = {1, 4};
-constexpr int kSweptShards[] = {1, 4};
 
 /// Kernel tables to sweep: scalar always, AVX2 when the CPU has it. Both
 /// tables promise bit-identical per-lane results, so every swept
@@ -297,27 +292,18 @@ TEST_P(FuzzEquivalence, CompiledMatchesInterpretedOnRandomProgram) {
   Rng rng(GetParam());
   std::string program = RandomProgram(&rng);
   SCOPED_TRACE(program);
-  // One oracle run per shard count: across shard counts, sum/avg effects
-  // over inexact summands are only associativity-equivalent (determinism
-  // rule 2 of src/exec/tick_executor.h), while a fixed shard count is
-  // bit-exact.
-  uint64_t oracle[std::size(kSweptShards)];
-  for (size_t k = 0; k < std::size(kSweptShards); ++k) {
-    oracle[k] = RunProgram(program, GetParam(), true, PlanMode::kStaticNL, 6,
-                           1, kSweptShards[k]);
-  }
+  // The 60 rows fit one default morsel, so every thread count folds the
+  // same sums in the same order as the oracle.
+  const uint64_t oracle =
+      RunProgram(program, GetParam(), true, PlanMode::kStaticNL, 6);
   for (KernelDispatch dispatch : SweptDispatches()) {
     ScopedDispatch pin(dispatch);
     for (PlanMode mode : kSweptModes) {
       for (int threads : kSweptThreads) {
-        for (size_t k = 0; k < std::size(kSweptShards); ++k) {
-          const int shards = kSweptShards[k];
-          EXPECT_EQ(oracle[k], RunProgram(program, GetParam(), false, mode,
-                                          6, threads, shards))
-              << "strategy " << PlanModeName(mode) << ", threads " << threads
-              << ", shards " << shards << ", kernels "
-              << KernelDispatchName(dispatch);
-        }
+        EXPECT_EQ(oracle,
+                  RunProgram(program, GetParam(), false, mode, 6, threads))
+            << "strategy " << PlanModeName(mode) << ", threads " << threads
+            << ", kernels " << KernelDispatchName(dispatch);
       }
     }
   }

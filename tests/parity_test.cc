@@ -1,9 +1,9 @@
-// Tests for the shard schedule (ExecOptions::num_shards, see
-// src/exec/tick_executor.h): checksum parity of sharded runs against the
-// one-shard run across shard count × thread count × morsel size (RTS, and
-// a multi-phase script plus reactive handler), the partition-independence
-// of transaction admission under sharding, spawns and despawns that give
-// the same rows and results on every layout, runs with despawns that stay
+// Parity of the query-phase schedule (src/exec/tick_executor.h): checksum
+// parity of parallel runs against the serial run across thread count ×
+// morsel size (RTS, and a multi-phase script plus reactive handler), the
+// partition-independence of transaction admission across worker intent
+// logs, spawns and despawns that give the same rows and results at every
+// thread count and in the oracle, runs with despawns that stay
 // bit-identical across thread counts and survive a checkpoint exactly, and
 // restores that ignore a partition stored by earlier versions.
 
@@ -27,11 +27,10 @@ namespace {
 
 constexpr int kTicks = 30;
 
-EngineOptions ShardOpts(PlanMode mode, int shards, int threads = 1,
-                        size_t morsel = 2048, bool interpreted = false) {
+EngineOptions ExecOpts(PlanMode mode, int threads = 1, size_t morsel = 2048,
+                       bool interpreted = false) {
   EngineOptions options;
   options.exec.planner.mode = mode;
-  options.exec.num_shards = shards;
   options.exec.num_threads = threads;
   options.exec.morsel_size = morsel;
   options.exec.interpreted = interpreted;
@@ -41,7 +40,7 @@ EngineOptions ShardOpts(PlanMode mode, int shards, int threads = 1,
 std::unique_ptr<Engine> BuildRts(int units, const EngineOptions& options) {
   RtsConfig config;
   config.num_units = units;
-  config.clustered = true;  // dense joins: damage lands in every shard
+  config.clustered = true;  // dense joins: damage lands in every morsel
   auto engine = RtsWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   return std::move(engine).value();
@@ -56,29 +55,25 @@ uint64_t RunRts(const EngineOptions& options, int units = 300,
 
 // --- E1: checksum-parity sweep -------------------------------------------
 
-// Every shard × thread × morsel configuration of `run(shards, threads,
-// morsel)` must reproduce the serial one-partition checksum.
+// Every thread × morsel configuration of `run(threads, morsel)` must
+// reproduce the serial checksum.
 template <typename Run>
 void ExpectSweepParity(Run run, std::initializer_list<int> thread_counts) {
-  const uint64_t baseline = run(1, 1, 2048);
-  for (int shards : {1, 2, 4, 7}) {
-    for (int threads : thread_counts) {
-      for (size_t morsel : {size_t{64}, size_t{2048}}) {
-        EXPECT_EQ(run(shards, threads, morsel), baseline)
-            << "shards=" << shards << " threads=" << threads
-            << " morsel=" << morsel;
-      }
+  const uint64_t baseline = run(1, 2048);
+  for (int threads : thread_counts) {
+    for (size_t morsel : {size_t{7}, size_t{64}, size_t{2048}}) {
+      EXPECT_EQ(run(threads, morsel), baseline)
+          << "threads=" << threads << " morsel=" << morsel;
     }
   }
 }
 
-TEST(ShardParity, RtsShardCountThreadCountMorselSweep) {
+TEST(Parity, RtsThreadCountMorselSweep) {
   ExpectSweepParity(
-      [](int shards, int threads, size_t morsel) {
-        return RunRts(
-            ShardOpts(PlanMode::kStaticGrid, shards, threads, morsel));
+      [](int threads, size_t morsel) {
+        return RunRts(ExecOpts(PlanMode::kStaticGrid, threads, morsel));
       },
-      {1, 2, 4});
+      {1, 2, 3, 4});
 }
 
 // --- Multi-phase scripts + reactive handlers -----------------------------
@@ -141,9 +136,8 @@ struct PatrolRun {
   size_t pc_values = 0;  ///< distinct PC values at the end
 };
 
-PatrolRun RunPatrol(int shards, int threads, size_t morsel) {
+PatrolRun RunPatrol(int threads, size_t morsel) {
   EngineOptions options;
-  options.exec.num_shards = shards;
   options.exec.num_threads = threads;
   options.exec.morsel_size = morsel;
   auto created = Engine::Create(kPatrolProgram, options);
@@ -186,26 +180,27 @@ PatrolRun RunPatrol(int shards, int threads, size_t morsel) {
   return run;
 }
 
-TEST(ShardParity, PatrolShardCountThreadCountMorselSweep) {
-  const PatrolRun serial = RunPatrol(1, 1, 2048);
+TEST(Parity, PatrolThreadCountMorselSweep) {
+  const PatrolRun serial = RunPatrol(1, 2048);
   EXPECT_GT(serial.alerts, 0) << "the handler never fired";
   EXPECT_GE(serial.pc_values, 2u) << "PC dispatch never split the guards";
   ExpectSweepParity(
-      [](int shards, int threads, size_t morsel) {
-        return RunPatrol(shards, threads, morsel).checksum;
+      [](int threads, size_t morsel) {
+        return RunPatrol(threads, morsel).checksum;
       },
       {1, 4});
 }
 
-TEST(ShardParity, RtsMatchesAcrossPlanModes) {
-  const uint64_t baseline = RunRts(ShardOpts(PlanMode::kStaticGrid, 1));
-  EXPECT_EQ(RunRts(ShardOpts(PlanMode::kCostBased, 4)), baseline);
-  EXPECT_EQ(RunRts(ShardOpts(PlanMode::kStaticNL, 3, 1, 2048,
-                             /*interpreted=*/true)),
+TEST(Parity, RtsMatchesAcrossPlanModes) {
+  const uint64_t baseline = RunRts(ExecOpts(PlanMode::kStaticGrid));
+  EXPECT_EQ(RunRts(ExecOpts(PlanMode::kCostBased, 4, /*morsel=*/64)),
+            baseline);
+  EXPECT_EQ(RunRts(ExecOpts(PlanMode::kStaticNL, 1, 2048,
+                            /*interpreted=*/true)),
             baseline);
 }
 
-// --- E3: transactional market under sharding ------------------------------
+// --- E3: transactional market ---------------------------------------------
 
 MarketConfig MarketCfg() {
   MarketConfig config;
@@ -216,10 +211,10 @@ MarketConfig MarketCfg() {
   return config;
 }
 
-uint64_t RunMarket(int shards, int threads, int64_t* committed = nullptr) {
+uint64_t RunMarket(int threads, size_t morsel,
+                   int64_t* committed = nullptr) {
   MarketConfig config = MarketCfg();
-  EngineOptions options = ShardOpts(PlanMode::kCostBased, shards, threads,
-                                    /*morsel=*/64);
+  EngineOptions options = ExecOpts(PlanMode::kCostBased, threads, morsel);
   auto engine = MarketWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   Rng rng(1234);
@@ -236,18 +231,18 @@ uint64_t RunMarket(int shards, int threads, int64_t* committed = nullptr) {
   return WorldChecksum((*engine)->world());
 }
 
-// Admission must be independent of the shard-of-owner dimension: the same
-// intent multiset partitioned across 1, 2, or 4 per-shard logs (serial and
-// parallel) commits the same transactions — PR 3's partition-independence
-// property, re-proven through the sharded pipeline.
-TEST(ShardParity, MarketAdmissionIndependentOfShardPartitioning) {
+// Admission must be independent of how the intents are split: the same
+// intent multiset partitioned across 1, 2 or 4 worker logs, in morsels of
+// 64 or 8 rows, commits the same transactions (txn_test holds admission
+// itself to every partitioning).
+TEST(Parity, MarketAdmissionIndependentOfWorkerPartitioning) {
   int64_t committed1 = 0;
-  const uint64_t baseline = RunMarket(1, 1, &committed1);
-  for (int shards : {2, 4}) {
-    for (int threads : {1, 4}) {
+  const uint64_t baseline = RunMarket(1, 64, &committed1);
+  for (int threads : {2, 4}) {
+    for (size_t morsel : {size_t{8}, size_t{64}}) {
       int64_t committed = 0;
-      EXPECT_EQ(RunMarket(shards, threads, &committed), baseline)
-          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(RunMarket(threads, morsel, &committed), baseline)
+          << "threads=" << threads << " morsel=" << morsel;
       EXPECT_EQ(committed, committed1);
     }
   }
@@ -255,12 +250,12 @@ TEST(ShardParity, MarketAdmissionIndependentOfShardPartitioning) {
 
 // --- E8: traffic ----------------------------------------------------------
 
-uint64_t RunTraffic(int shards, int threads) {
+uint64_t RunTraffic(int threads) {
   TrafficConfig config;
   config.num_vehicles = 1500;
   config.num_lanes = 16;
   EngineOptions options =
-      ShardOpts(PlanMode::kCostBased, shards, threads, /*morsel=*/512);
+      ExecOpts(PlanMode::kCostBased, threads, /*morsel=*/512);
   auto engine = TrafficWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   EXPECT_TRUE((*engine)->RunTicks(kTicks).ok());
@@ -269,19 +264,20 @@ uint64_t RunTraffic(int shards, int threads) {
   return WorldChecksum((*engine)->world());
 }
 
-TEST(ShardParity, TrafficMatchesSingleShard) {
-  const uint64_t baseline = RunTraffic(1, 1);
-  EXPECT_EQ(RunTraffic(4, 1), baseline);
-  EXPECT_EQ(RunTraffic(4, 4), baseline);
+TEST(Parity, TrafficMatchesSerial) {
+  const uint64_t baseline = RunTraffic(1);
+  EXPECT_EQ(RunTraffic(2), baseline);
+  EXPECT_EQ(RunTraffic(4), baseline);
 }
 
-// --- Uneven partitions ----------------------------------------------------
+// --- Despawns -------------------------------------------------------------
 
 // Despawns up to `n` live entities of the first quarter of their class's
-// rows (shard 0's block on 4 shards), drawn from ids [1, max_id] by `rng`.
-// A despawn swap-removes: the class's last row moves into the victim's
-// row, so a run of these moves entities of the last block into the first.
-void DespawnFromShard0(Engine* engine, EntityId max_id, int n, Rng* rng) {
+// rows, drawn from ids [1, max_id] by `rng`. A despawn swap-removes: the
+// class's last row moves into the victim's row, so a run of these moves
+// entities of the last morsels into the first.
+void DespawnFromFirstQuarter(Engine* engine, EntityId max_id, int n,
+                             Rng* rng) {
   for (int attempt = 0; attempt < 1000 && n > 0; ++attempt) {
     const EntityId id = 1 + static_cast<EntityId>(rng->Next() % max_id);
     const World::Locator* loc = engine->world().Find(id);
@@ -292,19 +288,20 @@ void DespawnFromShard0(Engine* engine, EntityId max_id, int n, Rng* rng) {
     EXPECT_TRUE(engine->Despawn(id).ok());
     --n;
   }
-  EXPECT_EQ(n, 0) << "shard 0 ran out of entities";
+  EXPECT_EQ(n, 0) << "the first quarter ran out of entities";
 }
 
-// At a fixed shard count, runs with identical despawn schedules are
-// bit-identical for any thread count — despawns happen between ticks,
-// never concurrently with the query phase, and the next tick's blocks
-// cover the shrunk class like any other.
-TEST(UnevenPartition, RunsBitIdenticalAcrossThreadCounts) {
+// Runs with identical despawn schedules are bit-identical for any thread
+// count — despawns happen between ticks, never concurrently with the
+// query phase, and the next tick's morsels cover the shrunk class like
+// any other.
+TEST(Despawns, RunsBitIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
-    auto engine = BuildRts(200, ShardOpts(PlanMode::kStaticGrid, 4, threads));
+    auto engine =
+        BuildRts(200, ExecOpts(PlanMode::kStaticGrid, threads, /*morsel=*/64));
     Rng rng(7);
     for (int t = 0; t < 20; ++t) {
-      if (t % 3 == 1) DespawnFromShard0(engine.get(), 200, 5, &rng);
+      if (t % 3 == 1) DespawnFromFirstQuarter(engine.get(), 200, 5, &rng);
       EXPECT_TRUE(engine->Tick().ok());
     }
     return WorldChecksum(engine->world());
@@ -314,32 +311,25 @@ TEST(UnevenPartition, RunsBitIdenticalAcrossThreadCounts) {
 
 // --- Despawn parity -------------------------------------------------------
 
-// Every layout the despawn tests compare: the one-partition oracle, one
-// partition at 1 and 4 threads, and {2, 4} shards at {1, 4} threads.
+// Every layout the despawn tests compare: the object-at-a-time oracle,
+// then 1 thread, and {2, 4} threads in morsels of 64 rows.
 std::vector<EngineOptions> DespawnLayouts() {
-  std::vector<EngineOptions> layouts = {
-      ShardOpts(PlanMode::kStaticNL, 1, 1, 2048, /*interpreted=*/true),
-      ShardOpts(PlanMode::kCostBased, 1, 1),
-      ShardOpts(PlanMode::kCostBased, 1, 4, /*morsel=*/64)};
-  for (int shards : {2, 4}) {
-    for (int threads : {1, 4}) {
-      layouts.push_back(
-          ShardOpts(PlanMode::kCostBased, shards, threads, /*morsel=*/64));
-    }
-  }
-  return layouts;
+  return {ExecOpts(PlanMode::kStaticNL, 1, 2048, /*interpreted=*/true),
+          ExecOpts(PlanMode::kCostBased, 1),
+          ExecOpts(PlanMode::kCostBased, 2, /*morsel=*/64),
+          ExecOpts(PlanMode::kCostBased, 4, /*morsel=*/64)};
 }
 
 std::string Describe(const EngineOptions& o) {
-  return "shards=" + std::to_string(o.exec.num_shards) +
-         " threads=" + std::to_string(o.exec.num_threads) +
+  return "threads=" + std::to_string(o.exec.num_threads) +
+         " morsel=" + std::to_string(o.exec.morsel_size) +
          (o.exec.interpreted ? " (oracle)" : "");
 }
 
 // Every U sends its `v` to the hub through a `last` effect, whose winner is
 // the highest outer row. Despawning the first U moves the last U into its
 // row, so the third U (v = 3) holds the highest row: the hub must read 3
-// on every layout, a sharded one included.
+// on every layout.
 constexpr const char* kHubProgram = R"sgl(
 class Hub {
   state:
@@ -443,7 +433,8 @@ TEST(DespawnParity, RtsWithDespawnsMatchesTheOracleOnEveryLayout) {
 // --- Despawn --------------------------------------------------------------
 
 TEST(BulkRows, DespawnBatchDropsExactlyTheVictims) {
-  auto engine = BuildRts(100, ShardOpts(PlanMode::kStaticGrid, 4));
+  auto engine =
+      BuildRts(100, ExecOpts(PlanMode::kStaticGrid, 4, /*morsel=*/16));
   ASSERT_TRUE(engine->Tick().ok());
 
   std::vector<EntityId> victims;
@@ -495,33 +486,37 @@ TEST(EntityDirectoryTest, InsertFindEraseChurn) {
   }
 }
 
-// --- Checkpoint round-trip under sharding ---------------------------------
+// --- Checkpoint round-trip -----------------------------------------------
 
-TEST(ShardParity, CheckpointRestoreResumesShardedRun) {
-  auto engine = BuildRts(120, ShardOpts(PlanMode::kStaticGrid, 4));
+EngineOptions ParallelOpts() {
+  return ExecOpts(PlanMode::kStaticGrid, 4, /*morsel=*/64);
+}
+
+TEST(Parity, CheckpointRestoreResumesParallelRun) {
+  auto engine = BuildRts(120, ParallelOpts());
   ASSERT_TRUE(engine->RunTicks(10).ok());
   Checkpoint cp = engine->TakeCheckpoint();
   ASSERT_TRUE(engine->RunTicks(10).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
 
-  auto resumed = BuildRts(120, ShardOpts(PlanMode::kStaticGrid, 4));
+  auto resumed = BuildRts(120, ParallelOpts());
   ASSERT_TRUE(resumed->Restore(cp).ok());
   EXPECT_EQ(resumed->tick(), cp.tick);
   ASSERT_TRUE(resumed->RunTicks(10).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// A sharded run with despawns restores bit-identically: the checkpoint
+// A parallel run with despawns restores bit-identically: the checkpoint
 // holds no partition (the section is written empty), and the restored run
-// works out the same blocks from the same class sizes.
-TEST(ShardParity, CheckpointRestoresUnevenPartitionExactly) {
+// works out the same morsels from the same class sizes.
+TEST(Parity, CheckpointWithDespawnsRestoresExactly) {
   const int units = 150;
-  auto engine = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
+  auto engine = BuildRts(units, ParallelOpts());
   ASSERT_TRUE(engine->RunTicks(5).ok());
 
-  // Despawn 25 entities of shard 0's block, then run a few more ticks.
+  // Despawn 25 entities of the first quarter, then run a few more ticks.
   Rng rng(23);
-  DespawnFromShard0(engine.get(), units, 25, &rng);
+  DespawnFromFirstQuarter(engine.get(), units, 25, &rng);
   ASSERT_TRUE(engine->RunTicks(3).ok());
 
   Checkpoint cp = engine->TakeCheckpoint();
@@ -529,22 +524,22 @@ TEST(ShardParity, CheckpointRestoresUnevenPartitionExactly) {
   ASSERT_TRUE(engine->RunTicks(10).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
 
-  auto resumed = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
+  auto resumed = BuildRts(units, ParallelOpts());
   ASSERT_TRUE(resumed->Restore(cp).ok());
   ASSERT_TRUE(resumed->RunTicks(10).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
 }
 
-// A checkpoint taken under one shard count restores under another and
-// resumes with correct state.
-TEST(ShardParity, CheckpointShardCountMismatchFallsBackToBlock) {
-  auto engine = BuildRts(90, ShardOpts(PlanMode::kStaticGrid, 4));
+// A checkpoint taken at one thread count restores at another and resumes
+// with correct state.
+TEST(Parity, CheckpointRestoresAtAnotherThreadCount) {
+  auto engine = BuildRts(90, ParallelOpts());
   ASSERT_TRUE(engine->RunTicks(5).ok());
   Checkpoint cp = engine->TakeCheckpoint();
   ASSERT_TRUE(engine->RunTicks(8).ok());
   const uint64_t final_sum = WorldChecksum(engine->world());
 
-  auto resumed = BuildRts(90, ShardOpts(PlanMode::kStaticGrid, 2));
+  auto resumed = BuildRts(90, ExecOpts(PlanMode::kStaticGrid, 1));
   ASSERT_TRUE(resumed->Restore(cp).ok());
   ASSERT_TRUE(resumed->RunTicks(8).ok());
   EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);
@@ -552,11 +547,11 @@ TEST(ShardParity, CheckpointShardCountMismatchFallsBackToBlock) {
 
 // Earlier versions stored each class's shard boundaries in the
 // checkpoint's `shard_partition` section. Restore ignores that blob: a
-// 4-shard checkpoint carrying one with uneven boundaries — whole, or cut
-// short — resumes under 2 and 4 shards exactly like the uninterrupted run.
-TEST(ShardParity, RestoreIgnoresAStoredPartition) {
+// checkpoint carrying one with uneven boundaries — whole, or cut short —
+// resumes at 1 and 4 threads exactly like the uninterrupted run.
+TEST(Parity, RestoreIgnoresAStoredPartition) {
   const int units = 120;
-  auto engine = BuildRts(units, ShardOpts(PlanMode::kStaticGrid, 4));
+  auto engine = BuildRts(units, ParallelOpts());
   ASSERT_TRUE(engine->RunTicks(6).ok());
   Checkpoint cp = engine->TakeCheckpoint();
   ASSERT_TRUE(engine->RunTicks(8).ok());
@@ -582,11 +577,11 @@ TEST(ShardParity, RestoreIgnoresAStoredPartition) {
   Checkpoint truncated = cp;
   truncated.shard_partition.resize(cp.shard_partition.size() - 3);
   for (const Checkpoint* restored : {&cp, &truncated}) {
-    for (int shards : {2, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " blob bytes=" +
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " blob bytes=" +
                    std::to_string(restored->shard_partition.size()));
-      auto resumed =
-          BuildRts(units, ShardOpts(PlanMode::kStaticGrid, shards));
+      auto resumed = BuildRts(
+          units, ExecOpts(PlanMode::kStaticGrid, threads, /*morsel=*/64));
       ASSERT_TRUE(resumed->Restore(*restored).ok());
       ASSERT_TRUE(resumed->RunTicks(8).ok());
       EXPECT_EQ(WorldChecksum(resumed->world()), final_sum);

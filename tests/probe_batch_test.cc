@@ -6,10 +6,10 @@
 // element for element. On top of the structural contract, the engine-level
 // sweep asserts the observable guarantee: the fast path's batched probes
 // reach the scalar oracle's world checksum (the oracle probes nothing — it
-// scans), under the grid and the planner modes, in serial, 4-thread, and
-// 4-shard execution. The EmitAscending cases pin the row-order emit that
-// produces every slice: bitmap word boundaries, the sparse-wide sort
-// fallback, a clean bitmap across table sizes, and zero allocations.
+// scans), under the grid and the planner modes, serially and at 4 threads
+// in default and 64-row morsels. The EmitAscending cases pin the row-order
+// emit that produces every slice: bitmap word boundaries, the sparse-wide
+// sort fallback, a clean bitmap across table sizes, and zero allocations.
 
 #include <gtest/gtest.h>
 
@@ -536,42 +536,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Engine-level: batched probes reach the oracle's checksum -------------
 
-uint64_t RunRts(bool interpreted, PlanMode plan, int threads, int shards) {
-  RtsConfig config;
-  config.num_units = 300;
-  config.clustered = true;
-  EngineOptions options;
-  options.exec.interpreted = interpreted;
-  options.exec.planner.mode = plan;
-  options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
-  auto engine = RtsWorkload::Build(config, options);
-  EXPECT_TRUE(engine.ok()) << engine.status();
-  EXPECT_TRUE((*engine)->RunTicks(30).ok());
-  return WorldChecksum((*engine)->world());
-}
-
-TEST(BatchedProbeParity, MatchesOracleUnderIndexedStrategies) {
-  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1, 1));
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kCostBased, 1, 1));
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kAdaptive, 1, 1));
-}
-
-TEST(BatchedProbeParity, MatchesOracleUnderThreadsAndShards) {
-  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1, 1);
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4, 1));
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1, 4));
-  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4, 4));
-}
-
-// --- Engine-level: the accum pushdown (inner filter + key partitions) -----
-
-// The RTS program with every fifth unit dead and one player-0 unit whose
-// player is -0.0: the grid's build filter (`w.health > 0`) drops the dead,
-// and -0.0 must share player 0's key partition (`w.player != player`).
-uint64_t RunPushdownRts(bool interpreted, PlanMode plan, int threads,
-                        size_t morsel, int shards) {
+uint64_t RunRts(bool interpreted, PlanMode plan, int threads,
+                size_t morsel = 2048) {
   RtsConfig config;
   config.num_units = 300;
   config.clustered = true;
@@ -580,7 +546,40 @@ uint64_t RunPushdownRts(bool interpreted, PlanMode plan, int threads,
   options.exec.planner.mode = plan;
   options.exec.num_threads = threads;
   options.exec.morsel_size = morsel;
-  options.exec.num_shards = shards;
+  auto engine = RtsWorkload::Build(config, options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  EXPECT_TRUE((*engine)->RunTicks(30).ok());
+  return WorldChecksum((*engine)->world());
+}
+
+TEST(BatchedProbeParity, MatchesOracleUnderIndexedStrategies) {
+  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1);
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kCostBased, 1));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kAdaptive, 1));
+}
+
+TEST(BatchedProbeParity, MatchesOracleUnderThreadsAndMorsels) {
+  const uint64_t oracle = RunRts(true, PlanMode::kStaticNL, 1);
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4));
+  EXPECT_EQ(oracle, RunRts(false, PlanMode::kStaticGrid, 4, /*morsel=*/64));
+}
+
+// --- Engine-level: the accum pushdown (inner filter + key partitions) -----
+
+// The RTS program with every fifth unit dead and one player-0 unit whose
+// player is -0.0: the grid's build filter (`w.health > 0`) drops the dead,
+// and -0.0 must share player 0's key partition (`w.player != player`).
+uint64_t RunPushdownRts(bool interpreted, PlanMode plan, int threads,
+                        size_t morsel) {
+  RtsConfig config;
+  config.num_units = 300;
+  config.clustered = true;
+  EngineOptions options;
+  options.exec.interpreted = interpreted;
+  options.exec.planner.mode = plan;
+  options.exec.num_threads = threads;
+  options.exec.morsel_size = morsel;
   auto engine = RtsWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   const ClassId cls = (*engine)->catalog().Find("Unit");
@@ -597,15 +596,14 @@ uint64_t RunPushdownRts(bool interpreted, PlanMode plan, int threads,
 
 TEST(PushdownParity, RtsWithDeadUnitsAndNegativeZeroPlayer) {
   const uint64_t oracle =
-      RunPushdownRts(true, PlanMode::kStaticNL, 1, 2048, 1);
+      RunPushdownRts(true, PlanMode::kStaticNL, 1, 2048);
   for (PlanMode plan : {PlanMode::kStaticGrid, PlanMode::kCostBased}) {
     for (int threads : {1, 4}) {
       for (size_t morsel : {size_t{64}, size_t{2048}}) {
-        EXPECT_EQ(oracle, RunPushdownRts(false, plan, threads, morsel, 1))
+        EXPECT_EQ(oracle, RunPushdownRts(false, plan, threads, morsel))
             << "threads " << threads << " morsel " << morsel;
       }
     }
-    EXPECT_EQ(oracle, RunPushdownRts(false, plan, 1, 2048, 2));
   }
 }
 

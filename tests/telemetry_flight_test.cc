@@ -10,8 +10,9 @@
 //   * After- and before-values against an eager per-record resolution,
 //     with despawns and spawns between ticks.
 //   * Chain determinism: serialized chains bit-identical across
-//     {serial, 4-thread, 4-shard × 4-thread} and across eval / probe
-//     modes, with the src_shard topology tag zeroed before comparing.
+//     {serial, 4-thread, 4-thread × 64-row morsels} and across eval /
+//     probe modes, and a market run's provenance tail byte-identical at 1
+//     and 4 threads — nothing in a record depends on the topology.
 //   * Eviction honesty: a wrapped-out tick reports kEvicted, a frame that
 //     dropped records reports kTruncated — never a wrong chain.
 //   * Capture order: multi-lane frames equal an independent tracer record
@@ -22,7 +23,8 @@
 //     crash/recover differential producing byte-identical dump files, and
 //     the provenance section's bytes pinned by hash.
 //   * The armed steady-state contract: allocs_per_tick == 0 with the
-//     recorder capturing every effect write (serial / threaded / sharded,
+//     recorder capturing every effect write (serial / threaded / small
+//     morsels,
 //     with and without a user tracer sharing the fan-out), and world
 //     checksums bit-identical armed vs disarmed.
 //   * Satellites: counter ("C") lanes in DumpChromeTrace,
@@ -82,11 +84,11 @@ void WriteFileBytes(const std::string& path, const std::string& data) {
 }
 
 EngineOptions RecorderOpts(FlightRecorder* rec, Telemetry* tel = nullptr,
-                           int threads = 1, int shards = 1) {
+                           int threads = 1, size_t morsel = 2048) {
   EngineOptions options;
   options.exec.planner.mode = PlanMode::kStaticGrid;
   options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
+  options.exec.morsel_size = morsel;
   options.exec.telemetry = tel;
   options.exec.recorder = rec;
   return options;
@@ -306,9 +308,8 @@ std::unique_ptr<Engine> BuildFuzz(const std::string& src,
   return std::move(engine).value();
 }
 
-// Serializes a chain into a comparable/loggable string. `zero_shard` drops
-// the src_shard topology tag (not causal content — see EffectProv).
-std::string ChainToString(const WhyResult& why, bool zero_shard) {
+// Serializes a chain into a comparable/loggable string.
+std::string ChainToString(const WhyResult& why) {
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof(buf), "t%lld e%lld f%d %s:",
@@ -318,12 +319,11 @@ std::string ChainToString(const WhyResult& why, bool zero_shard) {
   out += buf;
   for (const ProvStep& s : why.steps) {
     std::snprintf(buf, sizeof(buf),
-                  " [site=%d assign=%d key=%llu txn=%lld shard=%d "
+                  " [site=%d assign=%d key=%llu txn=%lld "
                   "src=%lld/%lld v=%.17g]",
                   s.site, s.assign_id,
                   static_cast<unsigned long long>(s.order_key),
                   static_cast<long long>(s.is_txn ? s.txn : -1),
-                  zero_shard ? 0 : s.src_shard,
                   static_cast<long long>(s.src_outer),
                   static_cast<long long>(s.src_inner), s.contrib_num);
     out += buf;
@@ -453,8 +453,6 @@ void ExpectSameTickStats(const TickStats& want, const TickStats& got) {
   SGL_EXPECT_SAME(jobs_installed);
   SGL_EXPECT_SAME(jobs_in_flight);
   SGL_EXPECT_SAME(job_wait_micros);
-  SGL_EXPECT_SAME(barrier_stall_us);
-  SGL_EXPECT_SAME(imbalance_bp);
   SGL_EXPECT_SAME(txn.issued);
   SGL_EXPECT_SAME(txn.committed);
   SGL_EXPECT_SAME(txn.aborted);
@@ -479,8 +477,8 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   rec.set_armed(true);
   Telemetry tel;
   tel.set_armed(true);
-  auto engine = BuildRts(256, RecorderOpts(&rec, &tel, /*threads=*/1,
-                                           /*shards=*/2));
+  auto engine = BuildRts(256, RecorderOpts(&rec, &tel, /*threads=*/4,
+                                           /*morsel=*/64));
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(engine->Tick().ok());
 
   EXPECT_EQ(rec.frames_captured(), 6);
@@ -517,31 +515,12 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   ExpectSameTickStats(live, ex.stats);
   EXPECT_EQ(f->stats.allocs_per_tick, 0);
   EXPECT_EQ(f->stats.bytes_per_tick, 0);
-  EXPECT_GE(live.barrier_stall_us, 0) << "two partitions have a barrier";
   const MetricsSnapshot snap = tel.metrics().Snapshot();
-  EXPECT_EQ(snap.Gauge("shard.imbalance_bp"), live.imbalance_bp);
-  const HistogramSnapshot* stall = snap.Find("barrier.stall_us");
-  ASSERT_NE(stall, nullptr);
-  EXPECT_EQ(stall->count, 6) << "one stall sample per sharded tick";
-
-  // One partition: no barrier, so no stall gauge and no stall samples.
-  FlightRecorder solo_rec(fo);
-  solo_rec.set_armed(true);
-  Telemetry solo_tel;
-  solo_tel.set_armed(true);
-  auto solo = BuildRts(256, RecorderOpts(&solo_rec, &solo_tel));
-  ASSERT_TRUE(solo->RunTicks(6).ok());
-  const TickStats& one = solo->last_stats();
-  EXPECT_EQ(one.barrier_stall_us, -1);
-  EXPECT_EQ(one.imbalance_bp, 0);
-  ExpectSameTickStats(one, solo_rec.frame(one.tick)->stats);
-  const MetricsSnapshot solo_snap = solo_tel.metrics().Snapshot();
-  const HistogramSnapshot* solo_stall = solo_snap.Find("barrier.stall_us");
-  ASSERT_NE(solo_stall, nullptr);
-  EXPECT_EQ(solo_stall->count, 0);
+  EXPECT_EQ(snap.Gauge("jobs.in_flight", -1), live.jobs_in_flight);
+  EXPECT_EQ(snap.Gauge("vm.programs", -1), live.vm_programs);
 }
 
-// Several worker lanes per tick (4 threads, 64-row morsels, 2 shards): the
+// Several worker lanes per tick (4 threads, 64-row morsels): the
 // capture appends lanes after the swapped-in first one and must sort them
 // into the exact order an independent watch-all tracer reports.
 TEST(FlightRecorder, MultiLaneFramesMatchIndependentTracer) {
@@ -550,8 +529,7 @@ TEST(FlightRecorder, MultiLaneFramesMatchIndependentTracer) {
   FlightRecorder rec(fo);
   rec.set_armed(true);
   EngineOptions options = RecorderOpts(&rec, nullptr, /*threads=*/4,
-                                       /*shards=*/2);
-  options.exec.morsel_size = 64;
+                                       /*morsel=*/64);
   auto engine = BuildRts(512, options);
   EffectTracer reference;
   reference.set_watch_all(true);
@@ -579,7 +557,6 @@ TEST(FlightRecorder, MultiLaneFramesMatchIndependentTracer) {
       ASSERT_EQ(got.order_key, want.order_key);
       EXPECT_EQ(got.is_txn, want.prov.txn >= 0);
       EXPECT_EQ(got.site, want.prov.site);
-      EXPECT_EQ(static_cast<int32_t>(got.src_shard), want.prov.src_shard);
       EXPECT_EQ(got.src_outer, want.prov.src_outer);
       EXPECT_EQ(got.src_inner, want.prov.src_inner);
       ASSERT_EQ(static_cast<ValueKind>(got.contrib_kind), ValueKind::kNumber);
@@ -624,10 +601,10 @@ TEST(Provenance, WhyMatchesIndependentTracerOnFuzzedPrograms) {
       const auto [tick, target, field] = key;
       const WhyResult why = prov.WhyDidChange(target, field, tick);
       ASSERT_EQ(why.status, ProvStatus::kOk)
-          << ChainToString(why, false) << "\nprogram:\n" << src;
+          << ChainToString(why) << "\nprogram:\n" << src;
       // The fuzz grammar has no atomic regions, so the recorder stream for
       // this (tick, entity, field) must equal the reference exactly.
-      ASSERT_EQ(why.steps.size(), expect.size()) << ChainToString(why, false);
+      ASSERT_EQ(why.steps.size(), expect.size()) << ChainToString(why);
       for (size_t i = 0; i < expect.size(); ++i) {
         const TraceRecord& r = expect[i];
         const ProvStep& s = why.steps[i];
@@ -669,7 +646,7 @@ TEST(Provenance, WhyMatchesIndependentTracerOnFuzzedPrograms) {
       const WhyResult prev = prov.WhyDidChange(target, field, tick - 1);
       if (!cur.before.known || !prev.after.known) continue;
       EXPECT_EQ(cur.before.num, prev.after.num)
-          << ChainToString(cur, false) << "\n" << ChainToString(prev, false);
+          << ChainToString(cur) << "\n" << ChainToString(prev);
       if (++before_checked >= 32) break;
     }
     EXPECT_GT(before_checked, 0);
@@ -765,7 +742,7 @@ TEST(Provenance, TxnWritebackChainsOnContestedMarket) {
       }
       EXPECT_TRUE(saw_txn);
       // Write-backs resolve against state columns after UPDATE.
-      EXPECT_TRUE(why.after.known) << ChainToString(why, false);
+      EXPECT_TRUE(why.after.known) << ChainToString(why);
       ++txn_chains;
     }
   }
@@ -797,9 +774,9 @@ void ExpectAftersMatchEager(FlightRecorder* rec, Engine* engine, int ticks,
     const auto [t, target, field] = key;
     if (t < oldest) continue;
     const WhyResult why = prov.WhyDidChange(target, field, t);
-    ASSERT_EQ(why.status, ProvStatus::kOk) << ChainToString(why, false);
+    ASSERT_EQ(why.status, ProvStatus::kOk) << ChainToString(why);
     EXPECT_EQ(DescribeValue(why.after), DescribeValue(after))
-        << ChainToString(why, false);
+        << ChainToString(why);
     // Before: the latest earlier in-ring tick that wrote the pair.
     ProvValue before;
     for (Tick u = t - 1; u >= oldest; --u) {
@@ -809,7 +786,7 @@ void ExpectAftersMatchEager(FlightRecorder* rec, Engine* engine, int ticks,
       break;
     }
     EXPECT_EQ(DescribeValue(why.before), DescribeValue(before))
-        << ChainToString(why, false);
+        << ChainToString(why);
     ++checked;
     known += after.known ? 1 : 0;
     befores += before.known ? 1 : 0;
@@ -898,7 +875,7 @@ TEST(Provenance, AfterValuesMatchEagerReference) {
 
 // --- chain determinism across topologies and modes --------------------------
 
-// Serializes every chain of every in-ring frame, src_shard zeroed.
+// Serializes every chain of every in-ring frame.
 std::string AllChains(FlightRecorder* rec) {
   ProvenanceIndex prov(rec);
   std::string out;
@@ -910,8 +887,7 @@ std::string AllChains(FlightRecorder* rec) {
       keys.emplace(f->records[i].target, f->records[i].field);
     }
     for (const auto& [target, field] : keys) {
-      out += ChainToString(prov.WhyDidChange(target, field, t),
-                           /*zero_shard=*/true);
+      out += ChainToString(prov.WhyDidChange(target, field, t));
       out += '\n';
     }
   }
@@ -919,22 +895,56 @@ std::string AllChains(FlightRecorder* rec) {
 }
 
 TEST(Provenance, ChainsBitIdenticalAcrossTopologiesAndOracle) {
-  auto run = [](int threads, int shards, bool interpreted) {
+  auto run = [](int threads, size_t morsel, bool interpreted) {
     FlightRecorderOptions fo;
     fo.ring_ticks = 8;
     FlightRecorder rec(fo);
     rec.set_armed(true);
-    EngineOptions options = RecorderOpts(&rec, nullptr, threads, shards);
+    EngineOptions options = RecorderOpts(&rec, nullptr, threads, morsel);
     options.exec.interpreted = interpreted;
     auto engine = BuildRts(256, options);
     EXPECT_TRUE(engine->RunTicks(10).ok());
     return AllChains(&rec);
   };
-  const std::string base = run(1, 1, false);
+  const std::string base = run(1, 2048, false);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(run(4, 1, false), base) << "4-thread chains diverged";
-  EXPECT_EQ(run(4, 4, false), base) << "4-shard x 4-thread chains diverged";
-  EXPECT_EQ(run(1, 1, true), base) << "oracle chains diverged";
+  EXPECT_EQ(run(4, 2048, false), base) << "4-thread chains diverged";
+  EXPECT_EQ(run(4, 64, false), base)
+      << "4-thread x 64-row-morsel chains diverged";
+  EXPECT_EQ(run(1, 2048, true), base) << "oracle chains diverged";
+}
+
+// A contested market's transaction write-backs come from every worker's
+// intent log. Their records carry nothing of the worker that issued them,
+// so the provenance tail is the same bytes at 1 thread and at 4 threads
+// in 8-row morsels, compared as is.
+TEST(Provenance, MarketTailBytesIdenticalAcrossThreadCounts) {
+  auto tail = [](int threads, size_t morsel) {
+    FlightRecorder rec;
+    rec.set_armed(true);
+    MarketConfig config;
+    config.num_traders = 32;
+    config.num_items = 64;
+    auto market = MarketWorkload::Build(
+        config, RecorderOpts(&rec, nullptr, threads, morsel));
+    EXPECT_TRUE(market.ok()) << market.status();
+    if (!market.ok()) return std::string();
+    Rng rng(21);
+    int64_t committed = 0;
+    for (int t = 0; t < 8; ++t) {
+      MarketWorkload::AssignWants(market->get(), config, &rng);
+      EXPECT_TRUE((*market)->Tick().ok());
+      committed += (*market)->last_stats().txn.committed;
+    }
+    EXPECT_GT(committed, 0) << "the market must commit purchases";
+    std::string out;
+    rec.SerializeProvenanceTail(&out);
+    return out;
+  };
+  const std::string serial = tail(1, 2048);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_TRUE(tail(4, 8) == serial)
+      << "the 4-thread provenance tail differs from the serial one";
 }
 
 // --- eviction and truncation honesty ---------------------------------------
@@ -1393,10 +1403,11 @@ TEST(RecorderAllocs, Parallel4ThreadSteadyStateIsAllocationFree) {
   EXPECT_EQ(MeasureArmedSteadyState(engine.get(), nullptr), 0);
 }
 
-// Sharded variant uses the stationary battle (see telemetry_test): zeroed
-// attack freezes the engagement geometry so every pooled lane hits its
-// high-water capacity inside the warmup window.
-TEST(RecorderAllocs, Sharded4SteadyStateIsAllocationFree) {
+// The small-morsel variant uses the stationary battle (see telemetry_test):
+// zeroed attack freezes the engagement geometry so the pooled lane hits
+// its high-water capacity inside the warmup window. One thread runs every
+// 64-row morsel, so each frame is several runs in one lane.
+TEST(RecorderAllocs, Morsel64SteadyStateIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
   FlightRecorder rec;
   rec.set_armed(true);
@@ -1405,7 +1416,7 @@ TEST(RecorderAllocs, Sharded4SteadyStateIsAllocationFree) {
   config.clustered = true;
   config.cluster_radius = 10;  // dense: everyone engaged from tick 0
   auto engine = RtsWorkload::Build(
-      config, RecorderOpts(&rec, nullptr, /*threads=*/1, /*shards=*/4));
+      config, RecorderOpts(&rec, nullptr, /*threads=*/1, /*morsel=*/64));
   ASSERT_TRUE(engine.ok()) << engine.status();
   for (EntityId id = 1; id <= 800; ++id) {
     ASSERT_TRUE((*engine)->Set(id, "attack", Value::Number(0)).ok());
@@ -1429,26 +1440,27 @@ TEST(RecorderAllocs, UserTracerAndRecorderTogetherHoldTheContract) {
 
 // --- checksum parity --------------------------------------------------------
 
-uint64_t RunRtsChecksum(FlightRecorder* rec, int threads, int shards) {
-  auto engine = BuildRts(384, RecorderOpts(rec, nullptr, threads, shards));
+uint64_t RunRtsChecksum(FlightRecorder* rec, int threads, size_t morsel) {
+  auto engine = BuildRts(384, RecorderOpts(rec, nullptr, threads, morsel));
   for (int t = 0; t < 12; ++t) EXPECT_TRUE(engine->Tick().ok());
   return WorldChecksum(engine->world());
 }
 
 TEST(RecorderParity, ChecksumBitIdenticalArmedVsDisarmed) {
-  const uint64_t disarmed = RunRtsChecksum(nullptr, 1, 1);
+  const uint64_t disarmed = RunRtsChecksum(nullptr, 1, 2048);
   FlightRecorder rec;
   rec.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&rec, 1, 1), disarmed) << "serial armed";
+  EXPECT_EQ(RunRtsChecksum(&rec, 1, 2048), disarmed) << "serial armed";
   FlightRecorder rec_mt;
   rec_mt.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&rec_mt, 4, 1), disarmed) << "4-thread armed";
-  FlightRecorder rec_sh;
-  rec_sh.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&rec_sh, 1, 4), disarmed) << "4-shard armed";
+  EXPECT_EQ(RunRtsChecksum(&rec_mt, 4, 2048), disarmed) << "4-thread armed";
+  FlightRecorder rec_small;
+  rec_small.set_armed(true);
+  EXPECT_EQ(RunRtsChecksum(&rec_small, 4, 64), disarmed)
+      << "4-thread, morsel-64 armed";
   // Attached-but-disarmed is also bit-identical.
   FlightRecorder off;
-  EXPECT_EQ(RunRtsChecksum(&off, 1, 1), disarmed) << "attached disarmed";
+  EXPECT_EQ(RunRtsChecksum(&off, 1, 2048), disarmed) << "attached disarmed";
 }
 
 // --- satellites: counter lanes, sites JSON, metrics reset -------------------
@@ -1464,7 +1476,7 @@ TEST(ChromeTrace, CounterLanesRenderTickSeriesAndSnapshotTail) {
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos)
       << "no counter events in the trace";
   for (const char* lane :
-       {"tick.total_us", "shard.imbalance_bp", "jobs.in_flight"}) {
+       {"tick.total_us", "jobs.in_flight"}) {
     EXPECT_TRUE(parser.names.count(lane)) << "missing counter lane " << lane;
   }
   // The metrics-snapshot tail contributes per-histogram p50 lanes.

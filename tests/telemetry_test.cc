@@ -1,6 +1,6 @@
 // Telemetry subsystem tests (src/telemetry/): histogram math against a
 // sorted reference, span nesting/ordering invariants, Chrome-trace JSON
-// round-trip over a sharded + threaded + async run, checksum parity armed
+// round-trip over a threaded + async run, checksum parity armed
 // vs disarmed, the armed steady-state allocs_per_tick == 0 contract, and
 // per-site attribution.
 
@@ -115,11 +115,11 @@ TEST(Metrics, CountersAndGauges) {
 
 // --- Workload helpers ----------------------------------------------------
 
-EngineOptions RtsOpts(Telemetry* tel, int threads = 1, int shards = 1) {
+EngineOptions RtsOpts(Telemetry* tel, int threads = 1, size_t morsel = 2048) {
   EngineOptions options;
   options.exec.planner.mode = PlanMode::kStaticGrid;
   options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
+  options.exec.morsel_size = morsel;
   options.exec.telemetry = tel;
   return options;
 }
@@ -291,12 +291,12 @@ struct MiniJson {
   }
 };
 
-TEST(ChromeTrace, ShardedAsyncRunCoversEveryPhase) {
+TEST(ChromeTrace, ParallelAsyncRunCoversEveryPhase) {
   Telemetry tel;
   tel.set_armed(true);
   EngineOptions options;
-  options.exec.num_shards = 4;
   options.exec.num_threads = 4;
+  options.exec.morsel_size = 64;
   options.exec.jobs.num_workers = 2;
   options.exec.telemetry = &tel;
   auto engine = ArmiesWorkload::Build(SmallArmies(), options);
@@ -315,19 +315,16 @@ TEST(ChromeTrace, ShardedAsyncRunCoversEveryPhase) {
   ASSERT_TRUE(parser.ok) << "invalid JSON near offset " << parser.i;
   EXPECT_EQ(parser.i, json.size()) << "trailing garbage";
 
-  // Every sharded-pipeline phase shows up by name.
+  // Every pipeline phase shows up by name.
   for (const char* phase :
-       {"tick.total", "tick.select", "tick.siteprep", "shard.run",
-        "tick.barrier", "tick.finalize_sets", "tick.install", "tick.update",
+       {"tick.total", "tick.select", "tick.siteprep", "tick.query",
+        "tick.merge", "tick.finalize_sets", "tick.install", "tick.update",
         "async.worker.run"}) {
     EXPECT_TRUE(parser.names.count(phase)) << "missing phase " << phase;
   }
-  // Process metadata names both track kinds.
+  // One process, "world": every span is on track 0.
   EXPECT_TRUE(parser.names.count("world"));
-  EXPECT_TRUE(parser.names.count("shard 0"));
-  EXPECT_TRUE(parser.names.count("shard 3"));
-  // One pid per track: world + 4 shards.
-  EXPECT_EQ(parser.pids, std::set<int64_t>({0, 1, 2, 3, 4}));
+  EXPECT_EQ(parser.pids, std::set<int64_t>({0}));
   // Multiple recording threads (barrier + pool workers + job workers).
   EXPECT_GT(parser.tids.size(), 1u);
 }
@@ -351,11 +348,12 @@ TEST(ChromeTrace, SiteAndVmSpansOnRtsGrid) {
 
 // --- Percentile series ---------------------------------------------------
 
-TEST(Snapshot, ReportsTickProbeJobWaitAndBarrierPercentiles) {
+TEST(Snapshot, ReportsTickProbeAndJobWaitPercentiles) {
   Telemetry tel;
   tel.set_armed(true);
   EngineOptions options;
-  options.exec.num_shards = 4;
+  options.exec.num_threads = 4;
+  options.exec.morsel_size = 64;
   options.exec.jobs.num_workers = 2;
   options.exec.telemetry = &tel;
   auto engine = ArmiesWorkload::Build(SmallArmies(), options);
@@ -365,7 +363,7 @@ TEST(Snapshot, ReportsTickProbeJobWaitAndBarrierPercentiles) {
   const MetricsSnapshot snap = tel.metrics().Snapshot();
   for (const char* series :
        {"tick.total_us", "tick.query_us", "tick.merge_us", "tick.update_us",
-        "job.wait_us", "barrier.stall_us", "shard.query_us"}) {
+        "job.wait_us"}) {
     const HistogramSnapshot* hs = snap.Find(series);
     ASSERT_NE(hs, nullptr) << series;
     EXPECT_GT(hs->count, 0) << series;
@@ -377,8 +375,6 @@ TEST(Snapshot, ReportsTickProbeJobWaitAndBarrierPercentiles) {
     EXPECT_LE(p99, static_cast<double>(hs->max)) << series;
   }
   EXPECT_EQ(snap.Find("tick.total_us")->count, 16);
-  // shard.query_us records one sample per shard per tick.
-  EXPECT_EQ(snap.Find("shard.query_us")->count, 16 * 4);
   EXPECT_GT(snap.Counter("jobs.submitted"), 0);
   EXPECT_GT(snap.Counter("jobs.installed"), 0);
 
@@ -429,9 +425,9 @@ TEST(SiteAttribution, SeriesPopulatedWithDecisions) {
 
 // --- Checksum parity ------------------------------------------------------
 
-uint64_t RunRtsChecksum(Telemetry* tel, int threads, int shards,
+uint64_t RunRtsChecksum(Telemetry* tel, int threads, size_t morsel,
                         bool interpreted = false) {
-  EngineOptions options = RtsOpts(tel, threads, shards);
+  EngineOptions options = RtsOpts(tel, threads, morsel);
   options.exec.interpreted = interpreted;
   auto engine = BuildRts(384, options);
   for (int t = 0; t < 12; ++t) EXPECT_TRUE(engine->Tick().ok());
@@ -439,23 +435,24 @@ uint64_t RunRtsChecksum(Telemetry* tel, int threads, int shards,
 }
 
 TEST(Parity, ChecksumBitIdenticalArmedVsDisarmed) {
-  const uint64_t disarmed = RunRtsChecksum(nullptr, 1, 1);
+  const uint64_t disarmed = RunRtsChecksum(nullptr, 1, 2048);
   Telemetry tel;
   tel.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&tel, 1, 1), disarmed) << "serial armed";
+  EXPECT_EQ(RunRtsChecksum(&tel, 1, 2048), disarmed) << "serial armed";
   Telemetry tel_mt;
   tel_mt.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&tel_mt, 4, 1), disarmed) << "4-thread armed";
-  Telemetry tel_sh;
-  tel_sh.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&tel_sh, 1, 4), disarmed) << "4-shard armed";
+  EXPECT_EQ(RunRtsChecksum(&tel_mt, 4, 2048), disarmed) << "4-thread armed";
+  Telemetry tel_small;
+  tel_small.set_armed(true);
+  EXPECT_EQ(RunRtsChecksum(&tel_small, 4, 64), disarmed)
+      << "4-thread, morsel-64 armed";
   // Attached-but-unarmed is also bit-identical.
   Telemetry off;
-  EXPECT_EQ(RunRtsChecksum(&off, 1, 1), disarmed) << "attached unarmed";
+  EXPECT_EQ(RunRtsChecksum(&off, 1, 2048), disarmed) << "attached unarmed";
   // The armed scalar oracle reaches the fast path's state.
   Telemetry tel_oracle;
   tel_oracle.set_armed(true);
-  EXPECT_EQ(RunRtsChecksum(&tel_oracle, 1, 1, /*interpreted=*/true),
+  EXPECT_EQ(RunRtsChecksum(&tel_oracle, 1, 2048, /*interpreted=*/true),
             disarmed)
       << "armed oracle";
 }
@@ -495,11 +492,11 @@ TEST(ArmedAllocs, Parallel4ThreadSteadyStateIsAllocationFree) {
   EXPECT_EQ(MeasureArmedSteadyState(engine.get(), nullptr), 0);
 }
 
-// Sharded variant uses the stationary battle (see alloc_steady_state_test):
-// zeroed attack freezes the engagement geometry so every buffer hits its
-// high-water capacity inside the warmup window, while every matching pair
-// still emits its damage write each tick.
-TEST(ArmedAllocs, Sharded4SteadyStateIsAllocationFree) {
+// The small-morsel variant uses the stationary battle (see
+// alloc_steady_state_test): zeroed attack freezes the engagement geometry
+// so every buffer hits its high-water capacity inside the warmup window,
+// while every matching pair still emits its damage write each tick.
+TEST(ArmedAllocs, Parallel4Morsel64SteadyStateIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
   Telemetry tel;
   tel.set_armed(true);
@@ -508,7 +505,7 @@ TEST(ArmedAllocs, Sharded4SteadyStateIsAllocationFree) {
   config.clustered = true;
   config.cluster_radius = 10;  // dense: everyone engaged from tick 0
   auto engine =
-      RtsWorkload::Build(config, RtsOpts(&tel, /*threads=*/1, /*shards=*/4));
+      RtsWorkload::Build(config, RtsOpts(&tel, /*threads=*/4, /*morsel=*/64));
   ASSERT_TRUE(engine.ok()) << engine.status();
   for (EntityId id = 1; id <= 800; ++id) {
     ASSERT_TRUE((*engine)->Set(id, "attack", Value::Number(0)).ok());

@@ -205,13 +205,13 @@ TEST(Txn, OwnershipTransferFlipsOwnerRef) {
   }
 }
 
-// --- Shard-partitioning independence (flat intent logs) --------------------
+// --- Log-partitioning independence (flat intent logs) ----------------------
 //
-// Admission runs over (order_key, shard, index) handles into per-worker
+// Admission runs over (order_key, log, index) handles into per-worker
 // intent logs. Order keys are unique per (site, issuing row), so the
 // outcome — commit/abort set, status fields, TxnStats, world state — must
 // be identical for *any* partitioning of the same intent multiset across
-// any number of shards, in any within-shard order. This is the invariant
+// any number of logs, in any within-log order. This is the invariant
 // that makes parallel intent emission deterministic.
 
 namespace partition_test {
@@ -289,11 +289,11 @@ struct Outcome {
 };
 
 // Builds a fresh (deterministic) market world, injects `intents` under the
-// given shard assignment, runs admission, and captures everything
+// given log assignment, runs admission, and captures everything
 // observable.
 Outcome RunPartition(const MarketConfig& config,
                      const std::vector<BuyIntent>& intents,
-                     const std::vector<int>& shard_of, int num_shards) {
+                     const std::vector<int>& log_of, int num_logs) {
   EngineOptions options;
   auto engine = MarketWorkload::Build(config, options);
   EXPECT_TRUE(engine.ok()) << engine.status();
@@ -308,9 +308,9 @@ Outcome RunPartition(const MarketConfig& config,
   FieldIdx owner_f = (*engine)->catalog().Get(item_cls).FindState("owner");
 
   TxnEngine& txn = (*engine)->executor().txn();
-  txn.BeginTick(num_shards);
+  txn.BeginTick(num_logs);
   for (size_t i = 0; i < intents.size(); ++i) {
-    EmitBuy(txn.shard(shard_of[i]), intents[i], op, trader_cls, item_cls,
+    EmitBuy(txn.worker_log(log_of[i]), intents[i], op, trader_cls, item_cls,
             gold_f, items_f, owner_f);
   }
   txn.ApplyUpdate(&(*engine)->world());
@@ -330,7 +330,7 @@ Outcome RunPartition(const MarketConfig& config,
 
 }  // namespace partition_test
 
-TEST(Txn, AdmissionIsIndependentOfShardPartitioning) {
+TEST(Txn, AdmissionIsIndependentOfLogPartitioning) {
   using partition_test::BuyIntent;
   using partition_test::Outcome;
   using partition_test::RunPartition;
@@ -374,32 +374,32 @@ TEST(Txn, AdmissionIsIndependentOfShardPartitioning) {
   }
   ASSERT_GT(intents.size(), 6u);
 
-  // Reference: everything in one shard, emission order.
+  // Reference: everything in one log, emission order.
   std::vector<int> all_zero(intents.size(), 0);
   const Outcome reference = RunPartition(config, intents, all_zero, 1);
   EXPECT_TRUE(reference.consistent);
   EXPECT_GT(reference.committed, 0);
 
   // Structured partitionings: round-robin and block splits over 2..5
-  // shards, including empty shards.
-  for (int shards = 2; shards <= 5; ++shards) {
+  // logs, including empty logs.
+  for (int logs = 2; logs <= 5; ++logs) {
     std::vector<int> rr(intents.size()), block(intents.size());
     for (size_t i = 0; i < intents.size(); ++i) {
-      rr[i] = static_cast<int>(i) % shards;
-      block[i] = static_cast<int>(i * static_cast<size_t>(shards) /
+      rr[i] = static_cast<int>(i) % logs;
+      block[i] = static_cast<int>(i * static_cast<size_t>(logs) /
                                   intents.size());
     }
-    EXPECT_EQ(reference, RunPartition(config, intents, rr, shards))
-        << "round-robin over " << shards << " shards diverged";
-    EXPECT_EQ(reference, RunPartition(config, intents, block, shards + 1))
-        << "block split over " << shards << " shards diverged";
+    EXPECT_EQ(reference, RunPartition(config, intents, rr, logs))
+        << "round-robin over " << logs << " logs diverged";
+    EXPECT_EQ(reference, RunPartition(config, intents, block, logs + 1))
+        << "block split over " << logs << " logs diverged";
   }
 
-  // Random partitionings with shuffled within-shard emission order: the
+  // Random partitionings with shuffled within-log emission order: the
   // multiset is what matters, not how workers happened to batch it.
   for (int trial = 0; trial < 10; ++trial) {
     Rng prng(1000 + static_cast<uint64_t>(trial));
-    int shards = 1 + static_cast<int>(prng.NextBelow(6));
+    int logs = 1 + static_cast<int>(prng.NextBelow(6));
     std::vector<size_t> perm(intents.size());
     for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
     for (size_t i = perm.size(); i > 1; --i) {
@@ -410,15 +410,15 @@ TEST(Txn, AdmissionIsIndependentOfShardPartitioning) {
     for (size_t i : perm) {
       shuffled.push_back(intents[i]);
       assign.push_back(static_cast<int>(
-          prng.NextBelow(static_cast<uint64_t>(shards))));
+          prng.NextBelow(static_cast<uint64_t>(logs))));
     }
-    EXPECT_EQ(reference, RunPartition(config, shuffled, assign, shards))
+    EXPECT_EQ(reference, RunPartition(config, shuffled, assign, logs))
         << "random partition trial " << trial << " diverged";
   }
 }
 
 // End-to-end flavor of the same property: full ticks under different thread
-// counts and morsel sizes produce different genuine shard partitionings of
+// counts and morsel sizes produce different genuine log partitionings of
 // each tick's intents; state and statistics must match the serial run
 // tick for tick.
 TEST(Txn, TickOutcomeIsIndependentOfThreadsAndMorsels) {

@@ -701,7 +701,7 @@ script S for U {
 //
 // The fast path (bytecode VM, batched probes) must reach the oracle's
 // bit-identical world checksum on E1 (RTS), E3 (market), and E8 (traffic):
-// serially, with 4 worker threads, and with 4 world shards.
+// serially, and with 4 worker threads in default and 64-row morsels.
 
 uint64_t RunRts(const EngineOptions& options, int ticks, int units,
                 bool clustered) {
@@ -724,12 +724,12 @@ uint64_t RunTraffic(const EngineOptions& options, int ticks, int vehicles) {
 }
 
 EngineOptions Exec(bool interpreted, PlanMode mode = PlanMode::kCostBased,
-                   int threads = 1, int shards = 1) {
+                   int threads = 1, size_t morsel = 2048) {
   EngineOptions options;
   options.exec.interpreted = interpreted;
   options.exec.planner.mode = mode;
   options.exec.num_threads = threads;
-  options.exec.num_shards = shards;
+  options.exec.morsel_size = morsel;
   return options;
 }
 
@@ -754,16 +754,16 @@ TEST(VmParity, RtsChecksumIndependentOfStrategy) {
   }
 }
 
-TEST(VmParity, RtsChecksumMatchesAcrossThreadsAndShards) {
+TEST(VmParity, RtsChecksumMatchesAcrossThreadsAndMorsels) {
   const uint64_t baseline = RunRts(Exec(kOracle), 10, 300, true);
   EXPECT_EQ(baseline, RunRts(Exec(kFast, PlanMode::kCostBased, /*threads=*/4),
                              10, 300, true))
       << "4 threads";
   EXPECT_EQ(baseline,
-            RunRts(Exec(kFast, PlanMode::kCostBased, /*threads=*/1,
-                        /*shards=*/4),
+            RunRts(Exec(kFast, PlanMode::kCostBased, /*threads=*/4,
+                        /*morsel=*/64),
                    10, 300, true))
-      << "4 shards";
+      << "4 threads, morsel 64";
 }
 
 TEST(VmParity, TrafficChecksumMatchesOracle) {
@@ -774,9 +774,9 @@ TEST(VmParity, TrafficChecksumMatchesOracle) {
                        400))
       << "4 threads";
   EXPECT_EQ(baseline, RunTraffic(Exec(kFast, PlanMode::kCostBased,
-                                      /*threads=*/1, /*shards=*/4),
+                                      /*threads=*/4, /*morsel=*/64),
                                  15, 400))
-      << "4 shards";
+      << "4 threads, morsel 64";
 }
 
 TEST(VmParity, MarketChecksumMatchesOracle) {
